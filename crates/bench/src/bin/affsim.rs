@@ -115,10 +115,13 @@ fn main() {
     };
 
     let cfg = RunConfig::new(system).with_scale(scale).with_seed(seed);
+    // The graph input (if any) is generated once and shared by the profiling
+    // run and the measured run: it depends only on scale and seed.
+    let input = suite::gen_input(workload, &cfg).map(Arc::new);
     if let Some(path) = &profile_out {
         // Phase 1 standalone: annotation-free run with the miner installed,
         // inferred profile serialized for a later --profile-in replay.
-        let profile = profile_workload(workload, &cfg);
+        let profile = profile_workload(workload, &cfg, input.clone());
         if let Err(e) = std::fs::write(path, profile.to_json() + "\n") {
             eprintln!("could not write {path}: {e}");
             std::process::exit(1);
@@ -141,7 +144,7 @@ fn main() {
                     })
                 }
                 // No saved profile: close the loop in-process.
-                None => profile_workload(workload, &cfg),
+                None => profile_workload(workload, &cfg, input.clone()),
             };
             HintMode::Inferred(Arc::new(profile))
         }
@@ -152,7 +155,7 @@ fn main() {
     };
     let cfg = cfg.with_hints(hints);
     let start = std::time::Instant::now();
-    let run = suite::run(workload, &cfg);
+    let run = suite::run_on(workload, &cfg, input);
     let m = &run.metrics;
     println!("workload        {}", workload.label());
     println!("system          {}", system.label());

@@ -16,7 +16,9 @@
 //! [`closed_loop_cell`](crate::sweep::PlanBuilder::closed_loop_cell), so the
 //! family keeps every sweep-engine guarantee: byte-identical output for any
 //! `--jobs`, memo/journal caching of the whole loop as one outcome, fail-soft
-//! cells.
+//! cells. The three cells of a graph workload read one shared generated
+//! input, and the closed loop hands the profiling phase's copy to the
+//! replay.
 //!
 //! The headline metric is **near-bank-ratio recovery**: how much of the
 //! annotated run's data locality the inferred hints reproduce. The paper's
@@ -26,9 +28,10 @@
 
 use std::sync::Arc;
 
-use crate::figures::HarnessOpts;
+use crate::figures::{run_claimed, GraphInputs, HarnessOpts};
 use crate::report::Figure;
-use crate::sweep::{PlanBuilder, SweepPlan};
+use crate::sweep::{Claim, PlanBuilder, SweepPlan};
+use aff_ds::graph::Graph;
 use aff_nsc::engine::Metrics;
 use aff_sim_core::mine;
 use aff_sim_core::stats::geomean;
@@ -56,9 +59,16 @@ pub fn near_bank_ratio(m: &Metrics) -> f64 {
 /// profile — phase 1 of the closed loop, and the `affsim --profile-out`
 /// backend. (The sweep cells do the same thing through
 /// [`PlanBuilder::closed_loop_cell`], which additionally survives panics.)
-pub fn profile_workload(w: WorkloadName, cfg: &RunConfig) -> AffinityProfile {
+///
+/// `input` is the graph a graph workload reads ([`suite::gen_input`]); pass
+/// the copy the replay will run on, or `None` to generate it here.
+pub fn profile_workload(
+    w: WorkloadName,
+    cfg: &RunConfig,
+    input: Option<Arc<Graph>>,
+) -> AffinityProfile {
     mine::install_thread_miner();
-    let _ = suite::run(w, &cfg.clone().with_hints(HintMode::NoHints));
+    let _ = suite::run_on(w, &cfg.clone().with_hints(HintMode::NoHints), input);
     let trace = mine::take_thread_miner().unwrap_or_default();
     AffinityProfile::infer(&trace)
 }
@@ -81,24 +91,33 @@ pub fn inference_plan_for(workloads: &[WorkloadName], opts: HarnessOpts) -> Swee
         none: usize,
     }
     let mut b = PlanBuilder::new("inference");
+    let mut inputs = GraphInputs::kron(aff_cfg(opts).scale, opts.seed);
     let mut groups = Vec::with_capacity(workloads.len());
     for &w in workloads {
+        let input = inputs.claim_for(w);
         let annotated = b.cell(format!("{}/annotated", w.label()), move |_| {
-            suite::run(w, &aff_cfg(opts)).metrics.into()
+            run_claimed(w, &aff_cfg(opts), input.as_ref()).metrics.into()
         });
+        let input = inputs.claim_for(w);
         let inferred = b.closed_loop_cell(
             format!("{}/inferred", w.label()),
             move |_| {
-                let _ = suite::run(w, &aff_cfg(opts).with_hints(HintMode::NoHints));
+                // Both phases run on this one copy of the input.
+                let graph = input.as_ref().map(Claim::take);
+                let cfg = aff_cfg(opts).with_hints(HintMode::NoHints);
+                let _ = suite::run_on(w, &cfg, graph.clone());
+                graph
             },
-            move |_, trace| {
+            move |_, graph, trace| {
                 let profile = Arc::new(AffinityProfile::infer(&trace));
                 let cfg = aff_cfg(opts).with_hints(HintMode::Inferred(profile));
-                suite::run(w, &cfg).metrics.into()
+                suite::run_on(w, &cfg, graph).metrics.into()
             },
         );
+        let input = inputs.claim_for(w);
         let none = b.cell(format!("{}/none", w.label()), move |_| {
-            suite::run(w, &aff_cfg(opts).with_hints(HintMode::NoHints)).metrics.into()
+            let cfg = aff_cfg(opts).with_hints(HintMode::NoHints);
+            run_claimed(w, &cfg, input.as_ref()).metrics.into()
         });
         groups.push(Group {
             w,
@@ -188,7 +207,7 @@ mod tests {
     #[test]
     fn profile_workload_yields_hints_and_uninstalls_the_miner() {
         let cfg = RunConfig::new(SystemConfig::aff_alloc_default());
-        let profile = profile_workload(WorkloadName::LinkList, &cfg);
+        let profile = profile_workload(WorkloadName::LinkList, &cfg, None);
         assert!(profile.hint_count() > 0, "link_list must mine chain hints");
         assert!(!mine::thread_miner_installed());
     }

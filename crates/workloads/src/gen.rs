@@ -61,17 +61,24 @@ pub fn kronecker(scale: u32, edge_factor: u32, seed: u64) -> Graph {
 
 /// Weighted Kronecker for sssp: weights uniform in `[1, 255]` (Table 3).
 pub fn kronecker_weighted(scale: u32, edge_factor: u32, seed: u64) -> Graph {
-    let g = kronecker(scale, edge_factor, seed);
+    weight_kronecker(&kronecker(scale, edge_factor, seed), seed)
+}
+
+/// Attach the sssp weights of [`kronecker_weighted`] to an already generated
+/// plain Kronecker graph: `weight_kronecker(&kronecker(s, f, seed), seed)`
+/// equals `kronecker_weighted(s, f, seed)`, so a sweep that needs both
+/// inputs generates the edge list once.
+pub fn weight_kronecker(plain: &Graph, seed: u64) -> Graph {
     let mut rng = SimRng::new(seed ^ 0x5550);
-    let mut edges = Vec::with_capacity(g.num_edges());
-    let mut weights = Vec::with_capacity(g.num_edges());
-    for v in 0..g.num_vertices() {
-        for &t in g.neighbors(v) {
+    let mut edges = Vec::with_capacity(plain.num_edges());
+    let mut weights = Vec::with_capacity(plain.num_edges());
+    for v in 0..plain.num_vertices() {
+        for &t in plain.neighbors(v) {
             edges.push((v, t));
             weights.push(1 + rng.below(255) as u32);
         }
     }
-    Graph::from_weighted_edges(g.num_vertices(), &edges, &weights)
+    Graph::from_weighted_edges(plain.num_vertices(), &edges, &weights)
 }
 
 /// Power-law graph: `num_edges` total directed edges over `n` vertices with
@@ -201,6 +208,19 @@ mod tests {
         for v in 0..g.num_vertices() {
             for &w in g.weights_of(v).unwrap() {
                 assert!((1..=255).contains(&w));
+            }
+        }
+    }
+
+    #[test]
+    fn weighting_a_plain_kronecker_matches_the_weighted_generator() {
+        for scale in [9, 12] {
+            for seed in [3, 2023] {
+                assert_eq!(
+                    weight_kronecker(&kronecker(scale, 16, seed), seed),
+                    kronecker_weighted(scale, 16, seed),
+                    "scale {scale} seed {seed}"
+                );
             }
         }
     }

@@ -26,6 +26,7 @@ use aff_sim_core::mine::{self, RegionKind};
 use aff_sim_core::trace::Event;
 use affinity_alloc::{AffinityAllocator, InferredHint};
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// Probes already in flight when a pull-scan's dynamic break resolves.
 /// Both the OOO core (branch-predicted loop exit, ROB run-ahead) and the
@@ -144,7 +145,9 @@ enum QueueKind {
 
 /// A fully laid-out graph-workload instance.
 pub struct GraphInstance {
-    graph: Graph,
+    /// Shared, not owned: a sweep lays out one generated input under many
+    /// configurations, and layout only reads it.
+    graph: Arc<Graph>,
     props: VertexArray,
     edges: EdgeLayout,
     queue: QueueKind,
@@ -171,7 +174,10 @@ impl GraphInstance {
     /// Region ordinals under the affinity system are stable across hint
     /// modes — 0 = the property array, 1 = the linked-CSR edge nodes — so a
     /// profile mined from an unhinted run keys the annotated structures.
-    pub fn new(graph: Graph, cfg: &RunConfig) -> Self {
+    ///
+    /// Takes an owned [`Graph`] or an `Arc<Graph>` shared with other runs.
+    pub fn new(graph: impl Into<Arc<Graph>>, cfg: &RunConfig) -> Self {
+        let graph = graph.into();
         let mut alloc =
             AffinityAllocator::with_seed(cfg.machine.clone(), cfg.system.policy(), cfg.seed);
         let n = u64::from(graph.num_vertices());
@@ -242,7 +248,12 @@ impl GraphInstance {
     }
 
     /// Fig 6 variant: CSR with the chunk oracle deciding edge banks.
-    pub fn with_chunk_oracle(graph: Graph, cfg: &RunConfig, chunk_bytes: u64) -> Self {
+    pub fn with_chunk_oracle(
+        graph: impl Into<Arc<Graph>>,
+        cfg: &RunConfig,
+        chunk_bytes: u64,
+    ) -> Self {
+        let graph = graph.into();
         let mut alloc =
             AffinityAllocator::with_seed(cfg.machine.clone(), cfg.system.policy(), cfg.seed);
         let n = u64::from(graph.num_vertices());

@@ -17,6 +17,7 @@ use crate::pointer::{
 };
 use aff_ds::graph::Graph;
 use aff_nsc::engine::Metrics;
+use std::sync::Arc;
 
 /// The ten workloads of Table 3 (plus explicit push/pull variants).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -153,63 +154,60 @@ fn stencil_for(name: WorkloadName, scale: u64) -> Stencil {
     }
 }
 
+/// The generated input a graph workload reads.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum GraphInput {
+    /// The plain Kronecker graph ([`kron_input`]).
+    Plain,
+    /// The weighted Kronecker graph ([`kron_weighted_input`]).
+    Weighted,
+}
+
+impl WorkloadName {
+    /// The graph input this workload reads; `None` for the affine and
+    /// pointer workloads, which build their own structures.
+    pub fn graph_input(&self) -> Option<GraphInput> {
+        match self {
+            WorkloadName::Pr
+            | WorkloadName::PrPush
+            | WorkloadName::PrPull
+            | WorkloadName::Bfs
+            | WorkloadName::BfsPush
+            | WorkloadName::BfsPull => Some(GraphInput::Plain),
+            WorkloadName::Sssp => Some(GraphInput::Weighted),
+            _ => None,
+        }
+    }
+}
+
+/// Generate the graph `name` reads under `cfg` (`None` for non-graph
+/// workloads). The input depends only on `cfg.scale` and `cfg.seed`, so runs
+/// that differ in system, machine or hints can share one generated copy
+/// through [`run_graph`].
+pub fn gen_input(name: WorkloadName, cfg: &RunConfig) -> Option<Graph> {
+    name.graph_input().map(|input| match input {
+        GraphInput::Plain => kron_input(cfg.scale, cfg.seed),
+        GraphInput::Weighted => kron_weighted_input(cfg.scale, cfg.seed),
+    })
+}
+
 /// Run `name` under `cfg`.
+///
+/// Graph workloads generate their input and go through [`run_graph`].
 ///
 /// # Panics
 ///
 /// Panics on allocator failure (a harness bug, not an input condition).
 pub fn run(name: WorkloadName, cfg: &RunConfig) -> SuiteRun {
+    if let Some(g) = gen_input(name, cfg) {
+        return run_graph(name, cfg, Arc::new(g));
+    }
     let scale = u64::from(cfg.scale);
     match name {
         WorkloadName::Pathfinder
         | WorkloadName::Srad
         | WorkloadName::Hotspot
         | WorkloadName::Hotspot3D => run_stencil(&stencil_for(name, scale), cfg).into(),
-
-        WorkloadName::Pr => {
-            // Best implementation per system (§6): pull for In-Core, push
-            // for NDC configurations.
-            match cfg.system {
-                SystemConfig::InCore => run(WorkloadName::PrPull, cfg),
-                _ => run(WorkloadName::PrPush, cfg),
-            }
-        }
-        WorkloadName::PrPush => {
-            GraphInstance::new(kron_input(cfg.scale, cfg.seed), cfg)
-                .run_pr_push()
-                .into()
-        }
-        WorkloadName::PrPull => {
-            GraphInstance::new(kron_input(cfg.scale, cfg.seed), cfg)
-                .run_pr_pull()
-                .into()
-        }
-        WorkloadName::Bfs => {
-            let policy = DirectionPolicy::default_for(cfg.system);
-            let g = kron_input(cfg.scale, cfg.seed);
-            let src = pick_source(&g);
-            GraphInstance::new(g, cfg).run_bfs(src, policy).into()
-        }
-        WorkloadName::BfsPush => {
-            let g = kron_input(cfg.scale, cfg.seed);
-            let src = pick_source(&g);
-            GraphInstance::new(g, cfg)
-                .run_bfs(src, DirectionPolicy::PushOnly)
-                .into()
-        }
-        WorkloadName::BfsPull => {
-            let g = kron_input(cfg.scale, cfg.seed);
-            let src = pick_source(&g);
-            GraphInstance::new(g, cfg)
-                .run_bfs(src, DirectionPolicy::PullOnly)
-                .into()
-        }
-        WorkloadName::Sssp => {
-            let g = kron_weighted_input(cfg.scale, cfg.seed);
-            let src = pick_source(&g);
-            GraphInstance::new(g, cfg).run_sssp(src).into()
-        }
-
         WorkloadName::LinkList => {
             let p = LinkListParams {
                 lists: 1000 * cfg.scale as usize,
@@ -233,6 +231,52 @@ pub fn run(name: WorkloadName, cfg: &RunConfig) -> SuiteRun {
             };
             run_bin_tree(p, cfg).into()
         }
+        _ => unreachable!("graph workloads returned above"),
+    }
+}
+
+/// Run graph workload `name` under `cfg` on `graph`, the input
+/// [`gen_input`] would generate for it (callers that run one input under
+/// several configurations generate it once and share the `Arc`).
+///
+/// # Panics
+///
+/// Panics when `name` is not a graph workload, and on allocator failure.
+pub fn run_graph(name: WorkloadName, cfg: &RunConfig, graph: Arc<Graph>) -> SuiteRun {
+    match name {
+        WorkloadName::Pr => {
+            // Best implementation per system (§6): pull for In-Core, push
+            // for NDC configurations.
+            match cfg.system {
+                SystemConfig::InCore => run_graph(WorkloadName::PrPull, cfg, graph),
+                _ => run_graph(WorkloadName::PrPush, cfg, graph),
+            }
+        }
+        WorkloadName::PrPush => GraphInstance::new(graph, cfg).run_pr_push().into(),
+        WorkloadName::PrPull => GraphInstance::new(graph, cfg).run_pr_pull().into(),
+        WorkloadName::Bfs | WorkloadName::BfsPush | WorkloadName::BfsPull => {
+            let policy = match name {
+                WorkloadName::BfsPush => DirectionPolicy::PushOnly,
+                WorkloadName::BfsPull => DirectionPolicy::PullOnly,
+                _ => DirectionPolicy::default_for(cfg.system),
+            };
+            let src = pick_source(&graph);
+            GraphInstance::new(graph, cfg).run_bfs(src, policy).into()
+        }
+        WorkloadName::Sssp => {
+            let src = pick_source(&graph);
+            GraphInstance::new(graph, cfg).run_sssp(src).into()
+        }
+        other => panic!("{} is not a graph workload", other.label()),
+    }
+}
+
+/// Run `name` on `input` when one is given (a graph workload's shared input,
+/// see [`run_graph`]), else generate as [`run`] does.
+pub fn run_on(name: WorkloadName, cfg: &RunConfig, input: Option<Arc<Graph>>) -> SuiteRun {
+    match input {
+        Some(g) => run_graph(name, cfg, g),
+        None => run(name, cfg),
     }
 }
 
@@ -273,6 +317,60 @@ mod tests {
         assert!(WorkloadName::Sssp.is_frontier());
         assert!(!WorkloadName::Pr.is_frontier());
         assert!(!WorkloadName::LinkList.is_frontier());
+    }
+
+    #[test]
+    fn graph_inputs_cover_exactly_the_graph_workloads() {
+        assert_eq!(WorkloadName::Sssp.graph_input(), Some(GraphInput::Weighted));
+        assert_eq!(WorkloadName::PrPull.graph_input(), Some(GraphInput::Plain));
+        assert_eq!(WorkloadName::BfsPush.graph_input(), Some(GraphInput::Plain));
+        assert_eq!(WorkloadName::Srad.graph_input(), None);
+        assert_eq!(WorkloadName::HashJoin.graph_input(), None);
+    }
+
+    #[test]
+    fn run_graph_on_a_shared_input_matches_run() {
+        use crate::gen;
+        // One generated input per kind, shared across systems as a sweep
+        // plan shares it; the weighted one derived from the plain one.
+        let seed = 5;
+        let plain = Arc::new(kron_input(1, seed));
+        let weighted = Arc::new(gen::weight_kronecker(&plain, seed));
+        let systems = [
+            SystemConfig::InCore,
+            SystemConfig::NearL3,
+            SystemConfig::aff_alloc_default(),
+        ];
+        for w in [
+            WorkloadName::Pr,
+            WorkloadName::PrPush,
+            WorkloadName::Bfs,
+            WorkloadName::Sssp,
+        ] {
+            let input = match w.graph_input() {
+                Some(GraphInput::Weighted) => &weighted,
+                _ => &plain,
+            };
+            for s in systems {
+                let cfg = RunConfig::new(s).with_seed(seed);
+                let fresh = run(w, &cfg).metrics;
+                let shared = run_graph(w, &cfg, Arc::clone(input)).metrics;
+                assert_eq!(
+                    format!("{fresh:?}"),
+                    format!("{shared:?}"),
+                    "{} / {}",
+                    w.label(),
+                    s.label()
+                );
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "not a graph workload")]
+    fn run_graph_rejects_non_graph_workloads() {
+        let cfg = RunConfig::new(SystemConfig::NearL3);
+        let _ = run_graph(WorkloadName::LinkList, &cfg, Arc::new(kron_input(1, 1)));
     }
 
     #[test]
