@@ -9,6 +9,7 @@
 //! figures --jobs 8 all        # parallel sweep (output byte-identical)
 //! figures --sweep-json f.json # where to write the perf report
 //! figures --journal j --resume all   # crash-safe: replay completed cells
+//! figures --memo m all               # cross-run cell cache
 //! figures --cell-timeout-ms 60000 --max-retries 1 all  # run-to-completion
 //! figures --metrics fig13            # per-cell metrics in the sweep report
 //! figures --trace t.json fig13       # + one traced cell as Chrome JSON
@@ -24,7 +25,10 @@
 //! run; timing and the sweep summary go to **stderr**; per-cell
 //! wall-time/throughput counters land in `BENCH_sweep.json` (see
 //! `--sweep-json`). Checkpoints append to `BENCH_sweep.journal` (see
-//! `--journal`).
+//! `--journal`). The journal and the memo are the same content-addressed
+//! cell store: each cell is keyed by a hash of the code build, the harness
+//! config (scale, geometry, tenants), seed, chaos, figure, cell and label,
+//! so a store written by another build is never replayed.
 //!
 //! Exit codes:
 //!
@@ -37,8 +41,8 @@
 //!   over 3 when both classes occur.
 
 use aff_bench::figures::{plan_figure, traced_fig13_cell, GeometrySpec, HarnessOpts, ALL_FIGURES};
-use aff_bench::journal::fnv1a;
 use aff_bench::report::AggregateRow;
+use aff_bench::store::fnv1a;
 use aff_bench::sweep::{run_plans_opts, RunOpts};
 
 fn usage() {
@@ -53,11 +57,16 @@ fn usage() {
     eprintln!("known figures: {ALL_FIGURES:?}");
     eprintln!("  inference      opt-in figure id (not part of 'all'): every Table 3");
     eprintln!("                 workload annotated vs closed-loop-inferred vs hint-free");
-    eprintln!("  --memo PATH    cross-run cell cache: completed cells are stored keyed by");
-    eprintln!("                 a content hash (code version, config, seed, figure, cell);");
-    eprintln!("                 later runs replay matching cells instead of re-running them");
+    eprintln!("  --journal PATH cell store checkpointed as cells finish (default");
+    eprintln!("                 BENCH_sweep.journal); emptied by every run without --resume");
+    eprintln!("  --resume       replay the journal's cells instead of re-running them");
+    eprintln!("  --memo PATH    cross-run cell store, never emptied: later runs replay");
+    eprintln!("                 matching cells instead of re-running them");
+    eprintln!("                 (both stores key cells by a hash of the code build, config,");
+    eprintln!("                 seed, chaos, figure and cell; another build's store is refused)");
     eprintln!("  --aggregate-from PATH   merge the aggregate rows of a prior sweep report");
-    eprintln!("                 into this run's BENCH_sweep.json aggregates array");
+    eprintln!("                 (sweep-v6 or later) into this run's BENCH_sweep.json");
+    eprintln!("                 aggregates array");
     eprintln!("  --geometry SPEC   machine geometry, e.g. 16x16, 32x32, 8x8:torus, 8x8:cmesh");
     eprintln!("                    (default 8x8 — the paper's mesh; output stays byte-identical)");
     eprintln!("  --tenants N    tenant count for the 'tenants' churn family (default 4;");
@@ -217,39 +226,10 @@ fn main() {
         std::process::exit(2);
     }
 
-    // The journal's context hash pins it to this exact figure set and scale:
-    // resuming a journal written for different figures (or --full) refuses
-    // the stale entries and re-runs everything.
-    let mut context_bytes: Vec<u8> = Vec::new();
-    for id in &ids {
-        context_bytes.extend_from_slice(id.as_bytes());
-        context_bytes.push(b'\n');
-    }
-    context_bytes.push(u8::from(opts.full));
-    // A non-default geometry changes every cell's machine; feed it into the
-    // experiment identity. Appending nothing for the default keeps existing
-    // 8×8 journals replayable.
-    if !opts.geometry.is_default() {
-        context_bytes.extend_from_slice(opts.geometry.label().as_bytes());
-    }
-    // Same for a non-default tenant count: it reshapes the `tenants` plan's
-    // cell list. Appending nothing at the default keeps old journals valid.
-    if opts.tenants != HarnessOpts::default().tenants {
-        context_bytes.extend_from_slice(b"tenants=");
-        context_bytes.extend_from_slice(&opts.tenants.to_le_bytes());
-    }
-    // Chaos runs journal different bits for the same cells, so the chaos
-    // seed and intensity are part of the experiment identity too.
-    if let Some(c) = chaos {
-        context_bytes.extend_from_slice(&c.to_le_bytes());
-        context_bytes.extend_from_slice(&chaos_intensity.to_le_bytes());
-    }
-    let context = fnv1a(&context_bytes);
-
-    // The memo config hash covers the knobs that reshape cell *inputs* —
-    // scale, geometry, tenant count — but deliberately NOT the figure-id
-    // list (a `figures fig13` run reuses cells a `figures all` run cached)
-    // and NOT seed/chaos (those are separate memo-key fields in the sweep).
+    // The config hash covers the knobs that reshape cell *inputs* — scale,
+    // geometry, tenant count — but deliberately NOT the figure-id list (a
+    // `figures fig13` run reuses cells a `figures all` run stored) and NOT
+    // seed/chaos (those are separate cell-key fields in the sweep).
     let mut memo_bytes: Vec<u8> = Vec::new();
     memo_bytes.push(u8::from(opts.full));
     memo_bytes.extend_from_slice(opts.geometry.label().as_bytes());
@@ -268,7 +248,6 @@ fn main() {
         max_retries,
         journal: journal.map(std::path::PathBuf::from),
         resume,
-        context,
         collect_metrics: metrics,
         chaos,
         chaos_intensity,

@@ -9,9 +9,8 @@
 
 pub mod figures;
 pub mod inference;
-pub mod journal;
-pub mod memo;
 pub mod report;
+pub mod store;
 pub mod sweep;
 pub mod tenants;
 

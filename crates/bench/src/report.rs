@@ -423,27 +423,15 @@ impl AggregateRow {
     }
 
     /// Parse the aggregate rows out of a rendered sweep report (the format
-    /// this crate emits — not a general JSON parser). A v6+ report yields
-    /// its `aggregates` array; an older report (no array) degrades to one
-    /// row built from its top-level totals. Anything unparsable yields `[]`.
+    /// this crate emits — not a general JSON parser): the `aggregates` array
+    /// of a v6+ report. Anything else, older reports included, yields `[]`.
     pub fn parse_report(text: &str) -> Vec<AggregateRow> {
-        let mut out = Vec::new();
-        if let Some(i) = text.find("\"aggregates\": [") {
-            let body = &text[i..];
-            let body = &body[..body.find(']').unwrap_or(body.len())];
-            for line in body.lines() {
-                if let Some(row) = Self::parse_obj(line) {
-                    out.push(row);
-                }
-            }
-        } else {
-            // Pre-v6 report: its run-level header fields are the one row.
-            let head = &text[..text.find("\"cells\"").unwrap_or(text.len())];
-            if let Some(row) = Self::parse_obj(head) {
-                out.push(row);
-            }
-        }
-        out
+        let Some(i) = text.find("\"aggregates\": [") else {
+            return Vec::new();
+        };
+        let body = &text[i..];
+        let body = &body[..body.find(']').unwrap_or(body.len())];
+        body.lines().filter_map(Self::parse_obj).collect()
     }
 
     fn parse_obj(text: &str) -> Option<AggregateRow> {
@@ -808,21 +796,6 @@ mod tests {
         assert_eq!(rows.len(), 2);
         assert_eq!(rows[0], r.aggregate());
         assert_eq!(rows[1], r.extra_aggregates[0]);
-        // A pre-v6 report (no aggregates array) degrades to one row built
-        // from the run-level header fields.
-        let legacy = "{\n  \"schema\": \"aff-bench/sweep-v5\",\n  \"jobs\": 2,\n  \
-                      \"wall_ms\": 10.5,\n  \"total_sim_cycles\": 42,\n  \
-                      \"mcycles_per_sec\": 4,\n  \"cells\": [\n  ]\n}";
-        let rows = AggregateRow::parse_report(legacy);
-        assert_eq!(
-            rows,
-            vec![AggregateRow {
-                jobs: 2,
-                wall_ms: 10.5,
-                total_sim_cycles: 42,
-                mcycles_per_sec: 4.0,
-            }]
-        );
         // Garbage parses to nothing, not a panic.
         assert!(AggregateRow::parse_report("not json at all").is_empty());
     }

@@ -1,36 +1,41 @@
-//! Crash-safe sweep checkpoint journal (`BENCH_sweep.journal`).
+//! Content-addressed cell store: the one on-disk format behind both
+//! `figures --journal` (crash-safe resume) and `figures --memo` (cross-run
+//! cell cache).
 //!
-//! Every completed [`CellOutcome`](crate::sweep::CellOutcome) is appended as
-//! one self-delimiting record — `[u32 length][u64 FNV-1a checksum][payload]`
-//! — and fsync'd, so a sweep killed at *any* instant (including mid-write)
-//! leaves a journal whose intact prefix is fully trusted and whose torn tail
-//! is detected and discarded. `figures --resume` replays that prefix, skips
-//! the cells it covers, and re-runs only missing or failed cells; because a
-//! cell's bytes depend only on `(seed, figure, cell index)` — never on
-//! scheduling — the merged output is byte-identical to an uninterrupted run.
+//! A store is a 16-byte header — the `AFFCELL1` magic and the build's
+//! [`code_salt`] — followed by self-delimiting records:
 //!
-//! The payload is a hand-rolled little-endian encoding (the build
-//! environment has no crates.io access for a real serializer): strings are
-//! length-prefixed UTF-8 and `f64`s travel as `to_bits`, so values —
-//! including NaNs from failed baseline cells — round-trip bit-exactly.
+//! ```text
+//! [u32 len][u64 FNV-1a of payload][payload = u64 key ‖ encoded CellEntry]
+//! ```
 //!
-//! The 24-byte header (`magic, seed, context hash`) pins the journal to one
-//! experiment: resuming with a different seed, figure set or scale refuses
-//! the stale journal (everything re-runs) instead of silently merging
-//! incompatible results.
+//! Each record is appended and fsync'd, so a process killed at any instant
+//! (mid-write included) leaves a file whose intact prefix is trusted and
+//! whose torn tail is detected and truncated away on the next open. The key
+//! is the content hash the sweep derives from everything a cell's bytes
+//! depend on (salt, config hash, seed, chaos, figure, cell index, label), so
+//! a lookup can only find an outcome computed from the same inputs by the
+//! same code.
 //!
-//! Corruption policy, enforced by tests here and in
+//! The payload codec is hand-rolled little-endian (the build environment has
+//! no crates.io access for a real serializer): strings are length-prefixed
+//! UTF-8 and `f64`s travel as `to_bits`, so values — including NaNs from
+//! failed baseline cells — round-trip bit-exactly.
+//!
+//! Corruption policy, enforced by the tests here and in
 //! `tests/run_to_completion.rs`:
 //!
 //! * truncated record (torn write) → prefix kept, tail dropped;
 //! * bit flip anywhere in a record → checksum mismatch → that record and
-//!   everything after it dropped (a flipped *length* makes record framing
+//!   everything after it dropped (a flipped *length* makes the framing
 //!   untrustworthy, so scanning past a bad record is not attempted);
-//! * duplicate `(figure, cell)` entries (crash between write and the
-//!   in-memory mark) → the **last** intact one wins.
+//! * duplicate keys (a crash between write and the in-memory mark, or a
+//!   re-run of a failed cell) → the **last** intact record wins;
+//! * another magic (an older format) or another salt (another build) → the
+//!   whole file is refused and recreated empty.
 
 use std::collections::BTreeMap;
-use std::io::{Read, Seek, SeekFrom, Write};
+use std::io::{Seek, SeekFrom, Write};
 use std::path::Path;
 
 use crate::report::Row;
@@ -43,21 +48,21 @@ use aff_workloads::graphs::{Direction, IterStat};
 use aff_workloads::suite::SuiteRun;
 
 /// File magic: identifies the format *and* its version. Bump the trailing
-/// digit on any payload-layout change so old journals are refused, not
-/// misparsed. (v2: fault-epoch counters + the transition log in `Metrics`;
-/// v3: fragmentation ratio + the per-tenant usage records; v4: hint-source
-/// tag + inferred-hint count from the affinity-inference loop.)
-const MAGIC: &[u8; 8] = b"AFFJRNL4";
+/// digit on any payload-layout change so old stores are refused, not
+/// misparsed.
+const MAGIC: &[u8; 8] = b"AFFCELL1";
 
-/// Header length: magic + seed + context hash.
-const HEADER_LEN: u64 = 24;
+/// Header length: magic + code salt.
+const HEADER_LEN: usize = 16;
+
+/// Record framing: length prefix + checksum.
+const FRAME_LEN: usize = 12;
 
 /// Upper bound on one record's payload — far above any real cell outcome,
 /// low enough that a corrupt length prefix cannot trigger a huge allocation.
-/// Shared with the [`crate::memo`] store, which frames records identically.
-pub(crate) const MAX_RECORD_LEN: u32 = 64 << 20;
+const MAX_RECORD_LEN: usize = 64 << 20;
 
-/// FNV-1a over `bytes` (the record checksum; also used for context hashes).
+/// FNV-1a over `bytes` (record checksums, cell keys, RNG stream ids).
 pub fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xCBF2_9CE4_8422_2325;
     for &b in bytes {
@@ -66,9 +71,20 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
     h
 }
 
-/// One journaled cell outcome.
+/// The code-version salt stamped in every store header and folded into
+/// every cell key: FNV-1a over the bench crate version and the hash
+/// `build.rs` takes of the workspace crates' sources. Any source change
+/// yields a new salt, so outcomes computed by other code are never replayed.
+pub fn code_salt() -> u64 {
+    let mut bytes = Vec::new();
+    bytes.extend_from_slice(env!("CARGO_PKG_VERSION").as_bytes());
+    bytes.extend_from_slice(env!("AFF_BENCH_SOURCE_HASH").as_bytes());
+    fnv1a(&bytes)
+}
+
+/// One stored cell outcome.
 #[derive(Debug, Clone)]
-pub struct JournalEntry {
+pub struct CellEntry {
     /// Figure the cell belongs to.
     pub figure: String,
     /// Cell index within its plan (declaration order).
@@ -83,186 +99,133 @@ pub struct JournalEntry {
     pub result: Result<CellData, String>,
 }
 
-/// Why a journal could not be replayed.
+/// An open store: the key → entry map read from the intact prefix, the
+/// scheduling hints read along the way, and the append handle.
 #[derive(Debug)]
-pub enum JournalError {
-    /// The file does not exist (a fresh run, not an error for `--resume`).
-    Missing,
-    /// The header does not match this experiment (different magic/version,
-    /// seed, or figure-set context). Resuming must re-run everything.
-    HeaderMismatch,
-    /// An I/O error other than not-found.
-    Io(std::io::Error),
-}
-
-impl std::fmt::Display for JournalError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            JournalError::Missing => write!(f, "journal file does not exist"),
-            JournalError::HeaderMismatch => {
-                write!(f, "journal belongs to a different experiment (seed/figures/scale)")
-            }
-            JournalError::Io(e) => write!(f, "journal I/O error: {e}"),
-        }
-    }
-}
-
-impl std::error::Error for JournalError {}
-
-/// Result of replaying a journal's intact prefix.
-#[derive(Debug)]
-pub struct JournalReplay {
-    /// Last intact entry per `(figure, cell_idx)` — duplicates resolved.
-    pub entries: BTreeMap<(String, u64), JournalEntry>,
-    /// Byte length of the trusted prefix (header + intact records). Resume
-    /// truncates the file here before appending.
-    pub valid_len: u64,
-    /// Whether a torn or corrupt tail was discarded.
-    pub dropped_tail: bool,
-    /// Intact records read (before duplicate resolution).
-    pub records_read: usize,
-}
-
-/// Append-only journal writer. One writer per sweep; workers serialize on a
-/// mutex around it (appends are rare next to cell compute time).
-#[derive(Debug)]
-pub struct JournalWriter {
+pub struct CellStore {
+    entries: BTreeMap<u64, CellEntry>,
+    /// Last stored wall time per `(figure, cell_idx)`. Read from any intact
+    /// prefix with the right magic, whatever its salt: hints only order the
+    /// work-stealing seed and never change output bytes.
+    pub wall_hints: BTreeMap<(String, u64), u64>,
+    /// Whether the file held a store of another build or format, discarded.
+    pub stale: bool,
     file: std::fs::File,
 }
 
-impl JournalWriter {
-    /// Start a fresh journal at `path` (truncating any previous file) with
-    /// the experiment's `(seed, context)` stamped in the header.
-    pub fn create(path: &Path, seed: u64, context: u64) -> std::io::Result<Self> {
+impl CellStore {
+    /// Open the store at `path` under `salt`, creating it when missing.
+    ///
+    /// With `keep`, an intact store of the same salt is reopened: its
+    /// entries are loaded and a torn or corrupt tail is truncated away.
+    /// Without `keep`, or when the header names another magic or salt, the
+    /// file restarts empty. I/O errors are returned; a missing or unreadable
+    /// file without `keep` only costs the wall hints.
+    pub fn open(path: &Path, salt: u64, keep: bool) -> std::io::Result<CellStore> {
+        let buf = match std::fs::read(path) {
+            Ok(buf) => buf,
+            Err(e) if keep && e.kind() != std::io::ErrorKind::NotFound => return Err(e),
+            Err(_) => Vec::new(),
+        };
+        let scan = scan(&buf, salt);
+        let reuse = keep && scan.salt_matches;
         let mut file = std::fs::OpenOptions::new()
             .write(true)
             .create(true)
-            .truncate(true)
+            .truncate(!reuse)
             .open(path)?;
-        file.write_all(MAGIC)?;
-        file.write_all(&seed.to_le_bytes())?;
-        file.write_all(&context.to_le_bytes())?;
-        file.sync_data()?;
-        Ok(Self { file })
+        if reuse {
+            file.set_len(scan.valid_len as u64)?;
+            file.seek(SeekFrom::End(0))?;
+        } else {
+            file.write_all(MAGIC)?;
+            file.write_all(&salt.to_le_bytes())?;
+            file.sync_data()?;
+        }
+        Ok(CellStore {
+            entries: if reuse { scan.entries } else { BTreeMap::new() },
+            wall_hints: scan.wall_hints,
+            stale: keep && !buf.is_empty() && !scan.salt_matches,
+            file,
+        })
     }
 
-    /// Reopen an existing journal for appending, first truncating it to
-    /// `valid_len` (from [`read_journal`]) so a torn tail can never precede
-    /// fresh records.
-    pub fn resume(path: &Path, valid_len: u64) -> std::io::Result<Self> {
-        let file = std::fs::OpenOptions::new().write(true).open(path)?;
-        file.set_len(valid_len)?;
-        let mut file = file;
-        file.seek(SeekFrom::End(0))?;
-        Ok(Self { file })
+    /// The stored entry for `key`, if any.
+    pub fn get(&self, key: u64) -> Option<&CellEntry> {
+        self.entries.get(&key)
     }
 
-    /// Append one entry and fsync it durable.
-    pub fn append(&mut self, entry: &JournalEntry) -> std::io::Result<()> {
-        let payload = encode_entry(entry);
-        let mut rec = Vec::with_capacity(payload.len() + 12);
-        rec.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        rec.extend_from_slice(&fnv1a(&payload).to_le_bytes());
-        rec.extend_from_slice(&payload);
-        self.file.write_all(&rec)?;
+    /// Append `entry` under `key` as one record and fsync it durable.
+    pub fn append(&mut self, key: u64, entry: &CellEntry) -> std::io::Result<()> {
+        self.file.write_all(&record(key, entry))?;
         self.file.sync_data()
     }
 }
 
-/// Harvest per-cell wall times from whatever intact journal sits at `path`,
-/// keyed by `(figure, cell_idx)`. Unlike [`read_journal`] this deliberately
-/// ignores the seed/context header (only the magic must match): wall hints
-/// seed the work-stealing scheduler's longest-cell-first order and can never
-/// change output bytes, so a stale journal is still a fine predictor of
-/// which cells are big. Any read or decode problem degrades to an empty map.
-pub fn read_wall_hints(path: &Path) -> BTreeMap<(String, u64), u64> {
-    let mut buf = Vec::new();
-    let mut hints = BTreeMap::new();
-    match std::fs::File::open(path) {
-        Ok(mut f) => {
-            if f.read_to_end(&mut buf).is_err() {
-                return hints;
-            }
-        }
-        Err(_) => return hints,
-    }
-    if buf.len() < HEADER_LEN as usize || &buf[..8] != MAGIC {
-        return hints;
-    }
-    let mut pos = HEADER_LEN as usize;
-    while let Some(head) = buf.get(pos..pos + 12) {
-        let len = u32::from_le_bytes([head[0], head[1], head[2], head[3]]) as usize;
-        let want_sum = u64::from_le_bytes([
-            head[4], head[5], head[6], head[7], head[8], head[9], head[10], head[11],
-        ]);
-        if len > MAX_RECORD_LEN as usize {
-            break;
-        }
-        let Some(payload) = buf.get(pos + 12..pos + 12 + len) else {
-            break;
-        };
-        if fnv1a(payload) != want_sum {
-            break;
-        }
-        let Some(entry) = decode_entry(payload) else {
-            break;
-        };
-        hints.insert((entry.figure, entry.cell_idx), entry.wall_ns);
-        pos += 12 + len;
-    }
-    hints
+/// Frame `entry` under `key` as one store record.
+fn record(key: u64, entry: &CellEntry) -> Vec<u8> {
+    let mut payload = Vec::with_capacity(256);
+    put_u64(&mut payload, key);
+    put_entry(&mut payload, entry);
+    let mut rec = Vec::with_capacity(FRAME_LEN + payload.len());
+    put_u32(&mut rec, payload.len() as u32);
+    put_u64(&mut rec, fnv1a(&payload));
+    rec.extend_from_slice(&payload);
+    rec
 }
 
-/// Replay the journal at `path`, trusting exactly its intact prefix.
-///
-/// `seed` and `context` must match the header or the journal is refused
-/// with [`JournalError::HeaderMismatch`] — a stale journal never poisons a
-/// new experiment's output.
-pub fn read_journal(path: &Path, seed: u64, context: u64) -> Result<JournalReplay, JournalError> {
-    let mut buf = Vec::new();
-    match std::fs::File::open(path) {
-        Ok(mut f) => f.read_to_end(&mut buf).map_err(JournalError::Io)?,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Err(JournalError::Missing),
-        Err(e) => return Err(JournalError::Io(e)),
-    };
-    if buf.len() < HEADER_LEN as usize
-        || &buf[..8] != MAGIC
-        || buf[8..16] != seed.to_le_bytes()
-        || buf[16..24] != context.to_le_bytes()
-    {
-        return Err(JournalError::HeaderMismatch);
-    }
+/// What one pass over a store file found.
+struct Scan {
+    entries: BTreeMap<u64, CellEntry>,
+    wall_hints: BTreeMap<(String, u64), u64>,
+    /// Byte length of the trusted prefix (header + intact records).
+    valid_len: usize,
+    /// The header carries this format's magic and the expected salt.
+    salt_matches: bool,
+}
 
-    let mut entries: BTreeMap<(String, u64), JournalEntry> = BTreeMap::new();
-    let mut pos = HEADER_LEN as usize;
-    let mut records_read = 0usize;
-    while let Some(head) = buf.get(pos..pos + 12) {
-        let len = u32::from_le_bytes([head[0], head[1], head[2], head[3]]) as usize;
-        let want_sum = u64::from_le_bytes([
-            head[4], head[5], head[6], head[7], head[8], head[9], head[10], head[11],
-        ]);
-        if len > MAX_RECORD_LEN as usize {
+/// The single record-scan loop: trust exactly the intact prefix of `buf`.
+fn scan(buf: &[u8], salt: u64) -> Scan {
+    let mut out = Scan {
+        entries: BTreeMap::new(),
+        wall_hints: BTreeMap::new(),
+        valid_len: HEADER_LEN,
+        salt_matches: false,
+    };
+    if buf.len() < HEADER_LEN || &buf[..8] != MAGIC {
+        return out;
+    }
+    out.salt_matches = buf[8..16] == salt.to_le_bytes();
+    let mut pos = HEADER_LEN;
+    while let Some(head) = buf.get(pos..pos + FRAME_LEN) {
+        let mut d = Dec { buf: head, pos: 0 };
+        let (Some(len), Some(sum)) = (d.u32(), d.u64()) else {
+            break;
+        };
+        let len = len as usize;
+        if !(8..=MAX_RECORD_LEN).contains(&len) {
             break; // corrupt length prefix
         }
-        let Some(payload) = buf.get(pos + 12..pos + 12 + len) else {
+        let Some(payload) = buf.get(pos + FRAME_LEN..pos + FRAME_LEN + len) else {
             break; // torn tail
         };
-        if fnv1a(payload) != want_sum {
-            break; // bit flip (in payload, or in the length itself)
+        if fnv1a(payload) != sum {
+            break; // bit flip (in the payload, or in the length itself)
         }
-        let Some(entry) = decode_entry(payload) else {
+        let mut d = Dec {
+            buf: payload,
+            pos: 0,
+        };
+        let (Some(key), Some(entry)) = (d.u64(), d.entry()) else {
             break; // checksum ok but undecodable: format drift, stop trusting
         };
-        entries.insert((entry.figure.clone(), entry.cell_idx), entry);
-        records_read += 1;
-        pos += 12 + len;
+        out.wall_hints
+            .insert((entry.figure.clone(), entry.cell_idx), entry.wall_ns);
+        out.entries.insert(key, entry);
+        pos += FRAME_LEN + len;
     }
-    Ok(JournalReplay {
-        entries,
-        valid_len: pos as u64,
-        dropped_tail: pos < buf.len(),
-        records_read,
-    })
+    out.valid_len = pos;
+    out
 }
 
 // ---------- payload codec ----------
@@ -452,24 +415,22 @@ fn put_cell_data(out: &mut Vec<u8>, data: &CellData) {
     }
 }
 
-pub(crate) fn encode_entry(e: &JournalEntry) -> Vec<u8> {
-    let mut out = Vec::with_capacity(256);
-    put_str(&mut out, &e.figure);
-    put_u64(&mut out, e.cell_idx);
-    put_str(&mut out, &e.label);
-    put_u32(&mut out, e.attempts);
-    put_u64(&mut out, e.wall_ns);
+fn put_entry(out: &mut Vec<u8>, e: &CellEntry) {
+    put_str(out, &e.figure);
+    put_u64(out, e.cell_idx);
+    put_str(out, &e.label);
+    put_u32(out, e.attempts);
+    put_u64(out, e.wall_ns);
     match &e.result {
-        Ok(data) => put_cell_data(&mut out, data),
+        Ok(data) => put_cell_data(out, data),
         Err(msg) => {
             out.push(0);
-            put_str(&mut out, msg);
+            put_str(out, msg);
         }
     }
-    out
 }
 
-/// Bounds-checked little-endian reader over one record payload.
+/// Bounds-checked little-endian reader over one record.
 struct Dec<'a> {
     buf: &'a [u8],
     pos: usize,
@@ -487,7 +448,8 @@ impl<'a> Dec<'a> {
     }
 
     fn u32(&mut self) -> Option<u32> {
-        self.take(4).map(|b| u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
+        self.take(4)
+            .map(|b| u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
     }
 
     fn u64(&mut self) -> Option<u64> {
@@ -679,34 +641,33 @@ impl<'a> Dec<'a> {
             _ => None,
         }
     }
-}
 
-pub(crate) fn decode_entry(payload: &[u8]) -> Option<JournalEntry> {
-    let mut d = Dec { buf: payload, pos: 0 };
-    let figure = d.string()?;
-    let cell_idx = d.u64()?;
-    let label = d.string()?;
-    let attempts = d.u32()?;
-    let wall_ns = d.u64()?;
-    let tag = d.u8()?;
-    let result = if tag == 0 {
-        Err(d.string()?)
-    } else {
-        Ok(d.cell_data(tag)?)
-    };
-    // A record with trailing garbage decodes "successfully" but signals
-    // format drift; refuse it so the reader stops trusting the file there.
-    if d.pos != payload.len() {
-        return None;
+    /// The rest of the record as one entry. Trailing bytes signal format
+    /// drift, so they refuse the record rather than decode "successfully".
+    fn entry(&mut self) -> Option<CellEntry> {
+        let figure = self.string()?;
+        let cell_idx = self.u64()?;
+        let label = self.string()?;
+        let attempts = self.u32()?;
+        let wall_ns = self.u64()?;
+        let tag = self.u8()?;
+        let result = if tag == 0 {
+            Err(self.string()?)
+        } else {
+            Ok(self.cell_data(tag)?)
+        };
+        if self.pos != self.buf.len() {
+            return None;
+        }
+        Some(CellEntry {
+            figure,
+            cell_idx,
+            label,
+            attempts,
+            wall_ns,
+            result,
+        })
     }
-    Some(JournalEntry {
-        figure,
-        cell_idx,
-        label,
-        attempts,
-        wall_ns,
-        result,
-    })
 }
 
 #[cfg(test)]
@@ -784,8 +745,8 @@ mod tests {
         }
     }
 
-    fn entry(figure: &str, idx: u64, result: Result<CellData, String>) -> JournalEntry {
-        JournalEntry {
+    fn entry(figure: &str, idx: u64, result: Result<CellData, String>) -> CellEntry {
+        CellEntry {
             figure: figure.into(),
             cell_idx: idx,
             label: format!("{figure}#{idx}"),
@@ -795,10 +756,41 @@ mod tests {
         }
     }
 
+    fn failed(idx: u64, msg: &str) -> CellEntry {
+        entry("fig4", idx, Err(msg.into()))
+    }
+
     fn tmp(name: &str) -> std::path::PathBuf {
-        let dir = std::env::temp_dir().join("aff-journal-tests");
+        let dir = std::env::temp_dir().join("aff-store-tests");
         std::fs::create_dir_all(&dir).expect("create tmp dir");
-        dir.join(format!("{name}-{}.journal", std::process::id()))
+        let path = dir.join(format!("{name}-{}.cells", std::process::id()));
+        std::fs::remove_file(&path).ok();
+        path
+    }
+
+    /// A fresh store at `path` holding `entries`, keyed by cell index.
+    fn write(path: &Path, salt: u64, entries: &[CellEntry]) {
+        let mut s = CellStore::open(path, salt, false).expect("create");
+        for e in entries {
+            s.append(e.cell_idx, e).expect("append");
+        }
+    }
+
+    fn message(s: &CellStore, key: u64) -> Option<&str> {
+        s.get(key)
+            .and_then(|e| e.result.as_ref().err())
+            .map(String::as_str)
+    }
+
+    /// Byte offset of record `n`'s payload (walking the framing).
+    fn payload_offset(bytes: &[u8], n: usize) -> usize {
+        let mut pos = HEADER_LEN;
+        for _ in 0..n {
+            let len =
+                u32::from_le_bytes([bytes[pos], bytes[pos + 1], bytes[pos + 2], bytes[pos + 3]]);
+            pos += FRAME_LEN + len as usize;
+        }
+        pos + FRAME_LEN
     }
 
     #[test]
@@ -830,170 +822,146 @@ mod tests {
             ),
             entry("fig6", 2, Err("cell panicked: boom".into())),
         ];
-        let mut w = JournalWriter::create(&path, 7, 99).expect("create");
+        write(&path, 7, &entries);
+        let s = CellStore::open(&path, 7, true).expect("reopen");
+        assert_eq!(s.entries.len(), 4);
+        assert!(!s.stale);
         for e in &entries {
-            w.append(e).expect("append");
-        }
-        drop(w);
-        let replay = read_journal(&path, 7, 99).expect("read");
-        assert_eq!(replay.records_read, 4);
-        assert!(!replay.dropped_tail);
-        for e in &entries {
-            let got = replay
-                .entries
-                .get(&(e.figure.clone(), e.cell_idx))
-                .expect("entry present");
-            assert_eq!(got.label, e.label);
-            match (&got.result, &e.result) {
-                (Ok(a), Ok(b)) => {
-                    // Compare through the encoder: bit-exact round-trip
-                    // (NaN payloads included) is exactly what it certifies.
-                    let (mut ba, mut bb) = (Vec::new(), Vec::new());
-                    put_cell_data(&mut ba, a);
-                    put_cell_data(&mut bb, b);
-                    assert_eq!(ba, bb, "{}/{}", e.figure, e.cell_idx);
-                }
-                (Err(a), Err(b)) => assert_eq!(a, b),
-                _ => panic!("result shape changed in round-trip"),
-            }
+            let got = s.get(e.cell_idx).expect("entry present");
+            assert_eq!((&got.figure, &got.label), (&e.figure, &e.label));
+            // Compare through the encoder: bit-exact round-trip (NaN
+            // payloads included) is exactly what it certifies.
+            assert_eq!(record(0, got), record(0, e), "{}/{}", e.figure, e.cell_idx);
         }
         std::fs::remove_file(&path).ok();
     }
 
     #[test]
-    fn wrong_seed_or_context_is_refused() {
-        let path = tmp("header");
-        let mut w = JournalWriter::create(&path, 7, 99).expect("create");
-        w.append(&entry("fig4", 0, Err("x".into()))).expect("append");
-        drop(w);
-        assert!(matches!(
-            read_journal(&path, 8, 99),
-            Err(JournalError::HeaderMismatch)
-        ));
-        assert!(matches!(
-            read_journal(&path, 7, 100),
-            Err(JournalError::HeaderMismatch)
-        ));
-        assert!(matches!(
-            read_journal(&tmp("nonexistent-file"), 7, 99),
-            Err(JournalError::Missing)
-        ));
+    fn another_salt_or_format_is_refused_and_recreated() {
+        let path = tmp("salt");
+        write(&path, 111, &[failed(0, "x")]);
+        // Another build's store: nothing is served, and the file restarts
+        // under the new salt (so the old salt now reads it as stale too).
+        let s = CellStore::open(&path, 222, true).expect("open");
+        assert!(s.stale && s.entries.is_empty());
+        drop(s);
+        let s = CellStore::open(&path, 222, true).expect("reopen");
+        assert!(!s.stale && s.entries.is_empty());
+        drop(s);
+        assert!(CellStore::open(&path, 111, true).expect("old salt").stale);
+        // Files of the retired formats (or anything else) are refused alike.
+        for old in [&b"AFFJRNL4"[..], b"AFFMEMO1", b"not a store at all"] {
+            let mut bytes = old.to_vec();
+            bytes.resize(64, 0);
+            std::fs::write(&path, &bytes).expect("clobber");
+            let s = CellStore::open(&path, 222, true).expect("open");
+            assert!(s.stale && s.entries.is_empty() && s.wall_hints.is_empty());
+        }
         std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn without_keep_the_store_restarts_but_still_yields_hints() {
+        let path = tmp("fresh");
+        let mut e = failed(1, "x");
+        e.wall_ns = 500;
+        write(&path, 5, &[failed(0, "x"), e]);
+        // Another salt as well: hints ignore it, they never change bytes.
+        let s = CellStore::open(&path, 6, false).expect("truncate");
+        assert!(s.entries.is_empty() && !s.stale);
+        assert_eq!(s.wall_hints[&("fig4".to_string(), 1)], 500);
+        drop(s);
+        assert!(CellStore::open(&path, 6, true)
+            .expect("reopen")
+            .entries
+            .is_empty());
+        // A missing file is an empty store either way.
+        let missing = tmp("missing");
+        assert!(CellStore::open(&missing, 6, true)
+            .expect("create")
+            .entries
+            .is_empty());
+        std::fs::remove_file(&path).ok();
+        std::fs::remove_file(&missing).ok();
     }
 
     #[test]
     fn truncated_tail_keeps_the_intact_prefix() {
         let path = tmp("trunc");
-        let mut w = JournalWriter::create(&path, 1, 2).expect("create");
-        w.append(&entry("fig4", 0, Err("a".into()))).expect("append");
-        w.append(&entry("fig4", 1, Err("b".into()))).expect("append");
-        drop(w);
+        write(&path, 1, &[failed(0, "a"), failed(1, "b")]);
         let full = std::fs::read(&path).expect("read file");
         // Chop mid-way through the second record (torn write).
         std::fs::write(&path, &full[..full.len() - 5]).expect("truncate");
-        let replay = read_journal(&path, 1, 2).expect("read");
-        assert_eq!(replay.records_read, 1);
-        assert!(replay.dropped_tail);
-        assert!(replay.entries.contains_key(&("fig4".to_string(), 0)));
-        assert!(!replay.entries.contains_key(&("fig4".to_string(), 1)));
-        // Resume truncates to the trusted prefix and appends cleanly.
-        let mut w = JournalWriter::resume(&path, replay.valid_len).expect("resume");
-        w.append(&entry("fig4", 1, Err("b2".into()))).expect("append");
-        drop(w);
-        let replay = read_journal(&path, 1, 2).expect("reread");
-        assert_eq!(replay.records_read, 2);
-        assert!(!replay.dropped_tail);
-        assert_eq!(
-            replay.entries[&("fig4".to_string(), 1)]
-                .result
-                .as_ref()
-                .err()
-                .map(String::as_str),
-            Some("b2")
-        );
+        let mut s = CellStore::open(&path, 1, true).expect("reopen");
+        assert_eq!(message(&s, 0), Some("a"));
+        assert!(s.get(1).is_none());
+        // Reopening truncated to the trusted prefix: appends land cleanly.
+        s.append(1, &failed(1, "b2")).expect("append");
+        drop(s);
+        let s = CellStore::open(&path, 1, true).expect("reread");
+        assert_eq!(s.entries.len(), 2);
+        assert_eq!(message(&s, 1), Some("b2"));
+        assert_eq!(std::fs::metadata(&path).expect("stat").len(), {
+            let mut len = HEADER_LEN;
+            for e in [failed(0, "a"), failed(1, "b2")] {
+                len += record(e.cell_idx, &e).len();
+            }
+            len as u64
+        });
         std::fs::remove_file(&path).ok();
     }
 
     #[test]
-    fn bit_flip_invalidates_the_record_and_its_suffix() {
+    fn bit_flip_drops_the_record_and_its_suffix() {
         let path = tmp("bitflip");
-        let mut w = JournalWriter::create(&path, 1, 2).expect("create");
-        w.append(&entry("fig4", 0, Err("a".into()))).expect("append");
-        w.append(&entry("fig4", 1, Err("b".into()))).expect("append");
-        w.append(&entry("fig4", 2, Err("c".into()))).expect("append");
-        drop(w);
+        let entries = [failed(0, "a"), failed(1, "b"), failed(2, "c")];
+        write(&path, 1, &entries);
         let mut bytes = std::fs::read(&path).expect("read file");
-        // Walk the framing to the second record and flip a payload bit.
-        let first = HEADER_LEN as usize;
-        let len1 = u32::from_le_bytes([bytes[first], bytes[first + 1], bytes[first + 2], bytes[first + 3]]) as usize;
-        let second_payload = first + 12 + len1 + 12;
-        bytes[second_payload + 2] ^= 0x10;
+        let at = payload_offset(&bytes, 1) + 2;
+        bytes[at] ^= 0x10;
         std::fs::write(&path, &bytes).expect("rewrite");
-        let replay = read_journal(&path, 1, 2).expect("read");
-        // First record survives; the flipped one and everything after drop.
-        assert!(replay.dropped_tail);
-        assert!(replay.records_read < 3);
-        assert!(replay.entries.contains_key(&("fig4".to_string(), 0)));
-        assert!(!replay.entries.contains_key(&("fig4".to_string(), 2)));
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn wall_hints_ignore_the_header_but_stop_at_corruption() {
-        let path = tmp("hints");
-        let mut w = JournalWriter::create(&path, 7, 99).expect("create");
-        for (i, wall) in [(0u64, 11u64), (1, 22), (2, 33)] {
-            let mut e = entry("fig4", i, Err("x".into()));
-            e.wall_ns = wall;
-            w.append(&e).expect("append");
-        }
-        drop(w);
-        // Wrong seed/context would refuse a resume — hints still read.
-        assert!(matches!(
-            read_journal(&path, 8, 100),
-            Err(JournalError::HeaderMismatch)
-        ));
-        let hints = read_wall_hints(&path);
-        assert_eq!(hints.len(), 3);
-        assert_eq!(hints[&("fig4".to_string(), 1)], 22);
-        // A flipped bit in the second record drops it and its suffix.
+        let s = CellStore::open(&path, 1, true).expect("reopen");
+        // First record survives; the flipped one and everything after drop,
+        // along with their wall hints.
+        assert_eq!(s.entries.len(), 1);
+        assert!(s.get(0).is_some() && s.get(1).is_none() && s.get(2).is_none());
+        assert_eq!(s.wall_hints.len(), 1);
+        // A flipped length prefix is caught the same way.
+        write(&path, 1, &entries);
         let mut bytes = std::fs::read(&path).expect("read file");
-        let first = HEADER_LEN as usize;
-        let len1 = u32::from_le_bytes([
-            bytes[first],
-            bytes[first + 1],
-            bytes[first + 2],
-            bytes[first + 3],
-        ]) as usize;
-        bytes[first + 12 + len1 + 12 + 2] ^= 0x10;
+        let at = payload_offset(&bytes, 1) - FRAME_LEN;
+        bytes[at] ^= 0x01;
         std::fs::write(&path, &bytes).expect("rewrite");
-        let hints = read_wall_hints(&path);
-        assert_eq!(hints.len(), 1);
-        // Missing file and wrong magic degrade to empty.
-        assert!(read_wall_hints(&tmp("hints-nonexistent")).is_empty());
-        std::fs::write(&path, b"NOTAJOURNALFILE!").expect("clobber");
-        assert!(read_wall_hints(&path).is_empty());
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn duplicate_entries_resolve_to_the_last_intact_one() {
-        let path = tmp("dup");
-        let mut w = JournalWriter::create(&path, 1, 2).expect("create");
-        w.append(&entry("fig4", 0, Err("first".into()))).expect("append");
-        w.append(&entry("fig4", 0, Err("second".into()))).expect("append");
-        drop(w);
-        let replay = read_journal(&path, 1, 2).expect("read");
-        assert_eq!(replay.records_read, 2);
-        assert_eq!(replay.entries.len(), 1);
         assert_eq!(
-            replay.entries[&("fig4".to_string(), 0)]
-                .result
-                .as_ref()
-                .err()
-                .map(String::as_str),
-            Some("second")
+            CellStore::open(&path, 1, true)
+                .expect("reopen")
+                .entries
+                .len(),
+            1
         );
         std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn duplicate_keys_resolve_to_the_last_intact_record() {
+        let path = tmp("dup");
+        write(&path, 1, &[failed(0, "first"), failed(0, "second")]);
+        let s = CellStore::open(&path, 1, true).expect("reopen");
+        assert_eq!(s.entries.len(), 1);
+        assert_eq!(message(&s, 0), Some("second"));
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn io_problems_are_errors_the_caller_can_degrade_on() {
+        // A directory cannot hold a store, with or without `keep`.
+        let dir = std::env::temp_dir().join("aff_store_is_a_dir");
+        std::fs::create_dir_all(&dir).expect("mkdir");
+        assert!(CellStore::open(&dir, 1, true).is_err());
+        assert!(CellStore::open(&dir, 1, false).is_err());
+        // Neither can a path under a missing directory.
+        let orphan = dir.join("no").join("such").join("dir.cells");
+        assert!(CellStore::open(&orphan, 1, false).is_err());
+        let _ = std::fs::remove_dir(&dir);
     }
 }

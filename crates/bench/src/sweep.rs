@@ -31,17 +31,19 @@
 //!   `max_retries` times, each attempt on a deterministically re-split RNG
 //!   stream (attempt 0 uses the unchanged stream, so retry-free runs are
 //!   byte-identical to the engine without this feature);
-//! * **checkpoint journal** — every outcome is appended (fsync'd,
-//!   checksummed) to a [`crate::journal`] file; with `resume` the journal's
-//!   intact prefix is replayed and only missing or failed cells execute.
+//! * **cell stores** — every outcome is appended (fsync'd, checksummed) to
+//!   the journal and memo [`CellStore`]s, keyed by a content hash of
+//!   everything the cell's bytes depend on. With `resume` the journal's
+//!   intact prefix is a lookup table, and only missing or failed cells
+//!   execute; the memo serves the same lookups across runs.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-use crate::journal::{read_journal, JournalEntry, JournalError, JournalWriter};
 use crate::report::{CellStat, Figure, Row, SweepReport};
+use crate::store::{self, CellEntry, CellStore};
 use aff_nsc::engine::Metrics;
 use aff_sim_core::config::MachineConfig;
 use aff_sim_core::error::SimError;
@@ -447,11 +449,7 @@ impl<T> Drop for Claim<T> {
 /// FNV-1a over the figure id, xor-folded with the cell index: a stable,
 /// declaration-order-independent stream id for [`SimRng::split`].
 fn stream_id(figure: &str, index: usize) -> u64 {
-    let mut h: u64 = 0xCBF2_9CE4_8422_2325;
-    for b in figure.bytes() {
-        h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h ^ (index as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
+    store::fnv1a(figure.as_bytes()) ^ (index as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
 }
 
 /// Execution policy for one sweep run. [`RunOpts::new`] gives the legacy
@@ -469,13 +467,12 @@ pub struct RunOpts {
     /// Re-run a panicked or timed-out cell up to this many extra times,
     /// attempt `k > 0` on an RNG stream re-split from `(stream, k)`.
     pub max_retries: u32,
-    /// Checkpoint journal path; `None` disables journaling.
+    /// Checkpoint journal path ([`CellStore`]); `None` disables journaling.
+    /// A fresh run starts it empty.
     pub journal: Option<std::path::PathBuf>,
-    /// Replay the journal's intact prefix and skip its completed cells.
+    /// Keep the journal's intact prefix and replay the cells it holds
+    /// under this run's keys instead of re-running them.
     pub resume: bool,
-    /// Experiment context hash (figure set, scale) stamped into the journal
-    /// header; a mismatch on resume discards the journal.
-    pub context: u64,
     /// Record the per-cell [`CellMetrics`](crate::report::CellMetrics)
     /// sidecar (schema `aff-bench/sweep-v4`) for every cell that produces
     /// engine metrics. Off by default: the sidecar roughly doubles the sweep
@@ -491,12 +488,12 @@ pub struct RunOpts {
     /// Fault-event budget per sampled chaos timeline (0 means the default
     /// of 4; only read when `chaos` is set).
     pub chaos_intensity: u32,
-    /// Cross-run memo store path ([`crate::memo`]); `None` disables
-    /// memoization. Unlike the journal — which pins one experiment — the
-    /// memo caches cells across runs by content hash, so overlapping
-    /// experiments (figure subsets, repeated runs) reuse each other's cells.
+    /// Cross-run memo store path ([`CellStore`]); `None` disables
+    /// memoization. Unlike the journal, which a fresh run empties, the memo
+    /// is always kept, so overlapping experiments (figure subsets, repeated
+    /// runs) reuse each other's cells.
     pub memo: Option<std::path::PathBuf>,
-    /// Harness configuration hash folded into every memo key (scale,
+    /// Harness configuration hash folded into every cell key (scale,
     /// geometry, tenant count — everything that reshapes cell inputs but is
     /// not already in the key via seed/chaos/figure/cell).
     pub memo_config: u64,
@@ -517,6 +514,8 @@ struct Task {
     plan_idx: usize,
     cell_idx: usize,
     figure: &'static str,
+    /// The cell's content key in the stores ([`cell_key`]).
+    key: u64,
     label: String,
     job: CellJob,
     cost: u64,
@@ -532,8 +531,8 @@ fn retry_stream(base: u64, attempt: u32) -> u64 {
 
 /// The metrics sidecar for one cell result, when collection is enabled and
 /// the cell produced engine metrics (table-style and failed cells read as
-/// `None`). Cached journal replays go through here too, so a resumed run's
-/// report carries the same sidecars as an uninterrupted one.
+/// `None`). Replayed cells go through here too, so a resumed run's report
+/// carries the same sidecars as an uninterrupted one.
 fn sidecar(
     result: &Result<CellData, String>,
     opts: &RunOpts,
@@ -667,7 +666,7 @@ fn attempt_cell(job: &CellJob, opts: &RunOpts, stream: u64) -> Result<CellData, 
 
 /// Run one task under the retry/timeout policy, catching panics so a broken
 /// cell degrades to an error outcome instead of killing the harness.
-fn run_task(task: Task, opts: &RunOpts) -> (usize, usize, CellOutcome, CellStat) {
+fn run_task(task: Task, opts: &RunOpts) -> Done {
     let base_stream = stream_id(task.figure, task.cell_idx);
     let start = Instant::now();
     let mut attempts = 0u32;
@@ -691,111 +690,161 @@ fn run_task(task: Task, opts: &RunOpts) -> (usize, usize, CellOutcome, CellStat)
         cached: false,
         metrics: sidecar(&result, opts),
     };
-    (
-        task.plan_idx,
-        task.cell_idx,
-        CellOutcome {
-            label: task.label,
-            result,
-        },
-        stat,
-    )
-}
-
-/// Mutable journal side of a run: the writer (when journaling is on) and the
-/// first [`SimError::Journal`] that disabled it. Workers serialize on a mutex
-/// around this — appends are tiny next to cell compute time.
-struct JournalState {
-    writer: Option<JournalWriter>,
-    error: Option<SimError>,
-}
-
-impl JournalState {
-    /// Degrade to journal-less execution: drop the writer, keep the typed
-    /// error for the report, and warn immediately on stderr — a full disk
-    /// (`ENOSPC`) or dying device (`EIO`) mid-sweep costs durability, never
-    /// the figures.
-    fn degrade(&mut self, op: &'static str, err: &std::io::Error) {
-        self.writer = None;
-        let typed = SimError::journal(op, err);
-        eprintln!("warning: {typed}");
-        self.error = Some(typed);
-    }
-}
-
-/// Memo key for one task under this run's options — the content hash of
-/// everything the cell's bytes depend on (see [`crate::memo`]).
-fn memo_key_for(task: &Task, opts: &RunOpts, salt: u64) -> u64 {
-    crate::memo::memo_key(&crate::memo::KeyParts {
-        salt,
-        config: opts.memo_config,
-        seed: opts.seed,
-        chaos: opts.chaos,
-        chaos_intensity: opts.chaos_intensity,
-        figure: task.figure,
+    let entry = CellEntry {
+        figure: task.figure.to_string(),
         cell_idx: task.cell_idx as u64,
-        label: &task.label,
-    })
+        label: task.label,
+        attempts,
+        wall_ns,
+        result,
+    };
+    (task.plan_idx, entry, stat)
 }
 
-/// Record one successfully executed cell in the memo store (when one is
-/// open). Failed cells are never memoized — they retry on the next run.
-fn memo_fill(
-    memo: &Mutex<Option<crate::memo::MemoStore>>,
-    key: Option<u64>,
-    figure: &str,
-    cell_idx: usize,
-    outcome: &CellOutcome,
-    stat: &CellStat,
-) {
-    let Some(key) = key else { return };
-    if outcome.result.is_err() {
-        return;
-    }
-    let mut m = memo
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner);
-    if let Some(store) = m.as_mut() {
-        store.insert(
-            key,
-            &JournalEntry {
-                figure: figure.to_string(),
-                cell_idx: cell_idx as u64,
-                label: outcome.label.clone(),
-                attempts: stat.attempts,
-                wall_ns: stat.wall_ns,
-                result: outcome.result.clone(),
-            },
-        );
-    }
-}
+/// A finished cell: its plan, its stored outcome, and its report line.
+type Done = (usize, CellEntry, CellStat);
 
-/// Append one finished cell to the journal; an append failure (fsync/write —
-/// ENOSPC, EIO, ...) disables journaling for the rest of the run via
-/// [`JournalState::degrade`] rather than aborting the sweep.
-fn journal_append(
-    state: &Mutex<JournalState>,
-    figure: &str,
-    cell_idx: usize,
-    outcome: &CellOutcome,
-    stat: &CellStat,
-) {
-    let mut s = state
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner);
-    if let Some(w) = s.writer.as_mut() {
-        let entry = JournalEntry {
-            figure: figure.to_string(),
-            cell_idx: cell_idx as u64,
-            label: outcome.label.clone(),
-            attempts: stat.attempts,
-            wall_ns: stat.wall_ns,
-            result: outcome.result.clone(),
-        };
-        if let Err(e) = w.append(&entry) {
-            s.degrade("append", &e);
+/// Content key of one cell under this run's options: FNV-1a over everything
+/// the cell's bytes depend on — code salt, harness config, seed, chaos
+/// parameters, and the cell's figure, index and label (strings
+/// length-prefixed so adjacent fields cannot alias). Nothing
+/// scheduling-dependent goes in, so a hit replays the exact bits a re-run
+/// would compute.
+fn cell_key(salt: u64, opts: &RunOpts, figure: &str, cell_idx: usize, label: &str) -> u64 {
+    let mut bytes = Vec::with_capacity(64 + figure.len() + label.len());
+    bytes.extend_from_slice(&salt.to_le_bytes());
+    bytes.extend_from_slice(&opts.memo_config.to_le_bytes());
+    bytes.extend_from_slice(&opts.seed.to_le_bytes());
+    match opts.chaos {
+        None => bytes.push(0),
+        Some(c) => {
+            bytes.push(1);
+            bytes.extend_from_slice(&c.to_le_bytes());
+            bytes.extend_from_slice(&opts.chaos_intensity.to_le_bytes());
         }
     }
+    bytes.extend_from_slice(&(figure.len() as u32).to_le_bytes());
+    bytes.extend_from_slice(figure.as_bytes());
+    bytes.extend_from_slice(&(cell_idx as u64).to_le_bytes());
+    bytes.extend_from_slice(&(label.len() as u32).to_le_bytes());
+    bytes.extend_from_slice(label.as_bytes());
+    store::fnv1a(&bytes)
+}
+
+/// Indices of the journal and the memo in [`Stores`].
+const JOURNAL: usize = 0;
+const MEMO: usize = 1;
+
+/// The run's two cell stores, `[journal, memo]` — each `None` when off or
+/// after an I/O error closed it — and the typed error that closed the
+/// journal. Workers lock one store at a time; appends are tiny next to cell
+/// compute time.
+struct Stores {
+    open: [Mutex<Option<CellStore>>; 2],
+    journal_error: Mutex<Option<SimError>>,
+}
+
+impl Stores {
+    /// Open the stores `opts` asks for. The journal restarts empty unless
+    /// resuming; the memo is always kept. A store of another build (salt)
+    /// or format starts fresh.
+    fn open(opts: &RunOpts, salt: u64) -> Self {
+        let stores = Stores {
+            open: Default::default(),
+            journal_error: Mutex::new(None),
+        };
+        for (which, path, keep) in [
+            (JOURNAL, &opts.journal, opts.resume),
+            (MEMO, &opts.memo, true),
+        ] {
+            let Some(path) = path else { continue };
+            match CellStore::open(path, salt, keep) {
+                Ok(s) => {
+                    if s.stale {
+                        eprintln!(
+                            "note: {} was written by another build or format; starting fresh",
+                            path.display()
+                        );
+                    }
+                    *stores.slot(which) = Some(s);
+                }
+                Err(e) => {
+                    let op = match (keep, which) {
+                        (false, _) => "create",
+                        (true, JOURNAL) => "resume",
+                        (true, _) => "open",
+                    };
+                    stores.fail(which, op, &e);
+                }
+            }
+        }
+        stores
+    }
+
+    fn slot(&self, which: usize) -> std::sync::MutexGuard<'_, Option<CellStore>> {
+        self.open[which]
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
+
+    /// Degrade to running without store `which`, warning on stderr at once:
+    /// a full disk (`ENOSPC`) or a dying device (`EIO`) mid-sweep costs
+    /// durability or cache hits, never the figures. A journal failure is
+    /// kept for the report.
+    fn fail(&self, which: usize, op: &'static str, err: &std::io::Error) {
+        if which == JOURNAL {
+            let typed = SimError::journal(op, err);
+            eprintln!("warning: {typed}");
+            *self
+                .journal_error
+                .lock()
+                .unwrap_or_else(std::sync::PoisonError::into_inner) = Some(typed);
+        } else {
+            eprintln!("warning: memo {op} failed: {err}; continuing without the memo");
+        }
+    }
+
+    /// The outcome store `which` can replay for `task`: a success stored
+    /// under its key for the same figure, cell and label. The key covers all
+    /// three already, but a hash collision must degrade to a miss, never to
+    /// a wrong replay. Failed outcomes are stored but never replayed: they
+    /// re-run.
+    fn hit(&self, which: usize, task: &Task) -> Option<CellEntry> {
+        self.slot(which)
+            .as_ref()?
+            .get(task.key)
+            .filter(|e| {
+                e.result.is_ok()
+                    && e.figure == task.figure
+                    && e.cell_idx == task.cell_idx as u64
+                    && e.label == task.label
+            })
+            .cloned()
+    }
+
+    /// Append `entry` under `key` to the open stores among `to`, one fsync'd
+    /// record each. A failed append closes that store.
+    fn append(&self, to: &[usize], key: u64, entry: &CellEntry) {
+        for &which in to {
+            let mut slot = self.slot(which);
+            let Some(s) = slot.as_mut() else { continue };
+            if let Err(e) = s.append(key, entry) {
+                *slot = None;
+                drop(slot);
+                self.fail(which, "append", &e);
+            }
+        }
+    }
+}
+
+/// Run one task and append its outcome to every open store before the
+/// worker moves on, so a kill at any instant loses at most the cells then
+/// in flight.
+fn execute(task: Task, opts: &RunOpts, stores: &Stores) -> Done {
+    let key = task.key;
+    let done = run_task(task, opts);
+    stores.append(&[JOURNAL, MEMO], key, &done.1);
+    done
 }
 
 /// Execute `plans` with `jobs` workers and merge each plan's figure in
@@ -812,24 +861,28 @@ pub fn run_plans(plans: Vec<SweepPlan>, jobs: usize, seed: u64) -> (Vec<Figure>,
 }
 
 /// Execute `plans` under the full [`RunOpts`] policy (timeouts, retries,
-/// checkpoint journal, resume). The byte-identity guarantee extends to
-/// resumed runs: a journaled cell replays the exact bits it computed before
-/// the interruption, so `--resume` output matches an uninterrupted run.
+/// journal, resume, memo). The byte-identity guarantee extends to replayed
+/// cells: a stored outcome is the exact bits the same code computed from
+/// the same inputs, so `--resume` and memo output match an uninterrupted
+/// run.
 pub fn run_plans_opts(plans: Vec<SweepPlan>, opts: &RunOpts) -> (Vec<Figure>, SweepReport) {
     let jobs = opts.jobs.max(1);
     let seed = opts.seed;
     let total_start = Instant::now();
+    let salt = store::code_salt();
 
     // Flatten every plan's cells into one task list (stable global order).
     let mut shapes: Vec<(usize, &'static str, MergeFn)> = Vec::with_capacity(plans.len());
     let mut tasks: Vec<Task> = Vec::new();
     for (plan_idx, plan) in plans.into_iter().enumerate() {
         shapes.push((plan.cells.len(), plan.figure, plan.merge));
+        let figure = shapes[plan_idx].1;
         for (cell_idx, cell) in plan.cells.into_iter().enumerate() {
             tasks.push(Task {
                 plan_idx,
                 cell_idx,
-                figure: shapes[plan_idx].1,
+                figure,
+                key: cell_key(salt, opts, figure, cell_idx, &cell.label),
                 label: cell.label,
                 job: cell.job,
                 cost: cell.cost,
@@ -838,155 +891,59 @@ pub fn run_plans_opts(plans: Vec<SweepPlan>, opts: &RunOpts) -> (Vec<Figure>, Sw
     }
     let n_tasks = tasks.len();
 
-    // Harvest longest-cell-first scheduling hints from whatever journal the
-    // previous run left, *before* the writer truncates it below. The lenient
-    // read ignores the seed/context header on purpose: a stale journal still
-    // predicts which cells are big, and hints only shape the work-stealing
-    // seed order — never output bytes.
-    let wall_hints: std::collections::BTreeMap<(String, u64), u64> = opts
-        .journal
-        .as_deref()
-        .map(crate::journal::read_wall_hints)
-        .unwrap_or_default();
-
-    // Journal setup: resume replays the intact prefix (cached entries skip
-    // execution below); a missing or mismatched journal re-runs everything
-    // against a fresh file; I/O errors degrade to no journaling, recorded in
-    // the report.
-    let mut cached: std::collections::BTreeMap<(String, u64), JournalEntry> = Default::default();
-    let mut journal = JournalState {
-        writer: None,
-        error: None,
-    };
-    if let Some(path) = &opts.journal {
-        let (op, created) = if opts.resume {
-            match read_journal(path, seed, opts.context) {
-                Ok(replay) => {
-                    cached = replay.entries;
-                    ("resume", JournalWriter::resume(path, replay.valid_len))
-                }
-                Err(JournalError::Missing | JournalError::HeaderMismatch) => {
-                    ("create", JournalWriter::create(path, seed, opts.context))
-                }
-                Err(JournalError::Io(e)) => ("resume", Err(e)),
+    // Open the stores. Their scans also harvest last-run wall times for the
+    // longest-cell-first seed order (journal first), read before a fresh
+    // journal is emptied and whatever the salt: hints only shape the
+    // work-stealing seed order, never output bytes.
+    let stores = Stores::open(opts, salt);
+    let mut wall_hints = std::collections::BTreeMap::new();
+    for which in [JOURNAL, MEMO] {
+        if let Some(s) = stores.slot(which).as_mut() {
+            for (cell, wall) in std::mem::take(&mut s.wall_hints) {
+                wall_hints.entry(cell).or_insert(wall);
             }
-        } else {
-            ("create", JournalWriter::create(path, seed, opts.context))
-        };
-        match created {
-            Ok(w) => journal.writer = Some(w),
-            Err(e) => journal.degrade(op, &e),
         }
     }
 
-    // Cross-run memo store: unlike the journal above — scoped to one
-    // experiment and truncated by every fresh run — the memo persists cells
-    // across runs keyed by content hash. A stale store (salt from another
-    // code version) was already discarded by `open`.
-    let memo_salt = crate::memo::code_salt();
-    let mut memo_store = opts
-        .memo
-        .as_deref()
-        .map(|p| crate::memo::MemoStore::open(p, memo_salt));
-    if let Some(err) = memo_store.as_ref().and_then(|m| m.error.as_deref()) {
-        eprintln!("warning: memo store disabled: {err}");
-    }
-    if memo_store.as_ref().is_some_and(|m| m.invalidated) {
-        eprintln!("note: memo store was stale (different code version); starting fresh");
-    }
-
-    // Split tasks into journal hits (successful outcome for the exact same
-    // figure/cell/label), memo hits (successful outcome under the exact
-    // content hash), and cells that still need to run. Failed journal or
-    // memo entries are deliberately *not* reused: they retry.
-    let mut done: Vec<(usize, usize, CellOutcome, CellStat)> = Vec::with_capacity(n_tasks);
-    let mut to_run: Vec<Task> = Vec::with_capacity(tasks.len());
+    // Replay every cell a store can serve (journal first, then memo) and
+    // queue the rest. A replayed cell is appended to the other store unless
+    // it already holds it, so a memo hit is resumable from this run's
+    // journal and a resumed cell warms the memo.
+    let mut done: Vec<Done> = Vec::with_capacity(n_tasks);
+    let mut to_run: Vec<Task> = Vec::with_capacity(n_tasks);
     let mut memo_hits = 0usize;
     for t in tasks {
-        let hit = cached
-            .get(&(t.figure.to_string(), t.cell_idx as u64))
-            .filter(|e| e.label == t.label && e.result.is_ok());
-        if let Some(e) = hit {
-            let stat = CellStat {
-                figure: t.figure.to_string(),
-                label: t.label.clone(),
-                ok: true,
-                error: None,
-                wall_ns: e.wall_ns,
-                sim_cycles: e.result.as_ref().map_or(0, |d| d.sim_cycles()),
-                attempts: e.attempts,
-                cached: true,
-                metrics: sidecar(&e.result, opts),
-            };
-            // Warm the memo from the journal replay too: resumed cells are
-            // just as reusable by future runs as freshly executed ones.
-            if let Some(m) = memo_store.as_mut() {
-                let key = memo_key_for(&t, opts, memo_salt);
-                if m.get(key).is_none() {
-                    m.insert(key, e);
-                }
-            }
-            done.push((
-                t.plan_idx,
-                t.cell_idx,
-                CellOutcome {
-                    label: t.label,
-                    result: e.result.clone(),
-                },
-                stat,
-            ));
+        let hit = [JOURNAL, MEMO]
+            .into_iter()
+            .find_map(|from| Some((from, stores.hit(from, &t)?)));
+        let Some((from, entry)) = hit else {
+            to_run.push(t);
             continue;
+        };
+        let other = if from == JOURNAL { MEMO } else { JOURNAL };
+        if stores.hit(other, &t).is_none() {
+            stores.append(&[other], t.key, &entry);
         }
-        let memo_entry = memo_store.as_ref().and_then(|m| {
-            m.get(memo_key_for(&t, opts, memo_salt))
-                // The key already covers figure/cell/label, but a hash
-                // collision must degrade to a miss, never a wrong replay.
-                .filter(|e| {
-                    e.figure == t.figure && e.cell_idx == t.cell_idx as u64 && e.label == t.label
-                })
-                .filter(|e| e.result.is_ok())
-                .cloned()
-        });
-        match memo_entry {
-            Some(e) => {
-                memo_hits += 1;
-                let stat = CellStat {
-                    figure: t.figure.to_string(),
-                    label: t.label.clone(),
-                    ok: true,
-                    error: None,
-                    wall_ns: e.wall_ns,
-                    sim_cycles: e.result.as_ref().map_or(0, |d| d.sim_cycles()),
-                    attempts: e.attempts,
-                    cached: true,
-                    metrics: sidecar(&e.result, opts),
-                };
-                // Keep the journal complete: a replayed cell is appended so
-                // a later --resume of *this* experiment sees it.
-                if let Some(w) = journal.writer.as_mut() {
-                    if let Err(err) = w.append(&e) {
-                        journal.degrade("append", &err);
-                    }
-                }
-                done.push((
-                    t.plan_idx,
-                    t.cell_idx,
-                    CellOutcome {
-                        label: t.label,
-                        result: e.result,
-                    },
-                    stat,
-                ));
-            }
-            None => to_run.push(t),
-        }
+        memo_hits += usize::from(from == MEMO);
+        let stat = CellStat {
+            figure: entry.figure.clone(),
+            label: entry.label.clone(),
+            ok: true,
+            error: None,
+            wall_ns: entry.wall_ns,
+            sim_cycles: entry.result.as_ref().map_or(0, CellData::sim_cycles),
+            attempts: entry.attempts,
+            cached: true,
+            metrics: sidecar(&entry.result, opts),
+        };
+        done.push((t.plan_idx, entry, stat));
     }
     let resumed_cells = done.len() - memo_hits;
 
     // Execute. `--jobs 1` runs cells inline in declaration order. Parallel
     // runs use a work-stealing pool: each worker owns a deque of task
-    // indices, seeded longest-cell-first from the journaled wall times of
-    // the previous run (cold cells fall back to the plan's declared costs,
+    // indices, seeded longest-cell-first from the stored wall times of
+    // earlier runs (cold cells fall back to the plan's declared costs,
     // then to declaration order) and dealt round-robin so every worker
     // starts on a big cell instead of the old index-counter pool's failure
     // mode — small cells queueing behind one straggler while finished
@@ -995,22 +952,11 @@ pub fn run_plans_opts(plans: Vec<SweepPlan>, opts: &RunOpts) -> (Vec<Figure>, Sw
     // (the victim's smallest), which keeps the expensive cells with the
     // workers that were seeded for them. Results carry their (plan, cell)
     // coordinates and cell RNG streams split from order-insensitive ids, so
-    // neither seeding nor stealing can change output bytes. Each finished
-    // cell is journaled before the worker moves on, so a kill at any
-    // instant loses at most the cells then in flight.
-    let journal = Mutex::new(journal);
-    let memo = Mutex::new(memo_store);
-    let executed: Vec<(usize, usize, CellOutcome, CellStat)> = if jobs == 1 || to_run.len() <= 1 {
+    // neither seeding nor stealing can change output bytes.
+    let executed: Vec<Done> = if jobs == 1 || to_run.len() <= 1 {
         to_run
             .into_iter()
-            .map(|t| {
-                let key = opts.memo.is_some().then(|| memo_key_for(&t, opts, memo_salt));
-                let figure = t.figure;
-                let r = run_task(t, opts);
-                journal_append(&journal, figure, r.1, &r.2, &r.3);
-                memo_fill(&memo, key, figure, r.1, &r.2, &r.3);
-                r
-            })
+            .map(|t| execute(t, opts, &stores))
             .collect()
     } else {
         let n_run = to_run.len();
@@ -1040,8 +986,7 @@ pub fn run_plans_opts(plans: Vec<SweepPlan>, opts: &RunOpts) -> (Vec<Figure>, Sw
                 .map(|w| {
                     let slots = &slots;
                     let deques = &deques;
-                    let journal = &journal;
-                    let memo = &memo;
+                    let stores = &stores;
                     scope.spawn(move || {
                         let mut out = Vec::new();
                         loop {
@@ -1068,15 +1013,7 @@ pub fn run_plans_opts(plans: Vec<SweepPlan>, opts: &RunOpts) -> (Vec<Figure>, Sw
                                 .unwrap_or_else(std::sync::PoisonError::into_inner)
                                 .take();
                             if let Some(task) = task {
-                                let key = opts
-                                    .memo
-                                    .is_some()
-                                    .then(|| memo_key_for(&task, opts, memo_salt));
-                                let figure = task.figure;
-                                let r = run_task(task, opts);
-                                journal_append(journal, figure, r.1, &r.2, &r.3);
-                                memo_fill(memo, key, figure, r.1, &r.2, &r.3);
-                                out.push(r);
+                                out.push(execute(task, opts, stores));
                             }
                         }
                         out
@@ -1093,10 +1030,10 @@ pub fn run_plans_opts(plans: Vec<SweepPlan>, opts: &RunOpts) -> (Vec<Figure>, Sw
     // The report serializes the typed error's stable rendering; its `kind()`
     // tag ("journal") prefixes it so downstream tooling can dispatch without
     // string-matching the message.
-    let journal_error = journal
+    let journal_error = stores
+        .journal_error
         .into_inner()
         .unwrap_or_else(std::sync::PoisonError::into_inner)
-        .error
         .map(|e| format!("{}: {e}", e.kind()));
 
     // Scatter outcomes back into declaration order.
@@ -1104,10 +1041,13 @@ pub fn run_plans_opts(plans: Vec<SweepPlan>, opts: &RunOpts) -> (Vec<Figure>, Sw
         shapes.iter().map(|(n, _, _)| vec![None; *n]).collect();
     // Stats sort by (plan, cell), i.e. declaration order, so the report is
     // itself deterministic up to the measured wall times.
-    done.sort_by_key(|(p, c, _, _)| (*p, *c));
+    done.sort_by_key(|(p, e, _)| (*p, e.cell_idx));
     let mut stats: Vec<CellStat> = Vec::with_capacity(n_tasks);
-    for (plan_idx, cell_idx, outcome, stat) in done {
-        per_plan[plan_idx][cell_idx] = Some(outcome);
+    for (plan_idx, entry, stat) in done {
+        per_plan[plan_idx][entry.cell_idx as usize] = Some(CellOutcome {
+            label: entry.label,
+            result: entry.result,
+        });
         stats.push(stat);
     }
 
@@ -1236,28 +1176,58 @@ mod tests {
         assert!(!mine::thread_miner_installed());
     }
 
-    #[test]
-    fn stale_journal_wall_hints_seed_stealing_without_changing_bytes() {
-        // A journal from a *different* experiment (other seed/context) at the
-        // journal path: its wall times may seed the scheduler, but output
-        // bytes must match a hint-less serial run and every cell must run
-        // fresh (the stale journal is not resumed from).
+    fn tmp(name: &str) -> std::path::PathBuf {
         let dir = std::env::temp_dir().join("aff-sweep-tests");
         std::fs::create_dir_all(&dir).expect("tmp dir");
-        let path = dir.join(format!("hints-{}.journal", std::process::id()));
-        let mut w = JournalWriter::create(&path, 777, 888).expect("create");
+        let path = dir.join(format!("{name}-{}.cells", std::process::id()));
+        std::fs::remove_file(&path).ok();
+        path
+    }
+
+    /// Rewrite the store at `path` (written under `from` by a run with
+    /// `opts`) as if another build with salt `to` had written it: the
+    /// `cells` of the toy-shaped `figure` that it holds, re-keyed.
+    fn rewrite_store(
+        path: &std::path::Path,
+        (from, to): (u64, u64),
+        opts: &RunOpts,
+        figure: &str,
+        cells: impl Iterator<Item = usize>,
+    ) {
+        let old = CellStore::open(path, from, true).expect("reopen");
+        let entries: Vec<CellEntry> = cells
+            .filter_map(|i| {
+                old.get(cell_key(from, opts, figure, i, &format!("cell{i}")))
+                    .cloned()
+            })
+            .collect();
+        drop(old);
+        let mut new = CellStore::open(path, to, false).expect("rewrite");
+        for e in &entries {
+            let key = cell_key(to, opts, figure, e.cell_idx as usize, &e.label);
+            new.append(key, e).expect("append");
+        }
+    }
+
+    #[test]
+    fn stale_journal_wall_hints_seed_stealing_without_changing_bytes() {
+        // A store of another build (other salt) at the journal path: its
+        // wall times may seed the scheduler, but output bytes must match a
+        // hint-less serial run and every cell must run fresh.
+        let path = tmp("hints");
+        let mut stale = CellStore::open(&path, store::code_salt() ^ 1, false).expect("create");
         for (i, wall) in [(0u64, 5u64), (1, 500_000_000), (2, 10), (3, 7), (4, 100)] {
-            w.append(&JournalEntry {
+            let entry = CellEntry {
                 figure: "a".into(),
                 cell_idx: i,
                 label: format!("cell{i}"),
                 attempts: 1,
                 wall_ns: wall,
                 result: Err("stale".into()),
-            })
-            .expect("append");
+            };
+            stale.append(i, &entry).expect("append");
         }
-        drop(w);
+        drop(stale);
         let (serial, _) = run_plans(vec![toy_plan("a"), toy_plan("b")], 1, 42);
         let opts = RunOpts {
             journal: Some(path.clone()),
@@ -1312,38 +1282,38 @@ mod tests {
         assert_eq!(serial[0].to_json(), par[0].to_json());
     }
 
+    /// A four-cell plan `"m"` whose cells count their executions.
+    fn counted_plan(ex: &Arc<std::sync::atomic::AtomicU32>) -> SweepPlan {
+        let mut b = PlanBuilder::new("m");
+        let mut ids = Vec::new();
+        for i in 0..4u64 {
+            let ex = Arc::clone(ex);
+            ids.push(b.cell(format!("cell{i}"), move |rng| {
+                ex.fetch_add(1, Ordering::SeqCst);
+                CellData::Rows {
+                    rows: vec![Row::new(format!("cell{i}"), vec![rng.next_u64() as f64])],
+                    sim_cycles: i + 1,
+                }
+            }));
+        }
+        b.merge(move |o| {
+            let mut fig = Figure::new("m", "memo", vec!["v"]);
+            for &i in &ids {
+                if let Some(rows) = o.rows(i) {
+                    fig.rows.extend(rows.iter().cloned());
+                }
+            }
+            o.annotate_failures(&mut fig);
+            fig
+        })
+    }
+
     #[test]
     fn memo_warm_run_replays_bytes_without_executing() {
-        use std::sync::atomic::{AtomicU32, Ordering};
-        let dir = std::env::temp_dir().join("aff-sweep-tests");
-        std::fs::create_dir_all(&dir).expect("tmp dir");
-        let path = dir.join(format!("memo-{}.memo", std::process::id()));
-        std::fs::remove_file(&path).ok();
+        use std::sync::atomic::AtomicU32;
+        let path = tmp("memo");
         let executions = Arc::new(AtomicU32::new(0));
-        let plan = |ex: &Arc<AtomicU32>| {
-            let mut b = PlanBuilder::new("m");
-            let mut ids = Vec::new();
-            for i in 0..4u64 {
-                let ex = Arc::clone(ex);
-                ids.push(b.cell(format!("cell{i}"), move |rng| {
-                    ex.fetch_add(1, Ordering::SeqCst);
-                    CellData::Rows {
-                        rows: vec![Row::new(format!("cell{i}"), vec![rng.next_u64() as f64])],
-                        sim_cycles: i + 1,
-                    }
-                }));
-            }
-            b.merge(move |o| {
-                let mut fig = Figure::new("m", "memo", vec!["v"]);
-                for &i in &ids {
-                    if let Some(rows) = o.rows(i) {
-                        fig.rows.extend(rows.iter().cloned());
-                    }
-                }
-                o.annotate_failures(&mut fig);
-                fig
-            })
-        };
+        let plan = counted_plan;
         let opts = RunOpts {
             memo: Some(path.clone()),
             memo_config: 77,
@@ -1377,6 +1347,116 @@ mod tests {
             assert_eq!(executions.load(Ordering::SeqCst), before + 4);
         }
         std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn keys_separate_every_input() {
+        let base = RunOpts {
+            memo_config: 2,
+            ..RunOpts::new(1, 3)
+        };
+        let key = |salt, o: &RunOpts, figure, cell, label| cell_key(salt, o, figure, cell, label);
+        let k = key(1, &base, "fig13", 4, "bfs/AffAlloc");
+        assert_ne!(k, key(9, &base, "fig13", 4, "bfs/AffAlloc"));
+        let config = RunOpts { memo_config: 9, ..base.clone() };
+        assert_ne!(k, key(1, &config, "fig13", 4, "bfs/AffAlloc"));
+        let seed = RunOpts { seed: 9, ..base.clone() };
+        assert_ne!(k, key(1, &seed, "fig13", 4, "bfs/AffAlloc"));
+        let chaos = RunOpts { chaos: Some(0), ..base.clone() };
+        assert_ne!(k, key(1, &chaos, "fig13", 4, "bfs/AffAlloc"));
+        assert_ne!(k, key(1, &base, "fig14", 4, "bfs/AffAlloc"));
+        assert_ne!(k, key(1, &base, "fig13", 5, "bfs/AffAlloc"));
+        assert_ne!(k, key(1, &base, "fig13", 4, "bfs/NDC"));
+        // Chaos intensity only matters when chaos is on; worker count,
+        // retries and timeouts never do.
+        let quiet = RunOpts {
+            chaos_intensity: 7,
+            jobs: 4,
+            max_retries: 2,
+            cell_timeout_ms: Some(5),
+            ..base.clone()
+        };
+        assert_eq!(k, key(1, &quiet, "fig13", 4, "bfs/AffAlloc"));
+        let dense = RunOpts { chaos_intensity: 7, ..chaos.clone() };
+        assert_ne!(
+            key(1, &chaos, "fig13", 4, "bfs/AffAlloc"),
+            key(1, &dense, "fig13", 4, "bfs/AffAlloc")
+        );
+    }
+
+    #[test]
+    fn a_store_of_another_build_is_neither_resumed_nor_memo_hit() {
+        use std::sync::atomic::AtomicU32;
+        let (journal, memo) = (tmp("salt-journal"), tmp("salt-memo"));
+        let executions = Arc::new(AtomicU32::new(0));
+        let both = RunOpts {
+            journal: Some(journal.clone()),
+            memo: Some(memo.clone()),
+            ..RunOpts::new(1, 42)
+        };
+        let resume = RunOpts { resume: true, ..both.clone() };
+        let (clean, _) = run_plans_opts(vec![counted_plan(&executions)], &both);
+        assert_eq!(executions.load(Ordering::SeqCst), 4);
+        // Control: under this build's salt both stores would serve every
+        // cell (the journal first).
+        let (_, r) = run_plans_opts(vec![counted_plan(&executions)], &resume);
+        assert_eq!((r.resumed_cells, r.memo_hits), (4, 0));
+        assert_eq!(executions.load(Ordering::SeqCst), 4);
+        // The same stores as another build (salt) wrote them: a rebuild that
+        // changed cell code must re-run everything, not replay stale bits.
+        let (here, there) = (store::code_salt(), store::code_salt() ^ 0x5A17);
+        for path in [&journal, &memo] {
+            rewrite_store(path, (here, there), &both, "m", 0..4);
+        }
+        let (fresh, r) = run_plans_opts(vec![counted_plan(&executions)], &resume);
+        assert_eq!((r.resumed_cells, r.memo_hits), (0, 0));
+        assert!(r.cells.iter().all(|c| c.ok && !c.cached));
+        assert_eq!(executions.load(Ordering::SeqCst), 8);
+        assert_eq!(clean[0].to_json(), fresh[0].to_json());
+        std::fs::remove_file(&journal).ok();
+        std::fs::remove_file(&memo).ok();
+    }
+
+    #[test]
+    fn memo_hits_are_journaled_and_resumed_cells_warm_the_memo() {
+        use std::path::PathBuf;
+        use std::sync::atomic::AtomicU32;
+        let executions = Arc::new(AtomicU32::new(0));
+        let ran = || executions.load(Ordering::SeqCst);
+        let run = |journal: Option<&PathBuf>, resume, memo: Option<&PathBuf>| {
+            let opts = RunOpts {
+                journal: journal.cloned(),
+                resume,
+                memo: memo.cloned(),
+                ..RunOpts::new(2, 42)
+            };
+            let (figs, r) = run_plans_opts(vec![counted_plan(&executions)], &opts);
+            (figs[0].to_json(), r)
+        };
+        let (journal, memo) = (tmp("pair-journal"), tmp("pair-memo"));
+
+        // A memo hit under journal + memo lands in the journal, so resuming
+        // that journal without the memo replays it.
+        let (clean, _) = run(None, false, Some(&memo));
+        assert_eq!(ran(), 4);
+        let (bytes, r) = run(Some(&journal), false, Some(&memo));
+        assert_eq!((r.memo_hits, r.resumed_cells, ran()), (4, 0, 4));
+        assert_eq!(bytes, clean);
+        let (bytes, r) = run(Some(&journal), true, None);
+        assert_eq!((r.memo_hits, r.resumed_cells, ran()), (0, 4, 4));
+        assert_eq!(bytes, clean);
+
+        // The other direction: a resumed cell warms an empty memo, so a
+        // later memo-only run hits it.
+        std::fs::remove_file(&memo).ok();
+        let (bytes, r) = run(Some(&journal), true, Some(&memo));
+        assert_eq!((r.memo_hits, r.resumed_cells, ran()), (0, 4, 4));
+        assert_eq!(bytes, clean);
+        let (bytes, r) = run(None, false, Some(&memo));
+        assert_eq!((r.memo_hits, r.resumed_cells, ran()), (4, 0, 4));
+        assert_eq!(bytes, clean);
+        std::fs::remove_file(&journal).ok();
+        std::fs::remove_file(&memo).ok();
     }
 
     #[test]
@@ -1422,6 +1502,18 @@ mod tests {
         assert!(err.starts_with("journal: "), "typed kind() prefix: {err}");
         assert!(err.contains("journal create failed"), "{err}");
         assert!(err.contains("continuing without checkpoints"), "{err}");
+        // A memo on a directory is disabled the same way: no hits, no error
+        // in the report, the same figures.
+        let opts = RunOpts {
+            memo: Some(dir.clone()),
+            ..RunOpts::new(2, 42)
+        };
+        for _ in 0..2 {
+            let (figs, report) = run_plans_opts(vec![toy_plan("a")], &opts);
+            assert_eq!(figs[0].to_json(), clean[0].to_json());
+            assert!(report.cells.iter().all(|c| c.ok && !c.cached));
+            assert!(report.journal_error.is_none());
+        }
         let _ = std::fs::remove_dir(&dir);
     }
 
@@ -1887,24 +1979,17 @@ mod tests {
         #[test]
         fn a_resumed_run_renders_the_clean_bytes() {
             let clean = clean_bytes();
-            let dir = std::env::temp_dir().join("aff-sweep-tests");
-            std::fs::create_dir_all(&dir).expect("tmp dir");
-            let path = dir.join(format!("shared-{}.journal", std::process::id()));
-            let (seed, context) = (11, 0x5EED);
+            let path = tmp("shared");
             // A full journaled run, then a journal that holds only its
             // first half — an interrupted run.
             let full = RunOpts {
                 journal: Some(path.clone()),
-                context,
-                ..RunOpts::new(1, seed)
+                ..RunOpts::new(1, 11)
             };
             let _ = run_plans_opts(vec![shared_plan(&Watch::default(), None)], &full);
-            let replay = read_journal(&path, seed, context).expect("journal");
-            let mut w = JournalWriter::create(&path, seed, context).expect("rewrite");
-            for e in replay.entries.values().filter(|e| e.cell_idx < SHARED_CELLS / 2) {
-                w.append(e).expect("append");
-            }
-            drop(w);
+            let salt = store::code_salt();
+            let half = (SHARED_CELLS / 2) as usize;
+            rewrite_store(&path, (salt, salt), &full, "shared", 0..half);
             let watch = Watch::default();
             let resume = RunOpts { resume: true, ..full };
             let (figs, report) = run_plans_opts(vec![shared_plan(&watch, None)], &resume);

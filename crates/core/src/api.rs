@@ -185,50 +185,6 @@ impl AffineArrayReq {
         }
     }
 
-    /// Align element-for-element with `partner` (`B[i] ↔ A[i]`).
-    #[deprecated(
-        since = "0.1.0",
-        note = "construct via `AffineArrayReq::with_hint` with `AffinityHint::AlignTo`"
-    )]
-    pub fn align_to(mut self, partner: VAddr) -> Self {
-        self.align_to = Some(partner);
-        self
-    }
-
-    /// Align with ratio and offset: `B[i] ↔ A[(p/q)·i + x]`.
-    #[deprecated(
-        since = "0.1.0",
-        note = "construct via `AffineArrayReq::with_hint` with `AffinityHint::AlignTo`"
-    )]
-    pub fn align_ratio(mut self, p: u64, q: u64, x: u64) -> Self {
-        self.align_p = p;
-        self.align_q = q;
-        self.align_x = x;
-        self
-    }
-
-    /// Request intra-array affinity between elements `i` and `i + row_stride`
-    /// (Fig 8(c)).
-    #[deprecated(
-        since = "0.1.0",
-        note = "construct via `AffineArrayReq::with_hint` with `AffinityHint::IntraStride`"
-    )]
-    pub fn intra_stride(mut self, row_stride: u64) -> Self {
-        self.align_to = None;
-        self.align_x = row_stride;
-        self
-    }
-
-    /// Set the partition flag (Fig 9).
-    #[deprecated(
-        since = "0.1.0",
-        note = "construct via `AffineArrayReq::with_hint` with `AffinityHint::Partition`"
-    )]
-    pub fn partitioned(mut self) -> Self {
-        self.partition = true;
-        self
-    }
-
     /// Total payload bytes.
     pub fn total_bytes(&self) -> u64 {
         self.elem_size * self.num_elem
@@ -431,52 +387,6 @@ mod tests {
         assert!(r.align_to.is_none());
         assert!(!r.partition);
         assert_eq!(r.total_bytes(), 400);
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn builder_chains() {
-        let r = AffineArrayReq::new(4, 100)
-            .align_to(VAddr(0x40))
-            .align_ratio(4, 1, 2);
-        assert_eq!(r.align_to, Some(VAddr(0x40)));
-        assert_eq!((r.align_p, r.align_q, r.align_x), (4, 1, 2));
-        let p = AffineArrayReq::new(4, 100).partitioned();
-        assert!(p.partition);
-        let i = AffineArrayReq::new(4, 100).intra_stride(32);
-        assert_eq!(i.align_x, 32);
-        assert!(i.align_to.is_none());
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_builders_equal_hint_constructors() {
-        // The shim contract: every legacy builder chain produces the exact
-        // request `with_hint` produces for the corresponding hint.
-        let legacy = AffineArrayReq::new(4, 100).align_to(VAddr(0x40)).align_ratio(4, 1, 2);
-        let hinted = AffineArrayReq::with_hint(
-            4,
-            100,
-            &AffinityHint::AlignTo {
-                partner: VAddr(0x40),
-                p: 4,
-                q: 1,
-                x: 2,
-            },
-        );
-        assert_eq!(legacy, hinted);
-        assert_eq!(
-            AffineArrayReq::new(4, 100).partitioned(),
-            AffineArrayReq::with_hint(4, 100, &AffinityHint::Partition)
-        );
-        assert_eq!(
-            AffineArrayReq::new(4, 100).intra_stride(32),
-            AffineArrayReq::with_hint(4, 100, &AffinityHint::IntraStride { stride: 32 })
-        );
-        assert_eq!(
-            AffineArrayReq::new(4, 100),
-            AffineArrayReq::with_hint(4, 100, &AffinityHint::None)
-        );
     }
 
     #[test]

@@ -272,7 +272,7 @@ fn fit_pair(samples: &[(u64, u64)]) -> Option<(AffineFit, Vec<(i64, usize)>)> {
 /// The dominant cache-line-spanning |residual| of a fitted pair: the
 /// intra-array stride candidate the stencil halo leaves behind. Ties go to
 /// the smallest stride (a 3-D kernel's row beats its plane, matching the
-/// annotated `intra_stride(row)` convention).
+/// annotated `IntraStride { stride: row }` convention).
 fn dominant_stride(hist: &[(i64, usize)], elem_size: u64) -> Option<(u64, usize)> {
     let mut by_abs: std::collections::BTreeMap<u64, usize> = std::collections::BTreeMap::new();
     for &(r, c) in hist {

@@ -1310,9 +1310,6 @@ impl AffinityAllocator {
 }
 
 #[cfg(test)]
-// The legacy builder chains stay under test on purpose: they are deprecated
-// shims whose allocation results must remain byte-identical to the hint API.
-#[allow(deprecated)]
 mod tests {
     use super::*;
 
@@ -1322,6 +1319,16 @@ mod tests {
 
     fn hybrid() -> AffinityAllocator {
         alloc(BankSelectPolicy::paper_default())
+    }
+
+    /// `B[i] ↔ partner[(p/q)·i + x]` (Eq 2).
+    fn aligned(elem: u64, n: u64, partner: VAddr, (p, q, x): (u64, u64, u64)) -> AffineArrayReq {
+        AffineArrayReq::with_hint(elem, n, &AffinityHint::AlignTo { partner, p, q, x })
+    }
+
+    /// Intra-array affinity between elements `i` and `i + stride` (Fig 8(c)).
+    fn intra(elem: u64, n: u64, stride: u64) -> AffineArrayReq {
+        AffineArrayReq::with_hint(elem, n, &AffinityHint::IntraStride { stride })
     }
 
     // ----- affine -----
@@ -1336,12 +1343,12 @@ mod tests {
         assert_eq!(a.affine_layout(va_a), Some((64, 0)));
         // float B[N] aligned to A: same interleave, same start bank.
         let va_b = a
-            .malloc_aff_affine(&AffineArrayReq::new(4, 4096).align_to(va_a))
+            .malloc_aff_affine(&aligned(4, 4096, va_a, (1, 1, 0)))
             .unwrap();
         assert_eq!(a.affine_layout(va_b), Some((64, 0)));
         // double C[N] aligned to A: Eq 3 doubles the interleave.
         let va_c = a
-            .malloc_aff_affine(&AffineArrayReq::new(8, 4096).align_to(va_a))
+            .malloc_aff_affine(&aligned(8, 4096, va_a, (1, 1, 0)))
             .unwrap();
         assert_eq!(a.affine_layout(va_c), Some((128, 0)));
         // Element i of all three lands on the same bank.
@@ -1362,11 +1369,7 @@ mod tests {
             .unwrap();
         // B[i] aligns to A[i + 32]: 32 elements = 2 chunks of 64B.
         let va_b = a
-            .malloc_aff_affine(
-                &AffineArrayReq::new(4, 4096)
-                    .align_to(va_a)
-                    .align_ratio(1, 1, 32),
-            )
+            .malloc_aff_affine(&aligned(4, 4096, va_a, (1, 1, 32)))
             .unwrap();
         assert_eq!(a.affine_layout(va_b), Some((64, 2)));
         // B[0] sits with A[32].
@@ -1383,11 +1386,7 @@ mod tests {
         // B[i] aligns to A[4i] (p=4, q=1): intrlv_B = (4/16)*(1/4)*64 = 4 — invalid ⇒ fallback.
         let st = a.stats();
         let _vb = a
-            .malloc_aff_affine(
-                &AffineArrayReq::new(4, 1024)
-                    .align_to(va_a)
-                    .align_ratio(4, 1, 0),
-            )
+            .malloc_aff_affine(&aligned(4, 1024, va_a, (4, 1, 0)))
             .unwrap();
         assert_eq!(a.stats().fallback, st.fallback + 1);
     }
@@ -1400,12 +1399,8 @@ mod tests {
             .unwrap();
         // Offset of 3 elements = 12 bytes: not a multiple of the 64B chunk.
         let before = a.stats().fallback;
-        a.malloc_aff_affine(
-            &AffineArrayReq::new(4, 4096)
-                .align_to(va_a)
-                .align_ratio(1, 1, 3),
-        )
-        .unwrap();
+        a.malloc_aff_affine(&aligned(4, 4096, va_a, (1, 1, 3)))
+            .unwrap();
         assert_eq!(a.stats().fallback, before + 1);
     }
 
@@ -1413,7 +1408,7 @@ mod tests {
     fn unknown_partner_is_an_error() {
         let mut a = hybrid();
         let err = a
-            .malloc_aff_affine(&AffineArrayReq::new(4, 16).align_to(VAddr(0xDEAD)))
+            .malloc_aff_affine(&aligned(4, 16, VAddr(0xDEAD), (1, 1, 0)))
             .unwrap_err();
         assert!(matches!(err, AllocError::UnknownPartner { .. }));
     }
@@ -1423,7 +1418,7 @@ mod tests {
         let mut a = hybrid();
         let n = 64 * 1024u64; // 64k 4-byte elements = 256 KiB
         let va = a
-            .malloc_aff_affine(&AffineArrayReq::new(4, n).partitioned())
+            .malloc_aff_affine(&AffineArrayReq::with_hint(4, n, &AffinityHint::Partition))
             .unwrap();
         let (intrlv, start) = a.affine_layout(va).unwrap();
         assert_eq!(start, 0);
@@ -1442,7 +1437,7 @@ mod tests {
         // a full bank cycle, so the 64B interleave makes i and i+N land on
         // the *same* bank. The runtime must find a zero-distance layout.
         let va = a
-            .malloc_aff_affine(&AffineArrayReq::new(4, 64 * 1024).intra_stride(1024))
+            .malloc_aff_affine(&intra(4, 64 * 1024, 1024))
             .unwrap();
         let row = 1024u64;
         let mut hops = 0u32;
@@ -1461,7 +1456,7 @@ mod tests {
         // only chunk-boundary rows pay a hop.
         let row = 640u64;
         let va = a
-            .malloc_aff_affine(&AffineArrayReq::new(4, 4096 * row).intra_stride(row))
+            .malloc_aff_affine(&intra(4, 4096 * row, row))
             .unwrap();
         let (intrlv, _) = a.affine_layout(va).unwrap();
         assert_eq!(intrlv % 2560, 0, "chunk holds whole rows");
@@ -1481,11 +1476,10 @@ mod tests {
     fn intra_non_unit_ratio_rejected() {
         let mut a = hybrid();
         let err = a
-            .malloc_aff_affine(
-                &AffineArrayReq::new(4, 1024)
-                    .intra_stride(64)
-                    .align_ratio(2, 1, 64),
-            )
+            .malloc_aff_affine(&AffineArrayReq {
+                align_p: 2,
+                ..intra(4, 1024, 64)
+            })
             .unwrap_err();
         assert_eq!(err, AllocError::NonUnitIntraRatio);
     }
@@ -1671,7 +1665,7 @@ mod tests {
         // 192 B — unrealizable on the power-of-two machine (fallback), but
         // exact with non-power-of-two interleaves enabled (§4.1 future work).
         let req_a = AffineArrayReq::new(4, 3 * 4096);
-        let mk_b = |a| AffineArrayReq::new(4, 3 * 4096).align_to(a).align_ratio(1, 3, 0);
+        let mk_b = |a| aligned(4, 3 * 4096, a, (1, 3, 0));
 
         let mut pow2 = hybrid();
         let a = pow2.malloc_aff_affine(&req_a).unwrap();
@@ -1721,7 +1715,7 @@ mod tests {
         // Build a far target inside the same allocator: a partitioned array
         // gives us an address on every bank.
         let arr = a
-            .malloc_aff_affine(&AffineArrayReq::new(64, 64 * 16).partitioned())
+            .malloc_aff_affine(&AffineArrayReq::with_hint(64, 64 * 16, &AffinityHint::Partition))
             .unwrap();
         let far_elem = arr + u64::from(far_bank) * 16 * 64;
         assert_eq!(a.bank_of(far_elem), far_bank);
@@ -2024,7 +2018,7 @@ mod tests {
         assert_eq!(irr_h, irr_l);
         let part_h = via_hint.malloc_hinted(4, 64 * 1024, &AffinityHint::Partition).unwrap();
         let part_l = legacy
-            .malloc_aff_affine(&AffineArrayReq::new(4, 64 * 1024).partitioned())
+            .malloc_aff_affine(&AffineArrayReq::with_hint(4, 64 * 1024, &AffinityHint::Partition))
             .unwrap();
         assert_eq!(part_h, part_l);
         let row = 4096u64;
@@ -2032,7 +2026,7 @@ mod tests {
             .malloc_hinted(4, 64 * row, &AffinityHint::IntraStride { stride: row })
             .unwrap();
         let intra_l = legacy
-            .malloc_aff_affine(&AffineArrayReq::new(4, 64 * row).intra_stride(row))
+            .malloc_aff_affine(&intra(4, 64 * row, row))
             .unwrap();
         assert_eq!(intra_h, intra_l);
         let al_h = via_hint
@@ -2043,7 +2037,7 @@ mod tests {
             )
             .unwrap();
         let al_l = legacy
-            .malloc_aff_affine(&AffineArrayReq::new(4, 64 * row).align_to(intra_l))
+            .malloc_aff_affine(&aligned(4, 64 * row, intra_l, (1, 1, 0)))
             .unwrap();
         assert_eq!(al_h, al_l);
         assert_eq!(via_hint.stats(), legacy.stats());

@@ -80,20 +80,8 @@ impl DesNoc {
     }
 
     /// Replay `packets` in order, all ready for injection at cycle 0 (the
-    /// per-source network interface serializes them).
-    ///
-    /// Delegates to [`DesNoc::try_replay`] under an unlimited budget, which
-    /// performs the identical per-packet arithmetic (pinned by the
-    /// `try_replay_matches_replay_and_enforces_budgets` compat test).
-    #[deprecated(note = "use try_replay")]
-    pub fn replay(&mut self, packets: &[Packet]) -> DesReport {
-        match self.try_replay(packets, &RunBudget::unlimited()) {
-            Ok(rep) => rep,
-            Err(e) => unreachable!("unlimited budget cannot fail: {e}"),
-        }
-    }
-
-    /// Replay `packets` under `budget`: the packet count is checked against
+    /// per-source network interface serializes them), under `budget`: the
+    /// packet count is checked against
     /// `max_events` up front, the finish cycle against `max_cycles` and the
     /// elapsed host time against `wall_ms` as the replay progresses. The
     /// greedy model cannot deadlock (every `send` completes in bounded
@@ -266,7 +254,7 @@ mod tests {
         }
     }
 
-    /// The migrated shape of the legacy `replay(packets)` calls.
+    /// Replay under an unlimited budget, which cannot fail.
     fn replay_ok(des: &mut DesNoc, packets: &[Packet]) -> DesReport {
         use aff_sim_core::error::RunBudget;
         des.try_replay(packets, &RunBudget::unlimited())
@@ -386,23 +374,12 @@ mod tests {
         assert!(t_limp > t_plain, "limping must cost more ({t_limp} vs {t_plain})");
     }
 
-    /// Compat pin: the deprecated [`DesNoc::replay`] must stay byte-identical
-    /// to [`DesNoc::try_replay`] under an unlimited budget.
     #[test]
-    #[allow(deprecated)]
-    fn try_replay_matches_replay_and_enforces_budgets() {
+    fn try_replay_enforces_budgets() {
         use aff_sim_core::error::{BudgetKind, RunBudget, SimError};
         let topo = Topology::new(4, 4);
         let pkts = vec![pkt(0, 3, 2), pkt(3, 12, 4), pkt(5, 5, 1), pkt(1, 0, 8)];
         let mut des = DesNoc::new(topo, 6);
-        let want = des.replay(&pkts);
-        des.reset();
-        let got = des
-            .try_replay(&pkts, &RunBudget::unlimited())
-            .expect("unlimited budget");
-        assert_eq!(got, want);
-
-        des.reset();
         let err = des
             .try_replay(&pkts, &RunBudget::unlimited().with_max_events(2))
             .expect_err("4 packets exceed 2 events");

@@ -3,7 +3,7 @@
 //! Workload executors translate their kernels into calls on [`SimEngine`] —
 //! "core 3 read 512 lines from bank 9", "stream migrated from bank 4 to 5",
 //! "CAS executed at bank 61 from bank 7" — and the engine attributes each to
-//! a traffic class, a bank, and an energy event. [`SimEngine::finish`] then
+//! a traffic class, a bank, and an energy event. [`SimEngine::try_finish`] then
 //! resolves capacity misses against the DRAM model and computes the analytic
 //! cycle estimate:
 //!
@@ -690,13 +690,6 @@ impl SimEngine {
         self.topo
     }
 
-    /// Direct read access to the traffic matrix (tests, DES replay). Takes
-    /// `&mut self` so pending coalesced charges land before the read.
-    #[deprecated(note = "use traffic_mut (or traffic_snapshot for &self reads)")]
-    pub fn traffic(&mut self) -> &TrafficMatrix {
-        self.traffic_mut()
-    }
-
     /// The authoritative view of the traffic matrix: pending coalesced
     /// charges are flushed first, so every primitive called so far is
     /// reflected. Use this for tests, DES replay, and anything that compares
@@ -1187,13 +1180,6 @@ impl SimEngine {
 
     // ---------- finish ----------
 
-    /// Resolve capacity misses, compute the cycle estimate, and produce
-    /// [`Metrics`]. Consumes the engine — one engine per kernel execution.
-    #[deprecated(note = "use try_finish")]
-    pub fn finish(self) -> Metrics {
-        self.finish_inner()
-    }
-
     /// The analytic cycle breakdown over the counters accumulated so far.
     /// Callers flush pending coalesced charges first (capacity misses and
     /// fault epochs write the traffic matrix directly, so both call sites
@@ -1220,8 +1206,8 @@ impl SimEngine {
         }
     }
 
-    /// Shared body of [`finish`](Self::finish) and
-    /// [`try_finish`](Self::try_finish); both produce byte-identical metrics.
+    /// Resolve capacity misses, compute the cycle estimate, and produce
+    /// [`Metrics`] — the body of [`try_finish`](Self::try_finish).
     fn finish_inner(mut self) -> Metrics {
         self.flush_charges();
         // Any fault events the phase boundaries did not reach fire now, at
@@ -1299,8 +1285,10 @@ impl SimEngine {
         }
     }
 
-    /// [`SimEngine::finish`] under the machine's
-    /// [`RunBudget`](aff_sim_core::error::RunBudget): when the
+    /// Resolve capacity misses, compute the cycle estimate, and produce
+    /// [`Metrics`], checked against the machine's
+    /// [`RunBudget`](aff_sim_core::error::RunBudget). Consumes the engine —
+    /// one engine per kernel execution. When the
     /// cycle estimate exceeds `budget.max_cycles` the run reports
     /// [`SimError::BudgetExhausted`] instead of returning metrics, so a
     /// sweep can refuse to merge results from a run that blew its ceiling.
@@ -1343,7 +1331,7 @@ mod tests {
     #[test]
     fn try_finish_enforces_the_machine_cycle_budget() {
         use aff_sim_core::error::RunBudget;
-        // Unlimited budget: identical to finish().
+        // Unlimited budget: the run's metrics.
         let m = engine().try_finish().expect("unlimited budget");
         assert_eq!(m.cycles, 1);
         // A 1-cycle ceiling admits the empty run but rejects a loaded one.
@@ -1418,35 +1406,6 @@ mod tests {
             flushed,
             "after a flush the snapshot agrees"
         );
-    }
-
-    /// Compat pin: the deprecated [`SimEngine::traffic`] must stay identical
-    /// to [`SimEngine::traffic_mut`] (both flush pending charges).
-    #[test]
-    #[allow(deprecated)]
-    fn traffic_matches_traffic_mut() {
-        let mut a = engine();
-        a.remote_atomic(0, 9, 3);
-        let want = a.traffic_mut().total_hop_flits();
-        let mut b = engine();
-        b.remote_atomic(0, 9, 3);
-        assert_eq!(b.traffic().total_hop_flits(), want);
-    }
-
-    /// Compat pin: the deprecated [`SimEngine::finish`] must stay identical
-    /// to [`SimEngine::try_finish`] on an unlimited budget.
-    #[test]
-    #[allow(deprecated)]
-    fn finish_matches_try_finish() {
-        let mut a = engine();
-        busy_run(&mut a);
-        let mut b = engine();
-        busy_run(&mut b);
-        let (ma, mb) = (a.finish(), fin(b));
-        assert_eq!(ma.cycles, mb.cycles);
-        assert_eq!(ma.total_hop_flits, mb.total_hop_flits);
-        assert_eq!(ma.breakdown, mb.breakdown);
-        assert_eq!(ma.dram_accesses, mb.dram_accesses);
     }
 
     #[test]

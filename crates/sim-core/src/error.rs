@@ -12,10 +12,6 @@
 //!   (`try_*`) entry points of the NoC simulators, the NSC interpreter and
 //!   the engine; `Stalled` carries a [`StallSnapshot`] naming the routers
 //!   and fault-plan links implicated in a wedged network.
-//!
-//! The infallible legacy entry points (`simulate`, `execute_affine`, …) are
-//! unchanged: they run with an unlimited budget and keep their documented
-//! panics for true invariant violations.
 
 use serde::{Deserialize, Serialize};
 

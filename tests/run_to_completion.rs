@@ -12,7 +12,6 @@ use aff_bench::report::{Figure, Row};
 use aff_bench::sweep::{run_plans_opts, CellData, PlanBuilder, RunOpts, SweepPlan};
 
 const SEED: u64 = 0xC0FFEE;
-const CONTEXT: u64 = 77;
 
 /// Two deterministic multi-cell plans: every value is drawn from the cell's
 /// private RNG stream, so any replay divergence shows up in the bytes.
@@ -59,7 +58,6 @@ fn opts_with_journal(path: &std::path::Path, resume: bool) -> RunOpts {
     RunOpts {
         journal: Some(path.to_path_buf()),
         resume,
-        context: CONTEXT,
         ..RunOpts::new(2, SEED)
     }
 }
@@ -129,8 +127,9 @@ fn stale_journal_from_another_experiment_is_refused() {
     let (baseline, _) = run_plans_opts(plans(), &RunOpts::new(1, SEED));
     let baseline = figures_json(&baseline);
 
-    // Journal written under a different seed: resuming must re-run all
-    // cells instead of merging another experiment's bits.
+    // Journal written under a different seed: its cells are keyed by that
+    // seed, so resuming must re-run all cells instead of merging another
+    // experiment's bits.
     let other = RunOpts {
         seed: SEED + 1,
         ..opts_with_journal(&path, false)

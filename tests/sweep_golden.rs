@@ -185,7 +185,6 @@ fn run_to_completion_guards_do_not_change_golden_bytes() {
         max_retries: 2,
         journal: Some(journal.clone()),
         resume: false,
-        context: 0xF165,
         ..RunOpts::new(2, opts.seed)
     };
     let (figures, report) = run_plans_opts(plans, &run_opts);
