@@ -119,7 +119,7 @@ fn main() {
     // run and the measured run: it depends only on scale and seed.
     let input = suite::gen_input(workload, &cfg).map(Arc::new);
     if let Some(path) = &profile_out {
-        // Phase 1 standalone: annotation-free run with the miner installed,
+        // Phase 1 standalone: annotation-free run recording into a miner,
         // inferred profile serialized for a later --profile-in replay.
         let profile = profile_workload(workload, &cfg, input.clone());
         if let Err(e) = std::fs::write(path, profile.to_json() + "\n") {

@@ -25,12 +25,14 @@
 //! generated the graph itself or received the shared copy, so sharing
 //! changes no output byte.
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 
 use crate::report::{Figure, Row};
-use crate::sweep::{run_plans, CellData, Claim, PlanBuilder, Shared, SweepPlan};
+use crate::sweep::{run_plans, CellCtx, CellData, Claim, PlanBuilder, Shared, SweepPlan};
 use aff_ds::graph::Graph;
 use aff_sim_core::config::{MachineConfig, TopologyKind};
+use aff_sim_core::fault::FaultTimeline;
+use aff_sim_core::rng::SimRng;
 use aff_sim_core::stats::geomean;
 use aff_workloads::affine::{run_stencil, run_vecadd_forced_delta, Stencil};
 use aff_workloads::config::{RunConfig, SystemConfig};
@@ -140,7 +142,7 @@ impl Default for HarnessOpts {
 }
 
 impl HarnessOpts {
-    fn graph_scale(&self) -> u32 {
+    pub(crate) fn graph_scale(&self) -> u32 {
         if self.full {
             8 // 2^17 vertices, Table 3
         } else {
@@ -158,11 +160,13 @@ impl HarnessOpts {
         m
     }
 
-    pub(crate) fn cfg(&self, system: SystemConfig) -> RunConfig {
+    /// The run configuration of a cell simulating `system` on
+    /// [`Self::machine`], stamped by the cell's context.
+    pub(crate) fn cfg(&self, ctx: &CellCtx, system: SystemConfig) -> RunConfig {
         RunConfig::new(system)
             .with_seed(self.seed)
             .with_scale(self.graph_scale())
-            .with_machine(self.machine())
+            .with_machine(ctx.machine(self.machine()))
     }
 }
 
@@ -261,28 +265,28 @@ pub fn fig4_plan(opts: HarnessOpts) -> SweepPlan {
     let n = 1_500_000;
     let _ = opts.full;
     let mut b = PlanBuilder::new("fig4");
-    let incore = b.cell("In-Core", move |_| {
+    let incore = b.cell("In-Core", move |ctx| {
         let cfg = RunConfig::new(SystemConfig::InCore)
             .with_seed(opts.seed)
-            .with_machine(opts.machine());
+            .with_machine(ctx.machine(opts.machine()));
         run_vecadd_forced_delta(n, Some(0), &cfg).into()
     });
     // (label, cell id) in row order; the In-Core row reuses the In-Core cell.
     let mut cells: Vec<(String, usize)> = vec![("In-Core".into(), incore)];
     for delta in (0..=64u32).step_by(4) {
         let label = format!("Δ Bank {delta}");
-        let id = b.cell(label.clone(), move |_| {
+        let id = b.cell(label.clone(), move |ctx| {
             let cfg = RunConfig::new(SystemConfig::NearL3)
                 .with_seed(opts.seed)
-                .with_machine(opts.machine());
+                .with_machine(ctx.machine(opts.machine()));
             run_vecadd_forced_delta(n, Some(delta), &cfg).into()
         });
         cells.push((label, id));
     }
-    let id = b.cell("Random", move |_| {
+    let id = b.cell("Random", move |ctx| {
         let cfg = RunConfig::new(SystemConfig::NearL3)
             .with_seed(opts.seed)
-            .with_machine(opts.machine());
+            .with_machine(ctx.machine(opts.machine()));
         run_vecadd_forced_delta(n, None, &cfg).into()
     });
     cells.push(("Random".into(), id));
@@ -352,19 +356,19 @@ pub fn fig6_plan(opts: HarnessOpts) -> SweepPlan {
     let mut idx: Vec<Vec<usize>> = Vec::new();
     for w in FIG6_WORKLOADS {
         let input = inputs.claim_labelled(w);
-        let base = b.cell(format!("{w}/Base"), move |_| {
-            let base_cfg = opts.cfg(SystemConfig::NearL3);
+        let base = b.cell(format!("{w}/Base"), move |ctx| {
+            let base_cfg = opts.cfg(ctx, SystemConfig::NearL3);
             fig6_run(w, GraphInstance::new(input.take(), &base_cfg)).metrics.into()
         });
         let mut row = vec![base];
         for (label, chunk) in FIG6_CONFIGS.iter().skip(1) {
             let bytes = chunk.unwrap_or(0);
             let input = inputs.claim_labelled(w);
-            let id = b.cell(format!("{w}/{label}"), move |_| {
+            let id = b.cell(format!("{w}/{label}"), move |ctx| {
                 let g = input.take();
                 let edge_sz = if g.is_weighted() { 8 } else { 4 };
                 let cb = if bytes == 0 { edge_sz } else { bytes };
-                let cfg = opts.cfg(hybrid5());
+                let cfg = opts.cfg(ctx, hybrid5());
                 fig6_run(w, GraphInstance::with_chunk_oracle(g, &cfg, cb))
                     .metrics
                     .into()
@@ -418,8 +422,8 @@ pub fn fig12_plan(opts: HarnessOpts) -> SweepPlan {
             .iter()
             .map(|&s| {
                 let input = inputs.claim_for(w);
-                b.cell(format!("{}/{}", w.label(), s.label()), move |_| {
-                    run_claimed(w, &opts.cfg(s), input.as_ref()).metrics.into()
+                b.cell(format!("{}/{}", w.label(), s.label()), move |ctx| {
+                    run_claimed(w, &opts.cfg(ctx, s), input.as_ref()).metrics.into()
                 })
             })
             .collect();
@@ -506,8 +510,8 @@ pub fn fig13_plan(opts: HarnessOpts) -> SweepPlan {
             .iter()
             .map(|&p| {
                 let input = inputs.claim_for(w);
-                b.cell(format!("{}/{}", w.label(), p.label()), move |_| {
-                    let cfg = opts.cfg(SystemConfig::AffAlloc(p));
+                b.cell(format!("{}/{}", w.label(), p.label()), move |ctx| {
+                    let cfg = opts.cfg(ctx, SystemConfig::AffAlloc(p));
                     run_claimed(w, &cfg, input.as_ref()).metrics.into()
                 })
             })
@@ -564,8 +568,8 @@ pub fn fig14_plan(opts: HarnessOpts) -> SweepPlan {
         .map(|&p| {
             let label = p.label();
             let input = inputs.plain();
-            let id = b.cell(label.clone(), move |_| {
-                let cfg = opts.cfg(SystemConfig::AffAlloc(p));
+            let id = b.cell(label.clone(), move |ctx| {
+                let cfg = opts.cfg(ctx, SystemConfig::AffAlloc(p));
                 let g = input.take();
                 let src = pick_source(&g);
                 GraphInstance::new(g, &cfg)
@@ -621,10 +625,10 @@ pub fn fig15_plan(opts: HarnessOpts) -> SweepPlan {
         for scale in SCALES {
             let mk = *mk;
             let mut cell_for = |sys_label: &str, system: SystemConfig| {
-                b.cell(format!("{name}/{scale}x/{sys_label}"), move |_| {
+                b.cell(format!("{name}/{scale}x/{sys_label}"), move |ctx| {
                     let cfg = RunConfig::new(system)
                         .with_seed(opts.seed)
-                        .with_machine(opts.machine());
+                        .with_machine(ctx.machine(opts.machine()));
                     run_stencil(&mk(scale), &cfg).into()
                 })
             };
@@ -706,11 +710,11 @@ pub fn fig16_plan(opts: HarnessOpts) -> SweepPlan {
             let mut cell_for = |label: &'static str, system: SystemConfig| {
                 let m = Arc::clone(&machine);
                 let input = inputs[si].claim_for(w);
-                let id = b.cell(format!("{}/{}/|V|x{}", w.label(), label, scale), move |_| {
+                let id = b.cell(format!("{}/{}/|V|x{}", w.label(), label, scale), move |ctx| {
                     let cfg = RunConfig::new(system)
                         .with_seed(opts.seed)
                         .with_scale(cell_scale)
-                        .with_machine(MachineConfig::clone(&m));
+                        .with_machine(ctx.machine(MachineConfig::clone(&m)));
                     run_claimed(w, &cfg, input.as_ref()).metrics.into()
                 });
                 // Cells grow with |V|: start the big ones first so the last
@@ -764,8 +768,8 @@ pub fn fig16(opts: HarnessOpts) -> Figure {
 /// per-iteration rows.
 pub fn fig17_plan(opts: HarnessOpts) -> SweepPlan {
     let mut b = PlanBuilder::new("fig17");
-    let cell = b.cell("bfs_push", move |_| {
-        let cfg = opts.cfg(hybrid5());
+    let cell = b.cell("bfs_push", move |ctx| {
+        let cfg = opts.cfg(ctx, hybrid5());
         let g = suite::kron_input(cfg.scale, cfg.seed);
         let n = f64::from(g.num_vertices());
         let m = g.num_edges() as f64;
@@ -837,8 +841,8 @@ pub fn fig18_plan(opts: HarnessOpts) -> SweepPlan {
         ];
         for (pl, policy) in policies {
             let input = inputs.plain();
-            ids.push(b.cell(format!("{sl}/{pl}"), move |_| {
-                let cfg = opts.cfg(system);
+            ids.push(b.cell(format!("{sl}/{pl}"), move |ctx| {
+                let cfg = opts.cfg(ctx, system);
                 let g = input.take();
                 let src = pick_source(&g);
                 let r = GraphInstance::new(g, &cfg).run_bfs(src, policy);
@@ -892,6 +896,7 @@ const FIG19_DEGREES: [u32; 6] = [4, 8, 16, 32, 64, 128];
 
 /// One fig19/fig20 cell: `w` on the shared power-law `graph` under `system`.
 fn power_law_cell(
+    ctx: &CellCtx,
     w: &'static str,
     graph: Arc<Graph>,
     system: SystemConfig,
@@ -899,7 +904,7 @@ fn power_law_cell(
 ) -> CellData {
     let cfg = RunConfig::new(system)
         .with_seed(opts.seed)
-        .with_machine(opts.machine());
+        .with_machine(ctx.machine(opts.machine()));
     let src = pick_source(&graph);
     let inst = GraphInstance::new(graph, &cfg);
     match w {
@@ -941,8 +946,8 @@ pub fn fig19_plan(opts: HarnessOpts) -> SweepPlan {
         for (di, d) in FIG19_DEGREES.into_iter().enumerate() {
             let mut cell = |label: &str, s: SystemConfig| {
                 let input = inputs[di].claim_labelled(w);
-                b.cell(format!("{w}/D={d}/{label}"), move |_| {
-                    power_law_cell(w, input.take(), s, opts)
+                b.cell(format!("{w}/D={d}/{label}"), move |ctx| {
+                    power_law_cell(ctx, w, input.take(), s, opts)
                 })
             };
             let rnd = cell("Rnd", SystemConfig::AffAlloc(BankSelectPolicy::Rnd));
@@ -1010,8 +1015,8 @@ pub fn fig20_plan(opts: HarnessOpts) -> SweepPlan {
         for w in FIG19_WORKLOADS {
             let mut cell = |label: &str, s: SystemConfig| {
                 let input = inputs.claim_labelled(w);
-                b.cell(format!("{}/{}/{}", profile.name, w, label), move |_| {
-                    power_law_cell(w, input.take(), s, opts)
+                b.cell(format!("{}/{}/{}", profile.name, w, label), move |ctx| {
+                    power_law_cell(ctx, w, input.take(), s, opts)
                 })
             };
             let near = cell("Near-L3", SystemConfig::NearL3);
@@ -1163,7 +1168,8 @@ pub fn tenants_plan(opts: HarnessOpts) -> SweepPlan {
         .iter()
         .map(|&c| {
             let m = machine.clone();
-            let idx = b.cell(format!("churn/{c}t"), move |_| {
+            let idx = b.cell(format!("churn/{c}t"), move |ctx| {
+                let m = ctx.machine(m.clone());
                 let spec = ChurnSpec {
                     machine: m.clone(),
                     ..ChurnSpec::new(c, ops, seed)
@@ -1180,7 +1186,8 @@ pub fn tenants_plan(opts: HarnessOpts) -> SweepPlan {
         .collect();
 
     let m = machine.clone();
-    let overload = b.cell("overload", move |_| {
+    let overload = b.cell("overload", move |ctx| {
+        let m = ctx.machine(m.clone());
         let spec = ChurnSpec {
             machine: m.clone(),
             window: Some((64, 8, 8)),
@@ -1192,7 +1199,8 @@ pub fn tenants_plan(opts: HarnessOpts) -> SweepPlan {
     });
 
     let m = machine.clone();
-    let quota = b.cell("quota", move |_| {
+    let quota = b.cell("quota", move |ctx| {
+        let m = ctx.machine(m.clone());
         let spec = ChurnSpec {
             machine: m.clone(),
             quota_bytes: Some(64 << 10),
@@ -1203,7 +1211,8 @@ pub fn tenants_plan(opts: HarnessOpts) -> SweepPlan {
     });
 
     let m = machine.clone();
-    let isolation = b.cell("isolation", move |_| {
+    let isolation = b.cell("isolation", move |ctx| {
+        let m = ctx.machine(m.clone());
         let tenants = 4.min(max_tenants);
         let mut spec = ChurnSpec {
             machine: m.clone(),
@@ -1319,25 +1328,27 @@ pub fn run_figure(id: &str, opts: HarnessOpts) -> Figure {
 }
 
 /// Run one representative Fig 13 cell (`pr_push` under `Hybrid-5`) with a
-/// thread-local trace recorder attached and return `(chrome_json, label)`.
+/// trace recorder attached and return `(chrome_json, label)`.
 ///
-/// This is the `figures --trace <path>` backend: the capture is installed on
-/// the calling thread, every [`SimEngine`](aff_nsc::engine::SimEngine) the
-/// workload constructs on this thread attaches to it automatically, and the
-/// result serializes as Chrome `trace_event` JSON loadable in
+/// This is the `figures --trace <path>` backend: the trace rides in the
+/// cell's [`RunConfig`], every [`SimEngine`](aff_nsc::engine::SimEngine) the
+/// workload builds records into it, and the result serializes as Chrome
+/// `trace_event` JSON loadable in
 /// `chrome://tracing` / Perfetto — one counter track per L3 bank and DRAM
 /// controller, one span track per NoC router the cell exercised.
 ///
 /// Runs outside the sweep engine (inline, single-threaded) so the recorder
 /// overhead can never contaminate `BENCH_sweep.json` wall times.
 pub fn traced_fig13_cell(opts: HarnessOpts) -> (String, String) {
-    use aff_sim_core::trace::{install_thread_trace, take_thread_trace, DEFAULT_TRACE_CAPACITY};
+    use aff_sim_core::trace::{TraceRecorder, DEFAULT_TRACE_CAPACITY};
     let w = WorkloadName::PrPush;
     let p = BankSelectPolicy::Hybrid { h: 5.0 };
-    install_thread_trace(DEFAULT_TRACE_CAPACITY);
-    let _run = suite::run(w, &opts.cfg(SystemConfig::AffAlloc(p)));
-    let rec = take_thread_trace().expect("capture installed above on this thread");
-    (rec.to_chrome_json(), format!("{}/{}", w.label(), p.label()))
+    let trace = Arc::new(Mutex::new(TraceRecorder::new(DEFAULT_TRACE_CAPACITY)));
+    let calm = CellCtx::new(SimRng::split(opts.seed, 0), FaultTimeline::none());
+    let cfg = opts.cfg(&calm, SystemConfig::AffAlloc(p)).with_recorder(Arc::clone(&trace));
+    let _run = suite::run(w, &cfg);
+    let json = trace.lock().unwrap_or_else(PoisonError::into_inner).to_chrome_json();
+    (json, format!("{}/{}", w.label(), p.label()))
 }
 
 #[cfg(test)]

@@ -7,18 +7,16 @@
 //!   annotations as coded into each workload (every pre-existing figure);
 //! * **none** — the same structures allocated with no affinity knowledge at
 //!   all: the annotation-free floor, and the profiling configuration;
-//! * **inferred** — the closed loop: profile the annotation-free run with
-//!   the co-access miner installed, infer an [`AffinityProfile`] from the
-//!   mined trace, and replay with the inferred hints substituted for the
-//!   hand annotations.
+//! * **inferred** — the closed loop: profile the annotation-free run
+//!   recording into a co-access miner ([`profile_workload`]), infer an
+//!   [`AffinityProfile`] from the mined trace, and replay with the inferred
+//!   hints substituted for the hand annotations.
 //!
-//! Both phases of an inferred run live inside one
-//! [`closed_loop_cell`](crate::sweep::PlanBuilder::closed_loop_cell), so the
-//! family keeps every sweep-engine guarantee: byte-identical output for any
-//! `--jobs`, memo/journal caching of the whole loop as one outcome, fail-soft
-//! cells. The three cells of a graph workload read one shared generated
-//! input, and the closed loop hands the profiling phase's copy to the
-//! replay.
+//! Both phases of an inferred run live inside one cell, so the family keeps
+//! every sweep-engine guarantee: byte-identical output for any `--jobs`,
+//! memo/journal caching of the whole loop as one outcome, fail-soft cells.
+//! The three cells of a graph workload read one shared generated input, and
+//! the inferred cell runs both phases on its one copy.
 //!
 //! The headline metric is **near-bank-ratio recovery**: how much of the
 //! annotated run's data locality the inferred hints reproduce. The paper's
@@ -26,14 +24,14 @@
 //! recovery is ≥ 0.9 on the irregular suite (see the release-gated test
 //! below, and the CI `inference-smoke` job).
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use crate::figures::{run_claimed, GraphInputs, HarnessOpts};
 use crate::report::Figure;
-use crate::sweep::{Claim, PlanBuilder, SweepPlan};
+use crate::sweep::{CellCtx, Claim, PlanBuilder, SweepPlan};
 use aff_ds::graph::Graph;
 use aff_nsc::engine::Metrics;
-use aff_sim_core::mine;
+use aff_sim_core::mine::CoAccessMiner;
 use aff_sim_core::stats::geomean;
 use aff_workloads::config::{HintMode, RunConfig, SystemConfig};
 use aff_workloads::suite::{self, WorkloadName};
@@ -55,10 +53,10 @@ pub fn near_bank_ratio(m: &Metrics) -> f64 {
     l3 / (l3 + data_hops)
 }
 
-/// Profile `w` annotation-free on the calling thread and infer its affinity
-/// profile — phase 1 of the closed loop, and the `affsim --profile-out`
-/// backend. (The sweep cells do the same thing through
-/// [`PlanBuilder::closed_loop_cell`], which additionally survives panics.)
+/// Profile `w` annotation-free, recording into a fresh co-access miner, and
+/// infer its affinity profile — phase 1 of the closed loop, used by the
+/// inferred cells and by `affsim --profile-out`. The miner belongs to this
+/// call alone: concurrent calls on any threads mine only their own runs.
 ///
 /// `input` is the graph a graph workload reads ([`suite::gen_input`]); pass
 /// the copy the replay will run on, or `None` to generate it here.
@@ -67,14 +65,14 @@ pub fn profile_workload(
     cfg: &RunConfig,
     input: Option<Arc<Graph>>,
 ) -> AffinityProfile {
-    mine::install_thread_miner();
-    let _ = suite::run_on(w, &cfg.clone().with_hints(HintMode::NoHints), input);
-    let trace = mine::take_thread_miner().unwrap_or_default();
-    AffinityProfile::infer(&trace)
+    let miner = Arc::new(Mutex::new(CoAccessMiner::new()));
+    let profiled = cfg.clone().with_hints(HintMode::NoHints);
+    let _ = suite::run_on(w, &profiled.with_recorder(Arc::clone(&miner)), input);
+    AffinityProfile::infer(&CoAccessMiner::finish_shared(&miner))
 }
 
-fn aff_cfg(opts: HarnessOpts) -> RunConfig {
-    opts.cfg(SystemConfig::aff_alloc_default())
+fn aff_cfg(ctx: &CellCtx, opts: HarnessOpts) -> RunConfig {
+    opts.cfg(ctx, SystemConfig::aff_alloc_default())
 }
 
 /// The full family (`figures inference`): every Table 3 workload.
@@ -91,32 +89,25 @@ pub fn inference_plan_for(workloads: &[WorkloadName], opts: HarnessOpts) -> Swee
         none: usize,
     }
     let mut b = PlanBuilder::new("inference");
-    let mut inputs = GraphInputs::kron(aff_cfg(opts).scale, opts.seed);
+    let mut inputs = GraphInputs::kron(opts.graph_scale(), opts.seed);
     let mut groups = Vec::with_capacity(workloads.len());
     for &w in workloads {
         let input = inputs.claim_for(w);
-        let annotated = b.cell(format!("{}/annotated", w.label()), move |_| {
-            run_claimed(w, &aff_cfg(opts), input.as_ref()).metrics.into()
+        let annotated = b.cell(format!("{}/annotated", w.label()), move |ctx| {
+            run_claimed(w, &aff_cfg(ctx, opts), input.as_ref()).metrics.into()
         });
         let input = inputs.claim_for(w);
-        let inferred = b.closed_loop_cell(
-            format!("{}/inferred", w.label()),
-            move |_| {
-                // Both phases run on this one copy of the input.
-                let graph = input.as_ref().map(Claim::take);
-                let cfg = aff_cfg(opts).with_hints(HintMode::NoHints);
-                let _ = suite::run_on(w, &cfg, graph.clone());
-                graph
-            },
-            move |_, graph, trace| {
-                let profile = Arc::new(AffinityProfile::infer(&trace));
-                let cfg = aff_cfg(opts).with_hints(HintMode::Inferred(profile));
-                suite::run_on(w, &cfg, graph).metrics.into()
-            },
-        );
+        let inferred = b.cell(format!("{}/inferred", w.label()), move |ctx| {
+            // Both phases run on this one copy of the input.
+            let graph = input.as_ref().map(Claim::take);
+            let cfg = aff_cfg(ctx, opts);
+            let profile = Arc::new(profile_workload(w, &cfg, graph.clone()));
+            let cfg = cfg.with_hints(HintMode::Inferred(profile));
+            suite::run_on(w, &cfg, graph).metrics.into()
+        });
         let input = inputs.claim_for(w);
-        let none = b.cell(format!("{}/none", w.label()), move |_| {
-            let cfg = aff_cfg(opts).with_hints(HintMode::NoHints);
+        let none = b.cell(format!("{}/none", w.label()), move |ctx| {
+            let cfg = aff_cfg(ctx, opts).with_hints(HintMode::NoHints);
             run_claimed(w, &cfg, input.as_ref()).metrics.into()
         });
         groups.push(Group {
@@ -205,11 +196,30 @@ mod tests {
     }
 
     #[test]
-    fn profile_workload_yields_hints_and_uninstalls_the_miner() {
+    fn profiling_is_scoped_to_each_call_not_to_the_thread() {
         let cfg = RunConfig::new(SystemConfig::aff_alloc_default());
-        let profile = profile_workload(WorkloadName::LinkList, &cfg, None);
-        assert!(profile.hint_count() > 0, "link_list must mine chain hints");
-        assert!(!mine::thread_miner_installed());
+        let (a, b) = (WorkloadName::LinkList, WorkloadName::BinTree);
+        // Back to back on one thread: each call mines only its own run.
+        let serial_a = profile_workload(a, &cfg, None);
+        let serial_b = profile_workload(b, &cfg, None);
+        assert!(serial_a.hint_count() > 0, "link_list must mine chain hints");
+        assert_ne!(serial_a, serial_b, "two workloads, two profiles");
+        assert_eq!(profile_workload(a, &cfg, None), serial_a, "nothing carried over");
+        // Concurrently on two threads (a barrier starts both calls together
+        // so their runs overlap): still each call's own run, and the
+        // profiles equal the serial ones.
+        let start = std::sync::Barrier::new(2);
+        let profile = |w| {
+            start.wait();
+            profile_workload(w, &cfg, None)
+        };
+        let (par_a, par_b) = std::thread::scope(|s| {
+            let ha = s.spawn(|| profile(a));
+            let hb = s.spawn(|| profile(b));
+            (ha.join().expect("profiling a"), hb.join().expect("profiling b"))
+        });
+        assert_eq!(par_a, serial_a);
+        assert_eq!(par_b, serial_b);
     }
 
     /// Debug-affordable closed-loop smoke: two workloads, three modes each,

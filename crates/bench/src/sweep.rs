@@ -47,8 +47,7 @@ use crate::store::{self, CellEntry, CellStore};
 use aff_nsc::engine::Metrics;
 use aff_sim_core::config::MachineConfig;
 use aff_sim_core::error::SimError;
-use aff_sim_core::fault::{self, FaultTimeline};
-use aff_sim_core::mine::{self, MinedTrace};
+use aff_sim_core::fault::FaultTimeline;
 use aff_sim_core::rng::SimRng;
 use aff_workloads::suite::SuiteRun;
 
@@ -193,7 +192,35 @@ impl<'a> Outcomes<'a> {
     }
 }
 
-type CellJob = Arc<dyn Fn(&mut SimRng) -> CellData + Send + Sync>;
+/// What one attempt of a cell runs with: its private RNG stream and its
+/// chaos timeline (empty outside chaos mode). Cells receive it as an
+/// argument and build every machine through [`CellCtx::machine`], so the
+/// timeline reaches their engines in the machine config itself.
+#[derive(Debug, Clone)]
+pub struct CellCtx {
+    /// The attempt's RNG stream, derived with [`SimRng::split`] from
+    /// `(experiment seed, figure, cell index)` and re-split per retry.
+    pub rng: SimRng,
+    timeline: FaultTimeline,
+}
+
+impl CellCtx {
+    /// A context with RNG stream `rng` and chaos timeline `timeline`.
+    pub fn new(rng: SimRng, timeline: FaultTimeline) -> Self {
+        Self { rng, timeline }
+    }
+
+    /// `machine` with the attempt's chaos timeline stamped in, restricted
+    /// to the events this machine can express. Identity outside chaos mode.
+    pub fn machine(&self, mut machine: MachineConfig) -> MachineConfig {
+        if !self.timeline.is_empty() {
+            machine.fault_timeline = self.timeline.sanitized_for(&machine, &machine.faults);
+        }
+        machine
+    }
+}
+
+type CellJob = Arc<dyn Fn(&mut CellCtx) -> CellData + Send + Sync>;
 type MergeFn = Box<dyn FnOnce(&Outcomes<'_>) -> Figure + Send>;
 
 /// One self-contained (workload, config) job.
@@ -243,14 +270,16 @@ impl PlanBuilder {
 
     /// Declare a cell; returns its id for use inside the merge function.
     ///
-    /// The job receives a private RNG stream derived with [`SimRng::split`]
-    /// from `(experiment seed, figure, cell index)`; jobs must take any
-    /// cell-local randomness from it (and nothing else) so results stay
-    /// independent of scheduling order. Jobs are `Fn` (not `FnOnce`) so a
-    /// timed-out or panicked cell can be retried on a fresh RNG stream.
+    /// The job receives its attempt's [`CellCtx`]: a private RNG stream
+    /// derived with [`SimRng::split`] from `(experiment seed, figure, cell
+    /// index)`, and the chaos timeline. Jobs must take any cell-local
+    /// randomness from `ctx.rng` (and nothing else) so results stay
+    /// independent of scheduling order, and build every machine through
+    /// [`CellCtx::machine`]. Jobs are `Fn` (not `FnOnce`) so a timed-out or
+    /// panicked cell can be retried on a fresh RNG stream.
     pub fn cell<F>(&mut self, label: impl Into<String>, job: F) -> usize
     where
-        F: Fn(&mut SimRng) -> CellData + Send + Sync + 'static,
+        F: Fn(&mut CellCtx) -> CellData + Send + Sync + 'static,
     {
         self.cells.push(SweepCell {
             label: label.into(),
@@ -268,44 +297,6 @@ impl PlanBuilder {
     /// hints they shape only the order cells start in, never output bytes.
     pub fn cost(&mut self, id: usize, cost: u64) {
         self.cells[id].cost = cost;
-    }
-
-    /// Declare a **closed-loop** cell: the annotate → profile → infer loop
-    /// as a single self-contained job.
-    ///
-    /// `profile` runs first with a fresh thread-local
-    /// [`CoAccessMiner`](aff_sim_core::mine::CoAccessMiner) installed — every
-    /// engine built on the worker thread streams its access events into it.
-    /// What `profile` returns (the input it ran on, say, so the replay
-    /// reads the same copy) and the mined summary are then handed to
-    /// `replay`, whose output becomes the cell's data. Because both phases
-    /// live inside one cell, the loop inherits every engine guarantee for
-    /// free: byte-identical across `--jobs`, memo/journal-cacheable as one
-    /// outcome, retried as a unit.
-    ///
-    /// The miner is taken down even when `profile` panics, so a broken
-    /// profiling phase cannot leak a recorder into whatever cell the pooled
-    /// worker thread picks up next; the panic then propagates into the
-    /// engine's normal fail-soft path.
-    pub fn closed_loop_cell<O, P, R>(
-        &mut self,
-        label: impl Into<String>,
-        profile: P,
-        replay: R,
-    ) -> usize
-    where
-        P: Fn(&mut SimRng) -> O + Send + Sync + 'static,
-        R: Fn(&mut SimRng, O, MinedTrace) -> CellData + Send + Sync + 'static,
-    {
-        self.cell(label, move |rng| {
-            mine::install_thread_miner();
-            let profiled = catch_unwind(AssertUnwindSafe(|| profile(rng)));
-            let trace = mine::take_thread_miner().unwrap_or_default();
-            match profiled {
-                Ok(out) => replay(rng, out, trace),
-                Err(payload) => std::panic::resume_unwind(payload),
-            }
-        })
     }
 
     /// Attach the merge function and finish the plan.
@@ -480,7 +471,7 @@ pub struct RunOpts {
     pub collect_metrics: bool,
     /// Chaos mode: sample a deterministic per-cell [`FaultTimeline`] from
     /// this seed (split on the cell's own stream id, so results are
-    /// schedule-independent) and install it thread-locally around the cell.
+    /// schedule-independent) and hand it to the cell in its [`CellCtx`].
     /// Every finished cell is held to the online chaos invariants; a
     /// violation fails the cell soft — into the same retry/journal
     /// machinery as a panic — rather than aborting the sweep.
@@ -611,24 +602,17 @@ fn chaos_invariants(data: &CellData, timeline: &FaultTimeline) -> Result<(), Str
     Ok(())
 }
 
-/// One in-thread execution: install the attempt's chaos timeline (when
-/// present) for the duration of the job, catch panics, and hold the
-/// finished cell to the chaos invariants. The timeline is uninstalled even
-/// when the job panics — workers are reused across cells.
+/// One in-thread execution: run the job on its attempt's context, catch
+/// panics, and hold a chaos cell's result to the chaos invariants.
 fn run_attempt(
     job: &CellJob,
     seed: u64,
     stream: u64,
     chaos: Option<FaultTimeline>,
 ) -> Result<CellData, String> {
-    if let Some(tl) = &chaos {
-        fault::install_thread_chaos(tl.clone());
-    }
-    let mut rng = SimRng::split(seed, stream);
-    let result = catch_unwind(AssertUnwindSafe(|| job(&mut rng))).map_err(panic_message);
-    if chaos.is_some() {
-        let _ = fault::take_thread_chaos();
-    }
+    let timeline = chaos.clone().unwrap_or_default();
+    let mut ctx = CellCtx::new(SimRng::split(seed, stream), timeline);
+    let result = catch_unwind(AssertUnwindSafe(|| job(&mut ctx))).map_err(panic_message);
     if let (Ok(data), Some(tl)) = (&result, &chaos) {
         chaos_invariants(data, tl).map_err(|e| format!("chaos invariant violated: {e}"))?;
     }
@@ -1088,8 +1072,8 @@ mod tests {
         let mut b = PlanBuilder::new(label);
         let mut ids = Vec::new();
         for i in 0..5u64 {
-            ids.push(b.cell(format!("cell{i}"), move |rng| CellData::Rows {
-                rows: vec![Row::new(format!("cell{i}"), vec![rng.next_u64() as f64])],
+            ids.push(b.cell(format!("cell{i}"), move |ctx| CellData::Rows {
+                rows: vec![Row::new(format!("cell{i}"), vec![ctx.rng.next_u64() as f64])],
                 sim_cycles: i,
             }));
         }
@@ -1114,66 +1098,6 @@ mod tests {
         assert_eq!(s, p);
         // Different figures get different streams even at equal cell index.
         assert_ne!(serial[0].rows[0].values, serial[1].rows[0].values);
-    }
-
-    #[test]
-    fn closed_loop_cells_mine_then_replay_in_one_cell() {
-        use aff_sim_core::mine::RegionKind;
-        use aff_sim_core::trace::{Event, Recorder};
-        let mut b = PlanBuilder::new("loop");
-        let id = b.closed_loop_cell(
-            "cell",
-            |_rng| {
-                // The profiling phase sees a fresh thread-local miner.
-                assert!(mine::thread_miner_installed());
-                mine::register_region(0, RegionKind::Array, 4, 16);
-                let mut rec = mine::ThreadMinerRecorder;
-                for i in 0..8u64 {
-                    rec.record(&Event::ProfileTouch { region: 0, elem: i, step: i });
-                }
-            },
-            |_rng, (), trace| CellData::Rows {
-                rows: vec![Row::new("mined", vec![trace.touch_events as f64])],
-                sim_cycles: 0,
-            },
-        );
-        let plan = b.merge(move |o| {
-            let mut fig = Figure::new("loop", "closed loop", vec!["touches"]);
-            if let Some(rows) = o.rows(id) {
-                fig.rows.extend(rows.iter().cloned());
-            }
-            o.annotate_failures(&mut fig);
-            fig
-        });
-        let (figs, _) = run_plans(vec![plan], 1, 7);
-        assert_eq!(figs[0].rows[0].values, vec![8.0]);
-        // jobs = 1 ran the cell inline on this thread: the miner must be gone.
-        assert!(!mine::thread_miner_installed());
-    }
-
-    #[test]
-    fn closed_loop_profile_panic_fails_soft_and_uninstalls_the_miner() {
-        let mut b = PlanBuilder::new("loop-panic");
-        let id = b.closed_loop_cell(
-            "cell",
-            |_rng| panic!("profiling phase exploded"),
-            |_rng, (), _trace| CellData::Rows {
-                rows: vec![Row::new("unreached", vec![1.0])],
-                sim_cycles: 0,
-            },
-        );
-        let plan = b.merge(move |o| {
-            let mut fig = Figure::new("loop-panic", "closed loop", vec!["v"]);
-            assert!(o.rows(id).is_none(), "panicked cell must yield no data");
-            o.annotate_failures(&mut fig);
-            fig
-        });
-        let (figs, report) = run_plans(vec![plan], 1, 7);
-        // Fail-soft: the panic became a cell-level error, not an abort …
-        assert!(report.cells[0].error.as_deref().is_some_and(|e| e.contains("exploded")));
-        assert!(figs[0].notes.iter().any(|n| n.contains("exploded")));
-        // … and the miner did not leak onto the (reused) executing thread.
-        assert!(!mine::thread_miner_installed());
     }
 
     fn tmp(name: &str) -> std::path::PathBuf {
@@ -1288,10 +1212,10 @@ mod tests {
         let mut ids = Vec::new();
         for i in 0..4u64 {
             let ex = Arc::clone(ex);
-            ids.push(b.cell(format!("cell{i}"), move |rng| {
+            ids.push(b.cell(format!("cell{i}"), move |ctx| {
                 ex.fetch_add(1, Ordering::SeqCst);
                 CellData::Rows {
-                    rows: vec![Row::new(format!("cell{i}"), vec![rng.next_u64() as f64])],
+                    rows: vec![Row::new(format!("cell{i}"), vec![ctx.rng.next_u64() as f64])],
                     sim_cycles: i + 1,
                 }
             }));
@@ -1544,8 +1468,8 @@ mod tests {
         let seen = Arc::new(Mutex::new(Vec::new()));
         let (c, s) = (Arc::clone(&calls), Arc::clone(&seen));
         let mut b = PlanBuilder::new("flaky");
-        b.cell("flaky", move |rng| {
-            let draw = rng.next_u64();
+        b.cell("flaky", move |ctx| {
+            let draw = ctx.rng.next_u64();
             s.lock().expect("seen").push(draw);
             if c.fetch_add(1, Ordering::SeqCst) < 2 {
                 panic!("flaky failure");
@@ -1672,8 +1596,9 @@ mod tests {
         let mut b = PlanBuilder::new(figure);
         let mut ids = Vec::new();
         for i in 0..3u64 {
-            ids.push(b.cell(format!("cell{i}"), move |_| {
-                let mut e = aff_nsc::engine::SimEngine::new(MachineConfig::paper_default());
+            ids.push(b.cell(format!("cell{i}"), move |ctx| {
+                let machine = ctx.machine(MachineConfig::paper_default());
+                let mut e = aff_nsc::engine::SimEngine::new(machine);
                 e.begin_phase();
                 e.register_resident((i % 4) as u32 * 9, 1 << 16);
                 e.bank_read_lines((i % 4) as u32 * 9, 200 + i);
@@ -1717,12 +1642,13 @@ mod tests {
     #[test]
     fn chaos_timeline_reaches_the_engine_and_passes_invariants() {
         use aff_sim_core::fault::FaultChange;
-        // A hand-made cycle-0 bank death: the engine must adopt it from the
-        // thread-local install, log the transition, and the chaos invariant
-        // checks must accept the result.
+        // A hand-made cycle-0 bank death: the cell's context stamps it into
+        // the machine, the engine logs the transition, and the chaos
+        // invariant checks accept the result.
         let tl = FaultTimeline::none().at(0, FaultChange::BankFail(9));
-        let job: CellJob = Arc::new(|_rng: &mut SimRng| {
-            let mut e = aff_nsc::engine::SimEngine::new(MachineConfig::paper_default());
+        let job: CellJob = Arc::new(|ctx: &mut CellCtx| {
+            let machine = ctx.machine(MachineConfig::paper_default());
+            let mut e = aff_nsc::engine::SimEngine::new(machine);
             e.bank_read_lines(9, 100);
             e.try_finish().expect("unlimited budget").into()
         });
@@ -1730,15 +1656,21 @@ mod tests {
         let m = data.metrics().expect("engine cell");
         assert_eq!(m.transitions, tl.events());
         assert_eq!(m.degradation.fault_epochs, 1);
-        // The install is scoped to the attempt: nothing leaks to this thread.
-        assert!(!fault::thread_chaos_installed());
+        // Outside chaos mode the context leaves the machine untouched.
+        let calm = CellCtx::new(SimRng::split(1, 2), FaultTimeline::none());
+        assert_eq!(calm.machine(MachineConfig::paper_default()), MachineConfig::paper_default());
+        // A timeline the machine cannot express is sanitized, not installed
+        // as is: bank 9 does not exist on a 2×2 mesh.
+        let chaos = CellCtx::new(SimRng::split(1, 2), tl);
+        assert!(chaos.machine(MachineConfig::tiny_mesh()).fault_timeline.is_empty());
     }
 
     #[test]
     fn chaos_invariant_violation_fails_the_cell_soft() {
         let mut b = PlanBuilder::new("doctored");
-        b.cell("doctored", |_| {
-            let mut e = aff_nsc::engine::SimEngine::new(MachineConfig::paper_default());
+        b.cell("doctored", |ctx| {
+            let machine = ctx.machine(MachineConfig::paper_default());
+            let mut e = aff_nsc::engine::SimEngine::new(machine);
             e.remote_atomic(0, 9, 10);
             let mut m = e.try_finish().expect("unlimited budget");
             m.total_hop_flits += 1; // break flit conservation

@@ -261,7 +261,7 @@ impl CycleNoc {
         &self,
         packets: &[Packet],
         budget: &RunBudget,
-        recorder: Option<&mut dyn Recorder>,
+        mut recorder: Option<&mut dyn Recorder>,
         schedule: Option<&[EpochTables]>,
         blamed_links: Vec<LinkRef>,
     ) -> Result<CycleReport, SimError> {
@@ -284,7 +284,7 @@ impl CycleNoc {
             max_cycles,
             budget.stall_patience,
             deadline,
-            recorder,
+            recorder.as_mut().map(|r| &mut **r as _),
             schedule,
         );
         if run.stalled {
@@ -294,11 +294,12 @@ impl CycleNoc {
                 stalled_for: run.stalled_for,
                 router_occupancy: run.occupancy,
                 blamed_links,
-                // Diagnose the wedge from the events leading into it: if
-                // this thread has a trace capture installed (figures
-                // --trace, or any engine-level recording), its tail rides
-                // along in the error instead of requiring a traced re-run.
-                recent_events: aff_sim_core::trace::thread_trace_tail(STALL_TRACE_TAIL),
+                // Diagnose the wedge from the events leading into it: when
+                // the run records into a trace, its tail rides along in the
+                // error instead of requiring a traced re-run.
+                recent_events: recorder
+                    .map(|r| r.recent_events(STALL_TRACE_TAIL))
+                    .unwrap_or_default(),
             })));
         }
         if run.wall_exceeded {
@@ -795,6 +796,7 @@ mod tests {
         use aff_sim_core::config::MachineConfig;
         use aff_sim_core::error::{RunBudget, SimError};
         use aff_sim_core::fault::FaultSpec;
+        use aff_sim_core::trace::TraceRecorder;
         // The seeded plan family from tests/des_vs_analytic.rs. At
         // buffer_depth 1 the BFS detours admit cyclic channel dependences
         // and this load wedges; the watchdog must convert the hang into a
@@ -825,6 +827,24 @@ mod tests {
                 let total_faulted =
                     plan.failed_links.len() + plan.degraded_links.len();
                 assert_eq!(snap.blamed_links.len(), total_faulted);
+                assert!(snap.recent_events.is_empty(), "no recorder, no tail");
+            }
+            other => panic!("expected Stalled, got {other}"),
+        }
+        // With a trace attached, the snapshot carries the trace's tail,
+        // ending with the last event recorded before the wedge.
+        let mut rec = TraceRecorder::default();
+        let err = shallow
+            .try_simulate_traced(&saturating_traffic(), &budget, &mut rec)
+            .expect_err("tracing does not change the wedge");
+        match err {
+            SimError::Stalled(snap) => {
+                assert!(!snap.recent_events.is_empty(), "the tail rides along");
+                let last = rec.events().last().expect("the run recorded events");
+                assert_eq!(
+                    snap.recent_events.last(),
+                    Some(&format!("#{} {:?}", last.seq, last.event))
+                );
             }
             other => panic!("expected Stalled, got {other}"),
         }

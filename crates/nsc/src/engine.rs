@@ -27,10 +27,9 @@ use aff_noc::traffic::{TrafficClass, TrafficMatrix};
 use aff_sim_core::config::{MachineConfig, CACHE_LINE};
 use aff_sim_core::energy::{EnergyBreakdown, EnergyModel};
 use aff_sim_core::error::{BudgetKind, SimError};
-use aff_sim_core::fault::{self, DegradationReport, FaultEvent, FaultPlan, FaultTimeline};
+use aff_sim_core::fault::{DegradationReport, FaultEvent, FaultPlan, FaultTimeline};
 use aff_sim_core::tenant::{TenantId, TenantUsage};
-use aff_sim_core::mine;
-use aff_sim_core::trace::{self, Event, Recorder, TrafficKind};
+use aff_sim_core::trace::{Event, Recorder, TrafficKind};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -233,8 +232,8 @@ pub struct SimEngine {
     /// timeline event applied so far. Equals `config.faults` for the whole
     /// run when the timeline is empty.
     active_faults: FaultPlan,
-    /// Cycle-stamped schedule of pending fault events (from the config, or
-    /// a thread-installed chaos timeline when the config carries none).
+    /// Cycle-stamped schedule of pending fault events (the config's
+    /// `fault_timeline`).
     fault_schedule: FaultTimeline,
     /// Index of the next unapplied schedule event.
     next_fault_event: usize,
@@ -279,37 +278,9 @@ impl SimEngine {
         let n = config.num_banks() as usize;
         let spare = (!config.faults.failed_banks.is_empty())
             .then(|| SpareMap::new(topo, &config.faults));
-        // A thread-local trace capture (installed by e.g. `figures --trace`)
-        // or co-access miner (installed by a profiling run) attaches
-        // automatically, so a recorder reaches engines constructed deep
-        // inside workload executors without signature plumbing. Both at once
-        // fan out through a MultiRecorder.
-        let recorder: Option<Box<dyn Recorder>> =
-            match (trace::thread_trace_installed(), mine::thread_miner_installed()) {
-                (true, false) => Some(Box::new(trace::ThreadTraceRecorder)),
-                (false, true) => Some(Box::new(mine::ThreadMinerRecorder)),
-                (true, true) => {
-                    let mut fan = trace::MultiRecorder::new();
-                    fan.push(Box::new(trace::ThreadTraceRecorder));
-                    fan.push(Box::new(mine::ThreadMinerRecorder));
-                    Some(Box::new(fan))
-                }
-                (false, false) => None,
-            };
-        // A config-carried timeline wins; otherwise a thread-installed chaos
-        // timeline (set by `figures --chaos`) attaches the same way the
-        // thread trace does — without signature plumbing. Both empty leaves
-        // the engine permanently on its static-plan paths.
-        let fault_schedule = if !config.fault_timeline.is_empty() {
-            config.fault_timeline.clone()
-        } else {
-            // Chaos timelines are sampled against the reference machine;
-            // sanitize so a smaller mesh drops events it cannot express
-            // instead of indexing out of bounds.
-            fault::thread_chaos_timeline()
-                .map(|t| t.sanitized_for(&config, &config.faults))
-                .unwrap_or_default()
-        };
+        // The machine's own timeline is the whole schedule; an empty one
+        // leaves the engine permanently on its static-plan paths.
+        let fault_schedule = config.fault_timeline.clone();
         let active_faults = config.faults.clone();
         let mut engine = Self {
             phase: PhaseTracker::new(config.num_banks()),
@@ -335,8 +306,8 @@ impl SimEngine {
             transitions: Vec::new(),
             pending: Vec::with_capacity(COALESCE_SLOTS),
             coalesce: true,
-            tracing: recorder.is_some(),
-            recorder: RecorderSlot(recorder),
+            tracing: false,
+            recorder: RecorderSlot(None),
             tenant: None,
             attributing: false,
             tenant_usage: Vec::new(),
@@ -629,6 +600,7 @@ impl SimEngine {
             | Event::RouterActive { .. }
             | Event::MessageDelivered { .. }
             | Event::TenantSwitch { .. }
+            | Event::ProfileRegion { .. }
             | Event::ProfileTouch { .. } => {}
         }
     }
@@ -1436,12 +1408,15 @@ mod tests {
     }
 
     #[test]
-    fn thread_capture_attaches_to_new_engines() {
-        trace::install_thread_trace(1 << 14);
-        let mut e = engine(); // picks the capture up in new()
+    fn shared_capture_sees_the_whole_event_stream() {
+        use aff_sim_core::trace::{SharedRecorder, TraceRecorder};
+        use std::sync::{Arc, Mutex};
+        let cap = Arc::new(Mutex::new(TraceRecorder::new(1 << 14)));
+        let mut e = engine();
+        e.set_recorder(Box::new(SharedRecorder::new(Arc::clone(&cap))));
         busy_run(&mut e);
         let direct = e.banks().clone();
-        let cap = trace::take_thread_trace().expect("capture installed");
+        let cap = cap.lock().expect("unpoisoned");
         assert!(cap.total_seen() > 0, "engine forwarded events");
         // Replaying the captured bank events into fresh counters reproduces
         // the engine's accounting exactly — one stream, two consumers.

@@ -41,7 +41,7 @@ pub struct RunBudget {
 /// Default watchdog patience (cycles of zero progress with flits in flight).
 pub const DEFAULT_STALL_PATIENCE: u64 = 10_000;
 
-/// How many trailing thread-local trace events a [`StallSnapshot`] carries.
+/// How many trailing trace events a [`StallSnapshot`] carries.
 /// Enough to see the last few phases/packets leading into the wedge without
 /// bloating serialized error reports.
 pub const STALL_TRACE_TAIL: usize = 32;
@@ -134,10 +134,10 @@ pub struct StallSnapshot {
     /// Links the active `FaultPlan` killed or degraded — prime suspects for
     /// detour-induced cyclic channel dependences (empty on a healthy mesh).
     pub blamed_links: Vec<LinkRef>,
-    /// Tail of the thread-local event trace at the moment the watchdog
-    /// fired (newest last, at most [`STALL_TRACE_TAIL`] entries) — what the
+    /// Tail of the run's event trace at the moment the watchdog fired
+    /// (newest last, at most [`STALL_TRACE_TAIL`] entries) — what the
     /// machine was doing right before it wedged, without needing a re-run.
-    /// Empty when no thread trace was installed.
+    /// Empty when the run's recorder keeps no history, or it had none.
     #[serde(default)]
     pub recent_events: Vec<String>,
 }

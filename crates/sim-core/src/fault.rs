@@ -24,7 +24,6 @@
 //! floats: this keeps the plan `Eq`/`Hash`-able and byte-for-byte
 //! reproducible across platforms.
 
-use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet};
 
 use serde::{Deserialize, Serialize};
@@ -635,8 +634,8 @@ impl FaultTimeline {
     /// out-of-range banks, out-of-mesh links, and bad multipliers are
     /// dropped, as is any `BankFail` that would leave a prefix of the
     /// schedule with no healthy bank. Chaos timelines are sampled against
-    /// one reference machine but installed thread-wide, so an engine built
-    /// for a smaller mesh sanitizes rather than indexing out of bounds.
+    /// one reference machine but stamped into every machine a cell builds,
+    /// so a smaller mesh sanitizes rather than indexing out of bounds.
     pub fn sanitized_for(&self, cfg: &MachineConfig, base: &FaultPlan) -> FaultTimeline {
         let banks = cfg.num_banks();
         let link_ok = |l: &LinkRef| {
@@ -732,40 +731,6 @@ impl FaultTimeline {
         debug_assert!(tl.validate(cfg, &FaultPlan::none()).is_ok());
         tl
     }
-}
-
-// ---------------------------------------------------------------------------
-// Thread-local chaos context: how the sweep harness reaches engines
-// constructed deep inside workload executors without threading a timeline
-// through every call signature (the same pattern as
-// `trace::install_thread_trace`). Installing a timeline makes every
-// fault-timeline-aware engine created *on this thread* adopt it, unless its
-// config already carries an explicit timeline.
-// ---------------------------------------------------------------------------
-
-thread_local! {
-    static THREAD_CHAOS: RefCell<Option<FaultTimeline>> = const { RefCell::new(None) };
-}
-
-/// Install a thread-local chaos timeline. Engines constructed on this thread
-/// after this call adopt it (config-carried timelines win).
-pub fn install_thread_chaos(timeline: FaultTimeline) {
-    THREAD_CHAOS.with(|t| *t.borrow_mut() = Some(timeline));
-}
-
-/// Whether a thread-local chaos timeline is installed.
-pub fn thread_chaos_installed() -> bool {
-    THREAD_CHAOS.with(|t| t.borrow().is_some())
-}
-
-/// A clone of the installed thread-local chaos timeline, if any.
-pub fn thread_chaos_timeline() -> Option<FaultTimeline> {
-    THREAD_CHAOS.with(|t| t.borrow().clone())
-}
-
-/// Remove and return the thread-local chaos timeline.
-pub fn take_thread_chaos() -> Option<FaultTimeline> {
-    THREAD_CHAOS.with(|t| t.borrow_mut().take())
 }
 
 /// How much the machine degraded under a [`FaultPlan`] — integer counters
@@ -1043,18 +1008,6 @@ mod tests {
         }
         let mut z = SimRng::split(7, 0);
         assert!(FaultTimeline::chaos(&mut z, &cfg, 0).is_empty());
-    }
-
-    #[test]
-    fn thread_chaos_roundtrip() {
-        assert!(!thread_chaos_installed());
-        assert!(take_thread_chaos().is_none());
-        let tl = FaultTimeline::none().at(5, FaultChange::BankFail(1));
-        install_thread_chaos(tl.clone());
-        assert!(thread_chaos_installed());
-        assert_eq!(thread_chaos_timeline(), Some(tl.clone()));
-        assert_eq!(take_thread_chaos(), Some(tl));
-        assert!(!thread_chaos_installed());
     }
 
     #[test]

@@ -397,6 +397,7 @@ impl Recorder for MetricsRecorder {
                 r.inc("noc.flits_delivered", flits);
                 r.observe("noc.message_latency", arrive.saturating_sub(depart));
             }
+            Event::ProfileRegion { .. } => r.inc("profile.regions", 1),
             Event::ProfileTouch { region, .. } => {
                 r.inc("profile.touches", 1);
                 r.inc(&format!("profile.region.{region}.touches"), 1);

@@ -2,11 +2,12 @@
 //! the observation half of the affinity-inference loop.
 //!
 //! A profiling run executes a workload *annotation-free* with a
-//! [`CoAccessMiner`] installed as the thread-local recorder. Workload
-//! executors emit [`Event::ProfileTouch`] events (sampled, one logical
-//! co-access *step* per stencil segment / vertex sweep / chain traversal)
-//! through the normal `SimEngine::record` choke point, and the miner folds
-//! them online into bounded summaries:
+//! [`CoAccessMiner`] as the run's recorder. Workload executors declare each
+//! profiled region with an [`Event::ProfileRegion`] and emit
+//! [`Event::ProfileTouch`] events (sampled, one logical co-access *step* per
+//! stencil segment / vertex sweep / chain traversal) through the normal
+//! `SimEngine::record` choke point, and the miner folds them online into
+//! bounded summaries:
 //!
 //! * per-region **footprints** and access-order monotonicity (sequential
 //!   sweeps vs. random indexing — the partition signal),
@@ -22,18 +23,16 @@
 //! Mining is online (a `Recorder`) rather than post-hoc over a
 //! [`TraceRecorder`](crate::trace::TraceRecorder) ring because a full run
 //! emits orders of magnitude more charge events than the ring holds — the
-//! ring would evict exactly the touches the miner needs. The miner also
-//! accepts a replayed ring via [`CoAccessMiner::consume`] for tests and
-//! offline analysis.
+//! ring would evict exactly the touches the miner needs.
 //!
 //! Everything here is deterministic: bounded reservoirs keep the *first* N
 //! samples (the emission side already samples steps deterministically), so
 //! the mined summary is a pure function of the event stream.
 
-use std::cell::RefCell;
 use std::collections::BTreeMap;
+use std::sync::{Mutex, PoisonError};
 
-use crate::trace::{Event, Recorder, TimedEvent};
+use crate::trace::{Event, Recorder};
 
 /// What kind of object a profiled region is — declared at allocation time by
 /// the profiling run (the replay run makes the same allocations in the same
@@ -203,8 +202,9 @@ impl MinedTrace {
 }
 
 /// The online co-access miner. Implements [`Recorder`], so it can sit in the
-/// engine's recorder slot (or behind [`ThreadMinerRecorder`]) and observe the
-/// full charge stream of a profiling run.
+/// engine's recorder slot (or behind a
+/// [`SharedRecorder`](crate::trace::SharedRecorder)) and observe the full
+/// charge stream of a profiling run.
 #[derive(Debug, Default)]
 pub struct CoAccessMiner {
     regions: BTreeMap<u32, RegionStats>,
@@ -308,12 +308,11 @@ impl CoAccessMiner {
         self.cur_touches.clear();
     }
 
-    /// Feed a recorded ring (or any event slice) through the miner — the
-    /// offline path for tests and post-hoc analysis.
-    pub fn consume<'a>(&mut self, events: impl IntoIterator<Item = &'a TimedEvent>) {
-        for te in events {
-            self.record(&te.event);
-        }
+    /// Finish a miner that was shared with a run (through a
+    /// [`SharedRecorder`](crate::trace::SharedRecorder)), leaving a fresh
+    /// miner in its place.
+    pub fn finish_shared(miner: &Mutex<Self>) -> MinedTrace {
+        std::mem::take(&mut *miner.lock().unwrap_or_else(PoisonError::into_inner)).finish()
     }
 
     /// Finish mining: flush the trailing step and produce the summary.
@@ -332,6 +331,12 @@ impl CoAccessMiner {
 impl Recorder for CoAccessMiner {
     fn record(&mut self, ev: &Event) {
         match *ev {
+            Event::ProfileRegion {
+                region,
+                kind,
+                elem_size,
+                num_elems,
+            } => self.register_region(region, kind, elem_size, num_elems),
             Event::ProfileTouch { region, elem, step } => {
                 self.touch_events += 1;
                 if self.cur_step != Some(step) {
@@ -356,61 +361,9 @@ impl Recorder for CoAccessMiner {
             _ => {}
         }
     }
-}
 
-// ---------------------------------------------------------------------------
-// Thread-local install: how a profiling driver reaches engines constructed
-// deep inside workload executors, mirroring `trace::install_thread_trace`.
-// Workload emission sites additionally gate on `thread_miner_installed()` so
-// un-profiled runs never construct a ProfileTouch event.
-// ---------------------------------------------------------------------------
-
-thread_local! {
-    static THREAD_MINER: RefCell<Option<CoAccessMiner>> = const { RefCell::new(None) };
-}
-
-/// Install a fresh thread-local miner. Engines constructed on this thread
-/// after this call forward their event stream into it. Replaces (and drops)
-/// any previously installed miner, so a panicked profiling run cannot leak
-/// stale state into the next one on a reused worker thread.
-pub fn install_thread_miner() {
-    THREAD_MINER.with(|m| *m.borrow_mut() = Some(CoAccessMiner::new()));
-}
-
-/// Whether a thread-local miner is installed.
-pub fn thread_miner_installed() -> bool {
-    THREAD_MINER.with(|m| m.borrow().is_some())
-}
-
-/// Remove the thread-local miner and return its mined summary.
-pub fn take_thread_miner() -> Option<MinedTrace> {
-    THREAD_MINER.with(|m| m.borrow_mut().take()).map(CoAccessMiner::finish)
-}
-
-/// Declare a region with the thread-local miner, if one is installed.
-/// Allocation sites call this unconditionally; it is a no-op outside
-/// profiling runs.
-pub fn register_region(region: u32, kind: RegionKind, elem_size: u64, num_elems: u64) {
-    THREAD_MINER.with(|m| {
-        if let Some(miner) = m.borrow_mut().as_mut() {
-            miner.register_region(region, kind, elem_size, num_elems);
-        }
-    });
-}
-
-/// A [`Recorder`] forwarding into the thread-local miner, if one is
-/// installed at record time (the miner-side twin of
-/// [`ThreadTraceRecorder`](crate::trace::ThreadTraceRecorder)).
-#[derive(Debug, Default, Clone, Copy)]
-pub struct ThreadMinerRecorder;
-
-impl Recorder for ThreadMinerRecorder {
-    fn record(&mut self, ev: &Event) {
-        THREAD_MINER.with(|m| {
-            if let Some(miner) = m.borrow_mut().as_mut() {
-                miner.record(ev);
-            }
-        });
+    fn wants_profile(&self) -> bool {
+        true
     }
 }
 
@@ -528,29 +481,19 @@ mod tests {
     }
 
     #[test]
-    fn thread_miner_roundtrip() {
-        assert!(!thread_miner_installed());
-        assert!(take_thread_miner().is_none());
-        install_thread_miner();
-        assert!(thread_miner_installed());
-        register_region(0, RegionKind::Array, 4, 10);
-        let mut fwd = ThreadMinerRecorder;
-        fwd.record(&touch(0, 3, 0));
-        let t = take_thread_miner().expect("installed miner");
-        assert!(!thread_miner_installed());
+    fn region_events_declare_regions() {
+        let mut m = CoAccessMiner::new();
+        assert!(m.wants_profile());
+        m.record(&Event::ProfileRegion {
+            region: 0,
+            kind: RegionKind::Nodes,
+            elem_size: 64,
+            num_elems: 10,
+        });
+        m.record(&touch(0, 3, 0));
+        let t = m.finish();
         assert_eq!(t.touch_events, 1);
-        assert_eq!(t.region(0).expect("region").elem_size, 4);
-        // Forwarding and registering with no miner installed are no-ops.
-        fwd.record(&touch(0, 4, 1));
-        register_region(9, RegionKind::Nodes, 64, 0);
-    }
-
-    #[test]
-    fn reinstall_replaces_stale_state() {
-        install_thread_miner();
-        ThreadMinerRecorder.record(&touch(0, 1, 0));
-        install_thread_miner(); // e.g. after a panicked profiling run
-        let t = take_thread_miner().expect("fresh miner");
-        assert_eq!(t.touch_events, 0, "stale touches must not leak");
+        let r = t.region(0).expect("declared region");
+        assert_eq!((r.kind, r.elem_size, r.num_elems), (RegionKind::Nodes, 64, 10));
     }
 }

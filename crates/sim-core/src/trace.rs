@@ -23,8 +23,10 @@
 //! [Perfetto](https://ui.perfetto.dev)) with one track per bank, router and
 //! DRAM controller.
 
-use std::cell::RefCell;
-use std::fmt::Write as _;
+use std::fmt::{self, Write as _};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+
+use crate::mine::RegionKind;
 
 /// Traffic class of a NoC message, mirrored from the NoC crate so events can
 /// be defined here without a dependency cycle (`aff-noc` depends on this
@@ -178,13 +180,28 @@ pub enum Event {
         /// Message length in flits.
         flits: u64,
     },
+    /// Profiling only: the run allocated profiled region `region` (its
+    /// allocation-order ordinal) of `num_elems` elements of `elem_size`
+    /// bytes (0 elements when open-ended, e.g. a node class). Emitted before
+    /// the region's first [`Event::ProfileTouch`]; carries no accounting.
+    ProfileRegion {
+        /// Region ordinal (allocation order within the profiled run).
+        region: u32,
+        /// Declared kind.
+        kind: RegionKind,
+        /// Element size in bytes.
+        elem_size: u64,
+        /// Element count (0 when open-ended).
+        num_elems: u64,
+    },
     /// Profiling only: the executor touched element `elem` of profiled
     /// region `region` during logical profile step `step`. Emitted by
-    /// annotation-free workload runs when a [`crate::mine::CoAccessMiner`]
-    /// is installed; carries no accounting — the affinity-inference miner is
-    /// its only consumer. Touches sharing a `step` were co-accessed by one
-    /// logical unit of work (one stencil segment, one vertex sweep, one
-    /// chain traversal).
+    /// workload runs whose recorder [wants profiling
+    /// events](Recorder::wants_profile), such as a
+    /// [`crate::mine::CoAccessMiner`]; carries no accounting — the
+    /// affinity-inference miner is its only consumer. Touches sharing a
+    /// `step` were co-accessed by one logical unit of work (one stencil
+    /// segment, one vertex sweep, one chain traversal).
     ProfileTouch {
         /// Region ordinal (allocation order within the profiled run).
         region: u32,
@@ -209,6 +226,20 @@ pub trait Recorder {
     fn is_enabled(&self) -> bool {
         true
     }
+
+    /// Whether this recorder consumes the profiling events
+    /// ([`Event::ProfileRegion`], [`Event::ProfileTouch`]). Workloads build
+    /// them only for a recorder that does, so an ordinary trace carries none.
+    fn wants_profile(&self) -> bool {
+        false
+    }
+
+    /// The last `n` recorded events, oldest first, formatted for a stall
+    /// diagnosis ([`StallSnapshot::recent_events`](crate::error::StallSnapshot)).
+    /// Empty for recorders that keep no history.
+    fn recent_events(&self, _n: usize) -> Vec<String> {
+        Vec::new()
+    }
 }
 
 /// The zero-cost disabled default: ignores everything.
@@ -220,41 +251,6 @@ impl Recorder for NullRecorder {
 
     fn is_enabled(&self) -> bool {
         false
-    }
-}
-
-/// Fan one event stream out to several sinks (e.g. trace + metrics).
-#[derive(Default)]
-pub struct MultiRecorder {
-    sinks: Vec<Box<dyn Recorder>>,
-}
-
-impl MultiRecorder {
-    /// An empty fan-out (disabled until a sink is added).
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Add a sink.
-    pub fn push(&mut self, sink: Box<dyn Recorder>) {
-        self.sinks.push(sink);
-    }
-
-    /// Recover the sinks (e.g. to export each after a run).
-    pub fn into_sinks(self) -> Vec<Box<dyn Recorder>> {
-        self.sinks
-    }
-}
-
-impl Recorder for MultiRecorder {
-    fn record(&mut self, ev: &Event) {
-        for s in &mut self.sinks {
-            s.record(ev);
-        }
-    }
-
-    fn is_enabled(&self) -> bool {
-        self.sinks.iter().any(|s| s.is_enabled())
     }
 }
 
@@ -503,6 +499,21 @@ impl TraceRecorder {
                          \"args\":{{\"src\":{src},\"dst\":{dst},\"flits\":{flits}}}}}"
                     );
                 }
+                Event::ProfileRegion {
+                    region,
+                    kind,
+                    elem_size,
+                    num_elems,
+                } => {
+                    let _ = write!(
+                        out,
+                        "{{\"ph\":\"i\",\"name\":\"profile_region\",\"cat\":\"profile\",\
+                         \"pid\":{PID_ENGINE},\"tid\":0,\"ts\":{ts},\"s\":\"t\",\
+                         \"args\":{{\"region\":{region},\"kind\":\"{}\",\
+                         \"elem_size\":{elem_size},\"num_elems\":{num_elems}}}}}",
+                        kind.label()
+                    );
+                }
                 Event::ProfileTouch { region, elem, step } => {
                     let _ = write!(
                         out,
@@ -538,69 +549,58 @@ impl Recorder for TraceRecorder {
             self.dropped += 1;
         }
     }
+
+    /// The ring's newest `n` events — the diagnostic feed for a stall: the
+    /// snapshot carries what the machine did right before it wedged.
+    fn recent_events(&self, n: usize) -> Vec<String> {
+        let skip = self.len().saturating_sub(n);
+        self.events()
+            .skip(skip)
+            .map(|te| format!("#{} {:?}", te.seq, te.event))
+            .collect()
+    }
 }
 
-// ---------------------------------------------------------------------------
-// Thread-local capture: how `figures --trace` reaches engines constructed
-// deep inside workload executors without threading a recorder through every
-// call signature. Installing a capture makes every SimEngine created *on
-// this thread* forward its events here until the buffer is taken back.
-// ---------------------------------------------------------------------------
+/// A recorder shared by reference: every engine a run builds records into
+/// the one recorder behind it. A run carries it as an ordinary value (in
+/// its run configuration), so a capture is scoped to the runs handed it, not
+/// to a thread. The caller keeps its own typed `Arc` to read the recorder
+/// back afterwards.
+#[derive(Clone)]
+pub struct SharedRecorder(Arc<Mutex<dyn Recorder + Send>>);
 
-thread_local! {
-    static THREAD_TRACE: RefCell<Option<TraceRecorder>> = const { RefCell::new(None) };
+impl SharedRecorder {
+    /// Share `rec`.
+    pub fn new<R: Recorder + Send + 'static>(rec: Arc<Mutex<R>>) -> Self {
+        Self(rec)
+    }
+
+    fn lock(&self) -> MutexGuard<'_, dyn Recorder + Send + 'static> {
+        self.0.lock().unwrap_or_else(PoisonError::into_inner)
+    }
 }
 
-/// Install a thread-local trace capture of `capacity` events. Engines
-/// constructed on this thread after this call record into it.
-pub fn install_thread_trace(capacity: usize) {
-    THREAD_TRACE.with(|t| *t.borrow_mut() = Some(TraceRecorder::new(capacity)));
+impl fmt::Debug for SharedRecorder {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str("SharedRecorder")
+    }
 }
 
-/// Whether a thread-local capture is installed.
-pub fn thread_trace_installed() -> bool {
-    THREAD_TRACE.with(|t| t.borrow().is_some())
-}
-
-/// Remove and return the thread-local capture (with everything it recorded).
-pub fn take_thread_trace() -> Option<TraceRecorder> {
-    THREAD_TRACE.with(|t| t.borrow_mut().take())
-}
-
-/// Format the last `n` events of the thread-local capture (oldest first)
-/// **without** consuming it — the capture stays installed and keeps
-/// recording. This is the diagnostic feed for
-/// [`StallSnapshot::recent_events`](crate::error::StallSnapshot): when the
-/// progress watchdog fires, the snapshot carries what the machine was doing
-/// right before it wedged. Returns an empty vector when no capture is
-/// installed (tracing stays strictly opt-in).
-pub fn thread_trace_tail(n: usize) -> Vec<String> {
-    THREAD_TRACE.with(|t| {
-        t.borrow()
-            .as_ref()
-            .map(|rec| {
-                let skip = rec.len().saturating_sub(n);
-                rec.events()
-                    .skip(skip)
-                    .map(|te| format!("#{} {:?}", te.seq, te.event))
-                    .collect()
-            })
-            .unwrap_or_default()
-    })
-}
-
-/// A [`Recorder`] forwarding into the thread-local capture, if one is
-/// installed at record time.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct ThreadTraceRecorder;
-
-impl Recorder for ThreadTraceRecorder {
+impl Recorder for SharedRecorder {
     fn record(&mut self, ev: &Event) {
-        THREAD_TRACE.with(|t| {
-            if let Some(rec) = t.borrow_mut().as_mut() {
-                rec.record(ev);
-            }
-        });
+        self.lock().record(ev);
+    }
+
+    fn is_enabled(&self) -> bool {
+        self.lock().is_enabled()
+    }
+
+    fn wants_profile(&self) -> bool {
+        self.lock().wants_profile()
+    }
+
+    fn recent_events(&self, n: usize) -> Vec<String> {
+        self.lock().recent_events(n)
     }
 }
 
@@ -664,52 +664,35 @@ mod tests {
     }
 
     #[test]
-    fn multi_recorder_fans_out() {
-        let mut m = MultiRecorder::new();
-        assert!(!m.is_enabled(), "empty fan-out is disabled");
-        m.push(Box::new(TraceRecorder::new(8)));
-        m.push(Box::new(NullRecorder));
-        assert!(m.is_enabled());
-        m.record(&ev(1));
-        m.record(&ev(2));
-        let sinks = m.into_sinks();
-        assert_eq!(sinks.len(), 2);
+    fn shared_recorder_forwards_to_the_callers_recorder() {
+        let ring = Arc::new(Mutex::new(TraceRecorder::new(16)));
+        let mut a = SharedRecorder::new(Arc::clone(&ring));
+        let mut b = a.clone();
+        assert!(a.is_enabled());
+        assert!(!a.wants_profile(), "a trace does not ask for profiling events");
+        a.record(&ev(7));
+        b.record(&ev(8));
+        assert_eq!(ring.lock().expect("unpoisoned").total_seen(), 2);
+        assert!(!SharedRecorder::new(Arc::new(Mutex::new(NullRecorder))).is_enabled());
     }
 
     #[test]
-    fn thread_capture_roundtrip() {
-        assert!(!thread_trace_installed());
-        assert!(take_thread_trace().is_none());
-        install_thread_trace(16);
-        assert!(thread_trace_installed());
-        let mut fwd = ThreadTraceRecorder;
-        fwd.record(&ev(7));
-        let cap = take_thread_trace().expect("installed capture");
-        assert_eq!(cap.len(), 1);
-        assert!(!thread_trace_installed());
-        // Forwarding with no capture installed is a silent no-op.
-        fwd.record(&ev(8));
-    }
-
-    #[test]
-    fn trace_tail_is_nondestructive_and_newest_last() {
-        assert!(thread_trace_tail(8).is_empty(), "no capture installed");
-        install_thread_trace(4);
-        let mut fwd = ThreadTraceRecorder;
+    fn recent_events_are_nondestructive_and_newest_last() {
+        let mut t = TraceRecorder::new(4);
+        assert!(t.recent_events(8).is_empty(), "nothing recorded yet");
         for i in 0..10 {
-            fwd.record(&ev(i));
+            t.record(&ev(i));
         }
-        let tail = thread_trace_tail(2);
+        let tail = t.recent_events(2);
         assert_eq!(tail.len(), 2);
         assert!(tail[0].starts_with("#8 "), "{tail:?}");
         assert!(tail[1].starts_with("#9 "), "{tail:?}");
         assert!(tail[1].contains("CoreOps"), "{tail:?}");
-        // The capture is still installed and still recording.
-        assert!(thread_trace_installed());
-        fwd.record(&ev(10));
-        assert!(thread_trace_tail(1)[0].starts_with("#10 "));
-        let cap = take_thread_trace().expect("still installed");
-        assert_eq!(cap.total_seen(), 11);
+        // Reading the tail leaves the ring recording.
+        t.record(&ev(10));
+        assert!(t.recent_events(1)[0].starts_with("#10 "));
+        assert_eq!(t.total_seen(), 11);
+        assert!(NullRecorder.recent_events(4).is_empty(), "no history kept");
     }
 
     #[test]

@@ -17,12 +17,12 @@
 //! * `Aff-Alloc`: the first input allocated with intra-array row affinity
 //!   (Fig 8(c)) where 2-D, everything else aligned to it (Fig 8(b)).
 
-use crate::config::{HintMode, RunConfig, SystemConfig};
+use crate::config::{declare_region, HintMode, RunConfig, SystemConfig};
 use aff_cache::private::PrivateFilter;
 use aff_mem::addr::VAddr;
 use aff_nsc::engine::{Metrics, SimEngine};
 use aff_sim_core::config::CACHE_LINE;
-use aff_sim_core::mine::{self, RegionKind};
+use aff_sim_core::mine::RegionKind;
 use aff_sim_core::rng::SimRng;
 use aff_sim_core::trace::Event;
 use affinity_alloc::{AffineArrayReq, AffinityAllocator, AffinityHint};
@@ -221,13 +221,12 @@ fn allocate(
     }
 }
 
-/// Register the stencil's regions with an installed thread miner (no-op
-/// otherwise): main = 0, extras = 1.., output last — allocation order, the
-/// ordinals inferred profiles are keyed by.
-fn register_regions(s: &Stencil) {
-    let num_regions = 2 + s.extra_inputs;
-    for r in 0..num_regions {
-        mine::register_region(r, RegionKind::Array, s.elem_size, s.elems);
+/// Declare the stencil's regions to a profiling recorder: main = 0, extras
+/// = 1.., output last — allocation order, the ordinals inferred profiles are
+/// keyed by.
+fn declare_regions(s: &Stencil, engine: &mut SimEngine) {
+    for region in 0..2 + s.extra_inputs {
+        declare_region(engine, region, RegionKind::Array, s.elem_size, s.elems);
     }
 }
 
@@ -242,12 +241,15 @@ pub fn run_stencil(s: &Stencil, cfg: &RunConfig) -> Metrics {
 pub fn run_stencil_opts(s: &Stencil, cfg: &RunConfig, private_filter: bool) -> Metrics {
     let mut alloc = AffinityAllocator::with_seed(cfg.machine.clone(), cfg.system.policy(), cfg.seed);
     let arrays = allocate(&mut alloc, s, cfg.system, cfg.seed, &cfg.hints);
-    register_regions(s);
-    let mut engine = SimEngine::new(cfg.machine.clone());
+    let mut engine = cfg.engine();
+    let mining = cfg.profiling();
+    if mining {
+        declare_regions(s, &mut engine);
+    }
     engine.import_residency(alloc.resident_per_bank());
     match cfg.system {
         SystemConfig::InCore => run_in_core(s, &arrays, &mut alloc, &mut engine, private_filter),
-        _ => run_near_l3(s, &arrays, &mut alloc, &mut engine),
+        _ => run_near_l3(s, &arrays, &mut alloc, &mut engine, mining),
     }
     if std::env::var_os("AFF_DEBUG").is_some() {
         let acc = engine.banks().accesses_per_bank().to_vec();
@@ -306,11 +308,11 @@ pub fn run_vecadd_forced_delta(n: u64, delta: Option<u32>, cfg: &RunConfig) -> M
             }
         }
     };
-    let mut engine = SimEngine::new(cfg.machine.clone());
+    let mut engine = cfg.engine();
     engine.register_resident_spread(3 * bytes);
     match cfg.system {
         SystemConfig::InCore => run_in_core(&s, &arrays, &mut alloc, &mut engine, true),
-        _ => run_near_l3(&s, &arrays, &mut alloc, &mut engine),
+        _ => run_near_l3(&s, &arrays, &mut alloc, &mut engine, cfg.profiling()),
     }
     let mut m = engine.try_finish().unwrap_or_else(|e| panic!("{e}"));
     m.degradation.merge(&alloc.degradation());
@@ -333,7 +335,13 @@ fn elems_to_boundary(alloc: &mut AffinityAllocator, va: VAddr, elem_size: u64, i
     (intrlv - off).div_ceil(elem_size)
 }
 
-fn run_near_l3(s: &Stencil, a: &Arrays, alloc: &mut AffinityAllocator, engine: &mut SimEngine) {
+fn run_near_l3(
+    s: &Stencil,
+    a: &Arrays,
+    alloc: &mut AffinityAllocator,
+    engine: &mut SimEngine,
+    mining: bool,
+) {
     let n = s.elems;
     let iters = s.iters;
     let num_streams = (s.offsets.len() + a.extras.len() + 1) as u64;
@@ -345,11 +353,10 @@ fn run_near_l3(s: &Stencil, a: &Arrays, alloc: &mut AffinityAllocator, engine: &
     let first_bank = alloc.bank_of(a.main);
     engine.credits(0, first_bank, n * iters / 64 + 1);
 
-    // Profiling: when a co-access miner is installed on this thread, emit
-    // sampled ProfileTouch events — which elements of which region one
-    // logical step touches. ~1k sampled steps per run keeps mining cheap;
-    // with no miner, not a single event is built.
-    let mining = mine::thread_miner_installed();
+    // Profiling: when the run records into a co-access miner, emit sampled
+    // ProfileTouch events — which elements of which region one logical step
+    // touches. ~1k sampled steps per run keeps mining cheap; with no miner,
+    // not a single event is built.
     let emit_stride = (n / 1024).max(1);
     let mut next_emit = 0u64;
     let out_region = 1 + a.extras.len() as u32;
@@ -582,16 +589,17 @@ mod tests {
 
     #[test]
     fn closed_loop_recovers_stencil_annotations() {
+        use aff_sim_core::mine::CoAccessMiner;
         use affinity_alloc::{AffinityProfile, InferredHint};
-        use std::sync::Arc;
+        use std::sync::{Arc, Mutex};
 
-        // Phase 1: profile an annotation-free run with the miner installed.
+        // Phase 1: profile an annotation-free run recording into a miner.
         let s = Stencil::hotspot(128, 256);
         let base = cfg(SystemConfig::aff_alloc_default());
-        mine::install_thread_miner();
-        let none = run_stencil(&s, &base.clone().with_hints(HintMode::NoHints));
-        let mined = mine::take_thread_miner().expect("miner was installed");
-        let profile = AffinityProfile::infer(&mined);
+        let miner = Arc::new(Mutex::new(CoAccessMiner::new()));
+        let profiled = base.clone().with_hints(HintMode::NoHints);
+        let none = run_stencil(&s, &profiled.with_recorder(Arc::clone(&miner)));
+        let profile = AffinityProfile::infer(&CoAccessMiner::finish_shared(&miner));
 
         // The mined hints are exactly the hand annotations: main = row
         // stride, extras and output aligned 1:1 to main.

@@ -1,9 +1,12 @@
 //! Run configuration: which system, which policy, what scale.
 
+use aff_nsc::engine::SimEngine;
 use aff_nsc::ExecMode;
 use aff_sim_core::config::MachineConfig;
+use aff_sim_core::mine::RegionKind;
+use aff_sim_core::trace::{Event, Recorder, SharedRecorder};
 use affinity_alloc::{AffinityProfile, BankSelectPolicy};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// The three system configurations of Fig 12.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -122,6 +125,8 @@ pub struct RunConfig {
     pub seed: u64,
     /// Where placement hints come from (default: hand annotations).
     pub hints: HintMode,
+    /// The recorder every engine of the run records into (default: none).
+    pub recorder: Option<SharedRecorder>,
 }
 
 impl RunConfig {
@@ -133,7 +138,31 @@ impl RunConfig {
             scale: 1,
             seed: 2023,
             hints: HintMode::default(),
+            recorder: None,
         }
+    }
+
+    /// Builder: record every engine of the run into `rec`. The caller keeps
+    /// its own `Arc` to read the recorder back after the run.
+    pub fn with_recorder<R: Recorder + Send + 'static>(mut self, rec: Arc<Mutex<R>>) -> Self {
+        self.recorder = Some(SharedRecorder::new(rec));
+        self
+    }
+
+    /// A fresh engine for this run's machine, recording into the run's
+    /// recorder when it has one.
+    pub fn engine(&self) -> SimEngine {
+        let mut engine = SimEngine::new(self.machine.clone());
+        if let Some(rec) = &self.recorder {
+            engine.set_recorder(Box::new(rec.clone()));
+        }
+        engine
+    }
+
+    /// Whether the run's recorder wants the profiling events
+    /// (`ProfileRegion`/`ProfileTouch`); without one no such event is built.
+    pub fn profiling(&self) -> bool {
+        self.recorder.as_ref().is_some_and(Recorder::wants_profile)
     }
 
     /// Builder: set the hint source.
@@ -172,6 +201,23 @@ impl RunConfig {
         self.machine = self.machine.with_faults(faults);
         self
     }
+}
+
+/// Profiling: declare region `region` (allocation-order ordinal) of
+/// `num_elems` elements of `elem_size` bytes to the engine's recorder.
+pub(crate) fn declare_region(
+    engine: &mut SimEngine,
+    region: u32,
+    kind: RegionKind,
+    elem_size: u64,
+    num_elems: u64,
+) {
+    engine.record(Event::ProfileRegion {
+        region,
+        kind,
+        elem_size,
+        num_elems,
+    });
 }
 
 #[cfg(test)]

@@ -13,7 +13,7 @@
 //! charging every memory event to the [`SimEngine`]; Fig 17/18's
 //! per-iteration statistics fall out of the traversal itself.
 
-use crate::config::{HintMode, RunConfig, SystemConfig};
+use crate::config::{declare_region, HintMode, RunConfig, SystemConfig};
 use aff_ds::csr::{ChunkedCsr, CsrLayout};
 use aff_ds::graph::Graph;
 use aff_ds::layout::{AllocMode, VertexArray};
@@ -22,7 +22,7 @@ use aff_ds::pqueue::SpatialPriorityQueue;
 use aff_ds::queue::{GlobalQueue, SpatialQueue};
 use aff_nsc::engine::{Metrics, SimEngine};
 use aff_sim_core::config::CACHE_LINE;
-use aff_sim_core::mine::{self, RegionKind};
+use aff_sim_core::mine::RegionKind;
 use aff_sim_core::trace::Event;
 use affinity_alloc::{AffinityAllocator, InferredHint};
 use serde::{Deserialize, Serialize};
@@ -162,7 +162,8 @@ pub struct GraphInstance {
     weight_scratch: Vec<u32>,
     /// Where this instance's hints came from (stamped onto the metrics).
     hints: HintMode,
-    /// A thread miner is installed: emit sampled ProfileTouch events.
+    /// The run records into a co-access miner: emit sampled ProfileTouch
+    /// events.
     mining: bool,
     /// Sample every `mine_stride`-th vertex's edge scan when mining.
     mine_stride: u32,
@@ -210,8 +211,6 @@ impl GraphInstance {
             } else {
                 LinkedCsr::build_unhinted(&mut alloc, &graph).expect("linked CSR")
             };
-            mine::register_region(0, RegionKind::Array, 8, n);
-            mine::register_region(1, RegionKind::Nodes, CACHE_LINE, linked.num_nodes() as u64);
             let parts = cfg.machine.num_banks().min(graph.num_vertices());
             // The queue aligns to props only when props is an affine-
             // registered array; unhinted layouts get the same structure with
@@ -229,7 +228,13 @@ impl GraphInstance {
             let q = GlobalQueue::new(&mut alloc, n).expect("global queue");
             (EdgeLayout::Csr(csr), QueueKind::Global(q), props)
         };
-        let mut engine = SimEngine::new(cfg.machine.clone());
+        let mut engine = cfg.engine();
+        let mining = cfg.profiling();
+        if let (true, EdgeLayout::Linked(linked)) = (mining, &edges) {
+            declare_region(&mut engine, 0, RegionKind::Array, 8, n);
+            let nodes = linked.num_nodes() as u64;
+            declare_region(&mut engine, 1, RegionKind::Nodes, CACHE_LINE, nodes);
+        }
         engine.import_residency(alloc.resident_per_bank());
         Self {
             graph,
@@ -242,7 +247,7 @@ impl GraphInstance {
             edge_scratch: Vec::new(),
             weight_scratch: Vec::new(),
             hints: cfg.hints.clone(),
-            mining: mine::thread_miner_installed(),
+            mining,
             mine_stride: (n as u32 / 1024).max(1),
         }
     }
@@ -267,7 +272,7 @@ impl GraphInstance {
         );
         let parts = cfg.machine.num_banks().min(graph.num_vertices());
         let q = SpatialQueue::build(&mut alloc, &props, parts).expect("spatial queue");
-        let mut engine = SimEngine::new(cfg.machine.clone());
+        let mut engine = cfg.engine();
         engine.import_residency(alloc.resident_per_bank());
         engine.register_resident_spread(graph.num_edges() as u64 * 4);
         Self {
@@ -970,16 +975,17 @@ mod tests {
 
     #[test]
     fn closed_loop_recovers_graph_annotations() {
+        use aff_sim_core::mine::CoAccessMiner;
         use affinity_alloc::AffinityProfile;
-        use std::sync::Arc;
+        use std::sync::{Arc, Mutex};
 
-        // Phase 1: profile an unhinted pr_push with the miner installed.
+        // Phase 1: profile an unhinted pr_push recording into a miner.
         let cfg = RunConfig::new(SystemConfig::aff_alloc_default()).with_seed(1);
-        mine::install_thread_miner();
-        let none = GraphInstance::new(kron(), &cfg.clone().with_hints(HintMode::NoHints))
+        let miner = Arc::new(Mutex::new(CoAccessMiner::new()));
+        let profiled = cfg.clone().with_hints(HintMode::NoHints);
+        let none = GraphInstance::new(kron(), &profiled.with_recorder(Arc::clone(&miner)))
             .run_pr_push();
-        let mined = mine::take_thread_miner().expect("miner was installed");
-        let profile = AffinityProfile::infer(&mined);
+        let profile = AffinityProfile::infer(&CoAccessMiner::finish_shared(&miner));
 
         // The mined structure matches the hand annotations: partitioned
         // properties, chained edge nodes.

@@ -16,14 +16,14 @@
 //! hops — at the cost, for Min-Hop, of collapsing all parallelism onto one
 //! bank, which is the Fig 13 `bin_tree` pathology this module reproduces.
 
-use crate::config::{HintMode, RunConfig, SystemConfig};
+use crate::config::{declare_region, HintMode, RunConfig, SystemConfig};
 use aff_ds::hash::HashChainTable;
 use aff_ds::layout::AllocMode;
 use aff_ds::list::AffLinkedList;
 use aff_ds::tree::AffBinaryTree;
 use aff_nsc::engine::{Metrics, SimEngine};
 use aff_sim_core::config::CACHE_LINE;
-use aff_sim_core::mine::{self, RegionKind};
+use aff_sim_core::mine::RegionKind;
 use aff_sim_core::rng::SimRng;
 use aff_sim_core::trace::Event;
 use affinity_alloc::{AffinityAllocator, InferredHint};
@@ -114,6 +114,11 @@ fn node_mode(cfg: &RunConfig) -> AllocMode {
     }
 }
 
+/// Profiling: declare region 0, the run's `nodes` line-granular nodes.
+fn declare_nodes(engine: &mut SimEngine, nodes: u64) {
+    declare_region(engine, 0, RegionKind::Nodes, CACHE_LINE, nodes);
+}
+
 /// Profiling: one ProfileTouch per dereference of a sampled chain — region 0
 /// is the node pool, elements are line-granular node identities.
 fn emit_chain_touches(engine: &mut SimEngine, banks: &[u32], step: u64) {
@@ -170,20 +175,17 @@ fn fold_serial(engine: &mut SimEngine, per_chain: &[u64], concurrency: u64) {
 pub fn run_link_list(params: LinkListParams, cfg: &RunConfig) -> Metrics {
     let mut alloc = alloc_for(cfg);
     let mode = node_mode(cfg);
-    let mut engine = SimEngine::new(cfg.machine.clone());
+    let mut engine = cfg.engine();
     let in_core = matches!(cfg.system, SystemConfig::InCore);
     let lists: Vec<AffLinkedList> = (0..params.lists)
         .map(|_| AffLinkedList::build(&mut alloc, params.nodes_per_list, mode).expect("list"))
         .collect();
     engine.import_residency(alloc.resident_per_bank());
     engine.offload_config_multicast(0, 1);
-    mine::register_region(
-        0,
-        RegionKind::Nodes,
-        CACHE_LINE,
-        (params.lists * params.nodes_per_list) as u64,
-    );
-    let mining = mine::thread_miner_installed();
+    let mining = cfg.profiling();
+    if mining {
+        declare_nodes(&mut engine, (params.lists * params.nodes_per_list) as u64);
+    }
     let stride = (params.lists / 1024).max(1);
 
     let mut serials = Vec::with_capacity(params.lists);
@@ -218,12 +220,14 @@ pub fn run_hash_join(params: HashJoinParams, cfg: &RunConfig) -> Metrics {
     let build: Vec<u64> = (0..params.build_keys).map(|_| rng.next_u64()).collect();
     let table =
         HashChainTable::build(&mut alloc, params.buckets, &build, mode).expect("hash table");
-    let mut engine = SimEngine::new(cfg.machine.clone());
+    let mut engine = cfg.engine();
     let in_core = matches!(cfg.system, SystemConfig::InCore);
     engine.import_residency(alloc.resident_per_bank());
     engine.offload_config_multicast(0, 2);
-    mine::register_region(0, RegionKind::Nodes, CACHE_LINE, table.len() as u64);
-    let mining = mine::thread_miner_installed();
+    let mining = cfg.profiling();
+    if mining {
+        declare_nodes(&mut engine, table.len() as u64);
+    }
     let stride = (params.probe_keys / 1024).max(1);
 
     let mut serials = Vec::with_capacity(params.probe_keys);
@@ -263,12 +267,14 @@ pub fn run_bin_tree(params: BinTreeParams, cfg: &RunConfig) -> Metrics {
     let mut rng = SimRng::new(cfg.seed ^ 0xB17E);
     let keys: Vec<u64> = (0..params.nodes).map(|_| rng.next_u64()).collect();
     let tree = AffBinaryTree::build(&mut alloc, &keys, mode).expect("tree");
-    let mut engine = SimEngine::new(cfg.machine.clone());
+    let mut engine = cfg.engine();
     let in_core = matches!(cfg.system, SystemConfig::InCore);
     engine.import_residency(alloc.resident_per_bank());
     engine.offload_config_multicast(0, 1);
-    mine::register_region(0, RegionKind::Nodes, CACHE_LINE, params.nodes as u64);
-    let mining = mine::thread_miner_installed();
+    let mining = cfg.profiling();
+    if mining {
+        declare_nodes(&mut engine, params.nodes as u64);
+    }
     let stride = (params.lookups / 1024).max(1);
 
     let mut serials = Vec::with_capacity(params.lookups);
@@ -384,16 +390,17 @@ mod tests {
 
     #[test]
     fn closed_loop_recovers_chain_hints() {
+        use aff_sim_core::mine::CoAccessMiner;
         use affinity_alloc::AffinityProfile;
-        use std::sync::Arc;
+        use std::sync::{Arc, Mutex};
 
         // Phase 1: profile an unhinted link_list run.
         let p = small_list();
         let cfg = RunConfig::new(SystemConfig::aff_alloc_default());
-        mine::install_thread_miner();
-        let none = run_link_list(p, &cfg.clone().with_hints(HintMode::NoHints));
-        let mined = mine::take_thread_miner().expect("miner was installed");
-        let profile = AffinityProfile::infer(&mined);
+        let miner = Arc::new(Mutex::new(CoAccessMiner::new()));
+        let profiled = cfg.clone().with_hints(HintMode::NoHints);
+        let none = run_link_list(p, &profiled.with_recorder(Arc::clone(&miner)));
+        let profile = AffinityProfile::infer(&CoAccessMiner::finish_shared(&miner));
         assert_eq!(
             profile.region_hint(0).map(|h| &h.hint),
             Some(&InferredHint::Chain),

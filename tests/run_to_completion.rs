@@ -22,10 +22,10 @@ fn plans() -> Vec<SweepPlan> {
             let mut b = PlanBuilder::new(if *name == "alpha" { "alpha" } else { "beta" });
             let mut ids = Vec::new();
             for i in 0..6u64 {
-                ids.push(b.cell(format!("cell{i}"), move |rng| CellData::Rows {
+                ids.push(b.cell(format!("cell{i}"), move |ctx| CellData::Rows {
                     rows: vec![Row::new(
                         format!("cell{i}"),
-                        vec![rng.next_u64() as f64, rng.next_u64() as f64],
+                        vec![ctx.rng.next_u64() as f64, ctx.rng.next_u64() as f64],
                     )],
                     sim_cycles: i + 1,
                 }));
@@ -175,12 +175,12 @@ fn failed_cells_are_retried_on_resume() {
     // error outcome for it.
     let flaky_plan = |fail: bool| -> Vec<SweepPlan> {
         let mut b = PlanBuilder::new("flaky");
-        let id = b.cell("cell0", move |rng| {
+        let id = b.cell("cell0", move |ctx| {
             if fail {
                 panic!("transient failure");
             }
             CellData::Rows {
-                rows: vec![Row::new("cell0", vec![rng.next_u64() as f64])],
+                rows: vec![Row::new("cell0", vec![ctx.rng.next_u64() as f64])],
                 sim_cycles: 1,
             }
         });
