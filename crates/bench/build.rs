@@ -1,20 +1,25 @@
 //! Derives the cell-store salt from the sources cells are computed by.
 //!
 //! Hashes (FNV-1a) the sorted relative paths and bytes of every `.rs` file
-//! under `crates/*/src` and hands the digest to the crate as
-//! `AFF_BENCH_SOURCE_HASH`, which `store::code_salt` folds into every cell
-//! key. Changing any simulator, allocator, workload or harness source thus
-//! retires every stored outcome — no hand-bumped epoch can be forgotten.
-//! Uses only std.
+//! under `crates/*/src` and `vendor/*/src`, plus the workspace `Cargo.lock`,
+//! and hands the digest to the crate as `AFF_BENCH_SOURCE_HASH`, which
+//! `store::code_salt` folds into every cell key. Changing any simulator,
+//! allocator, workload or harness source, a vendored stand-in or a locked
+//! dependency version thus retires every stored outcome — no hand-bumped
+//! epoch can be forgotten. Uses only std.
 
 use std::path::{Path, PathBuf};
 
 fn main() {
     let manifest = PathBuf::from(std::env::var("CARGO_MANIFEST_DIR").expect("set by cargo"));
-    let crates = manifest.parent().expect("crates/bench sits in crates/");
-    let mut src_dirs: Vec<PathBuf> = std::fs::read_dir(crates)
-        .expect("list crates/")
-        .filter_map(|e| Some(e.ok()?.path().join("src")))
+    let root = manifest
+        .ancestors()
+        .nth(2)
+        .expect("crates/bench sits two levels below the workspace root");
+    let mut src_dirs: Vec<PathBuf> = ["crates", "vendor"]
+        .iter()
+        .filter_map(|d| std::fs::read_dir(root.join(d)).ok())
+        .flat_map(|entries| entries.filter_map(|e| Some(e.ok()?.path().join("src"))))
         .filter(|p| p.is_dir())
         .collect();
     src_dirs.sort();
@@ -22,6 +27,11 @@ fn main() {
     for dir in &src_dirs {
         println!("cargo:rerun-if-changed={}", dir.display());
         collect_rs(dir, &mut files);
+    }
+    let lock = root.join("Cargo.lock");
+    if lock.is_file() {
+        println!("cargo:rerun-if-changed={}", lock.display());
+        files.push(lock);
     }
     files.sort();
 
@@ -32,7 +42,7 @@ fn main() {
         }
     };
     for file in &files {
-        let rel = file.strip_prefix(crates).unwrap_or(file);
+        let rel = file.strip_prefix(root).unwrap_or(file);
         let bytes = std::fs::read(file).expect("read source file");
         // NUL ends the path and a length prefix the bytes, so no two file
         // sets alias; `/` separators keep the digest host-independent.

@@ -73,8 +73,9 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
 
 /// The code-version salt stamped in every store header and folded into
 /// every cell key: FNV-1a over the bench crate version and the hash
-/// `build.rs` takes of the workspace crates' sources. Any source change
-/// yields a new salt, so outcomes computed by other code are never replayed.
+/// `build.rs` takes of the workspace crates' and vendored stand-ins' sources
+/// and of `Cargo.lock`. Any source or lockfile change yields a new salt, so
+/// outcomes computed by other code are never replayed.
 pub fn code_salt() -> u64 {
     let mut bytes = Vec::new();
     bytes.extend_from_slice(env!("CARGO_PKG_VERSION").as_bytes());

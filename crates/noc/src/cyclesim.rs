@@ -1,8 +1,7 @@
-//! Flit-level, cycle-driven NoC simulation — the highest-fidelity tier of
-//! the timing stack.
+//! Flit-level, cycle-driven NoC simulation — the packet-level reference the
+//! analytic max-of-terms timing model is validated against.
 //!
-//! Where [`crate::des::DesNoc`] greedily serializes packets on each link,
-//! this model simulates every cycle: five-port routers (N/S/E/W/Local) with
+//! The model simulates every cycle: five-port routers (N/S/E/W/Local) with
 //! finite input FIFOs, round-robin output arbitration, backpressure from
 //! full downstream buffers, and a configurable router pipeline depth.
 //! X-Y dimension-ordered routing keeps it deadlock-free on meshes.
@@ -20,11 +19,11 @@
 //! generous `buffer_depth`, and [`CycleNoc::try_simulate`]'s watchdog turns
 //! any wedge into a typed [`SimError::Stalled`] instead of a hang.
 //!
-//! It exists to validate the cheaper models (`tests/des_vs_analytic.rs`
-//! cross-checks all three tiers), and for anyone extending this repo toward
-//! full cycle-accuracy.
+//! `tests/des_vs_analytic.rs` checks it against the analytic model: exact
+//! flit-hop volume, never beating the bottleneck link, and a constant-factor
+//! envelope on spread traffic, healthy and faulted, across geometries.
 
-use crate::fault_route::FaultRouter;
+use crate::fault_route::{FaultRouter, LIMP_COST};
 use crate::topology::{Link, Topology};
 use crate::traffic::Packet;
 use aff_sim_core::error::{BudgetKind, RunBudget, SimError, StallSnapshot, STALL_TRACE_TAIL};
@@ -67,6 +66,9 @@ struct Flit {
     tail: bool,
     /// Cycle at which the flit becomes eligible to move (router pipeline).
     ready_at: u64,
+    /// The flit found no healthy path at some router and now limps its
+    /// X-Y route to the destination at [`LIMP_COST`] cycles per crossing.
+    limped: bool,
 }
 
 /// Result of a cycle-driven simulation.
@@ -117,9 +119,11 @@ impl CycleNoc {
 
     /// New simulator routing via fault-aware next-hop tables: dead links are
     /// never selected (flits bend around them), degraded links accept at most
-    /// one flit every `multiplier` cycles, and unreachable pairs limp X-Y
-    /// through dead links so every packet still delivers. With no link faults
-    /// this is exactly [`CycleNoc::new`].
+    /// one flit every `multiplier` cycles, and a flit with no healthy path
+    /// limps its X-Y route end to end — through dead links, one flit every
+    /// [`LIMP_COST`] cycles on every crossing, as
+    /// [`crate::traffic::TrafficMatrix`] charges it — so every packet still
+    /// delivers. With no link faults this is exactly [`CycleNoc::new`].
     ///
     /// Note: unlike pure X-Y, BFS detour routes are not provably
     /// deadlock-free under extreme buffer pressure; use adequate
@@ -160,21 +164,14 @@ impl CycleNoc {
         }
     }
 
-    /// The output port for node `dst` at node `here`, honoring fault-aware
-    /// tables when present. Unreachable pairs fall back to plain
-    /// dimension-ordered routing (the limp path).
-    fn out_port(&self, router: Option<&FaultRouter>, here: u32, dst: u32) -> Port {
-        if let Some(r) = router {
-            if let Some(next) = r.next_hop(here, dst) {
-                for (dir, &port) in PORTS.iter().enumerate() {
-                    if self.topo.node_in_dir(here, dir) == Some(next) {
-                        return port;
-                    }
-                }
-                unreachable!("next-hop tables only ever point at neighbors");
+    /// The output port at node `here` that leads to neighbor node `next`.
+    fn port_toward(&self, here: u32, next: u32) -> Port {
+        for (dir, &port) in PORTS.iter().enumerate() {
+            if self.topo.node_in_dir(here, dir) == Some(next) {
+                return port;
             }
         }
-        self.route_port(here, dst)
+        unreachable!("next-hop tables only ever point at neighbors");
     }
 
     /// Simulate `packets` under `budget`, distinguishing *how* a run ended:
@@ -356,6 +353,7 @@ impl CycleNoc {
                     dst: dst_node,
                     tail: k + 1 == p.flits,
                     ready_at: 0,
+                    limped: false,
                 });
                 in_flight_flits += 1;
             }
@@ -404,7 +402,7 @@ impl CycleNoc {
             // flit if the downstream input buffer has space. Two-phase: pick
             // moves against the *current* state, then apply, so a flit moves
             // at most one hop per cycle.
-            let mut moves: Vec<(usize, usize, usize, usize)> = Vec::new(); // (router, in_port, next_router, next_in_port)
+            let mut moves: Vec<(usize, usize, usize, usize, bool)> = Vec::new(); // (router, in_port, next_router, next_in_port, limped)
             let mut incoming: Vec<[usize; 5]> = vec![[0; 5]; n_routers];
             for r in 0..n_routers {
                 let here = r as u32;
@@ -426,7 +424,19 @@ impl CycleNoc {
                         if f.ready_at > cycle || f.dst as usize == r {
                             continue;
                         }
-                        if self.out_port(active_router, here, f.dst) != out {
+                        // Fault tables steer the flit unless it has no
+                        // healthy path from here; then it limps its X-Y
+                        // route for the rest of the way.
+                        let hop = match active_router {
+                            Some(fr) if !f.limped => Some(fr.next_hop(here, f.dst)),
+                            _ => None,
+                        };
+                        let limped = f.limped || hop == Some(None);
+                        let port = match hop {
+                            Some(Some(next)) => self.port_toward(here, next),
+                            _ => self.route_port(here, f.dst),
+                        };
+                        if port != out {
                             continue;
                         }
                         // Routing only ever selects ports with a neighbor
@@ -435,20 +445,24 @@ impl CycleNoc {
                             .topo
                             .node_in_dir(here, out_i)
                             .expect("routed toward a missing neighbor");
-                        if let Some(fr) = active_router {
+                        let cost = if limped {
+                            LIMP_COST
+                        } else if let Some(fr) = active_router {
                             // Build the link from node coords so parallel
                             // torus links collapse onto the same canonical
                             // index the fault tables are keyed by.
-                            let idx = self.topo.link_index(Link {
+                            fr.link_cost(self.topo.link_index(Link {
                                 from: self.topo.node_coord(here),
                                 to: self.topo.node_coord(next_node),
-                            });
-                            let cost = fr.link_cost(idx);
-                            // A degraded link accepts at most one flit every
-                            // `cost` cycles; nobody crosses it this cycle.
-                            if cost > 1 && !cycle.is_multiple_of(cost) {
-                                break;
-                            }
+                            }))
+                        } else {
+                            1
+                        };
+                        // A degraded link, or one a limped flit crawls
+                        // across, passes at most one flit every `cost`
+                        // cycles; nobody crosses it this cycle.
+                        if cost > 1 && !cycle.is_multiple_of(cost) {
+                            break;
                         }
                         let next = next_node as usize;
                         // The flit arrives at the input port facing back.
@@ -465,19 +479,20 @@ impl CycleNoc {
                             continue; // backpressure
                         }
                         incoming[next][next_in] += 1;
-                        moves.push((r, cand, next, next_in));
+                        moves.push((r, cand, next, next_in, limped));
                         rr[r][out_i] = (cand + 1) % 6;
                         break;
                     }
                 }
             }
-            for (r, in_port, next, next_in) in moves {
+            for (r, in_port, next, next_in, limped) in moves {
                 let mut f = if in_port < 5 {
                     buffers[r][in_port].pop_front().expect("picked head")
                 } else {
                     inject[r].pop_front().expect("picked injection head")
                 };
                 f.ready_at = cycle + self.pipeline;
+                f.limped = limped;
                 buffers[next][next_in].push_back(f);
                 flit_hops += 1;
                 progressed = true;
@@ -596,12 +611,28 @@ mod tests {
 
     #[test]
     fn single_packet_delivers_with_pipeline_latency() {
-        let rep = sim(&noc(), &[pkt(0, 3, 1)], 10_000);
-        assert_eq!(rep.delivered, 1);
-        assert_eq!(rep.flit_hops, 3);
-        // 3 hops, each taking at least the 2-cycle pipeline: latency ≥ 6.
-        assert!(rep.finish_cycle >= 6, "got {}", rep.finish_cycle);
-        assert!(rep.finish_cycle <= 20);
+        // A 1-flit 3-hop packet is injected at cycle 1, then pays one 2-cycle
+        // pipeline per hop: it ejects at 1 + 3 * 2 = 7. A 4-flit 1-hop
+        // packet injects one flit per cycle (1..=4); its tail clears the
+        // pipeline and ejects at 4 + 2 = 6.
+        for (p, flit_hops, finish) in [(pkt(0, 3, 1), 3, 7), (pkt(0, 1, 4), 4, 6)] {
+            let rep = sim(&noc(), &[p], 10_000);
+            assert_eq!(rep.delivered, 1);
+            assert_eq!(rep.flit_hops, flit_hops);
+            assert_eq!(rep.finish_cycle, finish, "{p:?}");
+        }
+    }
+
+    #[test]
+    fn injection_port_serializes_same_source() {
+        // 0 -> 3 runs east along row 0 and 0 -> 12 south down column 0: the
+        // routes share no link, only the source's injection queue.
+        let (first, second) = (pkt(0, 3, 4), pkt(0, 12, 4));
+        let alone = sim(&noc(), &[second], 10_000);
+        let queued = sim(&noc(), &[first, second], 10_000);
+        assert_eq!(queued.delivered, 2);
+        // The second packet departs only after the first one's 4 flits.
+        assert_eq!(queued.finish_cycle, alone.finish_cycle + 4);
     }
 
     #[test]
@@ -654,6 +685,8 @@ mod tests {
         let rep = sim(&noc(), &[pkt(5, 5, 4)], 100);
         assert_eq!(rep.delivered, 1);
         assert_eq!(rep.flit_hops, 0);
+        // Delivered in the first cycle, without waiting on any pipeline.
+        assert_eq!(rep.finish_cycle, 1);
     }
 
     #[test]
@@ -679,9 +712,47 @@ mod tests {
             FaultPlan::none().fail_link(LinkRef::between(1, 0, 2, 0).expect("adjacent"));
         let noc = CycleNoc::with_faults(topo, 2, 4, &plan);
         let rep = sim(&noc, &[pkt(0, 3, 2)], 100_000);
+        let healthy = sim(&CycleNoc::new(topo, 2, 4), &[pkt(0, 3, 2)], 100_000);
         assert_eq!(rep.delivered, 1);
-        // Detour around the dead link: 5 hops instead of 3, x 2 flits.
+        // Detour around the dead link: 5 hops instead of 3, x 2 flits, and
+        // two more 2-cycle pipelines on the way.
         assert_eq!(rep.flit_hops, 10);
+        assert_eq!(rep.finish_cycle, healthy.finish_cycle + 4);
+    }
+
+    #[test]
+    fn limped_packet_is_slow_but_delivered() {
+        use crate::traffic::TrafficMatrix;
+        use aff_sim_core::fault::LinkRef;
+        // Corner (0,0) loses both outgoing links, so 0 -> 3 has no healthy
+        // path and limps its X-Y route through the dead link.
+        let topo = Topology::new(4, 4);
+        let plan = FaultPlan::none()
+            .fail_link(LinkRef::between(0, 0, 1, 0).expect("adjacent"))
+            .fail_link(LinkRef::between(0, 0, 0, 1).expect("adjacent"));
+        let mut m = TrafficMatrix::with_faults(topo, 32, 8, &plan);
+        m.enable_log();
+        m.record(0, 3, 56, TrafficClass::Data);
+        let packets = m.packets().expect("logging enabled").to_vec();
+        assert_eq!(packets, [pkt(0, 3, 2)]);
+        let healthy = sim(&CycleNoc::new(topo, 6, 4), &packets, 100_000);
+        let limped = sim(&CycleNoc::with_faults(topo, 6, 4, &plan), &packets, 100_000);
+        assert_eq!(limped.delivered, 1);
+        assert!(
+            limped.finish_cycle > healthy.finish_cycle,
+            "limping must cost more ({} vs {})",
+            limped.finish_cycle,
+            healthy.finish_cycle
+        );
+        // The whole X-Y route, each crossing at LIMP_COST per flit, exactly
+        // as the analytic matrix charges it.
+        assert_eq!(limped.flit_hops, m.total_hop_flits());
+        assert!(
+            limped.finish_cycle >= m.bottleneck_link_flits(),
+            "limped finish {} beats the analytic bound {}",
+            limped.finish_cycle,
+            m.bottleneck_link_flits()
+        );
     }
 
     #[test]

@@ -8,11 +8,9 @@
 //!   route enumeration,
 //! * [`traffic`] — per-message traffic accounting split by the paper's three
 //!   classes (**Offload**, **Data**, **Control**, the legend of Figs 4/6/12/13),
-//! * [`des`] — a packet-level greedy link/router model used to
-//!   cross-validate the analytic bottleneck timing model,
 //! * [`cyclesim`] — a flit-level cycle-driven simulation with finite router
-//!   buffers, round-robin arbitration and backpressure (the highest-
-//!   fidelity tier).
+//!   buffers, round-robin arbitration and backpressure, the one packet-level
+//!   reference the analytic bottleneck timing model is checked against.
 //!
 //! # Example
 //!
@@ -25,7 +23,6 @@
 //! ```
 
 pub mod cyclesim;
-pub mod des;
 pub mod fault_route;
 pub mod topology;
 pub mod traffic;

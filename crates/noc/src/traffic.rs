@@ -73,8 +73,8 @@ impl From<TrafficKind> for TrafficClass {
     }
 }
 
-/// One recorded message, kept only when packet logging is enabled (the DES
-/// model replays these).
+/// One recorded message, kept only when packet logging is enabled (the
+/// flit-level [`crate::cyclesim::CycleNoc`] replays these).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Packet {
     /// Source bank.
@@ -505,7 +505,7 @@ pub struct TrafficMatrix {
     detour_hops: u64,
     /// Messages with no healthy path, limping through dead links.
     limped_messages: u64,
-    /// Optional packet log for DES replay.
+    /// Optional packet log for replay through `CycleNoc`.
     log: Option<Vec<Packet>>,
     /// Lazily-built route cache: dense below
     /// [`DENSE_ROUTE_TABLE_MAX_BANKS`] banks, on-demand per-source above.
@@ -587,7 +587,7 @@ impl TrafficMatrix {
         }
     }
 
-    /// Enable packet logging (needed to replay through the DES model).
+    /// Enable packet logging (needed to replay through `CycleNoc`).
     pub fn enable_log(&mut self) {
         if self.log.is_none() {
             self.log = Some(Vec::new());

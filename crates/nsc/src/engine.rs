@@ -14,8 +14,8 @@
 //!
 //! The serial term captures pointer chasing, where per-hop latency cannot be
 //! hidden by bandwidth. The max-of-bounds form is the standard roofline-style
-//! abstraction of a throughput-bound parallel machine; the packet-level DES
-//! model in [`aff_noc::des`] cross-validates the link term.
+//! abstraction of a throughput-bound parallel machine; the flit-level model
+//! in [`aff_noc::cyclesim`] cross-validates the link term.
 
 use crate::occupancy::{OccupancyTimeline, PhaseTracker};
 use aff_cache::bank::BankCounters;
@@ -220,7 +220,7 @@ pub struct SimEngine {
     /// which is purely additive — is byte-identical either way.
     pending: Vec<PendingCharge>,
     /// Whether charges may be buffered. Off once the packet log is enabled:
-    /// coalescing reorders messages across unlike charges, and the DES
+    /// coalescing reorders messages across unlike charges, and packet
     /// replay consumes the log in recording order.
     coalesce: bool,
     /// Degradation observed so far (spare remaps, In-Core fallbacks); routing
@@ -337,7 +337,7 @@ impl SimEngine {
 
     /// Fire every scheduled fault event with `cycle <=` the given cycle, in
     /// timeline order. Public cold path: a harness that tracks its own clock
-    /// (DES replay, a phase-stepped driver) may place epochs explicitly;
+    /// (packet replay, a phase-stepped driver) may place epochs explicitly;
     /// analytic runs also advance automatically — on the engine's own
     /// progress estimate — at every phase end and at finish.
     pub fn advance_faults(&mut self, cycle: u64) {
@@ -593,12 +593,11 @@ impl SimEngine {
                 }
             }
             // DRAM accesses are charged by the DramModel at its call sites;
-            // the NoC models' events carry no analytic accounting, tenant
+            // the NoC model's events carry no analytic accounting, tenant
             // switches are handled before apply (attribution), and profile
             // touches exist only for the co-access miner.
             Event::DramAccess { .. }
             | Event::RouterActive { .. }
-            | Event::MessageDelivered { .. }
             | Event::TenantSwitch { .. }
             | Event::ProfileRegion { .. }
             | Event::ProfileTouch { .. } => {}
@@ -611,7 +610,7 @@ impl SimEngine {
     /// exactly `n` single records (pinned by the matrix proptests), so the
     /// figures are byte-identical with coalescing on or off. With the packet
     /// log enabled the buffer is bypassed entirely — log order is
-    /// load-bearing for DES replay.
+    /// load-bearing for packet replay.
     #[inline]
     fn charge(
         &mut self,
@@ -664,7 +663,7 @@ impl SimEngine {
 
     /// The authoritative view of the traffic matrix: pending coalesced
     /// charges are flushed first, so every primitive called so far is
-    /// reflected. Use this for tests, DES replay, and anything that compares
+    /// reflected. Use this for tests, packet replay, and anything that compares
     /// totals.
     pub fn traffic_mut(&mut self) -> &TrafficMatrix {
         self.flush_charges();
@@ -681,9 +680,9 @@ impl SimEngine {
         &self.traffic
     }
 
-    /// Enable packet logging on the traffic matrix for DES replay. Turns
-    /// charge coalescing off — the log's message order is what the DES model
-    /// replays, so every later charge records write-through.
+    /// Enable packet logging on the traffic matrix for replay through
+    /// `CycleNoc`. Turns charge coalescing off — the log's message order is
+    /// what a replay consumes, so every later charge records write-through.
     pub fn enable_packet_log(&mut self) {
         self.flush_charges();
         self.coalesce = false;

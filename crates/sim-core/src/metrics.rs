@@ -387,16 +387,6 @@ impl Recorder for MetricsRecorder {
                 r.inc("noc.router_flits", flits);
                 r.inc(&format!("noc.router.{router}.flits"), flits);
             }
-            Event::MessageDelivered {
-                depart,
-                arrive,
-                flits,
-                ..
-            } => {
-                r.inc("noc.messages_delivered", 1);
-                r.inc("noc.flits_delivered", flits);
-                r.observe("noc.message_latency", arrive.saturating_sub(depart));
-            }
             Event::ProfileRegion { .. } => r.inc("profile.regions", 1),
             Event::ProfileTouch { region, .. } => {
                 r.inc("profile.touches", 1);

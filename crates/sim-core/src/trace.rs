@@ -10,8 +10,7 @@
 //! * `SimEngine::record(Event)` is the choke point for the analytic model —
 //!   the coalescer, the traffic matrix, the bank counters and any attached
 //!   recorder all consume the same event stream.
-//! * `CycleNoc`/`DesNoc` emit per-router activity and per-message delivery
-//!   events from their cycle loops.
+//! * `CycleNoc` emits per-router activity events from its cycle loop.
 //! * `DramModel` emits per-controller line accesses.
 //!
 //! Recording is strictly opt-in: the default is no recorder at all, and every
@@ -166,20 +165,6 @@ pub enum Event {
         /// Dense tenant id, or `u32::MAX` for "no tenant".
         tenant: u32,
     },
-    /// A DES message of `flits` flits from `src` departed at `depart` and
-    /// fully arrived at `dst` at `arrive`.
-    MessageDelivered {
-        /// Source router.
-        src: u32,
-        /// Destination router.
-        dst: u32,
-        /// Departure cycle.
-        depart: u64,
-        /// Arrival cycle.
-        arrive: u64,
-        /// Message length in flits.
-        flits: u64,
-    },
     /// Profiling only: the run allocated profiled region `region` (its
     /// allocation-order ordinal) of `num_elems` elements of `elem_size`
     /// bytes (0 elements when open-ended, e.g. a node class). Emitted before
@@ -333,8 +318,7 @@ impl TraceRecorder {
     /// Perfetto.
     ///
     /// Analytic-model events carry no cycle, so their timestamp is the event
-    /// sequence number; `RouterActive`/`MessageDelivered` use real NoC
-    /// cycles. Timestamps are reported in "microseconds" 1:1.
+    /// sequence number; `RouterActive` uses real NoC cycles. Timestamps are reported in "microseconds" 1:1.
     pub fn to_chrome_json(&self) -> String {
         const PID_ENGINE: u32 = 1;
         const PID_BANKS: u32 = 2;
@@ -482,21 +466,6 @@ impl TraceRecorder {
                         "{{\"ph\":\"X\",\"name\":\"router_active\",\"cat\":\"noc\",\
                          \"pid\":{PID_ROUTERS},\"tid\":{router},\"ts\":{cycle},\"dur\":1,\
                          \"args\":{{\"flits\":{flits}}}}}"
-                    );
-                }
-                Event::MessageDelivered {
-                    src,
-                    dst,
-                    depart,
-                    arrive,
-                    flits,
-                } => {
-                    let dur = arrive.saturating_sub(depart).max(1);
-                    let _ = write!(
-                        out,
-                        "{{\"ph\":\"X\",\"name\":\"message\",\"cat\":\"noc\",\
-                         \"pid\":{PID_ROUTERS},\"tid\":{dst},\"ts\":{depart},\"dur\":{dur},\
-                         \"args\":{{\"src\":{src},\"dst\":{dst},\"flits\":{flits}}}}}"
                     );
                 }
                 Event::ProfileRegion {

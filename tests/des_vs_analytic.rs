@@ -1,33 +1,33 @@
 //! Cross-validation of the analytic bottleneck timing model against the
-//! packet-level discrete-event NoC model (DESIGN.md §3, "Timing").
+//! flit-level cycle-driven NoC model (DESIGN.md §3, "Timing").
 //!
 //! The two models must agree exactly on traffic volume (flit-hops) and the
-//! DES completion time must bracket the analytic link bound: never faster
-//! than the bottleneck link's serialized flits, and not absurdly slower for
-//! well-spread traffic.
+//! simulated completion time must bracket the analytic link bound: never
+//! faster than the bottleneck link's serialized flits, and not absurdly
+//! slower for well-spread traffic.
 
-use affinity_alloc_repro::noc::cyclesim::CycleNoc;
-use affinity_alloc_repro::noc::des::DesNoc;
+use affinity_alloc_repro::noc::cyclesim::{CycleNoc, CycleReport};
 use affinity_alloc_repro::noc::topology::Topology;
-use affinity_alloc_repro::noc::traffic::{TrafficClass, TrafficMatrix};
+use affinity_alloc_repro::noc::traffic::{Packet, TrafficClass, TrafficMatrix};
 use affinity_alloc_repro::sim::config::MachineConfig;
-use affinity_alloc_repro::sim::fault::{FaultPlan, FaultSpec};
-use affinity_alloc_repro::noc::cyclesim::CycleReport;
-use affinity_alloc_repro::noc::des::DesReport;
-use affinity_alloc_repro::noc::traffic::Packet;
 use affinity_alloc_repro::sim::error::RunBudget;
+use affinity_alloc_repro::sim::fault::{FaultPlan, FaultSpec};
 use affinity_alloc_repro::sim::rng::SimRng;
 
-/// Replay under an unlimited budget, which cannot fail.
-fn replay(des: &mut DesNoc, pkts: &[Packet]) -> DesReport {
-    des.try_replay(pkts, &RunBudget::unlimited())
-        .expect("unlimited budget cannot fail")
-}
+/// Input-buffer depth for healthy-mesh runs: X-Y routing cannot deadlock,
+/// so a realistic depth keeps backpressure in the picture.
+const DEPTH: usize = 8;
 
 /// Simulate under a plain cycle ceiling the test traffic must drain within.
 fn simulate(noc: &CycleNoc, pkts: &[Packet], max_cycles: u64) -> CycleReport {
     noc.try_simulate(pkts, &RunBudget::unlimited().with_max_cycles(max_cycles))
         .expect("generous cycle ceiling")
+}
+
+/// The logged packets of `m` through a healthy depth-8 mesh.
+fn simulate_matrix(cfg: &MachineConfig, m: &TrafficMatrix) -> CycleReport {
+    let pkts = m.packets().expect("logging enabled");
+    simulate(&CycleNoc::new(m.topology(), cfg.hop_latency, DEPTH), pkts, 10_000_000)
 }
 
 fn machine_matrix(logging: bool) -> (MachineConfig, TrafficMatrix) {
@@ -50,30 +50,28 @@ fn hop_flits_agree_exactly() {
         let bytes = rng.below(64);
         m.record(src, dst, bytes, TrafficClass::Data);
     }
-    let mut des = DesNoc::new(m.topology(), cfg.hop_latency);
-    let report = replay(&mut des, m.packets().expect("logging enabled"));
-    assert_eq!(report.hop_flits, m.total_hop_flits());
+    let report = simulate_matrix(&cfg, &m);
+    assert_eq!(report.flit_hops, m.total_hop_flits());
     // Same-bank messages never enter the network, so the log holds exactly
-    // the non-local messages.
+    // the non-local messages, and every one of them is delivered.
     let non_local =
         m.messages(TrafficClass::Data) - m.local_messages(TrafficClass::Data);
-    assert_eq!(report.packets, non_local);
+    assert_eq!(report.delivered, non_local);
 }
 
 #[test]
 fn des_never_beats_the_link_bound() {
     // Concentrated traffic: everyone sends to bank 0. The analytic model's
-    // bottleneck-link bound is a hard lower bound on the DES finish time.
+    // bottleneck-link bound is a hard lower bound on the simulated finish.
     let (cfg, mut m) = machine_matrix(true);
     for src in 1..64u32 {
         m.record_n(src, 0, 64, TrafficClass::Data, 50);
     }
-    let mut des = DesNoc::new(m.topology(), cfg.hop_latency);
-    let report = replay(&mut des, m.packets().expect("logging enabled"));
+    let report = simulate_matrix(&cfg, &m);
     let analytic_bound = m.bottleneck_link_flits();
     assert!(
         report.finish_cycle >= analytic_bound,
-        "DES {} must not beat the serialized bottleneck {}",
+        "cycle-sim {} must not beat the serialized bottleneck {}",
         report.finish_cycle,
         analytic_bound
     );
@@ -81,20 +79,19 @@ fn des_never_beats_the_link_bound() {
 
 #[test]
 fn des_tracks_analytic_within_constant_factor_for_spread_traffic() {
-    // Well-spread neighbor traffic: DES finish should be within a small
-    // factor of the analytic bound (per-hop latency and queueing add a
-    // constant, not a different asymptote).
+    // Well-spread neighbor traffic: the simulated finish should be within a
+    // small factor of the analytic bound (per-hop latency and queueing add
+    // a constant, not a different asymptote).
     let (cfg, mut m) = machine_matrix(true);
     for b in 0..64u32 {
         m.record_n(b, (b + 1) % 64, 24, TrafficClass::Data, 200);
     }
-    let mut des = DesNoc::new(m.topology(), cfg.hop_latency);
-    let report = replay(&mut des, m.packets().expect("logging enabled"));
+    let report = simulate_matrix(&cfg, &m);
     let analytic = m.bottleneck_link_flits();
     assert!(report.finish_cycle >= analytic);
     assert!(
         report.finish_cycle <= analytic * 16,
-        "DES {} should stay within a constant factor of analytic {}",
+        "cycle-sim {} should stay within a constant factor of analytic {}",
         report.finish_cycle,
         analytic
     );
@@ -109,47 +106,41 @@ fn pathological_layout_is_pathological_in_both_models() {
         for b in 0..64u32 {
             m.record_n(b, (b + delta) % 64, 64, TrafficClass::Data, 40);
         }
-        let mut des = DesNoc::new(m.topology(), cfg.hop_latency);
-        let report = replay(&mut des, m.packets().expect("logging enabled"));
-        (m.bottleneck_link_flits(), report.finish_cycle)
+        (m.bottleneck_link_flits(), simulate_matrix(&cfg, &m).finish_cycle)
     };
-    let (analytic_near, des_near) = run(1);
-    let (analytic_far, des_far) = run(32);
+    let (analytic_near, cyc_near) = run(1);
+    let (analytic_far, cyc_far) = run(32);
     assert!(analytic_far > 2 * analytic_near, "analytic sees the bisection");
-    assert!(des_far > 2 * des_near, "DES sees the bisection");
+    assert!(cyc_far > 2 * cyc_near, "cycle-sim sees the bisection");
 }
 
 #[test]
 fn three_tiers_agree_on_flit_hops_and_ordering() {
-    // Analytic, greedy-DES and cycle-driven models must agree exactly on
-    // traffic volume, and their finish-time estimates must rank the Fig 3
-    // layouts identically.
-    let run = |delta: u32| -> (u64, u64, u64) {
+    // The analytic and cycle-driven models must agree exactly on traffic
+    // volume, and their finish-time estimates must rank the Fig 3 layouts
+    // identically.
+    let run = |delta: u32| -> (u64, u64) {
         let (cfg, mut m) = machine_matrix(true);
         for b in 0..64u32 {
             m.record_n(b, (b + delta) % 64, 64, TrafficClass::Data, 10);
         }
-        let pkts = m.packets().expect("logging enabled").to_vec();
-        let mut des = DesNoc::new(m.topology(), cfg.hop_latency);
-        let des_rep = replay(&mut des, &pkts);
-        let cyc = simulate(&CycleNoc::new(m.topology(), cfg.hop_latency, 8), &pkts, 10_000_000);
-        assert_eq!(des_rep.hop_flits, m.total_hop_flits(), "greedy DES volume");
+        let cyc = simulate_matrix(&cfg, &m);
         assert_eq!(cyc.flit_hops, m.total_hop_flits(), "cycle-sim volume");
-        assert_eq!(cyc.delivered, pkts.len() as u64, "everything delivers");
-        (m.bottleneck_link_flits(), des_rep.finish_cycle, cyc.finish_cycle)
+        let sent = m.packets().expect("logging enabled").len() as u64;
+        assert_eq!(cyc.delivered, sent, "everything delivers");
+        (m.bottleneck_link_flits(), cyc.finish_cycle)
     };
-    let (a1, d1, c1) = run(1);
-    let (a32, d32, c32) = run(32);
+    let (a1, c1) = run(1);
+    let (a32, c32) = run(32);
     assert!(a32 > a1, "analytic ranks the bisection worse");
-    assert!(d32 > d1, "greedy DES ranks the bisection worse");
     assert!(c32 > c1, "cycle-driven sim ranks the bisection worse");
     // The cycle-driven finish can never beat the serialized bottleneck.
     assert!(c32 >= a32);
 }
 
 /// The documented latency envelope between the models (see DESIGN.md §3,
-/// "Timing"): neither simulator may beat the serialized bottleneck link,
-/// and for traffic that is not adversarially concentrated both must stay
+/// "Timing"): the simulator may not beat the serialized bottleneck link,
+/// and for traffic that is not adversarially concentrated it must stay
 /// within a constant factor of it (the constant absorbs per-hop pipeline
 /// latency and queueing; the asymptote must match). The additive term
 /// covers near-empty networks where a single packet's end-to-end latency
@@ -191,24 +182,16 @@ fn random_pattern(m: &mut TrafficMatrix, seed: u64, pattern: u64, msgs: u64) {
 
 #[test]
 fn seeded_random_sweep_des_and_cycle_agree_on_flits_and_envelope() {
-    // Differential sweep: for every seeded pattern, the greedy packet-level
-    // DES and the flit-level cycle-driven router must (a) deliver every
-    // packet, (b) agree with the analytic matrix — and each other — on
-    // delivered flit-hops exactly, and (c) land inside the documented
-    // latency envelope.
+    // Differential sweep: for every seeded pattern, the flit-level
+    // cycle-driven router must (a) deliver every packet, (b) agree with the
+    // analytic matrix on delivered flit-hops exactly, and (c) land inside
+    // the documented latency envelope.
     for pattern in 0..8u64 {
         let (cfg, mut m) = machine_matrix(true);
         let msgs = 250 + SimRng::split(0xD1FF, pattern).below(1750);
         random_pattern(&mut m, 0xD1FF, pattern, msgs);
-        let pkts = m.packets().expect("logging enabled").to_vec();
-        let mut des = DesNoc::new(m.topology(), cfg.hop_latency);
-        let des_rep = replay(&mut des, &pkts);
-        let cyc = simulate(&CycleNoc::new(m.topology(), cfg.hop_latency, 8), &pkts, 100_000_000);
-        assert_eq!(
-            des_rep.hop_flits,
-            m.total_hop_flits(),
-            "pattern {pattern}: DES flit-hops diverge from analytic"
-        );
+        let pkts = m.packets().expect("logging enabled");
+        let cyc = simulate(&CycleNoc::new(m.topology(), cfg.hop_latency, DEPTH), pkts, 100_000_000);
         assert_eq!(
             cyc.flit_hops,
             m.total_hop_flits(),
@@ -219,17 +202,15 @@ fn seeded_random_sweep_des_and_cycle_agree_on_flits_and_envelope() {
             pkts.len() as u64,
             "pattern {pattern}: cycle-sim dropped packets"
         );
-        let analytic = m.bottleneck_link_flits();
-        check_envelope("DES", des_rep.finish_cycle, analytic);
-        check_envelope("cycle-sim", cyc.finish_cycle, analytic);
+        check_envelope("cycle-sim", cyc.finish_cycle, m.bottleneck_link_flits());
     }
 }
 
 #[test]
 fn seeded_random_sweep_under_fault_plans() {
     // Same differential sweep, but on a broken machine: seeded link faults
-    // (dead and degraded links). All three models share the same
-    // fault-aware routes, so delivered-flit counts must still agree
+    // (dead and degraded links). Both models share the same fault-aware
+    // routes, so delivered-flit counts must still agree
     // exactly, every packet must still arrive (detoured or limped), and the
     // latency envelope holds against the *effective* (cost-weighted)
     // bottleneck.
@@ -253,9 +234,7 @@ fn seeded_random_sweep_under_fault_plans() {
         );
         m.enable_log();
         random_pattern(&mut m, 0xFA11, pattern, 800);
-        let pkts = m.packets().expect("logging enabled").to_vec();
-        let mut des = DesNoc::with_faults(topo, cfg.hop_latency, &plan);
-        let des_rep = replay(&mut des, &pkts);
+        let pkts = m.packets().expect("logging enabled");
         // BFS detour tables are loop-free but, unlike X-Y, not provably
         // deadlock-free under backpressure (see `CycleNoc::with_faults`).
         // Deep buffers take backpressure out of the picture — every head
@@ -265,13 +244,8 @@ fn seeded_random_sweep_under_fault_plans() {
         let deep_buffers = pkts.iter().map(|p| p.flits).sum::<u64>() as usize;
         let cyc = simulate(
             &CycleNoc::with_faults(topo, cfg.hop_latency, deep_buffers.max(1), &plan),
-            &pkts,
+            pkts,
             5_000_000,
-        );
-        assert_eq!(
-            des_rep.hop_flits,
-            m.total_hop_flits(),
-            "pattern {pattern}: DES flit-hops diverge from analytic under faults"
         );
         assert_eq!(
             cyc.flit_hops,
@@ -292,21 +266,9 @@ fn seeded_random_sweep_under_fault_plans() {
             m.total_hop_flits() >= healthy_hops,
             "pattern {pattern}: fault routing shortened a route"
         );
-        let analytic = m.bottleneck_link_flits();
-        check_envelope("cycle-sim", cyc.finish_cycle, analytic);
-        // The greedy DES is not cost-weighted per link crossing for limped
-        // routes, so it only guarantees the raw-flit lower bound.
-        let raw_bottleneck = m.link_flits().iter().copied().max().unwrap_or(0);
-        assert!(
-            des_rep.finish_cycle >= raw_bottleneck,
-            "pattern {pattern}: DES {} beats raw bottleneck {raw_bottleneck}",
-            des_rep.finish_cycle
-        );
-        assert!(
-            des_rep.finish_cycle <= analytic * ENVELOPE_FACTOR + ENVELOPE_SLACK,
-            "pattern {pattern}: DES {} outside faulted envelope (analytic {analytic})",
-            des_rep.finish_cycle
-        );
+        // The envelope is cost-weighted: degraded links count each flit at
+        // their multiplier, limped routes at `LIMP_COST`.
+        check_envelope("cycle-sim", cyc.finish_cycle, m.bottleneck_link_flits());
     }
 }
 
@@ -383,10 +345,11 @@ fn shallow_buffer_fault_deadlock_is_a_typed_stall_not_a_hang() {
     assert_eq!(rep.delivered, pkts.len() as u64);
 }
 
-/// The cross-geometry machine matrix: the paper's 8×8 mesh plus the two
+/// The cross-geometry machine matrix: the paper's 8×8 mesh plus the
 /// geometries that exercise every generalized code path — a 16×16 mesh
-/// (256 banks, the on-demand route store) and an 8×8 torus (wrap links,
-/// wrap-aware tie-breaks).
+/// (256 banks, the on-demand route store), an 8×8 torus (wrap links,
+/// wrap-aware tie-breaks) and a 32×32 mesh (1024 banks, the largest scale
+/// the figure harness sweeps).
 fn geometry_matrix() -> Vec<(&'static str, MachineConfig)> {
     use affinity_alloc_repro::sim::config::TopologyKind;
     vec![
@@ -396,15 +359,16 @@ fn geometry_matrix() -> Vec<(&'static str, MachineConfig)> {
             "8x8-torus",
             MachineConfig::builder().topology(TopologyKind::Torus).build(),
         ),
+        ("32x32-mesh", MachineConfig::builder().mesh(32, 32).build()),
     ]
 }
 
 #[test]
 fn cross_geometry_sweep_three_tiers_agree() {
     // The differential sweep above, replayed across the geometry matrix and
-    // {healthy, faulted} machines: on every geometry the analytic matrix,
-    // the greedy DES, and the flit-level cycle sim must agree exactly on
-    // delivered flit-hops, deliver every packet, and land inside the
+    // {healthy, faulted} machines: on every geometry the analytic matrix and
+    // the flit-level cycle sim must agree exactly on delivered flit-hops,
+    // every packet must deliver, and the finish must land inside the
     // documented latency envelope.
     let spec = FaultSpec {
         failed_links: 4,
@@ -432,9 +396,7 @@ fn cross_geometry_sweep_three_tiers_agree() {
             );
             m.enable_log();
             random_pattern_on(&mut m, 0x6E0, gi as u64, 600, banks);
-            let pkts = m.packets().expect("logging enabled").to_vec();
-            let mut des = DesNoc::with_faults(topo, cfg.hop_latency, &plan);
-            let des_rep = replay(&mut des, &pkts);
+            let pkts = m.packets().expect("logging enabled");
             // Deep buffers across the whole matrix: BFS detour tables (the
             // faulted cells) and torus wrap rings (which close a channel-
             // dependence cycle that plain X-Y cannot break) both admit
@@ -446,13 +408,8 @@ fn cross_geometry_sweep_three_tiers_agree() {
             let depth = pkts.iter().map(|p| p.flits).sum::<u64>().max(1) as usize;
             let cyc = simulate(
                 &CycleNoc::with_faults(topo, cfg.hop_latency, depth, &plan),
-                &pkts,
+                pkts,
                 100_000_000,
-            );
-            assert_eq!(
-                des_rep.hop_flits,
-                m.total_hop_flits(),
-                "{name} faulted={faulted}: DES flit-hops diverge from analytic"
             );
             assert_eq!(
                 cyc.flit_hops,
@@ -473,24 +430,8 @@ fn cross_geometry_sweep_three_tiers_agree() {
                 m.total_hop_flits() >= geometry_hops,
                 "{name} faulted={faulted}: a route beat the geometry distance"
             );
-            let analytic = m.bottleneck_link_flits();
-            check_envelope("cycle-sim", cyc.finish_cycle, analytic);
-            if faulted {
-                // Limped routes make the greedy DES only raw-flit bounded
-                // (see the 8×8 fault sweep above).
-                let raw = m.link_flits().iter().copied().max().unwrap_or(0);
-                assert!(
-                    des_rep.finish_cycle >= raw,
-                    "{name}: DES {} beats raw bottleneck {raw}",
-                    des_rep.finish_cycle
-                );
-                assert!(
-                    des_rep.finish_cycle <= analytic * ENVELOPE_FACTOR + ENVELOPE_SLACK,
-                    "{name}: DES {} outside faulted envelope (analytic {analytic})",
-                    des_rep.finish_cycle
-                );
-            } else {
-                check_envelope("DES", des_rep.finish_cycle, analytic);
+            check_envelope("cycle-sim", cyc.finish_cycle, m.bottleneck_link_flits());
+            if !faulted {
                 // Healthy runs carry exactly the geometry's flit-hop volume.
                 assert_eq!(m.total_hop_flits(), geometry_hops, "{name}: healthy volume");
             }
