@@ -12,8 +12,6 @@
 //!
 //! which matches the paper's reported behaviour: ≈0% when the input fits,
 //! >75% at 8× the fitting input (Fig 15), and graceful degradation between.
-//! > A `reuse_fraction` parameter discounts the part of the footprint that is
-//! > streamed exactly once (no reuse ⇒ cold misses only).
 
 /// Steady-state miss rate of a working set of `footprint_bytes` cyclically
 /// reused in a cache of `capacity_bytes` under a thrash-resistant policy.
@@ -28,63 +26,6 @@ pub fn miss_rate(footprint_bytes: u64, capacity_bytes: u64) -> f64 {
         return 1.0;
     }
     (1.0 - capacity_bytes as f64 / footprint_bytes as f64).max(0.0)
-}
-
-/// Miss rate for a mixed working set: `reuse_fraction` of accesses go to the
-/// reused footprint (subject to [`miss_rate`]); the remainder are
-/// streaming/cold accesses that always miss beyond their first touch.
-///
-/// `streaming_always_misses` selects whether the streamed portion counts as
-/// missing (true for DRAM-resident streams, false when producers feed
-/// consumers on-chip).
-pub fn mixed_miss_rate(
-    footprint_bytes: u64,
-    capacity_bytes: u64,
-    reuse_fraction: f64,
-    streaming_always_misses: bool,
-) -> f64 {
-    let f = reuse_fraction.clamp(0.0, 1.0);
-    let reused = f * miss_rate(footprint_bytes, capacity_bytes);
-    let streamed = if streaming_always_misses { 1.0 - f } else { 0.0 };
-    reused + streamed
-}
-
-/// Per-bank miss rates: each bank holds its share of the working set.
-/// Affinity without load balance (Min-Hop on `bin_tree`, Fig 13) piles the
-/// whole footprint on one bank and this is where the resulting capacity
-/// misses appear.
-pub fn per_bank_miss_rates(resident_per_bank: &[u64], bank_capacity: u64) -> Vec<f64> {
-    // Branch-free form of `miss_rate`, value-identical for every input so
-    // the loop is a straight divide/select line the autovectorizer likes:
-    // r = 0 gives `1 − inf = −inf → max 0` (or `1 − NaN → max 0` when the
-    // capacity is 0 too), cap = 0 gives `1 − 0 = 1`. The equivalence is
-    // pinned by the `branchless_matches_miss_rate` proptest below.
-    let cap = bank_capacity as f64;
-    let mut out = vec![0.0f64; resident_per_bank.len()];
-    for (o, &r) in out.iter_mut().zip(resident_per_bank) {
-        *o = (1.0 - cap / r as f64).max(0.0);
-    }
-    out
-}
-
-/// Weighted overall miss rate given per-bank accesses and per-bank miss
-/// rates. Returns 0 when there are no accesses.
-pub fn weighted_miss_rate(accesses_per_bank: &[u64], miss_per_bank: &[f64]) -> f64 {
-    // invariant: both slices are per-bank vectors of the same machine; a
-    // length mismatch is a caller bug, not a recoverable condition.
-    assert_eq!(accesses_per_bank.len(), miss_per_bank.len());
-    let total: u64 = crate::lanes::sum_u64(accesses_per_bank);
-    if total == 0 {
-        return 0.0;
-    }
-    // The products are an elementwise (lane-friendly) map; the reduction
-    // stays a *sequential* in-order sum — float addition is not associative,
-    // and reassociating it would shift figure bytes that golden tests pin.
-    let mut weighted = 0.0f64;
-    for (&a, &m) in accesses_per_bank.iter().zip(miss_per_bank) {
-        weighted += a as f64 * m;
-    }
-    weighted / total as f64
 }
 
 #[cfg(test)]
@@ -120,32 +61,6 @@ mod tests {
         assert_eq!(miss_rate(0, 1024), 0.0);
         assert_eq!(miss_rate(1024, 0), 1.0);
     }
-
-    #[test]
-    fn mixed_model() {
-        let cap = 1 << 20;
-        // Pure streaming with always-miss: miss rate 1.
-        assert_eq!(mixed_miss_rate(cap, cap, 0.0, true), 1.0);
-        // Pure streaming consumed on-chip: no misses.
-        assert_eq!(mixed_miss_rate(10 * cap, cap, 0.0, false), 0.0);
-        // All-reused fitting set: no misses.
-        assert_eq!(mixed_miss_rate(cap / 2, cap, 1.0, true), 0.0);
-    }
-
-    #[test]
-    fn per_bank_pathology() {
-        // Whole 4 MiB tree on one 1 MiB bank: that bank misses 75%.
-        let rates = per_bank_miss_rates(&[4 << 20, 0, 0, 0], 1 << 20);
-        assert!((rates[0] - 0.75).abs() < 1e-12);
-        assert_eq!(rates[1], 0.0);
-    }
-
-    #[test]
-    fn weighted_rate_follows_traffic() {
-        let m = weighted_miss_rate(&[100, 0], &[0.5, 1.0]);
-        assert!((m - 0.5).abs() < 1e-12);
-        assert_eq!(weighted_miss_rate(&[0, 0], &[0.5, 1.0]), 0.0);
-    }
 }
 
 #[cfg(test)]
@@ -161,40 +76,6 @@ mod proptests {
             prop_assert!((0.0..=1.0).contains(&m));
             prop_assert!(miss_rate(fp.saturating_add(d), cap) >= m);
             prop_assert!(miss_rate(fp, cap.saturating_add(d)) <= m);
-        }
-
-        /// The branch-free per-bank map is bit-identical to the scalar
-        /// `miss_rate`, including the r = 0 / cap = 0 corners.
-        #[test]
-        fn branchless_matches_miss_rate(
-            mut resident in proptest::collection::vec(0u64..1u64 << 40, 0..64),
-            cap in 0u64..1u64 << 40,
-        ) {
-            // Make sure the r = 0 corner is exercised every case, and the
-            // cap = 0 corner against every footprint.
-            resident.push(0);
-            for &c in &[cap, 0] {
-                let lanes = per_bank_miss_rates(&resident, c);
-                for (&r, &m) in resident.iter().zip(&lanes) {
-                    prop_assert_eq!(m.to_bits(), miss_rate(r, c).to_bits());
-                }
-            }
-        }
-
-        /// Weighted miss rate is a convex combination of per-bank rates.
-        #[test]
-        fn weighted_rate_bounds(
-            pairs in proptest::collection::vec((0u64..1000, 0.0f64..1.0), 1..32)
-        ) {
-            let (acc, rates): (Vec<u64>, Vec<f64>) = pairs.into_iter().unzip();
-            let w = weighted_miss_rate(&acc, &rates);
-            let lo = rates.iter().cloned().fold(f64::INFINITY, f64::min);
-            let hi = rates.iter().cloned().fold(0.0f64, f64::max);
-            if acc.iter().sum::<u64>() > 0 {
-                prop_assert!(w >= lo - 1e-12 && w <= hi + 1e-12);
-            } else {
-                prop_assert_eq!(w, 0.0);
-            }
         }
     }
 }

@@ -1,18 +1,14 @@
 //! Chunked branch-free reductions for the per-bank counter scans.
 //!
-//! [`BankCounters`](crate::bank::BankCounters) and the capacity model scan
-//! per-bank `u64` vectors on every metrics read — totals, busiest-bank
-//! maxima, miss-rate maps, and access-weighted averages. Iterator `sum`/`max`
-//! over a `u64` slice already vectorizes sometimes, but the `Option`-carrying
-//! `max` and the zip-map-sum chains do not. These helpers restate the scans
-//! as eight-lane chunked loops with scalar tails.
+//! [`BankCounters`](crate::bank::BankCounters) and the occupancy timeline
+//! scan per-bank `u64` vectors on every metrics read — totals and
+//! busiest-bank maxima. Iterator `sum` over a `u64` slice already vectorizes
+//! sometimes, but the `Option`-carrying `max` does not. These helpers
+//! restate the scans as eight-lane chunked loops with scalar tails.
 //!
 //! **Determinism contract**: only *exact* operations are reassociated —
-//! integer adds, integer max, and elementwise float maps. Float *sums* keep
-//! their sequential order (see
-//! [`weighted_miss_rate`](crate::capacity::weighted_miss_rate), which sums a
-//! lane-computed product buffer in order), so every figure byte is identical
-//! to the scalar scans.
+//! integer adds and integer max — so every figure byte is identical to the
+//! scalar scans.
 
 /// Lane width shared by the chunked scans.
 pub const LANES: usize = 8;

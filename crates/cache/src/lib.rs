@@ -1,5 +1,5 @@
-//! Cache hierarchy model: shared static-NUCA L3 banks, private L1/L2 reuse
-//! filtering, and DRAM at the mesh corners (Table 2 of the paper).
+//! Cache hierarchy model: shared static-NUCA L3 banks and DRAM at the mesh
+//! corners (Table 2 of the paper).
 //!
 //! This crate is deliberately *accounting-centric*: the stream executors in
 //! `aff-nsc` decide which bank every access goes to (that is the whole point
@@ -9,19 +9,15 @@
 //! * what fraction of a working set misses in the L3
 //!   ([`capacity::miss_rate`], the thrash-resistant RRIP-style model behind
 //!   Figs 15/16),
-//! * how many accesses does the private L1/L2 absorb before they ever reach
-//!   the NoC ([`private::PrivateFilter`]),
 //! * what do the misses cost at the DRAM controllers ([`dram::DramModel`]).
 
 pub mod bank;
 pub mod capacity;
 pub mod lanes;
 pub mod dram;
-pub mod private;
 pub mod spare;
 
 pub use bank::BankCounters;
 pub use capacity::miss_rate;
 pub use dram::DramModel;
-pub use private::PrivateFilter;
 pub use spare::SpareMap;

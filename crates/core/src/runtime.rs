@@ -20,7 +20,6 @@ use crate::api::{AffineArrayReq, AffinityHint, AllocError, MAX_AFFINITY_ADDRS};
 use crate::lanes::{add_u16_column, argmin_score_lanes, score_lanes};
 use crate::policy::BankSelectPolicy;
 use aff_mem::addr::VAddr;
-use aff_mem::memory::SimMemory;
 use aff_mem::pool::PoolId;
 use aff_mem::space::AddressSpace;
 use aff_noc::topology::Topology;
@@ -195,20 +194,8 @@ impl AffinityAllocator {
     pub fn with_seed(config: MachineConfig, policy: BankSelectPolicy, seed: u64) -> Self {
         let topo = Topology::for_machine(&config);
         let n = config.num_banks() as usize;
-        let mut healthy: Vec<u32> =
-            (0..config.num_banks()).filter(|&b| config.bank_is_healthy(b)).collect();
-        if healthy.is_empty() {
-            // An all-banks-failed plan is rejected by `FaultPlan::validate`;
-            // if one reaches us unvalidated, degrade to ignoring it rather
-            // than panicking on an empty candidate set.
-            healthy = (0..config.num_banks()).collect();
-        }
-        let report = DegradationReport {
-            excluded_banks: u64::from(config.num_banks()) - healthy.len() as u64,
-            ..DegradationReport::default()
-        };
         let active_faults = config.faults.clone();
-        Self {
+        let mut alloc = Self {
             space: AddressSpace::new(config),
             topo,
             policy,
@@ -222,11 +209,11 @@ impl AffinityAllocator {
             resident: vec![0; n],
             live_irregular: HashSet::new(),
             stats: AllocStats::default(),
-            healthy,
+            healthy: Vec::new(),
             allowed: None,
             coalesce: false,
             active_faults,
-            report,
+            report: DegradationReport::default(),
             dist_cols: Vec::new(),
             scratch_hops: Vec::new(),
             scratch_aff: Vec::new(),
@@ -235,7 +222,9 @@ impl AffinityAllocator {
             scratch_scores: Vec::new(),
             hint_seed: seed ^ HINT_SAMPLE_SALT,
             hint_draws: 0,
-        }
+        };
+        alloc.recompute_healthy();
+        alloc
     }
 
     /// Re-solve placement eligibility under a new fault plan — the
@@ -253,9 +242,12 @@ impl AffinityAllocator {
     }
 
     /// Rebuild the Eq-4 candidate set from the active fault plan and the
-    /// tenant partition. The partition is never widened: a partition whose
-    /// every bank failed degrades to ignoring the *fault* exclusions (like
-    /// the constructor), not to placing on other tenants' banks.
+    /// tenant partition. An all-banks-failed plan is rejected by
+    /// `FaultPlan::validate`; if one arrives unvalidated, placement degrades
+    /// to ignoring the *fault* exclusions rather than panicking on an empty
+    /// candidate set. The partition is never widened: a partition whose
+    /// every bank failed falls back to the whole partition, not to other
+    /// tenants' banks.
     fn recompute_healthy(&mut self) {
         let banks = self.space.config().num_banks();
         let failed = &self.active_faults.failed_banks;
@@ -358,16 +350,6 @@ impl AffinityAllocator {
     /// Mutable access to the underlying address space.
     pub fn space_mut(&mut self) -> &mut AddressSpace {
         &mut self.space
-    }
-
-    /// Backing storage (shorthand for `space().memory()`).
-    pub fn memory(&self) -> &SimMemory {
-        self.space.memory()
-    }
-
-    /// Mutable backing storage.
-    pub fn memory_mut(&mut self) -> &mut SimMemory {
-        self.space.memory_mut()
     }
 
     /// The L3 bank owning `va`.
@@ -1133,7 +1115,7 @@ impl AffinityAllocator {
     /// node re-inserted under a different parent, or a linked-CSR node whose
     /// edges now point elsewhere (§8). The object is re-scored under the
     /// current policy with the *new* affinity addresses; if a different bank
-    /// wins, its bytes move there and the old chunk returns to the free
+    /// wins, the object moves there and the old chunk returns to the free
     /// list. Returns the (possibly unchanged) address.
     ///
     /// # Errors
@@ -1158,12 +1140,9 @@ impl AffinityAllocator {
         if new_bank == old_bank {
             return Ok(va);
         }
-        // Allocate first, copy, then free — never a window with no backing.
+        // Allocate before freeing, so a pool failure leaves `va` live.
         let chunk = self.take_irregular_chunk(pool, intrlv, new_bank)?;
         let new_va = self.space.pools().va_at(pool, chunk * intrlv);
-        let mut buf = vec![0u8; intrlv as usize];
-        self.space.memory().read_bytes(va, &mut buf);
-        self.space.memory_mut().write_bytes(new_va, &buf);
         self.loads[new_bank as usize] += 1;
         self.resident[new_bank as usize] += intrlv;
         self.live_irregular.insert(new_va);
@@ -1711,7 +1690,6 @@ mod tests {
         // Object starts near anchor_a.
         let obj = a.malloc_aff(64, &[anchor_a]).unwrap();
         assert_eq!(a.bank_of(obj), a.bank_of(anchor_a));
-        a.memory_mut().write_u64(obj, 0xFEED);
         // Build a far target inside the same allocator: a partitioned array
         // gives us an address on every bank.
         let arr = a
@@ -1723,7 +1701,6 @@ mod tests {
         let moved = a.realloc_aff(obj, &[far_elem]).unwrap();
         assert_ne!(moved, obj, "object must move");
         assert_eq!(a.bank_of(moved), far_bank);
-        assert_eq!(a.memory().read_u64(moved), 0xFEED, "contents move too");
         // The old address is gone.
         assert!(matches!(
             a.free_aff(obj),

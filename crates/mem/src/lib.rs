@@ -9,8 +9,6 @@
 //! * [`pool::PoolManager`] — reserved virtual segments per interleave size,
 //!   backed by contiguous physical pages, expandable like `brk` (the
 //!   emulated syscall),
-//! * [`memory::SimMemory`] — byte-addressable simulated memory so workloads
-//!   manipulate real values,
 //! * [`space::AddressSpace`] — the facade combining all of the above plus a
 //!   conventional heap with linear or random page mapping (the paper's
 //!   "Random" layout in Fig 4 maps each virtual page to a random physical
@@ -31,12 +29,10 @@
 
 pub mod addr;
 pub mod iot;
-pub mod memory;
 pub mod pool;
 pub mod space;
 
 pub use addr::{PAddr, VAddr};
 pub use iot::Iot;
-pub use memory::SimMemory;
 pub use pool::{PoolId, PoolManager};
 pub use space::AddressSpace;

@@ -1,13 +1,11 @@
-//! The process address space: interleave pools + conventional heap + storage.
+//! The process address space: interleave pools + conventional heap.
 //!
 //! [`AddressSpace`] is what the allocator runtime and the stream executors
-//! talk to. It answers two questions for any virtual address — *which L3
-//! bank owns it* and *what bytes live there* — and provides the baseline
-//! heap whose page-mapping policy reproduces the paper's `In-Core`,
-//! aligned-Δ, and `Random` layouts (Fig 4).
+//! talk to. It answers *which L3 bank owns* any virtual address, and
+//! provides the baseline heap whose page-mapping policy reproduces the
+//! paper's `In-Core`, aligned-Δ, and `Random` layouts (Fig 4).
 
 use crate::addr::{PAddr, VAddr};
-use crate::memory::SimMemory;
 use crate::pool::{PoolError, PoolId, PoolManager};
 use aff_sim_core::config::{MachineConfig, PAGE_SIZE};
 use aff_sim_core::rng::SimRng;
@@ -42,7 +40,6 @@ pub enum HeapMapping {
 pub struct AddressSpace {
     config: MachineConfig,
     pools: PoolManager,
-    memory: SimMemory,
     heap_brk: u64,
     heap_mapping: HeapMapping,
     /// Flat vpn-indexed page table (`UNMAPPED` = not yet touched). Frames
@@ -71,7 +68,6 @@ impl AddressSpace {
         Self {
             config,
             pools,
-            memory: SimMemory::new(),
             heap_brk: 0,
             heap_mapping: HeapMapping::Linear,
             heap_pages: Vec::new(),
@@ -227,16 +223,6 @@ impl AddressSpace {
             }
         }
     }
-
-    /// Immutable access to backing storage.
-    pub fn memory(&self) -> &SimMemory {
-        &self.memory
-    }
-
-    /// Mutable access to backing storage.
-    pub fn memory_mut(&mut self) -> &mut SimMemory {
-        &mut self.memory
-    }
 }
 
 #[cfg(test)]
@@ -310,15 +296,6 @@ mod tests {
         let b = s.pool_alloc_at(p, 5, 64).unwrap();
         assert!(b > a);
         assert_eq!(s.bank_of(b), 5);
-    }
-
-    #[test]
-    fn memory_round_trip_through_space() {
-        let mut s = space();
-        let p = s.pool_for_interleave(64).unwrap();
-        let va = s.pool_alloc_at(p, 3, 8).unwrap();
-        s.memory_mut().write_u64(va, 99);
-        assert_eq!(s.memory().read_u64(va), 99);
     }
 
     #[test]

@@ -8,14 +8,11 @@
 //!
 //! The crate provides:
 //!
-//! * [`stream`] — stream and stream-dependence-graph descriptors (Fig 2),
 //! * [`engine::SimEngine`] — the accounting/timing engine every workload
 //!   executes against: it attributes each simulated message to a traffic
 //!   class, charges bank/link/DRAM/compute time, and finally produces
 //!   [`engine::Metrics`],
-//! * [`occupancy`] — per-bank atomic-stream occupancy timelines (Fig 14),
-//! * [`interp`] — a functional interpreter executing stream graphs over
-//!   simulated memory (the semantics the executors charge costs for).
+//! * [`occupancy`] — per-bank atomic-stream occupancy timelines (Fig 14).
 //!
 //! # Execution modes
 //!
@@ -24,13 +21,10 @@
 //! that separation is exactly the paper's point.
 
 pub mod engine;
-pub mod interp;
 pub mod occupancy;
-pub mod stream;
 
 pub use engine::{CycleBreakdown, Metrics, SimEngine};
 pub use occupancy::OccupancyTimeline;
-pub use stream::{StreamGraph, StreamKind};
 
 /// Where computation executes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]

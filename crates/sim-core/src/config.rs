@@ -160,8 +160,8 @@ pub struct MachineConfig {
     #[serde(default)]
     pub faults: FaultPlan,
     /// Run-to-completion budget ([`RunBudget::unlimited`] by default). Like
-    /// `faults`, it lives on the machine description so the NoC simulators,
-    /// the NSC interpreter and the engine all enforce the same ceilings.
+    /// `faults`, it lives on the machine description so the NoC simulators
+    /// and the engine enforce the same ceilings.
     /// Serde-defaulted so configs written before budgets existed still load.
     #[serde(default)]
     pub budget: RunBudget,

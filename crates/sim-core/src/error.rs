@@ -9,8 +9,8 @@
 //!   [`MachineConfig`](crate::config::MachineConfig) so every engine sees the
 //!   same limits without extra plumbing.
 //! * [`SimError`] — the typed-error hierarchy returned by the fallible
-//!   (`try_*`) entry points of the NoC simulators, the NSC interpreter and
-//!   the engine; `Stalled` carries a [`StallSnapshot`] naming the routers
+//!   (`try_*`) entry points of the NoC simulators and the engine;
+//!   `Stalled` carries a [`StallSnapshot`] naming the routers
 //!   and fault-plan links implicated in a wedged network.
 
 use serde::{Deserialize, Serialize};
@@ -24,7 +24,7 @@ use crate::fault::LinkRef;
 pub struct RunBudget {
     /// Maximum simulated cycles before [`SimError::BudgetExhausted`].
     pub max_cycles: Option<u64>,
-    /// Maximum discrete events (packets, stream element accesses) before
+    /// Maximum discrete events (flits offered to the cycle-level NoC) before
     /// [`SimError::BudgetExhausted`].
     pub max_events: Option<u64>,
     /// Maximum wall-clock milliseconds before [`SimError::BudgetExhausted`].
@@ -103,7 +103,7 @@ impl Default for RunBudget {
 pub enum BudgetKind {
     /// `max_cycles` — simulated time.
     Cycles,
-    /// `max_events` — discrete events (packets, element accesses).
+    /// `max_events` — discrete events (flits offered to the cycle-level NoC).
     Events,
     /// `wall_ms` — host wall-clock time.
     WallMs,

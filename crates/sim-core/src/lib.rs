@@ -8,9 +8,7 @@
 //! * [`rng`] — deterministic random number generation so every experiment is
 //!   reproducible bit-for-bit,
 //! * [`trace`] — the typed [`trace::Event`] vocabulary and [`trace::Recorder`]
-//!   sink every component reports through (Chrome `trace_event` export),
-//! * [`metrics`] — hierarchical named counters/histograms fed by the same
-//!   event stream.
+//!   sink every component reports through (Chrome `trace_event` export).
 //!
 //! # Example
 //!
@@ -26,7 +24,6 @@ pub mod config;
 pub mod energy;
 pub mod error;
 pub mod fault;
-pub mod metrics;
 pub mod mine;
 pub mod rng;
 pub mod stats;
@@ -37,7 +34,6 @@ pub use config::MachineConfig;
 pub use energy::{EnergyBreakdown, EnergyModel};
 pub use error::{BudgetKind, RunBudget, SimError, StallSnapshot};
 pub use fault::{DegradationReport, FaultPlan, FaultPlanError, FaultSpec, LinkRef};
-pub use metrics::{Histogram, MetricsRecorder, MetricsRegistry, MetricsSnapshot};
 pub use tenant::{jain_fairness, RetryPolicy, TenantId, TenantSpec, TenantUsage};
 pub use trace::{Event, NullRecorder, Recorder, TraceRecorder, TrafficKind};
 

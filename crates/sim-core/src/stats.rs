@@ -2,8 +2,7 @@
 //!
 //! The paper reports geometric-mean speedups, arithmetic-mean traffic, and
 //! occupancy *distributions over banks* (min / 25% / avg / 75% / max in
-//! Fig 14). This module provides exactly those reductions plus a tiny
-//! streaming accumulator.
+//! Fig 14). This module provides exactly those reductions.
 
 use serde::{Deserialize, Serialize};
 
@@ -75,73 +74,6 @@ impl FivePoint {
     }
 }
 
-/// Streaming accumulator for count / sum / min / max.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
-pub struct Accumulator {
-    count: u64,
-    sum: f64,
-    min: f64,
-    max: f64,
-}
-
-impl Accumulator {
-    /// Fresh, empty accumulator.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Record one observation.
-    pub fn add(&mut self, x: f64) {
-        if self.count == 0 {
-            self.min = x;
-            self.max = x;
-        } else {
-            self.min = self.min.min(x);
-            self.max = self.max.max(x);
-        }
-        self.count += 1;
-        self.sum += x;
-    }
-
-    /// Number of observations so far.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Sum of observations so far.
-    pub fn sum(&self) -> f64 {
-        self.sum
-    }
-
-    /// Arithmetic mean, `None` when empty.
-    pub fn mean(&self) -> Option<f64> {
-        (self.count > 0).then(|| self.sum / self.count as f64)
-    }
-
-    /// Smallest observation, `None` when empty.
-    pub fn min(&self) -> Option<f64> {
-        (self.count > 0).then_some(self.min)
-    }
-
-    /// Largest observation, `None` when empty.
-    pub fn max(&self) -> Option<f64> {
-        (self.count > 0).then_some(self.max)
-    }
-}
-
-/// Normalize `values` by `baseline`, the convention for every speedup plot:
-/// entry *i* becomes `baseline[i] / values[i]` (higher = faster) when
-/// `higher_is_better` is false (cycles), or `values[i] / baseline[i]` when
-/// true (throughput).
-pub fn normalize_speedup(baseline: &[f64], values: &[f64]) -> Vec<f64> {
-    assert_eq!(baseline.len(), values.len(), "mismatched series lengths");
-    baseline
-        .iter()
-        .zip(values)
-        .map(|(&b, &v)| b / v)
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -182,25 +114,6 @@ mod tests {
     }
 
     #[test]
-    fn accumulator_tracks_extremes() {
-        let mut a = Accumulator::new();
-        assert_eq!(a.mean(), None);
-        for x in [5.0, -1.0, 3.0] {
-            a.add(x);
-        }
-        assert_eq!(a.count(), 3);
-        assert_eq!(a.min(), Some(-1.0));
-        assert_eq!(a.max(), Some(5.0));
-        assert!((a.mean().unwrap() - 7.0 / 3.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn speedup_normalization() {
-        let s = normalize_speedup(&[100.0, 100.0], &[50.0, 200.0]);
-        assert_eq!(s, vec![2.0, 0.5]);
-    }
-
-    #[test]
     #[should_panic(expected = "empty")]
     fn five_point_empty_panics() {
         FivePoint::from_samples(&[]);
@@ -236,20 +149,6 @@ mod proptests {
             prop_assert!(fp.p25 <= fp.p75 + 1e-9);
             prop_assert!(fp.p75 <= fp.max + 1e-9);
             prop_assert!(fp.min <= fp.avg && fp.avg <= fp.max);
-        }
-
-        /// The accumulator agrees with direct computation.
-        #[test]
-        fn accumulator_matches_direct(xs in proptest::collection::vec(-1e6f64..1e6, 1..100)) {
-            let mut acc = Accumulator::new();
-            for &x in &xs {
-                acc.add(x);
-            }
-            prop_assert_eq!(acc.count(), xs.len() as u64);
-            let direct_mean = xs.iter().sum::<f64>() / xs.len() as f64;
-            prop_assert!((acc.mean().unwrap() - direct_mean).abs() < 1e-6);
-            prop_assert_eq!(acc.min().unwrap(), xs.iter().cloned().fold(f64::INFINITY, f64::min));
-            prop_assert_eq!(acc.max().unwrap(), xs.iter().cloned().fold(f64::NEG_INFINITY, f64::max));
         }
     }
 }

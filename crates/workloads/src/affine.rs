@@ -18,7 +18,6 @@
 //!   (Fig 8(c)) where 2-D, everything else aligned to it (Fig 8(b)).
 
 use crate::config::{declare_region, HintMode, RunConfig, SystemConfig};
-use aff_cache::private::PrivateFilter;
 use aff_mem::addr::VAddr;
 use aff_nsc::engine::{Metrics, SimEngine};
 use aff_sim_core::config::CACHE_LINE;
@@ -471,11 +470,6 @@ fn run_in_core(
 ) {
     let n = s.elems;
     let cores = u64::from(engine.config().num_banks());
-    let filter = if private_filter {
-        PrivateFilter::new(engine.config())
-    } else {
-        PrivateFilter::disabled(engine.config())
-    };
     // Does one core's slice of all arrays survive in L2 across iterations?
     let arrays = 2 + a.extras.len() as u64;
     let slice_bytes = (n / cores).max(1) * s.elem_size * arrays;
@@ -484,7 +478,6 @@ fn run_in_core(
     } else {
         s.iters
     };
-    let spatial = filter.is_enabled();
 
     // Reads: each input array swept once per effective iteration at line
     // granularity (the private hierarchy absorbs neighbouring offsets).
@@ -500,7 +493,7 @@ fn run_in_core(
                 .max(1);
             let bank = alloc.bank_of(va + i * s.elem_size);
             let core = ((i * cores) / n) as u32;
-            let lines = if spatial {
+            let lines = if private_filter {
                 (seg * s.elem_size).div_ceil(CACHE_LINE)
             } else {
                 seg
@@ -513,9 +506,12 @@ fn run_in_core(
             i += seg;
         }
     }
-    // Private hits: element accesses the filter absorbed.
-    let total_elem_accesses = n * s.iters * (s.offsets.len() as u64 + arrays - 1);
-    engine.private_hits(total_elem_accesses);
+    // Private hits: element accesses the filter absorbed. With the filter
+    // off every access went over the NoC above, so none hit privately.
+    if private_filter {
+        let total_elem_accesses = n * s.iters * (s.offsets.len() as u64 + arrays - 1);
+        engine.private_hits(total_elem_accesses);
+    }
     engine.core_ops((n * s.iters * s.ops_per_elem).div_ceil(SIMD_LANES));
 }
 
@@ -570,6 +566,27 @@ mod tests {
         let incore = run_stencil(&s, &cfg(SystemConfig::InCore));
         let aff = run_stencil(&s, &cfg(SystemConfig::aff_alloc_default()));
         assert!(aff.cycles < incore.cycles);
+    }
+
+    #[test]
+    fn unfiltered_in_core_pays_the_noc_and_no_private_hits() {
+        // The `abl_reuse` ablation: with the private L1/L2 turned off every
+        // element access crosses the NoC (EXPERIMENTS.md: ≈16× slower), and
+        // a cache that is off absorbs nothing.
+        let c = cfg(SystemConfig::InCore);
+        for s in [Stencil::pathfinder(1_500_000), Stencil::hotspot(2048, 1024)] {
+            let with = run_stencil_opts(&s, &c, true);
+            let without = run_stencil_opts(&s, &c, false);
+            assert!(with.energy.private_accesses > 0);
+            assert_eq!(without.energy.private_accesses, 0);
+            assert!(
+                without.cycles >= 15 * with.cycles,
+                "{}: unfiltered {} vs filtered {} cycles",
+                s.name,
+                without.cycles,
+                with.cycles
+            );
+        }
     }
 
     #[test]

@@ -38,10 +38,6 @@ fn main() {
         alloc.bank_of(next)
     );
 
-    // Real values live behind the addresses.
-    alloc.memory_mut().write_f32(a + 100 * 4, 42.5);
-    assert_eq!(alloc.memory().read_f32(a + 100 * 4), 42.5);
-
     // --- 2. Run a kernel under the three system configurations ---
     let stencil = Stencil::pathfinder(1_500_000);
     println!("\npathfinder (1.5M entries, 8 iterations):");

@@ -1,6 +1,6 @@
 //! Property-based tests (proptest) over the core invariants: Eq 1 bank
-//! math, topology routing, allocator alignment and free-list reuse,
-//! simulated memory, and graph construction.
+//! math, topology routing, allocator alignment and free-list reuse, and
+//! graph construction.
 
 use affinity_alloc_repro::alloc::{AffineArrayReq, AffinityAllocator, AffinityHint, BankSelectPolicy};
 use affinity_alloc_repro::ds::graph::Graph;
@@ -104,22 +104,6 @@ proptest! {
             prop_assert_eq!(alloc.bank_of(again), alloc.bank_of(va));
         }
         prop_assert_eq!(&alloc.loads().to_vec(), &loads_before);
-    }
-
-    /// Simulated memory round-trips arbitrary byte strings at arbitrary
-    /// (possibly page-straddling) addresses.
-    #[test]
-    fn memory_round_trip(
-        addr in 0u64..100_000,
-        data in proptest::collection::vec(any::<u8>(), 0..512),
-    ) {
-        use affinity_alloc_repro::mem::addr::VAddr;
-        use affinity_alloc_repro::mem::memory::SimMemory;
-        let mut m = SimMemory::new();
-        m.write_bytes(VAddr(addr), &data);
-        let mut back = vec![0u8; data.len()];
-        m.read_bytes(VAddr(addr), &mut back);
-        prop_assert_eq!(back, data);
     }
 
     /// Graph construction preserves the multiset of edges and sorts
