@@ -1,6 +1,6 @@
 //! Hot-path microbenchmark: times the per-message accounting layers in
 //! isolation — dense route table, heap translation, engine charge
-//! coalescing, the Eq-4 argmin lanes, and the per-bank occupancy scans —
+//! accumulation, the Eq-4 argmin kernel, and the per-bank occupancy scans —
 //! each against the scalar/hash-map/write-through baseline it replaced, and
 //! writes `BENCH_hotpath.json` (schema `aff-bench/hotpath-v3`).
 //! The route layer runs at 8×8 *and* 16×16 (both dense CSR since the
@@ -16,7 +16,7 @@
 //! identical run to run; only the wall-clock varies.
 
 use aff_mem::space::{AddressSpace, HeapMapping};
-use aff_noc::topology::Topology;
+use aff_noc::topology::{AxisHops, Topology};
 use aff_noc::traffic::{TrafficClass, TrafficMatrix};
 use aff_nsc::engine::SimEngine;
 use aff_sim_core::config::{MachineConfig, PAGE_SIZE};
@@ -174,9 +174,9 @@ fn bench_translation(ops: u64) -> Layer {
     }
 }
 
-/// Layer 3: the same engine charge primitives with coalescing on versus
-/// write-through (one `TrafficMatrix::record_n` per message, the old
-/// engine behavior).
+/// Layer 3: the same engine charge primitives with charge accumulation on
+/// versus write-through (one `TrafficMatrix::record_n` per message, the
+/// old engine behavior).
 fn bench_coalescing(ops: u64) -> Layer {
     let cfg = MachineConfig::paper_default();
     // One linked-CSR chain node serves a run of edges from one bank.
@@ -209,36 +209,51 @@ fn bench_coalescing(ops: u64) -> Layer {
     }
 }
 
-/// Layer 4: the Eq-4 bank-select argmin — `score_lanes` +
-/// `argmin_score_lanes` over dense candidate slices (the `select_bank` hot
-/// path since the lane kernels landed) versus the old shape: an iterator
-/// `min_by` over lazily computed scalar scores with a `total_cmp`
-/// comparator closure.
+/// Layer 4: the Eq-4 bank-select argmin — `lanes::eq4_argmin`, the kernel
+/// `select_bank` runs on the candidates' hop sums (an integer Min-Hop
+/// argmin, or the fused Hybrid score + total-order argmin with exact
+/// bound pruning), on a 32×32 mesh with three affinity addresses, versus
+/// the old shape: an iterator `min_by` over lazily computed scalar scores
+/// with a `total_cmp` comparator closure. Both start from the same
+/// per-candidate hop counts, computed once.
 fn bench_argmin(ops: u64) -> Layer {
-    use affinity_alloc::lanes::{argmin_score_lanes, score_lanes};
+    use affinity_alloc::lanes::{eq4_argmin, Eq4Candidate, HopSums};
     use affinity_alloc::policy::{argmin_score, score};
 
-    const CANDIDATES: usize = 1024; // healthy banks on the largest geometry
-    let calls = (ops as usize / CANDIDATES).max(1);
-    let ops = (calls * CANDIDATES) as u64;
+    let topo = Topology::new(32, 32);
+    let axis = AxisHops::new(&topo);
+    let candidates = topo.num_banks() as usize; // the largest swept geometry
+    let calls = (ops as usize / candidates).max(1);
+    let ops = (calls * candidates) as u64;
     let mut rng = SimRng::new(0xE94);
-    let ids: Vec<u32> = (0..CANDIDATES as u32).collect();
-    let avg_hops: Vec<f64> = (0..CANDIDATES)
-        .map(|_| rng.below(32) as f64 + 0.5)
+    let aff: Vec<u32> = (0..3)
+        .map(|_| rng.below(candidates as u64) as u32)
         .collect();
-    let loads: Vec<u64> = (0..CANDIDATES).map(|_| rng.below(4096)).collect();
-    let avg_load = 17.25;
+    let ids: Vec<u32> = (0..candidates as u32).collect();
+    let cands: Vec<Eq4Candidate> = ids
+        .iter()
+        .map(|&b| Eq4Candidate::new(&axis, b, 1))
+        .collect();
+    let mut hops = HopSums::default();
+    hops.compute(&axis, &cands, &aff);
+    let avg_hops: Vec<f64> = hops
+        .sums()
+        .iter()
+        .map(|&s| f64::from(s) / aff.len() as f64)
+        .collect();
+    let loads: Vec<u64> = (0..candidates).map(|_| rng.below(4096)).collect();
+    // The mean of `loads`, as `select_bank` would see it.
+    let avg_load = loads.iter().sum::<u64>() as f64 / candidates as f64;
     let h = 5.0;
 
     let t0 = Instant::now();
-    let mut scores = vec![0.0f64; CANDIDATES];
     let mut fast_sum = 0u64;
     for call in 0..calls {
         // Perturb the average like successive allocations do, so the score
         // computation cannot be hoisted out of the loop.
         let avg = avg_load + (call % 7) as f64;
-        score_lanes(&avg_hops, &loads, avg, h, &mut scores);
-        fast_sum += u64::from(argmin_score_lanes(&ids, &scores).expect("non-empty"));
+        let best = eq4_argmin(&cands, &hops, &loads, avg, h);
+        fast_sum += u64::from(best.expect("non-empty"));
     }
     let fast = t0.elapsed().as_secs_f64();
 

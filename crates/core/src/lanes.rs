@@ -1,30 +1,30 @@
-//! Branch-free chunked ("lane") kernels for the Eq-4 hot path.
+//! The Eq-4 bank-select kernel behind [`runtime`](crate::runtime).
 //!
-//! The bank-select argmin of [`runtime`](crate::runtime) evaluates Eq 4 over
-//! every healthy bank for every irregular allocation — up to 1024 candidates
-//! per call on the large geometries. The scalar formulation (an iterator
-//! `min_by` over lazily computed scores) defeats the autovectorizer twice:
-//! the comparator is an opaque closure, and the Manhattan distances are
-//! recomputed from router coordinates per candidate per affinity address.
+//! Every irregular allocation scores every healthy bank by Eq 4 — up to
+//! 1024 candidates per call on the large geometries. Two facts keep the
+//! per-candidate work O(1) and exact:
 //!
-//! These kernels restate the same math as straight-line loops over dense
-//! slices in eight independent lanes, which LLVM lowers to SIMD
-//! compare/blend sequences on every target we build for — no nightly
-//! `std::simd`, no feature flag, and a scalar tail for lengths that are not
-//! a multiple of the lane width.
+//! * **Separable hops.** `Σ_a hops(b, a) = AX[col(b)] + AY[row(b)]`, where
+//!   `AX`/`AY` are the affinity banks' per-axis distance rows summed once
+//!   per call ([`AxisHops`] holds the rows). The sums are exact integers,
+//!   whatever the order they are added in.
+//! * **Min-Hop is an integer argmin.** With `H = 0` the score is the mean
+//!   hop count, monotone in the integer hop sum, so the `(hop sum, bank)`
+//!   minimum is the bank the float argmin picks — no division at all.
 //!
-//! **Determinism contract**: every kernel here is bit-identical to its
-//! scalar counterpart in `policy.rs` for *all* inputs, including NaN scores
-//! and tie cases — the lane order only reassociates exact integer sums and
-//! total-order comparisons, never floating-point additions. The proptests in
-//! `policy.rs` and `tests/properties.rs` pin this.
+//! Hybrid runs one fused pass that evaluates a candidate's score with
+//! exactly the operations of [`score`](crate::policy::score) and reduces
+//! it under [`total_order_key`] with the lowest-id tie-break of
+//! [`argmin_score`](crate::policy::argmin_score). It skips only candidates
+//! that provably lose: for finite `H > 0` the score is monotone in the hop
+//! sum and in the load, so `mean(sum) + H·(ratio(least load) − 1)` bounds a
+//! candidate from below, and a bound above the best score so far rules it
+//! out. The chosen bank is bit-identical to the scalar reference for every
+//! input, ties and NaNs included; `runtime`'s tests pin this against
+//! `policy::{score, argmin_score}` over every healthy bank.
 
 use crate::policy::LOAD_SMOOTHING;
-
-/// Lane width of the chunked kernels. Eight 64-bit lanes fill one AVX-512
-/// register or two NEON/AVX2 registers; the compiler picks the widest
-/// profitable lowering per target.
-pub const LANES: usize = 8;
+use aff_noc::topology::AxisHops;
 
 /// Map an `f64` to a `u64` key whose unsigned order equals
 /// [`f64::total_cmp`]'s total order: `total_order_key(a) < total_order_key(b)`
@@ -38,128 +38,164 @@ pub fn total_order_key(s: f64) -> u64 {
     (k as u64) ^ (1 << 63)
 }
 
-/// Argmin over parallel `(id, score)` slices under [`f64::total_cmp`]
-/// ordering with ties broken toward the lowest id — the lane-parallel
-/// equivalent of [`argmin_score`](crate::policy::argmin_score).
-///
-/// Eight lanes each hold a running `(key, id)` minimum over the indices
-/// congruent to their lane; a horizontal reduce and a scalar tail finish the
-/// job. The per-lane update is a branch-free compare/select, so the chunk
-/// loop is a straight line.
-///
-/// Returns `None` only for empty input. Bit-identical to the scalar argmin
-/// for every input, including NaNs (a NaN score keys above all reals and
-/// loses) and exact ties (lowest id wins).
-///
-/// `inline(never)`: each binary compiles this once as a standalone loop nest
-/// the vectorizer always fires on. Inlined into a large caller, thin-LTO's
-/// cost model has been observed to scalarize it in some binaries (the
-/// `figures` bin ran the Eq-4 sweep ~2.5× slower than a small test driver
-/// built from the same source) — pinning the outlined form makes the codegen
-/// identical everywhere.
-#[inline(never)]
-#[must_use]
-pub fn argmin_score_lanes(ids: &[u32], scores: &[f64]) -> Option<u32> {
-    // invariant: callers pass parallel slices; truncating to the shorter
-    // keeps the kernel total instead of panicking on a harness bug.
-    let n = ids.len().min(scores.len());
-    if n == 0 {
-        return None;
-    }
-    let mut best_key = [u64::MAX; LANES];
-    let mut best_id = [u32::MAX; LANES];
-    let chunks = n / LANES;
-    for c in 0..chunks {
-        let base = c * LANES;
-        for l in 0..LANES {
-            let key = total_order_key(scores[base + l]);
-            let id = ids[base + l];
-            let better = key < best_key[l] || (key == best_key[l] && id < best_id[l]);
-            best_key[l] = if better { key } else { best_key[l] };
-            best_id[l] = if better { id } else { best_id[l] };
-        }
-    }
-    let mut k = u64::MAX;
-    let mut i = u32::MAX;
-    for l in 0..LANES {
-        if best_key[l] < k || (best_key[l] == k && best_id[l] < i) {
-            k = best_key[l];
-            i = best_id[l];
-        }
-    }
-    for t in chunks * LANES..n {
-        let key = total_order_key(scores[t]);
-        if key < k || (key == k && ids[t] < i) {
-            k = key;
-            i = ids[t];
-        }
-    }
-    // The `(u64::MAX, u32::MAX)` sentinel can only survive a non-empty scan
-    // if the true minimum *is* that exact pair (a maximal-payload +NaN at id
-    // u32::MAX) — in which case `i` is the right answer anyway.
-    Some(i)
+/// One Eq-4 candidate: a healthy bank and what the kernel reads about it,
+/// packed into 12 bytes so a candidate costs one sequential load.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Eq4Candidate {
+    /// The bank id.
+    bank: u32,
+    /// Its router column (index into the summed X row).
+    col: u16,
+    /// Its router row (index into the summed Y row).
+    row: u16,
+    /// Fault slowdown multiplier on its load: 1 when healthy, ≥ 2 when
+    /// slowed (the pruning bound relies on it never being 0).
+    slowdown: u32,
 }
 
-/// Accumulate a `u16` distance column into `u32` hop sums:
-/// `acc[i] += col[i]`. Exact integer adds, so lane order cannot change the
-/// result; the loop body is a widening add the autovectorizer unrolls.
-///
-/// Sum of a `u64` slice, eight partial accumulators wide — the per-call
-/// total-load reduction of `select_bank`. Integer addition is associative,
-/// so any lane order gives the scalar `iter().sum()` answer. `inline(never)`
-/// for the same per-binary codegen pinning as [`argmin_score_lanes`].
-#[inline(never)]
-#[must_use]
-pub fn sum_u64(xs: &[u64]) -> u64 {
-    let mut acc = [0u64; LANES];
-    let chunks = xs.len() / LANES;
-    for c in 0..chunks {
-        let base = c * LANES;
-        for l in 0..LANES {
-            acc[l] += xs[base + l];
+impl Eq4Candidate {
+    /// The candidate entry for `bank` on `axis`'s grid.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the router grid is wider or taller than `u16::MAX`.
+    pub fn new(axis: &AxisHops, bank: u32, slowdown: u32) -> Self {
+        debug_assert!(slowdown >= 1, "bank {bank} has a zero slowdown");
+        let narrow = |v: u32| u16::try_from(v).expect("router grid fits u16 coordinates");
+        Self {
+            bank,
+            col: narrow(axis.col(bank)),
+            row: narrow(axis.row(bank)),
+            slowdown,
         }
-    }
-    let mut total: u64 = acc.iter().sum();
-    for &x in &xs[chunks * LANES..] {
-        total += x;
-    }
-    total
-}
-
-/// Truncates to the shorter slice (callers pass equal lengths).
-/// `inline(never)` for the same per-binary codegen pinning as
-/// [`argmin_score_lanes`].
-#[inline(never)]
-pub fn add_u16_column(acc: &mut [u32], col: &[u16]) {
-    let n = acc.len().min(col.len());
-    let (acc, col) = (&mut acc[..n], &col[..n]);
-    for i in 0..n {
-        acc[i] += u32::from(col[i]);
     }
 }
 
-/// Eq-4 scores for a batch of candidates: `out[i] = score(hops[i], loads[i],
-/// avg_load, h)` with exactly the operations (and rounding) of the scalar
-/// [`score`](crate::policy::score) — the batch form just gives the compiler a dense loop to
-/// vectorize the divide/FMA sequence over.
+/// Every candidate's hop sum to one call's affinity banks, with the
+/// nearest candidate and the largest sum found on the way. Reused across
+/// calls, so computing them allocates nothing.
+#[derive(Debug, Clone, Default)]
+pub struct HopSums {
+    /// The affinity banks' X rows summed, then their Y rows summed.
+    rows: Vec<u32>,
+    /// Hop sum of each candidate, parallel to the candidate slice.
+    sums: Vec<u32>,
+    /// Index of the nearest candidate (least sum, then lowest index).
+    near: usize,
+    /// The largest sum.
+    max: u32,
+    /// How many affinity banks were summed.
+    k: usize,
+}
+
+impl HopSums {
+    /// Sum the hops from every candidate to `aff_banks`.
+    pub fn compute(&mut self, axis: &AxisHops, cands: &[Eq4Candidate], aff_banks: &[u32]) {
+        let gx = axis.grid_x();
+        self.rows.clear();
+        self.rows.resize(gx + axis.grid_y(), 0);
+        let (sx, sy) = self.rows.split_at_mut(gx);
+        for &a in aff_banks {
+            for (acc, &d) in sx.iter_mut().zip(axis.x_row(axis.col(a))) {
+                *acc += d;
+            }
+            for (acc, &d) in sy.iter_mut().zip(axis.y_row(axis.row(a))) {
+                *acc += d;
+            }
+        }
+        self.sums.clear();
+        self.sums.resize(cands.len(), 0);
+        // Four independent minima keep the compare chain short.
+        let (mut near, mut max) = ([u64::MAX; 4], 0);
+        for (i, (c, sum)) in cands.iter().zip(self.sums.iter_mut()).enumerate() {
+            let s = sx[usize::from(c.col)] + sy[usize::from(c.row)];
+            *sum = s;
+            near[i % 4] = near[i % 4].min((u64::from(s) << 32) | i as u64);
+            max = max.max(s);
+        }
+        self.near = near.into_iter().min().unwrap_or(u64::MAX) as u32 as usize;
+        self.max = max;
+        self.k = aff_banks.len();
+    }
+
+    /// The hop sums, parallel to the candidates they were computed for.
+    pub fn sums(&self) -> &[u32] {
+        &self.sums
+    }
+}
+
+/// Eq-4 argmin over `cands` given their [`HopSums`] (computed for this
+/// same slice): the candidate minimizing `score(sum / k, loads[bank] ·
+/// slowdown, avg_load, h)`, ties to the lowest bank id. Returns `None`
+/// only when `cands` is empty.
 ///
-/// Truncates to the shortest slice (callers pass equal lengths).
-/// `inline(never)` for the same per-binary codegen pinning as
-/// [`argmin_score_lanes`].
+/// `inline(never)`: one outlined loop nest per binary, so the `hotpath`
+/// bench times the same code `select_bank` runs.
 #[inline(never)]
-pub fn score_lanes(avg_hops: &[f64], loads: &[u64], avg_load: f64, h: f64, out: &mut [f64]) {
-    let n = avg_hops.len().min(loads.len()).min(out.len());
+pub fn eq4_argmin(
+    cands: &[Eq4Candidate],
+    hops: &HopSums,
+    loads: &[u64],
+    avg_load: f64,
+    h: f64,
+) -> Option<u32> {
+    let sums = &hops.sums[..cands.len()];
+    let seed = cands.get(hops.near)?;
+    if h == 0.0 {
+        // `h · (ratio − 1)` is ±0 and the mean hop count is ≥ +0, so the
+        // score is the mean exactly, monotone in the integer hop sum.
+        return Some(seed.bank);
+    }
+    // An empty affinity set sums to zero hops; 0 / 1 is the `0.0` mean the
+    // scalar reference uses there.
+    let k = hops.k.max(1) as f64;
     let denom = avg_load + LOAD_SMOOTHING;
-    for i in 0..n {
-        let ratio = (loads[i] as f64 + LOAD_SMOOTHING) / denom;
-        out[i] = avg_hops[i] + h * (ratio - 1.0);
+    let mean = |s: u32| f64::from(s) / k;
+    let load_term = |l: u64| h * ((l as f64 + LOAD_SMOOTHING) / denom - 1.0);
+    let score = |s: u32, c: &Eq4Candidate| {
+        mean(s) + load_term(loads[c.bank as usize] * u64::from(c.slowdown))
+    };
+    let mut best_score = score(sums[hops.near], seed);
+    let mut best = (total_order_key(best_score), seed.bank);
+    // Pruning, exact for finite `h > 0`: the score is monotone in the hop
+    // sum and in the load (rounding is monotone), and no candidate's load
+    // is below the least bank load (slowdowns are ≥ 1). So a candidate with
+    // hop sum `s` scores at least `mean(s) + load_term(least load)`; once
+    // that bound exceeds the best score it loses outright, not even tying.
+    // `cap` is the least sum past the bound.
+    let bound =
+        (h > 0.0 && h.is_finite()).then(|| load_term(loads.iter().copied().min().unwrap_or(0)));
+    let cap_for = |best_score: f64, best_key: u64, cap: u32| {
+        let Some(b) = bound else { return u32::MAX };
+        let fits = |s: u32| total_order_key(mean(s) + b) <= best_key;
+        // Start from the real solution of `s / k + b = best`, then settle
+        // on the exact boundary (the predicate is monotone in `s`).
+        let mut c = (((best_score - b) * k) as u32).min(cap);
+        while c > 0 && !fits(c - 1) {
+            c -= 1;
+        }
+        while c < cap && fits(c) {
+            c += 1;
+        }
+        c
+    };
+    let mut cap = cap_for(best_score, best.0, hops.max.saturating_add(1));
+    for (c, &s) in cands.iter().zip(sums) {
+        if s < cap {
+            let sc = score(s, c);
+            let kc = (total_order_key(sc), c.bank);
+            if kc < best {
+                (best, best_score) = (kc, sc);
+                cap = cap_for(best_score, best.0, cap);
+            }
+        }
     }
+    Some(best.1)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::policy::{argmin_score, score};
 
     #[test]
     fn total_order_key_matches_total_cmp() {
@@ -186,106 +222,14 @@ mod tests {
             }
         }
     }
-
-    #[test]
-    fn lane_argmin_matches_scalar_on_ties_and_nans() {
-        let cases: Vec<Vec<(u32, f64)>> = vec![
-            vec![],
-            vec![(7, 1.0)],
-            vec![(3, 1.0), (1, 1.0), (2, 5.0)],
-            vec![(0, f64::NAN), (1, 2.0), (2, f64::NAN)],
-            vec![(5, f64::NAN), (9, f64::NAN)],
-            (0..37).map(|i| (i, f64::from(i % 5))).collect(),
-            (0..64).map(|i| (63 - i, 0.25)).collect(),
-            vec![(u32::MAX, f64::from_bits(0x7FFF_FFFF_FFFF_FFFF))],
-        ];
-        for case in cases {
-            let ids: Vec<u32> = case.iter().map(|&(i, _)| i).collect();
-            let scores: Vec<f64> = case.iter().map(|&(_, s)| s).collect();
-            assert_eq!(
-                argmin_score_lanes(&ids, &scores),
-                argmin_score(case.iter().copied()),
-                "diverged on {case:?}"
-            );
-        }
-    }
-
-    #[test]
-    fn score_lanes_is_bitwise_scalar_score() {
-        let hops = [0.0, 1.5, 3.0, 7.25, 0.5, 62.0, 11.0, 2.0, 9.0];
-        let loads = [0u64, 1, 8, 30, 1000, 2, 5, 7, 123_456];
-        let mut out = [0.0; 9];
-        score_lanes(&hops, &loads, 3.7, 5.0, &mut out);
-        for i in 0..9 {
-            assert_eq!(
-                out[i].to_bits(),
-                score(hops[i], loads[i], 3.7, 5.0).to_bits(),
-                "lane {i} rounded differently"
-            );
-        }
-    }
-
-    #[test]
-    fn column_adds_are_exact() {
-        let mut acc = vec![1u32; 19];
-        let col: Vec<u16> = (0..19).map(|i| i * 3).collect();
-        add_u16_column(&mut acc, &col);
-        for (i, &a) in acc.iter().enumerate() {
-            assert_eq!(a, 1 + (i as u32) * 3);
-        }
-    }
 }
 
 #[cfg(test)]
 mod proptests {
     use super::*;
-    use crate::policy::{argmin_score, score};
     use proptest::prelude::*;
 
     proptest! {
-        /// The full lane pipeline — `score_lanes` into a buffer then
-        /// `argmin_score_lanes` — picks the same bank as the scalar
-        /// `argmin_score` over lazily computed `score()`s (the pre-lanes
-        /// `select_bank` shape), for arbitrary candidate sets including
-        /// forced score ties.
-        #[test]
-        fn lane_pipeline_matches_scalar_select(
-            mut cands in proptest::collection::vec(
-                (0u32..4096, 0.0f64..64.0, 0u64..10_000), 0..300),
-            avg_load in 0.0f64..5000.0,
-            h in 0.0f64..16.0,
-            tie in 0usize..300,
-        ) {
-            // Force a tie: duplicate one candidate's (hops, load) under a
-            // different id so the lowest-id tie-break is exercised.
-            if !cands.is_empty() {
-                let (id, hops, load) = cands[tie % cands.len()];
-                cands.push((id ^ 1, hops, load));
-            }
-            let ids: Vec<u32> = cands.iter().map(|c| c.0).collect();
-            let hops: Vec<f64> = cands.iter().map(|c| c.1).collect();
-            let loads: Vec<u64> = cands.iter().map(|c| c.2).collect();
-
-            let mut buf = vec![0.0; cands.len()];
-            score_lanes(&hops, &loads, avg_load, h, &mut buf);
-            let lane_pick = argmin_score_lanes(&ids, &buf);
-
-            let scalar_pick = argmin_score(
-                ids.iter()
-                    .zip(&hops)
-                    .zip(&loads)
-                    .map(|((&i, &ah), &l)| (i, score(ah, l, avg_load, h))),
-            );
-            prop_assert_eq!(lane_pick, scalar_pick);
-            // And the buffer itself is bitwise the scalar scores.
-            for i in 0..cands.len() {
-                prop_assert_eq!(
-                    buf[i].to_bits(),
-                    score(hops[i], loads[i], avg_load, h).to_bits()
-                );
-            }
-        }
-
         /// `total_order_key` preserves `f64::total_cmp` order on arbitrary
         /// bit patterns (every NaN payload included).
         #[test]
@@ -295,23 +239,6 @@ mod proptests {
                 total_order_key(x).cmp(&total_order_key(y)),
                 x.total_cmp(&y)
             );
-        }
-
-        /// The chunked u64 sum and u16 column add equal their scalar forms
-        /// for every slice length.
-        #[test]
-        fn integer_lanes_are_exact(
-            xs in proptest::collection::vec(0u64..1u64 << 50, 0..100),
-            col in proptest::collection::vec(0u16..u16::MAX, 0..100),
-        ) {
-            prop_assert_eq!(sum_u64(&xs), xs.iter().sum::<u64>());
-            let mut lanes_acc = vec![7u32; col.len()];
-            let mut scalar_acc = lanes_acc.clone();
-            add_u16_column(&mut lanes_acc, &col);
-            for (a, &c) in scalar_acc.iter_mut().zip(&col) {
-                *a += u32::from(c);
-            }
-            prop_assert_eq!(lanes_acc, scalar_acc);
         }
     }
 }

@@ -17,17 +17,17 @@
 //! bookkeeping the modeled hardware does not need.)
 
 use crate::api::{AffineArrayReq, AffinityHint, AllocError, MAX_AFFINITY_ADDRS};
-use crate::lanes::{add_u16_column, argmin_score_lanes, score_lanes};
+use crate::lanes::{eq4_argmin, Eq4Candidate, HopSums};
 use crate::policy::BankSelectPolicy;
 use aff_mem::addr::VAddr;
 use aff_mem::pool::PoolId;
 use aff_mem::space::AddressSpace;
-use aff_noc::topology::Topology;
+use aff_noc::topology::{AxisHops, Topology};
 use aff_sim_core::config::{MachineConfig, CACHE_LINE};
 use aff_sim_core::fault::{DegradationReport, FaultPlan};
 use aff_sim_core::rng::SimRng;
 use serde::{Deserialize, Serialize};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 /// Metadata the runtime keeps per affine array (used for Eq 3 derivation of
 /// later arrays and for `free_aff`).
@@ -103,10 +103,14 @@ pub struct AffinityAllocator {
     affine_free: HashMap<(PoolId, u32), Vec<(u64, u64)>>,
     /// Irregular allocations per bank — the Eq 4 load.
     loads: Vec<u64>,
+    /// `Σ loads`, kept as a running sum so Eq 4's average costs nothing.
+    total_load: u64,
     /// Bytes resident per bank (capacity-model input).
     resident: Vec<u64>,
-    /// Debug-only liveness of irregular objects.
-    live_irregular: HashSet<VAddr>,
+    /// Liveness of irregular objects: bit `c` of `live[p]` is set while the
+    /// chunk at index `c` of pool `p` holds one. Only exact chunk starts
+    /// can be live, so interior and affine-array addresses never match.
+    live: Vec<Vec<u64>>,
     stats: AllocStats,
     /// Banks eligible for placement — all banks on a healthy machine, the
     /// non-failed ones under a fault plan, intersected with the tenant
@@ -125,21 +129,10 @@ pub struct AffinityAllocator {
     /// the config's static plan; [`apply_fault_plan`](Self::apply_fault_plan)
     /// replaces it when a timeline epoch fires mid-run.
     active_faults: FaultPlan,
-    /// Lazily built hop-distance columns for the lane-parallel Eq-4 path:
-    /// `dist_cols[a * banks + b] = topo.manhattan(b, a)`, so the column of
-    /// one affinity bank `a` is contiguous over every candidate `b`. Built
-    /// on the first affinity-driven `select_bank` (Rnd/Lnr never pay for
-    /// it); the topology is fixed at construction, so it never invalidates.
-    dist_cols: Vec<u16>,
-    /// Scratch (reused across calls): dense per-bank affinity hop sums.
-    scratch_hops: Vec<u32>,
-    /// Scratch: resolved affinity banks of the current `malloc_aff` call.
-    scratch_aff: Vec<u32>,
-    /// Scratch: per-candidate mean hops / effective loads / Eq-4 scores,
-    /// parallel to `healthy`.
-    scratch_cand_hops: Vec<f64>,
-    scratch_cand_loads: Vec<u64>,
-    scratch_scores: Vec<f64>,
+    /// The Eq-4 kernel's inputs, built on the first affinity-driven
+    /// `select_bank` — `Rnd`/`Lnr` allocators and ones that never place an
+    /// irregular object do not pay for them — and refreshed with `healthy`.
+    eq4: Option<Eq4State>,
     /// Graceful-degradation counters (excluded banks, fallback chain use).
     report: DegradationReport,
     /// Seed for the deterministic affinity-address subsampling stream used
@@ -163,12 +156,6 @@ pub const MAX_ALLOC_BYTES: u64 = 1 << 48;
 /// stream, keeping it decoupled from the Eq-4 `Rnd` policy stream.
 const HINT_SAMPLE_SALT: u64 = 0x5A3D_17E5_AFF1_0B57;
 
-/// Largest bank count that gets precomputed Eq-4 distance columns (the
-/// table is `banks² × 2` bytes — 32 MiB at this cap, 2 MiB at the 32×32
-/// geometry the harness actually sweeps). Bigger machines recompute
-/// distances per `malloc_aff` instead of holding a quadratic table.
-pub const DIST_TABLE_MAX_BANKS: usize = 4096;
-
 /// One step of the affine degradation chain: the Eq-3-derived placement, a
 /// coarser-but-valid interleave preserving the start bank, or the baseline
 /// heap (always realizable).
@@ -181,6 +168,39 @@ enum AffinePlacement {
     Coarsened(u64, u32),
     /// Nothing pool-shaped works: baseline heap.
     Heap,
+}
+
+/// What Eq-4 selection reads besides the loads: the topology's axis hop
+/// tables, the healthy banks as kernel candidates, and hop-sum scratch.
+#[derive(Debug)]
+struct Eq4State {
+    axis: AxisHops,
+    cands: Vec<Eq4Candidate>,
+    hops: HopSums,
+}
+
+impl Eq4State {
+    fn new(topo: &Topology, healthy: &[u32], plan: &FaultPlan) -> Self {
+        let mut state = Self {
+            axis: AxisHops::new(topo),
+            cands: Vec::new(),
+            hops: HopSums::default(),
+        };
+        state.set_candidates(healthy, plan);
+        state
+    }
+
+    /// Candidates for `healthy`, each with its fault slowdown.
+    fn set_candidates(&mut self, healthy: &[u32], plan: &FaultPlan) {
+        let axis = &self.axis;
+        self.cands = healthy
+            .iter()
+            .map(|&b| {
+                let slowdown = plan.slowed_banks.get(&b).copied().unwrap_or(1);
+                Eq4Candidate::new(axis, b, slowdown)
+            })
+            .collect();
+    }
 }
 
 impl AffinityAllocator {
@@ -206,20 +226,16 @@ impl AffinityAllocator {
             pool_cursor: HashMap::new(),
             affine_free: HashMap::new(),
             loads: vec![0; n],
+            total_load: 0,
             resident: vec![0; n],
-            live_irregular: HashSet::new(),
+            live: Vec::new(),
             stats: AllocStats::default(),
             healthy: Vec::new(),
             allowed: None,
             coalesce: false,
             active_faults,
             report: DegradationReport::default(),
-            dist_cols: Vec::new(),
-            scratch_hops: Vec::new(),
-            scratch_aff: Vec::new(),
-            scratch_cand_hops: Vec::new(),
-            scratch_cand_loads: Vec::new(),
-            scratch_scores: Vec::new(),
+            eq4: None,
             hint_seed: seed ^ HINT_SAMPLE_SALT,
             hint_draws: 0,
         };
@@ -267,6 +283,9 @@ impl AffinityAllocator {
         };
         self.report.excluded_banks = eligible - healthy.len() as u64;
         self.healthy = healthy;
+        if let Some(eq4) = &mut self.eq4 {
+            eq4.set_candidates(&self.healthy, &self.active_faults);
+        }
     }
 
     /// Restrict placement to `banks` — the tenant-partition hook the
@@ -758,8 +777,9 @@ impl AffinityAllocator {
         let chunk = self.take_irregular_chunk(pool, intrlv, bank)?;
         let va = self.space.pools().va_at(pool, chunk * intrlv);
         self.loads[bank as usize] += 1;
+        self.total_load += 1;
         self.resident[bank as usize] += intrlv;
-        self.live_irregular.insert(va);
+        self.set_live(pool, chunk, true);
         self.stats.irregular += 1;
         Ok(va)
     }
@@ -836,27 +856,6 @@ impl AffinityAllocator {
     /// excluded from every policy, and slowed banks see their load term
     /// multiplied by their fault slowdown (a 4×-slower bank looks 4× as
     /// loaded, so Eq 4 naturally steers allocations away from it).
-    /// Build the dense hop-distance columns for the lane-parallel Eq-4 path,
-    /// capped at [`DIST_TABLE_MAX_BANKS`] banks (16 MiB of `u16`s at the
-    /// cap). Geometries past the cap keep an empty table and recompute
-    /// distances per call — same math, just without the precomputed columns.
-    fn ensure_dist_cols(&mut self) {
-        let n = self.space.config().num_banks() as usize;
-        if !self.dist_cols.is_empty() || n == 0 || n > DIST_TABLE_MAX_BANKS {
-            return;
-        }
-        let mut cols = vec![0u16; n * n];
-        for a in 0..n {
-            let col = &mut cols[a * n..][..n];
-            for (b, slot) in col.iter_mut().enumerate() {
-                let d = self.topo.manhattan(b as u32, a as u32);
-                debug_assert!(d <= u32::from(u16::MAX));
-                *slot = d as u16;
-            }
-        }
-        self.dist_cols = cols;
-    }
-
     fn select_bank(&mut self, aff_addrs: &[VAddr]) -> u32 {
         let banks = self.space.config().num_banks();
         match self.policy {
@@ -877,67 +876,18 @@ impl AffinityAllocator {
                     BankSelectPolicy::Hybrid { h } => h,
                     _ => 0.0,
                 };
-                // Lane-parallel Eq 4 (see `crate::lanes`): the same argmin
-                // the scalar iterator computed, restated as dense straight-
-                // line passes. Bit-identical by construction — hop sums are
-                // exact integer adds, each candidate's score is evaluated by
-                // the same `score` arithmetic, and the argmin uses the same
-                // total order and lowest-id tie-break.
-                self.scratch_aff.clear();
-                for &a in aff_addrs {
-                    self.scratch_aff.push(self.space.bank_of(a));
+                // Callers cap the set at MAX_AFFINITY_ADDRS.
+                let mut aff = [0u32; MAX_AFFINITY_ADDRS];
+                let aff = &mut aff[..aff_addrs.len()];
+                for (slot, &a) in aff.iter_mut().zip(aff_addrs) {
+                    *slot = self.space.bank_of(a);
                 }
-                let total_load: u64 = crate::lanes::sum_u64(&self.loads);
-                let avg_load = total_load as f64 / f64::from(banks);
-                self.ensure_dist_cols();
-                let n = banks as usize;
-                // Dense hop sums: one contiguous u16 distance-column add per
-                // affinity address replaces per-candidate coordinate math.
-                self.scratch_hops.clear();
-                self.scratch_hops.resize(n, 0);
-                if self.dist_cols.is_empty() {
-                    // Geometry past the table cap: same exact integer sums,
-                    // recomputed per call.
-                    for &a in &self.scratch_aff {
-                        for (b, acc) in self.scratch_hops.iter_mut().enumerate() {
-                            *acc += self.topo.manhattan(b as u32, a);
-                        }
-                    }
-                } else {
-                    for &a in &self.scratch_aff {
-                        add_u16_column(
-                            &mut self.scratch_hops,
-                            &self.dist_cols[a as usize * n..][..n],
-                        );
-                    }
-                }
-                // Gather the healthy candidates' inputs, then score + argmin
-                // over the packed slices.
-                let aff_len = self.scratch_aff.len();
-                self.scratch_cand_hops.clear();
-                self.scratch_cand_loads.clear();
-                for i in 0..self.healthy.len() {
-                    let b = self.healthy[i];
-                    let avg_hops = if aff_len == 0 {
-                        0.0
-                    } else {
-                        f64::from(self.scratch_hops[b as usize]) / aff_len as f64
-                    };
-                    self.scratch_cand_hops.push(avg_hops);
-                    self.scratch_cand_loads
-                        .push(self.loads[b as usize] * self.active_faults.bank_slowdown(b));
-                }
-                self.scratch_scores.clear();
-                self.scratch_scores.resize(self.healthy.len(), 0.0);
-                score_lanes(
-                    &self.scratch_cand_hops,
-                    &self.scratch_cand_loads,
-                    avg_load,
-                    h,
-                    &mut self.scratch_scores,
-                );
-                argmin_score_lanes(&self.healthy, &self.scratch_scores)
-                    .unwrap_or_else(|| self.healthy.first().copied().unwrap_or(0))
+                let avg_load = self.total_load as f64 / f64::from(banks);
+                let eq4 = self.eq4.get_or_insert_with(|| {
+                    Eq4State::new(&self.topo, &self.healthy, &self.active_faults)
+                });
+                eq4.hops.compute(&eq4.axis, &eq4.cands, aff);
+                eq4_argmin(&eq4.cands, &eq4.hops, &self.loads, avg_load, h).unwrap_or(0)
             }
         }
     }
@@ -1131,7 +1081,7 @@ impl AffinityAllocator {
         let Some(pool) = self.space.pools().pool_of(va) else {
             return Err(AllocError::UnknownAddress { addr: va });
         };
-        if !self.live_irregular.contains(&va) {
+        if self.live_chunk(pool, va).is_none() {
             return Err(AllocError::UnknownAddress { addr: va });
         }
         let intrlv = self.space.pools().interleave(pool);
@@ -1144,8 +1094,9 @@ impl AffinityAllocator {
         let chunk = self.take_irregular_chunk(pool, intrlv, new_bank)?;
         let new_va = self.space.pools().va_at(pool, chunk * intrlv);
         self.loads[new_bank as usize] += 1;
+        self.total_load += 1;
         self.resident[new_bank as usize] += intrlv;
-        self.live_irregular.insert(new_va);
+        self.set_live(pool, chunk, true);
         self.stats.irregular += 1;
         self.free_aff(va)?;
         Ok(new_va)
@@ -1241,6 +1192,34 @@ impl AffinityAllocator {
 
     // ---------- free ----------
 
+    /// The chunk index of `va` in `pool` if a live irregular object starts
+    /// exactly there.
+    fn live_chunk(&self, pool: PoolId, va: VAddr) -> Option<u64> {
+        let off = va.offset_from(self.space.pools().va_start(pool));
+        let intrlv = self.space.pools().interleave(pool);
+        let chunk = off / intrlv;
+        let word = self.live.get(pool.index())?.get((chunk / 64) as usize)?;
+        (off.is_multiple_of(intrlv) && word & (1 << (chunk % 64)) != 0).then_some(chunk)
+    }
+
+    /// Mark chunk `chunk` of `pool` live or free.
+    fn set_live(&mut self, pool: PoolId, chunk: u64, live: bool) {
+        let p = pool.index();
+        if self.live.len() <= p {
+            self.live.resize_with(p + 1, Vec::new);
+        }
+        let bits = &mut self.live[p];
+        let w = (chunk / 64) as usize;
+        if bits.len() <= w {
+            bits.resize(w + 1, 0);
+        }
+        if live {
+            bits[w] |= 1 << (chunk % 64);
+        } else {
+            bits[w] &= !(1 << (chunk % 64));
+        }
+    }
+
     /// `free_aff`: releases either kind of allocation. The runtime
     /// distinguishes affine arrays by its own metadata; irregular objects'
     /// interleave is inferred from the owning pool (§5.1).
@@ -1263,18 +1242,20 @@ impl AffinityAllocator {
             return Ok(());
         }
         if let Some(pool) = self.space.pools().pool_of(va) {
-            if !self.live_irregular.remove(&va) {
+            let Some(chunk) = self.live_chunk(pool, va) else {
                 return Err(AllocError::UnknownAddress { addr: va });
-            }
+            };
+            self.set_live(pool, chunk, false);
             let intrlv = self.space.pools().interleave(pool);
-            let off = va.offset_from(self.space.pools().va_start(pool));
-            let chunk = off / intrlv;
-            let bank = self.space.pools().bank_of_offset(pool, off);
+            let bank = self.space.pools().bank_of_offset(pool, chunk * intrlv);
             self.push_free_chunk(intrlv, bank, chunk);
             if self.coalesce {
                 self.try_promote_cycle(pool, intrlv, chunk);
             }
-            self.loads[bank as usize] = self.loads[bank as usize].saturating_sub(1);
+            if self.loads[bank as usize] > 0 {
+                self.loads[bank as usize] -= 1;
+                self.total_load -= 1;
+            }
             self.resident[bank as usize] = self.resident[bank as usize].saturating_sub(intrlv);
             self.stats.freed += 1;
             return Ok(());
@@ -2075,5 +2056,237 @@ mod tests {
         let positions: Vec<usize> =
             sampled.iter().map(|v| pop.iter().position(|p| p == v).unwrap()).collect();
         assert!(positions.windows(2).all(|w| w[0] < w[1]));
+    }
+
+    // ---------- exactness against scalar references ----------
+
+    /// The Eq-4 pick recomputed from scratch with the scalar reference:
+    /// `policy::score` for every eligible bank, `policy::argmin_score`.
+    fn reference_pick(a: &mut AffinityAllocator, aff: &[VAddr], h: f64) -> u32 {
+        use crate::policy::{argmin_score, score};
+        let banks = a.config().num_banks();
+        let topo = a.topo();
+        let plan = a.active_faults().clone();
+        let eligible: Vec<u32> = match a.allowed_banks() {
+            Some(m) => m.to_vec(),
+            None => (0..banks).collect(),
+        };
+        let mut cands: Vec<u32> = eligible
+            .iter()
+            .copied()
+            .filter(|b| !plan.failed_banks.contains(b))
+            .collect();
+        if cands.is_empty() {
+            cands = eligible;
+        }
+        let aff_banks: Vec<u32> = aff.iter().map(|&v| a.bank_of(v)).collect();
+        let loads = a.loads().to_vec();
+        let avg = loads.iter().sum::<u64>() as f64 / f64::from(banks);
+        argmin_score(cands.iter().map(|&b| {
+            let hops: u32 = aff_banks.iter().map(|&x| topo.manhattan(b, x)).sum();
+            let avg_hops = if aff_banks.is_empty() {
+                0.0
+            } else {
+                f64::from(hops) / aff_banks.len() as f64
+            };
+            (
+                b,
+                score(avg_hops, loads[b as usize] * plan.bank_slowdown(b), avg, h),
+            )
+        }))
+        .expect("a non-empty candidate set")
+    }
+
+    #[test]
+    fn select_bank_matches_the_scalar_reference() {
+        use aff_sim_core::config::{BankOrder, TopologyKind};
+        let geometries = [
+            (4, 4, BankOrder::RowMajor, TopologyKind::Mesh, 40),
+            (8, 8, BankOrder::Snake, TopologyKind::Mesh, 40),
+            (8, 4, BankOrder::RowMajor, TopologyKind::Torus, 40),
+            (8, 8, BankOrder::RowMajor, TopologyKind::CMesh, 40),
+            (16, 16, BankOrder::Snake, TopologyKind::CMesh, 20),
+            (32, 32, BankOrder::RowMajor, TopologyKind::Mesh, 10),
+            (32, 32, BankOrder::Snake, TopologyKind::Torus, 10),
+            // Past the 4096 banks the old distance table covered.
+            (72, 64, BankOrder::RowMajor, TopologyKind::Mesh, 3),
+        ];
+        let mut rng = SimRng::new(0xE94_5E1EC7);
+        for (gi, &(x, y, order, kind, trials)) in geometries.iter().enumerate() {
+            let cfg = MachineConfig::builder()
+                .mesh(x, y)
+                .bank_order(order)
+                .topology(kind)
+                .build();
+            let banks = cfg.num_banks();
+            for trial in 0..trials {
+                let mut a =
+                    AffinityAllocator::with_seed(cfg.clone(), BankSelectPolicy::MinHop, trial);
+                let props = a
+                    .malloc_aff_affine(&AffineArrayReq::new(64, u64::from(banks)))
+                    .unwrap();
+                // Faults: a few dead banks and slowed banks, live-replanned.
+                let mut plan = FaultPlan::none();
+                for _ in 0..rng.below(4) {
+                    plan = plan.fail_bank(rng.below(u64::from(banks)) as u32);
+                }
+                for _ in 0..rng.below(4) {
+                    let b = rng.below(u64::from(banks)) as u32;
+                    plan = plan.slow_bank(b, 2 + rng.below(6) as u32);
+                }
+                a.apply_fault_plan(&plan);
+                if rng.below(3) == 0 {
+                    // A tenant partition, sometimes every bank of it dead.
+                    let lo = rng.below(u64::from(banks)) as u32;
+                    let len = 1 + rng.below(u64::from(banks / 2)) as u32;
+                    let part: Vec<u32> = (lo..lo + len).map(|b| b % banks).collect();
+                    a.restrict_banks(&part).unwrap();
+                }
+                // Loads: uniform, skewed, or forced equal (ties everywhere).
+                let spread = [0, 1, 3, 50, 5000][rng.below(5) as usize];
+                let base = rng.below(200);
+                let loads: Vec<u64> = (0..banks)
+                    .map(|_| base + if spread == 0 { 0 } else { rng.below(spread) })
+                    .collect();
+                a.total_load = loads.iter().sum();
+                a.loads = loads;
+                for case in 0..8 {
+                    if case == 4 {
+                        // A live re-plan after selections have run: the
+                        // candidates must follow the new slowdowns.
+                        let b = rng.below(u64::from(banks)) as u32;
+                        let replan = plan.clone().slow_bank(b, 2 + rng.below(6) as u32);
+                        a.apply_fault_plan(&replan);
+                    }
+                    let h = match case % 4 {
+                        0 => 0.0,
+                        1 => -0.0,
+                        2 => 5.0,
+                        _ => rng.below(4000) as f64 / 100.0 - 5.0,
+                    };
+                    a.policy = if case == 0 {
+                        BankSelectPolicy::MinHop
+                    } else {
+                        BankSelectPolicy::Hybrid { h }
+                    };
+                    let n = match case {
+                        0 | 1 => 0,
+                        2 => MAX_AFFINITY_ADDRS,
+                        _ => rng.below(MAX_AFFINITY_ADDRS as u64 + 1) as usize,
+                    };
+                    // Duplicate targets force equal hop sums across banks.
+                    let aff: Vec<VAddr> = (0..n)
+                        .map(|_| props + rng.below(u64::from(banks.min(4 + case as u32 * 8))) * 64)
+                        .collect();
+                    let want = reference_pick(&mut a, &aff, h);
+                    assert_eq!(
+                        a.select_bank(&aff),
+                        want,
+                        "geometry {gi} trial {trial} case {case} h {h}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn exact_tie_across_hop_rings_goes_to_the_lower_id() {
+        // 4×4 mesh, H = 16, mean load 8: every score is an exact small
+        // integer. Bank 5 (the affinity target, load 8) scores 0 + 0; its
+        // neighbour bank 1 (one hop, the least load 7) scores 1 − 1 = 0.
+        // The tie must go to bank 1 even though bank 5 is nearer.
+        let cfg = MachineConfig::builder().mesh(4, 4).build();
+        let mut a = AffinityAllocator::new(cfg, BankSelectPolicy::Hybrid { h: 16.0 });
+        assert_eq!(a.config().num_banks(), 16);
+        let props = a.malloc_aff_affine(&AffineArrayReq::new(64, 16)).unwrap();
+        let target = (0..16)
+            .map(|i| props + i * 64)
+            .find(|&v| a.bank_of(v) == 5)
+            .unwrap();
+        let mut loads = vec![8u64; 16];
+        (loads[1], loads[15]) = (7, 9);
+        a.total_load = loads.iter().sum();
+        a.loads = loads;
+        assert_eq!(reference_pick(&mut a, &[target], 16.0), 1);
+        assert_eq!(a.select_bank(&[target]), 1);
+    }
+
+    #[test]
+    fn liveness_bitmap_matches_a_hash_set_model() {
+        use std::collections::HashSet;
+        for (seed, coalesce) in [(1u64, false), (2, true), (3, false), (4, true)] {
+            let mut rng = SimRng::new(seed);
+            let mut a = hybrid();
+            a.set_coalescing(coalesce);
+            let mut live: HashSet<VAddr> = HashSet::new();
+            let mut affine_live: Vec<VAddr> = Vec::new();
+            // Every address ever handed out: freed ones make double frees.
+            let mut seen: Vec<VAddr> = Vec::new();
+            let sizes = [8u64, 64, 100, 256, 4096];
+            for step in 0..3000 {
+                let size = sizes[rng.below(sizes.len() as u64) as usize];
+                let pick = |rng: &mut SimRng, v: &[VAddr]| v[rng.below(v.len() as u64) as usize];
+                let hint: Vec<VAddr> = if seen.is_empty() || rng.below(2) == 0 {
+                    vec![]
+                } else {
+                    vec![pick(&mut rng, &seen)]
+                };
+                match rng.below(9) {
+                    0..=2 => {
+                        let va = a.malloc_aff(size, &hint).unwrap();
+                        assert!(live.insert(va), "step {step}: {va:?} handed out twice");
+                        seen.push(va);
+                    }
+                    3 => {
+                        let va = a.malloc_aff_affine(&AffineArrayReq::new(64, 64)).unwrap();
+                        affine_live.push(va);
+                        seen.push(va);
+                    }
+                    4 | 5 if !seen.is_empty() => {
+                        // A live object, a freed one (double free), or the
+                        // interior of either.
+                        let mut va = pick(&mut rng, &seen);
+                        if rng.below(4) == 0 {
+                            va += 8;
+                        }
+                        let expect_ok = if let Some(i) = affine_live.iter().position(|&x| x == va) {
+                            affine_live.swap_remove(i);
+                            true
+                        } else {
+                            live.remove(&va)
+                        };
+                        let got = a.free_aff(va);
+                        assert_eq!(got.is_ok(), expect_ok, "step {step}: free {va:?}");
+                        if let Err(e) = got {
+                            assert_eq!(e, AllocError::UnknownAddress { addr: va });
+                        }
+                    }
+                    6 if !seen.is_empty() => {
+                        let mut va = pick(&mut rng, &seen);
+                        if rng.below(4) == 0 {
+                            va += 64;
+                        }
+                        match a.realloc_aff(va, &hint) {
+                            Ok(new) => {
+                                assert!(live.remove(&va), "step {step}: realloc of dead {va:?}");
+                                assert!(live.insert(new), "step {step}: {new:?} already live");
+                                seen.push(new);
+                            }
+                            Err(e) => {
+                                assert!(!live.contains(&va), "step {step}: live {va:?} refused");
+                                assert_eq!(e, AllocError::UnknownAddress { addr: va });
+                            }
+                        }
+                    }
+                    _ => {
+                        // Free a live object, so chunks get reused.
+                        if let Some(&va) = live.iter().min() {
+                            live.remove(&va);
+                            assert_eq!(a.free_aff(va), Ok(()), "step {step}");
+                        }
+                    }
+                }
+            }
+        }
     }
 }

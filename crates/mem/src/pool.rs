@@ -32,6 +32,32 @@ pub const POOL_PA_BASE: u64 = 1 << 40;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
 pub struct PoolId(pub(crate) u32);
 
+/// Eq 1: `(offset / intrlv) % banks`, with a shift and a mask in place of
+/// each division when the divisor is a power of two (the common case, and
+/// the hot path of every Eq-4 call's affinity-address lookups).
+#[inline]
+pub(crate) fn interleave_bank(offset: u64, intrlv: u64, banks: u32) -> u32 {
+    let chunk = if intrlv.is_power_of_two() {
+        offset >> intrlv.trailing_zeros()
+    } else {
+        offset / intrlv
+    };
+    let banks = u64::from(banks);
+    let bank = if banks.is_power_of_two() {
+        chunk & (banks - 1)
+    } else {
+        chunk % banks
+    };
+    bank as u32
+}
+
+impl PoolId {
+    /// Dense index of the pool (creation order), for per-pool side tables.
+    pub fn index(self) -> usize {
+        self.0 as usize
+    }
+}
+
 /// Errors from pool management.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PoolError {
@@ -244,12 +270,12 @@ impl PoolManager {
         let pool = &self.pools[id.0 as usize];
         let off = va.offset_from(pool.va_start);
         assert!(off < POOL_STRIDE, "address outside pool reservation");
-        ((off / pool.intrlv) % u64::from(self.num_banks)) as u32
+        interleave_bank(off, pool.intrlv, self.num_banks)
     }
 
     /// The bank a byte offset into the pool maps to (Eq 1 in offset form).
     pub fn bank_of_offset(&self, id: PoolId, offset: u64) -> u32 {
-        ((offset / self.pools[id.0 as usize].intrlv) % u64::from(self.num_banks)) as u32
+        interleave_bank(offset, self.pools[id.0 as usize].intrlv, self.num_banks)
     }
 
     /// Translate a pool virtual address to its physical address (linear

@@ -218,8 +218,11 @@ impl AddressSpace {
             Some(p) => self.pools.bank_of(p, va),
             None => {
                 let pa = self.heap_translate(va);
-                ((pa.raw() / self.config.default_interleave)
-                    % u64::from(self.config.num_banks())) as u32
+                crate::pool::interleave_bank(
+                    pa.raw(),
+                    self.config.default_interleave,
+                    self.config.num_banks(),
+                )
             }
         }
     }

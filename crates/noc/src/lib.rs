@@ -28,5 +28,5 @@ pub mod topology;
 pub mod traffic;
 
 pub use fault_route::{FaultRoute, FaultRouter, LIMP_COST};
-pub use topology::{BankId, Coord, Topology};
+pub use topology::{AxisHops, BankId, Coord, Topology};
 pub use traffic::{TrafficClass, TrafficMatrix};

@@ -587,6 +587,103 @@ impl Topology {
     }
 }
 
+/// [`Topology::manhattan`] split by axis and built once: per-bank router
+/// column and row, plus one distance row per router column and per router
+/// row. The hop count is separable on every kind the grid supports (mesh,
+/// torus wrap, concentrated routers, snake numbering), so
+/// `hops(a, b) = x_row(col(a))[col(b)] + y_row(row(a))[row(b)]`, and a sum
+/// of hops from many sources needs one short row add per source and axis —
+/// not one coordinate decode per bank pair.
+#[derive(Debug, Clone)]
+pub struct AxisHops {
+    grid_x: usize,
+    grid_y: usize,
+    banks: usize,
+    /// One allocation, four tables: the router column of each bank, the
+    /// router row of each bank, `dist_x[i * grid_x + j]` (hops between
+    /// router columns `i` and `j`) and `dist_y[i * grid_y + j]`.
+    table: Vec<u32>,
+}
+
+impl AxisHops {
+    /// The axis tables of `topo`.
+    pub fn new(topo: &Topology) -> Self {
+        let (gx, gy) = (topo.grid_x() as usize, topo.grid_y() as usize);
+        let n = topo.num_banks() as usize;
+        let mut table = vec![0; 2 * n + gx * gx + gy * gy];
+        let (col, rest) = table.split_at_mut(n);
+        let (row, rest) = rest.split_at_mut(n);
+        let (dist_x, dist_y) = rest.split_at_mut(gx * gx);
+        // Walk the tile grid rather than decoding every bank id: a bank's
+        // router sits at its tile coordinate divided by the concentration
+        // (1 or 2 banks per router along an axis).
+        let shift = concentration(topo.kind).trailing_zeros();
+        for y in 0..topo.mesh_y {
+            for x in 0..topo.mesh_x {
+                let b = topo.bank_of(Coord { x, y }) as usize;
+                (col[b], row[b]) = (x >> shift, y >> shift);
+            }
+        }
+        for (dist, len) in [(dist_x, gx), (dist_y, gy)] {
+            for (i, dists) in dist.chunks_exact_mut(len).enumerate() {
+                for (j, d) in dists.iter_mut().enumerate() {
+                    *d = topo.axis_distance(i as u32, j as u32, len as u32);
+                }
+            }
+        }
+        Self {
+            grid_x: gx,
+            grid_y: gy,
+            banks: n,
+            table,
+        }
+    }
+
+    /// Router-grid width: the length of every [`x_row`](Self::x_row).
+    pub fn grid_x(&self) -> usize {
+        self.grid_x
+    }
+
+    /// Router-grid height: the length of every [`y_row`](Self::y_row).
+    pub fn grid_y(&self) -> usize {
+        self.grid_y
+    }
+
+    /// Router column of bank `b`.
+    #[inline]
+    pub fn col(&self, b: BankId) -> u32 {
+        self.table[..self.banks][b as usize]
+    }
+
+    /// Router row of bank `b`.
+    #[inline]
+    pub fn row(&self, b: BankId) -> u32 {
+        self.table[self.banks..2 * self.banks][b as usize]
+    }
+
+    /// Hops along X from router column `c` to every router column.
+    #[inline]
+    pub fn x_row(&self, c: u32) -> &[u32] {
+        let gx = self.grid_x;
+        &self.table[2 * self.banks + c as usize * gx..][..gx]
+    }
+
+    /// Hops along Y from router row `r` to every router row.
+    #[inline]
+    pub fn y_row(&self, r: u32) -> &[u32] {
+        let (gx, gy) = (self.grid_x, self.grid_y);
+        &self.table[2 * self.banks + gx * gx + r as usize * gy..][..gy]
+    }
+
+    /// Hop distance between banks `a` and `b`; equals
+    /// [`Topology::manhattan`] without its divisions.
+    #[inline]
+    pub fn hops(&self, a: BankId, b: BankId) -> u32 {
+        self.x_row(self.col(a))[self.col(b) as usize]
+            + self.y_row(self.row(a))[self.row(b) as usize]
+    }
+}
+
 impl TopologyModel for Topology {
     fn kind(&self) -> TopologyKind {
         self.kind
@@ -882,6 +979,29 @@ mod tests {
             ty: 0,
         };
         assert!(t.fault_link(&internal).is_none());
+    }
+
+    #[test]
+    fn axis_hops_equal_manhattan_on_every_kind() {
+        for t in [
+            Topology::new(5, 3),
+            Topology::with_order(4, 6, BankOrder::Snake),
+            Topology::torus(7, 4),
+            Topology::torus(1, 4),
+            Topology::cmesh(8, 4),
+            Topology::with_kind(6, 6, BankOrder::Snake, TopologyKind::CMesh),
+            Topology::with_kind(5, 5, BankOrder::Snake, TopologyKind::Torus),
+        ] {
+            let ax = AxisHops::new(&t);
+            for a in 0..t.num_banks() {
+                for b in 0..t.num_banks() {
+                    let sep = ax.x_row(ax.col(a))[ax.col(b) as usize]
+                        + ax.y_row(ax.row(a))[ax.row(b) as usize];
+                    assert_eq!(ax.hops(a, b), t.manhattan(a, b), "{t:?} {a}->{b}");
+                    assert_eq!(sep, t.manhattan(a, b), "{t:?} {a}->{b}");
+                }
+            }
+        }
     }
 
     #[test]

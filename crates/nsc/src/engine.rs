@@ -22,7 +22,7 @@ use aff_cache::bank::BankCounters;
 use aff_cache::capacity;
 use aff_cache::dram::DramModel;
 use aff_cache::spare::SpareMap;
-use aff_noc::topology::{BankId, Topology};
+use aff_noc::topology::{AxisHops, BankId, Topology};
 use aff_noc::traffic::{TrafficClass, TrafficMatrix};
 use aff_sim_core::config::{MachineConfig, CACHE_LINE};
 use aff_sim_core::energy::{EnergyBreakdown, EnergyModel};
@@ -39,22 +39,102 @@ pub const CREDIT_BATCH: u64 = 64;
 /// Bytes of architectural state carried by a stream migration.
 pub const MIGRATE_STATE_BYTES: u64 = 32;
 
-/// Slots in the run-length coalescing buffer. Four covers every charge
-/// primitive (each records at most four distinct messages), so alternating
-/// request/response pairs from a tight per-element loop still coalesce.
-const COALESCE_SLOTS: usize = 4;
+/// log2 of the charge accumulator's slot count: 2^16 slots of 16 B, so the
+/// table is 1 MiB whatever the bank count.
+const CHARGE_BITS: u32 = 16;
 
-/// One buffered traffic charge awaiting coalescing: consecutive charges to
-/// the same `(src, dst, payload, class)` — the common case when a vertex's
-/// neighbors share a bank — collapse into one `record_n` instead of probing
-/// the traffic matrix per element.
-#[derive(Debug, Clone, Copy)]
-struct PendingCharge {
-    src: BankId,
-    dst: BankId,
-    payload_bytes: u64,
-    class: TrafficClass,
-    count: u64,
+/// Slots per set of the charge accumulator: four 16 B slots fill one
+/// 64 B cache line.
+const CHARGE_WAYS: usize = 4;
+
+/// Exact traffic-charge accumulator: a 4-way set-associative table of
+/// pending `record_n` calls keyed by `(src, dst, payload, class)`. A charge
+/// whose key sits in its set only adds its count; a charge that finds its
+/// set full of other keys evicts one of them into the matrix. Every traffic
+/// counter is additive and order-independent, and `record_n` of a summed
+/// count is exactly that many single records (pinned by the matrix
+/// proptests), so the accounting is the same as charging write-through.
+#[derive(Debug)]
+struct ChargeTable {
+    /// `[key, count]` per slot; a zero count marks an empty slot. A set
+    /// fills from its first way and never has holes, so a lookup stops at
+    /// the first empty slot.
+    slots: Vec<[u64; 2]>,
+    /// First slot of every set holding charges, so a drain touches only
+    /// those.
+    used: Vec<u32>,
+}
+
+impl ChargeTable {
+    fn new() -> Self {
+        Self {
+            slots: vec![[0; 2]; 1 << CHARGE_BITS],
+            used: Vec::new(),
+        }
+    }
+
+    /// The packed key of a charge (src and dst below 2^20, payload below
+    /// 2^22 bytes); `None` for a charge too wide to pack, which the caller
+    /// records directly.
+    #[inline]
+    fn key(src: BankId, dst: BankId, payload_bytes: u64, class: TrafficClass) -> Option<u64> {
+        let class = match class {
+            TrafficClass::Offload => 0,
+            TrafficClass::Data => 1,
+            TrafficClass::Control => 2,
+        };
+        (src < 1 << 20 && dst < 1 << 20 && payload_bytes < 1 << 22)
+            .then(|| u64::from(src) | u64::from(dst) << 20 | payload_bytes << 40 | class << 62)
+    }
+
+    /// The `(src, dst, payload, class)` a key packs.
+    fn unpack(key: u64) -> (BankId, BankId, u64, TrafficClass) {
+        let field = |shift: u32, bits: u32| (key >> shift) & ((1 << bits) - 1);
+        (
+            field(0, 20) as BankId,
+            field(20, 20) as BankId,
+            field(40, 22),
+            TrafficClass::ALL[(key >> 62) as usize],
+        )
+    }
+
+    /// Add `count > 0` charges of `key`. Returns the entry it evicts, if the
+    /// key's set was full of other keys.
+    #[inline]
+    fn add(&mut self, key: u64, count: u64) -> Option<(u64, u64)> {
+        let hash = key.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        let set = (hash >> (64 - CHARGE_BITS)) as usize & !(CHARGE_WAYS - 1);
+        let ways = &mut self.slots[set..set + CHARGE_WAYS];
+        for (w, slot) in ways.iter_mut().enumerate() {
+            if slot[1] == 0 {
+                if w == 0 {
+                    self.used.push(set as u32);
+                }
+                *slot = [key, count];
+                return None;
+            }
+            if slot[0] == key {
+                slot[1] += count;
+                return None;
+            }
+        }
+        let victim = &mut ways[hash as usize % CHARGE_WAYS];
+        let [old_key, old_count] = std::mem::replace(victim, [key, count]);
+        Some((old_key, old_count))
+    }
+
+    /// Empty the table, passing each pending `(key, count)` to `f`.
+    fn drain(&mut self, mut f: impl FnMut(u64, u64)) {
+        for set in self.used.drain(..) {
+            let set = set as usize;
+            for slot in &mut self.slots[set..set + CHARGE_WAYS] {
+                let [key, count] = std::mem::take(slot);
+                if count > 0 {
+                    f(key, count);
+                }
+            }
+        }
+    }
 }
 
 /// Where the analytic cycle count came from.
@@ -214,15 +294,15 @@ pub struct SimEngine {
     /// `spare.is_none()`, hoisted so the per-message fast path of a healthy
     /// machine skips the redirect machinery with one predictable branch.
     healthy: bool,
-    /// Run-length coalescing buffer (see [`PendingCharge`]). Flushed before
-    /// any read of the traffic matrix; every buffered charge lands via the
-    /// same `record_n` it would have taken directly, so all accounting —
-    /// which is purely additive — is byte-identical either way.
-    pending: Vec<PendingCharge>,
-    /// Whether charges may be buffered. Off once the packet log is enabled:
-    /// coalescing reorders messages across unlike charges, and packet
+    /// Pending traffic charges (see [`ChargeTable`]), drained into the
+    /// matrix before any read of it.
+    charges: ChargeTable,
+    /// Whether charges accumulate. Off once the packet log is enabled:
+    /// accumulation reorders messages across unlike charges, and packet
     /// replay consumes the log in recording order.
     coalesce: bool,
+    /// Per-axis hop tables: division-free hop counts for the atomics.
+    axis: AxisHops,
     /// Degradation observed so far (spare remaps, In-Core fallbacks); routing
     /// counters live in the traffic matrix and merge in at `finish`.
     report: DegradationReport,
@@ -304,8 +384,9 @@ impl SimEngine {
             fault_schedule,
             next_fault_event: 0,
             transitions: Vec::new(),
-            pending: Vec::with_capacity(COALESCE_SLOTS),
+            charges: ChargeTable::new(),
             coalesce: true,
+            axis: AxisHops::new(&topo),
             tracing: false,
             recorder: RecorderSlot(None),
             tenant: None,
@@ -434,7 +515,7 @@ impl SimEngine {
 
     /// Attach an event recorder: every subsequent charge primitive emits its
     /// typed [`Event`]s into it. The recorder sees events *pre-coalescing*
-    /// (in primitive order, before the run-length buffer merges them) and
+    /// (in primitive order, before the charge table sums them) and
     /// *post-fault-redirect* (against the bank that actually served them).
     /// Recording is strictly observational — accounting stays byte-identical
     /// with any recorder attached or none, pinned by the recorder-equivalence
@@ -604,13 +685,9 @@ impl SimEngine {
         }
     }
 
-    /// Buffer one traffic charge, collapsing it into a pending run when the
-    /// `(src, dst, payload, class)` tuple matches. Every traffic counter is
-    /// additive and order-independent, and `record_n` of a merged run is
-    /// exactly `n` single records (pinned by the matrix proptests), so the
-    /// figures are byte-identical with coalescing on or off. With the packet
-    /// log enabled the buffer is bypassed entirely — log order is
-    /// load-bearing for packet replay.
+    /// Accumulate one traffic charge in the [`ChargeTable`], or record it
+    /// write-through when coalescing is off — with the packet log enabled,
+    /// log order is load-bearing for packet replay.
     #[inline]
     fn charge(
         &mut self,
@@ -620,35 +697,27 @@ impl SimEngine {
         class: TrafficClass,
         count: u64,
     ) {
-        if !self.coalesce {
-            self.traffic.record_n(src, dst, payload_bytes, class, count);
+        if count == 0 {
             return;
         }
-        for p in &mut self.pending {
-            if p.src == src && p.dst == dst && p.payload_bytes == payload_bytes && p.class == class
-            {
-                p.count += count;
-                return;
-            }
+        let key = ChargeTable::key(src, dst, payload_bytes, class).filter(|_| self.coalesce);
+        let Some(key) = key else {
+            self.traffic.record_n(src, dst, payload_bytes, class, count);
+            return;
+        };
+        if let Some((old, n)) = self.charges.add(key, count) {
+            let (src, dst, payload_bytes, class) = ChargeTable::unpack(old);
+            self.traffic.record_n(src, dst, payload_bytes, class, n);
         }
-        if self.pending.len() == COALESCE_SLOTS {
-            self.flush_charges();
-        }
-        self.pending.push(PendingCharge {
-            src,
-            dst,
-            payload_bytes,
-            class,
-            count,
-        });
     }
 
-    /// Drain the coalescing buffer into the traffic matrix.
+    /// Drain the pending charges into the traffic matrix.
     fn flush_charges(&mut self) {
-        for p in self.pending.drain(..) {
-            self.traffic
-                .record_n(p.src, p.dst, p.payload_bytes, p.class, p.count);
-        }
+        let traffic = &mut self.traffic;
+        self.charges.drain(|key, n| {
+            let (src, dst, payload_bytes, class) = ChargeTable::unpack(key);
+            traffic.record_n(src, dst, payload_bytes, class, n);
+        });
     }
 
     /// The machine configuration.
@@ -661,22 +730,11 @@ impl SimEngine {
         self.topo
     }
 
-    /// The authoritative view of the traffic matrix: pending coalesced
-    /// charges are flushed first, so every primitive called so far is
-    /// reflected. Use this for tests, packet replay, and anything that compares
-    /// totals.
+    /// The traffic matrix with every charge so far applied: pending
+    /// accumulated charges are drained into it first. Use this for tests,
+    /// packet replay, and anything that compares totals.
     pub fn traffic_mut(&mut self) -> &TrafficMatrix {
         self.flush_charges();
-        &self.traffic
-    }
-
-    /// Borrow the traffic matrix *without* flushing. A bounded number of
-    /// charge runs (at most the coalescing window, 4 slots) may still be
-    /// pending, so totals can lag the primitives slightly; use
-    /// [`traffic_mut`](Self::traffic_mut) when exact totals matter. This is
-    /// the only way to peek at traffic from `&self` contexts (e.g. progress
-    /// reporting mid-run).
-    pub fn traffic_snapshot(&self) -> &TrafficMatrix {
         &self.traffic
     }
 
@@ -689,9 +747,11 @@ impl SimEngine {
         self.traffic.enable_log();
     }
 
-    /// Toggle charge coalescing (on by default). Pending charges are
-    /// flushed first, so the switch never drops or reorders accounting.
-    /// With a packet log active, coalescing stays off regardless.
+    /// Toggle charge accumulation (on by default). Off, every charge is one
+    /// `record_n` in primitive order — the write-through reference the
+    /// accumulator is checked against. Pending charges are drained first, so
+    /// the switch never drops accounting. With a packet log active,
+    /// accumulation stays off regardless.
     pub fn set_coalescing(&mut self, on: bool) {
         self.flush_charges();
         self.coalesce = on && self.traffic.packets().is_none();
@@ -892,7 +952,7 @@ impl SimEngine {
                 count: n,
             });
         }
-        let hops = u64::from(self.topo.manhattan(core, bank));
+        let hops = u64::from(self.axis.hops(core, bank));
         self.record(Event::BankAtomic {
             bank,
             count: n,
@@ -1115,7 +1175,7 @@ impl SimEngine {
             count: n,
         });
         self.record(Event::SeOps { bank: to, count: n });
-        let hops = u64::from(self.topo.manhattan(from, to));
+        let hops = u64::from(self.axis.hops(from, to));
         self.record(Event::BankAtomic {
             bank: to,
             count: n,
@@ -1152,7 +1212,7 @@ impl SimEngine {
     // ---------- finish ----------
 
     /// The analytic cycle breakdown over the counters accumulated so far.
-    /// Callers flush pending coalesced charges first (capacity misses and
+    /// Callers drain pending charges first (capacity misses and
     /// fault epochs write the traffic matrix directly, so both call sites
     /// are exact). Slowed banks pay the *currently active* fault plan's
     /// multiplier — identical to the static plan when no timeline is set.
@@ -1357,26 +1417,8 @@ mod tests {
     #[test]
     fn traffic_accessor_flushes_pending_charges() {
         let mut e = engine();
-        e.remote_atomic(0, 9, 1); // fewer charges than one coalescing window
+        e.remote_atomic(0, 9, 1); // both charges stay pending until the read
         assert!(e.traffic_mut().total_hop_flits() > 0);
-    }
-
-    #[test]
-    fn traffic_snapshot_lags_by_at_most_the_coalescing_window() {
-        let mut e = engine();
-        e.remote_atomic(0, 9, 1); // two charge runs: both fit the buffer
-        assert_eq!(
-            e.traffic_snapshot().total_hop_flits(),
-            0,
-            "snapshot does not flush"
-        );
-        let flushed = e.traffic_mut().total_hop_flits();
-        assert!(flushed > 0);
-        assert_eq!(
-            e.traffic_snapshot().total_hop_flits(),
-            flushed,
-            "after a flush the snapshot agrees"
-        );
     }
 
     #[test]
