@@ -1,12 +1,12 @@
 //! Hot-path microbenchmark: times the per-message accounting layers in
-//! isolation — dense route table, heap translation, engine charge
+//! isolation — route store, heap translation, engine charge
 //! accumulation, the Eq-4 argmin kernel, and the per-bank occupancy scans —
 //! each against the scalar/hash-map/write-through baseline it replaced, and
 //! writes `BENCH_hotpath.json` (schema `aff-bench/hotpath-v3`).
-//! The route layer runs at 8×8 *and* 16×16 (both dense CSR since the
-//! 256-bank threshold raise), and a `route_memory` section records the
-//! resident route-store bytes at 1024 banks against the dense `n²`
-//! entry-array curve.
+//! The route layer runs at 8×8 *and* 16×16 (both hold every source row in
+//! the route store's 1 MiB budget, so neither evicts), and a `route_memory`
+//! section records the resident route-store bytes at 1024 banks, where the
+//! budget holds 64 of 1024 rows, against the dense `n²` entry-array curve.
 //!
 //! ```text
 //! cargo run --release -p aff-bench --bin hotpath -- [--ops N] [--out PATH]
@@ -55,26 +55,26 @@ fn pair_stream(ops: usize, banks: u32, max_run: u64) -> Vec<(u32, u32)> {
     pairs
 }
 
-/// Layer 1: `TrafficMatrix::record_n` through the route store (dense CSR at
-/// 8×8, bounded on-demand rows at 16×16) versus the old shape — a
-/// `HashMap<(src, dst), Vec<link>>` cache probed per message.
+/// Layer 1: `TrafficMatrix::record_n` through the route store's per-source
+/// rows versus the old shape — a `HashMap<(src, dst), Vec<link>>` cache
+/// probed per message.
 fn bench_route_table(ops: u64, name: &'static str, mesh: u32) -> Layer {
     let topo = Topology::new(mesh, mesh);
     let pairs = pair_stream(ops as usize, topo.num_banks(), 4);
     let cfg = MachineConfig::paper_default();
 
     let t0 = Instant::now();
-    let mut dense = TrafficMatrix::new(topo, cfg.link_bytes_per_cycle, cfg.packet_header_bytes);
+    let mut m = TrafficMatrix::new(topo, cfg.link_bytes_per_cycle, cfg.packet_header_bytes);
     for &(s, d) in &pairs {
-        dense.record_n(s, d, 64, TrafficClass::Data, 1);
+        m.record_n(s, d, 64, TrafficClass::Data, 1);
     }
     let fast = t0.elapsed().as_secs_f64();
-    let fast_sum = dense.sum_link_flits();
+    let fast_sum = m.sum_link_flits();
 
     let t0 = Instant::now();
     let mut cache: HashMap<(u32, u32), Vec<u32>> = HashMap::new();
     let mut link_flits = vec![0u64; topo.num_links()];
-    let flits = dense.flits_for(64);
+    let flits = m.flits_for(64);
     for &(s, d) in &pairs {
         let links = cache.entry((s, d)).or_insert_with(|| {
             topo.xy_route(s, d)
@@ -100,9 +100,9 @@ fn bench_route_table(ops: u64, name: &'static str, mesh: u32) -> Layer {
 }
 
 /// Route-store memory at scale: resident bytes after a realistic message
-/// stream on a 32×32 mesh (1024 banks), against what the dense CSR entry
-/// array alone would cost at that size. The on-demand store keeps a bounded
-/// row arena, so its footprint must stay far below the dense `n²` curve.
+/// stream on a 32×32 mesh (1024 banks), against what a dense `n²` entry
+/// array alone would cost at that size. The store's byte budget bounds its
+/// resident rows, so its footprint must stay far below the dense curve.
 struct RouteMemory {
     banks: u32,
     on_demand_bytes: usize,
@@ -121,8 +121,8 @@ fn measure_route_memory(ops: u64) -> RouteMemory {
     RouteMemory {
         banks: n,
         on_demand_bytes: m.route_table_bytes(),
-        // The dense store's entry array is n² × 8 B (two u32s per pair)
-        // before counting its link arena — the curve on-demand rows avoid.
+        // A dense entry array of bare (start, len) u32 pairs, n² × 8 B
+        // before any link arena — the curve budgeted rows avoid.
         dense_entry_bytes: n as usize * n as usize * 8,
     }
 }

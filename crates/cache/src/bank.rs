@@ -133,22 +133,6 @@ impl BankCounters {
             _ => {}
         }
     }
-
-    /// Merge another counter set (same bank count) into this one.
-    ///
-    /// # Panics
-    ///
-    /// Panics on mismatched bank counts.
-    pub fn merge(&mut self, other: &BankCounters) {
-        // invariant: both counter sets describe the same machine; merging
-        // across bank counts is a caller bug, not a recoverable condition.
-        assert_eq!(self.num_banks(), other.num_banks());
-        for i in 0..self.accesses.len() {
-            self.accesses[i] += other.accesses[i];
-            self.atomics[i] += other.atomics[i];
-            self.resident_bytes[i] += other.resident_bytes[i];
-        }
-    }
 }
 
 #[cfg(test)]
@@ -232,17 +216,5 @@ mod tests {
             replayed.apply(ev);
         }
         assert_eq!(replayed, direct);
-    }
-
-    #[test]
-    fn merge_adds_elementwise() {
-        let mut a = BankCounters::new(2);
-        let mut b = BankCounters::new(2);
-        a.access(0, 1);
-        b.access(0, 2);
-        b.add_resident(1, 64);
-        a.merge(&b);
-        assert_eq!(a.accesses_of(0), 3);
-        assert_eq!(a.resident_of(1), 64);
     }
 }

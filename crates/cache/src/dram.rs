@@ -59,15 +59,10 @@ impl DramModel {
     }
 
     /// Record `misses` line misses at `bank`, charging request/response NoC
-    /// traffic to the nearest controller into `traffic`.
-    pub fn record_misses(&mut self, bank: u32, misses: u64, traffic: &mut TrafficMatrix) {
-        self.record_misses_rec(bank, misses, traffic, None);
-    }
-
-    /// [`record_misses`](Self::record_misses) with an optional observability
-    /// hook: the recorder (when present) sees one [`Event::DramAccess`] per
-    /// batch (tagged with the serving controller's index) plus the two NoC
-    /// round-trip [`Event::Traffic`] legs. Recording is purely observational;
+    /// traffic to the nearest controller into `traffic`. An optional
+    /// recorder sees one [`Event::DramAccess`] per batch (tagged with the
+    /// serving controller's index) plus the two NoC round-trip
+    /// [`Event::Traffic`] legs. Recording is purely observational;
     /// the accounting charged into `traffic` and the activity totals are
     /// byte-identical with or without a recorder.
     pub fn record_misses_rec(
@@ -165,7 +160,7 @@ mod tests {
     #[test]
     fn misses_generate_round_trips() {
         let (mut dram, mut traffic) = setup();
-        dram.record_misses(9, 100, &mut traffic);
+        dram.record_misses_rec(9, 100, &mut traffic, None);
         assert_eq!(dram.accesses(), 100);
         // Bank 9 is nearest controller 0 (corner), distance 2:
         // request: 1 flit * 2 hops * 100; response: 3 flits * 2 hops * 100.
@@ -176,7 +171,7 @@ mod tests {
     #[test]
     fn zero_misses_do_nothing() {
         let (mut dram, mut traffic) = setup();
-        dram.record_misses(5, 0, &mut traffic);
+        dram.record_misses_rec(5, 0, &mut traffic, None);
         assert_eq!(dram.accesses(), 0);
         assert_eq!(traffic.total_hop_flits(), 0);
     }
@@ -184,7 +179,7 @@ mod tests {
     #[test]
     fn service_cycles_follow_bandwidth() {
         let (mut dram, mut traffic) = setup();
-        dram.record_misses(0, 13, &mut traffic); // 13 lines * 64B / 13 B/cy = 64 cy
+        dram.record_misses_rec(0, 13, &mut traffic, None); // 13 lines * 64B / 13 B/cy = 64 cy
         assert_eq!(dram.activity().service_cycles, 64);
     }
 
@@ -198,10 +193,10 @@ mod tests {
         let mut traffic =
             TrafficMatrix::new(topo, cfg.link_bytes_per_cycle, cfg.packet_header_bytes);
         let mut dram = DramModel::new(&cfg);
-        dram.record_misses(0, 13, &mut traffic); // healthy: 64 cycles
+        dram.record_misses_rec(0, 13, &mut traffic, None); // healthy: 64 cycles
         assert_eq!(dram.activity().service_cycles, 256);
         // Misses at the opposite corner hit controller 3, which is healthy.
-        dram.record_misses(63, 13, &mut traffic);
+        dram.record_misses_rec(63, 13, &mut traffic, None);
         assert_eq!(dram.activity().service_cycles, 256 + 64);
     }
 
@@ -211,7 +206,7 @@ mod tests {
         // The mid-run analogue of `slowed_ctrl_multiplies_service_time`:
         // the 4× slowdown arrives via apply_fault_plan, not the constructor.
         let (mut dram, mut traffic) = setup();
-        dram.record_misses(0, 13, &mut traffic);
+        dram.record_misses_rec(0, 13, &mut traffic, None);
         assert_eq!(dram.activity().service_cycles, 64);
         dram.apply_fault_plan(&FaultPlan::none().slow_mem_ctrl(0, 4));
         assert_eq!(dram.activity().service_cycles, 256);
@@ -224,7 +219,7 @@ mod tests {
     fn traced_misses_match_untraced_and_emit_events() {
         use aff_sim_core::trace::TraceRecorder;
         let (mut plain, mut plain_traffic) = setup();
-        plain.record_misses(9, 100, &mut plain_traffic);
+        plain.record_misses_rec(9, 100, &mut plain_traffic, None);
 
         let (mut traced, mut traced_traffic) = setup();
         let mut rec = TraceRecorder::default();
@@ -247,7 +242,7 @@ mod tests {
     fn misses_spread_to_nearest_corner() {
         let (mut dram, mut traffic) = setup();
         // Bank 63 is itself a controller corner: zero-hop round trip.
-        dram.record_misses(63, 10, &mut traffic);
+        dram.record_misses_rec(63, 10, &mut traffic, None);
         assert_eq!(traffic.total_hop_flits(), 0);
         assert_eq!(dram.accesses(), 10);
     }

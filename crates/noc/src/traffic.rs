@@ -90,30 +90,20 @@ pub struct Packet {
 /// Arena offset marking a pair whose route has not been resolved yet.
 const UNRESOLVED: u32 = u32::MAX;
 
-/// Largest bank count that keeps the dense `src*n+dst` route table. The
-/// paper's 8×8 machine (64 banks) sits comfortably below it, so the default
-/// geometry keeps the PR-4 hot path — one indexed load per lookup —
-/// byte-identically, and so does a 16×16 machine (256 banks, a 1 MiB entry
-/// array): the earlier 128-bank cutoff pushed 16×16 onto the on-demand
-/// store and cost it half its route-lookup throughput for a memory saving
-/// nobody needed at that scale. Above the threshold the dense table's O(n²)
-/// entry array (a 32×32 machine would pre-commit 16 MiB before the arena)
-/// gives way to on-demand per-source rows with LRU-ish eviction.
-pub const DENSE_ROUTE_TABLE_MAX_BANKS: usize = 256;
+/// Byte budget for the resident route rows' entry arrays. A machine whose
+/// full `banks²` entry set fits (8×8: 64 KiB, 16×16: 1 MiB) keeps every
+/// source row and never evicts, so after warm-up each lookup is a few indexed
+/// loads; a 32×32 machine keeps 64 of its 1024 rows (16 MiB would be the
+/// full set) and evicts the least-recently-used one.
+const ROUTE_ROW_BUDGET_BYTES: usize = 1 << 20;
 
-/// Resident per-source rows the on-demand store keeps before evicting the
-/// least-recently-used one. Real kernels touch far fewer distinct sources
-/// than banks at any moment (streams issue from a working set of banks), so
-/// 64 rows hold the paper-scale working set of *any* geometry while memory
-/// stays O(rows · n) instead of O(n²).
-const ON_DEMAND_MAX_ROWS: usize = 64;
-
-/// One resolved route in the dense table: where its links live in the arena
-/// plus the degradation facts the accounting loop needs. 16 bytes, `Copy`,
-/// so the hot path reads it with one indexed load and no pointer chase.
+/// One resolved route in a source row: where its links live in the row's
+/// arena plus the degradation facts the accounting loop needs. 16 bytes,
+/// `Copy`, so the hot path reads it with one indexed load and no pointer
+/// chase.
 #[derive(Debug, Clone, Copy)]
 struct RouteEntry {
-    /// First link's offset into [`RouteTable::arena`], or [`UNRESOLVED`].
+    /// First link's offset into [`SrcRow::arena`], or [`UNRESOLVED`].
     start: u32,
     /// Number of links.
     len: u32,
@@ -136,8 +126,9 @@ impl RouteEntry {
 }
 
 /// Resolve the route `src → dst`, append its links to `arena`, and return
-/// the entry describing them. The one route-construction path both stores
-/// share, so dense and on-demand lookups are equal by construction.
+/// the entry describing them. The one route-construction path, so a row
+/// rebuilt after eviction or a fault epoch is equal by construction to the
+/// router it caches.
 #[cold]
 fn resolve_into(
     arena: &mut Vec<u32>,
@@ -183,114 +174,41 @@ fn entry_hit(e: RouteEntry, arena: &[u32], changed_links: &[bool]) -> bool {
             .any(|&l| changed_links[l as usize])
 }
 
-/// Dense route table: pair `(src, dst)` lives at slot `src * n_banks + dst`,
-/// and every pair's link list lives in one shared CSR-style arena (per-pair
-/// offset + one flat `u32` link-index array). Built lazily — irregular
-/// workloads record millions of per-element messages over at most
-/// `n_banks²` distinct routes, so each route is resolved once and then read
-/// with two array indexes: no hashing, no per-route allocation.
+/// One materialized source row: the routes out of `src` that have actually
+/// been used, with their own link arena so eviction reclaims everything at
+/// once.
 #[derive(Debug, Clone)]
-struct RouteTable {
-    /// Bank count the slot index is computed against.
-    n_banks: usize,
-    /// Per-pair entries, `UNRESOLVED` until first use.
+struct SrcRow {
+    /// Source bank this row serves.
+    src: BankId,
+    /// Last-touch clock for LRU eviction.
+    stamp: u64,
+    /// Per-destination entries, `UNRESOLVED` until first use.
     entries: Vec<RouteEntry>,
     /// Flat link-index arena; entry `e` owns `arena[e.start..e.start+e.len]`.
     arena: Vec<u32>,
 }
 
-impl RouteTable {
-    fn new(topo: Topology) -> Self {
-        let n = topo.num_banks() as usize;
-        Self {
-            n_banks: n,
-            entries: vec![RouteEntry::EMPTY; n * n],
-            arena: Vec::new(),
-        }
-    }
-
-    /// The entry for `src → dst`, resolving and appending to the arena on
-    /// first use. A single indexed load on every later call — this is the
-    /// get-or-build that replaced the `contains_key`/`insert`/index triple
-    /// probe of the old `HashMap` cache.
-    #[inline]
-    fn get_or_build(
-        &mut self,
-        src: BankId,
-        dst: BankId,
-        topo: Topology,
-        router: Option<&FaultRouter>,
-    ) -> RouteEntry {
-        let slot = src as usize * self.n_banks + dst as usize;
-        let e = self.entries[slot];
-        if e.start != UNRESOLVED {
-            return e;
-        }
-        let entry = resolve_into(&mut self.arena, src, dst, topo, router);
-        self.entries[slot] = entry;
-        entry
-    }
-
-    /// The link indices an entry owns.
-    #[inline]
-    fn links(&self, e: RouteEntry) -> &[u32] {
-        &self.arena[e.start as usize..(e.start + e.len) as usize]
-    }
-
-    /// Drop the entries a fault-epoch change can affect: those whose cached
-    /// links changed state (`changed_links[idx]`), plus every rerouted or
-    /// limped entry — a repair elsewhere may now offer them a better path.
-    /// Entries whose X-Y routes run over untouched healthy links survive
-    /// (the BFS tie-break reproduces X-Y whenever the X-Y path is healthy).
-    /// Invalidated arena segments are left in place: the table trades a
-    /// little arena garbage for not rebuilding untouched routes.
-    fn invalidate(&mut self, changed_links: &[bool]) {
-        for slot in 0..self.entries.len() {
-            let e = self.entries[slot];
-            if e.start == UNRESOLVED {
-                continue;
-            }
-            if entry_hit(e, &self.arena, changed_links) {
-                self.entries[slot] = RouteEntry::EMPTY;
-            }
-        }
-    }
-
-    /// Resident heap bytes (entry array + link arena).
-    fn resident_bytes(&self) -> usize {
-        self.entries.len() * std::mem::size_of::<RouteEntry>()
-            + self.arena.len() * std::mem::size_of::<u32>()
-    }
-}
-
-/// One materialized source row of the on-demand store: the routes out of
-/// `src` that have actually been used, with their own link arena so eviction
-/// reclaims everything at once.
-#[derive(Debug, Clone)]
-struct SrcRow {
-    /// Source bank this row serves.
-    src: BankId,
-    /// Last-touch clock for LRU-ish eviction.
-    stamp: u64,
-    /// Per-destination entries, `UNRESOLVED` until first use.
-    entries: Vec<RouteEntry>,
-    /// Link arena owned by this row.
-    arena: Vec<u32>,
-}
-
-/// On-demand per-source route materialization for big geometries: a bounded
-/// set of [`SrcRow`]s (LRU-ish, evicted by oldest touch) replaces the dense
-/// `n²` entry array. Correctness does not depend on what is resident —
-/// route resolution is a pure function of `(topo, router)`, so evicting and
-/// rebuilding a row can never change what gets charged, only when the
-/// (cold) resolution work happens.
+/// The route cache behind [`TrafficMatrix`]: per-source rows materialized
+/// on first use, each a CSR-style window table (`(start, len)` into one
+/// flat `u32` link arena) indexed by destination, at most `max_rows` of
+/// them resident ([`ROUTE_ROW_BUDGET_BYTES`]). Irregular workloads record
+/// millions of per-element messages over at most `banks²` distinct routes,
+/// so each route is resolved once per residency and then read with indexed
+/// loads: no hashing, no per-route allocation. Correctness does not depend
+/// on what is resident — route resolution is a pure function of
+/// `(topo, router)`, so evicting and rebuilding a row can never change what
+/// gets charged, only when the (cold) resolution work happens.
 #[derive(Debug, Clone)]
 struct SourceRoutes {
     /// Bank count (row width).
     n_banks: usize,
+    /// Resident-row cap: `ROUTE_ROW_BUDGET_BYTES / (n_banks × entry)`,
+    /// clamped to `1..=n_banks`.
+    max_rows: usize,
     /// Per source bank: resident row slot, or `u32::MAX`.
     slot_of: Vec<u32>,
-    /// Resident rows, at most [`ON_DEMAND_MAX_ROWS`].
+    /// Resident rows, at most `max_rows`.
     rows: Vec<SrcRow>,
     /// Monotonic touch clock.
     clock: u64,
@@ -299,8 +217,10 @@ struct SourceRoutes {
 impl SourceRoutes {
     fn new(topo: Topology) -> Self {
         let n = topo.num_banks() as usize;
+        let row_bytes = n * std::mem::size_of::<RouteEntry>();
         Self {
             n_banks: n,
+            max_rows: (ROUTE_ROW_BUDGET_BYTES / row_bytes).clamp(1, n),
             slot_of: vec![u32::MAX; n],
             rows: Vec::new(),
             clock: 0,
@@ -315,7 +235,7 @@ impl SourceRoutes {
         if slot != u32::MAX {
             return slot as usize;
         }
-        let slot = if self.rows.len() < ON_DEMAND_MAX_ROWS {
+        let slot = if self.rows.len() < self.max_rows {
             self.rows.push(SrcRow {
                 src,
                 stamp: 0,
@@ -342,6 +262,9 @@ impl SourceRoutes {
         slot
     }
 
+    /// The entry for `src → dst`, resolving and appending to the row's
+    /// arena on first use.
+    #[inline]
     fn resolve(
         &mut self,
         src: BankId,
@@ -353,21 +276,31 @@ impl SourceRoutes {
         self.clock += 1;
         let row = &mut self.rows[slot];
         row.stamp = self.clock;
-        let e = row.entries[dst as usize];
-        if e.start != UNRESOLVED {
-            return ResolvedEntry {
-                entry: e,
-                row: slot as u32,
-            };
+        let mut entry = row.entries[dst as usize];
+        if entry.start == UNRESOLVED {
+            entry = resolve_into(&mut row.arena, src, dst, topo, router);
+            row.entries[dst as usize] = entry;
         }
-        let entry = resolve_into(&mut row.arena, src, dst, topo, router);
-        row.entries[dst as usize] = entry;
         ResolvedEntry {
             entry,
             row: slot as u32,
         }
     }
 
+    /// The link indices a resolved entry owns.
+    #[inline]
+    fn links(&self, r: ResolvedEntry) -> &[u32] {
+        let e = r.entry;
+        &self.rows[r.row as usize].arena[e.start as usize..(e.start + e.len) as usize]
+    }
+
+    /// Drop the entries a fault-epoch change can affect: those whose cached
+    /// links changed state (`changed_links[idx]`), plus every rerouted or
+    /// limped entry — a repair elsewhere may now offer them a better path.
+    /// Entries whose X-Y routes run over untouched healthy links survive
+    /// (the BFS tie-break reproduces X-Y whenever the X-Y path is healthy).
+    /// Invalidated arena segments are left in place: a row trades a little
+    /// arena garbage for not rebuilding untouched routes.
     fn invalidate(&mut self, changed_links: &[bool]) {
         for row in &mut self.rows {
             for e in &mut row.entries {
@@ -392,78 +325,16 @@ impl SourceRoutes {
     }
 }
 
-/// A resolved entry plus which store row its links live in — `Copy`, so the
+/// A resolved entry plus the row slot its links live in — `Copy`, so the
 /// hot loop holds it across the two accumulation passes without borrowing
 /// the store.
 #[derive(Debug, Clone, Copy)]
 struct ResolvedEntry {
     entry: RouteEntry,
-    /// Row slot for the on-demand store; unused by the dense table.
     row: u32,
 }
 
-/// The route cache behind [`TrafficMatrix`]: dense CSR table up to
-/// [`DENSE_ROUTE_TABLE_MAX_BANKS`] banks (the PR-4 hot path, byte-identical
-/// for the paper's 8×8), on-demand per-source rows beyond it.
-#[derive(Debug, Clone)]
-enum RouteStore {
-    Dense(RouteTable),
-    OnDemand(SourceRoutes),
-}
-
-impl RouteStore {
-    fn new(topo: Topology) -> Self {
-        if topo.num_banks() as usize <= DENSE_ROUTE_TABLE_MAX_BANKS {
-            RouteStore::Dense(RouteTable::new(topo))
-        } else {
-            RouteStore::OnDemand(SourceRoutes::new(topo))
-        }
-    }
-
-    #[inline]
-    fn resolve(
-        &mut self,
-        src: BankId,
-        dst: BankId,
-        topo: Topology,
-        router: Option<&FaultRouter>,
-    ) -> ResolvedEntry {
-        match self {
-            RouteStore::Dense(t) => ResolvedEntry {
-                entry: t.get_or_build(src, dst, topo, router),
-                row: 0,
-            },
-            RouteStore::OnDemand(s) => s.resolve(src, dst, topo, router),
-        }
-    }
-
-    #[inline]
-    fn links(&self, r: ResolvedEntry) -> &[u32] {
-        match self {
-            RouteStore::Dense(t) => t.links(r.entry),
-            RouteStore::OnDemand(s) => {
-                let row = &s.rows[r.row as usize];
-                &row.arena[r.entry.start as usize..(r.entry.start + r.entry.len) as usize]
-            }
-        }
-    }
-
-    fn invalidate(&mut self, changed_links: &[bool]) {
-        match self {
-            RouteStore::Dense(t) => t.invalidate(changed_links),
-            RouteStore::OnDemand(s) => s.invalidate(changed_links),
-        }
-    }
-
-    fn resident_bytes(&self) -> usize {
-        match self {
-            RouteStore::Dense(t) => t.resident_bytes(),
-            RouteStore::OnDemand(s) => s.resident_bytes(),
-        }
-    }
-}
-
-/// A resolved route as the dense table records it (tests, diagnostics).
+/// A resolved route as the route store records it (tests, diagnostics).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ResolvedRoute<'a> {
     /// Link indices in traversal order (see [`Topology::link_index`]).
@@ -507,9 +378,8 @@ pub struct TrafficMatrix {
     limped_messages: u64,
     /// Optional packet log for replay through `CycleNoc`.
     log: Option<Vec<Packet>>,
-    /// Lazily-built route cache: dense below
-    /// [`DENSE_ROUTE_TABLE_MAX_BANKS`] banks, on-demand per-source above.
-    routes: RouteStore,
+    /// Lazily-built route cache: budgeted per-source rows.
+    routes: SourceRoutes,
 }
 
 impl TrafficMatrix {
@@ -531,13 +401,14 @@ impl TrafficMatrix {
             detour_hops: 0,
             limped_messages: 0,
             log: None,
-            routes: RouteStore::new(topo),
+            routes: SourceRoutes::new(topo),
         }
     }
 
-    /// New matrix routing around the link faults in `plan`. With no link
-    /// faults this is exactly [`TrafficMatrix::new`] — same code path, same
-    /// accounting, byte for byte.
+    /// New matrix routing around the link faults in `plan`: a
+    /// [`TrafficMatrix::new`] that starts at `plan`'s fault epoch. With no
+    /// link faults this is exactly `new` — same code path, same accounting,
+    /// byte for byte.
     pub fn with_faults(
         topo: Topology,
         link_bytes_per_cycle: u64,
@@ -545,10 +416,7 @@ impl TrafficMatrix {
         plan: &FaultPlan,
     ) -> Self {
         let mut m = Self::new(topo, link_bytes_per_cycle, packet_header_bytes);
-        if plan.has_link_faults() {
-            m.router = Some(Box::new(FaultRouter::new(topo, plan)));
-            m.effective_link_flits = Some(vec![0; topo.num_links()]);
-        }
+        m.apply_fault_plan(plan);
         m
     }
 
@@ -689,10 +557,10 @@ impl TrafficMatrix {
         }
     }
 
-    /// The route `src → dst` as the dense table resolves it — exactly the
+    /// The route `src → dst` as the route store resolves it — exactly the
     /// links and degradation facts [`TrafficMatrix::record_n`] charges.
     /// Resolves (and caches) the entry on first use, the same lazy path the
-    /// hot loop takes; exposed so tests can pin the table against
+    /// hot loop takes; exposed so tests can pin the store against
     /// [`Topology::xy_route`] and [`FaultRouter::route`].
     pub fn route_of(&mut self, src: BankId, dst: BankId) -> ResolvedRoute<'_> {
         let r = self
@@ -706,10 +574,9 @@ impl TrafficMatrix {
         }
     }
 
-    /// Resident heap bytes of the route cache: the dense table's entry
-    /// array + arena below [`DENSE_ROUTE_TABLE_MAX_BANKS`] banks, the
-    /// bounded per-source rows above it. The scaling benchmark pins this
-    /// sublinear in `n_banks²` at 1024 banks.
+    /// Resident heap bytes of the route cache: the slot map plus the
+    /// resident source rows and their link arenas. The scaling benchmark
+    /// pins this sublinear in `n_banks²` at 1024 banks.
     pub fn route_table_bytes(&self) -> usize {
         self.routes.resident_bytes()
     }
@@ -784,43 +651,12 @@ impl TrafficMatrix {
         if max == 0 {
             return 0.0;
         }
-        let used: Vec<f64> = loads.iter().map(|&f| f as f64).collect();
-        used.iter().sum::<f64>() / (max as f64 * used.len() as f64)
+        loads.iter().map(|&f| f as f64).sum::<f64>() / (max as f64 * loads.len() as f64)
     }
 
     /// The packet log, if logging was enabled before recording.
     pub fn packets(&self) -> Option<&[Packet]> {
         self.log.as_deref()
-    }
-
-    /// Merge another matrix (same topology) into this one.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the topologies differ.
-    pub fn merge(&mut self, other: &TrafficMatrix) {
-        assert_eq!(self.topo, other.topo, "merging traffic across topologies");
-        for (a, b) in self.link_flits.iter_mut().zip(&other.link_flits) {
-            *a += b;
-        }
-        if let (Some(eff), Some(other_eff)) =
-            (&mut self.effective_link_flits, &other.effective_link_flits)
-        {
-            for (a, b) in eff.iter_mut().zip(other_eff) {
-                *a += b;
-            }
-        }
-        for i in 0..3 {
-            self.hop_flits[i] += other.hop_flits[i];
-            self.messages[i] += other.messages[i];
-            self.local_messages[i] += other.local_messages[i];
-        }
-        self.rerouted_messages += other.rerouted_messages;
-        self.detour_hops += other.detour_hops;
-        self.limped_messages += other.limped_messages;
-        if let (Some(log), Some(other_log)) = (&mut self.log, &other.log) {
-            log.extend_from_slice(other_log);
-        }
     }
 }
 
@@ -1004,21 +840,6 @@ mod tests {
     }
 
     #[test]
-    fn merge_accumulates_fault_counters() {
-        use aff_sim_core::fault::LinkRef;
-        let topo = Topology::new(4, 4);
-        let plan =
-            FaultPlan::none().fail_link(LinkRef::between(0, 0, 1, 0).expect("adjacent"));
-        let mut a = TrafficMatrix::with_faults(topo, 32, 8, &plan);
-        let mut b = TrafficMatrix::with_faults(topo, 32, 8, &plan);
-        a.record(0, 3, 24, TrafficClass::Data);
-        b.record(0, 3, 24, TrafficClass::Data);
-        a.merge(&b);
-        assert_eq!(a.routing_degradation().rerouted_messages, 2);
-        assert_eq!(a.routing_degradation().detour_hops, 4);
-    }
-
-    #[test]
     fn apply_fault_plan_reroutes_later_messages_only() {
         use aff_sim_core::fault::LinkRef;
         let topo = Topology::new(4, 4);
@@ -1103,16 +924,44 @@ mod tests {
     }
 
     #[test]
-    fn big_geometries_use_the_on_demand_store() {
-        let topo = Topology::new(20, 20); // 400 banks > dense threshold
-        let m = TrafficMatrix::new(topo, 32, 8);
-        assert!(matches!(m.routes, RouteStore::OnDemand(_)));
-        // 16×16 (256 banks) sits exactly at the threshold: dense, so the
-        // route-lookup hot path stays one indexed load on that geometry.
-        let at_threshold = TrafficMatrix::new(Topology::new(16, 16), 32, 8);
-        assert!(matches!(at_threshold.routes, RouteStore::Dense(_)));
-        let small = TrafficMatrix::new(Topology::new(8, 8), 32, 8);
-        assert!(matches!(small.routes, RouteStore::Dense(_)));
+    fn route_rows_stay_within_the_budget() {
+        // 8×8 and 16×16 fit every source row in the budget: after touching
+        // every pair, all rows are resident with every entry still resolved,
+        // so no row was ever evicted and rebuilt.
+        for mesh in [8u32, 16] {
+            let topo = Topology::new(mesh, mesh);
+            let n = topo.num_banks();
+            let mut m = TrafficMatrix::new(topo, 32, 8);
+            for src in 0..n {
+                for dst in 0..n {
+                    let _ = m.route_of(src, dst);
+                }
+            }
+            assert_eq!(m.routes.rows.len(), n as usize, "{mesh}x{mesh}");
+            for src in 0..n {
+                let slot = m.routes.slot_of[src as usize];
+                assert_ne!(slot, u32::MAX, "row {src} evicted at {mesh}x{mesh}");
+                let row = &m.routes.rows[slot as usize];
+                assert_eq!(row.src, src);
+                assert!(row.entries.iter().all(|e| e.start != UNRESOLVED));
+            }
+        }
+        // 32×32 holds 64 of its 1024 rows (1 MiB of entries): resident rows
+        // never exceed that, however many sources are touched.
+        let topo = Topology::new(32, 32);
+        let n = topo.num_banks();
+        let budget_rows = ROUTE_ROW_BUDGET_BYTES / (n as usize * std::mem::size_of::<RouteEntry>());
+        assert_eq!(budget_rows, 64);
+        let mut m = TrafficMatrix::new(topo, 32, 8);
+        for round in 0..3u32 {
+            for src in 0..n {
+                let _ = m.route_of(src, (src * 37 + round * 11) % n);
+                assert!(m.routes.rows.len() <= budget_rows);
+            }
+        }
+        assert_eq!(m.routes.rows.len(), budget_rows);
+        let resident = m.routes.slot_of.iter().filter(|&&s| s != u32::MAX).count();
+        assert_eq!(resident, budget_rows);
     }
 
     #[test]
@@ -1132,28 +981,31 @@ mod tests {
 
     #[test]
     fn on_demand_eviction_is_invisible_to_accounting() {
-        // Touch more sources than the store keeps resident, twice over, and
-        // compare against recording the same stream into a second matrix in
-        // one pass: eviction and re-materialization must not change a byte.
+        // Touch more sources than the store keeps resident, twice over, so
+        // rows are evicted and rebuilt, and compare every link's flits with
+        // the geometry's X-Y routes summed directly.
         let topo = Topology::new(20, 20);
         let n = topo.num_banks();
-        let mut a = TrafficMatrix::new(topo, 32, 8);
-        let mut b = TrafficMatrix::new(topo, 32, 8);
+        let mut m = TrafficMatrix::new(topo, 32, 8);
+        assert!(m.routes.max_rows < n as usize);
+        let mut want = vec![0u64; topo.num_links()];
         for round in 0..2u32 {
             for src in 0..n {
                 let dst = (src * 37 + round * 11) % n;
-                a.record_n(src, dst, 64, TrafficClass::Data, 3);
-                b.record_n(src, dst, 64, TrafficClass::Data, 3);
+                m.record_n(src, dst, 64, TrafficClass::Data, 3);
+                for l in topo.xy_route(src, dst) {
+                    want[topo.link_index(l)] += m.flits_for(64) * 3;
+                }
             }
         }
-        assert_eq!(a.link_flits(), b.link_flits());
-        assert_eq!(a.total_hop_flits(), b.total_hop_flits());
+        assert_eq!(m.link_flits(), &want[..]);
+        assert_eq!(m.total_hop_flits(), want.iter().sum::<u64>());
         // The store stayed bounded: far below the dense n² entry array.
         let dense_bytes = n as usize * n as usize * std::mem::size_of::<RouteEntry>();
         assert!(
-            a.route_table_bytes() < dense_bytes / 2,
+            m.route_table_bytes() < dense_bytes / 2,
             "resident {} vs dense {}",
-            a.route_table_bytes(),
+            m.route_table_bytes(),
             dense_bytes
         );
     }
@@ -1173,23 +1025,32 @@ mod tests {
         m.apply_fault_plan(&FaultPlan::none());
         assert!(!m.route_of(0, 3).rerouted, "repair restores X-Y");
     }
-
-    #[test]
-    fn merge_accumulates() {
-        let mut a = matrix();
-        let mut b = matrix();
-        a.record(0, 3, 24, TrafficClass::Data);
-        b.record(0, 3, 24, TrafficClass::Data);
-        a.merge(&b);
-        assert_eq!(a.total_hop_flits(), 6);
-        assert_eq!(a.messages(TrafficClass::Data), 2);
-    }
 }
 
 #[cfg(test)]
 mod proptests {
     use super::*;
+    use aff_sim_core::fault::LinkRef;
     use proptest::prelude::*;
+
+    /// The geometry's X-Y route as link indices.
+    fn xy_links(topo: Topology, src: BankId, dst: BankId) -> Vec<u32> {
+        topo.xy_route(src, dst)
+            .into_iter()
+            .map(|l| topo.link_index(l) as u32)
+            .collect()
+    }
+
+    /// The link leaving `(x, y)` in direction `d` (+x, −x, +y, −y) on a
+    /// `w`×`h` grid, if both ends are on it.
+    fn link_at(w: u32, h: u32, x: u32, y: u32, d: usize) -> Option<LinkRef> {
+        let (dx, dy) = [(1i64, 0i64), (-1, 0), (0, 1), (0, -1)][d];
+        let (tx, ty) = (i64::from(x) + dx, i64::from(y) + dy);
+        if x >= w || y >= h || tx < 0 || ty < 0 || tx >= i64::from(w) || ty >= i64::from(h) {
+            return None;
+        }
+        LinkRef::between(x, y, tx as u32, ty as u32)
+    }
 
     proptest! {
         /// Total flit-hops always equals the sum over links, for any message
@@ -1217,13 +1078,16 @@ mod proptests {
             prop_assert!((0.0..=1.0).contains(&u));
         }
 
-        /// The dense route table agrees with `Topology::xy_route` on a
-        /// fault-free matrix and with `FaultRouter::route` under non-empty
-        /// plans — reroutes (failed links), limps (isolated corners) and
-        /// multipliers (degraded links) — for every `(src, dst)` pair on
-        /// several mesh sizes.
+        /// The route store agrees with `Topology::xy_route` on a fault-free
+        /// matrix and with `FaultRouter::route` under non-empty plans —
+        /// reroutes (failed links), limps (isolated corners) and multipliers
+        /// (degraded links). Small meshes check every `(src, dst)` pair;
+        /// mesh and torus machines from 17×17 to 32×32, whose budget holds
+        /// fewer rows than they have sources, check sampled pairs under
+        /// eviction pressure and across mid-run fault epochs
+        /// (`apply_fault_plan` install + repair).
         #[test]
-        fn dense_route_table_agrees_with_routers(
+        fn route_store_agrees_with_routers(
             mesh_x in 2u32..6,
             mesh_y in 2u32..6,
             kills in proptest::collection::vec(
@@ -1235,57 +1099,52 @@ mod proptests {
                 0..4,
             ),
             isolate_corner in proptest::arbitrary::any::<bool>(),
+            big_x in 17u32..33,
+            big_y in 17u32..33,
+            torus in proptest::arbitrary::any::<bool>(),
+            pairs in proptest::collection::vec(
+                (proptest::arbitrary::any::<u32>(), proptest::arbitrary::any::<u32>()),
+                1..48,
+            ),
+            big_kills in proptest::collection::vec(
+                (0u32..33, 0u32..33, 0usize..4),
+                0..6,
+            ),
         ) {
             use crate::fault_route::FaultRouter;
-            use aff_sim_core::fault::LinkRef;
+            use aff_sim_core::config::{BankOrder, TopologyKind};
             let topo = Topology::new(mesh_x, mesh_y);
             let n = topo.num_banks();
 
-            // Fault-free: the table is exactly X-Y.
+            // Fault-free: the store is exactly X-Y.
             let mut plain = TrafficMatrix::new(topo, 32, 8);
             for src in 0..n {
                 for dst in 0..n {
-                    let want: Vec<u32> = topo
-                        .xy_route(src, dst)
-                        .into_iter()
-                        .map(|l| topo.link_index(l) as u32)
-                        .collect();
                     let got = plain.route_of(src, dst);
-                    prop_assert_eq!(got.links, &want[..], "{}->{}", src, dst);
+                    prop_assert_eq!(got.links, &xy_links(topo, src, dst)[..], "{}->{}", src, dst);
                     prop_assert!(!got.rerouted && !got.limped);
                     prop_assert_eq!(got.detour_hops, 0);
                 }
             }
 
-            // Faulted: the table is exactly the fault router.
-            let dirs: [(i64, i64); 4] = [(1, 0), (-1, 0), (0, 1), (0, -1)];
-            let link_at = |x: u32, y: u32, d: usize| -> Option<LinkRef> {
-                let (dx, dy) = dirs[d];
-                let (tx, ty) = (i64::from(x) + dx, i64::from(y) + dy);
-                if x >= mesh_x || y >= mesh_y || tx < 0 || ty < 0 {
-                    return None;
-                }
-                let (tx, ty) = (tx as u32, ty as u32);
-                if tx >= mesh_x || ty >= mesh_y {
-                    return None;
-                }
-                LinkRef::between(x, y, tx, ty)
-            };
+            // Faulted: the store is exactly the fault router.
             let mut plan = FaultPlan::none();
             for &(x, y, d) in &kills {
-                if let Some(l) = link_at(x, y, d) {
+                if let Some(l) = link_at(mesh_x, mesh_y, x, y, d) {
                     plan = plan.fail_link(l);
                 }
             }
             for &(x, y, d, m) in &slows {
-                if let Some(l) = link_at(x, y, d) {
+                if let Some(l) = link_at(mesh_x, mesh_y, x, y, d) {
                     plan = plan.degrade_link(l, m);
                 }
             }
             if isolate_corner {
                 // Force the limped branch: corner (0,0) cannot send.
-                for l in [link_at(0, 0, 0), link_at(0, 0, 2)].into_iter().flatten() {
-                    plan = plan.fail_link(l);
+                for d in [0, 2] {
+                    if let Some(l) = link_at(mesh_x, mesh_y, 0, 0, d) {
+                        plan = plan.fail_link(l);
+                    }
                 }
             }
             if plan.has_link_faults() {
@@ -1302,116 +1161,63 @@ mod proptests {
                     }
                 }
             }
-        }
 
-        /// On-demand route materialization is byte-equivalent to the dense
-        /// CSR table, `Topology::xy_route`, and `FaultRouter::route` on
-        /// geometries past the dense threshold — up to 32×32, mesh and
-        /// torus — including LRU eviction pressure and mid-run fault-plan
-        /// rebuilds (`apply_fault_plan` install + repair).
-        #[test]
-        fn on_demand_routes_byte_match_dense_and_routers(
-            mesh_x in 17u32..33,
-            mesh_y in 17u32..33,
-            torus in proptest::arbitrary::any::<bool>(),
-            pairs in proptest::collection::vec(
-                (proptest::arbitrary::any::<u32>(), proptest::arbitrary::any::<u32>()),
-                1..48,
-            ),
-            kills in proptest::collection::vec(
-                (0u32..33, 0u32..33, 0usize..4),
-                0..6,
-            ),
-        ) {
-            use crate::fault_route::FaultRouter;
-            use aff_sim_core::config::{BankOrder, TopologyKind};
-            use aff_sim_core::fault::LinkRef;
+            // Big machines: fewer resident rows than sources.
             let kind = if torus { TopologyKind::Torus } else { TopologyKind::Mesh };
-            let topo = Topology::with_kind(mesh_x, mesh_y, BankOrder::RowMajor, kind);
+            let topo = Topology::with_kind(big_x, big_y, BankOrder::RowMajor, kind);
             let n = topo.num_banks();
-            // 17×17 = 289 banks already exceeds the dense threshold: the
-            // matrix must be running the on-demand store.
             let mut m = TrafficMatrix::new(topo, 32, 8);
-            prop_assert!(matches!(m.routes, RouteStore::OnDemand(_)));
-
-            // Phase 1 — fault-free: on-demand == directly-built dense CSR
-            // == geometry X-Y, byte for byte.
-            let mut dense = RouteTable::new(topo);
+            prop_assert!(m.routes.max_rows < n as usize);
             for &(s, d) in &pairs {
                 let (src, dst) = (s % n, d % n);
-                let want = dense.get_or_build(src, dst, topo, None);
-                let want_links = dense.links(want).to_vec();
-                let xy: Vec<u32> = topo
-                    .xy_route(src, dst)
-                    .into_iter()
-                    .map(|l| topo.link_index(l) as u32)
-                    .collect();
                 let got = m.route_of(src, dst);
-                prop_assert_eq!(got.links, &want_links[..], "dense {}->{}", src, dst);
-                prop_assert_eq!(got.links, &xy[..], "xy {}->{}", src, dst);
+                prop_assert_eq!(got.links, &xy_links(topo, src, dst)[..], "xy {}->{}", src, dst);
                 prop_assert!(!got.rerouted && !got.limped);
             }
-            // Eviction pressure: touch more sources than the store keeps
-            // rows, then re-verify rebuilt rows against the geometry.
-            for src in 0..n.min(2 * ON_DEMAND_MAX_ROWS as u32) {
+            // Eviction pressure: touch every source in order, which evicts
+            // the earliest ones, then re-verify rebuilt rows.
+            for src in 0..n {
                 let _ = m.route_of(src, (src * 7 + 1) % n);
             }
-            for src in 0..8u32.min(n) {
+            prop_assert_eq!(m.routes.slot_of[0], u32::MAX, "source 0 evicted");
+            for src in 0..8u32 {
                 let dst = (src * 7 + 1) % n;
-                let xy_len = topo.xy_route(src, dst).len();
                 let got = m.route_of(src, dst);
-                prop_assert_eq!(got.links.len(), xy_len, "evicted row rebuilt {}->{}", src, dst);
+                prop_assert_eq!(got.links, &xy_links(topo, src, dst)[..], "rebuilt {}->{}", src, dst);
             }
 
-            // Phase 2 — mid-run fault epoch: install a plan on the warm
-            // store; rebuilt routes must match the fault router and a dense
-            // table built under the same router.
-            let dirs: [(i64, i64); 4] = [(1, 0), (-1, 0), (0, 1), (0, -1)];
+            // Mid-run fault epoch: install a plan on the warm store; rebuilt
+            // routes must match the fault router.
             let mut plan = FaultPlan::none();
-            for &(x, y, d) in &kills {
-                let (dx, dy) = dirs[d];
-                let (tx, ty) = (i64::from(x) + dx, i64::from(y) + dy);
-                if x < mesh_x && y < mesh_y && tx >= 0 && ty >= 0
-                    && (tx as u32) < mesh_x && (ty as u32) < mesh_y
-                {
-                    if let Some(l) = LinkRef::between(x, y, tx as u32, ty as u32) {
-                        plan = plan.fail_link(l);
-                    }
+            for &(x, y, d) in &big_kills {
+                if let Some(l) = link_at(big_x, big_y, x, y, d) {
+                    plan = plan.fail_link(l);
                 }
             }
             // Fault-table construction is O(banks²) (one reverse BFS per
             // destination) — unmeasurable per call, but 64 proptest cases at
             // 1024 banks add up in debug builds. Cap the *faulted* phases at
-            // 20×20; the fault-free equivalence above still runs to 32×32.
+            // 20×20; the fault-free phase above still runs to 32×32.
             if plan.has_link_faults() && n <= 400 {
                 m.apply_fault_plan(&plan);
                 let router = FaultRouter::new(topo, &plan);
-                let mut dense_f = RouteTable::new(topo);
                 for &(s, d) in &pairs {
                     let (src, dst) = (s % n, d % n);
                     let want = router.route(src, dst);
-                    let de = dense_f.get_or_build(src, dst, topo, Some(&router));
-                    let de_links = dense_f.links(de).to_vec();
                     let got = m.route_of(src, dst);
                     prop_assert_eq!(got.links, &want.links[..], "router {}->{}", src, dst);
-                    prop_assert_eq!(got.links, &de_links[..], "dense-faulted {}->{}", src, dst);
                     prop_assert_eq!(got.rerouted, want.rerouted);
                     prop_assert_eq!(got.detour_hops, want.detour_hops);
                     prop_assert_eq!(got.limped, want.limped);
                 }
 
-                // Phase 3 — repair epoch: back to the empty plan, routes
-                // must return to plain geometry X-Y.
+                // Repair epoch: back to the empty plan, routes must return
+                // to plain geometry X-Y.
                 m.apply_fault_plan(&FaultPlan::none());
                 for &(s, d) in &pairs {
                     let (src, dst) = (s % n, d % n);
-                    let xy: Vec<u32> = topo
-                        .xy_route(src, dst)
-                        .into_iter()
-                        .map(|l| topo.link_index(l) as u32)
-                        .collect();
                     let got = m.route_of(src, dst);
-                    prop_assert_eq!(got.links, &xy[..], "repaired {}->{}", src, dst);
+                    prop_assert_eq!(got.links, &xy_links(topo, src, dst)[..], "repaired {}->{}", src, dst);
                     prop_assert!(!got.rerouted && !got.limped);
                 }
             }

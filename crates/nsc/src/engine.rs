@@ -285,7 +285,6 @@ pub struct SimEngine {
     core_ops: u64,
     private_hits: u64,
     serial_cycles: u64,
-    explicit_dram_lines: u64,
     phase: PhaseTracker,
     timeline: OccupancyTimeline,
     /// Failed-bank → spare-bank table, present only when the machine's fault
@@ -375,7 +374,6 @@ impl SimEngine {
             core_ops: 0,
             private_hits: 0,
             serial_cycles: 0,
-            explicit_dram_lines: 0,
             healthy: spare.is_none(),
             spare,
             report: DegradationReport::default(),
@@ -823,31 +821,6 @@ impl SimEngine {
         }
     }
 
-    /// Force `lines` DRAM line accesses regardless of the capacity model
-    /// (cold first-touch streaming that no cache can absorb).
-    pub fn cold_dram_lines(&mut self, bank: BankId, lines: u64) {
-        let target = self.serving_bank(bank);
-        let rec: Option<&mut dyn Recorder> = if self.tracing {
-            self.recorder.0.as_mut().map(|b| b.as_mut() as _)
-        } else {
-            None
-        };
-        self.dram
-            .record_misses_rec(target, lines, &mut self.traffic, rec);
-        self.explicit_dram_lines += lines;
-        if self.attributing {
-            // The DramModel charged past `record`, so attribute here.
-            if let Some(t) = self.tenant {
-                self.tally(t).dram_lines += lines;
-            }
-        }
-        self.record(Event::BankAccess {
-            bank: target,
-            count: lines,
-            fetch: false,
-        });
-    }
-
     // ---------- In-Core primitives ----------
 
     /// Core at tile `core` reads `lines` cache lines homed at `bank`:
@@ -1265,7 +1238,6 @@ impl SimEngine {
                 total_misses += misses;
             }
         }
-        total_misses += self.explicit_dram_lines;
 
         let breakdown = self.current_breakdown();
         let cycles = breakdown.total().max(1);
@@ -1297,10 +1269,10 @@ impl SimEngine {
             ],
             total_hop_flits: self.traffic.total_hop_flits(),
             noc_utilization: self.traffic.utilization(),
-            l3_miss_rate: if total_accesses + self.explicit_dram_lines == 0 {
+            l3_miss_rate: if total_accesses == 0 {
                 0.0
             } else {
-                total_misses as f64 / (total_accesses + self.explicit_dram_lines) as f64
+                total_misses as f64 / total_accesses as f64
             },
             dram_accesses: self.dram.accesses(),
             energy_pj: energy.total_pj(&model),

@@ -17,7 +17,7 @@ use proptest::prelude::*;
 type Op = (u8, u32, u32, u64);
 
 /// Number of distinct opcodes `apply_ops` decodes.
-const NUM_OPS: u8 = 14;
+const NUM_OPS: u8 = 13;
 
 /// Drive one engine through the decoded charge sequence. Ids are reduced
 /// mod the 16 banks of [`MachineConfig::small_mesh`].
@@ -37,8 +37,7 @@ fn apply_ops(e: &mut SimEngine, ops: &[Op]) {
             9 => e.private_hits(n),
             10 => e.register_resident(b, n * 64),
             11 => e.chain(u64::from(a % 4), n),
-            12 => e.cold_dram_lines(b, n),
-            13 => {
+            12 => {
                 e.begin_phase();
                 e.core_atomic(a, b, false, n);
                 e.end_phase();
