@@ -1,12 +1,18 @@
 //! Hot-path microbenchmark: times the per-message accounting layers in
 //! isolation — route store, heap translation, engine charge
-//! accumulation, the Eq-4 argmin kernel, and the per-bank occupancy scans —
-//! each against the scalar/hash-map/write-through baseline it replaced, and
-//! writes `BENCH_hotpath.json` (schema `aff-bench/hotpath-v3`).
+//! accumulation, folded remote atomics, the Eq-4 argmin kernel, and the
+//! per-bank occupancy scans — each against the scalar/hash-map/write-through
+//! baseline it replaced, and writes `BENCH_hotpath.json` (schema
+//! `aff-bench/hotpath-v4`). Each side of a layer is the median of
+//! [`REPEATS`] runs, alternating with the other side's.
 //! The route layer runs at 8×8 *and* 16×16 (both hold every source row in
 //! the route store's 1 MiB budget, so neither evicts), and a `route_memory`
 //! section records the resident route-store bytes at 1024 banks, where the
 //! budget holds 64 of 1024 rows, against the dense `n²` entry-array curve.
+//!
+//! Schema v4 (from v3): the `primitive_fold` layer is new, every speedup is
+//! a ratio of medians rather than of single runs, and `dense_entry_bytes`
+//! counts the 16 B route entry the store actually keeps (v3 counted 8 B).
 //!
 //! ```text
 //! cargo run --release -p aff-bench --bin hotpath -- [--ops N] [--out PATH]
@@ -22,7 +28,14 @@ use aff_nsc::engine::SimEngine;
 use aff_sim_core::config::{MachineConfig, PAGE_SIZE};
 use aff_sim_core::rng::SimRng;
 use std::collections::HashMap;
+use std::fmt::Debug;
 use std::time::Instant;
+
+/// Timed runs of each side of a layer; the reported time is their median.
+const REPEATS: usize = 5;
+
+/// Remote atomics per occupancy phase in the `primitive_fold` layer.
+const FOLD_PHASE_OPS: usize = 50_000;
 
 /// One measured layer: the optimized path and its baseline, in Mops/sec.
 struct Layer {
@@ -34,8 +47,53 @@ struct Layer {
     checksum: u64,
 }
 
-fn mops(ops: u64, secs: f64) -> f64 {
-    ops as f64 / 1e6 / secs.max(1e-12)
+impl Layer {
+    fn new(name: &'static str, ops: u64, (fast, base): (f64, f64), checksum: u64) -> Self {
+        let mops = |secs: f64| ops as f64 / 1e6 / secs.max(1e-12);
+        Self {
+            name,
+            ops,
+            fast_mops: mops(fast),
+            base_mops: mops(base),
+            checksum,
+        }
+    }
+}
+
+/// Median seconds of [`REPEATS`] runs of `fast` and of `base`, alternating,
+/// each on a fresh untimed `setup()` state, plus the witness both sides
+/// returned. Panics with `what` if any run's witness differs from the
+/// first fast run's.
+fn time_pair<S, T: PartialEq + Debug>(
+    setup: impl Fn() -> S,
+    fast: impl Fn(&mut S) -> T,
+    base: impl Fn(&mut S) -> T,
+    what: &str,
+) -> ((f64, f64), T) {
+    let mut witness = None;
+    let mut run = |side: &dyn Fn(&mut S) -> T, times: &mut Vec<f64>| {
+        let mut state = setup();
+        let t0 = Instant::now();
+        let out = side(&mut state);
+        times.push(t0.elapsed().as_secs_f64());
+        match &witness {
+            None => witness = Some(out),
+            Some(w) => assert_eq!(*w, out, "{what}"),
+        }
+    };
+    let (mut fast_s, mut base_s) = (Vec::new(), Vec::new());
+    for _ in 0..REPEATS {
+        run(&fast, &mut fast_s);
+        run(&base, &mut base_s);
+    }
+    let median = |mut v: Vec<f64>| {
+        v.sort_by(f64::total_cmp);
+        v[v.len() / 2]
+    };
+    (
+        (median(fast_s), median(base_s)),
+        witness.expect("REPEATS > 0"),
+    )
 }
 
 /// Seeded `(src, dst)` message stream with same-pair runs of up to
@@ -63,40 +121,36 @@ fn bench_route_table(ops: u64, name: &'static str, mesh: u32) -> Layer {
     let pairs = pair_stream(ops as usize, topo.num_banks(), 4);
     let cfg = MachineConfig::paper_default();
 
-    let t0 = Instant::now();
-    let mut m = TrafficMatrix::new(topo, cfg.link_bytes_per_cycle, cfg.packet_header_bytes);
-    for &(s, d) in &pairs {
-        m.record_n(s, d, 64, TrafficClass::Data, 1);
-    }
-    let fast = t0.elapsed().as_secs_f64();
-    let fast_sum = m.sum_link_flits();
-
-    let t0 = Instant::now();
-    let mut cache: HashMap<(u32, u32), Vec<u32>> = HashMap::new();
-    let mut link_flits = vec![0u64; topo.num_links()];
-    let flits = m.flits_for(64);
-    for &(s, d) in &pairs {
-        let links = cache.entry((s, d)).or_insert_with(|| {
-            topo.xy_route(s, d)
-                .into_iter()
-                .map(|l| topo.link_index(l) as u32)
-                .collect()
-        });
-        for &idx in links.iter() {
-            link_flits[idx as usize] += flits;
-        }
-    }
-    let base = t0.elapsed().as_secs_f64();
-    let base_sum: u64 = link_flits.iter().sum();
-    assert_eq!(fast_sum, base_sum, "route layers must account identically");
-
-    Layer {
-        name,
-        ops,
-        fast_mops: mops(ops, fast),
-        base_mops: mops(ops, base),
-        checksum: fast_sum,
-    }
+    let matrix = || TrafficMatrix::new(topo, cfg.link_bytes_per_cycle, cfg.packet_header_bytes);
+    let flits = matrix().flits_for(64);
+    let (times, sum) = time_pair(
+        || (),
+        |_| {
+            let mut m = matrix();
+            for &(s, d) in &pairs {
+                m.record_n(s, d, 64, TrafficClass::Data, 1);
+            }
+            m.sum_link_flits()
+        },
+        |_| {
+            let mut cache: HashMap<(u32, u32), Vec<u32>> = HashMap::new();
+            let mut link_flits = vec![0u64; topo.num_links()];
+            for &(s, d) in &pairs {
+                let links = cache.entry((s, d)).or_insert_with(|| {
+                    topo.xy_route(s, d)
+                        .into_iter()
+                        .map(|l| topo.link_index(l) as u32)
+                        .collect()
+                });
+                for &idx in links.iter() {
+                    link_flits[idx as usize] += flits;
+                }
+            }
+            link_flits.iter().sum::<u64>()
+        },
+        "route layers must account identically",
+    );
+    Layer::new(name, ops, times, sum)
 }
 
 /// Route-store memory at scale: resident bytes after a realistic message
@@ -121,9 +175,9 @@ fn measure_route_memory(ops: u64) -> RouteMemory {
     RouteMemory {
         banks: n,
         on_demand_bytes: m.route_table_bytes(),
-        // A dense entry array of bare (start, len) u32 pairs, n² × 8 B
+        // A dense array of the store's 16 B route entries, n² × 16 B
         // before any link arena — the curve budgeted rows avoid.
-        dense_entry_bytes: n as usize * n as usize * 8,
+        dense_entry_bytes: n as usize * n as usize * 16,
     }
 }
 
@@ -133,45 +187,42 @@ fn bench_translation(ops: u64) -> Layer {
     let cfg = MachineConfig::paper_default();
     let heap_bytes = 8u64 << 20;
 
-    let mut space = AddressSpace::new(cfg.clone());
-    space.set_heap_mapping(HeapMapping::Random { seed: 7 });
-    let base_va = space.heap_alloc(heap_bytes, PAGE_SIZE);
-    // Sequential element scan: consecutive hits on each page, like a
-    // property-array sweep.
-    let t0 = Instant::now();
-    let mut fast_sum = 0u64;
-    for i in 0..ops {
-        let va = base_va + (i * 8) % heap_bytes;
-        fast_sum += u64::from(space.bank_of(va));
-    }
-    let fast = t0.elapsed().as_secs_f64();
-
-    // The old shape: per-lookup HashMap probe of vpn -> ppn with the same
-    // lazy first-touch frame draws.
-    let t0 = Instant::now();
-    let mut page_map: HashMap<u64, u64> = HashMap::new();
-    let mut rng = SimRng::new(7);
-    let mut base_sum = 0u64;
     let banks = u64::from(cfg.num_banks());
-    for i in 0..ops {
-        let off = (i * 8) % heap_bytes;
-        let (vpn, in_page) = (off / PAGE_SIZE, off % PAGE_SIZE);
-        let ppn = *page_map
-            .entry(vpn)
-            .or_insert_with(|| rng.below(1 << 24));
-        let pa = ppn * PAGE_SIZE + in_page;
-        base_sum += (pa / cfg.default_interleave) % banks;
-    }
-    let base = t0.elapsed().as_secs_f64();
-    assert_eq!(fast_sum, base_sum, "translation layers must agree");
-
-    Layer {
-        name: "translation",
-        ops,
-        fast_mops: mops(ops, fast),
-        base_mops: mops(ops, base),
-        checksum: fast_sum,
-    }
+    let (times, sum) = time_pair(
+        || {
+            let mut space = AddressSpace::new(cfg.clone());
+            space.set_heap_mapping(HeapMapping::Random { seed: 7 });
+            let base_va = space.heap_alloc(heap_bytes, PAGE_SIZE);
+            (space, base_va)
+        },
+        // Sequential element scan: consecutive hits on each page, like a
+        // property-array sweep.
+        |(space, base_va)| {
+            let mut sum = 0u64;
+            for i in 0..ops {
+                let va = *base_va + (i * 8) % heap_bytes;
+                sum += u64::from(space.bank_of(va));
+            }
+            sum
+        },
+        // The old shape: per-lookup HashMap probe of vpn -> ppn with the
+        // same lazy first-touch frame draws.
+        |_| {
+            let mut page_map: HashMap<u64, u64> = HashMap::new();
+            let mut rng = SimRng::new(7);
+            let mut sum = 0u64;
+            for i in 0..ops {
+                let off = (i * 8) % heap_bytes;
+                let (vpn, in_page) = (off / PAGE_SIZE, off % PAGE_SIZE);
+                let ppn = *page_map.entry(vpn).or_insert_with(|| rng.below(1 << 24));
+                let pa = ppn * PAGE_SIZE + in_page;
+                sum += (pa / cfg.default_interleave) % banks;
+            }
+            sum
+        },
+        "translation layers must agree",
+    );
+    Layer::new("translation", ops, times, sum)
 }
 
 /// Layer 3: the same engine charge primitives with charge accumulation on
@@ -182,34 +233,57 @@ fn bench_coalescing(ops: u64) -> Layer {
     // One linked-CSR chain node serves a run of edges from one bank.
     let pairs = pair_stream(ops as usize, cfg.num_banks(), 16);
 
-    let t0 = Instant::now();
-    let mut engine = SimEngine::new(cfg.clone());
-    for &(s, d) in &pairs {
-        engine.indirect(s, d, 8, 1);
-    }
-    let fast = t0.elapsed().as_secs_f64();
-    let fast_sum = engine.traffic_mut().sum_link_flits();
-
-    let t0 = Instant::now();
-    let mut engine = SimEngine::new(cfg.clone());
-    engine.set_coalescing(false);
-    for &(s, d) in &pairs {
-        engine.indirect(s, d, 8, 1);
-    }
-    let base = t0.elapsed().as_secs_f64();
-    let base_sum = engine.traffic_mut().sum_link_flits();
-    assert_eq!(fast_sum, base_sum, "coalescing layers must agree");
-
-    Layer {
-        name: "coalescing",
-        ops,
-        fast_mops: mops(ops, fast),
-        base_mops: mops(ops, base),
-        checksum: fast_sum,
-    }
+    let run = |coalesce: bool| {
+        let mut engine = SimEngine::new(cfg.clone());
+        engine.set_coalescing(coalesce);
+        for &(s, d) in &pairs {
+            engine.indirect(s, d, 8, 1);
+        }
+        engine.traffic_mut().sum_link_flits()
+    };
+    let (times, sum) = time_pair(
+        || (),
+        |_| run(true),
+        |_| run(false),
+        "coalescing layers must agree",
+    );
+    Layer::new("coalescing", ops, times, sum)
 }
 
-/// Layer 4: the Eq-4 bank-select argmin — `lanes::eq4_argmin`, the kernel
+/// Layer 4: a graph kernel's remote-atomic stream on 8×8, one occupancy
+/// phase per [`FOLD_PHASE_OPS`] atomics, with whole primitives folded into
+/// the charge table versus write-through (every event of every atomic
+/// applied per call). The witness is the full
+/// [`Metrics`](aff_nsc::engine::Metrics) of the run,
+/// occupancy timeline included.
+fn bench_primitive_fold(ops: u64) -> Layer {
+    let cfg = MachineConfig::paper_default();
+    // Edge banks sweep a chain node's run of edges; property banks are
+    // random.
+    let pairs = pair_stream(ops as usize, cfg.num_banks(), 16);
+    let run = |coalesce: bool| {
+        let mut engine = SimEngine::new(cfg.clone());
+        engine.set_coalescing(coalesce);
+        for phase in pairs.chunks(FOLD_PHASE_OPS) {
+            engine.begin_phase();
+            for &(s, d) in phase {
+                engine.remote_atomic(s, d, 1);
+            }
+            engine.end_phase();
+        }
+        let m = engine.try_finish().expect("unlimited budget");
+        (m.total_hop_flits, format!("{m:?}"))
+    };
+    let (times, (hop_flits, _)) = time_pair(
+        || (),
+        |_| run(true),
+        |_| run(false),
+        "folded atomics must account identically",
+    );
+    Layer::new("primitive_fold", ops, times, hop_flits)
+}
+
+/// Layer 5: the Eq-4 bank-select argmin — `lanes::eq4_argmin`, the kernel
 /// `select_bank` runs on the candidates' hop sums (an integer Min-Hop
 /// argmin, or the fused Hybrid score + total-order argmin with exact
 /// bound pruning), on a 32×32 mesh with three affinity addresses, versus
@@ -246,40 +320,37 @@ fn bench_argmin(ops: u64) -> Layer {
     let avg_load = loads.iter().sum::<u64>() as f64 / candidates as f64;
     let h = 5.0;
 
-    let t0 = Instant::now();
-    let mut fast_sum = 0u64;
-    for call in 0..calls {
-        // Perturb the average like successive allocations do, so the score
-        // computation cannot be hoisted out of the loop.
-        let avg = avg_load + (call % 7) as f64;
-        let best = eq4_argmin(&cands, &hops, &loads, avg, h);
-        fast_sum += u64::from(best.expect("non-empty"));
-    }
-    let fast = t0.elapsed().as_secs_f64();
-
-    let t0 = Instant::now();
-    let mut base_sum = 0u64;
-    for call in 0..calls {
-        let avg = avg_load + (call % 7) as f64;
-        let best = argmin_score(
-            ids.iter()
-                .map(|&i| (i, score(avg_hops[i as usize], loads[i as usize], avg, h))),
-        );
-        base_sum += u64::from(best.expect("non-empty"));
-    }
-    let base = t0.elapsed().as_secs_f64();
-    assert_eq!(fast_sum, base_sum, "argmin layers must pick identical banks");
-
-    Layer {
-        name: "argmin_simd",
-        ops,
-        fast_mops: mops(ops, fast),
-        base_mops: mops(ops, base),
-        checksum: fast_sum,
-    }
+    let (times, sum) = time_pair(
+        || (),
+        |_| {
+            let mut sum = 0u64;
+            for call in 0..calls {
+                // Perturb the average like successive allocations do, so
+                // the score computation cannot be hoisted out of the loop.
+                let avg = avg_load + (call % 7) as f64;
+                let best = eq4_argmin(&cands, &hops, &loads, avg, h);
+                sum += u64::from(best.expect("non-empty"));
+            }
+            sum
+        },
+        |_| {
+            let mut sum = 0u64;
+            for call in 0..calls {
+                let avg = avg_load + (call % 7) as f64;
+                let best = argmin_score(
+                    ids.iter()
+                        .map(|&i| (i, score(avg_hops[i as usize], loads[i as usize], avg, h))),
+                );
+                sum += u64::from(best.expect("non-empty"));
+            }
+            sum
+        },
+        "argmin layers must pick identical banks",
+    );
+    Layer::new("argmin_simd", ops, times, sum)
 }
 
-/// Layer 5: the per-bank counter scans behind every metrics read —
+/// Layer 6: the per-bank counter scans behind every metrics read —
 /// `aff_cache::lanes::{sum_u64, max_u64}` versus the scalar iterator
 /// `sum`/`max` they replaced.
 fn bench_occupancy_scan(ops: u64) -> Layer {
@@ -287,46 +358,40 @@ fn bench_occupancy_scan(ops: u64) -> Layer {
     let rounds = (ops as usize / BANKS).max(1);
     let ops = (rounds * BANKS) as u64;
     let mut rng = SimRng::new(0x0CC);
-    let mut counters: Vec<Vec<u64>> = (0..64)
+    let pristine: Vec<Vec<u64>> = (0..64)
         .map(|_| (0..BANKS).map(|_| rng.below(1 << 30)).collect())
         .collect();
-    // Both passes mutate the rows; replay the baseline from the same
-    // starting state so the checksums are comparable.
-    let pristine = counters.clone();
-
-    let t0 = Instant::now();
-    let mut fast_sum = 0u64;
-    for r in 0..rounds {
-        let row = &mut counters[r % 64];
-        row[r % BANKS] = (r as u64) << 10; // keep rounds from folding away
-        fast_sum ^= aff_cache::lanes::sum_u64(row).wrapping_add(aff_cache::lanes::max_u64(row));
-    }
-    let fast = t0.elapsed().as_secs_f64();
-
-    counters = pristine;
-    let t0 = Instant::now();
-    let mut base_sum = 0u64;
-    for r in 0..rounds {
-        let row = &mut counters[r % 64];
-        row[r % BANKS] = (r as u64) << 10;
-        let sum: u64 = row.iter().sum();
-        let max = row.iter().copied().max().unwrap_or(0);
-        base_sum ^= sum.wrapping_add(max);
-    }
-    let base = t0.elapsed().as_secs_f64();
-    assert_eq!(fast_sum, base_sum, "occupancy scans must agree");
-
-    Layer {
-        name: "occupancy_scan",
-        ops,
-        fast_mops: mops(ops, fast),
-        base_mops: mops(ops, base),
-        checksum: fast_sum,
-    }
+    // Both passes mutate the rows, so every run starts from a fresh copy
+    // of the same state and the checksums are comparable.
+    let (times, sum) = time_pair(
+        || pristine.clone(),
+        |counters| {
+            let mut sum = 0u64;
+            for r in 0..rounds {
+                let row = &mut counters[r % 64];
+                row[r % BANKS] = (r as u64) << 10; // keep rounds from folding away
+                sum ^= aff_cache::lanes::sum_u64(row).wrapping_add(aff_cache::lanes::max_u64(row));
+            }
+            sum
+        },
+        |counters| {
+            let mut sum = 0u64;
+            for r in 0..rounds {
+                let row = &mut counters[r % 64];
+                row[r % BANKS] = (r as u64) << 10;
+                let total: u64 = row.iter().sum();
+                let max = row.iter().copied().max().unwrap_or(0);
+                sum ^= total.wrapping_add(max);
+            }
+            sum
+        },
+        "occupancy scans must agree",
+    );
+    Layer::new("occupancy_scan", ops, times, sum)
 }
 
 fn render_json(layers: &[Layer], mem: &RouteMemory) -> String {
-    let mut out = String::from("{\n  \"schema\": \"aff-bench/hotpath-v3\",\n  \"layers\": [\n");
+    let mut out = String::from("{\n  \"schema\": \"aff-bench/hotpath-v4\",\n  \"layers\": [\n");
     for (i, l) in layers.iter().enumerate() {
         let speedup = l.fast_mops / l.base_mops.max(1e-12);
         out.push_str(&format!(
@@ -387,6 +452,7 @@ fn main() {
         bench_route_table(ops, "route_table_16x16", 16),
         bench_translation(ops),
         bench_coalescing(ops),
+        bench_primitive_fold(ops),
         bench_argmin(ops),
         bench_occupancy_scan(ops),
     ];

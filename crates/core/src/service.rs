@@ -275,14 +275,6 @@ impl AllocService {
         Ok(TenantId(id))
     }
 
-    /// Number of registered tenants.
-    pub fn tenant_count(&self) -> usize {
-        self.shards
-            .read()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .len()
-    }
-
     fn shard(&self, t: TenantId) -> Result<Arc<Mutex<TenantShard>>, AllocError> {
         self.shards
             .read()
@@ -580,11 +572,6 @@ impl AllocService {
             shard.alloc.apply_fault_plan(&plan_snapshot);
         }
         evacuated
-    }
-
-    /// The cumulative fault plan currently in force.
-    pub fn fault_plan(&self) -> FaultPlan {
-        lock(&self.faults).clone()
     }
 
     /// The tenant's output digest — every admission outcome and placement

@@ -207,11 +207,6 @@ impl Topology {
         self.order
     }
 
-    /// The geometry kind.
-    pub fn topology_kind(&self) -> TopologyKind {
-        self.kind
-    }
-
     /// Mesh width in tiles.
     pub fn mesh_x(&self) -> u32 {
         self.mesh_x
@@ -513,12 +508,6 @@ impl Topology {
     pub fn link_index(&self, link: Link) -> usize {
         let from = self.node_at(link.from) as usize;
         from * 4 + self.link_dir(link)
-    }
-
-    /// Dense index of the link leaving router `node` in direction `dir`.
-    pub fn link_index_from(&self, node: u32, dir: usize) -> usize {
-        assert!(dir < 4, "direction {dir} out of range");
-        node as usize * 4 + dir
     }
 
     /// Number of directed link slots ([`Self::link_index`] upper bound).

@@ -47,14 +47,137 @@ const CHARGE_BITS: u32 = 16;
 /// 64 B cache line.
 const CHARGE_WAYS: usize = 4;
 
-/// Exact traffic-charge accumulator: a 4-way set-associative table of
-/// pending `record_n` calls keyed by `(src, dst, payload, class)`. A charge
-/// whose key sits in its set only adds its count; a charge that finds its
-/// set full of other keys evicts one of them into the matrix. Every traffic
-/// counter is additive and order-independent, and `record_n` of a summed
-/// count is exactly that many single records (pinned by the matrix
-/// proptests), so the accounting is the same as charging write-through.
-#[derive(Debug)]
+/// Class field of a primitive key (the three traffic classes take 0..=2);
+/// its payload field holds the primitive's [`Primitive::code`].
+const PRIMITIVE_CLASS: u64 = 3;
+
+/// A pairwise charge primitive whose whole effect can fold into one
+/// [`ChargeTable`] entry. [`Primitive::events`] is its one definition.
+#[derive(Debug, Clone, Copy)]
+enum Primitive {
+    /// [`SimEngine::remote_atomic`].
+    RemoteAtomic,
+    /// [`SimEngine::core_atomic`], with or without the coherence bounce.
+    CoreAtomic { contended: bool },
+    /// [`SimEngine::indirect`] with `resp_bytes` of response.
+    Indirect { resp_bytes: u64 },
+    /// [`SimEngine::migrate`].
+    Migrate,
+}
+
+impl Primitive {
+    /// The primitive packed into a key's 22-bit payload field: a 3-bit kind
+    /// with `indirect`'s response bytes above it; `None` when they do not
+    /// fit.
+    #[inline(always)]
+    fn code(self) -> Option<u64> {
+        match self {
+            Self::RemoteAtomic => Some(0),
+            Self::CoreAtomic { contended } => Some(1 + u64::from(contended)),
+            Self::Migrate => Some(3),
+            Self::Indirect { resp_bytes } => (resp_bytes < 1 << 19).then_some(4 | resp_bytes << 3),
+        }
+    }
+
+    /// The primitive a [`Self::code`] packs.
+    fn decode(code: u64) -> Self {
+        match code & 7 {
+            0 => Self::RemoteAtomic,
+            1 => Self::CoreAtomic { contended: false },
+            2 => Self::CoreAtomic { contended: true },
+            3 => Self::Migrate,
+            _ => Self::Indirect {
+                resp_bytes: code >> 3,
+            },
+        }
+    }
+
+    /// Pass to `emit`, in order, every event `n` calls of the primitive
+    /// from `src` to its serving bank `dst` make; `hops` is their distance.
+    /// This is the primitive's only definition: the recording path emits
+    /// the list per call, and a folded entry emits it once with the summed
+    /// `n` (every event is linear in `n`).
+    #[inline(always)]
+    fn events(self, src: BankId, dst: BankId, n: u64, hops: u64, mut emit: impl FnMut(Event)) {
+        let traffic = |src, dst, payload_bytes, class| Event::Traffic {
+            src,
+            dst,
+            payload_bytes,
+            class,
+            count: n,
+        };
+        match self {
+            // In place at the bank: no coherence bounce (§7.2); a one-word
+            // outcome flows back as the dependent streams' predicate.
+            Self::RemoteAtomic => {
+                emit(traffic(src, dst, 8, TrafficKind::Control));
+                emit(traffic(dst, src, 8, TrafficKind::Data));
+                emit(Event::SeOps {
+                    bank: dst,
+                    count: n,
+                });
+                emit(Event::BankAtomic {
+                    bank: dst,
+                    count: n,
+                    hops,
+                });
+            }
+            Self::CoreAtomic { contended } => {
+                emit(traffic(src, dst, 0, TrafficKind::Control));
+                emit(traffic(dst, src, CACHE_LINE, TrafficKind::Data));
+                if contended {
+                    // Invalidation + ownership transfer from the previous
+                    // writer.
+                    emit(traffic(dst, src, 0, TrafficKind::Control));
+                    emit(traffic(src, dst, CACHE_LINE, TrafficKind::Data));
+                }
+                emit(Event::BankAtomic {
+                    bank: dst,
+                    count: n,
+                    hops,
+                });
+            }
+            Self::Indirect { resp_bytes } => {
+                emit(traffic(src, dst, 0, TrafficKind::Control));
+                if resp_bytes > 0 {
+                    emit(traffic(dst, src, resp_bytes, TrafficKind::Data));
+                }
+                emit(Event::BankAccess {
+                    bank: dst,
+                    count: n,
+                    fetch: true,
+                });
+                emit(Event::SeOps {
+                    bank: dst,
+                    count: n,
+                });
+            }
+            Self::Migrate => emit(traffic(src, dst, MIGRATE_STATE_BYTES, TrafficKind::Offload)),
+        }
+    }
+}
+
+/// One [`ChargeTable`] key, unpacked.
+enum Pending {
+    /// `record_n` of `(src, dst, payload, class)` messages.
+    Traffic(BankId, BankId, u64, TrafficClass),
+    /// Whole calls of a primitive from `src` to its serving bank `dst`.
+    Primitive(Primitive, BankId, BankId),
+}
+
+/// Exact charge accumulator: a 4-way set-associative table of pending
+/// charges. A key is either one traffic message shape `(src, dst, payload,
+/// class)`, summed into one `record_n`, or a whole pairwise [`Primitive`]
+/// `(src, dst, kind)`, whose every effect applies once with the summed
+/// count. A charge whose key sits in its set only adds its count; a charge
+/// that finds its set full of other keys evicts one of them, which applies
+/// at once. Every counter a charge touches is additive and
+/// order-independent, and `record_n` of a summed count is exactly that many
+/// single records (pinned by the matrix proptests), so the accounting is
+/// the same as charging write-through — provided the table drains before
+/// anything reads those counters or changes how a charge applies (phase
+/// boundaries, fault epochs, matrix and bank reads, finish).
+#[derive(Debug, Default)]
 struct ChargeTable {
     /// `[key, count]` per slot; a zero count marks an empty slot. A set
     /// fills from its first way and never has holes, so a lookup stops at
@@ -73,29 +196,49 @@ impl ChargeTable {
         }
     }
 
-    /// The packed key of a charge (src and dst below 2^20, payload below
-    /// 2^22 bytes); `None` for a charge too wide to pack, which the caller
-    /// records directly.
+    /// Pack `src` and `dst` (below 2^20), a 22-bit payload field and a
+    /// 2-bit class field; `None` for a charge too wide to pack, which the
+    /// caller applies directly.
+    #[inline(always)]
+    fn pack(src: BankId, dst: BankId, field: u64, class: u64) -> Option<u64> {
+        (src < 1 << 20 && dst < 1 << 20 && field < 1 << 22)
+            .then(|| u64::from(src) | u64::from(dst) << 20 | field << 40 | class << 62)
+    }
+
+    /// The key of a traffic charge.
     #[inline]
-    fn key(src: BankId, dst: BankId, payload_bytes: u64, class: TrafficClass) -> Option<u64> {
+    fn traffic_key(
+        src: BankId,
+        dst: BankId,
+        payload_bytes: u64,
+        class: TrafficClass,
+    ) -> Option<u64> {
         let class = match class {
             TrafficClass::Offload => 0,
             TrafficClass::Data => 1,
             TrafficClass::Control => 2,
         };
-        (src < 1 << 20 && dst < 1 << 20 && payload_bytes < 1 << 22)
-            .then(|| u64::from(src) | u64::from(dst) << 20 | payload_bytes << 40 | class << 62)
+        Self::pack(src, dst, payload_bytes, class)
     }
 
-    /// The `(src, dst, payload, class)` a key packs.
-    fn unpack(key: u64) -> (BankId, BankId, u64, TrafficClass) {
+    /// The key of a primitive's calls from `src` to serving bank `dst`.
+    #[inline(always)]
+    fn primitive_key(p: Primitive, src: BankId, dst: BankId) -> Option<u64> {
+        Self::pack(src, dst, p.code()?, PRIMITIVE_CLASS)
+    }
+
+    /// What a key packs.
+    fn unpack(key: u64) -> Pending {
         let field = |shift: u32, bits: u32| (key >> shift) & ((1 << bits) - 1);
-        (
+        let (src, dst, payload) = (
             field(0, 20) as BankId,
             field(20, 20) as BankId,
             field(40, 22),
-            TrafficClass::ALL[(key >> 62) as usize],
-        )
+        );
+        match key >> 62 {
+            PRIMITIVE_CLASS => Pending::Primitive(Primitive::decode(payload), src, dst),
+            class => Pending::Traffic(src, dst, payload, TrafficClass::ALL[class as usize]),
+        }
     }
 
     /// Add `count > 0` charges of `key`. Returns the entry it evicts, if the
@@ -293,12 +436,13 @@ pub struct SimEngine {
     /// `spare.is_none()`, hoisted so the per-message fast path of a healthy
     /// machine skips the redirect machinery with one predictable branch.
     healthy: bool,
-    /// Pending traffic charges (see [`ChargeTable`]), drained into the
-    /// matrix before any read of it.
+    /// Pending traffic charges and folded primitives (see
+    /// [`ChargeTable`]), drained before any read of the counters they feed
+    /// and at every phase boundary.
     charges: ChargeTable,
-    /// Whether charges accumulate. Off once the packet log is enabled:
-    /// accumulation reorders messages across unlike charges, and packet
-    /// replay consumes the log in recording order.
+    /// Whether charges accumulate and primitives fold. Off once the packet
+    /// log is enabled: accumulation reorders messages across unlike
+    /// charges, and packet replay consumes the log in recording order.
     coalesce: bool,
     /// Per-axis hop tables: division-free hop counts for the atomics.
     axis: AxisHops,
@@ -659,8 +803,14 @@ impl SimEngine {
             }
             Event::PrivateHits { count } => self.private_hits += count,
             Event::ChainCycles { cycles } => self.serial_cycles += cycles,
-            Event::PhaseBegin => self.phase.begin(),
+            // Folded primitives apply before a phase boundary, so each one
+            // lands in the phase (or the gap) it was issued in.
+            Event::PhaseBegin => {
+                self.flush_charges();
+                self.phase.begin();
+            }
             Event::PhaseEnd => {
+                self.flush_charges();
                 if let Some(s) = self.phase.end(&self.config) {
                     self.timeline.push(s);
                 }
@@ -698,24 +848,71 @@ impl SimEngine {
         if count == 0 {
             return;
         }
-        let key = ChargeTable::key(src, dst, payload_bytes, class).filter(|_| self.coalesce);
+        let key =
+            ChargeTable::traffic_key(src, dst, payload_bytes, class).filter(|_| self.coalesce);
         let Some(key) = key else {
             self.traffic.record_n(src, dst, payload_bytes, class, count);
             return;
         };
         if let Some((old, n)) = self.charges.add(key, count) {
-            let (src, dst, payload_bytes, class) = ChargeTable::unpack(old);
-            self.traffic.record_n(src, dst, payload_bytes, class, n);
+            self.settle(old, n);
         }
     }
 
-    /// Drain the pending charges into the traffic matrix.
+    /// Charge `n` calls of primitive `p` from `src` to its serving bank
+    /// `dst`. With coalescing on and no recorder or tenant watching, the
+    /// whole primitive is one [`ChargeTable`] add, applied at eviction or
+    /// drain; otherwise every event of it is recorded now.
+    #[inline(always)]
+    fn primitive(&mut self, p: Primitive, src: BankId, dst: BankId, n: u64) {
+        if self.coalesce && !(self.tracing || self.attributing) {
+            if let Some(key) = ChargeTable::primitive_key(p, src, dst) {
+                if n > 0 {
+                    if let Some((old, count)) = self.charges.add(key, n) {
+                        self.settle(old, count);
+                    }
+                }
+                return;
+            }
+        }
+        let hops = u64::from(self.axis.hops(src, dst));
+        p.events(src, dst, n, hops, |ev| self.record(ev));
+    }
+
+    /// Apply one table entry with its summed count: a traffic key's
+    /// `record_n`, or every event of a folded primitive, its traffic
+    /// written straight to the matrix.
+    #[inline(never)]
+    fn settle(&mut self, key: u64, n: u64) {
+        match ChargeTable::unpack(key) {
+            Pending::Traffic(src, dst, payload_bytes, class) => {
+                self.traffic.record_n(src, dst, payload_bytes, class, n);
+            }
+            Pending::Primitive(p, src, dst) => {
+                let hops = u64::from(self.axis.hops(src, dst));
+                p.events(src, dst, n, hops, |ev| match ev {
+                    Event::Traffic {
+                        src,
+                        dst,
+                        payload_bytes,
+                        class,
+                        count,
+                    } => self
+                        .traffic
+                        .record_n(src, dst, payload_bytes, class.into(), count),
+                    ev => self.apply(&ev),
+                });
+            }
+        }
+    }
+
+    /// Apply every pending table entry. The table is moved out while it
+    /// drains (settling needs the whole engine); no charge is added to the
+    /// empty stand-in meanwhile, since settling never charges the table.
     fn flush_charges(&mut self) {
-        let traffic = &mut self.traffic;
-        self.charges.drain(|key, n| {
-            let (src, dst, payload_bytes, class) = ChargeTable::unpack(key);
-            traffic.record_n(src, dst, payload_bytes, class, n);
-        });
+        let mut charges = std::mem::take(&mut self.charges);
+        charges.drain(|key, n| self.settle(key, n));
+        self.charges = charges;
     }
 
     /// The machine configuration.
@@ -755,8 +952,10 @@ impl SimEngine {
         self.coalesce = on && self.traffic.packets().is_none();
     }
 
-    /// Bank counters accumulated so far.
-    pub fn banks(&self) -> &BankCounters {
+    /// Bank counters with every charge so far applied: pending folded
+    /// primitives are drained first, like [`Self::traffic_mut`].
+    pub fn banks(&mut self) -> &BankCounters {
+        self.flush_charges();
         &self.banks
     }
 
@@ -894,43 +1093,7 @@ impl SimEngine {
     /// contention).
     pub fn core_atomic(&mut self, core: BankId, bank: BankId, contended: bool, n: u64) {
         let bank = self.serving_bank(bank);
-        self.record(Event::Traffic {
-            src: core,
-            dst: bank,
-            payload_bytes: 0,
-            class: TrafficKind::Control,
-            count: n,
-        });
-        self.record(Event::Traffic {
-            src: bank,
-            dst: core,
-            payload_bytes: CACHE_LINE,
-            class: TrafficKind::Data,
-            count: n,
-        });
-        if contended {
-            // Invalidation + ownership transfer from the previous writer.
-            self.record(Event::Traffic {
-                src: bank,
-                dst: core,
-                payload_bytes: 0,
-                class: TrafficKind::Control,
-                count: n,
-            });
-            self.record(Event::Traffic {
-                src: core,
-                dst: bank,
-                payload_bytes: CACHE_LINE,
-                class: TrafficKind::Data,
-                count: n,
-            });
-        }
-        let hops = u64::from(self.axis.hops(core, bank));
-        self.record(Event::BankAtomic {
-            bank,
-            count: n,
-            hops,
-        });
+        self.primitive(Primitive::CoreAtomic { contended }, core, bank, n);
     }
 
     // ---------- Near-L3 primitives ----------
@@ -1000,13 +1163,7 @@ impl SimEngine {
         if f != from || t != to {
             self.report.rerouted_migrations += n;
         }
-        self.record(Event::Traffic {
-            src: f,
-            dst: t,
-            payload_bytes: MIGRATE_STATE_BYTES,
-            class: TrafficKind::Offload,
-            count: n,
-        });
+        self.primitive(Primitive::Migrate, f, t, n);
     }
 
     /// Producer stream at `from` forwards `n` values of `bytes` each to the
@@ -1104,28 +1261,7 @@ impl SimEngine {
     /// remote bank.
     pub fn indirect(&mut self, from: BankId, to: BankId, resp_bytes: u64, n: u64) {
         let to = self.serving_bank(to);
-        self.record(Event::Traffic {
-            src: from,
-            dst: to,
-            payload_bytes: 0,
-            class: TrafficKind::Control,
-            count: n,
-        });
-        if resp_bytes > 0 {
-            self.record(Event::Traffic {
-                src: to,
-                dst: from,
-                payload_bytes: resp_bytes,
-                class: TrafficKind::Data,
-                count: n,
-            });
-        }
-        self.record(Event::BankAccess {
-            bank: to,
-            count: n,
-            fetch: true,
-        });
-        self.record(Event::SeOps { bank: to, count: n });
+        self.primitive(Primitive::Indirect { resp_bytes }, from, to, n);
     }
 
     /// Remote atomic executed at `to` on behalf of a stream at `from`
@@ -1133,27 +1269,7 @@ impl SimEngine {
     /// outcome flows back (predication input for dependent streams).
     pub fn remote_atomic(&mut self, from: BankId, to: BankId, n: u64) {
         let to = self.serving_bank(to);
-        self.record(Event::Traffic {
-            src: from,
-            dst: to,
-            payload_bytes: 8,
-            class: TrafficKind::Control,
-            count: n,
-        });
-        self.record(Event::Traffic {
-            src: to,
-            dst: from,
-            payload_bytes: 8,
-            class: TrafficKind::Data,
-            count: n,
-        });
-        self.record(Event::SeOps { bank: to, count: n });
-        let hops = u64::from(self.axis.hops(from, to));
-        self.record(Event::BankAtomic {
-            bank: to,
-            count: n,
-            hops,
-        });
+        self.primitive(Primitive::RemoteAtomic, from, to, n);
     }
 
     // ---------- serial latency ----------
@@ -1389,7 +1505,7 @@ mod tests {
     #[test]
     fn traffic_accessor_flushes_pending_charges() {
         let mut e = engine();
-        e.remote_atomic(0, 9, 1); // both charges stay pending until the read
+        e.remote_atomic(0, 9, 1); // the folded atomic stays pending until the read
         assert!(e.traffic_mut().total_hop_flits() > 0);
     }
 

@@ -418,16 +418,6 @@ impl FaultChange {
         }
     }
 
-    /// Whether applying this change can alter NoC route tables.
-    pub fn touches_links(&self) -> bool {
-        matches!(
-            self,
-            FaultChange::LinkFail(_)
-                | FaultChange::LinkRepair(_)
-                | FaultChange::LinkDegrade { .. }
-        )
-    }
-
     /// Apply this change onto a cumulative plan. Idempotent: re-applying a
     /// change the plan already reflects is a no-op.
     pub fn apply_to(&self, plan: &mut FaultPlan) {

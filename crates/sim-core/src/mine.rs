@@ -114,15 +114,6 @@ impl RegionStats {
         }
     }
 
-    /// Span of touched element indices (0 when untouched).
-    pub fn footprint_elems(&self) -> u64 {
-        if self.touches == 0 {
-            0
-        } else {
-            self.max_elem - self.min_elem + 1
-        }
-    }
-
     /// Fraction of steps whose first touch did not move backwards — ~1.0
     /// for a sequential sweep, ~0.5 for uniform random indexing.
     pub fn monotonicity(&self) -> f64 {

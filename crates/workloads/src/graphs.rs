@@ -671,6 +671,8 @@ impl GraphInstance {
         self.charge_iteration_overheads(m.max(1));
         let mut dist = vec![u64::MAX; n as usize];
         dist[source as usize] = 0;
+        // Vertices with a finite distance, bumped as each first gets one.
+        let mut visited = 1u64;
         let mut frontier = vec![source];
         let mut in_next = vec![false; n as usize];
         let mut stats = Vec::new();
@@ -692,6 +694,7 @@ impl GraphInstance {
                     self.push_update(bank, core, v, contended);
                     let nd = du.saturating_add(u64::from(weights[i]));
                     if nd < dist[v as usize] {
+                        visited += u64::from(dist[v as usize] == u64::MAX);
                         dist[v as usize] = nd;
                         if !in_next[v as usize] {
                             in_next[v as usize] = true;
@@ -706,7 +709,6 @@ impl GraphInstance {
             for &v in &next {
                 in_next[v as usize] = false;
             }
-            let visited = dist.iter().filter(|&&d| d != u64::MAX).count() as u64;
             stats.push(IterStat {
                 dir: Direction::Push,
                 active: next.len() as u64,
@@ -918,6 +920,37 @@ mod tests {
         let inst = GraphInstance::new(g, &cfg);
         let r = inst.run_sssp(0);
         assert_eq!(r.iters.last().unwrap().visited, 4);
+    }
+
+    #[test]
+    fn sssp_visited_counts_the_ball_of_each_round() {
+        // A vertex first gets a finite distance in the round that reaches
+        // its BFS level, so each round's running count is that ball's size.
+        let g = gen::kronecker_weighted(10, 8, 42);
+        let src = pick_source(&g);
+        let mut level = vec![u32::MAX; g.num_vertices() as usize];
+        level[src as usize] = 0;
+        let (mut frontier, mut depth) = (vec![src], 0);
+        while !frontier.is_empty() {
+            depth += 1;
+            let mut next = Vec::new();
+            for &u in &frontier {
+                for &v in g.neighbors(u) {
+                    if level[v as usize] == u32::MAX {
+                        level[v as usize] = depth;
+                        next.push(v);
+                    }
+                }
+            }
+            frontier = next;
+        }
+        let cfg = RunConfig::new(SystemConfig::aff_alloc_default()).with_seed(1);
+        let r = GraphInstance::new(g, &cfg).run_sssp(src);
+        assert!(r.iters.len() > 2);
+        for (round, it) in r.iters.iter().enumerate() {
+            let ball = level.iter().filter(|&&l| l <= round as u32 + 1).count() as u64;
+            assert_eq!(it.visited, ball, "round {round}");
+        }
     }
 
     #[test]
