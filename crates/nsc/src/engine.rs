@@ -107,8 +107,6 @@ impl Primitive {
             count: n,
         };
         match self {
-            // In place at the bank: no coherence bounce (§7.2); a one-word
-            // outcome flows back as the dependent streams' predicate.
             Self::RemoteAtomic => {
                 emit(traffic(src, dst, 8, TrafficKind::Control));
                 emit(traffic(dst, src, 8, TrafficKind::Data));
