@@ -3,9 +3,9 @@
 //! Each figure is declared as a [`SweepPlan`]: a list of self-contained
 //! (workload, config) cells plus a merge function that reassembles the
 //! [`Figure`] from cell outcomes in declaration order. Plans execute on the
-//! deterministic parallel engine in [`crate::sweep`] — `figN(opts)` wrappers
-//! run them serially; the `figures` binary schedules all requested plans
-//! across `--jobs N` workers with byte-identical output.
+//! deterministic parallel engine in [`crate::sweep`]; the `figures` binary
+//! schedules all requested plans across `--jobs N` workers with
+//! byte-identical output.
 //!
 //! Default inputs are the scaled-down harness sizes (see
 //! `aff_workloads::suite`); pass `HarnessOpts { full: true, .. }` for
@@ -28,18 +28,20 @@
 use std::sync::{Arc, Mutex, PoisonError};
 
 use crate::report::{Figure, Row};
-use crate::sweep::{run_plans, CellCtx, CellData, Claim, PlanBuilder, Shared, SweepPlan};
+use crate::sweep::{CellCtx, CellData, Claim, PlanBuilder, Shared, SweepPlan};
 use aff_ds::graph::Graph;
-use aff_sim_core::config::{MachineConfig, TopologyKind};
+use aff_ds::layout::{AllocMode, VertexArray};
+use aff_ds::linked_csr::LinkedCsr;
+use aff_sim_core::config::{BankOrder, MachineConfig, TopologyKind};
 use aff_sim_core::fault::FaultTimeline;
 use aff_sim_core::rng::SimRng;
 use aff_sim_core::stats::geomean;
-use aff_workloads::affine::{run_stencil, run_vecadd_forced_delta, Stencil};
+use aff_workloads::affine::{run_stencil, run_stencil_opts, run_vecadd_forced_delta, Stencil};
 use aff_workloads::config::{RunConfig, SystemConfig};
 use aff_workloads::gen;
 use aff_workloads::graphs::{pick_source, Direction, DirectionPolicy, GraphInstance, GraphRun};
 use aff_workloads::suite::{self, GraphInput, SuiteRun, WorkloadName};
-use affinity_alloc::BankSelectPolicy;
+use affinity_alloc::{AffinityAllocator, BankSelectPolicy};
 
 /// One point on the `figures --geometry` sweep axis: mesh dimensions plus
 /// topology kind. The default is the paper's 8×8 mesh, under which every
@@ -252,12 +254,8 @@ pub(crate) fn run_claimed(
     suite::run_on(w, cfg, input.map(Claim::take))
 }
 
-/// Run one plan serially (the `figN(opts)` compatibility path).
-pub(crate) fn run_single(plan: SweepPlan, seed: u64) -> Figure {
-    let (mut figs, _) = run_plans(vec![plan], 1, seed);
-    figs.pop().unwrap_or_else(|| Figure::new("empty", "no plan produced a figure", vec![]))
-}
-
+/// Fig 4: vec-add speedup and NoC hops vs forced layout offset Δ.
+///
 /// Fig 4 as a sweep plan: one cell per Δ point.
 pub fn fig4_plan(opts: HarnessOpts) -> SweepPlan {
     // Always Table 3's 1.5M entries: smaller inputs fit in the private L2
@@ -318,11 +316,6 @@ pub fn fig4_plan(opts: HarnessOpts) -> SweepPlan {
     })
 }
 
-/// Fig 4: vec-add speedup and NoC hops vs forced layout offset Δ.
-pub fn fig4(opts: HarnessOpts) -> Figure {
-    run_single(fig4_plan(opts), opts.seed)
-}
-
 fn fig6_run(w: &str, inst: GraphInstance) -> GraphRun {
     let src = pick_source(inst.graph());
     match w {
@@ -345,6 +338,9 @@ const FIG6_CONFIGS: [(&str, Option<u64>); 6] = [
     ("Ind-Ideal", Some(0)), // chunk = one edge
 ];
 
+/// Fig 6: irregular-layout potential — speedup/hops when CSR edge chunks of
+/// various sizes are freely placed by the oracle (vs. the NSC baseline).
+///
 /// Fig 6 as a sweep plan: one cell per (workload, chunk config). The cells
 /// share two generated inputs — the plain Kronecker graph and, for sssp,
 /// its weighted variant — and own everything else (layout, engine).
@@ -405,12 +401,9 @@ pub fn fig6_plan(opts: HarnessOpts) -> SweepPlan {
     })
 }
 
-/// Fig 6: irregular-layout potential — speedup/hops when CSR edge chunks of
-/// various sizes are freely placed by the oracle (vs. the NSC baseline).
-pub fn fig6(opts: HarnessOpts) -> Figure {
-    run_single(fig6_plan(opts), opts.seed)
-}
-
+/// Fig 12: overall speedup / energy efficiency (vs Near-L3) and NoC hops
+/// (vs In-Core) for the full suite.
+///
 /// Fig 12 as a sweep plan: one cell per (workload, system).
 pub fn fig12_plan(opts: HarnessOpts) -> SweepPlan {
     let systems = [SystemConfig::InCore, SystemConfig::NearL3, hybrid5()];
@@ -468,12 +461,6 @@ pub fn fig12_plan(opts: HarnessOpts) -> SweepPlan {
     })
 }
 
-/// Fig 12: overall speedup / energy efficiency (vs Near-L3) and NoC hops
-/// (vs In-Core) for the full suite.
-pub fn fig12(opts: HarnessOpts) -> Figure {
-    run_single(fig12_plan(opts), opts.seed)
-}
-
 /// The irregular workloads of Fig 13.
 pub const FIG13_WORKLOADS: [WorkloadName; 7] = [
     WorkloadName::PrPush,
@@ -498,6 +485,8 @@ pub fn fig13_policies() -> Vec<BankSelectPolicy> {
     ]
 }
 
+/// Fig 13: bank-select policy sensitivity, normalized to Rnd.
+///
 /// Fig 13 as a sweep plan: the embarrassingly parallel
 /// (workload × policy) grid, one cell each.
 pub fn fig13_plan(opts: HarnessOpts) -> SweepPlan {
@@ -549,11 +538,9 @@ pub fn fig13_plan(opts: HarnessOpts) -> SweepPlan {
     })
 }
 
-/// Fig 13: bank-select policy sensitivity, normalized to Rnd.
-pub fn fig13(opts: HarnessOpts) -> Figure {
-    run_single(fig13_plan(opts), opts.seed)
-}
-
+/// Fig 14: distribution of in-flight atomic streams per bank over the
+/// bfs_push timeline, for Rnd / Min-Hop / Hybrid-5.
+///
 /// Fig 14 as a sweep plan: one bfs_push run per policy.
 pub fn fig14_plan(opts: HarnessOpts) -> SweepPlan {
     let policies = [
@@ -602,12 +589,9 @@ pub fn fig14_plan(opts: HarnessOpts) -> SweepPlan {
     })
 }
 
-/// Fig 14: distribution of in-flight atomic streams per bank over the
-/// bfs_push timeline, for Rnd / Min-Hop / Hybrid-5.
-pub fn fig14(opts: HarnessOpts) -> Figure {
-    run_single(fig14_plan(opts), opts.seed)
-}
-
+/// Fig 15: affine workloads at 1×/2×/4×/8× input — speedup over In-Core and
+/// L3 miss rate.
+///
 /// Fig 15 as a sweep plan: one cell per (stencil, input scale, system).
 pub fn fig15_plan(opts: HarnessOpts) -> SweepPlan {
     type StencilMaker = fn(u64) -> Stencil;
@@ -665,12 +649,10 @@ pub fn fig15_plan(opts: HarnessOpts) -> SweepPlan {
     })
 }
 
-/// Fig 15: affine workloads at 1×/2×/4×/8× input — speedup over In-Core and
-/// L3 miss rate.
-pub fn fig15(opts: HarnessOpts) -> Figure {
-    run_single(fig15_plan(opts), opts.seed)
-}
-
+/// Fig 16: linked CSR on growing graphs — speedup over Near-L3 and L3 miss
+/// rate. The L3 is shrunk so the scale-1 graph occupies ~half of it, which
+/// preserves the paper's footprint/capacity ratios at harness sizes.
+///
 /// Fig 16 as a sweep plan: one cell per (workload, |V| scale, system), with
 /// the capacity-matched L3 cloned into every cell.
 pub fn fig16_plan(opts: HarnessOpts) -> SweepPlan {
@@ -757,13 +739,9 @@ pub fn fig16_plan(opts: HarnessOpts) -> SweepPlan {
     })
 }
 
-/// Fig 16: linked CSR on growing graphs — speedup over Near-L3 and L3 miss
-/// rate. The L3 is shrunk so the scale-1 graph occupies ~half of it, which
-/// preserves the paper's footprint/capacity ratios at harness sizes.
-pub fn fig16(opts: HarnessOpts) -> Figure {
-    run_single(fig16_plan(opts), opts.seed)
-}
-
+/// Fig 17: BFS per-iteration characteristics (visited / active / scout-edge
+/// ratios).
+///
 /// Fig 17 as a sweep plan: a single bfs_push cell that renders its own
 /// per-iteration rows.
 pub fn fig17_plan(opts: HarnessOpts) -> SweepPlan {
@@ -809,12 +787,10 @@ pub fn fig17_plan(opts: HarnessOpts) -> SweepPlan {
     })
 }
 
-/// Fig 17: BFS per-iteration characteristics (visited / active / scout-edge
-/// ratios).
-pub fn fig17(opts: HarnessOpts) -> Figure {
-    run_single(fig17_plan(opts), opts.seed)
-}
-
+/// Fig 18: BFS push/pull/switch timeline per system. Each row is one
+/// iteration: direction (1 = push, 0 = pull) and its share of the run's
+/// examined-edge work (the paper's bar widths).
+///
 /// Fig 18 as a sweep plan: one cell per (system, direction policy), each
 /// rendering its own timeline rows.
 pub fn fig18_plan(opts: HarnessOpts) -> SweepPlan {
@@ -884,13 +860,6 @@ pub fn fig18_plan(opts: HarnessOpts) -> SweepPlan {
     })
 }
 
-/// Fig 18: BFS push/pull/switch timeline per system. Each row is one
-/// iteration: direction (1 = push, 0 = pull) and its share of the run's
-/// examined-edge work (the paper's bar widths).
-pub fn fig18(opts: HarnessOpts) -> Figure {
-    run_single(fig18_plan(opts), opts.seed)
-}
-
 const FIG19_WORKLOADS: [&str; 3] = ["pr_push", "bfs", "sssp"];
 const FIG19_DEGREES: [u32; 6] = [4, 8, 16, 32, 64, 128];
 
@@ -917,6 +886,9 @@ fn power_law_cell(
     .into()
 }
 
+/// Fig 19: speedup vs average node degree on synthesized power-law graphs
+/// with fixed |E| (normalized to Rnd).
+///
 /// Fig 19 as a sweep plan: one cell per (workload, degree, system). Every
 /// cell at one degree reads the same power-law graph (weighted for sssp),
 /// generated once per plan run.
@@ -987,12 +959,8 @@ pub fn fig19_plan(opts: HarnessOpts) -> SweepPlan {
     })
 }
 
-/// Fig 19: speedup vs average node degree on synthesized power-law graphs
-/// with fixed |E| (normalized to Rnd).
-pub fn fig19(opts: HarnessOpts) -> Figure {
-    run_single(fig19_plan(opts), opts.seed)
-}
-
+/// Fig 20 (+ Table 4): real-world graphs — speedup and traffic vs Near-L3.
+///
 /// Fig 20 as a sweep plan: one cell per (graph profile, workload, system).
 /// The cells of one profile share its generated stand-in graph.
 pub fn fig20_plan(opts: HarnessOpts) -> SweepPlan {
@@ -1056,11 +1024,8 @@ pub fn fig20_plan(opts: HarnessOpts) -> SweepPlan {
     })
 }
 
-/// Fig 20 (+ Table 4): real-world graphs — speedup and traffic vs Near-L3.
-pub fn fig20(opts: HarnessOpts) -> Figure {
-    run_single(fig20_plan(opts), opts.seed)
-}
-
+/// Table 2: the simulated system parameters, as configured.
+///
 /// Table 2 as a (single-cell) sweep plan.
 pub fn table2_plan(opts: HarnessOpts) -> SweepPlan {
     let mut b = PlanBuilder::new("table2");
@@ -1098,11 +1063,8 @@ pub fn table2_plan(opts: HarnessOpts) -> SweepPlan {
     })
 }
 
-/// Table 2: the simulated system parameters, as configured.
-pub fn table2(opts: HarnessOpts) -> Figure {
-    run_single(table2_plan(opts), opts.seed)
-}
-
+/// Table 4: real-world graph profiles and their synthetic stand-ins.
+///
 /// Table 4 as a (single-cell) sweep plan.
 pub fn table4_plan(opts: HarnessOpts) -> SweepPlan {
     let div = if opts.full { 1 } else { 16 };
@@ -1137,9 +1099,217 @@ pub fn table4_plan(opts: HarnessOpts) -> SweepPlan {
     })
 }
 
-/// Table 4: real-world graph profiles and their synthetic stand-ins.
-pub fn table4(opts: HarnessOpts) -> Figure {
-    run_single(table4_plan(opts), opts.seed)
+/// The bank-numbering ablation (§4.1, "Other Interleave Patterns") as a
+/// sweep plan: one vec-add cell per (bank order, forced Δ) over Fig 4's Δ
+/// sweep. Snake numbering makes every consecutive bank pair mesh-adjacent
+/// but loses row-major's row-multiple offsets, which run straight down a
+/// column with no flow overlap.
+pub fn abl_bank_order_plan(opts: HarnessOpts) -> SweepPlan {
+    const ORDERS: [(&str, BankOrder); 2] = [
+        ("row_major", BankOrder::RowMajor),
+        ("snake", BankOrder::Snake),
+    ];
+    let n = 1_500_000;
+    let mut b = PlanBuilder::new("abl_bank_order");
+    let rows: Vec<(u32, Vec<usize>)> = (0..=64u32)
+        .step_by(4)
+        .map(|delta| {
+            let ids = ORDERS
+                .iter()
+                .map(|&(label, order)| {
+                    b.cell(format!("{label}/Δ {delta}"), move |ctx| {
+                        let mut machine = opts.machine();
+                        machine.bank_order = order;
+                        let cfg = RunConfig::new(SystemConfig::NearL3)
+                            .with_seed(opts.seed)
+                            .with_machine(ctx.machine(machine));
+                        run_vecadd_forced_delta(n, Some(delta), &cfg).into()
+                    })
+                })
+                .collect();
+            (delta, ids)
+        })
+        .collect();
+    b.merge(move |o| {
+        let mut fig = Figure::new(
+            "abl_bank_order",
+            "Ablation: bank numbering order (vec-add cycles vs forced Δ)",
+            ORDERS.iter().map(|&(label, _)| label).collect(),
+        );
+        for (delta, ids) in &rows {
+            fig.push(
+                format!("Δ {delta}"),
+                ids.iter()
+                    .map(|&id| o.field(id, |m| m.cycles as f64))
+                    .collect(),
+            );
+        }
+        fig.note(format!("n = {n} floats under Near-L3"));
+        o.annotate_failures(&mut fig);
+        fig
+    })
+}
+
+/// The linked-CSR node-capacity ablation as a sweep plan: one cell per
+/// capacity (edges per node) building the Kronecker input's linked CSR
+/// under Hybrid-5. Smaller nodes place finer but chase more pointers; the
+/// 64 B line (14 edges) is the design point.
+pub fn abl_node_capacity_plan(opts: HarnessOpts) -> SweepPlan {
+    let mut b = PlanBuilder::new("abl_node_capacity");
+    let inputs = GraphInputs::kron(opts.graph_scale(), opts.seed);
+    let ids: Vec<usize> = [2usize, 4, 7, 14, 28]
+        .into_iter()
+        .map(|capacity| {
+            let input = inputs.plain();
+            let label = format!("{capacity} edges/node");
+            b.cell(label.clone(), move |ctx| {
+                let g = input.take();
+                let mut alloc = AffinityAllocator::with_seed(
+                    ctx.machine(opts.machine()),
+                    BankSelectPolicy::paper_default(),
+                    opts.seed,
+                );
+                let props = VertexArray::new(
+                    &mut alloc,
+                    u64::from(g.num_vertices()),
+                    8,
+                    AllocMode::Affinity,
+                )
+                .expect("vertex properties fit the L3");
+                let linked = LinkedCsr::build_with_capacity(&mut alloc, &g, &props, capacity)
+                    .expect("linked CSR fits the L3");
+                let values = vec![
+                    linked.num_nodes() as f64,
+                    linked.mean_indirect_hops(alloc.topo(), &g, &props),
+                ];
+                CellData::Rows {
+                    rows: vec![Row::new(label.clone(), values)],
+                    sim_cycles: 0,
+                }
+            })
+        })
+        .collect();
+    b.merge(move |o| {
+        let mut fig = Figure::new(
+            "abl_node_capacity",
+            "Ablation: linked-CSR node capacity",
+            vec!["nodes", "mean_indirect_hops"],
+        );
+        for &id in &ids {
+            if let Some(rows) = o.rows(id) {
+                fig.rows.extend(rows.iter().cloned());
+            }
+        }
+        o.annotate_failures(&mut fig);
+        fig
+    })
+}
+
+/// The sssp frontier ablation (§4.2's MultiQueues suggestion) as a sweep
+/// plan: the FIFO frontier against a relaxed priority queue, under Near-L3
+/// (one global heap) and Aff-Alloc (a bank-local heap per partition), all
+/// on the plan's shared weighted input.
+pub fn abl_priority_queue_plan(opts: HarnessOpts) -> SweepPlan {
+    let configs = [
+        ("Near-L3/FIFO", SystemConfig::NearL3, false),
+        ("Near-L3/global heap", SystemConfig::NearL3, true),
+        ("Aff-Alloc/FIFO", hybrid5(), false),
+        ("Aff-Alloc/spatial PQ", hybrid5(), true),
+    ];
+    let mut b = PlanBuilder::new("abl_priority_queue");
+    let mut inputs = GraphInputs::kron(opts.graph_scale(), opts.seed);
+    let cells: Vec<(&str, usize)> = configs
+        .into_iter()
+        .map(|(label, system, priority)| {
+            let input = inputs.weighted();
+            let id = b.cell(label, move |ctx| {
+                let g = input.take();
+                let src = pick_source(&g);
+                let inst = GraphInstance::new(g, &opts.cfg(ctx, system));
+                let run = if priority {
+                    inst.run_sssp_priority(src)
+                } else {
+                    inst.run_sssp(src)
+                };
+                SuiteRun::from(run).into()
+            });
+            (label, id)
+        })
+        .collect();
+    b.merge(move |o| {
+        let mut fig = Figure::new(
+            "abl_priority_queue",
+            "Ablation: sssp frontier structure (FIFO vs priority queue)",
+            vec!["cycles", "flit_hops", "edges_examined"],
+        );
+        for &(label, id) in &cells {
+            let examined = o.run(id).map_or(f64::NAN, |r| {
+                r.iters.iter().map(|i| i.examined_edges).sum::<u64>() as f64
+            });
+            fig.push(
+                label,
+                vec![
+                    o.field(id, |m| m.cycles as f64),
+                    o.field(id, |m| m.total_hop_flits as f64),
+                    examined,
+                ],
+            );
+        }
+        o.annotate_failures(&mut fig);
+        fig
+    })
+}
+
+/// The In-Core private-cache reuse-filter ablation as a sweep plan: two
+/// Fig 15 stencils at 1× under In-Core, with the L1/L2 filter on and off.
+/// Unfiltered, every element access crosses the NoC; the slowdown is how
+/// much of the baseline's competitiveness its private caches provide.
+pub fn abl_reuse_plan(opts: HarnessOpts) -> SweepPlan {
+    let stencils = [
+        ("pathfinder", Stencil::pathfinder(1_500_000)),
+        ("hotspot", Stencil::hotspot(2048, 1024)),
+    ];
+    let mut b = PlanBuilder::new("abl_reuse");
+    // (stencil, filtered cell, unfiltered cell)
+    let mut idx: Vec<(&str, usize, usize)> = Vec::new();
+    for (name, stencil) in stencils {
+        let mut cell = |label: &str, filter: bool| {
+            let s = stencil.clone();
+            b.cell(format!("{name}/{label}"), move |ctx| {
+                let cfg = RunConfig::new(SystemConfig::InCore)
+                    .with_seed(opts.seed)
+                    .with_machine(ctx.machine(opts.machine()));
+                run_stencil_opts(&s, &cfg, filter).into()
+            })
+        };
+        let filtered = cell("filtered", true);
+        let unfiltered = cell("unfiltered", false);
+        idx.push((name, filtered, unfiltered));
+    }
+    b.merge(move |o| {
+        let mut fig = Figure::new(
+            "abl_reuse",
+            "Ablation: In-Core private-cache reuse filter",
+            vec!["cycles", "flit_hops", "slowdown"],
+        );
+        for &(name, filtered, unfiltered) in &idx {
+            let base = o.field(filtered, |m| m.cycles as f64);
+            for (label, id) in [("filtered", filtered), ("unfiltered", unfiltered)] {
+                let cycles = o.field(id, |m| m.cycles as f64);
+                fig.push(
+                    format!("{name}/{label}"),
+                    vec![
+                        cycles,
+                        o.field(id, |m| m.total_hop_flits as f64),
+                        cycles / base,
+                    ],
+                );
+            }
+        }
+        fig.note("slowdown: cycles over the filtered run of the same stencil");
+        o.annotate_failures(&mut fig);
+        fig
+    })
 }
 
 /// The multi-tenant churn family (`figures --tenants N`) as a sweep plan:
@@ -1278,19 +1448,30 @@ pub fn tenants_plan(opts: HarnessOpts) -> SweepPlan {
     })
 }
 
-/// The multi-tenant churn family (serial wrapper).
-pub fn tenants_figure(opts: HarnessOpts) -> Figure {
-    run_single(tenants_plan(opts), opts.seed)
-}
-
-/// All figure ids `all` expands to, in paper order (plus the post-paper
-/// `tenants` multi-tenant churn family). The `inference` family is
-/// dispatchable by id (see [`plan_figure`]) but intentionally **not** part
-/// of `all`: it re-runs the whole Table 3 suite three ways, so it stays
-/// opt-in.
-pub const ALL_FIGURES: [&str; 14] = [
-    "fig4", "fig6", "fig12", "fig13", "fig14", "fig15", "fig16", "fig17", "fig18", "fig19",
-    "fig20", "table2", "table4", "tenants",
+/// All figure ids `all` expands to, in paper order, then the four design
+/// ablations and the post-paper `tenants` multi-tenant churn family. The
+/// `inference` family is dispatchable by id (see [`plan_figure`]) but
+/// intentionally **not** part of `all`: it re-runs the whole Table 3 suite
+/// three ways, so it stays opt-in.
+pub const ALL_FIGURES: [&str; 18] = [
+    "fig4",
+    "fig6",
+    "fig12",
+    "fig13",
+    "fig14",
+    "fig15",
+    "fig16",
+    "fig17",
+    "fig18",
+    "fig19",
+    "fig20",
+    "table2",
+    "table4",
+    "abl_bank_order",
+    "abl_node_capacity",
+    "abl_priority_queue",
+    "abl_reuse",
+    "tenants",
 ];
 
 /// The sweep plan for one figure by id, or `None` for an unknown id.
@@ -1309,22 +1490,14 @@ pub fn plan_figure(id: &str, opts: HarnessOpts) -> Option<SweepPlan> {
         "fig20" => Some(fig20_plan(opts)),
         "table2" => Some(table2_plan(opts)),
         "table4" => Some(table4_plan(opts)),
+        "abl_bank_order" => Some(abl_bank_order_plan(opts)),
+        "abl_node_capacity" => Some(abl_node_capacity_plan(opts)),
+        "abl_priority_queue" => Some(abl_priority_queue_plan(opts)),
+        "abl_reuse" => Some(abl_reuse_plan(opts)),
         "tenants" => Some(tenants_plan(opts)),
         "inference" => Some(crate::inference::inference_plan(opts)),
         _ => None,
     }
-}
-
-/// Run one figure by id (serially).
-///
-/// # Panics
-///
-/// Panics on an unknown id (see [`ALL_FIGURES`]); the `figures` binary
-/// validates ids up front instead.
-pub fn run_figure(id: &str, opts: HarnessOpts) -> Figure {
-    let plan = plan_figure(id, opts)
-        .unwrap_or_else(|| panic!("unknown figure id {id:?}; known: {ALL_FIGURES:?}"));
-    run_single(plan, opts.seed)
 }
 
 /// Run one representative Fig 13 cell (`pr_push` under `Hybrid-5`) with a
@@ -1354,6 +1527,7 @@ pub fn traced_fig13_cell(opts: HarnessOpts) -> (String, String) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sweep::run_plans;
 
     #[test]
     fn geometry_spec_parses_every_form() {
@@ -1437,10 +1611,12 @@ mod tests {
 
     #[test]
     fn tenants_family_runs_and_reports() {
-        let fig = tenants_figure(HarnessOpts {
+        let opts = HarnessOpts {
             tenants: 2,
             ..HarnessOpts::default()
-        });
+        };
+        let (figs, _) = run_plans(vec![tenants_plan(opts)], 1, opts.seed);
+        let fig = &figs[0];
         assert_eq!(fig.id, "tenants");
         // churn/1t, churn/2t, overload, quota, isolation.
         assert_eq!(fig.rows.len(), 5);

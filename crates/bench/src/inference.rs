@@ -168,11 +168,6 @@ pub fn inference_plan_for(workloads: &[WorkloadName], opts: HarnessOpts) -> Swee
     })
 }
 
-/// Run the full family serially (the `figN(opts)` compatibility path).
-pub fn inference_figure(opts: HarnessOpts) -> Figure {
-    crate::figures::run_single(inference_plan(opts), opts.seed)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

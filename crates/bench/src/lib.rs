@@ -1,11 +1,11 @@
-//! The evaluation harness: one reproduction function per figure of the
-//! paper, shared by the `figures` binary and the Criterion benches.
+//! The evaluation harness: one sweep plan per figure of the paper and per
+//! design ablation, run by the `figures` binary.
 //!
-//! Each `figN` function in [`figures`] runs the simulated experiments and
-//! returns a [`report::Figure`] — labeled rows of named series — which
-//! renders to the same table/series the paper plots. EXPERIMENTS.md records
-//! the paper-vs-measured comparison produced by `cargo run --release -p
-//! aff-bench --bin figures -- all`.
+//! Each plan in [`figures`] (`plan_figure(id, opts)`) runs the simulated
+//! experiments and merges them into a [`report::Figure`] — labeled rows of
+//! named series — which renders to the same table/series the paper plots.
+//! EXPERIMENTS.md records the paper-vs-measured comparison produced by
+//! `cargo run --release -p aff-bench --bin figures -- all`.
 
 pub mod figures;
 pub mod inference;

@@ -250,15 +250,6 @@ pub fn run_stencil_opts(s: &Stencil, cfg: &RunConfig, private_filter: bool) -> M
         SystemConfig::InCore => run_in_core(s, &arrays, &mut alloc, &mut engine, private_filter),
         _ => run_near_l3(s, &arrays, &mut alloc, &mut engine, mining),
     }
-    if std::env::var_os("AFF_DEBUG").is_some() {
-        let acc = engine.banks().accesses_per_bank().to_vec();
-        let mut top: Vec<(usize, u64)> = acc.iter().copied().enumerate().collect();
-        top.sort_by_key(|&(_, a)| std::cmp::Reverse(a));
-        eprintln!("top banks: {:?}", &top[..6]);
-        let mut links: Vec<(usize, u64)> = engine.traffic_mut().link_flits().iter().copied().enumerate().collect();
-        links.sort_by_key(|&(_, a)| std::cmp::Reverse(a));
-        eprintln!("top links: {:?}", &links[..6]);
-    }
     let mut m = engine.try_finish().unwrap_or_else(|e| panic!("{e}"));
     m.degradation.merge(&alloc.degradation());
     cfg.hints.stamp(&mut m);
