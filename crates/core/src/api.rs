@@ -307,10 +307,16 @@ impl std::fmt::Display for AllocError {
             AllocError::ZeroSize => write!(f, "zero-sized allocation"),
             AllocError::BadRatio => write!(f, "alignment ratio with zero numerator or denominator"),
             AllocError::TooManyAffinityAddrs { got } => {
-                write!(f, "{got} affinity addresses exceeds the limit of {MAX_AFFINITY_ADDRS}")
+                write!(
+                    f,
+                    "{got} affinity addresses exceeds the limit of {MAX_AFFINITY_ADDRS}"
+                )
             }
             AllocError::UnknownPartner { addr } => {
-                write!(f, "align_to address {addr} is not an allocated affine array")
+                write!(
+                    f,
+                    "align_to address {addr} is not an allocated affine array"
+                )
             }
             AllocError::UnknownAddress { addr } => {
                 write!(f, "address {addr} was not allocated by this allocator")
@@ -402,14 +408,22 @@ mod tests {
             AffinityHint::IntraStride { stride: 128 },
             AffinityHint::Partition,
         ] {
-            assert_eq!(AffineArrayReq::with_hint(8, 64, &h).hint(), h, "{}", h.label());
+            assert_eq!(
+                AffineArrayReq::with_hint(8, 64, &h).hint(),
+                h,
+                "{}",
+                h.label()
+            );
         }
         // Irregular is not representable on the affine-array axis: it maps
         // to the default layout and reads back as None.
         let irr = AffinityHint::Irregular {
             aff_addrs: vec![VAddr(0x40)],
         };
-        assert_eq!(AffineArrayReq::with_hint(8, 64, &irr).hint(), AffinityHint::None);
+        assert_eq!(
+            AffineArrayReq::with_hint(8, 64, &irr).hint(),
+            AffinityHint::None
+        );
         assert!(irr.is_some());
         assert!(!AffinityHint::Irregular { aff_addrs: vec![] }.is_some());
         assert!(!AffinityHint::None.is_some());
@@ -421,6 +435,8 @@ mod tests {
         assert!(AllocError::TooManyAffinityAddrs { got: 40 }
             .to_string()
             .contains("40"));
-        assert!(AllocError::Pool(PoolError::IotFull).to_string().contains("pool"));
+        assert!(AllocError::Pool(PoolError::IotFull)
+            .to_string()
+            .contains("pool"));
     }
 }

@@ -161,8 +161,7 @@ struct AffineFit {
 /// halo's bounded residuals barely move the estimate, where least squares
 /// would be dragged off by a single far outlier).
 fn robust_slope(samples: &[(u64, u64)]) -> Option<f64> {
-    let mut pts: Vec<(f64, f64)> =
-        samples.iter().map(|&(a, b)| (b as f64, a as f64)).collect();
+    let mut pts: Vec<(f64, f64)> = samples.iter().map(|&(a, b)| (b as f64, a as f64)).collect();
     pts.sort_by(|u, v| u.partial_cmp(v).expect("finite"));
     let n = pts.len();
     let m = n / 2;
@@ -356,9 +355,7 @@ impl AffinityProfile {
                     // Lowest partner ordinal wins (the annotated convention
                     // aligns everything to the first-allocated main array),
                     // then higher support.
-                    Some((bp, bf)) => {
-                        partner < *bp || (partner == *bp && fit.samples > bf.samples)
-                    }
+                    Some((bp, bf)) => partner < *bp || (partner == *bp && fit.samples > bf.samples),
                 };
                 if better {
                     best = Some((partner, fit));
@@ -469,7 +466,10 @@ impl AffinityProfile {
     /// Number of regions with a non-`None` hint (stamped into the metrics
     /// sidecar as `inferred_hints`).
     pub fn hint_count(&self) -> u64 {
-        self.hints.iter().filter(|h| h.hint != InferredHint::None).count() as u64
+        self.hints
+            .iter()
+            .filter(|h| h.hint != InferredHint::None)
+            .count() as u64
     }
 
     /// Serialize to a compact, deterministic JSON document (hand-rolled —
@@ -697,7 +697,11 @@ mod tests {
         for i in 0..300u64 {
             m.record(&touch(1, i, i));
             // Every 8th sample is displaced by an unrelated scatter.
-            let a = if i % 8 == 0 { (i * 37 + 11) % 4096 } else { i + 3 };
+            let a = if i % 8 == 0 {
+                (i * 37 + 11) % 4096
+            } else {
+                i + 3
+            };
             m.record(&touch(0, a, i));
         }
         let profile = AffinityProfile::infer(&m.finish());
@@ -724,7 +728,10 @@ mod tests {
         for r in [0, 1] {
             let h = &profile.region_hint(r).expect("hinted").hint;
             assert!(
-                !matches!(h, InferredHint::AlignTo { .. } | InferredHint::IntraStride { .. }),
+                !matches!(
+                    h,
+                    InferredHint::AlignTo { .. } | InferredHint::IntraStride { .. }
+                ),
                 "region {r} must not fit an affine relation, got {h:?}"
             );
         }
@@ -739,7 +746,10 @@ mod tests {
             m.record(&touch(0, (s * 2654435761) % (1 << 14), s));
         }
         let profile = AffinityProfile::infer(&m.finish());
-        assert_eq!(profile.region_hint(0).expect("props").hint, InferredHint::Partition);
+        assert_eq!(
+            profile.region_hint(0).expect("props").hint,
+            InferredHint::Partition
+        );
 
         let mut m = CoAccessMiner::new();
         m.register_region(0, RegionKind::Array, 8, 1 << 14);
@@ -747,7 +757,10 @@ mod tests {
             m.record(&touch(0, s * 3, s));
         }
         let profile = AffinityProfile::infer(&m.finish());
-        assert_eq!(profile.region_hint(0).expect("seq").hint, InferredHint::None);
+        assert_eq!(
+            profile.region_hint(0).expect("seq").hint,
+            InferredHint::None
+        );
     }
 
     /// Multi-node traversals → Chain, resolved through `hint_for` into
@@ -762,7 +775,10 @@ mod tests {
             }
         }
         let profile = AffinityProfile::infer(&m.finish());
-        assert_eq!(profile.region_hint(0).expect("nodes").hint, InferredHint::Chain);
+        assert_eq!(
+            profile.region_hint(0).expect("nodes").hint,
+            InferredHint::Chain
+        );
         let prev = VAddr(0x1000);
         assert_eq!(
             profile.hint_for(0, |_| None, &[prev]),

@@ -46,7 +46,10 @@ impl BankSelectPolicy {
 
     /// Whether this policy consults affinity addresses at all.
     pub fn uses_affinity(&self) -> bool {
-        matches!(self, BankSelectPolicy::MinHop | BankSelectPolicy::Hybrid { .. })
+        matches!(
+            self,
+            BankSelectPolicy::MinHop | BankSelectPolicy::Hybrid { .. }
+        )
     }
 }
 
@@ -128,10 +131,8 @@ mod tests {
         // so the argmin moves to a healthy bank one hop away. This pins the
         // weighting a live fault epoch applies when it slows a bank.
         let avg = 10.0;
-        let healthy_home = argmin_score([
-            (0, score(0.0, 10, avg, 5.0)),
-            (1, score(1.0, 10, avg, 5.0)),
-        ]);
+        let healthy_home =
+            argmin_score([(0, score(0.0, 10, avg, 5.0)), (1, score(1.0, 10, avg, 5.0))]);
         assert_eq!(healthy_home, Some(0), "no fault: affinity wins");
         let slowed_home = argmin_score([
             (0, score(0.0, 10 * 4, avg, 5.0)), // home bank, slowed 4×
