@@ -51,9 +51,9 @@ proptest! {
 }
 
 /// alloc → free → alloc with the same affinity and size reuses the chunk:
-/// the service free lists (coalescing mode: sorted, lowest-address-first)
-/// hand back freed space instead of growing the pool, and reuse starts at
-/// the lowest freed address rather than the legacy LIFO order.
+/// the service free lists (sorted, lowest-address-first) hand back freed
+/// space instead of growing the pool, and reuse starts at the lowest freed
+/// address.
 #[test]
 fn free_lists_reuse_addresses_across_alloc_free_alloc() {
     let svc = AllocService::new(ServiceConfig::paper_default());
@@ -69,13 +69,13 @@ fn free_lists_reuse_addresses_across_alloc_free_alloc() {
         again, first,
         "free list did not reuse the freed chunk for an identical request"
     );
-    // Free three chunks out of order. The shard allocator runs with
-    // coalescing on: completed bank cycles promote into one merged affine
-    // block, and reuse demotes from that block lowest-address-first.
-    // Whatever the internal route (residual list or demotion), the three
-    // reuses must hand back exactly the three freed addresses — freed
-    // space is recycled, never fresh pool growth — with the demoted ones
-    // in ascending address order.
+    // Free three chunks out of order. The shard allocator coalesces:
+    // completed bank cycles promote into one merged affine block, and
+    // reuse demotes from that block lowest-address-first. Whatever the
+    // internal route (residual list or demotion), the three reuses must
+    // hand back exactly the three freed addresses — freed space is
+    // recycled, never fresh pool growth — with the demoted ones in
+    // ascending address order.
     let a = svc.malloc_aff(t, 4096, &[]).expect("alloc a");
     let b = svc.malloc_aff(t, 4096, &[]).expect("alloc b");
     let c = svc.malloc_aff(t, 4096, &[]).expect("alloc c");

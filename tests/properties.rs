@@ -158,31 +158,63 @@ proptest! {
     /// Pool exhaustion is an `Err`, never an abort: with the reserve capped
     /// to a single page, affine requests degrade (coarsen, then heap) and
     /// irregular requests eventually return `AllocError::Pool` — the
-    /// allocator stays usable throughout.
+    /// allocator stays usable throughout. Allocation keeps going past the
+    /// first refusal: no address handed out ever ends past its pool's
+    /// backed length, and a refused call leaves the free state as it was.
     #[test]
     fn pool_exhaustion_is_graceful(
         elem_pick in 0usize..3,
+        policy_pick in 0usize..3,
         n in 1u64..100_000,
         irregular_bytes in 64u64..8192,
     ) {
         use affinity_alloc_repro::alloc::AllocError;
+        use affinity_alloc_repro::mem::addr::VAddr;
         use affinity_alloc_repro::sim::fault::FaultPlan;
         let elem = [4u64, 8, 16][elem_pick];
+        let policy = [
+            BankSelectPolicy::Rnd,
+            BankSelectPolicy::Lnr,
+            BankSelectPolicy::paper_default(),
+        ][policy_pick];
         let cfg = MachineConfig::paper_default()
             .with_faults(FaultPlan::none().cap_pool_reserve(4096));
-        let mut alloc = AffinityAllocator::new(cfg, BankSelectPolicy::paper_default());
+        let mut alloc = AffinityAllocator::new(cfg, policy);
+        // `bytes` at `va` end within the backed part of va's pool (heap
+        // addresses belong to no pool).
+        let backed = |alloc: &AffinityAllocator, va: VAddr, bytes: u64| {
+            let pools = alloc.space().pools();
+            pools
+                .pool_of(va)
+                .is_none_or(|p| va.offset_from(pools.va_start(p)) + bytes <= pools.len(p))
+        };
         // Affine path: must always come back with *some* address (possibly
         // from the heap fallback), never panic.
         let a = alloc.malloc_aff_affine(&AffineArrayReq::new(elem, n)).unwrap();
         prop_assert!(alloc.bank_of(a) < 64);
-        // Irregular path: keep allocating until the capped pool runs dry;
-        // that surfaces as AllocError::Pool, and the allocator still serves
-        // queries afterwards.
+        prop_assert!(backed(&alloc, a, elem * n), "{policy:?}: affine array past the reserve");
+        // Irregular path: keep allocating past the point where the capped
+        // pool runs dry; that surfaces as AllocError::Pool, and the
+        // allocator still serves queries afterwards.
         let mut saw_exhaustion = false;
-        for _ in 0..64 {
+        for call in 0..200 {
+            let before = alloc.fragmentation();
             match alloc.malloc_aff(irregular_bytes, &[]) {
-                Ok(va) => prop_assert!(alloc.bank_of(va) < 64),
-                Err(AllocError::Pool(_)) => { saw_exhaustion = true; break; }
+                Ok(va) => {
+                    prop_assert!(alloc.bank_of(va) < 64);
+                    prop_assert!(
+                        backed(&alloc, va, irregular_bytes),
+                        "{policy:?} call {call}: {va:?} lies past the 4 KiB reserve"
+                    );
+                }
+                Err(AllocError::Pool(_)) => {
+                    saw_exhaustion = true;
+                    prop_assert_eq!(
+                        alloc.fragmentation(),
+                        before,
+                        "{policy:?} call {call}: a refused call changed the free state"
+                    );
+                }
                 Err(e) => prop_assert!(false, "unexpected error {e:?}"),
             }
         }
