@@ -186,7 +186,10 @@ mod tests {
     use affinity_alloc::BankSelectPolicy;
 
     fn alloc() -> AffinityAllocator {
-        AffinityAllocator::new(MachineConfig::paper_default(), BankSelectPolicy::paper_default())
+        AffinityAllocator::new(
+            MachineConfig::paper_default(),
+            BankSelectPolicy::paper_default(),
+        )
     }
 
     fn ring(n: u32) -> Graph {
@@ -250,7 +253,10 @@ mod tests {
         };
         let fine = hops(64);
         let coarse = hops(4096);
-        assert!(fine <= coarse, "finer chunks must not increase indirect hops");
+        assert!(
+            fine <= coarse,
+            "finer chunks must not increase indirect hops"
+        );
     }
 
     #[test]

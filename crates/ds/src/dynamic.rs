@@ -19,8 +19,8 @@
 
 use crate::layout::VertexArray;
 use aff_mem::addr::VAddr;
-use affinity_alloc::{AffinityAllocator, AllocError, MAX_AFFINITY_ADDRS};
 use aff_sim_core::config::CACHE_LINE;
+use affinity_alloc::{AffinityAllocator, AllocError, MAX_AFFINITY_ADDRS};
 
 /// One mutable edge node.
 #[derive(Debug, Clone)]
@@ -218,10 +218,8 @@ mod tests {
     use affinity_alloc::BankSelectPolicy;
 
     fn setup() -> (AffinityAllocator, VertexArray) {
-        let mut alloc = AffinityAllocator::new(
-            MachineConfig::paper_default(),
-            BankSelectPolicy::MinHop,
-        );
+        let mut alloc =
+            AffinityAllocator::new(MachineConfig::paper_default(), BankSelectPolicy::MinHop);
         let props = VertexArray::new(&mut alloc, 4096, 8, AllocMode::Affinity).unwrap();
         (alloc, props)
     }

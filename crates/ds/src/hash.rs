@@ -6,8 +6,8 @@
 //! on one bank under an affinity policy.
 
 use crate::layout::{AllocMode, VertexArray};
-use affinity_alloc::{AffinityAllocator, AllocError};
 use aff_sim_core::config::CACHE_LINE;
+use affinity_alloc::{AffinityAllocator, AllocError};
 
 /// One chain node: key plus placement.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -168,7 +168,10 @@ mod tests {
     use affinity_alloc::BankSelectPolicy;
 
     fn alloc() -> AffinityAllocator {
-        AffinityAllocator::new(MachineConfig::paper_default(), BankSelectPolicy::paper_default())
+        AffinityAllocator::new(
+            MachineConfig::paper_default(),
+            BankSelectPolicy::paper_default(),
+        )
     }
 
     #[test]
@@ -207,8 +210,7 @@ mod tests {
         let mut a = alloc();
         let v = VertexArray::new(&mut a, 64 * 1024, 4, AllocMode::Affinity).unwrap();
         let mut b = alloc();
-        let h =
-            VertexArray::with_hint(&mut b, 64 * 1024, 4, &AffinityHint::Partition).unwrap();
+        let h = VertexArray::with_hint(&mut b, 64 * 1024, 4, &AffinityHint::Partition).unwrap();
         assert_eq!(v.banks(), h.banks(), "hint path = legacy path");
     }
 

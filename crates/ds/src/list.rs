@@ -7,8 +7,8 @@
 
 use crate::layout::AllocMode;
 use aff_mem::addr::VAddr;
-use affinity_alloc::{AffinityAllocator, AllocError};
 use aff_sim_core::config::CACHE_LINE;
+use affinity_alloc::{AffinityAllocator, AllocError};
 
 /// One placed list node.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -100,7 +100,11 @@ mod tests {
         let mut a =
             AffinityAllocator::new(MachineConfig::paper_default(), BankSelectPolicy::MinHop);
         let l = AffLinkedList::build(&mut a, 512, AllocMode::Affinity).unwrap();
-        assert_eq!(l.migrations(), 0, "min-hop keeps the whole list in one bank");
+        assert_eq!(
+            l.migrations(),
+            0,
+            "min-hop keeps the whole list in one bank"
+        );
         assert_eq!(l.traversal_hops(a.topo()), 0);
     }
 

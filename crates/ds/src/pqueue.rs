@@ -10,9 +10,9 @@
 
 use crate::layout::VertexArray;
 use aff_mem::addr::VAddr;
+use aff_sim_core::config::CACHE_LINE;
 use aff_sim_core::rng::SimRng;
 use affinity_alloc::{AffinityAllocator, AllocError};
-use aff_sim_core::config::CACHE_LINE;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -147,10 +147,8 @@ mod tests {
     use affinity_alloc::BankSelectPolicy;
 
     fn setup() -> (AffinityAllocator, VertexArray) {
-        let mut alloc = AffinityAllocator::new(
-            MachineConfig::paper_default(),
-            BankSelectPolicy::MinHop,
-        );
+        let mut alloc =
+            AffinityAllocator::new(MachineConfig::paper_default(), BankSelectPolicy::MinHop);
         let props = VertexArray::new(&mut alloc, 64 * 1024, 8, AllocMode::Affinity).unwrap();
         (alloc, props)
     }
@@ -183,10 +181,7 @@ mod tests {
         assert!(q.is_empty());
         // Relaxed order: count inversions; MultiQueues guarantees the pop
         // sequence is *near*-sorted, not sorted.
-        let inversions = popped
-            .windows(2)
-            .filter(|w| w[0] > w[1])
-            .count();
+        let inversions = popped.windows(2).filter(|w| w[0] > w[1]).count();
         assert!(
             inversions < popped.len() / 2,
             "pop order should be near-sorted: {inversions} inversions over {}",

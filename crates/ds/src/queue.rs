@@ -10,8 +10,8 @@
 
 use crate::layout::{AllocMode, VertexArray};
 use aff_mem::addr::VAddr;
-use affinity_alloc::{AffinityAllocator, AllocError};
 use aff_sim_core::config::CACHE_LINE;
+use affinity_alloc::{AffinityAllocator, AllocError};
 
 /// The baseline single work queue.
 #[derive(Debug, Clone)]
@@ -103,7 +103,10 @@ impl SpatialQueue {
         partitions: u32,
     ) -> Result<Self, AllocError> {
         let n = props.len();
-        assert!(partitions > 0 && u64::from(partitions) <= n, "bad partition count");
+        assert!(
+            partitions > 0 && u64::from(partitions) <= n,
+            "bad partition count"
+        );
         let data = VertexArray::aligned_with(alloc, props, n, props.elem_size())?;
         let mut tails = Vec::with_capacity(partitions as usize);
         for p in 0..u64::from(partitions) {
@@ -139,7 +142,10 @@ impl SpatialQueue {
         elem_size: u64,
         partitions: u32,
     ) -> Result<Self, AllocError> {
-        assert!(partitions > 0 && u64::from(partitions) <= n, "bad partition count");
+        assert!(
+            partitions > 0 && u64::from(partitions) <= n,
+            "bad partition count"
+        );
         let data = VertexArray::new(alloc, n, elem_size, AllocMode::Unhinted)?;
         let mut tails = Vec::with_capacity(partitions as usize);
         for _ in 0..partitions {
@@ -224,7 +230,11 @@ mod tests {
         let mut a = alloc();
         let props = VertexArray::new(&mut a, 64 * 1024, 4, AllocMode::Affinity).unwrap();
         let mut q = SpatialQueue::build(&mut a, &props, 64).unwrap();
-        assert_eq!(q.aligned_tails(&props), 64, "every tail on its partition's bank");
+        assert_eq!(
+            q.aligned_tails(&props),
+            64,
+            "every tail on its partition's bank"
+        );
         // Pushing v touches only v's partition's bank.
         for v in [0u32, 1023, 1024, 65535] {
             let vb = props.bank_of(u64::from(v));

@@ -10,8 +10,8 @@
 
 use crate::layout::AllocMode;
 use aff_mem::addr::VAddr;
-use affinity_alloc::{AffinityAllocator, AllocError};
 use aff_sim_core::config::CACHE_LINE;
+use affinity_alloc::{AffinityAllocator, AllocError};
 
 /// One placed tree node.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -46,7 +46,9 @@ impl AffBinaryTree {
         keys: &[u64],
         mode: AllocMode,
     ) -> Result<Self, AllocError> {
-        let mut tree = Self { nodes: Vec::with_capacity(keys.len()) };
+        let mut tree = Self {
+            nodes: Vec::with_capacity(keys.len()),
+        };
         for &k in keys {
             tree.insert(alloc, k, mode)?;
         }
@@ -210,7 +212,10 @@ mod tests {
         let t = AffBinaryTree::build(&mut a, &random_keys(1000), AllocMode::Affinity).unwrap();
         let per_bank = t.nodes_per_bank(64);
         let max = *per_bank.iter().max().unwrap();
-        assert_eq!(max, 1000, "min-hop must hoard the tree (the Fig 13 pathology)");
+        assert_eq!(
+            max, 1000,
+            "min-hop must hoard the tree (the Fig 13 pathology)"
+        );
     }
 
     #[test]

@@ -166,7 +166,12 @@ fn allocate(
             let main = alloc
                 .malloc_aff_affine(&AffineArrayReq::with_hint(s.elem_size, s.elems, &main_hint))
                 .expect("main array");
-            let align = AffinityHint::AlignTo { partner: main, p: 1, q: 1, x: 0 };
+            let align = AffinityHint::AlignTo {
+                partner: main,
+                p: 1,
+                q: 1,
+                x: 0,
+            };
             let extras = (0..s.extra_inputs)
                 .map(|_| {
                     alloc
@@ -195,7 +200,11 @@ fn allocate(
             }
             let out = vas.pop().expect("output array");
             let main = vas.remove(0);
-            Arrays { main, extras: vas, out }
+            Arrays {
+                main,
+                extras: vas,
+                out,
+            }
         }
         // `NoHints` (any system) and non-affinity systems: arbitrary heap
         // placement — skip a seed-derived number of default chunks before
@@ -238,7 +247,8 @@ pub fn run_stencil(s: &Stencil, cfg: &RunConfig) -> Metrics {
 /// `abl_reuse` ablation quantifying how much the In-Core baseline owes to
 /// its L1/L2.
 pub fn run_stencil_opts(s: &Stencil, cfg: &RunConfig, private_filter: bool) -> Metrics {
-    let mut alloc = AffinityAllocator::with_seed(cfg.machine.clone(), cfg.system.policy(), cfg.seed);
+    let mut alloc =
+        AffinityAllocator::with_seed(cfg.machine.clone(), cfg.system.policy(), cfg.seed);
     let arrays = allocate(&mut alloc, s, cfg.system, cfg.seed, &cfg.hints);
     let mut engine = cfg.engine();
     let mining = cfg.profiling();
@@ -261,7 +271,8 @@ pub fn run_stencil_opts(s: &Stencil, cfg: &RunConfig, private_filter: bool) -> M
 /// page layout instead.
 pub fn run_vecadd_forced_delta(n: u64, delta: Option<u32>, cfg: &RunConfig) -> Metrics {
     let s = Stencil::vecadd(n);
-    let mut alloc = AffinityAllocator::with_seed(cfg.machine.clone(), cfg.system.policy(), cfg.seed);
+    let mut alloc =
+        AffinityAllocator::with_seed(cfg.machine.clone(), cfg.system.policy(), cfg.seed);
     let bytes = s.elems * s.elem_size;
     let arrays = match delta {
         Some(d) => {
@@ -532,7 +543,10 @@ mod tests {
         // Aligned beats bisection beats nothing; random sits between.
         assert!(d0.cycles < d32.cycles, "Δ0 must beat Δ32");
         assert!(d0.cycles < rnd.cycles, "Δ0 must beat Random");
-        assert!(rnd.cycles < d32.cycles, "Random avoids the pathological Δ32");
+        assert!(
+            rnd.cycles < d32.cycles,
+            "Random avoids the pathological Δ32"
+        );
         // NDC (any Δ) still beats In-Core, as in Fig 4.
         assert!(d32.cycles < incore.cycles, "even Δ32 NDC beats In-Core");
     }
@@ -618,7 +632,12 @@ mod tests {
         );
         for r in [1u32, 2] {
             match profile.region_hint(r).map(|h| &h.hint) {
-                Some(&InferredHint::AlignTo { partner: 0, p: 1, q: 1, x: 0 }) => {}
+                Some(&InferredHint::AlignTo {
+                    partner: 0,
+                    p: 1,
+                    q: 1,
+                    x: 0,
+                }) => {}
                 other => panic!("region {r}: expected 1:1 alignment to main, got {other:?}"),
             }
         }
@@ -626,8 +645,12 @@ mod tests {
         // Phase 2: replay. Inferred placement must match annotated placement
         // in performance, and both beat the unhinted floor.
         let annotated = run_stencil(&s, &base);
-        let inferred =
-            run_stencil(&s, &base.clone().with_hints(HintMode::Inferred(Arc::new(profile))));
+        let inferred = run_stencil(
+            &s,
+            &base
+                .clone()
+                .with_hints(HintMode::Inferred(Arc::new(profile))),
+        );
         assert_eq!(
             inferred.cycles, annotated.cycles,
             "inferred hints must reproduce the annotated run"

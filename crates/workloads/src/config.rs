@@ -238,14 +238,19 @@ mod tests {
     fn exec_modes() {
         assert_eq!(SystemConfig::InCore.exec_mode(), ExecMode::InCore);
         assert_eq!(SystemConfig::NearL3.exec_mode(), ExecMode::NearL3);
-        assert_eq!(SystemConfig::aff_alloc_default().exec_mode(), ExecMode::NearL3);
+        assert_eq!(
+            SystemConfig::aff_alloc_default().exec_mode(),
+            ExecMode::NearL3
+        );
         assert!(!SystemConfig::NearL3.uses_affinity_alloc());
         assert!(SystemConfig::aff_alloc_default().uses_affinity_alloc());
     }
 
     #[test]
     fn builder() {
-        let c = RunConfig::new(SystemConfig::InCore).with_scale(4).with_seed(9);
+        let c = RunConfig::new(SystemConfig::InCore)
+            .with_scale(4)
+            .with_seed(9);
         assert_eq!(c.scale, 4);
         assert_eq!(c.seed, 9);
         assert_eq!(RunConfig::new(SystemConfig::InCore).with_scale(0).scale, 1);

@@ -201,10 +201,9 @@ impl GraphInstance {
             let chained = match &cfg.hints {
                 HintMode::Annotated => true,
                 HintMode::NoHints => false,
-                HintMode::Inferred(p) => matches!(
-                    p.region_hint(1).map(|h| &h.hint),
-                    Some(InferredHint::Chain)
-                ),
+                HintMode::Inferred(p) => {
+                    matches!(p.region_hint(1).map(|h| &h.hint), Some(InferredHint::Chain))
+                }
             };
             let linked = if chained {
                 LinkedCsr::build(&mut alloc, &graph, &props).expect("linked CSR")
@@ -741,17 +740,16 @@ impl GraphInstance {
         // global heap (at the bank of a heap-allocated anchor) otherwise.
         // The spatial heaps align to props — an annotation; unhinted layouts
         // fall back to the global heap like the baselines.
-        let spatial_pq = if self.system.uses_affinity_alloc()
-            && self.props.mode() == AllocMode::Affinity
-        {
-            let parts = self.engine.config().num_banks().min(n);
-            Some(
-                SpatialPriorityQueue::build(&mut self.alloc, &self.props, parts, 11)
-                    .expect("spatial priority queue"),
-            )
-        } else {
-            None
-        };
+        let spatial_pq =
+            if self.system.uses_affinity_alloc() && self.props.mode() == AllocMode::Affinity {
+                let parts = self.engine.config().num_banks().min(n);
+                Some(
+                    SpatialPriorityQueue::build(&mut self.alloc, &self.props, parts, 11)
+                        .expect("spatial priority queue"),
+                )
+            } else {
+                None
+            };
         let global_heap_bank = {
             let anchor = self.alloc.heap_alloc(64);
             self.alloc.bank_of(anchor)
@@ -844,7 +842,10 @@ mod tests {
         .into_iter()
         .map(|s| run(s, |i| i.run_bfs(0, DirectionPolicy::PushOnly)))
         .collect();
-        let visited: Vec<u64> = runs.iter().map(|r| r.iters.last().unwrap().visited).collect();
+        let visited: Vec<u64> = runs
+            .iter()
+            .map(|r| r.iters.last().unwrap().visited)
+            .collect();
         assert_eq!(visited[0], visited[1]);
         assert_eq!(visited[0], visited[2]);
         assert!(visited[0] > 512, "Kronecker core component should be large");
@@ -884,8 +885,12 @@ mod tests {
 
     #[test]
     fn direction_policies_differ() {
-        let push = run(SystemConfig::NearL3, |i| i.run_bfs(0, DirectionPolicy::PushOnly));
-        let gap = run(SystemConfig::NearL3, |i| i.run_bfs(0, DirectionPolicy::GapSwitch));
+        let push = run(SystemConfig::NearL3, |i| {
+            i.run_bfs(0, DirectionPolicy::PushOnly)
+        });
+        let gap = run(SystemConfig::NearL3, |i| {
+            i.run_bfs(0, DirectionPolicy::GapSwitch)
+        });
         assert!(push.iters.iter().all(|s| s.dir == Direction::Push));
         assert!(
             gap.iters.iter().any(|s| s.dir == Direction::Pull),
@@ -1016,8 +1021,8 @@ mod tests {
         let cfg = RunConfig::new(SystemConfig::aff_alloc_default()).with_seed(1);
         let miner = Arc::new(Mutex::new(CoAccessMiner::new()));
         let profiled = cfg.clone().with_hints(HintMode::NoHints);
-        let none = GraphInstance::new(kron(), &profiled.with_recorder(Arc::clone(&miner)))
-            .run_pr_push();
+        let none =
+            GraphInstance::new(kron(), &profiled.with_recorder(Arc::clone(&miner))).run_pr_push();
         let profile = AffinityProfile::infer(&CoAccessMiner::finish_shared(&miner));
 
         // The mined structure matches the hand annotations: partitioned
@@ -1037,7 +1042,8 @@ mod tests {
         let annotated = GraphInstance::new(kron(), &cfg).run_pr_push();
         let inferred = GraphInstance::new(
             kron(),
-            &cfg.clone().with_hints(HintMode::Inferred(Arc::new(profile))),
+            &cfg.clone()
+                .with_hints(HintMode::Inferred(Arc::new(profile))),
         )
         .run_pr_push();
         assert_eq!(

@@ -362,8 +362,14 @@ mod tests {
             &RunConfig::new(SystemConfig::AffAlloc(BankSelectPolicy::MinHop)),
         );
         let hybrid = run_bin_tree(p, &RunConfig::new(SystemConfig::aff_alloc_default()));
-        assert!(minhop.total_hop_flits < hybrid.total_hop_flits, "min-hop kills traffic");
-        assert!(hybrid.cycles < minhop.cycles, "...but hybrid still wins on time");
+        assert!(
+            minhop.total_hop_flits < hybrid.total_hop_flits,
+            "min-hop kills traffic"
+        );
+        assert!(
+            hybrid.cycles < minhop.cycles,
+            "...but hybrid still wins on time"
+        );
         assert!(minhop.bank_imbalance > hybrid.bank_imbalance);
     }
 
@@ -410,10 +416,16 @@ mod tests {
         // Phase 2: the Chain hint restores the predecessor affinity and the
         // annotated performance.
         let annotated = run_link_list(p, &cfg);
-        let inferred =
-            run_link_list(p, &cfg.clone().with_hints(HintMode::Inferred(Arc::new(profile))));
+        let inferred = run_link_list(
+            p,
+            &cfg.clone()
+                .with_hints(HintMode::Inferred(Arc::new(profile))),
+        );
         assert_eq!(inferred.cycles, annotated.cycles);
-        assert!(inferred.cycles < none.cycles, "chain hint must beat no hints");
+        assert!(
+            inferred.cycles < none.cycles,
+            "chain hint must beat no hints"
+        );
         assert_eq!(inferred.hint_source.as_deref(), Some("inferred"));
     }
 
