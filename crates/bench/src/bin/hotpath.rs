@@ -1,15 +1,18 @@
 //! Hot-path microbenchmark: times the per-message accounting layers in
 //! isolation — route store, heap translation, engine charge
 //! accumulation, folded remote atomics, the Eq-4 argmin kernel, and the
-//! per-bank occupancy scans — each against the scalar/hash-map/write-through
-//! baseline it replaced, and writes `BENCH_hotpath.json` (schema
-//! `aff-bench/hotpath-v4`). Each side of a layer is the median of
+//! per-bank occupancy scans — plus Kronecker input generation, each against
+//! the scalar/hash-map/write-through/rebuild baseline it replaced, and
+//! writes `BENCH_hotpath.json` (schema
+//! `aff-bench/hotpath-v5`). Each side of a layer is the median of
 //! [`REPEATS`] runs, alternating with the other side's.
 //! The route layer runs at 8×8 *and* 16×16 (both hold every source row in
 //! the route store's 1 MiB budget, so neither evicts), and a `route_memory`
 //! section records the resident route-store bytes at 1024 banks, where the
 //! budget holds 64 of 1024 rows, against the dense `n²` entry-array curve.
 //!
+//! Schema v5 (from v4): the `kron_gen` layer is new; its `ops` are
+//! generated undirected edges, `--ops / 16` rounded down to a power of two.
 //! Schema v4 (from v3): the `primitive_fold` layer is new, every speedup is
 //! a ratio of medians rather than of single runs, and `dense_entry_bytes`
 //! counts the 16 B route entry the store actually keeps (v3 counted 8 B).
@@ -21,12 +24,15 @@
 //! The access streams are seeded [`SimRng`] draws, so the measured work is
 //! identical run to run; only the wall-clock varies.
 
+use aff_ds::graph::Graph;
 use aff_mem::space::{AddressSpace, HeapMapping};
 use aff_noc::topology::{AxisHops, Topology};
 use aff_noc::traffic::{TrafficClass, TrafficMatrix};
 use aff_nsc::engine::SimEngine;
 use aff_sim_core::config::{MachineConfig, PAGE_SIZE};
 use aff_sim_core::rng::SimRng;
+use aff_workloads::gen::{self, KRON_A, KRON_B, KRON_C};
+use aff_workloads::suite::KRON_EDGE_FACTOR;
 use std::collections::HashMap;
 use std::fmt::Debug;
 use std::time::Instant;
@@ -390,8 +396,110 @@ fn bench_occupancy_scan(ops: u64) -> Layer {
     Layer::new("occupancy_scan", ops, times, sum)
 }
 
+/// Layer 7: Kronecker input generation, plain and sssp-weighted —
+/// `gen::kronecker` + `gen::weight_kronecker` versus the generator they
+/// replaced: a branchy quadrant descent, a directed CSR rebuilt over every
+/// edge plus its reverse, and weights sent back through the tuple-list
+/// builder. The witness is a digest of both graphs, so the two paths must
+/// generate identical inputs. `ops` is the undirected edge count.
+fn bench_kron_gen(ops: u64) -> Layer {
+    let scale = (ops / u64::from(KRON_EDGE_FACTOR)).max(2).ilog2();
+    let seed = 2023;
+    let ops = u64::from(KRON_EDGE_FACTOR) << scale;
+    let (times, digest) = time_pair(
+        || (),
+        |_| {
+            let plain = gen::kronecker(scale, KRON_EDGE_FACTOR, seed);
+            let weighted = gen::weight_kronecker(&plain, seed);
+            graph_digest(&[plain, weighted])
+        },
+        |_| {
+            let plain = branchy_symmetrized_kronecker(scale, KRON_EDGE_FACTOR, seed);
+            let weighted = tuple_list_weights(&plain, seed);
+            graph_digest(&[plain, weighted])
+        },
+        "Kronecker generators must build identical graphs",
+    );
+    Layer::new("kron_gen", ops, times, digest)
+}
+
+/// The replaced R-MAT generator: a four-way branch per recursion level,
+/// then `from_edges` on the directed edges and again on every edge plus
+/// its reverse.
+fn branchy_symmetrized_kronecker(scale: u32, edge_factor: u32, seed: u64) -> Graph {
+    let n = 1u32 << scale;
+    let mut rng = SimRng::new(seed);
+    let m = (u64::from(edge_factor) * u64::from(n)) as usize;
+    let mut edges = Vec::with_capacity(m);
+    for _ in 0..m {
+        let (mut lo_s, mut lo_d) = (0u32, 0u32);
+        let mut span = n;
+        while span > 1 {
+            span /= 2;
+            let r = rng.unit_f64();
+            let (ds, dd) = if r < KRON_A {
+                (0, 0)
+            } else if r < KRON_A + KRON_B {
+                (0, 1)
+            } else if r < KRON_A + KRON_B + KRON_C {
+                (1, 0)
+            } else {
+                (1, 1)
+            };
+            lo_s += ds * span;
+            lo_d += dd * span;
+        }
+        edges.push((lo_s, lo_d));
+    }
+    let mut perm: Vec<u32> = (0..n).collect();
+    rng.shuffle(&mut perm);
+    for e in &mut edges {
+        e.0 = perm[e.0 as usize];
+        e.1 = perm[e.1 as usize];
+    }
+    let directed = Graph::from_edges(n, &edges);
+    let mut both = Vec::with_capacity(2 * directed.num_edges());
+    for v in 0..n {
+        for &t in directed.neighbors(v) {
+            both.push((v, t));
+            both.push((t, v));
+        }
+    }
+    Graph::from_edges(n, &both)
+}
+
+/// The replaced weighting: an (edge, weight) tuple list in adjacency order,
+/// rebuilt through `from_weighted_edges`.
+fn tuple_list_weights(plain: &Graph, seed: u64) -> Graph {
+    let mut rng = SimRng::new(seed ^ 0x5550);
+    let mut edges = Vec::with_capacity(plain.num_edges());
+    let mut weights = Vec::with_capacity(plain.num_edges());
+    for v in 0..plain.num_vertices() {
+        for &t in plain.neighbors(v) {
+            edges.push((v, t));
+            weights.push(1 + rng.below(255) as u32);
+        }
+    }
+    Graph::from_weighted_edges(plain.num_vertices(), &edges, &weights)
+}
+
+/// FNV-1a over every graph's degrees, targets and weights.
+fn graph_digest(graphs: &[Graph]) -> u64 {
+    let mut h = 0xCBF2_9CE4_8422_2325u64;
+    let mut eat = |x: u64| h = (h ^ x).wrapping_mul(0x0100_0000_01B3);
+    for g in graphs {
+        for v in 0..g.num_vertices() {
+            eat(g.degree(v));
+            g.neighbors(v).iter().for_each(|&t| eat(u64::from(t)));
+            let weights = g.weights_of(v).unwrap_or(&[]);
+            weights.iter().for_each(|&w| eat(u64::from(w)));
+        }
+    }
+    h
+}
+
 fn render_json(layers: &[Layer], mem: &RouteMemory) -> String {
-    let mut out = String::from("{\n  \"schema\": \"aff-bench/hotpath-v4\",\n  \"layers\": [\n");
+    let mut out = String::from("{\n  \"schema\": \"aff-bench/hotpath-v5\",\n  \"layers\": [\n");
     for (i, l) in layers.iter().enumerate() {
         let speedup = l.fast_mops / l.base_mops.max(1e-12);
         out.push_str(&format!(
@@ -455,6 +563,7 @@ fn main() {
         bench_primitive_fold(ops),
         bench_argmin(ops),
         bench_occupancy_scan(ops),
+        bench_kron_gen(ops),
     ];
     for l in &layers {
         println!(

@@ -328,6 +328,34 @@ mod tests {
         assert_eq!(WorkloadName::HashJoin.graph_input(), None);
     }
 
+    /// FNV-1a over every vertex's degree, targets and weights.
+    fn graph_digest(g: &Graph) -> u64 {
+        let mut h = 0xCBF2_9CE4_8422_2325u64;
+        let mut eat = |x: u64| h = (h ^ x).wrapping_mul(0x0100_0000_01B3);
+        for v in 0..g.num_vertices() {
+            eat(g.degree(v));
+            for &t in g.neighbors(v) {
+                eat(u64::from(t));
+            }
+            for &w in g.weights_of(v).unwrap_or(&[]) {
+                eat(u64::from(w));
+            }
+        }
+        h
+    }
+
+    /// The generated inputs are pinned, so a change to the generators'
+    /// draw order fails here by name, not only in the figure bytes.
+    #[test]
+    fn kron_inputs_are_pinned() {
+        let plain = kron_input(1, 2023);
+        assert_eq!(plain.num_edges(), 524_288);
+        assert_eq!(graph_digest(&plain), 0x1e6a_c2a2_4d73_d973);
+        let weighted = kron_weighted_input(1, 2023);
+        assert_eq!(weighted.num_edges(), 524_288);
+        assert_eq!(graph_digest(&weighted), 0x709e_92fa_7fdf_556d);
+    }
+
     #[test]
     fn run_graph_on_a_shared_input_matches_run() {
         use crate::gen;
