@@ -83,10 +83,12 @@ fn main() {
     let mut profile_out: Option<String> = None;
     let mut profile_in: Option<String> = None;
     while let Some(a) = args.next() {
-        let mut value = |name: &str| args.next().unwrap_or_else(|| {
-            eprintln!("{name} needs a value");
-            usage()
-        });
+        let mut value = |name: &str| {
+            args.next().unwrap_or_else(|| {
+                eprintln!("{name} needs a value");
+                usage()
+            })
+        };
         match a.as_str() {
             "--system" => system = value("--system"),
             "--policy" => {
@@ -182,7 +184,10 @@ fn main() {
     if !cfg.hints.is_annotated() {
         // Provenance lines appear only off the default, so annotated output
         // stays byte-identical to the pre-inference binary.
-        println!("hint source     {}", m.hint_source.as_deref().unwrap_or("annotated"));
+        println!(
+            "hint source     {}",
+            m.hint_source.as_deref().unwrap_or("annotated")
+        );
         println!("inferred hints  {}", m.inferred_hints);
         println!("near-bank ratio {:.3}", near_bank_ratio(m));
     }

@@ -237,10 +237,7 @@ fn main() {
     let memo_config = fnv1a(&memo_bytes);
 
     let start = std::time::Instant::now();
-    let plans: Vec<_> = ids
-        .iter()
-        .filter_map(|id| plan_figure(id, opts))
-        .collect();
+    let plans: Vec<_> = ids.iter().filter_map(|id| plan_figure(id, opts)).collect();
     let run_opts = RunOpts {
         jobs,
         seed: opts.seed,
@@ -278,10 +275,16 @@ fn main() {
     eprintln!("{}", report.render_summary());
     eprintln!("  (total {:.1?}, --jobs {jobs})", start.elapsed());
     if report.resumed_cells > 0 {
-        eprintln!("  resumed {} cell(s) from the journal", report.resumed_cells);
+        eprintln!(
+            "  resumed {} cell(s) from the journal",
+            report.resumed_cells
+        );
     }
     if let Some(m) = &memo {
-        eprintln!("  memo {m}: {} cell(s) replayed from cache", report.memo_hits);
+        eprintln!(
+            "  memo {m}: {} cell(s) replayed from cache",
+            report.memo_hits
+        );
     }
     if let Some(e) = &report.journal_error {
         eprintln!("  journal: {e}");

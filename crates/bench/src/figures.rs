@@ -91,7 +91,9 @@ impl GeometrySpec {
         };
         let (x, y) = (parse_dim(xs)?, parse_dim(ys)?);
         if kind == TopologyKind::CMesh && (x % 2 != 0 || y % 2 != 0) {
-            return Err(format!("concentrated mesh needs even dimensions, got {x}x{y}"));
+            return Err(format!(
+                "concentrated mesh needs even dimensions, got {x}x{y}"
+            ));
         }
         Ok(Self { x, y, kind })
     }
@@ -204,7 +206,11 @@ impl GraphInputs {
     /// The Kronecker input of `suite` at `scale`: `kron_input` plain,
     /// `kron_weighted_input` weighted.
     pub(crate) fn kron(scale: u32, seed: u64) -> Self {
-        Self::new(move || suite::kron_input(scale, seed), gen::weight_kronecker, seed)
+        Self::new(
+            move || suite::kron_input(scale, seed),
+            gen::weight_kronecker,
+            seed,
+        )
     }
 
     /// Claim the plain graph.
@@ -292,7 +298,13 @@ pub fn fig4_plan(opts: HarnessOpts) -> SweepPlan {
         let mut fig = Figure::new(
             "fig4",
             "Impact of affine data layout on vec add (normalized to In-Core)",
-            vec!["speedup", "hops", "hops_offload", "hops_data", "hops_control"],
+            vec![
+                "speedup",
+                "hops",
+                "hops_offload",
+                "hops_data",
+                "hops_control",
+            ],
         );
         let ih = o
             .metrics(incore)
@@ -354,7 +366,9 @@ pub fn fig6_plan(opts: HarnessOpts) -> SweepPlan {
         let input = inputs.claim_labelled(w);
         let base = b.cell(format!("{w}/Base"), move |ctx| {
             let base_cfg = opts.cfg(ctx, SystemConfig::NearL3);
-            fig6_run(w, GraphInstance::new(input.take(), &base_cfg)).metrics.into()
+            fig6_run(w, GraphInstance::new(input.take(), &base_cfg))
+                .metrics
+                .into()
         });
         let mut row = vec![base];
         for (label, chunk) in FIG6_CONFIGS.iter().skip(1) {
@@ -416,7 +430,9 @@ pub fn fig12_plan(opts: HarnessOpts) -> SweepPlan {
             .map(|&s| {
                 let input = inputs.claim_for(w);
                 b.cell(format!("{}/{}", w.label(), s.label()), move |ctx| {
-                    run_claimed(w, &opts.cfg(ctx, s), input.as_ref()).metrics.into()
+                    run_claimed(w, &opts.cfg(ctx, s), input.as_ref())
+                        .metrics
+                        .into()
                 })
             })
             .collect();
@@ -426,7 +442,12 @@ pub fn fig12_plan(opts: HarnessOpts) -> SweepPlan {
         let mut fig = Figure::new(
             "fig12",
             "Overall performance and traffic reduction",
-            vec!["speedup_vs_nearl3", "energy_eff_vs_nearl3", "hops_vs_incore", "noc_util"],
+            vec![
+                "speedup_vs_nearl3",
+                "energy_eff_vs_nearl3",
+                "hops_vs_incore",
+                "noc_util",
+            ],
         );
         let mut speedups: Vec<Vec<f64>> = vec![Vec::new(); 3];
         let mut energies: Vec<Vec<f64>> = vec![Vec::new(); 3];
@@ -441,7 +462,12 @@ pub fn fig12_plan(opts: HarnessOpts) -> SweepPlan {
                 energies[si].push(ee);
                 fig.push(
                     format!("{}/{}", w.label(), s.label()),
-                    vec![sp, ee, o.traffic(id, incore), o.field(id, |m| m.noc_utilization)],
+                    vec![
+                        sp,
+                        ee,
+                        o.traffic(id, incore),
+                        o.field(id, |m| m.noc_utilization),
+                    ],
                 );
             }
         }
@@ -635,7 +661,11 @@ pub fn fig15_plan(opts: HarnessOpts) -> SweepPlan {
             ge[si].push(sp);
             fig.push(
                 format!("{name}/{scale}x"),
-                vec![o.speedup(near, incore), sp, o.field(aff, |m| m.l3_miss_rate)],
+                vec![
+                    o.speedup(near, incore),
+                    sp,
+                    o.field(aff, |m| m.l3_miss_rate),
+                ],
             );
         }
         for (si, scale) in SCALES.into_iter().enumerate() {
@@ -692,13 +722,16 @@ pub fn fig16_plan(opts: HarnessOpts) -> SweepPlan {
             let mut cell_for = |label: &'static str, system: SystemConfig| {
                 let m = Arc::clone(&machine);
                 let input = inputs[si].claim_for(w);
-                let id = b.cell(format!("{}/{}/|V|x{}", w.label(), label, scale), move |ctx| {
-                    let cfg = RunConfig::new(system)
-                        .with_seed(opts.seed)
-                        .with_scale(cell_scale)
-                        .with_machine(ctx.machine(MachineConfig::clone(&m)));
-                    run_claimed(w, &cfg, input.as_ref()).metrics.into()
-                });
+                let id = b.cell(
+                    format!("{}/{}/|V|x{}", w.label(), label, scale),
+                    move |ctx| {
+                        let cfg = RunConfig::new(system)
+                            .with_seed(opts.seed)
+                            .with_scale(cell_scale)
+                            .with_machine(ctx.machine(MachineConfig::clone(&m)));
+                        run_claimed(w, &cfg, input.as_ref()).metrics.into()
+                    },
+                );
                 // Cells grow with |V|: start the big ones first so the last
                 // cells to finish are small.
                 b.cost(id, u64::from(scale));
@@ -710,7 +743,12 @@ pub fn fig16_plan(opts: HarnessOpts) -> SweepPlan {
                 .skip(1)
                 .map(|&(label, s)| (label, cell_for(label, s)))
                 .collect();
-            idx.push(ScaleGroup { w, scale, near, rest });
+            idx.push(ScaleGroup {
+                w,
+                scale,
+                near,
+                rest,
+            });
         }
     }
     let full = opts.full;
@@ -934,8 +972,7 @@ pub fn fig19_plan(opts: HarnessOpts) -> SweepPlan {
             "Speedup vs average node degree (normalized to Rnd)",
             vec!["nearl3", "min_hops", "hybrid5"],
         );
-        let mut ge: Vec<Vec<Vec<f64>>> =
-            vec![vec![Vec::new(); n_systems]; FIG19_DEGREES.len()];
+        let mut ge: Vec<Vec<Vec<f64>>> = vec![vec![Vec::new(); n_systems]; FIG19_DEGREES.len()];
         for (w, d, rnd, row) in &idx {
             let di = FIG19_DEGREES.iter().position(|x| x == d).unwrap_or(0);
             let mut vals = Vec::new();
@@ -1006,7 +1043,11 @@ pub fn fig20_plan(opts: HarnessOpts) -> SweepPlan {
                 ge[si].push(sp);
                 fig.push(
                     format!("{pname}/{w}/{label}"),
-                    vec![sp, o.traffic(*id, *near), o.field(*id, |m| m.noc_utilization)],
+                    vec![
+                        sp,
+                        o.traffic(*id, *near),
+                        o.field(*id, |m| m.noc_utilization),
+                    ],
                 );
             }
         }
@@ -1045,16 +1086,26 @@ pub fn table2_plan(opts: HarnessOpts) -> SweepPlan {
             ("link_bytes_per_cycle", m.link_bytes_per_cycle as f64),
             ("mem_ctrls", f64::from(m.num_mem_ctrls)),
             ("dram_bytes_per_cycle", m.dram_bytes_per_cycle as f64),
-            ("sel3_streams_total", f64::from(m.sel3_streams_per_bank * m.num_banks())),
+            (
+                "sel3_streams_total",
+                f64::from(m.sel3_streams_per_bank * m.num_banks()),
+            ),
             ("iot_entries", f64::from(m.iot_entries)),
         ]
         .into_iter()
         .map(|(k, v)| Row::new(k, vec![v]))
         .collect();
-        CellData::Rows { rows, sim_cycles: 0 }
+        CellData::Rows {
+            rows,
+            sim_cycles: 0,
+        }
     });
     b.merge(move |o| {
-        let mut fig = Figure::new("table2", "System and uarch parameters (Table 2)", vec!["value"]);
+        let mut fig = Figure::new(
+            "table2",
+            "System and uarch parameters (Table 2)",
+            vec!["value"],
+        );
         if let Some(rows) = o.rows(cell) {
             fig.rows.extend(rows.iter().cloned());
         }
@@ -1074,15 +1125,26 @@ pub fn table4_plan(opts: HarnessOpts) -> SweepPlan {
         for p in [gen::TWITCH_GAMERS, gen::GPLUS] {
             rows.push(Row::new(
                 format!("{} (paper)", p.name),
-                vec![f64::from(p.vertices), p.edges as f64, f64::from(p.avg_degree)],
+                vec![
+                    f64::from(p.vertices),
+                    p.edges as f64,
+                    f64::from(p.avg_degree),
+                ],
             ));
             let g = gen::real_world(p, div, opts.seed);
             rows.push(Row::new(
                 format!("{} (synthetic /{div})", p.name),
-                vec![f64::from(g.num_vertices()), g.num_edges() as f64, g.avg_degree()],
+                vec![
+                    f64::from(g.num_vertices()),
+                    g.num_edges() as f64,
+                    g.avg_degree(),
+                ],
             ));
         }
-        CellData::Rows { rows, sim_cycles: 0 }
+        CellData::Rows {
+            rows,
+            sim_cycles: 0,
+        }
     });
     b.merge(move |o| {
         let mut fig = Figure::new(
@@ -1410,7 +1472,14 @@ pub fn tenants_plan(opts: HarnessOpts) -> SweepPlan {
         let mut fig = Figure::new(
             "tenants",
             "Multi-tenant churn: admission, quotas, isolation",
-            vec!["admitted", "shed", "quota_rejects", "evac_lines", "frag_ratio", "jain"],
+            vec![
+                "admitted",
+                "shed",
+                "quota_rejects",
+                "evac_lines",
+                "frag_ratio",
+                "jain",
+            ],
         );
         let mut push = |label: &str, i: usize| {
             let (mut admitted, mut shed, mut rejects, mut evac) = (0.0, 0.0, 0.0, 0.0);
@@ -1442,7 +1511,9 @@ pub fn tenants_plan(opts: HarnessOpts) -> SweepPlan {
         push("overload", overload);
         push("quota", quota);
         push("isolation", isolation);
-        fig.note("isolation cell fails soft if any neighbor fault leaks into another tenant's digest");
+        fig.note(
+            "isolation cell fails soft if any neighbor fault leaks into another tenant's digest",
+        );
         o.annotate_failures(&mut fig);
         fig
     })
@@ -1518,9 +1589,14 @@ pub fn traced_fig13_cell(opts: HarnessOpts) -> (String, String) {
     let p = BankSelectPolicy::Hybrid { h: 5.0 };
     let trace = Arc::new(Mutex::new(TraceRecorder::new(DEFAULT_TRACE_CAPACITY)));
     let calm = CellCtx::new(SimRng::split(opts.seed, 0), FaultTimeline::none());
-    let cfg = opts.cfg(&calm, SystemConfig::AffAlloc(p)).with_recorder(Arc::clone(&trace));
+    let cfg = opts
+        .cfg(&calm, SystemConfig::AffAlloc(p))
+        .with_recorder(Arc::clone(&trace));
     let _run = suite::run(w, &cfg);
-    let json = trace.lock().unwrap_or_else(PoisonError::into_inner).to_chrome_json();
+    let json = trace
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner)
+        .to_chrome_json();
     (json, format!("{}/{}", w.label(), p.label()))
 }
 
@@ -1534,18 +1610,43 @@ mod tests {
         assert_eq!(GeometrySpec::parse("8x8"), Ok(GeometrySpec::default()));
         assert_eq!(
             GeometrySpec::parse("16x16"),
-            Ok(GeometrySpec { x: 16, y: 16, kind: TopologyKind::Mesh })
+            Ok(GeometrySpec {
+                x: 16,
+                y: 16,
+                kind: TopologyKind::Mesh
+            })
         );
         assert_eq!(
             GeometrySpec::parse("8x8:torus"),
-            Ok(GeometrySpec { x: 8, y: 8, kind: TopologyKind::Torus })
+            Ok(GeometrySpec {
+                x: 8,
+                y: 8,
+                kind: TopologyKind::Torus
+            })
         );
         assert_eq!(
             GeometrySpec::parse("4x2:cmesh"),
-            Ok(GeometrySpec { x: 4, y: 2, kind: TopologyKind::CMesh })
+            Ok(GeometrySpec {
+                x: 4,
+                y: 2,
+                kind: TopologyKind::CMesh
+            })
         );
-        for bad in ["", "8", "8x", "x8", "0x8", "8x0", "8x8:ring", "5x5:cmesh", "ax8"] {
-            assert!(GeometrySpec::parse(bad).is_err(), "{bad:?} must be rejected");
+        for bad in [
+            "",
+            "8",
+            "8x",
+            "x8",
+            "0x8",
+            "8x0",
+            "8x8:ring",
+            "5x5:cmesh",
+            "ax8",
+        ] {
+            assert!(
+                GeometrySpec::parse(bad).is_err(),
+                "{bad:?} must be rejected"
+            );
         }
     }
 
@@ -1586,7 +1687,10 @@ mod tests {
         // every paper figure's plan size are unaffected by the knob.
         let base = HarnessOpts::default();
         assert_eq!(base.tenants, 4);
-        let cranked = HarnessOpts { tenants: 16, ..base };
+        let cranked = HarnessOpts {
+            tenants: 16,
+            ..base
+        };
         assert_eq!(base.machine(), cranked.machine());
         for id in ALL_FIGURES.iter().filter(|&&id| id != "tenants") {
             let a = plan_figure(id, base).expect("known figure");
@@ -1629,10 +1733,18 @@ mod tests {
         let admitted = fig.column_values("admitted");
         assert!(admitted.iter().all(|&a| a > 0.0));
         let shed = fig.column_values("shed");
-        let over_row = fig.rows.iter().position(|r| r.label == "overload").expect("row");
+        let over_row = fig
+            .rows
+            .iter()
+            .position(|r| r.label == "overload")
+            .expect("row");
         assert!(shed[over_row] > 0.0, "tight window must shed");
         let rejects = fig.column_values("quota_rejects");
-        let quota_row = fig.rows.iter().position(|r| r.label == "quota").expect("row");
+        let quota_row = fig
+            .rows
+            .iter()
+            .position(|r| r.label == "quota")
+            .expect("row");
         assert!(rejects[quota_row] > 0.0, "tiny quota must reject");
     }
 }

@@ -94,7 +94,9 @@ pub fn inference_plan_for(workloads: &[WorkloadName], opts: HarnessOpts) -> Swee
     for &w in workloads {
         let input = inputs.claim_for(w);
         let annotated = b.cell(format!("{}/annotated", w.label()), move |ctx| {
-            run_claimed(w, &aff_cfg(ctx, opts), input.as_ref()).metrics.into()
+            run_claimed(w, &aff_cfg(ctx, opts), input.as_ref())
+                .metrics
+                .into()
         });
         let input = inputs.claim_for(w);
         let inferred = b.cell(format!("{}/inferred", w.label()), move |ctx| {
@@ -121,7 +123,12 @@ pub fn inference_plan_for(workloads: &[WorkloadName], opts: HarnessOpts) -> Swee
         let mut fig = Figure::new(
             "inference",
             "Affinity inference: hand annotations vs mined profile vs none",
-            vec!["speedup_vs_none", "near_bank_ratio", "nbr_recovery", "inferred_hints"],
+            vec![
+                "speedup_vs_none",
+                "near_bank_ratio",
+                "nbr_recovery",
+                "inferred_hints",
+            ],
         );
         let mut sp_annot = Vec::new();
         let mut sp_inf = Vec::new();
@@ -199,7 +206,11 @@ mod tests {
         let serial_b = profile_workload(b, &cfg, None);
         assert!(serial_a.hint_count() > 0, "link_list must mine chain hints");
         assert_ne!(serial_a, serial_b, "two workloads, two profiles");
-        assert_eq!(profile_workload(a, &cfg, None), serial_a, "nothing carried over");
+        assert_eq!(
+            profile_workload(a, &cfg, None),
+            serial_a,
+            "nothing carried over"
+        );
         // Concurrently on two threads (a barrier starts both calls together
         // so their runs overlap): still each call's own run, and the
         // profiles equal the serial ones.
@@ -211,7 +222,10 @@ mod tests {
         let (par_a, par_b) = std::thread::scope(|s| {
             let ha = s.spawn(|| profile(a));
             let hb = s.spawn(|| profile(b));
-            (ha.join().expect("profiling a"), hb.join().expect("profiling b"))
+            (
+                ha.join().expect("profiling a"),
+                hb.join().expect("profiling b"),
+            )
         });
         assert_eq!(par_a, serial_a);
         assert_eq!(par_b, serial_b);

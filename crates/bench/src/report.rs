@@ -73,11 +73,7 @@ pub struct Figure {
 
 impl Figure {
     /// Start a figure with the given columns.
-    pub fn new(
-        id: impl Into<String>,
-        title: impl Into<String>,
-        columns: Vec<&str>,
-    ) -> Self {
+    pub fn new(id: impl Into<String>, title: impl Into<String>, columns: Vec<&str>) -> Self {
         Self {
             id: id.into(),
             title: title.into(),
@@ -402,9 +398,7 @@ fn json_num(text: &str, key: &str) -> Option<f64> {
     let start = text.find(&pat)? + pat.len();
     let rest = &text[start..];
     let end = rest
-        .find(|c: char| {
-            !(c.is_ascii_digit() || matches!(c, '.' | '-' | '+' | 'e' | 'E'))
-        })
+        .find(|c: char| !(c.is_ascii_digit() || matches!(c, '.' | '-' | '+' | 'e' | 'E')))
         .unwrap_or(rest.len());
     rest[..end].parse().ok()
 }
@@ -693,14 +687,10 @@ mod tests {
                         bank_imbalance: f64::NAN,
                         fault_epochs: 2,
                         evacuated_lines: 4096,
-                        transitions: vec![
-                            "bank-fail(9)@100".into(),
-                            "bank-repair(9)@2000".into(),
-                        ],
+                        transitions: vec!["bank-fail(9)@100".into(), "bank-repair(9)@2000".into()],
                         fragmentation_ratio: 0.125,
                         tenants: vec![{
-                            let mut u =
-                                aff_sim_core::tenant::TenantUsage::new(0, "alice");
+                            let mut u = aff_sim_core::tenant::TenantUsage::new(0, "alice");
                             u.admitted = 42;
                             u.shed = 3;
                             u.resident_bytes = 4096;
@@ -758,8 +748,10 @@ mod tests {
         // v6 aggregates: the run's own row first, then the merged prior row.
         assert!(j.contains("\"aggregates\": [\n"));
         assert!(j.contains("{ \"jobs\": 4, \"wall_ms\": 2, \"total_sim_cycles\": 5000000"));
-        assert!(j.contains("{ \"jobs\": 1, \"wall_ms\": 8.5, \"total_sim_cycles\": 5000000, \
-                            \"mcycles_per_sec\": 588.2 }"));
+        assert!(j.contains(
+            "{ \"jobs\": 1, \"wall_ms\": 8.5, \"total_sim_cycles\": 5000000, \
+                            \"mcycles_per_sec\": 588.2 }"
+        ));
         assert!(j.contains("\"attempts\": 2"));
         assert!(j.contains("\"cached\": true"));
         assert!(j.contains("boom \\\"quoted\\\""));

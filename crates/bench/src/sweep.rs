@@ -640,8 +640,9 @@ fn attempt_cell(job: &CellJob, opts: &RunOpts, stream: u64) -> Result<CellData, 
                 Err(e) => Err(format!("could not spawn cell thread: {e}")),
                 Ok(_handle) => match rx.recv_timeout(std::time::Duration::from_millis(ms)) {
                     Ok(result) => result,
-                    Err(_) => Err(aff_sim_core::error::SimError::Timeout { limit_ms: ms }
-                        .to_string()),
+                    Err(_) => {
+                        Err(aff_sim_core::error::SimError::Timeout { limit_ms: ms }.to_string())
+                    }
                 },
             }
         }
@@ -1073,7 +1074,10 @@ mod tests {
         let mut ids = Vec::new();
         for i in 0..5u64 {
             ids.push(b.cell(format!("cell{i}"), move |ctx| CellData::Rows {
-                rows: vec![Row::new(format!("cell{i}"), vec![ctx.rng.next_u64() as f64])],
+                rows: vec![Row::new(
+                    format!("cell{i}"),
+                    vec![ctx.rng.next_u64() as f64],
+                )],
                 sim_cycles: i,
             }));
         }
@@ -1190,7 +1194,8 @@ mod tests {
             b.merge(move |o| {
                 let mut fig = Figure::new("costed", "toy", vec!["v"]);
                 for &i in &ids {
-                    fig.rows.extend(o.rows(i).unwrap_or_default().iter().cloned());
+                    fig.rows
+                        .extend(o.rows(i).unwrap_or_default().iter().cloned());
                 }
                 fig
             })
@@ -1198,7 +1203,11 @@ mod tests {
         let log = Arc::new(Mutex::new(Vec::new()));
         let (serial, _) = run_plans(vec![plan(Arc::clone(&log))], 1, 7);
         let serial_order = log.lock().expect("log").clone();
-        assert_eq!(serial_order, vec![0, 1, 2, 3, 4, 5], "jobs 1 keeps declaration order");
+        assert_eq!(
+            serial_order,
+            vec![0, 1, 2, 3, 4, 5],
+            "jobs 1 keeps declaration order"
+        );
         log.lock().expect("log").clear();
         let (par, _) = run_plans(vec![plan(Arc::clone(&log))], 2, 7);
         let first = log.lock().expect("log")[0];
@@ -1215,7 +1224,10 @@ mod tests {
             ids.push(b.cell(format!("cell{i}"), move |ctx| {
                 ex.fetch_add(1, Ordering::SeqCst);
                 CellData::Rows {
-                    rows: vec![Row::new(format!("cell{i}"), vec![ctx.rng.next_u64() as f64])],
+                    rows: vec![Row::new(
+                        format!("cell{i}"),
+                        vec![ctx.rng.next_u64() as f64],
+                    )],
                     sim_cycles: i + 1,
                 }
             }));
@@ -1282,11 +1294,20 @@ mod tests {
         let key = |salt, o: &RunOpts, figure, cell, label| cell_key(salt, o, figure, cell, label);
         let k = key(1, &base, "fig13", 4, "bfs/AffAlloc");
         assert_ne!(k, key(9, &base, "fig13", 4, "bfs/AffAlloc"));
-        let config = RunOpts { memo_config: 9, ..base.clone() };
+        let config = RunOpts {
+            memo_config: 9,
+            ..base.clone()
+        };
         assert_ne!(k, key(1, &config, "fig13", 4, "bfs/AffAlloc"));
-        let seed = RunOpts { seed: 9, ..base.clone() };
+        let seed = RunOpts {
+            seed: 9,
+            ..base.clone()
+        };
         assert_ne!(k, key(1, &seed, "fig13", 4, "bfs/AffAlloc"));
-        let chaos = RunOpts { chaos: Some(0), ..base.clone() };
+        let chaos = RunOpts {
+            chaos: Some(0),
+            ..base.clone()
+        };
         assert_ne!(k, key(1, &chaos, "fig13", 4, "bfs/AffAlloc"));
         assert_ne!(k, key(1, &base, "fig14", 4, "bfs/AffAlloc"));
         assert_ne!(k, key(1, &base, "fig13", 5, "bfs/AffAlloc"));
@@ -1301,7 +1322,10 @@ mod tests {
             ..base.clone()
         };
         assert_eq!(k, key(1, &quiet, "fig13", 4, "bfs/AffAlloc"));
-        let dense = RunOpts { chaos_intensity: 7, ..chaos.clone() };
+        let dense = RunOpts {
+            chaos_intensity: 7,
+            ..chaos.clone()
+        };
         assert_ne!(
             key(1, &chaos, "fig13", 4, "bfs/AffAlloc"),
             key(1, &dense, "fig13", 4, "bfs/AffAlloc")
@@ -1318,7 +1342,10 @@ mod tests {
             memo: Some(memo.clone()),
             ..RunOpts::new(1, 42)
         };
-        let resume = RunOpts { resume: true, ..both.clone() };
+        let resume = RunOpts {
+            resume: true,
+            ..both.clone()
+        };
         let (clean, _) = run_plans_opts(vec![counted_plan(&executions)], &both);
         assert_eq!(executions.load(Ordering::SeqCst), 4);
         // Control: under this build's salt both stores would serve every
@@ -1390,7 +1417,9 @@ mod tests {
             rows: vec![Row::new("fine", vec![1.0])],
             sim_cycles: 7,
         });
-        let bad = b.cell("broken", |_| -> CellData { panic!("injected cell failure") });
+        let bad = b.cell("broken", |_| -> CellData {
+            panic!("injected cell failure")
+        });
         let plan = b.merge(move |o| {
             let mut fig = Figure::new("boom", "fail soft", vec!["v"]);
             assert!(o.rows(ok).is_some());
@@ -1401,7 +1430,10 @@ mod tests {
         });
         let (figs, report) = run_plans(vec![plan], 4, 1);
         assert!(figs[0].rows[0].values[0].is_nan());
-        assert!(figs[0].notes.iter().any(|n| n.contains("injected cell failure")));
+        assert!(figs[0]
+            .notes
+            .iter()
+            .any(|n| n.contains("injected cell failure")));
         let broken = &report.cells[1];
         assert!(!broken.ok);
         assert_eq!(report.cells[0].sim_cycles, 7);
@@ -1444,11 +1476,7 @@ mod tests {
     #[test]
     fn report_follows_declaration_order() {
         let (_, report) = run_plans(vec![toy_plan("x"), toy_plan("y")], 3, 9);
-        let labels: Vec<&str> = report
-            .cells
-            .iter()
-            .map(|c| c.label.as_str())
-            .collect();
+        let labels: Vec<&str> = report.cells.iter().map(|c| c.label.as_str()).collect();
         assert_eq!(
             labels,
             vec![
@@ -1608,7 +1636,11 @@ mod tests {
             }));
         }
         b.merge(move |o| {
-            let mut fig = Figure::new(figure, "chaos determinism", vec!["cycles", "flits", "epochs"]);
+            let mut fig = Figure::new(
+                figure,
+                "chaos determinism",
+                vec!["cycles", "flits", "epochs"],
+            );
             for &i in &ids {
                 fig.push(
                     format!("cell{i}"),
@@ -1658,11 +1690,17 @@ mod tests {
         assert_eq!(m.degradation.fault_epochs, 1);
         // Outside chaos mode the context leaves the machine untouched.
         let calm = CellCtx::new(SimRng::split(1, 2), FaultTimeline::none());
-        assert_eq!(calm.machine(MachineConfig::paper_default()), MachineConfig::paper_default());
+        assert_eq!(
+            calm.machine(MachineConfig::paper_default()),
+            MachineConfig::paper_default()
+        );
         // A timeline the machine cannot express is sanitized, not installed
         // as is: bank 9 does not exist on a 2×2 mesh.
         let chaos = CellCtx::new(SimRng::split(1, 2), tl);
-        assert!(chaos.machine(MachineConfig::tiny_mesh()).fault_timeline.is_empty());
+        assert!(chaos
+            .machine(MachineConfig::tiny_mesh())
+            .fault_timeline
+            .is_empty());
     }
 
     #[test]
@@ -1691,7 +1729,10 @@ mod tests {
             .error
             .as_deref()
             .is_some_and(|e| e.contains("chaos invariant violated")));
-        assert!(figs[0].notes.iter().any(|n| n.contains("flit conservation")));
+        assert!(figs[0]
+            .notes
+            .iter()
+            .any(|n| n.contains("flit conservation")));
     }
 
     mod shared_inputs {
@@ -1740,7 +1781,10 @@ mod tests {
                     .collect()
             });
             assert_eq!(builds.load(Ordering::SeqCst), 1);
-            assert!(Arc::ptr_eq(&taken[0], &taken[1]), "both takers share one copy");
+            assert!(
+                Arc::ptr_eq(&taken[0], &taken[1]),
+                "both takers share one copy"
+            );
         }
 
         #[test]
@@ -1923,13 +1967,19 @@ mod tests {
             let half = (SHARED_CELLS / 2) as usize;
             rewrite_store(&path, (salt, salt), &full, "shared", 0..half);
             let watch = Watch::default();
-            let resume = RunOpts { resume: true, ..full };
+            let resume = RunOpts {
+                resume: true,
+                ..full
+            };
             let (figs, report) = run_plans_opts(vec![shared_plan(&watch, None)], &resume);
             assert_eq!(report.resumed_cells as u64, SHARED_CELLS / 2);
             assert_eq!(figs[0].to_json(), clean);
             // The replayed cells never ran and never took their claims;
             // the rest built the input once, and it is gone with the plan.
-            assert_eq!(watch.probes.lock().expect("probes").len() as u64, SHARED_CELLS / 2);
+            assert_eq!(
+                watch.probes.lock().expect("probes").len() as u64,
+                SHARED_CELLS / 2
+            );
             assert_eq!(watch.builds(), 1);
             assert!(watch.all_released());
             std::fs::remove_file(&path).ok();

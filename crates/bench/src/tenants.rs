@@ -138,8 +138,7 @@ pub fn run_churn(spec: &ChurnSpec) -> ChurnOutcome {
     let mut rngs: Vec<SimRng> = (0..tenants)
         .map(|t| SimRng::split(spec.seed, CHURN_STREAM ^ u64::from(t)))
         .collect();
-    let mut live: Vec<Vec<aff_mem::addr::VAddr>> =
-        (0..tenants).map(|_| Vec::new()).collect();
+    let mut live: Vec<Vec<aff_mem::addr::VAddr>> = (0..tenants).map(|_| Vec::new()).collect();
     let mut ops_attempted = 0u64;
 
     for k in 0..spec.ops_per_tenant {
@@ -323,7 +322,10 @@ mod tests {
     fn isolation_digests_agree_under_victim_faults() {
         let mut spec = ChurnSpec::new(4, 300, 17);
         // Tenant 0 owns banks [0, 16); kill two of them mid-run.
-        spec.faults = vec![(100, FaultChange::BankFail(1)), (200, FaultChange::BankFail(5))];
+        spec.faults = vec![
+            (100, FaultChange::BankFail(1)),
+            (200, FaultChange::BankFail(5)),
+        ];
         let (multi, solo) = isolation_digests(&spec, 2);
         assert_eq!(multi, solo, "faults in t0's banks leaked into t2's output");
     }

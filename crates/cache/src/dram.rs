@@ -187,8 +187,7 @@ mod tests {
     fn slowed_ctrl_multiplies_service_time() {
         use aff_sim_core::fault::FaultPlan;
         // Controller 0 (bank 0's corner) slowed 4x.
-        let cfg = MachineConfig::paper_default()
-            .with_faults(FaultPlan::none().slow_mem_ctrl(0, 4));
+        let cfg = MachineConfig::paper_default().with_faults(FaultPlan::none().slow_mem_ctrl(0, 4));
         let topo = Topology::for_machine(&cfg);
         let mut traffic =
             TrafficMatrix::new(topo, cfg.link_bytes_per_cycle, cfg.packet_header_bytes);

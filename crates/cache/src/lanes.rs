@@ -67,7 +67,9 @@ mod tests {
     #[test]
     fn reductions_match_scalar_at_every_tail_length() {
         for n in 0..40usize {
-            let xs: Vec<u64> = (0..n as u64).map(|i| i.wrapping_mul(0x9E37) % 1000).collect();
+            let xs: Vec<u64> = (0..n as u64)
+                .map(|i| i.wrapping_mul(0x9E37) % 1000)
+                .collect();
             assert_eq!(sum_u64(&xs), xs.iter().sum::<u64>(), "sum at n={n}");
             assert_eq!(
                 max_u64(&xs),

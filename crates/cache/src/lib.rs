@@ -13,8 +13,8 @@
 
 pub mod bank;
 pub mod capacity;
-pub mod lanes;
 pub mod dram;
+pub mod lanes;
 pub mod spare;
 
 pub use bank::BankCounters;

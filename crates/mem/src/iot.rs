@@ -34,7 +34,9 @@ pub enum IotError {
 impl std::fmt::Display for IotError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            IotError::Full { capacity } => write!(f, "interleave override table full ({capacity} entries)"),
+            IotError::Full { capacity } => {
+                write!(f, "interleave override table full ({capacity} entries)")
+            }
             IotError::Overlap => write!(f, "physical range overlaps an existing IOT entry"),
         }
     }
@@ -71,11 +73,7 @@ impl Iot {
                 capacity: self.capacity,
             });
         }
-        if self
-            .entries
-            .iter()
-            .any(|e| start < e.end && e.start < end)
-        {
+        if self.entries.iter().any(|e| start < e.end && e.start < end) {
             return Err(IotError::Overlap);
         }
         self.entries.push(IotEntry { start, end, intrlv });
@@ -185,7 +183,10 @@ mod tests {
         let mut iot = Iot::new(16);
         iot.insert(PAddr(0x1000), PAddr(0x2000), 64).unwrap();
         iot.insert(PAddr(0x3000), PAddr(0x4000), 128).unwrap();
-        assert_eq!(iot.grow(PAddr(0x1000), PAddr(0x3800)), Err(IotError::Overlap));
+        assert_eq!(
+            iot.grow(PAddr(0x1000), PAddr(0x3800)),
+            Err(IotError::Overlap)
+        );
     }
 
     #[test]
@@ -195,7 +196,8 @@ mod tests {
         let mut iot = Iot::new(16);
         let mut base = 0u64;
         for intrlv in [64u64, 128, 256, 512, 1024, 2048, 4096] {
-            iot.insert(PAddr(base), PAddr(base + 0x10_0000), intrlv).unwrap();
+            iot.insert(PAddr(base), PAddr(base + 0x10_0000), intrlv)
+                .unwrap();
             base += 0x10_0000;
         }
         assert_eq!(iot.len(), 7);

@@ -136,7 +136,11 @@ impl PoolManager {
             pools: Vec::new(),
             by_intrlv: HashMap::new(),
             iot: Iot::new(iot_capacity),
-            valid: if allow_npot { npot_valid } else { default_valid },
+            valid: if allow_npot {
+                npot_valid
+            } else {
+                default_valid
+            },
             reserve_cap: POOL_STRIDE,
         };
         let mut intrlv = 64;

@@ -269,7 +269,11 @@ mod tests {
         }
         // Page starts land on 1 of 16 page-aligned bank positions (4 KiB page
         // over 1 KiB interleave); random mapping should hit most of them.
-        assert!(banks.len() >= 8, "random mapping should scatter page starts, got {}", banks.len());
+        assert!(
+            banks.len() >= 8,
+            "random mapping should scatter page starts, got {}",
+            banks.len()
+        );
     }
 
     #[test]

@@ -45,7 +45,13 @@ enum Port {
     Local,
 }
 
-const PORTS: [Port; 5] = [Port::East, Port::West, Port::South, Port::North, Port::Local];
+const PORTS: [Port; 5] = [
+    Port::East,
+    Port::West,
+    Port::South,
+    Port::North,
+    Port::Local,
+];
 
 fn port_index(p: Port) -> usize {
     match p {
@@ -708,8 +714,7 @@ mod tests {
     fn dead_link_traffic_bends_and_still_delivers() {
         use aff_sim_core::fault::LinkRef;
         let topo = Topology::new(4, 4);
-        let plan =
-            FaultPlan::none().fail_link(LinkRef::between(1, 0, 2, 0).expect("adjacent"));
+        let plan = FaultPlan::none().fail_link(LinkRef::between(1, 0, 2, 0).expect("adjacent"));
         let noc = CycleNoc::with_faults(topo, 2, 4, &plan);
         let rep = sim(&noc, &[pkt(0, 3, 2)], 100_000);
         let healthy = sim(&CycleNoc::new(topo, 2, 4), &[pkt(0, 3, 2)], 100_000);
@@ -759,8 +764,8 @@ mod tests {
     fn degraded_link_slows_delivery() {
         use aff_sim_core::fault::LinkRef;
         let topo = Topology::new(4, 4);
-        let plan = FaultPlan::none()
-            .degrade_link(LinkRef::between(0, 0, 1, 0).expect("adjacent"), 8);
+        let plan =
+            FaultPlan::none().degrade_link(LinkRef::between(0, 0, 1, 0).expect("adjacent"), 8);
         let plain = CycleNoc::new(topo, 2, 4);
         let slow = CycleNoc::with_faults(topo, 2, 4, &plan);
         let packets = [pkt(0, 1, 8)];
@@ -895,8 +900,7 @@ mod tests {
                 assert_eq!(snap.stalled_for, 5_000);
                 assert!(snap.cycle < 100_000, "watchdog fired late: {}", snap.cycle);
                 assert!(snap.congested_routers().count() > 0);
-                let total_faulted =
-                    plan.failed_links.len() + plan.degraded_links.len();
+                let total_faulted = plan.failed_links.len() + plan.degraded_links.len();
                 assert_eq!(snap.blamed_links.len(), total_faulted);
                 assert!(snap.recent_events.is_empty(), "no recorder, no tail");
             }
@@ -934,7 +938,12 @@ mod tests {
         let budget = RunBudget::unlimited();
         let want = noc().try_simulate(&packets, &budget).expect("drains");
         let got = noc()
-            .try_simulate_timeline(&packets, &budget, &FaultPlan::none(), &FaultTimeline::none())
+            .try_simulate_timeline(
+                &packets,
+                &budget,
+                &FaultPlan::none(),
+                &FaultTimeline::none(),
+            )
             .expect("drains");
         assert_eq!(got, want);
     }
@@ -1029,8 +1038,7 @@ mod tests {
         // 4×1 ring with the 1→2 link dead: the only way around is the
         // 3-hop wrap detour 1→0→3→2, which must cross both wrap links.
         let topo = Topology::torus(4, 1);
-        let plan =
-            FaultPlan::none().fail_link(LinkRef::between(1, 0, 2, 0).expect("adjacent"));
+        let plan = FaultPlan::none().fail_link(LinkRef::between(1, 0, 2, 0).expect("adjacent"));
         let noc = CycleNoc::with_faults(topo, 2, 4, &plan);
         let rep = sim(&noc, &[pkt(1, 2, 2)], 100_000);
         assert_eq!(rep.delivered, 1);
@@ -1068,6 +1076,10 @@ mod tests {
             }
         }
         let rep = sim(&tight, &packets, 5_000_000);
-        assert_eq!(rep.delivered, packets.len() as u64, "drained without deadlock");
+        assert_eq!(
+            rep.delivered,
+            packets.len() as u64,
+            "drained without deadlock"
+        );
     }
 }

@@ -343,7 +343,9 @@ mod tests {
     #[test]
     fn routes_are_loop_free_and_terminate_under_heavy_damage() {
         let t = Topology::new(5, 5);
-        let cfg = aff_sim_core::config::MachineConfig::builder().mesh(5, 5).build();
+        let cfg = aff_sim_core::config::MachineConfig::builder()
+            .mesh(5, 5)
+            .build();
         let plan = aff_sim_core::fault::FaultPlan::seeded(
             99,
             &cfg,

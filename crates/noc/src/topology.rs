@@ -261,7 +261,10 @@ impl Topology {
     ///
     /// Panics if `c` is outside the mesh.
     pub fn bank_of(&self, c: Coord) -> BankId {
-        assert!(c.x < self.mesh_x && c.y < self.mesh_y, "coord {c:?} outside mesh");
+        assert!(
+            c.x < self.mesh_x && c.y < self.mesh_y,
+            "coord {c:?} outside mesh"
+        );
         let x = match self.order {
             BankOrder::RowMajor => c.x,
             BankOrder::Snake if c.y % 2 == 1 => self.mesh_x - 1 - c.x,
@@ -556,10 +559,7 @@ impl Topology {
                 y: self.mesh_y - 1,
             }),
         ];
-        let mut out: Vec<BankId> = corners
-            .into_iter()
-            .take(num_ctrls as usize)
-            .collect();
+        let mut out: Vec<BankId> = corners.into_iter().take(num_ctrls as usize).collect();
         out.dedup();
         out
     }

@@ -140,7 +140,11 @@ fn resolve_into(
     let start = arena.len() as u32;
     match router {
         None => {
-            arena.extend(topo.xy_route(src, dst).into_iter().map(|l| topo.link_index(l) as u32));
+            arena.extend(
+                topo.xy_route(src, dst)
+                    .into_iter()
+                    .map(|l| topo.link_index(l) as u32),
+            );
             RouteEntry {
                 start,
                 len: arena.len() as u32 - start,
@@ -469,7 +473,9 @@ impl TrafficMatrix {
 
     /// Flits occupied by a message of `payload_bytes`.
     pub fn flits_for(&self, payload_bytes: u64) -> u64 {
-        (payload_bytes + self.header_bytes).div_ceil(self.link_bytes).max(1)
+        (payload_bytes + self.header_bytes)
+            .div_ceil(self.link_bytes)
+            .max(1)
     }
 
     /// Record one message. Same-bank messages cost no flit-hops but are
@@ -785,7 +791,10 @@ mod tests {
             faulted.record_n(s, d, 64, TrafficClass::Data, 5);
         }
         assert_eq!(plain.total_hop_flits(), faulted.total_hop_flits());
-        assert_eq!(plain.bottleneck_link_flits(), faulted.bottleneck_link_flits());
+        assert_eq!(
+            plain.bottleneck_link_flits(),
+            faulted.bottleneck_link_flits()
+        );
         assert_eq!(plain.link_flits(), faulted.link_flits());
         assert!(faulted.routing_degradation().is_zero());
     }
@@ -795,8 +804,7 @@ mod tests {
         use aff_sim_core::fault::LinkRef;
         let topo = Topology::new(4, 4);
         // Kill (0,0)->(1,0), the first link of 0 -> 3.
-        let plan =
-            FaultPlan::none().fail_link(LinkRef::between(0, 0, 1, 0).expect("adjacent"));
+        let plan = FaultPlan::none().fail_link(LinkRef::between(0, 0, 1, 0).expect("adjacent"));
         let mut m = TrafficMatrix::with_faults(topo, 32, 8, &plan);
         m.record_n(0, 3, 24, TrafficClass::Data, 10);
         let report = m.routing_degradation();
@@ -813,8 +821,8 @@ mod tests {
     fn degraded_link_raises_bottleneck_without_rerouting() {
         use aff_sim_core::fault::LinkRef;
         let topo = Topology::new(4, 4);
-        let plan = FaultPlan::none()
-            .degrade_link(LinkRef::between(0, 0, 1, 0).expect("adjacent"), 4);
+        let plan =
+            FaultPlan::none().degrade_link(LinkRef::between(0, 0, 1, 0).expect("adjacent"), 4);
         let mut m = TrafficMatrix::with_faults(topo, 32, 8, &plan);
         m.record_n(0, 3, 24, TrafficClass::Data, 10);
         assert!(m.routing_degradation().is_zero(), "no reroute, only cost");

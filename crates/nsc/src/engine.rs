@@ -497,8 +497,8 @@ impl SimEngine {
         let banks = BankCounters::new(config.num_banks());
         let dram = DramModel::new(&config);
         let n = config.num_banks() as usize;
-        let spare = (!config.faults.failed_banks.is_empty())
-            .then(|| SpareMap::new(topo, &config.faults));
+        let spare =
+            (!config.faults.failed_banks.is_empty()).then(|| SpareMap::new(topo, &config.faults));
         // The machine's own timeline is the whole schedule; an empty one
         // leaves the engine permanently on its static-plan paths.
         let fault_schedule = config.fault_timeline.clone();
@@ -1495,7 +1495,11 @@ mod tests {
         assert_eq!(ma.total_hop_flits, mb.total_hop_flits);
         assert_eq!(ma.breakdown, mb.breakdown);
         assert_eq!(ma.dram_accesses, mb.dram_accesses);
-        for c in [TrafficClass::Offload, TrafficClass::Data, TrafficClass::Control] {
+        for c in [
+            TrafficClass::Offload,
+            TrafficClass::Data,
+            TrafficClass::Control,
+        ] {
             assert_eq!(ma.hop_flits_of(c), mb.hop_flits_of(c));
         }
     }
@@ -1781,8 +1785,7 @@ mod tests {
     #[test]
     fn cycle_zero_death_matches_the_static_fault_plan() {
         use aff_sim_core::fault::{FaultChange, FaultPlan};
-        let cfg_static = MachineConfig::paper_default()
-            .with_faults(FaultPlan::none().fail_bank(9));
+        let cfg_static = MachineConfig::paper_default().with_faults(FaultPlan::none().fail_bank(9));
         let cfg_timeline = MachineConfig::paper_default()
             .with_fault_timeline(FaultTimeline::none().at(0, FaultChange::BankFail(9)));
         let run = |cfg: MachineConfig| {
@@ -1804,9 +1807,8 @@ mod tests {
     #[test]
     fn events_scheduled_past_the_run_end_never_fire() {
         use aff_sim_core::fault::FaultChange;
-        let cfg = MachineConfig::paper_default().with_fault_timeline(
-            FaultTimeline::none().at(u64::MAX, FaultChange::BankFail(9)),
-        );
+        let cfg = MachineConfig::paper_default()
+            .with_fault_timeline(FaultTimeline::none().at(u64::MAX, FaultChange::BankFail(9)));
         let mut e = SimEngine::new(cfg);
         busy_run(&mut e);
         let m = fin(e);
@@ -1818,8 +1820,7 @@ mod tests {
     fn empty_timeline_is_byte_identical_to_no_timeline() {
         let mut a = engine();
         busy_run(&mut a);
-        let cfg =
-            MachineConfig::paper_default().with_fault_timeline(FaultTimeline::none());
+        let cfg = MachineConfig::paper_default().with_fault_timeline(FaultTimeline::none());
         let mut b = SimEngine::new(cfg);
         busy_run(&mut b);
         let (ma, mb) = (fin(a), fin(b));
@@ -1905,8 +1906,7 @@ mod tests {
     fn dead_link_shows_up_in_routing_degradation() {
         // Kill the eastbound link 0->1; traffic 0->1 must detour.
         use aff_sim_core::fault::LinkRef;
-        let plan =
-            FaultPlan::none().fail_link(LinkRef::between(0, 0, 1, 0).unwrap());
+        let plan = FaultPlan::none().fail_link(LinkRef::between(0, 0, 1, 0).unwrap());
         let mut e = faulty_engine(plan);
         e.forward(0, 1, 24, 10);
         let m = fin(e);

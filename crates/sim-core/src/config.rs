@@ -540,7 +540,11 @@ impl MachineConfigBuilder {
         if let Err(e) = self.cfg.faults.validate(&self.cfg) {
             panic!("invalid fault plan for this machine: {e}");
         }
-        if let Err(e) = self.cfg.fault_timeline.validate(&self.cfg, &self.cfg.faults) {
+        if let Err(e) = self
+            .cfg
+            .fault_timeline
+            .validate(&self.cfg, &self.cfg.faults)
+        {
             panic!("invalid fault timeline for this machine: {e}");
         }
         self.cfg
@@ -619,8 +623,8 @@ mod tests {
 
     #[test]
     fn with_faults_installs_a_valid_plan() {
-        let m = MachineConfig::small_mesh()
-            .with_faults(FaultPlan::none().fail_bank(3).slow_bank(5, 2));
+        let m =
+            MachineConfig::small_mesh().with_faults(FaultPlan::none().fail_bank(3).slow_bank(5, 2));
         assert_eq!(m.num_healthy_banks(), 15);
         assert!(!m.bank_is_healthy(3));
         assert!(m.bank_is_healthy(5));
@@ -666,7 +670,10 @@ mod tests {
         for b in 0..4 {
             tl.push(10, FaultChange::BankFail(b));
         }
-        let _ = MachineConfig::builder().mesh(2, 2).fault_timeline(tl).build();
+        let _ = MachineConfig::builder()
+            .mesh(2, 2)
+            .fault_timeline(tl)
+            .build();
     }
 
     #[test]
@@ -677,7 +684,10 @@ mod tests {
 
     #[test]
     fn builder_defaults_to_the_paper_machine() {
-        assert_eq!(MachineConfig::builder().build(), MachineConfig::paper_default());
+        assert_eq!(
+            MachineConfig::builder().build(),
+            MachineConfig::paper_default()
+        );
     }
 
     #[test]

@@ -141,6 +141,9 @@ mod tests {
 
     #[test]
     fn empty_breakdown_is_zero() {
-        assert_eq!(EnergyBreakdown::default().total_pj(&EnergyModel::default()), 0.0);
+        assert_eq!(
+            EnergyBreakdown::default().total_pj(&EnergyModel::default()),
+            0.0
+        );
     }
 }

@@ -239,11 +239,7 @@ impl std::fmt::Display for SimError {
                     }
                 }
                 if !s.recent_events.is_empty() {
-                    write!(
-                        f,
-                        "; last {} trace events attached",
-                        s.recent_events.len()
-                    )?;
+                    write!(f, "; last {} trace events attached", s.recent_events.len())?;
                 }
                 Ok(())
             }
@@ -284,7 +280,9 @@ mod tests {
 
     #[test]
     fn budget_builders_trip_at_their_limits() {
-        let b = RunBudget::unlimited().with_max_cycles(100).with_max_events(5);
+        let b = RunBudget::unlimited()
+            .with_max_cycles(100)
+            .with_max_events(5);
         assert!(!b.cycles_exhausted(99));
         assert!(b.cycles_exhausted(100));
         assert!(b.events_exhausted(5));
@@ -336,7 +334,10 @@ mod tests {
             "budget"
         );
         assert_eq!(SimError::Timeout { limit_ms: 1 }.kind(), "timeout");
-        assert_eq!(SimError::InvalidConfig(String::new()).kind(), "invalid-config");
+        assert_eq!(
+            SimError::InvalidConfig(String::new()).kind(),
+            "invalid-config"
+        );
     }
 
     #[test]

@@ -34,9 +34,7 @@ use crate::rng::SimRng;
 /// A directed mesh link identified by tile coordinates, independent of the
 /// [`BankOrder`](crate::config::BankOrder) in use (bank ids move with the
 /// numbering; the physical wire between two tiles does not).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub struct LinkRef {
     /// Source tile x.
     pub fx: u32,
@@ -281,15 +279,9 @@ impl FaultPlan {
                 return Err(FaultPlanError::BadMultiplier(m));
             }
         }
-        for l in self
-            .failed_links
-            .iter()
-            .chain(self.degraded_links.keys())
-        {
-            let inside = l.fx < cfg.mesh_x
-                && l.tx < cfg.mesh_x
-                && l.fy < cfg.mesh_y
-                && l.ty < cfg.mesh_y;
+        for l in self.failed_links.iter().chain(self.degraded_links.keys()) {
+            let inside =
+                l.fx < cfg.mesh_x && l.tx < cfg.mesh_x && l.fy < cfg.mesh_y && l.ty < cfg.mesh_y;
             if !inside || LinkRef::between(l.fx, l.fy, l.tx, l.ty).is_none() {
                 return Err(FaultPlanError::BadLink(*l));
             }
@@ -334,12 +326,32 @@ impl FaultPlan {
         for y in 0..cfg.mesh_y {
             for x in 0..cfg.mesh_x {
                 if x + 1 < cfg.mesh_x {
-                    links.push(LinkRef { fx: x, fy: y, tx: x + 1, ty: y });
-                    links.push(LinkRef { fx: x + 1, fy: y, tx: x, ty: y });
+                    links.push(LinkRef {
+                        fx: x,
+                        fy: y,
+                        tx: x + 1,
+                        ty: y,
+                    });
+                    links.push(LinkRef {
+                        fx: x + 1,
+                        fy: y,
+                        tx: x,
+                        ty: y,
+                    });
                 }
                 if y + 1 < cfg.mesh_y {
-                    links.push(LinkRef { fx: x, fy: y, tx: x, ty: y + 1 });
-                    links.push(LinkRef { fx: x, fy: y + 1, tx: x, ty: y });
+                    links.push(LinkRef {
+                        fx: x,
+                        fy: y,
+                        tx: x,
+                        ty: y + 1,
+                    });
+                    links.push(LinkRef {
+                        fx: x,
+                        fy: y + 1,
+                        tx: x,
+                        ty: y,
+                    });
                 }
             }
         }
@@ -377,9 +389,7 @@ impl FaultPlan {
 /// (`BankRepair` revives a dead bank and clears any slowdown; `LinkRepair`
 /// revives a dead link and clears any degradation), so a timeline never has
 /// to know which form was active when the repair lands.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub enum FaultChange {
     /// A bank's L3 slice dies; resident lines must evacuate to a spare.
     BankFail(u32),
@@ -465,7 +475,10 @@ impl std::fmt::Display for FaultChange {
             FaultChange::BankFail(b) | FaultChange::BankRepair(b) => write!(f, "{b}")?,
             FaultChange::BankSlow { bank, multiplier } => write!(f, "{bank}, x{multiplier}")?,
             FaultChange::LinkFail(l) | FaultChange::LinkRepair(l) => link(f, l)?,
-            FaultChange::LinkDegrade { link: l, multiplier } => {
+            FaultChange::LinkDegrade {
+                link: l,
+                multiplier,
+            } => {
                 link(f, l)?;
                 write!(f, ", x{multiplier}")?;
             }
@@ -479,9 +492,7 @@ impl std::fmt::Display for FaultChange {
 /// Doubles as the *transition log* entry type: engines that apply a timeline
 /// record exactly which events they applied (and when), so a chaos harness
 /// can check the observed transitions against the schedule.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub struct FaultEvent {
     /// Simulated cycle at which the change takes effect.
     pub cycle: u64,
@@ -569,11 +580,7 @@ impl FaultTimeline {
     /// event's target must be in range (links adjacent and inside the mesh,
     /// multipliers ≥ 2), and no prefix of the schedule may leave the machine
     /// without a healthy bank.
-    pub fn validate(
-        &self,
-        cfg: &MachineConfig,
-        base: &FaultPlan,
-    ) -> Result<(), FaultPlanError> {
+    pub fn validate(&self, cfg: &MachineConfig, base: &FaultPlan) -> Result<(), FaultPlanError> {
         let banks = cfg.num_banks();
         let link_ok = |l: &LinkRef| {
             l.fx < cfg.mesh_x
@@ -649,9 +656,7 @@ impl FaultTimeline {
                 FaultChange::BankRepair(b) => b < banks,
                 FaultChange::BankSlow { bank, multiplier } => bank < banks && multiplier >= 2,
                 FaultChange::LinkFail(l) | FaultChange::LinkRepair(l) => link_ok(&l),
-                FaultChange::LinkDegrade { link, multiplier } => {
-                    link_ok(&link) && multiplier >= 2
-                }
+                FaultChange::LinkDegrade { link, multiplier } => link_ok(&link) && multiplier >= 2,
             };
             if keep {
                 e.change.apply_to(&mut plan);
@@ -674,12 +679,32 @@ impl FaultTimeline {
         for y in 0..cfg.mesh_y {
             for x in 0..cfg.mesh_x {
                 if x + 1 < cfg.mesh_x {
-                    links.push(LinkRef { fx: x, fy: y, tx: x + 1, ty: y });
-                    links.push(LinkRef { fx: x + 1, fy: y, tx: x, ty: y });
+                    links.push(LinkRef {
+                        fx: x,
+                        fy: y,
+                        tx: x + 1,
+                        ty: y,
+                    });
+                    links.push(LinkRef {
+                        fx: x + 1,
+                        fy: y,
+                        tx: x,
+                        ty: y,
+                    });
                 }
                 if y + 1 < cfg.mesh_y {
-                    links.push(LinkRef { fx: x, fy: y, tx: x, ty: y + 1 });
-                    links.push(LinkRef { fx: x, fy: y + 1, tx: x, ty: y });
+                    links.push(LinkRef {
+                        fx: x,
+                        fy: y,
+                        tx: x,
+                        ty: y + 1,
+                    });
+                    links.push(LinkRef {
+                        fx: x,
+                        fy: y + 1,
+                        tx: x,
+                        ty: y,
+                    });
                 }
             }
         }
@@ -726,9 +751,7 @@ impl FaultTimeline {
 /// How much the machine degraded under a [`FaultPlan`] — integer counters
 /// only, so reports are `Eq` and reproducible. A fault-free run reports all
 /// zeros.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
 pub struct DegradationReport {
     /// Messages that took a non-X-Y route because a link on their X-Y path
     /// was dead.
@@ -845,7 +868,12 @@ mod tests {
         let all = (0..16).fold(FaultPlan::none(), |p, b| p.fail_bank(b));
         assert_eq!(all.validate(&cfg), Err(FaultPlanError::NoHealthyBank));
 
-        let out = LinkRef { fx: 3, fy: 3, tx: 4, ty: 3 };
+        let out = LinkRef {
+            fx: 3,
+            fy: 3,
+            tx: 4,
+            ty: 3,
+        };
         let p = FaultPlan::none().fail_link(out);
         assert_eq!(p.validate(&cfg), Err(FaultPlanError::BadLink(out)));
 
@@ -909,7 +937,13 @@ mod tests {
             .at(500, FaultChange::LinkFail(l))
             .at(100, FaultChange::BankFail(3))
             .at(900, FaultChange::BankRepair(3))
-            .at(100, FaultChange::BankSlow { bank: 5, multiplier: 4 });
+            .at(
+                100,
+                FaultChange::BankSlow {
+                    bank: 5,
+                    multiplier: 4,
+                },
+            );
         assert_eq!(tl.len(), 4);
         assert_eq!(tl.epoch_cycles(), vec![100, 500, 900]);
         let base = FaultPlan::none();
@@ -931,22 +965,28 @@ mod tests {
         assert!(tl.is_empty());
         let base = FaultPlan::none().fail_bank(2);
         assert_eq!(tl.plan_at(&base, u64::MAX), base);
-        assert!(tl
-            .validate(&MachineConfig::paper_default(), &base)
-            .is_ok());
+        assert!(tl.validate(&MachineConfig::paper_default(), &base).is_ok());
     }
 
     #[test]
     fn repair_clears_both_fault_forms() {
         let mut p = FaultPlan::none();
-        FaultChange::BankSlow { bank: 1, multiplier: 3 }.apply_to(&mut p);
+        FaultChange::BankSlow {
+            bank: 1,
+            multiplier: 3,
+        }
+        .apply_to(&mut p);
         FaultChange::BankFail(1).apply_to(&mut p);
         assert!(p.failed_banks.contains(&1));
         assert!(!p.slowed_banks.contains_key(&1));
         FaultChange::BankRepair(1).apply_to(&mut p);
         assert!(p.is_empty());
         let l = LinkRef::between(1, 0, 1, 1).unwrap();
-        FaultChange::LinkDegrade { link: l, multiplier: 2 }.apply_to(&mut p);
+        FaultChange::LinkDegrade {
+            link: l,
+            multiplier: 2,
+        }
+        .apply_to(&mut p);
         FaultChange::LinkRepair(l).apply_to(&mut p);
         assert!(p.is_empty());
     }
@@ -959,13 +999,23 @@ mod tests {
             tl.validate(&cfg, &FaultPlan::none()),
             Err(FaultPlanError::BankOutOfRange(99))
         );
-        let tl = FaultTimeline::none()
-            .at(10, FaultChange::BankSlow { bank: 0, multiplier: 1 });
+        let tl = FaultTimeline::none().at(
+            10,
+            FaultChange::BankSlow {
+                bank: 0,
+                multiplier: 1,
+            },
+        );
         assert_eq!(
             tl.validate(&cfg, &FaultPlan::none()),
             Err(FaultPlanError::BadMultiplier(1))
         );
-        let bad = LinkRef { fx: 3, fy: 3, tx: 4, ty: 3 };
+        let bad = LinkRef {
+            fx: 3,
+            fy: 3,
+            tx: 4,
+            ty: 3,
+        };
         let tl = FaultTimeline::none().at(10, FaultChange::LinkFail(bad));
         assert_eq!(
             tl.validate(&cfg, &FaultPlan::none()),

@@ -215,7 +215,13 @@ impl CoAccessMiner {
 
     /// Declare region `region` (allocation-order ordinal) before its touches
     /// arrive. Re-registration is idempotent for the same ordinal.
-    pub fn register_region(&mut self, region: u32, kind: RegionKind, elem_size: u64, num_elems: u64) {
+    pub fn register_region(
+        &mut self,
+        region: u32,
+        kind: RegionKind,
+        elem_size: u64,
+        num_elems: u64,
+    ) {
         self.regions
             .entry(region)
             .or_insert_with(|| RegionStats::new(region, kind, elem_size, num_elems));
@@ -394,7 +400,11 @@ mod tests {
         }
         let t = m.finish();
         let r = t.region(0).expect("region 0");
-        assert!(r.monotonicity() < 0.8, "random indexing: {}", r.monotonicity());
+        assert!(
+            r.monotonicity() < 0.8,
+            "random indexing: {}",
+            r.monotonicity()
+        );
     }
 
     #[test]
@@ -485,6 +495,9 @@ mod tests {
         let t = m.finish();
         assert_eq!(t.touch_events, 1);
         let r = t.region(0).expect("declared region");
-        assert_eq!((r.kind, r.elem_size, r.num_elems), (RegionKind::Nodes, 64, 10));
+        assert_eq!(
+            (r.kind, r.elem_size, r.num_elems),
+            (RegionKind::Nodes, 64, 10)
+        );
     }
 }

@@ -179,7 +179,11 @@ mod tests {
         let mut sorted = v.clone();
         sorted.sort_unstable();
         assert_eq!(sorted, (0..100).collect::<Vec<_>>());
-        assert_ne!(v, (0..100).collect::<Vec<_>>(), "shuffle left input unchanged");
+        assert_ne!(
+            v,
+            (0..100).collect::<Vec<_>>(),
+            "shuffle left input unchanged"
+        );
     }
 
     #[test]
@@ -247,7 +251,9 @@ mod tests {
         // A split stream must not collide with the root experiment stream.
         let mut root = SimRng::new(5);
         let mut child = SimRng::split(5, 0);
-        let same = (0..32).filter(|_| root.next_u64() == child.next_u64()).count();
+        let same = (0..32)
+            .filter(|_| root.next_u64() == child.next_u64())
+            .count();
         assert_eq!(same, 0);
     }
 }

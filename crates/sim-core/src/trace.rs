@@ -638,7 +638,10 @@ mod tests {
         let mut a = SharedRecorder::new(Arc::clone(&ring));
         let mut b = a.clone();
         assert!(a.is_enabled());
-        assert!(!a.wants_profile(), "a trace does not ask for profiling events");
+        assert!(
+            !a.wants_profile(),
+            "a trace does not ask for profiling events"
+        );
         a.record(&ev(7));
         b.record(&ev(8));
         assert_eq!(ring.lock().expect("unpoisoned").total_seen(), 2);

@@ -25,7 +25,10 @@ fn main() {
         healthy.metrics.cycles
     );
     println!();
-    println!("{:>7} {:>12} {:>9} {:>9} {:>9} {:>10} {:>9}", "faults", "cycles", "slowdown", "remapped", "rerouted", "fallbacks", "results");
+    println!(
+        "{:>7} {:>12} {:>9} {:>9} {:>9} {:>10} {:>9}",
+        "faults", "cycles", "slowdown", "remapped", "rerouted", "fallbacks", "results"
+    );
 
     for n in [1u32, 2, 4, 8] {
         let plan = FaultPlan::seeded(2023 + u64::from(n), &base.machine, FaultSpec::uniform(n));
@@ -44,7 +47,11 @@ fn main() {
             d.remapped_banks,
             d.rerouted_messages,
             d.fallback_allocations,
-            if run.iters == healthy.iters { "identical" } else { "DIVERGED" },
+            if run.iters == healthy.iters {
+                "identical"
+            } else {
+                "DIVERGED"
+            },
         );
         assert_eq!(
             run.iters, healthy.iters,

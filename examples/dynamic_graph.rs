@@ -21,8 +21,7 @@ fn main() {
         BankSelectPolicy::paper_default(),
     );
     let n = 16 * 1024u32;
-    let props =
-        VertexArray::new(&mut alloc, u64::from(n), 8, AllocMode::Affinity).expect("props");
+    let props = VertexArray::new(&mut alloc, u64::from(n), 8, AllocMode::Affinity).expect("props");
     let topo = alloc.topo();
     let mut rng = SimRng::new(42);
 
@@ -59,7 +58,9 @@ fn main() {
     // §8: re-place drifted nodes via realloc_aff.
     let mut moved = 0u32;
     for u in 0..n {
-        moved += g.rebalance_vertex(&mut alloc, &props, u).expect("rebalance");
+        moved += g
+            .rebalance_vertex(&mut alloc, &props, u)
+            .expect("rebalance");
     }
     println!(
         "rebalanced: {moved} nodes moved, placement back to {:.2} hops",
@@ -78,8 +79,7 @@ fn main() {
     println!("pool-tail reclamation returned {} KiB", reclaimed >> 10);
 
     // --- spatially distributed priority queue (§4.2) ---
-    let mut pq =
-        SpatialPriorityQueue::build(&mut alloc, &props, 64, 7).expect("priority queue");
+    let mut pq = SpatialPriorityQueue::build(&mut alloc, &props, 64, 7).expect("priority queue");
     println!(
         "\nspatial priority queue: {}/64 partitions bank-aligned with their vertices",
         pq.aligned_partitions(&props)

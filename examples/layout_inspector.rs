@@ -22,7 +22,12 @@ fn main() {
     let a = alloc
         .malloc_aff_affine(&AffineArrayReq::new(4, 1 << 16))
         .expect("A");
-    let aligned = |partner| AffinityHint::AlignTo { partner, p: 1, q: 1, x: 0 };
+    let aligned = |partner| AffinityHint::AlignTo {
+        partner,
+        p: 1,
+        q: 1,
+        x: 0,
+    };
     let b = alloc
         .malloc_aff_affine(&AffineArrayReq::with_hint(4, 1 << 16, &aligned(a)))
         .expect("B");
@@ -47,7 +52,11 @@ fn main() {
 
     // Fig 9: partitioned vertex array.
     let verts = alloc
-        .malloc_aff_affine(&AffineArrayReq::with_hint(4, 1 << 16, &AffinityHint::Partition))
+        .malloc_aff_affine(&AffineArrayReq::with_hint(
+            4,
+            1 << 16,
+            &AffinityHint::Partition,
+        ))
         .expect("verts");
     let (intrlv, _) = alloc.affine_layout(verts).expect("affine");
     println!("  partitioned V[65536] -> interleave {intrlv} B (one shard per bank)");
@@ -59,7 +68,12 @@ fn main() {
             4,
             1000,
             // 12-byte offset: not a chunk multiple.
-            &AffinityHint::AlignTo { partner: a, p: 1, q: 1, x: 3 },
+            &AffinityHint::AlignTo {
+                partner: a,
+                p: 1,
+                q: 1,
+                x: 3,
+            },
         ))
         .expect("fallback still returns memory");
     println!(

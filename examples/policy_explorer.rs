@@ -43,7 +43,10 @@ fn main() {
         "{:12} {:>14} {:>14} {:>14}",
         "policy", "link_list", "bin_tree", "hash_join"
     );
-    println!("{:12} {:>14} {:>14} {:>14}", "", "(cycles)", "(cycles)", "(cycles)");
+    println!(
+        "{:12} {:>14} {:>14} {:>14}",
+        "", "(cycles)", "(cycles)", "(cycles)"
+    );
     let mut rnd_baseline = None;
     for policy in policies() {
         let cfg = RunConfig::new(SystemConfig::AffAlloc(policy)).with_seed(11);

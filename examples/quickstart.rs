@@ -4,7 +4,9 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use affinity_alloc_repro::alloc::{AffineArrayReq, AffinityAllocator, AffinityHint, BankSelectPolicy};
+use affinity_alloc_repro::alloc::{
+    AffineArrayReq, AffinityAllocator, AffinityHint, BankSelectPolicy,
+};
 use affinity_alloc_repro::sim::config::MachineConfig;
 use affinity_alloc_repro::workloads::affine::{run_stencil, Stencil};
 use affinity_alloc_repro::workloads::config::{RunConfig, SystemConfig};
@@ -22,7 +24,12 @@ fn main() {
         .malloc_aff_affine(&AffineArrayReq::with_hint(
             8,
             4096,
-            &AffinityHint::AlignTo { partner: a, p: 1, q: 1, x: 0 },
+            &AffinityHint::AlignTo {
+                partner: a,
+                p: 1,
+                q: 1,
+                x: 0,
+            },
         ))
         .expect("allocate C");
     println!("A[100] lives on bank {}", alloc.bank_of(a + 100 * 4));

@@ -27,7 +27,11 @@ fn simulate(noc: &CycleNoc, pkts: &[Packet], max_cycles: u64) -> CycleReport {
 /// The logged packets of `m` through a healthy depth-8 mesh.
 fn simulate_matrix(cfg: &MachineConfig, m: &TrafficMatrix) -> CycleReport {
     let pkts = m.packets().expect("logging enabled");
-    simulate(&CycleNoc::new(m.topology(), cfg.hop_latency, DEPTH), pkts, 10_000_000)
+    simulate(
+        &CycleNoc::new(m.topology(), cfg.hop_latency, DEPTH),
+        pkts,
+        10_000_000,
+    )
 }
 
 fn machine_matrix(logging: bool) -> (MachineConfig, TrafficMatrix) {
@@ -54,8 +58,7 @@ fn hop_flits_agree_exactly() {
     assert_eq!(report.flit_hops, m.total_hop_flits());
     // Same-bank messages never enter the network, so the log holds exactly
     // the non-local messages, and every one of them is delivered.
-    let non_local =
-        m.messages(TrafficClass::Data) - m.local_messages(TrafficClass::Data);
+    let non_local = m.messages(TrafficClass::Data) - m.local_messages(TrafficClass::Data);
     assert_eq!(report.delivered, non_local);
 }
 
@@ -106,11 +109,17 @@ fn pathological_layout_is_pathological_in_both_models() {
         for b in 0..64u32 {
             m.record_n(b, (b + delta) % 64, 64, TrafficClass::Data, 40);
         }
-        (m.bottleneck_link_flits(), simulate_matrix(&cfg, &m).finish_cycle)
+        (
+            m.bottleneck_link_flits(),
+            simulate_matrix(&cfg, &m).finish_cycle,
+        )
     };
     let (analytic_near, cyc_near) = run(1);
     let (analytic_far, cyc_far) = run(32);
-    assert!(analytic_far > 2 * analytic_near, "analytic sees the bisection");
+    assert!(
+        analytic_far > 2 * analytic_near,
+        "analytic sees the bisection"
+    );
     assert!(cyc_far > 2 * cyc_near, "cycle-sim sees the bisection");
 }
 
@@ -191,7 +200,11 @@ fn seeded_random_sweep_des_and_cycle_agree_on_flits_and_envelope() {
         let msgs = 250 + SimRng::split(0xD1FF, pattern).below(1750);
         random_pattern(&mut m, 0xD1FF, pattern, msgs);
         let pkts = m.packets().expect("logging enabled");
-        let cyc = simulate(&CycleNoc::new(m.topology(), cfg.hop_latency, DEPTH), pkts, 100_000_000);
+        let cyc = simulate(
+            &CycleNoc::new(m.topology(), cfg.hop_latency, DEPTH),
+            pkts,
+            100_000_000,
+        );
         assert_eq!(
             cyc.flit_hops,
             m.total_hop_flits(),
@@ -357,7 +370,9 @@ fn geometry_matrix() -> Vec<(&'static str, MachineConfig)> {
         ("16x16-mesh", MachineConfig::builder().mesh(16, 16).build()),
         (
             "8x8-torus",
-            MachineConfig::builder().topology(TopologyKind::Torus).build(),
+            MachineConfig::builder()
+                .topology(TopologyKind::Torus)
+                .build(),
         ),
         ("32x32-mesh", MachineConfig::builder().mesh(32, 32).build()),
     ]

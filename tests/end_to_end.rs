@@ -89,7 +89,10 @@ fn seeds_change_inputs_but_not_the_story() {
         &cfg(SystemConfig::aff_alloc_default()).with_seed(7),
     )
     .metrics;
-    assert!(aff.speedup_over(&near) > 1.0, "pr_push win must be seed-robust");
+    assert!(
+        aff.speedup_over(&near) > 1.0,
+        "pr_push win must be seed-robust"
+    );
 }
 
 #[test]

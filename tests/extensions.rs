@@ -27,7 +27,10 @@ fn churn_rebalance_recovers_placement_quality() {
         g.insert_edge(&mut alloc, &props, u, v).unwrap();
     }
     let fresh = g.mean_indirect_hops(topo, &props);
-    assert!(fresh < 1.0, "clustered inserts should be near-local, got {fresh:.2}");
+    assert!(
+        fresh < 1.0,
+        "clustered inserts should be near-local, got {fresh:.2}"
+    );
 
     // Heavy churn redirects half the edges across the chip.
     for u in 0..n {
@@ -57,7 +60,10 @@ fn churn_rebalance_recovers_placement_quality() {
     let _ = alloc.reclaim_pool_tails();
     let after = alloc.fragmentation();
     assert!(after.free_bytes <= before.free_bytes);
-    assert_eq!(after.live_bytes, before.live_bytes, "reclamation never touches live data");
+    assert_eq!(
+        after.live_bytes, before.live_bytes,
+        "reclamation never touches live data"
+    );
 }
 
 #[test]
@@ -75,11 +81,20 @@ fn npot_machine_runs_the_allocator_end_to_end() {
         .malloc_aff_affine(&AffineArrayReq::with_hint(
             8,
             3 * 4096,
-            &AffinityHint::AlignTo { partner: a, p: 1, q: 3, x: 0 },
+            &AffinityHint::AlignTo {
+                partner: a,
+                p: 1,
+                q: 3,
+                x: 0,
+            },
         ))
         .unwrap();
     assert_eq!(alloc.stats().fallback, 0);
     for i in (0..3 * 4096u64).step_by(311) {
-        assert_eq!(alloc.bank_of(b + i * 8), alloc.bank_of(a + (i / 3) * 8), "element {i}");
+        assert_eq!(
+            alloc.bank_of(b + i * 8),
+            alloc.bank_of(a + (i / 3) * 8),
+            "element {i}"
+        );
     }
 }

@@ -46,10 +46,19 @@ fn empty_fault_plan_is_byte_identical() {
     for system in SYSTEMS {
         let healthy = suite::run(WorkloadName::Bfs, &cfg(system));
         let with_empty = run_with(system, WorkloadName::Bfs, FaultPlan::none());
-        assert_eq!(healthy.metrics.cycles, with_empty.metrics.cycles, "{system:?}");
-        assert_eq!(healthy.metrics.total_hop_flits, with_empty.metrics.total_hop_flits);
+        assert_eq!(
+            healthy.metrics.cycles, with_empty.metrics.cycles,
+            "{system:?}"
+        );
+        assert_eq!(
+            healthy.metrics.total_hop_flits,
+            with_empty.metrics.total_hop_flits
+        );
         assert_eq!(healthy.metrics.hop_flits, with_empty.metrics.hop_flits);
-        assert_eq!(healthy.metrics.dram_accesses, with_empty.metrics.dram_accesses);
+        assert_eq!(
+            healthy.metrics.dram_accesses,
+            with_empty.metrics.dram_accesses
+        );
         assert!((healthy.metrics.energy_pj - with_empty.metrics.energy_pj).abs() < 1e-9);
         assert_eq!(healthy.iters, with_empty.iters);
         assert!(healthy.metrics.degradation.is_zero());
@@ -129,7 +138,10 @@ fn cycles_are_monotone_in_slowed_banks_near_l3() {
         FaultPlan::none(),
         FaultPlan::none().slow_bank(5, 2),
         FaultPlan::none().slow_bank(5, 2).slow_bank(21, 2),
-        FaultPlan::none().slow_bank(5, 4).slow_bank(21, 4).slow_bank(40, 2),
+        FaultPlan::none()
+            .slow_bank(5, 4)
+            .slow_bank(21, 4)
+            .slow_bank(40, 2),
     ];
     let mut last = 0u64;
     for plan in &plans {
@@ -161,9 +173,19 @@ fn dead_banks_degrade_gracefully() {
 
 #[test]
 fn affinity_alloc_survives_dead_banks_and_excludes_them() {
-    let plan = FaultPlan::none().fail_bank(0).fail_bank(63).slow_bank(32, 4);
-    for w in [WorkloadName::Bfs, WorkloadName::LinkList, WorkloadName::HashJoin] {
+    let plan = FaultPlan::none()
+        .fail_bank(0)
+        .fail_bank(63)
+        .slow_bank(32, 4);
+    for w in [
+        WorkloadName::Bfs,
+        WorkloadName::LinkList,
+        WorkloadName::HashJoin,
+    ] {
         let run = run_with(SystemConfig::aff_alloc_default(), w, plan.clone());
-        assert!(run.metrics.cycles > 0, "{w:?} must complete on the degraded machine");
+        assert!(
+            run.metrics.cycles > 0,
+            "{w:?} must complete on the degraded machine"
+        );
     }
 }

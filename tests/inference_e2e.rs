@@ -91,7 +91,11 @@ fn inferred_hints_recover_irregular_workloads_individually() {
         return;
     }
     let opts = HarnessOpts::default();
-    let (figs, report) = run_plans(vec![inference_plan_for(&FIG13_WORKLOADS, opts)], 4, opts.seed);
+    let (figs, report) = run_plans(
+        vec![inference_plan_for(&FIG13_WORKLOADS, opts)],
+        4,
+        opts.seed,
+    );
     assert_eq!(report.failures().count(), 0);
     let fig = &figs[0];
     let rec = fig.col("nbr_recovery");

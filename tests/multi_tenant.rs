@@ -198,5 +198,9 @@ fn concurrent_churn_stress_conserves_residency() {
     let per_tenant: u64 = svc.usage().iter().map(|u| u.resident_bytes).sum();
     assert_eq!(per_tenant, svc.global_resident_ledger());
     assert_eq!(svc.global_resident_ledger(), svc.global_resident_truth());
-    assert_eq!(svc.global_resident_truth(), 0, "drained stress left residency");
+    assert_eq!(
+        svc.global_resident_truth(),
+        0,
+        "drained stress left residency"
+    );
 }

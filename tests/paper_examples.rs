@@ -1,7 +1,9 @@
 //! End-to-end checks of the paper's worked examples and explanatory figures
 //! (Figs 3, 5, 7–11) against this implementation.
 
-use affinity_alloc_repro::alloc::{AffineArrayReq, AffinityAllocator, AffinityHint, BankSelectPolicy};
+use affinity_alloc_repro::alloc::{
+    AffineArrayReq, AffinityAllocator, AffinityHint, BankSelectPolicy,
+};
 use affinity_alloc_repro::ds::graph::Graph;
 use affinity_alloc_repro::ds::layout::{AllocMode, VertexArray};
 use affinity_alloc_repro::ds::linked_csr::{node_capacity, LinkedCsr};
@@ -82,8 +84,16 @@ fn fig7_allocation_trace() {
     let n5 = alloc.malloc_aff(64, &[]).unwrap();
     let n2 = alloc.malloc_aff(64, &[n5]).unwrap();
     let n1 = alloc.malloc_aff(64, &[n2]).unwrap();
-    assert_eq!(alloc.bank_of(n2), alloc.bank_of(n5), "n2 colocates with parent");
-    assert_eq!(alloc.bank_of(n1), alloc.bank_of(n2), "n1 colocates with parent");
+    assert_eq!(
+        alloc.bank_of(n2),
+        alloc.bank_of(n5),
+        "n2 colocates with parent"
+    );
+    assert_eq!(
+        alloc.bank_of(n1),
+        alloc.bank_of(n2),
+        "n1 colocates with parent"
+    );
     // Keep allocating against n5: the load term must eventually spill.
     let mut spilled = false;
     for _ in 0..64 {
@@ -103,7 +113,12 @@ fn fig8b_inter_array_alignment() {
     let mut alloc = aff_alloc();
     let n = 1u64 << 14;
     let a = alloc.malloc_aff_affine(&AffineArrayReq::new(4, n)).unwrap();
-    let aligned = AffinityHint::AlignTo { partner: a, p: 1, q: 1, x: 0 };
+    let aligned = AffinityHint::AlignTo {
+        partner: a,
+        p: 1,
+        q: 1,
+        x: 0,
+    };
     let b = alloc
         .malloc_aff_affine(&AffineArrayReq::with_hint(4, n, &aligned))
         .unwrap();
@@ -149,10 +164,8 @@ fn fig8c_intra_array_row_affinity() {
 /// Fig 9: the spatially distributed queue pushes with zero remote accesses.
 #[test]
 fn fig9_spatial_queue_is_local() {
-    let mut alloc = AffinityAllocator::new(
-        MachineConfig::paper_default(),
-        BankSelectPolicy::MinHop,
-    );
+    let mut alloc =
+        AffinityAllocator::new(MachineConfig::paper_default(), BankSelectPolicy::MinHop);
     let props = VertexArray::new(&mut alloc, 64 * 1024, 4, AllocMode::Affinity).unwrap();
     let mut q = SpatialQueue::build(&mut alloc, &props, 64).unwrap();
     for v in (0..64 * 1024u32).step_by(511) {
@@ -175,8 +188,7 @@ fn fig10_list_layouts() {
     assert_eq!(hoard.migrations(), 0, "Min-Hop hoards");
     let mut hybrid = aff_alloc();
     let spread = AffLinkedList::build(&mut hybrid, 2048, AllocMode::Affinity).unwrap();
-    let banks: std::collections::HashSet<u32> =
-        spread.nodes().iter().map(|n| n.bank).collect();
+    let banks: std::collections::HashSet<u32> = spread.nodes().iter().map(|n| n.bank).collect();
     assert!(banks.len() > 4, "Hybrid spreads for bank-level parallelism");
 }
 
@@ -186,7 +198,16 @@ fn fig10_list_layouts() {
 fn fig11_linked_csr_equivalence() {
     let g = Graph::from_edges(
         5,
-        &[(0, 1), (0, 2), (0, 3), (1, 0), (2, 0), (2, 3), (3, 0), (3, 2)],
+        &[
+            (0, 1),
+            (0, 2),
+            (0, 3),
+            (1, 0),
+            (2, 0),
+            (2, 3),
+            (3, 0),
+            (3, 2),
+        ],
     );
     let mut alloc = aff_alloc();
     let props = VertexArray::new(&mut alloc, 5, 4, AllocMode::Affinity).unwrap();
@@ -212,7 +233,11 @@ fn table1_iot_behaviour() {
     // A large page-multiple interleave adds exactly one entry.
     let before = alloc.space().pools().iot().len();
     alloc
-        .malloc_aff_affine(&AffineArrayReq::with_hint(4, 1 << 20, &AffinityHint::Partition))
+        .malloc_aff_affine(&AffineArrayReq::with_hint(
+            4,
+            1 << 20,
+            &AffinityHint::Partition,
+        ))
         .unwrap();
     assert!(alloc.space().pools().iot().len() <= before + 1);
 }

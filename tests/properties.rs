@@ -2,7 +2,9 @@
 //! math, topology routing, allocator alignment and free-list reuse, and
 //! graph construction.
 
-use affinity_alloc_repro::alloc::{AffineArrayReq, AffinityAllocator, AffinityHint, BankSelectPolicy};
+use affinity_alloc_repro::alloc::{
+    AffineArrayReq, AffinityAllocator, AffinityHint, BankSelectPolicy,
+};
 use affinity_alloc_repro::ds::graph::Graph;
 use affinity_alloc_repro::mem::space::AddressSpace;
 use affinity_alloc_repro::noc::topology::Topology;

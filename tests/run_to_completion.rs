@@ -154,14 +154,11 @@ fn journal_io_failure_degrades_to_an_unjournaled_run() {
 
     let (figs, report) = run_plans_opts(plans(), &opts_with_journal(&path, false));
     assert!(
-        report
-            .journal_error
-            .as_deref()
-            .is_some_and(|e| {
-                e.starts_with("journal: ")
-                    && e.contains("journal create failed")
-                    && e.contains("continuing without checkpoints")
-            }),
+        report.journal_error.as_deref().is_some_and(|e| {
+            e.starts_with("journal: ")
+                && e.contains("journal create failed")
+                && e.contains("continuing without checkpoints")
+        }),
         "journal failure must be recorded, got {:?}",
         report.journal_error
     );

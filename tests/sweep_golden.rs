@@ -176,10 +176,8 @@ fn run_to_completion_guards_do_not_change_golden_bytes() {
         .iter()
         .map(|id| plan_figure(id, opts).expect("golden figure id is known"))
         .collect();
-    let journal = std::env::temp_dir().join(format!(
-        "aff-golden-guards-{}.journal",
-        std::process::id()
-    ));
+    let journal =
+        std::env::temp_dir().join(format!("aff-golden-guards-{}.journal", std::process::id()));
     let run_opts = RunOpts {
         cell_timeout_ms: Some(600_000),
         max_retries: 2,
