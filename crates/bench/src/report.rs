@@ -184,7 +184,7 @@ impl Figure {
     }
 }
 
-/// Per-cell simulation metrics sidecar (schema `aff-bench/sweep-v7`).
+/// Per-cell simulation metrics sidecar (schema `aff-bench/sweep-v8`).
 ///
 /// A compact, plotting-oriented projection of
 /// [`Metrics`](aff_nsc::engine::Metrics): the handful of scalars the paper's
@@ -198,8 +198,9 @@ impl Figure {
 /// single-tenant runs, populated by the `tenants` churn family. v7 over v5:
 /// the hint-provenance pair (`hint_source`, `inferred_hints`) —
 /// `null`/zero on ordinary annotated runs, populated by the `inference`
-/// closed-loop family. Every earlier field is emitted unchanged, so v4+
-/// readers keep working.
+/// closed-loop family. v8 over v7: each `tenants` record drops the four
+/// engine-attribution keys (`se_ops`, `core_ops`, `traffic_msgs`,
+/// `dram_lines`); every other field is emitted unchanged.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct CellMetrics {
     /// Analytic cycle estimate.
@@ -277,9 +278,7 @@ impl CellMetrics {
                     "{{ \"tenant\": {}, \"name\": {}, \"admitted\": {}, \
                      \"quota_rejects\": {}, \"shed\": {}, \"retries\": {}, \
                      \"backoff_ticks\": {}, \"resident_bytes\": {}, \
-                     \"evacuated_lines\": {}, \"migrated_bytes\": {}, \
-                     \"se_ops\": {}, \"core_ops\": {}, \"traffic_msgs\": {}, \
-                     \"dram_lines\": {} }}",
+                     \"evacuated_lines\": {}, \"migrated_bytes\": {} }}",
                     t.tenant,
                     esc(&t.name),
                     t.admitted,
@@ -290,10 +289,6 @@ impl CellMetrics {
                     t.resident_bytes,
                     t.evacuated_lines,
                     t.migrated_bytes,
-                    t.se_ops,
-                    t.core_ops,
-                    t.traffic_msgs,
-                    t.dram_lines,
                 )
             })
             .collect();
@@ -510,7 +505,7 @@ impl SweepReport {
         }
     }
 
-    /// Render as JSON (`BENCH_sweep.json` schema `aff-bench/sweep-v7`).
+    /// Render as JSON (`BENCH_sweep.json` schema `aff-bench/sweep-v8`).
     ///
     /// v3 over v2: every cell object carries a `"metrics"` key — the
     /// [`CellMetrics`] sidecar object when collected, `null` otherwise.
@@ -522,6 +517,8 @@ impl SweepReport {
     /// v7 over v6: the metrics object gains the hint-provenance pair
     /// (`hint_source`, `inferred_hints`) stamped by the `inference` family;
     /// `null`/0 everywhere else.
+    /// v8 over v7: `tenants` records lose `se_ops`, `core_ops`,
+    /// `traffic_msgs` and `dram_lines`.
     pub fn to_json(&self) -> String {
         let cells: Vec<String> = self
             .cells
@@ -555,7 +552,7 @@ impl SweepReport {
         let mut aggregates: Vec<String> = vec![self.aggregate().to_json()];
         aggregates.extend(self.extra_aggregates.iter().map(AggregateRow::to_json));
         format!(
-            "{{\n  \"schema\": \"aff-bench/sweep-v7\",\n  \"jobs\": {},\n  \"seed\": {},\n  \
+            "{{\n  \"schema\": \"aff-bench/sweep-v8\",\n  \"jobs\": {},\n  \"seed\": {},\n  \
              \"wall_ms\": {},\n  \"total_sim_cycles\": {},\n  \"total_cell_wall_ms\": {},\n  \
              \"mcycles_per_sec\": {},\n  \"parallelism\": {},\n  \"failed_cells\": {},\n  \
              \"budget_failed_cells\": {},\n  \"resumed_cells\": {},\n  \"memo_hits\": {},\n  \
@@ -738,7 +735,7 @@ mod tests {
     #[test]
     fn sweep_report_json_is_well_formed() {
         let j = sample_sweep().to_json();
-        assert!(j.contains("\"schema\": \"aff-bench/sweep-v7\""));
+        assert!(j.contains("\"schema\": \"aff-bench/sweep-v8\""));
         assert!(j.contains("\"jobs\": 4"));
         assert!(j.contains("\"failed_cells\": 1"));
         assert!(j.contains("\"budget_failed_cells\": 0"));

@@ -2,7 +2,7 @@
 //! `figures --journal` (crash-safe resume) and `figures --memo` (cross-run
 //! cell cache).
 //!
-//! A store is a 16-byte header — the `AFFCELL1` magic and the build's
+//! A store is a 16-byte header — the `AFFCELL2` magic and the build's
 //! [`code_salt`] — followed by self-delimiting records:
 //!
 //! ```text
@@ -50,7 +50,7 @@ use aff_workloads::suite::SuiteRun;
 /// File magic: identifies the format *and* its version. Bump the trailing
 /// digit on any payload-layout change so old stores are refused, not
 /// misparsed.
-const MAGIC: &[u8; 8] = b"AFFCELL1";
+const MAGIC: &[u8; 8] = b"AFFCELL2";
 
 /// Header length: magic + code salt.
 const HEADER_LEN: usize = 16;
@@ -332,10 +332,6 @@ fn put_metrics(out: &mut Vec<u8>, m: &Metrics) {
             t.resident_bytes,
             t.evacuated_lines,
             t.migrated_bytes,
-            t.se_ops,
-            t.core_ops,
-            t.traffic_msgs,
-            t.dram_lines,
         ] {
             put_u64(out, v);
         }
@@ -545,10 +541,6 @@ impl<'a> Dec<'a> {
             u.resident_bytes = self.u64()?;
             u.evacuated_lines = self.u64()?;
             u.migrated_bytes = self.u64()?;
-            u.se_ops = self.u64()?;
-            u.core_ops = self.u64()?;
-            u.traffic_msgs = self.u64()?;
-            u.dram_lines = self.u64()?;
             tenants.push(u);
         }
         Some(Metrics {
@@ -740,7 +732,7 @@ mod tests {
                 let mut u = aff_sim_core::tenant::TenantUsage::new(1, "bob");
                 u.admitted = 99;
                 u.resident_bytes = 1 << 16;
-                u.dram_lines = 7;
+                u.evacuated_lines = 7;
                 u
             }],
         }

@@ -552,12 +552,17 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 fn chaos_timeline(opts: &RunOpts, stream: u64) -> Option<FaultTimeline> {
     opts.chaos.map(|chaos_seed| {
         let mut rng = SimRng::split(chaos_seed, stream);
-        FaultTimeline::chaos(
-            &mut rng,
-            &MachineConfig::paper_default(),
-            opts.chaos_intensity.max(4),
-        )
+        FaultTimeline::chaos(&mut rng, &MachineConfig::paper_default(), chaos_draws(opts))
     })
+}
+
+/// Fault draws per chaos timeline: `opts.chaos_intensity`, with 0 meaning
+/// the default of 4.
+fn chaos_draws(opts: &RunOpts) -> u32 {
+    match opts.chaos_intensity {
+        0 => 4,
+        n => n,
+    }
 }
 
 /// Online invariant checks a chaos cell's result must pass. Cells without
@@ -705,7 +710,7 @@ fn cell_key(salt: u64, opts: &RunOpts, figure: &str, cell_idx: usize, label: &st
         Some(c) => {
             bytes.push(1);
             bytes.extend_from_slice(&c.to_le_bytes());
-            bytes.extend_from_slice(&opts.chaos_intensity.to_le_bytes());
+            bytes.extend_from_slice(&chaos_draws(opts).to_le_bytes());
         }
     }
     bytes.extend_from_slice(&(figure.len() as u32).to_le_bytes());
@@ -1330,6 +1335,16 @@ mod tests {
             key(1, &chaos, "fig13", 4, "bfs/AffAlloc"),
             key(1, &dense, "fig13", 4, "bfs/AffAlloc")
         );
+        // The default intensity and an explicit 4 draw the same timelines,
+        // so they share a key.
+        let four = RunOpts {
+            chaos_intensity: 4,
+            ..chaos.clone()
+        };
+        assert_eq!(
+            key(1, &chaos, "fig13", 4, "bfs/AffAlloc"),
+            key(1, &four, "fig13", 4, "bfs/AffAlloc")
+        );
     }
 
     #[test]
@@ -1593,7 +1608,7 @@ mod tests {
                     aff_sim_core::config::MachineConfig::tiny_mesh(),
                 );
                 e.core_read_lines(0, 1, 4);
-                e.try_finish().expect("unlimited budget").into()
+                e.finish().into()
             });
             b.cell("table", |_| CellData::Rows {
                 rows: vec![Row::new("r", vec![1.0])],
@@ -1632,7 +1647,7 @@ mod tests {
                 e.bank_read_lines((i % 4) as u32 * 9, 200 + i);
                 e.remote_atomic(0, 9, 50);
                 e.end_phase();
-                e.try_finish().expect("unlimited budget").into()
+                e.finish().into()
             }));
         }
         b.merge(move |o| {
@@ -1672,6 +1687,24 @@ mod tests {
     }
 
     #[test]
+    fn chaos_intensity_sets_the_fault_draws_and_zero_means_four() {
+        let timeline = |intensity, stream| {
+            let opts = RunOpts {
+                chaos: Some(7),
+                chaos_intensity: intensity,
+                ..RunOpts::new(1, 42)
+            };
+            chaos_timeline(&opts, stream).expect("chaos mode is on")
+        };
+        for stream in 0..32 {
+            // One fault draw: the fault itself plus at most its repair.
+            let one = timeline(1, stream);
+            assert!(one.len() <= 2, "stream {stream}: {:?}", one.events());
+            assert_eq!(timeline(0, stream), timeline(4, stream));
+        }
+    }
+
+    #[test]
     fn chaos_timeline_reaches_the_engine_and_passes_invariants() {
         use aff_sim_core::fault::FaultChange;
         // A hand-made cycle-0 bank death: the cell's context stamps it into
@@ -1682,7 +1715,7 @@ mod tests {
             let machine = ctx.machine(MachineConfig::paper_default());
             let mut e = aff_nsc::engine::SimEngine::new(machine);
             e.bank_read_lines(9, 100);
-            e.try_finish().expect("unlimited budget").into()
+            e.finish().into()
         });
         let data = run_attempt(&job, 1, 2, Some(tl.clone())).expect("chaos cell runs clean");
         let m = data.metrics().expect("engine cell");
@@ -1710,7 +1743,7 @@ mod tests {
             let machine = ctx.machine(MachineConfig::paper_default());
             let mut e = aff_nsc::engine::SimEngine::new(machine);
             e.remote_atomic(0, 9, 10);
-            let mut m = e.try_finish().expect("unlimited budget");
+            let mut m = e.finish();
             m.total_hop_flits += 1; // break flit conservation
             m.into()
         });

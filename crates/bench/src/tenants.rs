@@ -22,8 +22,7 @@ use aff_nsc::engine::{Metrics, SimEngine};
 use aff_sim_core::config::MachineConfig;
 use aff_sim_core::fault::FaultChange;
 use aff_sim_core::rng::SimRng;
-use aff_sim_core::tenant::{jain_fairness, TenantId, TenantSpec, TenantUsage};
-use aff_sim_core::trace::{Event, TrafficKind};
+use aff_sim_core::tenant::{jain_fairness, TenantSpec, TenantUsage};
 use affinity_alloc::service::{AllocService, ServiceConfig};
 use affinity_alloc::{AffineArrayReq, AllocError};
 
@@ -237,48 +236,12 @@ pub fn isolation_digests(spec: &ChurnSpec, observer: u32) -> (u64, u64) {
 }
 
 /// Render a churn outcome as engine [`Metrics`] so the `--metrics` sidecar
-/// carries the per-tenant record: replays each tenant's admitted work into
-/// a [`SimEngine`] under `set_tenant` (exercising the attribution path),
-/// then merges the service counters into the attributed rows and installs
-/// the service's fragmentation ratio.
+/// carries the per-tenant record: the metrics of an empty engine run with
+/// the service's usage rows and fragmentation ratio installed.
 pub fn churn_metrics(machine: &MachineConfig, out: &ChurnOutcome) -> Metrics {
-    let mut eng = SimEngine::new(machine.clone());
-    let banks = machine.num_banks();
-    for u in &out.usage {
-        eng.set_tenant(Some(TenantId(u.tenant)));
-        eng.record(Event::CoreOps { count: u.admitted });
-        eng.record(Event::Traffic {
-            src: u.tenant % banks,
-            dst: (u.tenant + 1) % banks,
-            payload_bytes: 64,
-            class: TrafficKind::Data,
-            count: u.admitted,
-        });
-        eng.record(Event::BankAccess {
-            bank: u.tenant % banks,
-            count: u.admitted,
-            fetch: false,
-        });
-    }
-    eng.set_tenant(None);
-    let mut m = eng.try_finish().expect("replay stays within budget");
+    let mut m = SimEngine::new(machine.clone()).finish();
+    m.tenants = out.usage.clone();
     m.fragmentation_ratio = out.fragmentation_ratio;
-    for u in &out.usage {
-        match m.tenants.iter_mut().find(|r| r.tenant == u.tenant) {
-            Some(row) => {
-                // Keep the engine's attribution half, take the service half
-                // from the churn outcome.
-                let (se, core, msgs, dram) =
-                    (row.se_ops, row.core_ops, row.traffic_msgs, row.dram_lines);
-                *row = u.clone();
-                row.se_ops = se;
-                row.core_ops = core;
-                row.traffic_msgs = msgs;
-                row.dram_lines = dram;
-            }
-            None => m.tenants.push(u.clone()),
-        }
-    }
     m
 }
 
@@ -336,7 +299,7 @@ mod tests {
         let out = run_churn(&ChurnSpec::new(3, 100, 19));
         let m = churn_metrics(&machine, &out);
         assert_eq!(m.tenants.len(), 3);
-        assert!(m.tenants.iter().all(|u| u.core_ops == u.admitted));
+        assert_eq!(m.tenants, out.usage);
         assert!(m.tenants.iter().any(|u| u.admitted > 0));
         assert!((m.fragmentation_ratio - out.fragmentation_ratio).abs() < f64::EPSILON);
     }

@@ -98,11 +98,6 @@ impl BankCounters {
         crate::lanes::max_u64(&self.resident_bytes)
     }
 
-    /// Per-bank access slice (Fig 14 style distributions).
-    pub fn accesses_per_bank(&self) -> &[u64] {
-        &self.accesses
-    }
-
     /// Per-bank resident-bytes slice.
     pub fn resident_per_bank(&self) -> &[u64] {
         &self.resident_bytes

@@ -1,9 +1,9 @@
 //! DRAM model: four controllers at the mesh corners (Table 2).
 //!
 //! L3 capacity misses become line fetches from the controller nearest the
-//! missing bank. The model charges NoC traffic for the round trip, DRAM
-//! service bandwidth, and access latency; the analytic timing model takes
-//! the bandwidth term as one of its bottleneck candidates.
+//! missing bank. The model charges NoC traffic for the round trip and DRAM
+//! service bandwidth; the analytic timing model takes the bandwidth term as
+//! one of its bottleneck candidates. It has no access-latency term.
 
 use aff_noc::topology::Topology;
 use aff_noc::traffic::{TrafficClass, TrafficMatrix};

@@ -104,18 +104,6 @@ impl AddressSpace {
         VAddr(HEAP_VA_BASE + aligned)
     }
 
-    /// Bump-allocate on the heap such that the allocation *starts* `delta`
-    /// banks after the bank its natural position would get — the Fig 4
-    /// forced-Δ layout knob. Only meaningful with [`HeapMapping::Linear`].
-    pub fn heap_alloc_with_bank_offset(&mut self, bytes: u64, delta_banks: u32) -> VAddr {
-        let natural = self.heap_alloc(0, self.config.default_interleave);
-        let skip = u64::from(delta_banks) * self.config.default_interleave;
-        self.heap_brk += skip;
-        let va = VAddr(natural.raw() + skip);
-        self.heap_brk = (va.raw() - HEAP_VA_BASE) + bytes;
-        va
-    }
-
     #[inline]
     fn heap_translate(&mut self, va: VAddr) -> PAddr {
         let off = va.raw() - HEAP_VA_BASE;
@@ -243,19 +231,6 @@ mod tests {
         let b0 = s.bank_of(a);
         assert_eq!(s.bank_of(a + 1023), b0);
         assert_eq!(s.bank_of(a + 1024), (b0 + 1) % 64);
-    }
-
-    #[test]
-    fn forced_bank_offset_shifts_start_bank() {
-        let mut s = space();
-        let a = s.heap_alloc(4096, 1024);
-        let base_bank = s.bank_of(a);
-        let c = s.heap_alloc_with_bank_offset(4096, 12);
-        // The next natural allocation would start at some bank; ours starts
-        // 12 banks later than that one.
-        let natural_bank = (s.bank_of(a) + ((c.raw() - a.raw()) / 1024 % 64) as u32) % 64;
-        assert_eq!(s.bank_of(c), natural_bank % 64);
-        assert_eq!(base_bank, s.bank_of(a));
     }
 
     #[test]

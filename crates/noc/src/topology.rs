@@ -14,21 +14,6 @@
 //! hold bit for bit. On a concentrated mesh a 2×2 block of banks shares one
 //! router: `num_nodes() < num_banks()`, routes between same-router banks are
 //! empty, and [`Coord`]s inside a [`Link`] are *router-grid* coordinates.
-//!
-//! # Extension point: hierarchical chiplet-of-meshes
-//!
-//! The [`TopologyModel`] trait is the seam for structurally different
-//! geometries. [`Topology`] keeps the three value-level kinds (`Mesh`,
-//! `Torus`, `CMesh`) in one `Copy` + serde-friendly struct because they share
-//! the rectangular node grid; a chiplet-of-meshes machine (K chiplets, each
-//! an inner mesh, joined by a sparse inter-chiplet network) would *not* fit a
-//! single grid, and is the intended first non-`Topology` implementor: it
-//! implements `TopologyModel` with a two-level node id (chiplet, local node),
-//! a `distance` that adds the boundary-router detour, and a `route` that
-//! concatenates intra-chiplet dimension-ordered segments with the
-//! inter-chiplet hop. Everything downstream of the trait (fault routing, the
-//! analytic matrix, both simulators) is written against these methods, not
-//! against `mesh_x`/`mesh_y`.
 
 use aff_sim_core::config::{BankOrder, TopologyKind};
 use aff_sim_core::fault::LinkRef;
@@ -71,57 +56,6 @@ pub const DIR_WEST: usize = 1;
 pub const DIR_SOUTH: usize = 2;
 /// North output port index.
 pub const DIR_NORTH: usize = 3;
-
-/// The geometry abstraction the rest of the stack is written against.
-///
-/// Implementors describe a directed graph of routers (*nodes*), a mapping
-/// from banks onto nodes, a deterministic dimension-ordered route between
-/// any two banks, and a dense numbering of directed links for per-link
-/// accumulation arrays. [`Topology`] implements it for the three rectangular
-/// kinds; see the module docs for the chiplet-of-meshes extension sketch.
-pub trait TopologyModel {
-    /// The value-level geometry kind (for labels and dispatch in reports).
-    fn kind(&self) -> TopologyKind;
-    /// Total number of tiles (= L3 banks).
-    fn num_banks(&self) -> u32;
-    /// Number of routers. Equals `num_banks()` except under concentration.
-    fn num_nodes(&self) -> u32;
-    /// Router serving bank `b`.
-    fn node_of_bank(&self, b: BankId) -> u32;
-    /// Grid position of router `node`.
-    fn node_coord(&self, node: u32) -> Coord;
-    /// Router at grid position `c`.
-    fn node_at(&self, c: Coord) -> u32;
-    /// Router one step from `node` in direction `dir`
-    /// ([`DIR_EAST`]..[`DIR_NORTH`]); `None` off a mesh edge or when the
-    /// step is a self-loop (1-wide torus rings).
-    fn node_in_dir(&self, node: u32, dir: usize) -> Option<u32>;
-    /// Distinct neighbor routers of `node`, in E, W, S, N order.
-    fn node_neighbors(&self, node: u32) -> Vec<u32>;
-    /// Hop distance between the routers serving banks `a` and `b`.
-    fn distance(&self, a: BankId, b: BankId) -> u32;
-    /// The deterministic dimension-ordered route between the routers serving
-    /// `a` and `b` (X moves then Y moves; shortest wrap on a torus). Empty
-    /// when both banks share a router.
-    fn route(&self, a: BankId, b: BankId) -> Vec<Link>;
-    /// The direction of the next dimension-ordered hop from router `here`
-    /// toward router `dst`, or `None` when already there.
-    fn route_dir(&self, here: u32, dst: u32) -> Option<usize>;
-    /// Dense index of a directed link (`0 .. num_links()`).
-    fn link_index(&self, link: Link) -> usize;
-    /// Number of directed link slots ([`Self::link_index`] upper bound).
-    fn num_links(&self) -> usize {
-        self.num_nodes() as usize * 4
-    }
-    /// Map a bank-coordinate fault descriptor onto a routable link. `None`
-    /// when the two banks share a router (the "link" is router-internal and
-    /// cannot fail independently).
-    fn fault_link(&self, l: &LinkRef) -> Option<Link>;
-    /// Banks hosting memory controllers.
-    fn mem_ctrl_banks(&self, num_ctrls: u32) -> Vec<BankId>;
-    /// The memory controller nearest to `bank`.
-    fn nearest_mem_ctrl(&self, bank: BankId, num_ctrls: u32) -> BankId;
-}
 
 /// A rectangular grid of tiles connected as a mesh, torus, or concentrated
 /// mesh, with dimension-ordered (X then Y) routing.
@@ -232,7 +166,7 @@ impl Topology {
         self.mesh_x * self.mesh_y
     }
 
-    /// Number of routers (see [`TopologyModel::num_nodes`]).
+    /// Number of routers. Equals `num_banks()` except under concentration.
     pub fn num_nodes(&self) -> u32 {
         self.grid_x() * self.grid_y()
     }
@@ -673,57 +607,6 @@ impl AxisHops {
     }
 }
 
-impl TopologyModel for Topology {
-    fn kind(&self) -> TopologyKind {
-        self.kind
-    }
-    fn num_banks(&self) -> u32 {
-        Topology::num_banks(self)
-    }
-    fn num_nodes(&self) -> u32 {
-        Topology::num_nodes(self)
-    }
-    fn node_of_bank(&self, b: BankId) -> u32 {
-        Topology::node_of_bank(self, b)
-    }
-    fn node_coord(&self, node: u32) -> Coord {
-        Topology::node_coord(self, node)
-    }
-    fn node_at(&self, c: Coord) -> u32 {
-        Topology::node_at(self, c)
-    }
-    fn node_in_dir(&self, node: u32, dir: usize) -> Option<u32> {
-        Topology::node_in_dir(self, node, dir)
-    }
-    fn node_neighbors(&self, node: u32) -> Vec<u32> {
-        Topology::node_neighbors(self, node)
-    }
-    fn distance(&self, a: BankId, b: BankId) -> u32 {
-        Topology::manhattan(self, a, b)
-    }
-    fn route(&self, a: BankId, b: BankId) -> Vec<Link> {
-        Topology::xy_route(self, a, b)
-    }
-    fn route_dir(&self, here: u32, dst: u32) -> Option<usize> {
-        Topology::route_dir(self, here, dst)
-    }
-    fn link_index(&self, link: Link) -> usize {
-        Topology::link_index(self, link)
-    }
-    fn num_links(&self) -> usize {
-        Topology::num_links(self)
-    }
-    fn fault_link(&self, l: &LinkRef) -> Option<Link> {
-        Topology::fault_link(self, l)
-    }
-    fn mem_ctrl_banks(&self, num_ctrls: u32) -> Vec<BankId> {
-        Topology::mem_ctrl_banks(self, num_ctrls)
-    }
-    fn nearest_mem_ctrl(&self, bank: BankId, num_ctrls: u32) -> BankId {
-        Topology::nearest_mem_ctrl(self, bank, num_ctrls)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1038,15 +921,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn trait_object_matches_inherent_methods() {
-        let t = Topology::torus(4, 4);
-        let m: &dyn TopologyModel = &t;
-        assert_eq!(m.num_nodes(), 16);
-        assert_eq!(m.distance(0, 3), t.manhattan(0, 3));
-        assert_eq!(m.route(0, 3), t.xy_route(0, 3));
-        assert_eq!(m.kind(), aff_sim_core::config::TopologyKind::Torus);
     }
 }

@@ -3,7 +3,7 @@
 //! Workload executors translate their kernels into calls on [`SimEngine`] —
 //! "core 3 read 512 lines from bank 9", "stream migrated from bank 4 to 5",
 //! "CAS executed at bank 61 from bank 7" — and the engine attributes each to
-//! a traffic class, a bank, and an energy event. [`SimEngine::try_finish`] then
+//! a traffic class, a bank, and an energy event. [`SimEngine::finish`] then
 //! resolves capacity misses against the DRAM model and computes the analytic
 //! cycle estimate:
 //!
@@ -26,9 +26,8 @@ use aff_noc::topology::{AxisHops, BankId, Topology};
 use aff_noc::traffic::{TrafficClass, TrafficMatrix};
 use aff_sim_core::config::{MachineConfig, CACHE_LINE};
 use aff_sim_core::energy::{EnergyBreakdown, EnergyModel};
-use aff_sim_core::error::{BudgetKind, SimError};
 use aff_sim_core::fault::{DegradationReport, FaultEvent, FaultPlan, FaultTimeline};
-use aff_sim_core::tenant::{TenantId, TenantUsage};
+use aff_sim_core::tenant::TenantUsage;
 use aff_sim_core::trace::{Event, Recorder, TrafficKind};
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -354,9 +353,9 @@ pub struct Metrics {
     /// multi-tenant churn cells do); serde-defaulted for old recordings.
     #[serde(default)]
     pub fragmentation_ratio: f64,
-    /// Per-tenant offload attribution, present when the run installed tenant
-    /// contexts via [`SimEngine::set_tenant`]. Empty (and serde-defaulted)
-    /// for every single-tenant run.
+    /// Per-tenant service usage, filled in by the harness from the
+    /// allocation service (the multi-tenant churn cells do). Empty (and
+    /// serde-defaulted) for every single-tenant run.
     #[serde(default)]
     pub tenants: Vec<TenantUsage>,
     /// Where the run's affinity hints came from: `None` for ordinary
@@ -466,17 +465,6 @@ pub struct SimEngine {
     /// Recorder present and enabled, hoisted like `healthy` so the disabled
     /// path costs one predicted branch per event.
     tracing: bool,
-    /// Current attribution context: charges land on this tenant's
-    /// [`TenantUsage`] record in addition to the global counters.
-    tenant: Option<u32>,
-    /// Whether *any* tenant context was ever installed. Hoisted like
-    /// `tracing`: single-tenant runs never set it, so their `record` path
-    /// stays one predicted branch (the `tracing || attributing` test folds
-    /// into one load-compare on two adjacent bools).
-    attributing: bool,
-    /// Per-tenant attributed work, keyed by dense tenant id (linear scan —
-    /// tenant counts are small). Becomes [`Metrics::tenants`].
-    tenant_usage: Vec<TenantUsage>,
 }
 
 impl SimEngine {
@@ -529,9 +517,6 @@ impl SimEngine {
             axis: AxisHops::new(&topo),
             tracing: false,
             recorder: RecorderSlot(None),
-            tenant: None,
-            attributing: false,
-            tenant_usage: Vec::new(),
         };
         // Fire any cycle-0 fault events immediately: a timeline that kills a
         // bank "at birth" must behave exactly like a static `FaultPlan` that
@@ -671,64 +656,6 @@ impl SimEngine {
         self.recorder.0.take()
     }
 
-    /// Install (or clear, with `None`) the tenant every subsequent charge is
-    /// attributed to. Attribution is strictly additive — global counters,
-    /// timing and energy are byte-identical with or without tenant contexts
-    /// (pinned by the attribution-equivalence test) — so single-tenant runs
-    /// pay nothing and multi-tenant runs get a per-tenant ledger for free.
-    ///
-    /// An attached recorder sees an [`Event::TenantSwitch`] at each boundary
-    /// (`u32::MAX` encodes "no tenant"), so traces show who owned each span.
-    pub fn set_tenant(&mut self, tenant: Option<TenantId>) {
-        let id = tenant.map(|t| t.0);
-        if self.tenant == id {
-            return;
-        }
-        if self.tracing {
-            let marker = Event::TenantSwitch {
-                tenant: id.unwrap_or(u32::MAX),
-            };
-            if let Some(rec) = self.recorder.0.as_deref_mut() {
-                rec.record(&marker);
-            }
-        }
-        self.tenant = id;
-        // Once any tenant has been seen, stay on the attributing path even
-        // between contexts so TenantUsage lookups remain consistent; the
-        // `tenant == None` case inside attribute() is a cheap early-out.
-        self.attributing = self.attributing || id.is_some();
-    }
-
-    /// Per-tenant work attributed so far (dense insertion order).
-    pub fn tenant_usage(&self) -> &[TenantUsage] {
-        &self.tenant_usage
-    }
-
-    /// The attributed-usage record for `tenant`, created on first use.
-    fn tally(&mut self, tenant: u32) -> &mut TenantUsage {
-        if let Some(i) = self.tenant_usage.iter().position(|u| u.tenant == tenant) {
-            return &mut self.tenant_usage[i];
-        }
-        self.tenant_usage.push(TenantUsage::new(tenant, ""));
-        self.tenant_usage
-            .last_mut()
-            .expect("just pushed a usage record")
-    }
-
-    /// Attribute one event to the current tenant context, if any. Only the
-    /// work-shaped events carry attribution; structural events (residency,
-    /// phases, NoC-model samples) stay global.
-    fn attribute(&mut self, ev: &Event) {
-        let Some(t) = self.tenant else { return };
-        match *ev {
-            Event::Traffic { count, .. } => self.tally(t).traffic_msgs += count,
-            Event::SeOps { count, .. } => self.tally(t).se_ops += count,
-            Event::CoreOps { count } => self.tally(t).core_ops += count,
-            Event::DramAccess { lines, .. } => self.tally(t).dram_lines += lines,
-            _ => {}
-        }
-    }
-
     /// The typed choke point every charge primitive routes through: the
     /// attached recorder (if any) observes `ev`, then the accounting applies
     /// it. `record` is public — callers may feed events directly and get
@@ -736,30 +663,24 @@ impl SimEngine {
     /// sugar (events describe post-redirect reality).
     #[inline(always)]
     pub fn record(&mut self, ev: Event) {
-        if self.tracing || self.attributing {
+        if self.tracing {
             return self.record_slow(ev);
         }
         self.apply(&ev);
     }
 
-    /// The tracing/attributing half of [`Self::record`], outlined — the
-    /// recorder observes, the tenant ledger attributes, then the identical
-    /// [`Self::apply`]. Keeping the *whole* slow path out of line is
-    /// load-bearing for the disabled path: the inlined `record` then never
-    /// takes the event's address, so the event dissolves into registers, the
-    /// match folds to its one matching arm, and each charge primitive
-    /// compiles down to the same direct counter updates it was before the
-    /// choke point existed (the `hotpath` bench in `aff-bench` is the
-    /// regression guard).
+    /// The tracing half of [`Self::record`], outlined — the recorder
+    /// observes, then the identical [`Self::apply`]. Keeping the *whole*
+    /// slow path out of line is load-bearing for the disabled path: the
+    /// inlined `record` then never takes the event's address, so the event
+    /// dissolves into registers, the match folds to its one matching arm,
+    /// and each charge primitive compiles down to the same direct counter
+    /// updates it was before the choke point existed (the `hotpath` bench
+    /// in `aff-bench` is the regression guard).
     #[inline(never)]
     fn record_slow(&mut self, ev: Event) {
-        if self.tracing {
-            if let Some(rec) = self.recorder.0.as_deref_mut() {
-                rec.record(&ev);
-            }
-        }
-        if self.attributing {
-            self.attribute(&ev);
+        if let Some(rec) = self.recorder.0.as_deref_mut() {
+            rec.record(&ev);
         }
         self.apply(&ev);
     }
@@ -820,12 +741,10 @@ impl SimEngine {
                 }
             }
             // DRAM accesses are charged by the DramModel at its call sites;
-            // the NoC model's events carry no analytic accounting, tenant
-            // switches are handled before apply (attribution), and profile
-            // touches exist only for the co-access miner.
+            // the NoC model's events carry no analytic accounting, and
+            // profile touches exist only for the co-access miner.
             Event::DramAccess { .. }
             | Event::RouterActive { .. }
-            | Event::TenantSwitch { .. }
             | Event::ProfileRegion { .. }
             | Event::ProfileTouch { .. } => {}
         }
@@ -858,12 +777,12 @@ impl SimEngine {
     }
 
     /// Charge `n` calls of primitive `p` from `src` to its serving bank
-    /// `dst`. With coalescing on and no recorder or tenant watching, the
-    /// whole primitive is one [`ChargeTable`] add, applied at eviction or
-    /// drain; otherwise every event of it is recorded now.
+    /// `dst`. With coalescing on and no recorder watching, the whole
+    /// primitive is one [`ChargeTable`] add, applied at eviction or drain;
+    /// otherwise every event of it is recorded now.
     #[inline(always)]
     fn primitive(&mut self, p: Primitive, src: BankId, dst: BankId, n: u64) {
-        if self.coalesce && !(self.tracing || self.attributing) {
+        if self.coalesce && !self.tracing {
             if let Some(key) = ChargeTable::primitive_key(p, src, dst) {
                 if n > 0 {
                     if let Some((old, count)) = self.charges.add(key, n) {
@@ -1325,8 +1244,8 @@ impl SimEngine {
     }
 
     /// Resolve capacity misses, compute the cycle estimate, and produce
-    /// [`Metrics`] — the body of [`try_finish`](Self::try_finish).
-    fn finish_inner(mut self) -> Metrics {
+    /// [`Metrics`]. Consumes the engine — one engine per kernel execution.
+    pub fn finish(mut self) -> Metrics {
         self.flush_charges();
         // Any fault events the phase boundaries did not reach fire now, at
         // the final progress estimate — events scheduled beyond the run's
@@ -1396,32 +1315,10 @@ impl SimEngine {
             degradation: report,
             transitions: self.transitions,
             fragmentation_ratio: 0.0,
-            tenants: self.tenant_usage,
+            tenants: Vec::new(),
             hint_source: None,
             inferred_hints: 0,
         }
-    }
-
-    /// Resolve capacity misses, compute the cycle estimate, and produce
-    /// [`Metrics`], checked against the machine's
-    /// [`RunBudget`](aff_sim_core::error::RunBudget). Consumes the engine —
-    /// one engine per kernel execution. When the
-    /// cycle estimate exceeds `budget.max_cycles` the run reports
-    /// [`SimError::BudgetExhausted`] instead of returning metrics, so a
-    /// sweep can refuse to merge results from a run that blew its ceiling.
-    pub fn try_finish(self) -> Result<Metrics, SimError> {
-        let budget = self.config.budget;
-        let metrics = self.finish_inner();
-        if let Some(limit) = budget.max_cycles {
-            if metrics.cycles > limit {
-                return Err(SimError::BudgetExhausted {
-                    budget: BudgetKind::Cycles,
-                    limit,
-                    reached: metrics.cycles,
-                });
-            }
-        }
-        Ok(metrics)
     }
 }
 
@@ -1433,39 +1330,12 @@ mod tests {
         SimEngine::new(MachineConfig::paper_default())
     }
 
-    fn fin(e: SimEngine) -> Metrics {
-        e.try_finish().expect("unlimited budget")
-    }
-
     #[test]
     fn empty_run_is_one_cycle() {
-        let m = fin(engine());
+        let m = engine().finish();
         assert_eq!(m.cycles, 1);
         assert_eq!(m.total_hop_flits, 0);
         assert_eq!(m.l3_miss_rate, 0.0);
-    }
-
-    #[test]
-    fn try_finish_enforces_the_machine_cycle_budget() {
-        use aff_sim_core::error::RunBudget;
-        // Unlimited budget: the run's metrics.
-        let m = engine().try_finish().expect("unlimited budget");
-        assert_eq!(m.cycles, 1);
-        // A 1-cycle ceiling admits the empty run but rejects a loaded one.
-        let cfg =
-            MachineConfig::paper_default().with_budget(RunBudget::unlimited().with_max_cycles(1));
-        assert!(SimEngine::new(cfg.clone()).try_finish().is_ok());
-        let mut e = SimEngine::new(cfg);
-        e.core_ops(1 << 20);
-        let err = e.try_finish().expect_err("2^20 ops blow a 1-cycle ceiling");
-        assert!(matches!(
-            err,
-            SimError::BudgetExhausted {
-                budget: BudgetKind::Cycles,
-                limit: 1,
-                ..
-            }
-        ));
     }
 
     #[test]
@@ -1490,7 +1360,7 @@ mod tests {
         let mut b = engine();
         b.enable_packet_log();
         drive(&mut b);
-        let (ma, mb) = (fin(a), fin(b));
+        let (ma, mb) = (a.finish(), b.finish());
         assert_eq!(ma.cycles, mb.cycles);
         assert_eq!(ma.total_hop_flits, mb.total_hop_flits);
         assert_eq!(ma.breakdown, mb.breakdown);
@@ -1519,7 +1389,7 @@ mod tests {
         let mut traced = engine();
         traced.set_recorder(Box::new(TraceRecorder::default()));
         busy_run(&mut traced);
-        let (mp, mt) = (fin(plain), fin(traced));
+        let (mp, mt) = (plain.finish(), traced.finish());
         assert_eq!(mp.cycles, mt.cycles);
         assert_eq!(mp.total_hop_flits, mt.total_hop_flits);
         assert_eq!(mp.breakdown, mt.breakdown);
@@ -1534,7 +1404,7 @@ mod tests {
         e.set_recorder(Box::new(NullRecorder));
         busy_run(&mut e);
         assert!(e.take_recorder().is_some(), "slot holds the null recorder");
-        let m = fin(e);
+        let m = e.finish();
         assert!(m.total_hop_flits > 0);
     }
 
@@ -1556,7 +1426,7 @@ mod tests {
             replayed.apply(&te.event);
         }
         assert_eq!(replayed, direct);
-        fin(e);
+        e.finish();
     }
 
     #[test]
@@ -1583,7 +1453,7 @@ mod tests {
             count: 100,
             fetch: true,
         });
-        let (ma, mb) = (fin(a), fin(b));
+        let (ma, mb) = (a.finish(), b.finish());
         assert_eq!(ma.cycles, mb.cycles);
         assert_eq!(ma.total_hop_flits, mb.total_hop_flits);
         assert_eq!(ma.breakdown, mb.breakdown);
@@ -1594,7 +1464,7 @@ mod tests {
     fn core_read_charges_round_trip() {
         let mut e = engine();
         e.core_read_lines(0, 9, 100);
-        let m = fin(e);
+        let m = e.finish();
         // 0->9 is 2 hops: request 1 flit, response 3 flits (64+8 = 72B).
         assert_eq!(m.hop_flits_of(TrafficClass::Control), 200);
         assert_eq!(m.hop_flits_of(TrafficClass::Data), 600);
@@ -1604,7 +1474,7 @@ mod tests {
     fn same_bank_forwarding_is_free() {
         let mut e = engine();
         e.forward(5, 5, 4, 1_000_000);
-        let m = fin(e);
+        let m = e.finish();
         assert_eq!(m.total_hop_flits, 0);
     }
 
@@ -1613,7 +1483,7 @@ mod tests {
         let mut e = engine();
         // Heavy forwarding over one link dominates all other bounds.
         e.forward(0, 1, 24, 100_000);
-        let m = fin(e);
+        let m = e.finish();
         assert_eq!(m.breakdown.link, 100_000);
         assert_eq!(m.cycles, 100_000);
     }
@@ -1623,7 +1493,7 @@ mod tests {
         let mut e = engine();
         e.bank_read_lines(3, 5_000);
         e.bank_read_lines(4, 100);
-        let m = fin(e);
+        let m = e.finish();
         assert_eq!(m.breakdown.bank_service, 5_000);
     }
 
@@ -1632,7 +1502,7 @@ mod tests {
         let mut e = engine();
         e.forward(0, 1, 24, 1000);
         e.chain(10, 2); // 10*6 + 2*20 = 100 cycles
-        let m = fin(e);
+        let m = e.finish();
         assert_eq!(m.cycles, 1000 + 100);
         assert_eq!(m.breakdown.chain, 100);
     }
@@ -1643,7 +1513,7 @@ mod tests {
         // 4 MiB resident on a 1 MiB bank: 75% of accesses miss.
         e.register_resident(0, 4 << 20);
         e.bank_read_lines(0, 1000);
-        let m = fin(e);
+        let m = e.finish();
         assert_eq!(m.dram_accesses, 750);
         assert!((m.l3_miss_rate - 0.75).abs() < 0.01);
     }
@@ -1653,7 +1523,7 @@ mod tests {
         let mut e = engine();
         e.register_resident_spread(32 << 20); // half the 64 MiB L3
         e.bank_read_lines(0, 1000);
-        let m = fin(e);
+        let m = e.finish();
         assert_eq!(m.dram_accesses, 0);
         assert_eq!(m.l3_miss_rate, 0.0);
     }
@@ -1662,10 +1532,10 @@ mod tests {
     fn contended_core_atomic_doubles_traffic() {
         let mut q = engine();
         q.core_atomic(0, 9, false, 100);
-        let quiet = fin(q);
+        let quiet = q.finish();
         let mut c = engine();
         c.core_atomic(0, 9, true, 100);
-        let contended = fin(c);
+        let contended = c.finish();
         assert!(contended.total_hop_flits > quiet.total_hop_flits);
     }
 
@@ -1675,7 +1545,7 @@ mod tests {
         e.begin_phase();
         e.remote_atomic(0, 9, 500);
         e.end_phase();
-        let m = fin(e);
+        let m = e.finish();
         assert_eq!(m.occupancy.len(), 1);
         assert!(m.occupancy.snapshots()[0].per_bank[9] > 0.0);
     }
@@ -1689,12 +1559,12 @@ mod tests {
         for b in 0..64u32 {
             slow.forward(b, (b + 32) % 64, 24, 10_000);
         }
-        let slow = fin(slow);
+        let slow = slow.finish();
         let mut fast = engine();
         for b in 0..64u32 {
             fast.forward(b, (b + 1) % 64, 24, 10_000);
         }
-        let fast = fin(fast);
+        let fast = fast.finish();
         assert!(fast.speedup_over(&slow) > 1.0);
         assert!(fast.energy_eff_over(&slow) > 1.0);
         assert!(fast.traffic_vs(&slow) < 1.0);
@@ -1704,7 +1574,7 @@ mod tests {
     fn credits_are_batched() {
         let mut e = engine();
         e.credits(0, 5, 640);
-        let m = fin(e);
+        let m = e.finish();
         // 640 iterations / 64 per credit = 10 messages * 5 hops * 1 flit.
         assert_eq!(m.hop_flits_of(TrafficClass::Control), 50);
     }
@@ -1713,7 +1583,7 @@ mod tests {
     fn offload_config_charges_offload_class() {
         let mut e = engine();
         e.offload_config(0, 9, 3);
-        let m = fin(e);
+        let m = e.finish();
         assert!(m.hop_flits_of(TrafficClass::Offload) > 0);
         assert_eq!(m.hop_flits_of(TrafficClass::Data), 0);
     }
@@ -1762,7 +1632,7 @@ mod tests {
             (1 << 18) + (1 << 10),
             "evacuated + redirected bytes all survived the move"
         );
-        let m = fin(e);
+        let m = e.finish();
         assert_eq!(m.degradation.fault_epochs, 1);
         assert_eq!(
             m.degradation.evacuated_lines,
@@ -1791,7 +1661,7 @@ mod tests {
         let run = |cfg: MachineConfig| {
             let mut e = SimEngine::new(cfg);
             busy_run(&mut e);
-            fin(e)
+            e.finish()
         };
         let (a, b) = (run(cfg_static), run(cfg_timeline));
         // A bank dead "at birth" is indistinguishable from one that never
@@ -1811,7 +1681,7 @@ mod tests {
             .with_fault_timeline(FaultTimeline::none().at(u64::MAX, FaultChange::BankFail(9)));
         let mut e = SimEngine::new(cfg);
         busy_run(&mut e);
-        let m = fin(e);
+        let m = e.finish();
         assert!(m.transitions.is_empty(), "the machine outlived the event");
         assert_eq!(m.degradation.fault_epochs, 0);
     }
@@ -1823,7 +1693,7 @@ mod tests {
         let cfg = MachineConfig::paper_default().with_fault_timeline(FaultTimeline::none());
         let mut b = SimEngine::new(cfg);
         busy_run(&mut b);
-        let (ma, mb) = (fin(a), fin(b));
+        let (ma, mb) = (a.finish(), b.finish());
         // Metrics carries floats and nested reports; the derived Debug repr
         // covers every field, so equal strings mean byte-identical metrics.
         assert_eq!(format!("{ma:?}"), format!("{mb:?}"));
@@ -1833,7 +1703,7 @@ mod tests {
     fn fault_free_run_reports_zero_degradation() {
         let mut e = engine();
         busy_run(&mut e);
-        let m = fin(e);
+        let m = e.finish();
         assert!(m.degradation.is_zero());
     }
 
@@ -1843,7 +1713,7 @@ mod tests {
         busy_run(&mut healthy);
         let mut faulted = faulty_engine(FaultPlan::none());
         busy_run(&mut faulted);
-        let (a, b) = (fin(healthy), fin(faulted));
+        let (a, b) = (healthy.finish(), faulted.finish());
         assert_eq!(a.cycles, b.cycles);
         assert_eq!(a.total_hop_flits, b.total_hop_flits);
         assert_eq!(a.degradation, b.degradation);
@@ -1859,7 +1729,7 @@ mod tests {
         assert_eq!(e.banks().accesses_of(9), 0, "dead bank serves nothing");
         assert_eq!(e.banks().accesses_of(1), 1010);
         assert_eq!(e.banks().resident_of(1), 1 << 20);
-        let m = fin(e);
+        let m = e.finish();
         assert_eq!(m.degradation.remapped_banks, 1);
         assert_eq!(m.degradation.remapped_bytes, 1 << 20);
         assert_eq!(
@@ -1876,7 +1746,7 @@ mod tests {
         let mut e = faulty_engine(FaultPlan::none().fail_bank(9));
         e.se_ops(9, 5_000);
         e.offload_config(0, 9, 3);
-        let m = fin(e);
+        let m = e.finish();
         assert_eq!(m.breakdown.se_compute, 0, "dead SEL3 runs nothing");
         assert!(m.breakdown.core_compute > 0, "tile core absorbs the work");
         assert_eq!(m.degradation.incore_fallback_streams, 3);
@@ -1886,10 +1756,10 @@ mod tests {
     fn slowed_bank_stretches_bank_service() {
         let mut healthy = engine();
         healthy.bank_read_lines(3, 1000);
-        let h = fin(healthy);
+        let h = healthy.finish();
         let mut slowed = faulty_engine(FaultPlan::none().slow_bank(3, 4));
         slowed.bank_read_lines(3, 1000);
-        let s = fin(slowed);
+        let s = slowed.finish();
         assert_eq!(s.breakdown.bank_service, 4 * h.breakdown.bank_service);
         assert!(s.cycles >= h.cycles);
     }
@@ -1898,7 +1768,7 @@ mod tests {
     fn migration_to_dead_bank_is_rerouted() {
         let mut e = faulty_engine(FaultPlan::none().fail_bank(9));
         e.migrate(4, 9, 7);
-        let m = fin(e);
+        let m = e.finish();
         assert_eq!(m.degradation.rerouted_migrations, 7);
     }
 
@@ -1909,7 +1779,7 @@ mod tests {
         let plan = FaultPlan::none().fail_link(LinkRef::between(0, 0, 1, 0).unwrap());
         let mut e = faulty_engine(plan);
         e.forward(0, 1, 24, 10);
-        let m = fin(e);
+        let m = e.finish();
         assert_eq!(m.degradation.rerouted_messages, 10);
         assert_eq!(m.degradation.detour_hops, 20);
     }

@@ -6,16 +6,15 @@
 //! (`remote_atomic`, `core_atomic`, `indirect`, `migrate`) fold into single
 //! entries between phase boundaries. The machine has link faults and fault
 //! epochs fire mid-stream; phases open and close many times, charges land
-//! between phases, a recorder is attached and detached mid-stream, and
-//! tenant contexts switch. Every traffic counter, the recorded events, the
-//! occupancy timeline and the final metrics must be equal.
+//! between phases, and a recorder is attached and detached mid-stream.
+//! Every traffic counter, the recorded events, the occupancy timeline and
+//! the final metrics must be equal.
 
 use aff_noc::traffic::{TrafficClass, TrafficMatrix};
 use aff_nsc::engine::{Metrics, SimEngine};
 use aff_sim_core::config::MachineConfig;
 use aff_sim_core::fault::{FaultChange, FaultPlan, FaultTimeline, LinkRef};
 use aff_sim_core::rng::SimRng;
-use aff_sim_core::tenant::TenantId;
 use aff_sim_core::trace::{Event, SharedRecorder, TimedEvent, TraceRecorder, TrafficKind};
 use std::sync::{Arc, Mutex};
 
@@ -53,9 +52,8 @@ fn charge(e: &mut SimEngine, rng: &mut SimRng) {
 }
 
 /// One random charge stream, replayed identically into `e`: phases of
-/// random length with charges between them, a recorder capturing into
-/// `capture` over the second quarter, and tenant contexts over the last
-/// quarter.
+/// random length with charges between them, and a recorder capturing into
+/// `capture` over the second quarter.
 fn drive(e: &mut SimEngine, seed: u64, charges: usize, capture: &Arc<Mutex<TraceRecorder>>) {
     let mut rng = SimRng::new(seed);
     let mut in_phase = false;
@@ -74,10 +72,6 @@ fn drive(e: &mut SimEngine, seed: u64, charges: usize, capture: &Arc<Mutex<Trace
         }
         if i == charges / 2 {
             assert!(e.take_recorder().is_some());
-        }
-        if i >= charges * 3 / 4 && rng.below(2000) == 0 {
-            let tenant = rng.below(3) as u32;
-            e.set_tenant((tenant > 0).then_some(TenantId(tenant)));
         }
         charge(e, &mut rng);
     }
@@ -129,7 +123,7 @@ fn accumulated_charges_equal_write_through_under_faults() {
             drive(&mut e, seed, 120_000, &capture);
             assert_eq!(e.fault_transitions().len(), 3, "the epoch fired mid-stream");
             let traffic = counters(e.traffic_mut());
-            let metrics = e.try_finish().expect("run finishes");
+            let metrics = e.finish();
             let events: Vec<TimedEvent> = capture
                 .lock()
                 .expect("unpoisoned")
@@ -150,7 +144,6 @@ fn accumulated_charges_equal_write_through_under_faults() {
             acc.1.occupancy, reference.1.occupancy,
             "seed {seed}: occupancy differs"
         );
-        assert_eq!(acc.1.tenants.len(), 2, "both tenants were attributed");
         assert_eq!(
             format!("{:?}", acc.1),
             format!("{:?}", reference.1),
@@ -180,7 +173,7 @@ fn atomics_between_phases_never_reach_the_timeline() {
         }
         // A closing boundary with no phase open re-samples the last phase.
         e.end_phase();
-        e.try_finish().expect("run finishes")
+        e.finish()
     };
     for coalesce in [true, false] {
         let (with, without) = (run(coalesce, true), run(coalesce, false));
@@ -201,7 +194,7 @@ fn bank_counters_read_mid_phase_include_folded_atomics() {
     e.remote_atomic(1, 9, 5);
     assert_eq!(e.banks().atomics_of(9), 12);
     e.end_phase();
-    let m = e.try_finish().expect("run finishes");
+    let m = e.finish();
     assert_eq!(m.occupancy.len(), 1);
     assert!(m.occupancy.snapshots()[0].per_bank[9] > 0.0);
 }

@@ -7,7 +7,6 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::error::RunBudget;
 use crate::fault::{FaultPlan, FaultTimeline};
 
 /// Size of one cache line in bytes. Sub-line interleaving is unsupported by
@@ -72,11 +71,11 @@ impl TopologyKind {
 /// literal.
 ///
 /// Serde-default audit: every field added after the original Table 2 schema
-/// (`bank_order`, `topology`, `allow_npot_interleave`, `faults`, `budget`,
+/// (`bank_order`, `topology`, `allow_npot_interleave`, `faults`,
 /// `fault_timeline`) carries `#[serde(default)]`, and each of those defaults
 /// reproduces the paper-default value (`RowMajor`, `Mesh`, `false`, no faults,
-/// unlimited budget, empty timeline) — so configs serialized before those
-/// knobs existed still load and mean the same machine. Core Table 2 fields
+/// empty timeline) — so configs serialized before those knobs existed still
+/// load and mean the same machine. Core Table 2 fields
 /// are deliberately *not* defaulted: a config missing `mesh_x` is a bug, not
 /// an old file.
 ///
@@ -109,12 +108,8 @@ pub struct MachineConfig {
     pub default_interleave: u64,
     /// Private L2 capacity in bytes (paper: 256 KiB) — reuse filter.
     pub l2_bytes: u64,
-    /// Private L2 hit latency in cycles (paper: 16).
-    pub l2_latency: u64,
     /// Private L1D capacity in bytes (paper: 32 KiB).
     pub l1_bytes: u64,
-    /// L1 hit latency in cycles (paper: 2).
-    pub l1_latency: u64,
     /// NoC link width in bytes per cycle per direction (paper: 32 B).
     pub link_bytes_per_cycle: u64,
     /// Per-hop router latency in cycles (paper: 5-stage router + 1-cycle link).
@@ -125,8 +120,6 @@ pub struct MachineConfig {
     pub num_mem_ctrls: u32,
     /// DRAM bandwidth in bytes/cycle aggregate (paper: 25.6 GB/s @ 2 GHz ⇒ 12.8 B/cy).
     pub dram_bytes_per_cycle: u64,
-    /// DRAM access latency in cycles.
-    pub dram_latency: u64,
     /// Streams the L3 stream engine can run concurrently per bank
     /// (paper: 768 total across 64 banks ⇒ 12/bank).
     pub sel3_streams_per_bank: u32,
@@ -159,12 +152,6 @@ pub struct MachineConfig {
     /// before fault injection existed still load as healthy machines.
     #[serde(default)]
     pub faults: FaultPlan,
-    /// Run-to-completion budget ([`RunBudget::unlimited`] by default). Like
-    /// `faults`, it lives on the machine description so the NoC simulators
-    /// and the engine enforce the same ceilings.
-    /// Serde-defaulted so configs written before budgets existed still load.
-    #[serde(default)]
-    pub budget: RunBudget,
     /// Cycle-stamped schedule of fault arrivals and repairs that land while
     /// the run is live ([`FaultTimeline::none`] for a machine whose fault
     /// state never changes — the `faults` plan alone). Serde-defaulted (empty
@@ -188,15 +175,12 @@ impl MachineConfig {
             l3_latency: 20,
             default_interleave: 1024,
             l2_bytes: 256 << 10,
-            l2_latency: 16,
             l1_bytes: 32 << 10,
-            l1_latency: 2,
             link_bytes_per_cycle: 32,
             hop_latency: 6,
             packet_header_bytes: 8,
             num_mem_ctrls: 4,
             dram_bytes_per_cycle: 13,
-            dram_latency: 100,
             sel3_streams_per_bank: 12,
             sel3_compute_init_latency: 4,
             iot_entries: 16,
@@ -205,15 +189,8 @@ impl MachineConfig {
             topology: TopologyKind::Mesh,
             allow_npot_interleave: false,
             faults: FaultPlan::none(),
-            budget: RunBudget::unlimited(),
             fault_timeline: FaultTimeline::none(),
         }
-    }
-
-    /// The same machine with a run budget installed (see [`RunBudget`]).
-    pub fn with_budget(mut self, budget: RunBudget) -> Self {
-        self.budget = budget;
-        self
     }
 
     /// The same machine with a fault plan installed. The plan must validate
@@ -407,17 +384,15 @@ impl MachineConfigBuilder {
         self
     }
 
-    /// Private L2 capacity in bytes and hit latency in cycles.
-    pub fn l2(mut self, bytes: u64, latency: u64) -> Self {
+    /// Private L2 capacity in bytes.
+    pub fn l2(mut self, bytes: u64) -> Self {
         self.cfg.l2_bytes = bytes;
-        self.cfg.l2_latency = latency;
         self
     }
 
-    /// Private L1D capacity in bytes and hit latency in cycles.
-    pub fn l1(mut self, bytes: u64, latency: u64) -> Self {
+    /// Private L1D capacity in bytes.
+    pub fn l1(mut self, bytes: u64) -> Self {
         self.cfg.l1_bytes = bytes;
-        self.cfg.l1_latency = latency;
         self
     }
 
@@ -445,10 +420,9 @@ impl MachineConfigBuilder {
         self
     }
 
-    /// DRAM aggregate bandwidth (bytes/cycle) and access latency (cycles).
-    pub fn dram(mut self, bytes_per_cycle: u64, latency: u64) -> Self {
+    /// DRAM aggregate bandwidth in bytes/cycle.
+    pub fn dram(mut self, bytes_per_cycle: u64) -> Self {
         self.cfg.dram_bytes_per_cycle = bytes_per_cycle;
-        self.cfg.dram_latency = latency;
         self
     }
 
@@ -499,12 +473,6 @@ impl MachineConfigBuilder {
     /// order of `faults` vs `mesh` calls does not matter.
     pub fn faults(mut self, faults: FaultPlan) -> Self {
         self.cfg.faults = faults;
-        self
-    }
-
-    /// Install a run-to-completion budget.
-    pub fn budget(mut self, budget: RunBudget) -> Self {
-        self.cfg.budget = budget;
         self
     }
 
@@ -699,13 +667,13 @@ mod tests {
             .l3_bank_bytes(32 << 10)
             .l3_latency(10)
             .default_interleave(256)
-            .l2(128 << 10, 12)
-            .l1(16 << 10, 1)
+            .l2(128 << 10)
+            .l1(16 << 10)
             .link_bytes_per_cycle(16)
             .hop_latency(2)
             .packet_header_bytes(4)
             .num_mem_ctrls(2)
-            .dram(8, 50)
+            .dram(8)
             .sel3_streams_per_bank(6)
             .sel3_compute_init_latency(2)
             .iot_entries(8)
@@ -713,7 +681,6 @@ mod tests {
             .bank_order(BankOrder::Snake)
             .topology(TopologyKind::Torus)
             .allow_npot_interleave(true)
-            .budget(RunBudget::unlimited())
             .build();
         assert_eq!(m.num_banks(), 8);
         assert_eq!(m.clock_mhz, 1000);
@@ -721,13 +688,13 @@ mod tests {
         assert_eq!(m.l3_bank_bytes, 32 << 10);
         assert_eq!(m.l3_latency, 10);
         assert_eq!(m.default_interleave, 256);
-        assert_eq!((m.l2_bytes, m.l2_latency), (128 << 10, 12));
-        assert_eq!((m.l1_bytes, m.l1_latency), (16 << 10, 1));
+        assert_eq!(m.l2_bytes, 128 << 10);
+        assert_eq!(m.l1_bytes, 16 << 10);
         assert_eq!(m.link_bytes_per_cycle, 16);
         assert_eq!(m.hop_latency, 2);
         assert_eq!(m.packet_header_bytes, 4);
         assert_eq!(m.num_mem_ctrls, 2);
-        assert_eq!((m.dram_bytes_per_cycle, m.dram_latency), (8, 50));
+        assert_eq!(m.dram_bytes_per_cycle, 8);
         assert_eq!(m.sel3_streams_per_bank, 6);
         assert_eq!(m.sel3_compute_init_latency, 2);
         assert_eq!(m.iot_entries, 8);

@@ -1,17 +1,16 @@
 //! Typed simulation errors and run budgets — the run-to-completion layer.
 //!
 //! Long sweeps (hundreds of cycle-level simulations per figure) must never
-//! hang or die without a diagnosis. This module gives every execution engine
-//! a shared vocabulary for *why* a run stopped early:
+//! hang or die without a diagnosis. This module gives the simulators a
+//! shared vocabulary for *why* a run stopped early:
 //!
 //! * [`RunBudget`] — hard resource ceilings (`max_cycles`, `max_events`,
-//!   `wall_ms`) plus the progress-watchdog patience, carried on
-//!   [`MachineConfig`](crate::config::MachineConfig) so every engine sees the
-//!   same limits without extra plumbing.
-//! * [`SimError`] — the typed-error hierarchy returned by the fallible
-//!   (`try_*`) entry points of the NoC simulators and the engine;
-//!   `Stalled` carries a [`StallSnapshot`] naming the routers
-//!   and fault-plan links implicated in a wedged network.
+//!   `wall_ms`) plus the progress-watchdog patience, passed explicitly to
+//!   the cycle-accurate NoC's `try_simulate` entry points.
+//! * [`SimError`] — the typed-error hierarchy returned by those fallible
+//!   (`try_*`) entry points and by the sweep harness; `Stalled` carries a
+//!   [`StallSnapshot`] naming the routers and fault-plan links implicated
+//!   in a wedged network.
 
 use serde::{Deserialize, Serialize};
 

@@ -3,10 +3,9 @@
 //! sweep sidecar exports.
 //!
 //! The allocator-service layer (`affinity-alloc::service`) admits every
-//! `malloc_aff`/`free_aff` against a [`TenantSpec`]; the NSC engine attributes
-//! offload work to the tenant installed via `SimEngine::set_tenant`. Both
-//! report through [`TenantUsage`], the serde-stable record that lands in the
-//! `aff-bench/sweep-v5` metrics sidecar.
+//! `malloc_aff`/`free_aff` against a [`TenantSpec`] and reports through
+//! [`TenantUsage`], the serde-stable record that lands in the metrics
+//! sidecar.
 //!
 //! Everything here is deterministic by construction: backoff delays are pure
 //! functions of `(seed, tenant, attempt)` via [`crate::rng::SimRng::split`],
@@ -128,9 +127,9 @@ fn backoff_stream(tenant: u32, attempt: u32) -> u64 {
     0x7e4a_0000_0000_0000u64 ^ ((tenant as u64) << 32) ^ attempt as u64
 }
 
-/// Per-tenant usage snapshot: admission outcomes, residency and attributed
-/// offload work. Lands in the sweep-v5 sidecar; every field defaults so
-/// older readers and newer writers stay compatible.
+/// Per-tenant usage snapshot: admission outcomes, residency and fault
+/// evacuation. Lands in the metrics sidecar; every field defaults so older
+/// readers and newer writers stay compatible.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct TenantUsage {
     /// Tenant id (dense registration order).
@@ -162,18 +161,6 @@ pub struct TenantUsage {
     /// Bytes whose quota accounting migrated with fault evacuation.
     #[serde(default)]
     pub migrated_bytes: u64,
-    /// Stream-engine ops attributed to this tenant by the NSC engine.
-    #[serde(default)]
-    pub se_ops: u64,
-    /// OOO-core ops attributed to this tenant.
-    #[serde(default)]
-    pub core_ops: u64,
-    /// NoC messages attributed to this tenant.
-    #[serde(default)]
-    pub traffic_msgs: u64,
-    /// DRAM lines attributed to this tenant.
-    #[serde(default)]
-    pub dram_lines: u64,
 }
 
 impl TenantUsage {

@@ -157,14 +157,6 @@ pub enum Event {
         /// Flits traversed this sample.
         flits: u64,
     },
-    /// Attribution context switch: subsequent engine charges belong to
-    /// `tenant` (`u32::MAX` clears attribution back to the system). Emitted
-    /// by `SimEngine::set_tenant`; purely observational — the accounting
-    /// effect happens in the engine, recorders just see the boundary.
-    TenantSwitch {
-        /// Dense tenant id, or `u32::MAX` for "no tenant".
-        tenant: u32,
-    },
     /// Profiling only: the run allocated profiled region `region` (its
     /// allocation-order ordinal) of `num_elems` elements of `elem_size`
     /// bytes (0 elements when open-ended, e.g. a node class). Emitted before
@@ -446,14 +438,6 @@ impl TraceRecorder {
                         out,
                         "{{\"ph\":\"E\",\"name\":\"phase\",\"cat\":\"engine\",\
                          \"pid\":{PID_ENGINE},\"tid\":0,\"ts\":{ts}}}"
-                    );
-                }
-                Event::TenantSwitch { tenant } => {
-                    let _ = write!(
-                        out,
-                        "{{\"ph\":\"i\",\"name\":\"tenant_switch\",\"cat\":\"engine\",\
-                         \"pid\":{PID_ENGINE},\"tid\":0,\"ts\":{ts},\"s\":\"t\",\
-                         \"args\":{{\"tenant\":{tenant}}}}}"
                     );
                 }
                 Event::RouterActive {

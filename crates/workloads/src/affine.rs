@@ -260,7 +260,7 @@ pub fn run_stencil_opts(s: &Stencil, cfg: &RunConfig, private_filter: bool) -> M
         SystemConfig::InCore => run_in_core(s, &arrays, &mut alloc, &mut engine, private_filter),
         _ => run_near_l3(s, &arrays, &mut alloc, &mut engine, mining),
     }
-    let mut m = engine.try_finish().unwrap_or_else(|e| panic!("{e}"));
+    let mut m = engine.finish();
     m.degradation.merge(&alloc.degradation());
     cfg.hints.stamp(&mut m);
     m
@@ -315,7 +315,7 @@ pub fn run_vecadd_forced_delta(n: u64, delta: Option<u32>, cfg: &RunConfig) -> M
         SystemConfig::InCore => run_in_core(&s, &arrays, &mut alloc, &mut engine, true),
         _ => run_near_l3(&s, &arrays, &mut alloc, &mut engine, cfg.profiling()),
     }
-    let mut m = engine.try_finish().unwrap_or_else(|e| panic!("{e}"));
+    let mut m = engine.finish();
     m.degradation.merge(&alloc.degradation());
     m
 }

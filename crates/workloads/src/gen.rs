@@ -153,12 +153,6 @@ pub fn with_uniform_weights(g: &Graph, seed: u64) -> Graph {
     uniform_weights(g, SimRng::new(seed ^ 0x77E1))
 }
 
-/// Uniform random `u64` keys.
-pub fn uniform_keys(n: usize, seed: u64) -> Vec<u64> {
-    let mut rng = SimRng::new(seed);
-    (0..n).map(|_| rng.next_u64()).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -278,12 +272,5 @@ mod tests {
         let w = with_uniform_weights(&g, 3);
         assert!(w.is_weighted());
         assert_eq!(w.num_edges(), g.num_edges());
-    }
-
-    #[test]
-    fn uniform_keys_unique_enough() {
-        let ks = uniform_keys(10_000, 11);
-        let set: std::collections::HashSet<_> = ks.iter().collect();
-        assert_eq!(set.len(), 10_000);
     }
 }

@@ -493,7 +493,7 @@ impl GraphInstance {
     /// Consume the instance, producing metrics. The allocator's degradation
     /// (excluded banks, fallback-chain use) is folded into the engine's.
     pub fn finish(self) -> Metrics {
-        let mut m = self.engine.try_finish().unwrap_or_else(|e| panic!("{e}"));
+        let mut m = self.engine.finish();
         m.degradation.merge(&self.alloc.degradation());
         self.hints.stamp(&mut m);
         m

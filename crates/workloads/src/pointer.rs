@@ -206,7 +206,7 @@ pub fn run_link_list(params: LinkListParams, cfg: &RunConfig) -> Metrics {
         u64::from(cfg.machine.num_banks()) * u64::from(cfg.machine.sel3_streams_per_bank)
     };
     fold_serial(&mut engine, &serials, concurrency);
-    let mut m = engine.try_finish().unwrap_or_else(|e| panic!("{e}"));
+    let mut m = engine.finish();
     m.degradation.merge(&alloc.degradation());
     cfg.hints.stamp(&mut m);
     m
@@ -254,7 +254,7 @@ pub fn run_hash_join(params: HashJoinParams, cfg: &RunConfig) -> Metrics {
         u64::from(cfg.machine.num_banks()) * u64::from(cfg.machine.sel3_streams_per_bank)
     };
     fold_serial(&mut engine, &serials, concurrency);
-    let mut m = engine.try_finish().unwrap_or_else(|e| panic!("{e}"));
+    let mut m = engine.finish();
     m.degradation.merge(&alloc.degradation());
     cfg.hints.stamp(&mut m);
     m
@@ -295,7 +295,7 @@ pub fn run_bin_tree(params: BinTreeParams, cfg: &RunConfig) -> Metrics {
         u64::from(cfg.machine.num_banks()) * u64::from(cfg.machine.sel3_streams_per_bank)
     };
     fold_serial(&mut engine, &serials, concurrency);
-    let mut m = engine.try_finish().unwrap_or_else(|e| panic!("{e}"));
+    let mut m = engine.finish();
     m.degradation.merge(&alloc.degradation());
     cfg.hints.stamp(&mut m);
     m
