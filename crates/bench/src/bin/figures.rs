@@ -10,7 +10,6 @@
 //! figures --sweep-json f.json # where to write the perf report
 //! figures --journal j --resume all   # crash-safe: replay completed cells
 //! figures --memo m all               # cross-run cell cache
-//! figures --cell-timeout-ms 60000 --max-retries 1 all  # run-to-completion
 //! figures --metrics fig13            # per-cell metrics in the sweep report
 //! figures --trace t.json fig13       # + one traced cell as Chrome JSON
 //! figures --chaos 7 fig13            # deterministic fault-timeline chaos
@@ -35,10 +34,7 @@
 //! * `0` — every cell completed;
 //! * `2` — usage error (bad flag, unknown figure id);
 //! * `3` — one or more cells failed (figures still produced, failed cells
-//!   annotated as `NaN` rows / notes);
-//! * `4` — one or more cells hit a run-to-completion limit (cycle/event
-//!   budget, stall watchdog, or `--cell-timeout-ms`); takes precedence
-//!   over 3 when both classes occur.
+//!   annotated as `NaN` rows / notes); `--resume` re-runs exactly those.
 
 use aff_bench::figures::{plan_figure, traced_fig13_cell, GeometrySpec, HarnessOpts, ALL_FIGURES};
 use aff_bench::report::AggregateRow;
@@ -50,8 +46,8 @@ fn usage() {
         "usage: figures [--full] [--seed N] [--geometry WxH[:torus|:cmesh]] [--tenants N] \
          [--jobs N] [--json] \
          [--sweep-json PATH|none] [--journal PATH|none] [--resume] [--memo PATH] \
-         [--aggregate-from PATH] [--cell-timeout-ms N] \
-         [--max-retries N] [--metrics] [--trace PATH] [--chaos SEED] [--chaos-intensity N] \
+         [--aggregate-from PATH] [--metrics] [--trace PATH] [--chaos SEED] \
+         [--chaos-intensity N] \
          (all | figN...)"
     );
     eprintln!("known figures: {ALL_FIGURES:?}");
@@ -78,7 +74,7 @@ fn usage() {
     eprintln!("                 sampled from SEED; online invariant checks fail cells");
     eprintln!("                 soft (exit 3) instead of aborting the sweep");
     eprintln!("  --chaos-intensity N   fault events per sampled timeline (default 4)");
-    eprintln!("exit codes: 0 ok, 2 usage, 3 cell failures, 4 budget/timeout/stall failures");
+    eprintln!("exit codes: 0 ok, 2 usage, 3 cell failures");
 }
 
 fn main() {
@@ -91,8 +87,6 @@ fn main() {
     let mut resume = false;
     let mut memo: Option<String> = None;
     let mut aggregate_from: Option<String> = None;
-    let mut cell_timeout_ms: Option<u64> = None;
-    let mut max_retries: u32 = 0;
     let mut metrics = false;
     let mut trace_path: Option<String> = None;
     let mut chaos: Option<u64> = None;
@@ -140,20 +134,6 @@ fn main() {
                 Some(Ok(v)) if v >= 1 => jobs = v,
                 _ => {
                     eprintln!("--jobs needs an integer value >= 1");
-                    std::process::exit(2);
-                }
-            },
-            "--cell-timeout-ms" => match args.next().map(|v| v.parse::<u64>()) {
-                Some(Ok(v)) if v >= 1 => cell_timeout_ms = Some(v),
-                _ => {
-                    eprintln!("--cell-timeout-ms needs an integer value >= 1");
-                    std::process::exit(2);
-                }
-            },
-            "--max-retries" => match args.next().map(|v| v.parse::<u32>()) {
-                Some(Ok(v)) => max_retries = v,
-                _ => {
-                    eprintln!("--max-retries needs an integer value");
                     std::process::exit(2);
                 }
             },
@@ -241,8 +221,6 @@ fn main() {
     let run_opts = RunOpts {
         jobs,
         seed: opts.seed,
-        cell_timeout_ms,
-        max_retries,
         journal: journal.map(std::path::PathBuf::from),
         resume,
         collect_metrics: metrics,
@@ -309,12 +287,6 @@ fn main() {
             "  wrote {path} (traced fig13 cell {label}, {:.1?}; load in chrome://tracing)",
             trace_start.elapsed()
         );
-    }
-    if report.budget_failures().count() > 0 {
-        // Run-to-completion limits (budgets, watchdog stalls, timeouts) get
-        // their own exit code so CI can tell "the model is broken" (3) from
-        // "the run needs a bigger budget" (4).
-        std::process::exit(4);
     }
     if report.failures().count() > 0 {
         // Cells fail soft (recorded per cell, merged figures annotated), but

@@ -1245,7 +1245,7 @@ pub fn abl_node_capacity_plan(opts: HarnessOpts) -> SweepPlan {
                     linked.mean_indirect_hops(alloc.topo(), &g, &props),
                 ];
                 CellData::Rows {
-                    rows: vec![Row::new(label.clone(), values)],
+                    rows: vec![Row::new(label, values)],
                     sim_cycles: 0,
                 }
             })
@@ -1401,7 +1401,7 @@ pub fn tenants_plan(opts: HarnessOpts) -> SweepPlan {
         .map(|&c| {
             let m = machine.clone();
             let idx = b.cell(format!("churn/{c}t"), move |ctx| {
-                let m = ctx.machine(m.clone());
+                let m = ctx.machine(m);
                 let spec = ChurnSpec {
                     machine: m.clone(),
                     ..ChurnSpec::new(c, ops, seed)
@@ -1419,7 +1419,7 @@ pub fn tenants_plan(opts: HarnessOpts) -> SweepPlan {
 
     let m = machine.clone();
     let overload = b.cell("overload", move |ctx| {
-        let m = ctx.machine(m.clone());
+        let m = ctx.machine(m);
         let spec = ChurnSpec {
             machine: m.clone(),
             window: Some((64, 8, 8)),
@@ -1432,7 +1432,7 @@ pub fn tenants_plan(opts: HarnessOpts) -> SweepPlan {
 
     let m = machine.clone();
     let quota = b.cell("quota", move |ctx| {
-        let m = ctx.machine(m.clone());
+        let m = ctx.machine(m);
         let spec = ChurnSpec {
             machine: m.clone(),
             quota_bytes: Some(64 << 10),
@@ -1444,7 +1444,7 @@ pub fn tenants_plan(opts: HarnessOpts) -> SweepPlan {
 
     let m = machine.clone();
     let isolation = b.cell("isolation", move |ctx| {
-        let m = ctx.machine(m.clone());
+        let m = ctx.machine(m);
         let tenants = 4.min(max_tenants);
         let mut spec = ChurnSpec {
             machine: m.clone(),

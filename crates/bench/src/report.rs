@@ -184,7 +184,7 @@ impl Figure {
     }
 }
 
-/// Per-cell simulation metrics sidecar (schema `aff-bench/sweep-v8`).
+/// Per-cell simulation metrics sidecar (schema `aff-bench/sweep-v9`).
 ///
 /// A compact, plotting-oriented projection of
 /// [`Metrics`](aff_nsc::engine::Metrics): the handful of scalars the paper's
@@ -334,9 +334,6 @@ pub struct CellStat {
     pub wall_ns: u64,
     /// Simulated cycles the cell covered (0 for table-style cells).
     pub sim_cycles: u64,
-    /// Execution attempts the outcome took (1 = first try; retries add up).
-    #[serde(default)]
-    pub attempts: u32,
     /// Whether the outcome was replayed from a resume journal instead of
     /// executed this run.
     #[serde(default)]
@@ -355,17 +352,6 @@ impl CellStat {
             return 0.0;
         }
         (self.sim_cycles as f64 / 1e6) / (self.wall_ns as f64 / 1e9)
-    }
-
-    /// Whether this cell's failure is a run-to-completion limit (cycle/event
-    /// budget, watchdog stall, or wall-clock timeout) rather than a broken
-    /// cell. The `figures` binary maps these to exit code 4.
-    pub fn budget_limited(&self) -> bool {
-        self.error.as_deref().is_some_and(|e| {
-            e.contains("budget exhausted:")
-                || e.contains("stalled: no flit moved")
-                || e.contains("timeout: cell exceeded")
-        })
     }
 }
 
@@ -481,12 +467,6 @@ impl SweepReport {
         self.cells.iter().filter(|c| !c.ok)
     }
 
-    /// Failed cells whose error is a run-to-completion limit (budget,
-    /// stall watchdog, timeout) — the `figures` exit-code-4 class.
-    pub fn budget_failures(&self) -> impl Iterator<Item = &CellStat> {
-        self.cells.iter().filter(|c| c.budget_limited())
-    }
-
     /// Aggregate simulated megacycles per wall-second.
     pub fn mcycles_per_sec(&self) -> f64 {
         if self.wall_ns == 0 {
@@ -505,7 +485,7 @@ impl SweepReport {
         }
     }
 
-    /// Render as JSON (`BENCH_sweep.json` schema `aff-bench/sweep-v8`).
+    /// Render as JSON (`BENCH_sweep.json` schema `aff-bench/sweep-v9`).
     ///
     /// v3 over v2: every cell object carries a `"metrics"` key — the
     /// [`CellMetrics`] sidecar object when collected, `null` otherwise.
@@ -519,6 +499,8 @@ impl SweepReport {
     /// `null`/0 everywhere else.
     /// v8 over v7: `tenants` records lose `se_ops`, `core_ops`,
     /// `traffic_msgs` and `dram_lines`.
+    /// v9 over v8: the per-cell retry count and the run-level count of
+    /// budget-limited cells are gone (every cell runs exactly once).
     pub fn to_json(&self) -> String {
         let cells: Vec<String> = self
             .cells
@@ -535,7 +517,7 @@ impl SweepReport {
                 format!(
                     "    {{ \"figure\": {}, \"label\": {}, \"ok\": {}, \"error\": {}, \
                      \"wall_ms\": {}, \"sim_cycles\": {}, \"mcycles_per_sec\": {}, \
-                     \"attempts\": {}, \"cached\": {}, \"metrics\": {} }}",
+                     \"cached\": {}, \"metrics\": {} }}",
                     esc(&c.figure),
                     esc(&c.label),
                     c.ok,
@@ -543,7 +525,6 @@ impl SweepReport {
                     num(c.wall_ns as f64 / 1e6),
                     c.sim_cycles,
                     num(c.mcycles_per_sec()),
-                    c.attempts,
                     c.cached,
                     metrics,
                 )
@@ -552,10 +533,10 @@ impl SweepReport {
         let mut aggregates: Vec<String> = vec![self.aggregate().to_json()];
         aggregates.extend(self.extra_aggregates.iter().map(AggregateRow::to_json));
         format!(
-            "{{\n  \"schema\": \"aff-bench/sweep-v8\",\n  \"jobs\": {},\n  \"seed\": {},\n  \
+            "{{\n  \"schema\": \"aff-bench/sweep-v9\",\n  \"jobs\": {},\n  \"seed\": {},\n  \
              \"wall_ms\": {},\n  \"total_sim_cycles\": {},\n  \"total_cell_wall_ms\": {},\n  \
              \"mcycles_per_sec\": {},\n  \"parallelism\": {},\n  \"failed_cells\": {},\n  \
-             \"budget_failed_cells\": {},\n  \"resumed_cells\": {},\n  \"memo_hits\": {},\n  \
+             \"resumed_cells\": {},\n  \"memo_hits\": {},\n  \
              \"journal_error\": {},\n  \"aggregates\": [\n{}\n  ],\n  \
              \"cells\": [\n{}\n  ]\n}}",
             self.jobs,
@@ -570,7 +551,6 @@ impl SweepReport {
                 self.total_cell_wall_ns() as f64 / self.wall_ns as f64
             }),
             self.failures().count(),
-            self.budget_failures().count(),
             self.resumed_cells,
             self.memo_hits,
             match &self.journal_error {
@@ -672,7 +652,6 @@ mod tests {
                     error: None,
                     wall_ns: 1_000_000,
                     sim_cycles: 5_000_000,
-                    attempts: 1,
                     cached: true,
                     metrics: Some(CellMetrics {
                         cycles: 5_000_000,
@@ -704,7 +683,6 @@ mod tests {
                     error: Some("boom \"quoted\"".into()),
                     wall_ns: 3_000_000,
                     sim_cycles: 0,
-                    attempts: 2,
                     cached: false,
                     metrics: None,
                 },
@@ -735,10 +713,9 @@ mod tests {
     #[test]
     fn sweep_report_json_is_well_formed() {
         let j = sample_sweep().to_json();
-        assert!(j.contains("\"schema\": \"aff-bench/sweep-v8\""));
+        assert!(j.contains("\"schema\": \"aff-bench/sweep-v9\""));
         assert!(j.contains("\"jobs\": 4"));
         assert!(j.contains("\"failed_cells\": 1"));
-        assert!(j.contains("\"budget_failed_cells\": 0"));
         assert!(j.contains("\"resumed_cells\": 1"));
         assert!(j.contains("\"memo_hits\": 1"));
         assert!(j.contains("\"journal_error\": null"));
@@ -749,7 +726,6 @@ mod tests {
             "{ \"jobs\": 1, \"wall_ms\": 8.5, \"total_sim_cycles\": 5000000, \
                             \"mcycles_per_sec\": 588.2 }"
         ));
-        assert!(j.contains("\"attempts\": 2"));
         assert!(j.contains("\"cached\": true"));
         assert!(j.contains("boom \\\"quoted\\\""));
         // Metrics sidecar: present on the first cell, null on the second,
@@ -787,26 +763,6 @@ mod tests {
         assert_eq!(rows[1], r.extra_aggregates[0]);
         // Garbage parses to nothing, not a panic.
         assert!(AggregateRow::parse_report("not json at all").is_empty());
-    }
-
-    #[test]
-    fn budget_limited_matches_run_to_completion_errors() {
-        let mut c = sample_sweep().cells[1].clone();
-        assert!(!c.budget_limited());
-        for msg in [
-            "budget exhausted: max_cycles limit 100 reached (101)",
-            "stalled: no flit moved for 10000 cycles at cycle 10042 with 337 \
-             flits in flight across 3 congested routers",
-            "timeout: cell exceeded 50 ms wall clock",
-        ] {
-            c.error = Some(msg.to_string());
-            assert!(c.budget_limited(), "{msg}");
-        }
-        let r = SweepReport {
-            cells: vec![c],
-            ..sample_sweep()
-        };
-        assert_eq!(r.budget_failures().count(), 1);
     }
 
     #[test]

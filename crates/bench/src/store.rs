@@ -2,7 +2,7 @@
 //! `figures --journal` (crash-safe resume) and `figures --memo` (cross-run
 //! cell cache).
 //!
-//! A store is a 16-byte header — the `AFFCELL2` magic and the build's
+//! A store is a 16-byte header — the `AFFCELL3` magic and the build's
 //! [`code_salt`] — followed by self-delimiting records:
 //!
 //! ```text
@@ -50,7 +50,7 @@ use aff_workloads::suite::SuiteRun;
 /// File magic: identifies the format *and* its version. Bump the trailing
 /// digit on any payload-layout change so old stores are refused, not
 /// misparsed.
-const MAGIC: &[u8; 8] = b"AFFCELL2";
+const MAGIC: &[u8; 8] = b"AFFCELL3";
 
 /// Header length: magic + code salt.
 const HEADER_LEN: usize = 16;
@@ -92,9 +92,7 @@ pub struct CellEntry {
     pub cell_idx: u64,
     /// Cell label.
     pub label: String,
-    /// Execution attempts the outcome took (1 = first try).
-    pub attempts: u32,
-    /// Wall time of the successful (or final) attempt, nanoseconds.
+    /// Wall time of the cell's run, nanoseconds.
     pub wall_ns: u64,
     /// The outcome: cell data, or the cell-level error message.
     pub result: Result<CellData, String>,
@@ -416,7 +414,6 @@ fn put_entry(out: &mut Vec<u8>, e: &CellEntry) {
     put_str(out, &e.figure);
     put_u64(out, e.cell_idx);
     put_str(out, &e.label);
-    put_u32(out, e.attempts);
     put_u64(out, e.wall_ns);
     match &e.result {
         Ok(data) => put_cell_data(out, data),
@@ -641,7 +638,6 @@ impl<'a> Dec<'a> {
         let figure = self.string()?;
         let cell_idx = self.u64()?;
         let label = self.string()?;
-        let attempts = self.u32()?;
         let wall_ns = self.u64()?;
         let tag = self.u8()?;
         let result = if tag == 0 {
@@ -656,7 +652,6 @@ impl<'a> Dec<'a> {
             figure,
             cell_idx,
             label,
-            attempts,
             wall_ns,
             result,
         })
@@ -743,7 +738,6 @@ mod tests {
             figure: figure.into(),
             cell_idx: idx,
             label: format!("{figure}#{idx}"),
-            attempts: 1,
             wall_ns: 42,
             result,
         }

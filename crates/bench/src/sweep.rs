@@ -22,20 +22,13 @@
 //! a cell-level error in the report, and surfaced as `NaN` rows / notes in
 //! the merged figure — one broken cell never aborts the harness.
 //!
-//! Run-to-completion extras (all opt-in via [`RunOpts`]):
-//!
-//! * **per-cell timeout** — the cell runs on a watchdog thread; if it blows
-//!   `cell_timeout_ms` of wall clock the worker abandons it and records a
-//!   `timeout:` error instead of hanging the sweep;
-//! * **bounded retry** — a panicked or timed-out cell re-runs up to
-//!   `max_retries` times, each attempt on a deterministically re-split RNG
-//!   stream (attempt 0 uses the unchanged stream, so retry-free runs are
-//!   byte-identical to the engine without this feature);
-//! * **cell stores** — every outcome is appended (fsync'd, checksummed) to
-//!   the journal and memo [`CellStore`]s, keyed by a content hash of
-//!   everything the cell's bytes depend on. With `resume` the journal's
-//!   intact prefix is a lookup table, and only missing or failed cells
-//!   execute; the memo serves the same lookups across runs.
+//! Every cell runs exactly once per sweep, on its own stream, so its bytes
+//! depend only on its key. Run-to-completion rests on the cell stores (opt-in
+//! via [`RunOpts`]): every outcome is appended (fsync'd, checksummed) to the
+//! journal and memo [`CellStore`]s, keyed by a content hash of everything the
+//! cell's bytes depend on. With `resume` the journal's intact prefix is a
+//! lookup table, and only missing or failed cells execute — on the same
+//! stream as before; the memo serves the same lookups across runs.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -192,14 +185,14 @@ impl<'a> Outcomes<'a> {
     }
 }
 
-/// What one attempt of a cell runs with: its private RNG stream and its
-/// chaos timeline (empty outside chaos mode). Cells receive it as an
-/// argument and build every machine through [`CellCtx::machine`], so the
-/// timeline reaches their engines in the machine config itself.
+/// What a cell runs with: its private RNG stream and its chaos timeline
+/// (empty outside chaos mode). Cells receive it as an argument and build
+/// every machine through [`CellCtx::machine`], so the timeline reaches
+/// their engines in the machine config itself.
 #[derive(Debug, Clone)]
 pub struct CellCtx {
-    /// The attempt's RNG stream, derived with [`SimRng::split`] from
-    /// `(experiment seed, figure, cell index)` and re-split per retry.
+    /// The cell's RNG stream, derived with [`SimRng::split`] from
+    /// `(experiment seed, figure, cell index)`.
     pub rng: SimRng,
     timeline: FaultTimeline,
 }
@@ -210,7 +203,7 @@ impl CellCtx {
         Self { rng, timeline }
     }
 
-    /// `machine` with the attempt's chaos timeline stamped in, restricted
+    /// `machine` with the cell's chaos timeline stamped in, restricted
     /// to the events this machine can express. Identity outside chaos mode.
     pub fn machine(&self, mut machine: MachineConfig) -> MachineConfig {
         if !self.timeline.is_empty() {
@@ -220,7 +213,7 @@ impl CellCtx {
     }
 }
 
-type CellJob = Arc<dyn Fn(&mut CellCtx) -> CellData + Send + Sync>;
+type CellJob = Box<dyn FnOnce(&mut CellCtx) -> CellData + Send>;
 type MergeFn = Box<dyn FnOnce(&Outcomes<'_>) -> Figure + Send>;
 
 /// One self-contained (workload, config) job.
@@ -270,20 +263,20 @@ impl PlanBuilder {
 
     /// Declare a cell; returns its id for use inside the merge function.
     ///
-    /// The job receives its attempt's [`CellCtx`]: a private RNG stream
-    /// derived with [`SimRng::split`] from `(experiment seed, figure, cell
-    /// index)`, and the chaos timeline. Jobs must take any cell-local
-    /// randomness from `ctx.rng` (and nothing else) so results stay
-    /// independent of scheduling order, and build every machine through
-    /// [`CellCtx::machine`]. Jobs are `Fn` (not `FnOnce`) so a timed-out or
-    /// panicked cell can be retried on a fresh RNG stream.
+    /// The job receives its [`CellCtx`]: a private RNG stream derived with
+    /// [`SimRng::split`] from `(experiment seed, figure, cell index)`, and
+    /// the chaos timeline. Jobs must take any cell-local randomness from
+    /// `ctx.rng` (and nothing else) so results stay independent of
+    /// scheduling order, and build every machine through
+    /// [`CellCtx::machine`]. A job runs at most once per sweep; a failed
+    /// cell re-runs only under `--resume`, from a freshly built plan.
     pub fn cell<F>(&mut self, label: impl Into<String>, job: F) -> usize
     where
-        F: Fn(&mut CellCtx) -> CellData + Send + Sync + 'static,
+        F: FnOnce(&mut CellCtx) -> CellData + Send + 'static,
     {
         self.cells.push(SweepCell {
             label: label.into(),
-            job: Arc::new(job),
+            job: Box::new(job),
             cost: 0,
         });
         self.cells.len() - 1
@@ -323,10 +316,10 @@ impl PlanBuilder {
 /// releases it, and takers hold their `Arc` for as long as they need it. The
 /// claims live in the plan's cell jobs, so nothing outlives the plan run.
 ///
-/// A take after the release — a retried cell — rebuilds the value, so with
-/// no retries each input is built once per plan run. The value is built
-/// under the handle's lock: concurrent takers wait for one build instead of
-/// racing their own.
+/// A take after the release (a second take of the last claim) rebuilds the
+/// value; cell jobs take each claim once, so each input is built once per
+/// plan run. The value is built under the handle's lock: concurrent takers
+/// wait for one build instead of racing their own.
 pub struct Shared<T> {
     inner: Arc<dyn Input<T>>,
 }
@@ -412,7 +405,7 @@ pub struct Claim<T> {
 
 impl<T> Claim<T> {
     /// The shared value, built now if no copy is held. The first take of a
-    /// claim consumes it; later takes (retries of the same cell) only read.
+    /// claim consumes it; later takes of the same claim only read.
     pub fn take(&self) -> Arc<T> {
         let slot = self.input.slot();
         let mut held = slot.lock();
@@ -444,20 +437,13 @@ fn stream_id(figure: &str, index: usize) -> u64 {
 }
 
 /// Execution policy for one sweep run. [`RunOpts::new`] gives the legacy
-/// behavior: no timeout, no retries, no journal.
+/// behavior: no journal, no memo, no chaos.
 #[derive(Debug, Clone, Default)]
 pub struct RunOpts {
     /// Worker count (clamped to ≥ 1).
     pub jobs: usize,
     /// Experiment seed.
     pub seed: u64,
-    /// Per-cell wall-clock timeout in milliseconds. `None` runs cells
-    /// inline on the worker; `Some` runs each cell on a watchdog thread
-    /// that is abandoned when the deadline passes.
-    pub cell_timeout_ms: Option<u64>,
-    /// Re-run a panicked or timed-out cell up to this many extra times,
-    /// attempt `k > 0` on an RNG stream re-split from `(stream, k)`.
-    pub max_retries: u32,
     /// Checkpoint journal path ([`CellStore`]); `None` disables journaling.
     /// A fresh run starts it empty.
     pub journal: Option<std::path::PathBuf>,
@@ -465,7 +451,7 @@ pub struct RunOpts {
     /// under this run's keys instead of re-running them.
     pub resume: bool,
     /// Record the per-cell [`CellMetrics`](crate::report::CellMetrics)
-    /// sidecar (schema `aff-bench/sweep-v4`) for every cell that produces
+    /// sidecar (schema `aff-bench/sweep-v9`) for every cell that produces
     /// engine metrics. Off by default: the sidecar roughly doubles the sweep
     /// report and most runs only need the throughput columns.
     pub collect_metrics: bool,
@@ -473,8 +459,8 @@ pub struct RunOpts {
     /// this seed (split on the cell's own stream id, so results are
     /// schedule-independent) and hand it to the cell in its [`CellCtx`].
     /// Every finished cell is held to the online chaos invariants; a
-    /// violation fails the cell soft — into the same retry/journal
-    /// machinery as a panic — rather than aborting the sweep.
+    /// violation fails the cell soft — recorded and journaled like a
+    /// panic — rather than aborting the sweep.
     pub chaos: Option<u64>,
     /// Fault-event budget per sampled chaos timeline (0 means the default
     /// of 4; only read when `chaos` is set).
@@ -491,7 +477,7 @@ pub struct RunOpts {
 }
 
 impl RunOpts {
-    /// Legacy options: run everything, no timeout/retry/journal.
+    /// Legacy options: run everything, no journal, memo or chaos.
     pub fn new(jobs: usize, seed: u64) -> Self {
         Self {
             jobs,
@@ -510,14 +496,6 @@ struct Task {
     label: String,
     job: CellJob,
     cost: u64,
-}
-
-/// Stream perturbation for retry attempt `k`: zero for `k = 0` (first
-/// attempts are byte-identical to a retry-free engine), a full-avalanche
-/// odd-constant multiply otherwise — a distinct deterministic stream per
-/// attempt, per cell.
-fn retry_stream(base: u64, attempt: u32) -> u64 {
-    base ^ u64::from(attempt).wrapping_mul(0xD1B5_4A32_D192_ED03)
 }
 
 /// The metrics sidecar for one cell result, when collection is enabled and
@@ -546,9 +524,9 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
         .unwrap_or_else(|| "cell panicked".to_string())
 }
 
-/// Sample the chaos timeline for one attempt, when chaos mode is on. The
-/// generator splits on the attempt's RNG stream, so the timeline is as
-/// schedule-independent (and retry-perturbed) as the cell's own randomness.
+/// Sample the chaos timeline for one cell, when chaos mode is on. The
+/// generator splits on the cell's stream id, so the timeline is as
+/// schedule-independent as the cell's own randomness.
 fn chaos_timeline(opts: &RunOpts, stream: u64) -> Option<FaultTimeline> {
     opts.chaos.map(|chaos_seed| {
         let mut rng = SimRng::split(chaos_seed, stream);
@@ -607,10 +585,10 @@ fn chaos_invariants(data: &CellData, timeline: &FaultTimeline) -> Result<(), Str
     Ok(())
 }
 
-/// One in-thread execution: run the job on its attempt's context, catch
-/// panics, and hold a chaos cell's result to the chaos invariants.
+/// Run the job once on its cell's context, catch panics, and hold a chaos
+/// cell's result to the chaos invariants.
 fn run_attempt(
-    job: &CellJob,
+    job: CellJob,
     seed: u64,
     stream: u64,
     chaos: Option<FaultTimeline>,
@@ -624,50 +602,12 @@ fn run_attempt(
     result
 }
 
-/// One execution attempt: inline on the calling worker, or — when a timeout
-/// is configured — on a watchdog thread that the worker abandons if the
-/// deadline passes (the thread keeps running detached; its result is
-/// discarded on arrival).
-fn attempt_cell(job: &CellJob, opts: &RunOpts, stream: u64) -> Result<CellData, String> {
-    let seed = opts.seed;
-    let chaos = chaos_timeline(opts, stream);
-    match opts.cell_timeout_ms {
-        None => run_attempt(job, seed, stream, chaos),
-        Some(ms) => {
-            let (tx, rx) = std::sync::mpsc::channel();
-            let job = Arc::clone(job);
-            let spawned = std::thread::Builder::new()
-                .name("sweep-cell".into())
-                .spawn(move || {
-                    let _ = tx.send(run_attempt(&job, seed, stream, chaos));
-                });
-            match spawned {
-                Err(e) => Err(format!("could not spawn cell thread: {e}")),
-                Ok(_handle) => match rx.recv_timeout(std::time::Duration::from_millis(ms)) {
-                    Ok(result) => result,
-                    Err(_) => {
-                        Err(aff_sim_core::error::SimError::Timeout { limit_ms: ms }.to_string())
-                    }
-                },
-            }
-        }
-    }
-}
-
-/// Run one task under the retry/timeout policy, catching panics so a broken
-/// cell degrades to an error outcome instead of killing the harness.
+/// Run one task once on its cell's stream, catching panics so a broken cell
+/// degrades to an error outcome instead of killing the harness.
 fn run_task(task: Task, opts: &RunOpts) -> Done {
-    let base_stream = stream_id(task.figure, task.cell_idx);
+    let stream = stream_id(task.figure, task.cell_idx);
     let start = Instant::now();
-    let mut attempts = 0u32;
-    let result = loop {
-        let stream = retry_stream(base_stream, attempts);
-        attempts += 1;
-        let result = attempt_cell(&task.job, opts, stream);
-        if result.is_ok() || attempts > opts.max_retries {
-            break result;
-        }
-    };
+    let result = run_attempt(task.job, opts.seed, stream, chaos_timeline(opts, stream));
     let wall_ns = start.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
     let stat = CellStat {
         figure: task.figure.to_string(),
@@ -676,7 +616,6 @@ fn run_task(task: Task, opts: &RunOpts) -> Done {
         error: result.as_ref().err().cloned(),
         wall_ns,
         sim_cycles: result.as_ref().map_or(0, CellData::sim_cycles),
-        attempts,
         cached: false,
         metrics: sidecar(&result, opts),
     };
@@ -684,7 +623,6 @@ fn run_task(task: Task, opts: &RunOpts) -> Done {
         figure: task.figure.to_string(),
         cell_idx: task.cell_idx as u64,
         label: task.label,
-        attempts,
         wall_ns,
         result,
     };
@@ -850,8 +788,8 @@ pub fn run_plans(plans: Vec<SweepPlan>, jobs: usize, seed: u64) -> (Vec<Figure>,
     run_plans_opts(plans, &RunOpts::new(jobs, seed))
 }
 
-/// Execute `plans` under the full [`RunOpts`] policy (timeouts, retries,
-/// journal, resume, memo). The byte-identity guarantee extends to replayed
+/// Execute `plans` under the full [`RunOpts`] policy (journal, resume,
+/// memo, chaos, metrics). The byte-identity guarantee extends to replayed
 /// cells: a stored outcome is the exact bits the same code computed from
 /// the same inputs, so `--resume` and memo output match an uninterrupted
 /// run.
@@ -922,7 +860,6 @@ pub fn run_plans_opts(plans: Vec<SweepPlan>, opts: &RunOpts) -> (Vec<Figure>, Sw
             error: None,
             wall_ns: entry.wall_ns,
             sim_cycles: entry.result.as_ref().map_or(0, CellData::sim_cycles),
-            attempts: entry.attempts,
             cached: true,
             metrics: sidecar(&entry.result, opts),
         };
@@ -1154,7 +1091,6 @@ mod tests {
                 figure: "a".into(),
                 cell_idx: i,
                 label: format!("cell{i}"),
-                attempts: 1,
                 wall_ns: wall,
                 result: Err("stale".into()),
             };
@@ -1317,13 +1253,11 @@ mod tests {
         assert_ne!(k, key(1, &base, "fig14", 4, "bfs/AffAlloc"));
         assert_ne!(k, key(1, &base, "fig13", 5, "bfs/AffAlloc"));
         assert_ne!(k, key(1, &base, "fig13", 4, "bfs/NDC"));
-        // Chaos intensity only matters when chaos is on; worker count,
-        // retries and timeouts never do.
+        // Chaos intensity only matters when chaos is on; worker count never
+        // does.
         let quiet = RunOpts {
             chaos_intensity: 7,
             jobs: 4,
-            max_retries: 2,
-            cell_timeout_ms: Some(5),
             ..base.clone()
         };
         assert_eq!(k, key(1, &quiet, "fig13", 4, "bfs/AffAlloc"));
@@ -1505,101 +1439,6 @@ mod tests {
     }
 
     #[test]
-    fn retries_rerun_flaky_cells_on_reseeded_streams() {
-        use std::sync::atomic::{AtomicU32, Ordering};
-        let calls = Arc::new(AtomicU32::new(0));
-        let seen = Arc::new(Mutex::new(Vec::new()));
-        let (c, s) = (Arc::clone(&calls), Arc::clone(&seen));
-        let mut b = PlanBuilder::new("flaky");
-        b.cell("flaky", move |ctx| {
-            let draw = ctx.rng.next_u64();
-            s.lock().expect("seen").push(draw);
-            if c.fetch_add(1, Ordering::SeqCst) < 2 {
-                panic!("flaky failure");
-            }
-            CellData::Rows {
-                rows: vec![Row::new("v", vec![draw as f64])],
-                sim_cycles: 1,
-            }
-        });
-        let plan = b.merge(|o| {
-            let mut fig = Figure::new("flaky", "t", vec!["v"]);
-            o.annotate_failures(&mut fig);
-            fig
-        });
-        let opts = RunOpts {
-            max_retries: 3,
-            ..RunOpts::new(1, 5)
-        };
-        let (_, report) = run_plans_opts(vec![plan], &opts);
-        assert!(report.cells[0].ok);
-        assert_eq!(report.cells[0].attempts, 3);
-        // Each attempt drew from a distinct deterministic stream.
-        let draws = seen.lock().expect("seen").clone();
-        assert_eq!(draws.len(), 3);
-        assert_ne!(draws[0], draws[1]);
-        assert_ne!(draws[1], draws[2]);
-    }
-
-    #[test]
-    fn exhausted_retries_report_the_final_error() {
-        let mut b = PlanBuilder::new("hopeless");
-        b.cell("hopeless", |_| -> CellData { panic!("always broken") });
-        let plan = b.merge(|o| {
-            let mut fig = Figure::new("hopeless", "t", vec!["v"]);
-            o.annotate_failures(&mut fig);
-            fig
-        });
-        let opts = RunOpts {
-            max_retries: 2,
-            ..RunOpts::new(1, 5)
-        };
-        let (_, report) = run_plans_opts(vec![plan], &opts);
-        assert!(!report.cells[0].ok);
-        assert_eq!(report.cells[0].attempts, 3);
-        assert!(report.cells[0]
-            .error
-            .as_deref()
-            .is_some_and(|e| e.contains("always broken")));
-    }
-
-    #[test]
-    fn timeout_abandons_hung_cells() {
-        let mut b = PlanBuilder::new("hang");
-        b.cell("hung", |_| {
-            std::thread::sleep(std::time::Duration::from_secs(30));
-            CellData::Rows {
-                rows: vec![],
-                sim_cycles: 0,
-            }
-        });
-        let quick = b.cell("quick", |_| CellData::Rows {
-            rows: vec![Row::new("ok", vec![1.0])],
-            sim_cycles: 3,
-        });
-        let plan = b.merge(move |o| {
-            let mut fig = Figure::new("hang", "t", vec!["v"]);
-            assert!(o.rows(quick).is_some());
-            o.annotate_failures(&mut fig);
-            fig
-        });
-        let opts = RunOpts {
-            cell_timeout_ms: Some(50),
-            ..RunOpts::new(2, 5)
-        };
-        let start = Instant::now();
-        let (_, report) = run_plans_opts(vec![plan], &opts);
-        assert!(start.elapsed() < std::time::Duration::from_secs(10));
-        assert!(!report.cells[0].ok);
-        assert!(report.cells[0]
-            .error
-            .as_deref()
-            .is_some_and(|e| e.contains("timeout: cell exceeded 50 ms")));
-        assert!(report.cells[0].budget_limited());
-        assert!(report.cells[1].ok);
-    }
-
-    #[test]
     fn metrics_sidecar_is_collected_only_when_asked() {
         fn plan() -> SweepPlan {
             let mut b = PlanBuilder::new("sidecar");
@@ -1711,13 +1550,13 @@ mod tests {
         // the machine, the engine logs the transition, and the chaos
         // invariant checks accept the result.
         let tl = FaultTimeline::none().at(0, FaultChange::BankFail(9));
-        let job: CellJob = Arc::new(|ctx: &mut CellCtx| {
+        let job: CellJob = Box::new(|ctx: &mut CellCtx| {
             let machine = ctx.machine(MachineConfig::paper_default());
             let mut e = aff_nsc::engine::SimEngine::new(machine);
             e.bank_read_lines(9, 100);
             e.finish().into()
         });
-        let data = run_attempt(&job, 1, 2, Some(tl.clone())).expect("chaos cell runs clean");
+        let data = run_attempt(job, 1, 2, Some(tl.clone())).expect("chaos cell runs clean");
         let m = data.metrics().expect("engine cell");
         assert_eq!(m.transitions, tl.events());
         assert_eq!(m.degradation.fault_epochs, 1);
@@ -1856,7 +1695,7 @@ mod tests {
             let probe = Arc::downgrade(&first);
             drop(first);
             assert!(probe.upgrade().is_none());
-            // The retry path: the same claim takes again.
+            // A second take of the same claim finds the copy gone.
             let again = only.take();
             assert_eq!(*again, (0..64).collect::<Vec<u64>>());
             assert_eq!(builds.load(Ordering::SeqCst), 2);
@@ -1908,10 +1747,10 @@ mod tests {
 
         const SHARED_CELLS: u64 = 6;
 
-        /// A plan whose cells all read one shared input. Each value depends
-        /// only on the input and the cell index (never on the RNG stream),
-        /// so a retried cell renders the same bytes. Cell `flaky`, when
-        /// given, panics on its first attempt after taking the input.
+        /// A plan whose cells all read one shared input. Each row holds a
+        /// value of the input and the cell index, and a draw from the cell's
+        /// stream, so a re-run renders the clean bytes only on that stream.
+        /// Cell `flaky`, when given, panics after taking the input.
         fn shared_plan(watch: &Watch, flaky: Option<u64>) -> SweepPlan {
             let input = counted(&watch.builds);
             let mut b = PlanBuilder::new("shared");
@@ -1919,22 +1758,22 @@ mod tests {
             for i in 0..SHARED_CELLS {
                 let claim = input.claim();
                 let probes = Arc::clone(&watch.probes);
-                let fired = AtomicBool::new(false);
-                ids.push(b.cell(format!("cell{i}"), move |_| {
+                ids.push(b.cell(format!("cell{i}"), move |ctx| {
                     let v = claim.take();
                     probes.lock().expect("probes").push(Arc::downgrade(&v));
-                    if flaky == Some(i) && !fired.swap(true, Ordering::SeqCst) {
+                    if flaky == Some(i) {
                         panic!("flaky after take");
                     }
                     let value = (v.iter().sum::<u64>() * (i + 1)) as f64;
+                    let draw = ctx.rng.next_u64() as f64;
                     CellData::Rows {
-                        rows: vec![Row::new(format!("cell{i}"), vec![value])],
+                        rows: vec![Row::new(format!("cell{i}"), vec![value, draw])],
                         sim_cycles: i,
                     }
                 }));
             }
             b.merge(move |o| {
-                let mut fig = Figure::new("shared", "shared input", vec!["v"]);
+                let mut fig = Figure::new("shared", "shared input", vec!["v", "draw"]);
                 for &i in &ids {
                     if let Some(rows) = o.rows(i) {
                         fig.rows.extend(rows.iter().cloned());
@@ -1948,7 +1787,7 @@ mod tests {
         fn clean_bytes() -> String {
             let watch = Watch::default();
             let (figs, _) = run_plans(vec![shared_plan(&watch, None)], 1, 11);
-            assert_eq!(watch.builds(), 1, "no retries: built once per plan run");
+            assert_eq!(watch.builds(), 1, "built once per plan run");
             assert!(watch.all_released(), "no input outlives its plan run");
             figs[0].to_json()
         }
@@ -1966,22 +1805,38 @@ mod tests {
         }
 
         #[test]
-        fn a_retried_cell_renders_the_clean_bytes() {
+        fn a_failed_then_resumed_cell_renders_the_clean_bytes() {
             let clean = clean_bytes();
-            // Flaky first cell: the copy is still held for the others.
-            // Flaky last cell: its retry rebuilds the released copy.
-            for (flaky, builds) in [(0, 1), (SHARED_CELLS - 1, 2)] {
-                let watch = Watch::default();
-                let opts = RunOpts {
-                    max_retries: 1,
+            // Flaky first cell: it fails holding the copy the others read.
+            // Flaky last cell: it fails after its take released the copy.
+            // Either way the resumed run re-runs only that cell, on its own
+            // stream, and builds the input for it alone: the replayed cells
+            // dropped their claims unexecuted.
+            for flaky in [0, SHARED_CELLS - 1] {
+                let path = tmp("shared-flaky");
+                let journaled = RunOpts {
+                    journal: Some(path.clone()),
                     ..RunOpts::new(1, 11)
                 };
-                let (figs, report) = run_plans_opts(vec![shared_plan(&watch, Some(flaky))], &opts);
-                assert_eq!(report.cells[flaky as usize].attempts, 2);
+                let failing = Watch::default();
+                let (_, report) =
+                    run_plans_opts(vec![shared_plan(&failing, Some(flaky))], &journaled);
+                assert_eq!(report.failures().count(), 1, "flaky cell {flaky}");
+                assert_eq!(failing.builds(), 1, "flaky cell {flaky}");
+                assert!(failing.all_released());
+                let watch = Watch::default();
+                let resume = RunOpts {
+                    resume: true,
+                    ..journaled
+                };
+                let (figs, report) = run_plans_opts(vec![shared_plan(&watch, None)], &resume);
+                assert_eq!(report.resumed_cells as u64, SHARED_CELLS - 1);
                 assert!(report.cells.iter().all(|c| c.ok));
+                assert!(!report.cells[flaky as usize].cached);
                 assert_eq!(figs[0].to_json(), clean, "flaky cell {flaky}");
-                assert_eq!(watch.builds(), builds, "flaky cell {flaky}");
+                assert_eq!(watch.builds(), 1, "flaky cell {flaky}");
                 assert!(watch.all_released());
+                std::fs::remove_file(&path).ok();
             }
         }
 

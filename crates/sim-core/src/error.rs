@@ -155,9 +155,9 @@ impl StallSnapshot {
 /// Why a simulation run could not run to completion.
 ///
 /// This is the error type of every fallible (`try_*`) simulation entry
-/// point. It is deliberately small: the sweep harness pattern-matches on it
-/// to pick retry/abort policy and exit codes, so variants are *categories*,
-/// not free-form strings.
+/// point. It is deliberately small: callers match on the variant and the
+/// sweep report tags a journal failure with its [`kind`](Self::kind), so
+/// variants are *categories*, not free-form strings.
 #[derive(Debug, Clone, PartialEq)]
 pub enum SimError {
     /// The cycle-level NoC made no progress for the watchdog patience while
@@ -172,12 +172,6 @@ pub enum SimError {
         limit: u64,
         /// The value actually reached when the run was cut off.
         reached: u64,
-    },
-    /// A per-cell wall-clock timeout imposed from outside the engines (the
-    /// sweep harness abandons the cell's worker thread).
-    Timeout {
-        /// The configured timeout in milliseconds.
-        limit_ms: u64,
     },
     /// The run was asked to simulate something the machine cannot express
     /// (mismatched bindings, cyclic stream dependences, invalid plans).
@@ -196,13 +190,13 @@ pub enum SimError {
 }
 
 impl SimError {
-    /// Stable lowercase category tag (`stalled`, `budget`, `timeout`,
-    /// `invalid-config`) — used by the sweep report and exit-code logic.
+    /// Stable lowercase category tag (`stalled`, `budget`,
+    /// `invalid-config`, `journal`) — the sweep report prefixes its journal
+    /// error with it.
     pub fn kind(&self) -> &'static str {
         match self {
             SimError::Stalled(_) => "stalled",
             SimError::BudgetExhausted { .. } => "budget",
-            SimError::Timeout { .. } => "timeout",
             SimError::InvalidConfig(_) => "invalid-config",
             SimError::Journal { .. } => "journal",
         }
@@ -250,9 +244,6 @@ impl std::fmt::Display for SimError {
                 f,
                 "budget exhausted: {budget} limit {limit} reached ({reached})"
             ),
-            SimError::Timeout { limit_ms } => {
-                write!(f, "timeout: cell exceeded {limit_ms} ms wall clock")
-            }
             SimError::InvalidConfig(msg) => write!(f, "invalid configuration: {msg}"),
             SimError::Journal { op, message } => write!(
                 f,
@@ -332,7 +323,6 @@ mod tests {
             .kind(),
             "budget"
         );
-        assert_eq!(SimError::Timeout { limit_ms: 1 }.kind(), "timeout");
         assert_eq!(
             SimError::InvalidConfig(String::new()).kind(),
             "invalid-config"
