@@ -19,41 +19,22 @@ use affinity_alloc::{AffinityProfile, BankSelectPolicy};
 use std::sync::Arc;
 
 fn usage() -> ! {
+    let workloads: Vec<&str> = WorkloadName::ALL.iter().map(WorkloadName::label).collect();
     eprintln!(
         "usage: affsim <workload> [--system incore|near|aff] [--policy rnd|lnr|min-hop|hybrid-N]\n\
          \x20             [--scale N] [--seed N] [--hints annotated|none|inferred]\n\
          \x20             [--profile-out PATH] [--profile-in PATH]\n\
-         workloads: pathfinder srad hotspot hotspot3d pr pr_push pr_pull bfs bfs_push\n\
-         \x20          bfs_pull sssp link_list hash_join bin_tree\n\
+         workloads: {}\n\
          --hints         where placement hints come from (default: the hand\n\
          \x20             annotations; 'inferred' without --profile-in profiles\n\
          \x20             annotation-free in-process first — the closed loop)\n\
          --profile-out   run annotation-free with the co-access miner and write\n\
          \x20             the inferred affinity profile as JSON\n\
          --profile-in    with --hints inferred: replay a saved profile instead\n\
-         \x20             of re-profiling"
+         \x20             of re-profiling",
+        workloads.join(" ")
     );
     std::process::exit(2);
-}
-
-fn parse_workload(s: &str) -> Option<WorkloadName> {
-    Some(match s {
-        "pathfinder" => WorkloadName::Pathfinder,
-        "srad" => WorkloadName::Srad,
-        "hotspot" => WorkloadName::Hotspot,
-        "hotspot3d" | "hotspot3D" => WorkloadName::Hotspot3D,
-        "pr" => WorkloadName::Pr,
-        "pr_push" => WorkloadName::PrPush,
-        "pr_pull" => WorkloadName::PrPull,
-        "bfs" => WorkloadName::Bfs,
-        "bfs_push" => WorkloadName::BfsPush,
-        "bfs_pull" => WorkloadName::BfsPull,
-        "sssp" => WorkloadName::Sssp,
-        "link_list" => WorkloadName::LinkList,
-        "hash_join" => WorkloadName::HashJoin,
-        "bin_tree" => WorkloadName::BinTree,
-        _ => return None,
-    })
 }
 
 fn parse_policy(s: &str) -> Option<BankSelectPolicy> {
@@ -71,7 +52,7 @@ fn parse_policy(s: &str) -> Option<BankSelectPolicy> {
 fn main() {
     let mut args = std::env::args().skip(1);
     let Some(first) = args.next() else { usage() };
-    let Some(workload) = parse_workload(&first) else {
+    let Some(workload) = WorkloadName::parse(&first) else {
         eprintln!("unknown workload {first:?}");
         usage()
     };

@@ -1,16 +1,19 @@
 //! Hot-path microbenchmark: times the per-message accounting layers in
 //! isolation — route store, heap translation, engine charge
-//! accumulation, folded remote atomics, the Eq-4 argmin kernel, and the
-//! per-bank occupancy scans — plus Kronecker input generation, each against
-//! the scalar/hash-map/write-through/rebuild baseline it replaced, and
-//! writes `BENCH_hotpath.json` (schema
-//! `aff-bench/hotpath-v5`). Each side of a layer is the median of
-//! [`REPEATS`] runs, alternating with the other side's.
+//! accumulation, folded remote atomics and the Eq-4 argmin kernel — plus
+//! Kronecker input generation, each against the
+//! scalar/hash-map/write-through/rebuild baseline it replaced, and writes
+//! `BENCH_hotpath.json` (schema `aff-bench/hotpath-v6`). Each side of a
+//! layer is the median of [`REPEATS`] runs, alternating with the other
+//! side's.
 //! The route layer runs at 8×8 *and* 16×16 (both hold every source row in
 //! the route store's 1 MiB budget, so neither evicts), and a `route_memory`
 //! section records the resident route-store bytes at 1024 banks, where the
 //! budget holds 64 of 1024 rows, against the dense `n²` entry-array curve.
 //!
+//! Schema v6 (from v5): the `occupancy_scan` layer is gone with the
+//! lane-chunked counter scans it timed; the counters are plain iterator
+//! sums and maxima.
 //! Schema v5 (from v4): the `kron_gen` layer is new; its `ops` are
 //! generated undirected edges, `--ops / 16` rounded down to a power of two.
 //! Schema v4 (from v3): the `primitive_fold` layer is new, every speedup is
@@ -356,47 +359,7 @@ fn bench_argmin(ops: u64) -> Layer {
     Layer::new("argmin_simd", ops, times, sum)
 }
 
-/// Layer 6: the per-bank counter scans behind every metrics read —
-/// `aff_cache::lanes::{sum_u64, max_u64}` versus the scalar iterator
-/// `sum`/`max` they replaced.
-fn bench_occupancy_scan(ops: u64) -> Layer {
-    const BANKS: usize = 1024;
-    let rounds = (ops as usize / BANKS).max(1);
-    let ops = (rounds * BANKS) as u64;
-    let mut rng = SimRng::new(0x0CC);
-    let pristine: Vec<Vec<u64>> = (0..64)
-        .map(|_| (0..BANKS).map(|_| rng.below(1 << 30)).collect())
-        .collect();
-    // Both passes mutate the rows, so every run starts from a fresh copy
-    // of the same state and the checksums are comparable.
-    let (times, sum) = time_pair(
-        || pristine.clone(),
-        |counters| {
-            let mut sum = 0u64;
-            for r in 0..rounds {
-                let row = &mut counters[r % 64];
-                row[r % BANKS] = (r as u64) << 10; // keep rounds from folding away
-                sum ^= aff_cache::lanes::sum_u64(row).wrapping_add(aff_cache::lanes::max_u64(row));
-            }
-            sum
-        },
-        |counters| {
-            let mut sum = 0u64;
-            for r in 0..rounds {
-                let row = &mut counters[r % 64];
-                row[r % BANKS] = (r as u64) << 10;
-                let total: u64 = row.iter().sum();
-                let max = row.iter().copied().max().unwrap_or(0);
-                sum ^= total.wrapping_add(max);
-            }
-            sum
-        },
-        "occupancy scans must agree",
-    );
-    Layer::new("occupancy_scan", ops, times, sum)
-}
-
-/// Layer 7: Kronecker input generation, plain and sssp-weighted —
+/// Layer 6: Kronecker input generation, plain and sssp-weighted —
 /// `gen::kronecker` + `gen::weight_kronecker` versus the generator they
 /// replaced: a branchy quadrant descent, a directed CSR rebuilt over every
 /// edge plus its reverse, and weights sent back through the tuple-list
@@ -499,7 +462,7 @@ fn graph_digest(graphs: &[Graph]) -> u64 {
 }
 
 fn render_json(layers: &[Layer], mem: &RouteMemory) -> String {
-    let mut out = String::from("{\n  \"schema\": \"aff-bench/hotpath-v5\",\n  \"layers\": [\n");
+    let mut out = String::from("{\n  \"schema\": \"aff-bench/hotpath-v6\",\n  \"layers\": [\n");
     for (i, l) in layers.iter().enumerate() {
         let speedup = l.fast_mops / l.base_mops.max(1e-12);
         out.push_str(&format!(
@@ -562,7 +525,6 @@ fn main() {
         bench_coalescing(ops),
         bench_primitive_fold(ops),
         bench_argmin(ops),
-        bench_occupancy_scan(ops),
         bench_kron_gen(ops),
     ];
     for l in &layers {

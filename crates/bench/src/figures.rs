@@ -36,10 +36,10 @@ use aff_sim_core::config::{BankOrder, MachineConfig, TopologyKind};
 use aff_sim_core::fault::FaultTimeline;
 use aff_sim_core::rng::SimRng;
 use aff_sim_core::stats::geomean;
-use aff_workloads::affine::{run_stencil, run_stencil_opts, run_vecadd_forced_delta, Stencil};
+use aff_workloads::affine::{run_stencil, run_stencil_opts, run_vecadd_forced_delta};
 use aff_workloads::config::{RunConfig, SystemConfig};
 use aff_workloads::gen;
-use aff_workloads::graphs::{pick_source, Direction, DirectionPolicy, GraphInstance, GraphRun};
+use aff_workloads::graphs::{pick_source, Direction, GraphInstance};
 use aff_workloads::suite::{self, GraphInput, SuiteRun, WorkloadName};
 use affinity_alloc::{AffinityAllocator, BankSelectPolicy};
 
@@ -229,17 +229,6 @@ impl GraphInputs {
             .claim()
     }
 
-    /// Claim the variant the workload labelled `w` reads: weighted for
-    /// `sssp`, plain otherwise (the figure-local workload names of Fig 6,
-    /// 19 and 20).
-    fn claim_labelled(&mut self, w: &str) -> Claim<Graph> {
-        if w == "sssp" {
-            self.weighted()
-        } else {
-            self.plain()
-        }
-    }
-
     /// Claim the graph `w` reads (`None` for non-graph workloads): what
     /// [`suite::gen_input`] would generate for it at this input's scale.
     pub(crate) fn claim_for(&mut self, w: WorkloadName) -> Option<Claim<Graph>> {
@@ -328,19 +317,13 @@ pub fn fig4_plan(opts: HarnessOpts) -> SweepPlan {
     })
 }
 
-fn fig6_run(w: &str, inst: GraphInstance) -> GraphRun {
-    let src = pick_source(inst.graph());
-    match w {
-        "pr_push" => inst.run_pr_push(),
-        "pr_pull" => inst.run_pr_pull(),
-        "bfs_push" => inst.run_bfs(src, DirectionPolicy::PushOnly),
-        "bfs_pull" => inst.run_bfs(src, DirectionPolicy::PullOnly),
-        "sssp" => inst.run_sssp(src),
-        _ => unreachable!("unknown fig6 workload"),
-    }
-}
-
-const FIG6_WORKLOADS: [&str; 5] = ["pr_push", "bfs_push", "sssp", "pr_pull", "bfs_pull"];
+const FIG6_WORKLOADS: [WorkloadName; 5] = [
+    WorkloadName::PrPush,
+    WorkloadName::BfsPush,
+    WorkloadName::Sssp,
+    WorkloadName::PrPull,
+    WorkloadName::BfsPull,
+];
 const FIG6_CONFIGS: [(&str, Option<u64>); 6] = [
     ("Base", None),
     ("Ind-4kB", Some(4096)),
@@ -363,23 +346,22 @@ pub fn fig6_plan(opts: HarnessOpts) -> SweepPlan {
     // reuses the workload's baseline cell.
     let mut idx: Vec<Vec<usize>> = Vec::new();
     for w in FIG6_WORKLOADS {
-        let input = inputs.claim_labelled(w);
-        let base = b.cell(format!("{w}/Base"), move |ctx| {
-            let base_cfg = opts.cfg(ctx, SystemConfig::NearL3);
-            fig6_run(w, GraphInstance::new(input.take(), &base_cfg))
-                .metrics
-                .into()
+        let input = inputs.claim_for(w);
+        let base = b.cell(format!("{}/Base", w.label()), move |ctx| {
+            let cfg = opts.cfg(ctx, SystemConfig::NearL3);
+            run_claimed(w, &cfg, input.as_ref()).metrics.into()
         });
         let mut row = vec![base];
         for (label, chunk) in FIG6_CONFIGS.iter().skip(1) {
             let bytes = chunk.unwrap_or(0);
-            let input = inputs.claim_labelled(w);
-            let id = b.cell(format!("{w}/{label}"), move |ctx| {
+            let input = inputs.claim_for(w).expect("fig6 workloads read a graph");
+            let id = b.cell(format!("{}/{label}", w.label()), move |ctx| {
                 let g = input.take();
                 let edge_sz = if g.is_weighted() { 8 } else { 4 };
                 let cb = if bytes == 0 { edge_sz } else { bytes };
                 let cfg = opts.cfg(ctx, hybrid5());
-                fig6_run(w, GraphInstance::with_chunk_oracle(g, &cfg, cb))
+                GraphInstance::with_chunk_oracle(g, &cfg, cb)
+                    .run(w)
                     .metrics
                     .into()
             });
@@ -400,7 +382,10 @@ pub fn fig6_plan(opts: HarnessOpts) -> SweepPlan {
                 let id = idx[wi][ci];
                 let speedup = o.speedup(id, base);
                 per_config_speedups[ci].push(speedup);
-                fig.push(format!("{w}/{label}"), vec![speedup, o.traffic(id, base)]);
+                fig.push(
+                    format!("{}/{label}", w.label()),
+                    vec![speedup, o.traffic(id, base)],
+                );
             }
         }
         for (ci, (label, _)) in FIG6_CONFIGS.iter().enumerate() {
@@ -583,10 +568,7 @@ pub fn fig14_plan(opts: HarnessOpts) -> SweepPlan {
             let input = inputs.plain();
             let id = b.cell(label.clone(), move |ctx| {
                 let cfg = opts.cfg(ctx, SystemConfig::AffAlloc(p));
-                let g = input.take();
-                let src = pick_source(&g);
-                GraphInstance::new(g, &cfg)
-                    .run_bfs(src, DirectionPolicy::PushOnly)
+                suite::run_graph(WorkloadName::BfsPush, &cfg, input.take())
                     .metrics
                     .into()
             });
@@ -620,26 +602,25 @@ pub fn fig14_plan(opts: HarnessOpts) -> SweepPlan {
 ///
 /// Fig 15 as a sweep plan: one cell per (stencil, input scale, system).
 pub fn fig15_plan(opts: HarnessOpts) -> SweepPlan {
-    type StencilMaker = fn(u64) -> Stencil;
-    let base: Vec<(&'static str, StencilMaker)> = vec![
-        ("pathfinder", |s| Stencil::pathfinder(1_500_000 * s)),
-        ("hotspot", |s| Stencil::hotspot(2048 * s, 1024)),
-        ("srad", |s| Stencil::srad(1024 * s, 2048)),
-        ("hotspot3D", |s| Stencil::hotspot3d(256, 1024, 8 * s)),
+    const STENCILS: [WorkloadName; 4] = [
+        WorkloadName::Pathfinder,
+        WorkloadName::Hotspot,
+        WorkloadName::Srad,
+        WorkloadName::Hotspot3D,
     ];
     const SCALES: [u64; 4] = [1, 2, 4, 8];
     let mut b = PlanBuilder::new("fig15");
     // idx[(name, scale)] = [incore, near, aff] cell ids.
     let mut idx: Vec<(&'static str, u64, [usize; 3])> = Vec::new();
-    for (name, mk) in &base {
+    for w in STENCILS {
+        let name = w.label();
         for scale in SCALES {
-            let mk = *mk;
             let mut cell_for = |sys_label: &str, system: SystemConfig| {
                 b.cell(format!("{name}/{scale}x/{sys_label}"), move |ctx| {
                     let cfg = RunConfig::new(system)
                         .with_seed(opts.seed)
                         .with_machine(ctx.machine(opts.machine()));
-                    run_stencil(&mk(scale), &cfg).into()
+                    run_stencil(&suite::stencil_for(w, scale), &cfg).into()
                 })
             };
             let incore = cell_for("In-Core", SystemConfig::InCore);
@@ -785,12 +766,12 @@ pub fn fig16_plan(opts: HarnessOpts) -> SweepPlan {
 pub fn fig17_plan(opts: HarnessOpts) -> SweepPlan {
     let mut b = PlanBuilder::new("fig17");
     let cell = b.cell("bfs_push", move |ctx| {
+        let w = WorkloadName::BfsPush;
         let cfg = opts.cfg(ctx, hybrid5());
-        let g = suite::kron_input(cfg.scale, cfg.seed);
+        let g = suite::gen_input(w, &cfg).expect("bfs reads a graph");
         let n = f64::from(g.num_vertices());
         let m = g.num_edges() as f64;
-        let src = pick_source(&g);
-        let r = GraphInstance::new(g, &cfg).run_bfs(src, DirectionPolicy::PushOnly);
+        let r = suite::run_graph(w, &cfg, Arc::new(g));
         let rows = r
             .iters
             .iter()
@@ -842,24 +823,14 @@ pub fn fig18_plan(opts: HarnessOpts) -> SweepPlan {
     let mut ids: Vec<usize> = Vec::new();
     for (sl, system) in systems {
         let policies = [
-            ("Pull", DirectionPolicy::PullOnly),
-            ("Push", DirectionPolicy::PushOnly),
-            (
-                "Switch",
-                if matches!(system, SystemConfig::AffAlloc(_)) {
-                    DirectionPolicy::AffSwitch
-                } else {
-                    DirectionPolicy::GapSwitch
-                },
-            ),
+            ("Pull", WorkloadName::BfsPull),
+            ("Push", WorkloadName::BfsPush),
+            ("Switch", WorkloadName::Bfs),
         ];
-        for (pl, policy) in policies {
+        for (pl, w) in policies {
             let input = inputs.plain();
             ids.push(b.cell(format!("{sl}/{pl}"), move |ctx| {
-                let cfg = opts.cfg(ctx, system);
-                let g = input.take();
-                let src = pick_source(&g);
-                let r = GraphInstance::new(g, &cfg).run_bfs(src, policy);
+                let r = suite::run_graph(w, &opts.cfg(ctx, system), input.take());
                 let total: u64 = r.iters.iter().map(|i| i.examined_edges.max(1)).sum();
                 let rows = r
                     .iters
@@ -898,31 +869,9 @@ pub fn fig18_plan(opts: HarnessOpts) -> SweepPlan {
     })
 }
 
-const FIG19_WORKLOADS: [&str; 3] = ["pr_push", "bfs", "sssp"];
+const FIG19_WORKLOADS: [WorkloadName; 3] =
+    [WorkloadName::PrPush, WorkloadName::Bfs, WorkloadName::Sssp];
 const FIG19_DEGREES: [u32; 6] = [4, 8, 16, 32, 64, 128];
-
-/// One fig19/fig20 cell: `w` on the shared power-law `graph` under `system`.
-fn power_law_cell(
-    ctx: &CellCtx,
-    w: &'static str,
-    graph: Arc<Graph>,
-    system: SystemConfig,
-    opts: HarnessOpts,
-) -> CellData {
-    let cfg = RunConfig::new(system)
-        .with_seed(opts.seed)
-        .with_machine(ctx.machine(opts.machine()));
-    let src = pick_source(&graph);
-    let inst = GraphInstance::new(graph, &cfg);
-    match w {
-        "pr_push" => inst.run_pr_push(),
-        "bfs" => inst.run_bfs(src, DirectionPolicy::default_for(system)),
-        "sssp" => inst.run_sssp(src),
-        _ => unreachable!("unknown power-law workload"),
-    }
-    .metrics
-    .into()
-}
 
 /// Fig 19: speedup vs average node degree on synthesized power-law graphs
 /// with fixed |E| (normalized to Rnd).
@@ -955,14 +904,16 @@ pub fn fig19_plan(opts: HarnessOpts) -> SweepPlan {
     for w in FIG19_WORKLOADS {
         for (di, d) in FIG19_DEGREES.into_iter().enumerate() {
             let mut cell = |label: &str, s: SystemConfig| {
-                let input = inputs[di].claim_labelled(w);
-                b.cell(format!("{w}/D={d}/{label}"), move |ctx| {
-                    power_law_cell(ctx, w, input.take(), s, opts)
+                let input = inputs[di].claim_for(w);
+                b.cell(format!("{}/D={d}/{label}", w.label()), move |ctx| {
+                    run_claimed(w, &opts.cfg(ctx, s), input.as_ref())
+                        .metrics
+                        .into()
                 })
             };
             let rnd = cell("Rnd", SystemConfig::AffAlloc(BankSelectPolicy::Rnd));
             let row = systems.iter().map(|&(label, s)| cell(label, s)).collect();
-            idx.push((w, d, rnd, row));
+            idx.push((w.label(), d, rnd, row));
         }
     }
     let n_systems = systems.len();
@@ -1019,14 +970,19 @@ pub fn fig20_plan(opts: HarnessOpts) -> SweepPlan {
         );
         for w in FIG19_WORKLOADS {
             let mut cell = |label: &str, s: SystemConfig| {
-                let input = inputs.claim_labelled(w);
-                b.cell(format!("{}/{}/{}", profile.name, w, label), move |ctx| {
-                    power_law_cell(ctx, w, input.take(), s, opts)
-                })
+                let input = inputs.claim_for(w);
+                b.cell(
+                    format!("{}/{}/{}", profile.name, w.label(), label),
+                    move |ctx| {
+                        run_claimed(w, &opts.cfg(ctx, s), input.as_ref())
+                            .metrics
+                            .into()
+                    },
+                )
             };
             let near = cell("Near-L3", SystemConfig::NearL3);
             let row = systems.iter().map(|&(label, s)| cell(label, s)).collect();
-            idx.push((profile.name, w, near, row));
+            idx.push((profile.name, w.label(), near, row));
         }
     }
     let sys_labels: Vec<&'static str> = systems.iter().map(|&(l, _)| l).collect();
@@ -1327,21 +1283,17 @@ pub fn abl_priority_queue_plan(opts: HarnessOpts) -> SweepPlan {
 /// Unfiltered, every element access crosses the NoC; the slowdown is how
 /// much of the baseline's competitiveness its private caches provide.
 pub fn abl_reuse_plan(opts: HarnessOpts) -> SweepPlan {
-    let stencils = [
-        ("pathfinder", Stencil::pathfinder(1_500_000)),
-        ("hotspot", Stencil::hotspot(2048, 1024)),
-    ];
     let mut b = PlanBuilder::new("abl_reuse");
     // (stencil, filtered cell, unfiltered cell)
     let mut idx: Vec<(&str, usize, usize)> = Vec::new();
-    for (name, stencil) in stencils {
+    for w in [WorkloadName::Pathfinder, WorkloadName::Hotspot] {
+        let name = w.label();
         let mut cell = |label: &str, filter: bool| {
-            let s = stencil.clone();
             b.cell(format!("{name}/{label}"), move |ctx| {
                 let cfg = RunConfig::new(SystemConfig::InCore)
                     .with_seed(opts.seed)
                     .with_machine(ctx.machine(opts.machine()));
-                run_stencil_opts(&s, &cfg, filter).into()
+                run_stencil_opts(&suite::stencil_for(w, 1), &cfg, filter).into()
             })
         };
         let filtered = cell("filtered", true);

@@ -77,25 +77,24 @@ impl BankCounters {
         self.resident_bytes[bank as usize]
     }
 
-    /// Total accesses over all banks (lane-chunked exact sum).
+    /// Total accesses over all banks.
     pub fn total_accesses(&self) -> u64 {
-        crate::lanes::sum_u64(&self.accesses)
+        self.accesses.iter().sum()
     }
 
-    /// Accesses at the busiest bank — the service-time bottleneck
-    /// (lane-chunked max).
+    /// Accesses at the busiest bank — the service-time bottleneck.
     pub fn max_accesses(&self) -> u64 {
-        crate::lanes::max_u64(&self.accesses)
+        self.accesses.iter().copied().max().unwrap_or(0)
     }
 
-    /// Total bytes declared resident (lane-chunked exact sum).
+    /// Total bytes declared resident.
     pub fn total_resident(&self) -> u64 {
-        crate::lanes::sum_u64(&self.resident_bytes)
+        self.resident_bytes.iter().sum()
     }
 
-    /// Resident bytes at the fullest bank (lane-chunked max).
+    /// Resident bytes at the fullest bank.
     pub fn max_resident(&self) -> u64 {
-        crate::lanes::max_u64(&self.resident_bytes)
+        self.resident_bytes.iter().copied().max().unwrap_or(0)
     }
 
     /// Per-bank resident-bytes slice.

@@ -6,9 +6,9 @@
 //! one of its bottleneck candidates. It has no access-latency term.
 
 use aff_noc::topology::Topology;
-use aff_noc::traffic::{TrafficClass, TrafficMatrix};
+use aff_noc::traffic::TrafficMatrix;
 use aff_sim_core::config::{MachineConfig, CACHE_LINE};
-use aff_sim_core::trace::{Event, Recorder, TrafficKind};
+use aff_sim_core::trace::{Event, Recorder, TrafficClass};
 
 /// Summary of DRAM activity for one kernel execution.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -97,14 +97,14 @@ impl DramModel {
                 src: bank,
                 dst: ctrl,
                 payload_bytes: 0,
-                class: TrafficKind::Control,
+                class: TrafficClass::Control,
                 count: misses,
             });
             rec.record(&Event::Traffic {
                 src: ctrl,
                 dst: bank,
                 payload_bytes: CACHE_LINE,
-                class: TrafficKind::Data,
+                class: TrafficClass::Data,
                 count: misses,
             });
         }

@@ -14,7 +14,6 @@
 pub mod bank;
 pub mod capacity;
 pub mod dram;
-pub mod lanes;
 pub mod spare;
 
 pub use bank::BankCounters;

@@ -879,14 +879,14 @@ mod tests {
 
     #[test]
     fn offload_verdict_follows_traffic_ratio() {
-        use aff_sim_core::trace::TrafficKind;
+        use aff_sim_core::trace::TrafficClass;
         let mut m = CoAccessMiner::new();
         m.record(&Event::CoreOps { count: 10 });
         m.record(&Event::Traffic {
             src: 0,
             dst: 1,
             payload_bytes: 64,
-            class: TrafficKind::Data,
+            class: TrafficClass::Data,
             count: 10,
         });
         let p = AffinityProfile::infer(&m.finish());
@@ -899,7 +899,7 @@ mod tests {
             src: 0,
             dst: 1,
             payload_bytes: 64,
-            class: TrafficKind::Data,
+            class: TrafficClass::Data,
             count: 1,
         });
         let p = AffinityProfile::infer(&m.finish());

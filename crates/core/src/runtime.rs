@@ -2021,11 +2021,13 @@ mod tests {
         ];
         let mut rng = SimRng::new(0xE94_5E1EC7);
         for (gi, &(x, y, order, kind, trials)) in geometries.iter().enumerate() {
-            let cfg = MachineConfig::builder()
-                .mesh(x, y)
-                .bank_order(order)
-                .topology(kind)
-                .build();
+            let cfg = MachineConfig {
+                mesh_x: x,
+                mesh_y: y,
+                bank_order: order,
+                topology: kind,
+                ..MachineConfig::paper_default()
+            };
             let banks = cfg.num_banks();
             for trial in 0..trials {
                 let mut a =
@@ -2103,7 +2105,11 @@ mod tests {
         // integer. Bank 5 (the affinity target, load 8) scores 0 + 0; its
         // neighbour bank 1 (one hop, the least load 7) scores 1 − 1 = 0.
         // The tie must go to bank 1 even though bank 5 is nearer.
-        let cfg = MachineConfig::builder().mesh(4, 4).build();
+        let cfg = MachineConfig {
+            mesh_x: 4,
+            mesh_y: 4,
+            ..MachineConfig::paper_default()
+        };
         let mut a = AffinityAllocator::new(cfg, BankSelectPolicy::Hybrid { h: 16.0 });
         assert_eq!(a.config().num_banks(), 16);
         let props = a.malloc_aff_affine(&AffineArrayReq::new(64, 16)).unwrap();

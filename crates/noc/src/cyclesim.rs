@@ -187,8 +187,8 @@ impl CycleNoc {
     ///   flits were in flight → [`SimError::Stalled`] with a
     ///   [`StallSnapshot`] (per-router occupancy, fault-plan suspect links);
     /// * `budget.max_cycles` elapsed with flits still in flight, or the
-    ///   flit count exceeded `budget.max_events`, or `budget.wall_ms`
-    ///   elapsed → [`SimError::BudgetExhausted`].
+    ///   flit count exceeded `budget.max_events` →
+    ///   [`SimError::BudgetExhausted`].
     pub fn try_simulate(
         &self,
         packets: &[Packet],
@@ -278,15 +278,11 @@ impl CycleNoc {
                 });
             }
         }
-        let deadline = budget
-            .wall_ms
-            .map(|ms| std::time::Instant::now() + std::time::Duration::from_millis(ms));
         let max_cycles = budget.max_cycles.unwrap_or(u64::MAX);
         let run = self.run_inner(
             packets,
             max_cycles,
             budget.stall_patience,
-            deadline,
             recorder.as_mut().map(|r| &mut **r as _),
             schedule,
         );
@@ -305,13 +301,6 @@ impl CycleNoc {
                     .unwrap_or_default(),
             })));
         }
-        if run.wall_exceeded {
-            return Err(SimError::BudgetExhausted {
-                budget: BudgetKind::WallMs,
-                limit: budget.wall_ms.unwrap_or(0),
-                reached: budget.wall_ms.unwrap_or(0),
-            });
-        }
         if run.in_flight > 0 {
             return Err(SimError::BudgetExhausted {
                 budget: BudgetKind::Cycles,
@@ -327,7 +316,6 @@ impl CycleNoc {
         packets: &[Packet],
         max_cycles: u64,
         patience: u64,
-        deadline: Option<std::time::Instant>,
         mut recorder: Option<&mut dyn Recorder>,
         schedule: Option<&[EpochTables]>,
     ) -> InnerRun {
@@ -373,7 +361,6 @@ impl CycleNoc {
         // or locally drained while flits were in flight.
         let mut idle_cycles = 0u64;
         let mut stalled = false;
-        let mut wall_exceeded = false;
         while in_flight_flits > 0 && cycle < max_cycles {
             cycle += 1;
             if let Some(s) = schedule {
@@ -536,13 +523,6 @@ impl CycleNoc {
                     break;
                 }
             }
-            // Amortize the syscall: one wall-clock check per 8192 cycles.
-            if let Some(dl) = deadline {
-                if cycle.is_multiple_of(8192) && std::time::Instant::now() >= dl {
-                    wall_exceeded = true;
-                    break;
-                }
-            }
         }
         let occupancy = if stalled {
             buffers
@@ -565,7 +545,6 @@ impl CycleNoc {
             cycle,
             stalled_for: idle_cycles,
             stalled,
-            wall_exceeded,
             occupancy,
         }
     }
@@ -583,8 +562,6 @@ struct InnerRun {
     stalled_for: u64,
     /// The watchdog fired.
     stalled: bool,
-    /// The wall-clock deadline passed.
-    wall_exceeded: bool,
     /// Per-router buffered flits (5 FIFOs + injection queue), only captured
     /// when `stalled`.
     occupancy: Vec<u32>,

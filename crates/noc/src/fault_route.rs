@@ -343,9 +343,11 @@ mod tests {
     #[test]
     fn routes_are_loop_free_and_terminate_under_heavy_damage() {
         let t = Topology::new(5, 5);
-        let cfg = aff_sim_core::config::MachineConfig::builder()
-            .mesh(5, 5)
-            .build();
+        let cfg = aff_sim_core::config::MachineConfig {
+            mesh_x: 5,
+            mesh_y: 5,
+            ..aff_sim_core::config::MachineConfig::paper_default()
+        };
         let plan = aff_sim_core::fault::FaultPlan::seeded(
             99,
             &cfg,

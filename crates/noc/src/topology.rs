@@ -704,6 +704,12 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "degenerate mesh 0x3")]
+    fn empty_mesh_panics() {
+        let _ = Topology::new(0, 3);
+    }
+
+    #[test]
     #[should_panic(expected = "out of range")]
     fn coord_of_out_of_range_panics() {
         Topology::new(2, 2).coord_of(4);

@@ -17,61 +17,8 @@
 use crate::fault_route::{FaultRouter, LIMP_COST};
 use crate::topology::{BankId, Topology};
 use aff_sim_core::fault::{DegradationReport, FaultPlan};
-use aff_sim_core::trace::{Event, TrafficKind};
+pub use aff_sim_core::trace::TrafficClass;
 use serde::{Deserialize, Serialize};
-
-/// The paper's three traffic classes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum TrafficClass {
-    /// Stream config / credits / migration.
-    Offload,
-    /// Operand and response payloads.
-    Data,
-    /// Request headers and synchronization.
-    Control,
-}
-
-impl TrafficClass {
-    /// All classes, in plot order.
-    pub const ALL: [TrafficClass; 3] = [
-        TrafficClass::Offload,
-        TrafficClass::Data,
-        TrafficClass::Control,
-    ];
-
-    fn idx(self) -> usize {
-        match self {
-            TrafficClass::Offload => 0,
-            TrafficClass::Data => 1,
-            TrafficClass::Control => 2,
-        }
-    }
-
-    /// The [`aff_sim_core::trace`] event-vocabulary equivalent.
-    pub fn kind(self) -> TrafficKind {
-        match self {
-            TrafficClass::Offload => TrafficKind::Offload,
-            TrafficClass::Data => TrafficKind::Data,
-            TrafficClass::Control => TrafficKind::Control,
-        }
-    }
-}
-
-impl From<TrafficClass> for TrafficKind {
-    fn from(c: TrafficClass) -> Self {
-        c.kind()
-    }
-}
-
-impl From<TrafficKind> for TrafficClass {
-    fn from(k: TrafficKind) -> Self {
-        match k {
-            TrafficKind::Offload => TrafficClass::Offload,
-            TrafficKind::Data => TrafficClass::Data,
-            TrafficKind::Control => TrafficClass::Control,
-        }
-    }
-}
 
 /// One recorded message, kept only when packet logging is enabled (the
 /// flit-level [`crate::cyclesim::CycleNoc`] replays these).
@@ -485,23 +432,6 @@ impl TrafficMatrix {
         self.record_n(src, dst, payload_bytes, class, 1);
     }
 
-    /// Consume a typed [`Event`] — the same hook `SimEngine::record` feeds:
-    /// [`Event::Traffic`] charges are recorded, every other event kind is not
-    /// traffic and is ignored. Equivalent to [`TrafficMatrix::record_n`] with
-    /// the event's fields (pinned by the `apply_matches_record_n` test).
-    pub fn apply(&mut self, ev: &Event) {
-        if let Event::Traffic {
-            src,
-            dst,
-            payload_bytes,
-            class,
-            count,
-        } = *ev
-        {
-            self.record_n(src, dst, payload_bytes, class.into(), count);
-        }
-    }
-
     /// Record `count` identical messages at once — the hot path for affine
     /// streams, where millions of element messages share a route.
     pub fn record_n(
@@ -672,42 +602,6 @@ mod tests {
 
     fn matrix() -> TrafficMatrix {
         TrafficMatrix::new(Topology::new(4, 4), 32, 8)
-    }
-
-    #[test]
-    fn apply_matches_record_n() {
-        let mut via_apply = matrix();
-        let mut direct = matrix();
-        for (src, dst, payload, class, count) in [
-            (0u32, 3u32, 64u64, TrafficClass::Data, 5u64),
-            (3, 0, 0, TrafficClass::Control, 2),
-            (1, 14, 32, TrafficClass::Offload, 7),
-            (5, 5, 64, TrafficClass::Data, 9),
-        ] {
-            via_apply.apply(&Event::Traffic {
-                src,
-                dst,
-                payload_bytes: payload,
-                class: class.kind(),
-                count,
-            });
-            direct.record_n(src, dst, payload, class, count);
-        }
-        // Non-traffic events are ignored.
-        via_apply.apply(&Event::CoreOps { count: 99 });
-        assert_eq!(via_apply.total_hop_flits(), direct.total_hop_flits());
-        assert_eq!(via_apply.link_flits(), direct.link_flits());
-        for c in TrafficClass::ALL {
-            assert_eq!(via_apply.hop_flits(c), direct.hop_flits(c));
-        }
-    }
-
-    #[test]
-    fn traffic_class_kind_roundtrip() {
-        for c in TrafficClass::ALL {
-            assert_eq!(TrafficClass::from(c.kind()), c);
-            assert_eq!(c.kind().idx(), c.idx());
-        }
     }
 
     #[test]

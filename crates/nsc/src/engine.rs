@@ -23,12 +23,12 @@ use aff_cache::capacity;
 use aff_cache::dram::DramModel;
 use aff_cache::spare::SpareMap;
 use aff_noc::topology::{AxisHops, BankId, Topology};
-use aff_noc::traffic::{TrafficClass, TrafficMatrix};
+use aff_noc::traffic::TrafficMatrix;
 use aff_sim_core::config::{MachineConfig, CACHE_LINE};
 use aff_sim_core::energy::{EnergyBreakdown, EnergyModel};
 use aff_sim_core::fault::{DegradationReport, FaultEvent, FaultPlan, FaultTimeline};
 use aff_sim_core::tenant::TenantUsage;
-use aff_sim_core::trace::{Event, Recorder, TrafficKind};
+use aff_sim_core::trace::{Event, Recorder, TrafficClass};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -107,8 +107,8 @@ impl Primitive {
         };
         match self {
             Self::RemoteAtomic => {
-                emit(traffic(src, dst, 8, TrafficKind::Control));
-                emit(traffic(dst, src, 8, TrafficKind::Data));
+                emit(traffic(src, dst, 8, TrafficClass::Control));
+                emit(traffic(dst, src, 8, TrafficClass::Data));
                 emit(Event::SeOps {
                     bank: dst,
                     count: n,
@@ -120,13 +120,13 @@ impl Primitive {
                 });
             }
             Self::CoreAtomic { contended } => {
-                emit(traffic(src, dst, 0, TrafficKind::Control));
-                emit(traffic(dst, src, CACHE_LINE, TrafficKind::Data));
+                emit(traffic(src, dst, 0, TrafficClass::Control));
+                emit(traffic(dst, src, CACHE_LINE, TrafficClass::Data));
                 if contended {
                     // Invalidation + ownership transfer from the previous
                     // writer.
-                    emit(traffic(dst, src, 0, TrafficKind::Control));
-                    emit(traffic(src, dst, CACHE_LINE, TrafficKind::Data));
+                    emit(traffic(dst, src, 0, TrafficClass::Control));
+                    emit(traffic(src, dst, CACHE_LINE, TrafficClass::Data));
                 }
                 emit(Event::BankAtomic {
                     bank: dst,
@@ -135,9 +135,9 @@ impl Primitive {
                 });
             }
             Self::Indirect { resp_bytes } => {
-                emit(traffic(src, dst, 0, TrafficKind::Control));
+                emit(traffic(src, dst, 0, TrafficClass::Control));
                 if resp_bytes > 0 {
-                    emit(traffic(dst, src, resp_bytes, TrafficKind::Data));
+                    emit(traffic(dst, src, resp_bytes, TrafficClass::Data));
                 }
                 emit(Event::BankAccess {
                     bank: dst,
@@ -149,7 +149,12 @@ impl Primitive {
                     count: n,
                 });
             }
-            Self::Migrate => emit(traffic(src, dst, MIGRATE_STATE_BYTES, TrafficKind::Offload)),
+            Self::Migrate => emit(traffic(
+                src,
+                dst,
+                MIGRATE_STATE_BYTES,
+                TrafficClass::Offload,
+            )),
         }
     }
 }
@@ -608,7 +613,7 @@ impl SimEngine {
                     src: b,
                     dst: target,
                     payload_bytes: CACHE_LINE,
-                    class: TrafficKind::Data,
+                    class: TrafficClass::Data,
                     count: lines,
                 });
                 self.flush_charges();
@@ -698,7 +703,7 @@ impl SimEngine {
                 payload_bytes,
                 class,
                 count,
-            } => self.charge(src, dst, payload_bytes, class.into(), count),
+            } => self.charge(src, dst, payload_bytes, class, count),
             Event::BankAccess { bank, count, fetch } => {
                 self.banks.access(bank, count);
                 if fetch {
@@ -814,9 +819,7 @@ impl SimEngine {
                         payload_bytes,
                         class,
                         count,
-                    } => self
-                        .traffic
-                        .record_n(src, dst, payload_bytes, class.into(), count),
+                    } => self.traffic.record_n(src, dst, payload_bytes, class, count),
                     ev => self.apply(&ev),
                 });
             }
@@ -947,14 +950,14 @@ impl SimEngine {
             src: core,
             dst: bank,
             payload_bytes: 0,
-            class: TrafficKind::Control,
+            class: TrafficClass::Control,
             count: lines,
         });
         self.record(Event::Traffic {
             src: bank,
             dst: core,
             payload_bytes: CACHE_LINE,
-            class: TrafficKind::Data,
+            class: TrafficClass::Data,
             count: lines,
         });
         self.record(Event::BankAccess {
@@ -974,21 +977,21 @@ impl SimEngine {
             src: core,
             dst: bank,
             payload_bytes: 0,
-            class: TrafficKind::Control,
+            class: TrafficClass::Control,
             count: lines,
         });
         self.record(Event::Traffic {
             src: bank,
             dst: core,
             payload_bytes: CACHE_LINE,
-            class: TrafficKind::Data,
+            class: TrafficClass::Data,
             count: lines,
         });
         self.record(Event::Traffic {
             src: core,
             dst: bank,
             payload_bytes: CACHE_LINE,
-            class: TrafficKind::Data,
+            class: TrafficClass::Data,
             count: lines,
         });
         // Only the RFO fill can miss; the writeback is not a fetch.
@@ -1029,7 +1032,7 @@ impl SimEngine {
             src: core,
             dst: target,
             payload_bytes: MIGRATE_STATE_BYTES,
-            class: TrafficKind::Offload,
+            class: TrafficClass::Offload,
             count: num_streams,
         });
         self.record(Event::ChainCycles {
@@ -1050,7 +1053,7 @@ impl SimEngine {
                 src: core,
                 dst: target,
                 payload_bytes: MIGRATE_STATE_BYTES,
-                class: TrafficKind::Offload,
+                class: TrafficClass::Offload,
                 count: num_streams,
             });
         }
@@ -1068,7 +1071,7 @@ impl SimEngine {
             src: core,
             dst: bank,
             payload_bytes: 0,
-            class: TrafficKind::Control,
+            class: TrafficClass::Control,
             count: msgs,
         });
     }
@@ -1091,7 +1094,7 @@ impl SimEngine {
             src: from,
             dst: to,
             payload_bytes: bytes,
-            class: TrafficKind::Data,
+            class: TrafficClass::Data,
             count: n,
         });
     }
@@ -1106,14 +1109,14 @@ impl SimEngine {
                 src: bank,
                 dst: target,
                 payload_bytes: 0,
-                class: TrafficKind::Control,
+                class: TrafficClass::Control,
                 count: lines,
             });
             self.record(Event::Traffic {
                 src: target,
                 dst: bank,
                 payload_bytes: CACHE_LINE,
-                class: TrafficKind::Data,
+                class: TrafficClass::Data,
                 count: lines,
             });
         }
@@ -1134,14 +1137,14 @@ impl SimEngine {
                 src: bank,
                 dst: target,
                 payload_bytes: 0,
-                class: TrafficKind::Control,
+                class: TrafficClass::Control,
                 count: lines,
             });
             self.record(Event::Traffic {
                 src: target,
                 dst: bank,
                 payload_bytes: CACHE_LINE,
-                class: TrafficKind::Data,
+                class: TrafficClass::Data,
                 count: lines,
             });
         }
@@ -1162,7 +1165,7 @@ impl SimEngine {
                 src: bank,
                 dst: target,
                 payload_bytes: CACHE_LINE,
-                class: TrafficKind::Data,
+                class: TrafficClass::Data,
                 count: lines,
             });
         }
@@ -1438,14 +1441,14 @@ mod tests {
             src: 0,
             dst: 9,
             payload_bytes: 0,
-            class: TrafficKind::Control,
+            class: TrafficClass::Control,
             count: 100,
         });
         b.record(Event::Traffic {
             src: 9,
             dst: 0,
             payload_bytes: CACHE_LINE,
-            class: TrafficKind::Data,
+            class: TrafficClass::Data,
             count: 100,
         });
         b.record(Event::BankAccess {

@@ -133,12 +133,12 @@ impl PhaseTracker {
     /// End the phase, producing a snapshot (or `None` if no atomics ran).
     pub fn end(&mut self, config: &MachineConfig) -> Option<OccupancySnapshot> {
         self.active = false;
-        // Lane-chunked bottleneck max; the per-bank Little's-law pass below
-        // is a straight divide/fma/min line whose only branch is folded into
-        // a final select, so both scans autovectorize. Values (including the
-        // idle-bank zeros) are bit-identical to the scalar formulation — the
-        // conversions are hoisted but every float op keeps its order.
-        let bottleneck = aff_cache::lanes::max_u64(&self.atomics);
+        // The per-bank Little's-law pass below is a straight divide/fma/min
+        // line whose only branch is folded into a final select, so it
+        // autovectorizes. Values (including the idle-bank zeros) are
+        // bit-identical to the scalar formulation — the conversions are
+        // hoisted but every float op keeps its order.
+        let bottleneck = self.atomics.iter().copied().max().unwrap_or(0);
         if bottleneck == 0 {
             return None;
         }

@@ -131,9 +131,9 @@ proptest! {
     ) {
         use aff_sim_core::config::TopologyKind;
         let base = match geometry {
-            0 => MachineConfig::builder().mesh(16, 16).build(),
-            1 => MachineConfig::builder().mesh(8, 4).build(),
-            _ => MachineConfig::builder().topology(TopologyKind::Torus).build(),
+            0 => MachineConfig { mesh_x: 16, mesh_y: 16, ..MachineConfig::paper_default() },
+            1 => MachineConfig { mesh_x: 8, mesh_y: 4, ..MachineConfig::paper_default() },
+            _ => MachineConfig { topology: TopologyKind::Torus, ..MachineConfig::paper_default() },
         };
         let mut unsafe_tl = FaultTimeline::none();
         for &(cycle, tag, a, b, mult) in &raw {

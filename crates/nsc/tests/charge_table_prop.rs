@@ -15,7 +15,7 @@ use aff_nsc::engine::{Metrics, SimEngine};
 use aff_sim_core::config::MachineConfig;
 use aff_sim_core::fault::{FaultChange, FaultPlan, FaultTimeline, LinkRef};
 use aff_sim_core::rng::SimRng;
-use aff_sim_core::trace::{Event, SharedRecorder, TimedEvent, TraceRecorder, TrafficKind};
+use aff_sim_core::trace::{Event, SharedRecorder, TimedEvent, TraceRecorder};
 use std::sync::{Arc, Mutex};
 
 /// One random charge.
@@ -41,9 +41,9 @@ fn charge(e: &mut SimEngine, rng: &mut SimRng) {
                 rng.below(1 << 20)
             },
             class: [
-                TrafficKind::Offload,
-                TrafficKind::Data,
-                TrafficKind::Control,
+                TrafficClass::Offload,
+                TrafficClass::Data,
+                TrafficClass::Control,
             ][rng.below(3) as usize],
             count: rng.below(3),
         }),

@@ -65,10 +65,8 @@ impl TopologyKind {
 ///
 /// Defaults come from [`MachineConfig::paper_default`]; tests frequently use
 /// [`MachineConfig::small_mesh`] (4×4) to keep hand-checked hop counts small.
-/// The struct is `#[non_exhaustive]` so that adding a knob is not a breaking
-/// change for downstream crates: construct one with
-/// [`MachineConfig::builder`] (or one of the presets) instead of a struct
-/// literal.
+/// Vary a few knobs with struct-update syntax over a preset, as in the
+/// example below.
 ///
 /// Serde-default audit: every field added after the original Table 2 schema
 /// (`bank_order`, `topology`, `allow_npot_interleave`, `faults`,
@@ -86,11 +84,15 @@ impl TopologyKind {
 /// let m = MachineConfig::paper_default();
 /// assert_eq!(m.l3_total_bytes(), 64 * 1024 * 1024);
 ///
-/// let small = MachineConfig::builder().mesh(4, 4).l3_bank_bytes(64 << 10).build();
+/// let small = MachineConfig {
+///     mesh_x: 4,
+///     mesh_y: 4,
+///     l3_bank_bytes: 64 << 10,
+///     ..MachineConfig::paper_default()
+/// };
 /// assert_eq!(small, MachineConfig::small_mesh());
 /// ```
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-#[non_exhaustive]
 pub struct MachineConfig {
     /// Mesh width in tiles (paper: 8).
     pub mesh_x: u32,
@@ -314,211 +316,6 @@ impl Default for MachineConfig {
     }
 }
 
-impl MachineConfig {
-    /// Start building a machine from the paper defaults (Table 2).
-    ///
-    /// Since `MachineConfig` is `#[non_exhaustive]`, downstream crates cannot
-    /// use struct literals; the builder is the supported way to vary a few
-    /// knobs:
-    ///
-    /// ```
-    /// use aff_sim_core::config::{BankOrder, MachineConfig};
-    /// let m = MachineConfig::builder()
-    ///     .mesh(4, 4)
-    ///     .hop_latency(3)
-    ///     .bank_order(BankOrder::Snake)
-    ///     .build();
-    /// assert_eq!(m.num_banks(), 16);
-    /// ```
-    pub fn builder() -> MachineConfigBuilder {
-        MachineConfigBuilder {
-            cfg: Self::paper_default(),
-        }
-    }
-}
-
-/// Builder for [`MachineConfig`], seeded with [`MachineConfig::paper_default`].
-///
-/// Every setter overrides one Table 2 knob; [`build`](Self::build) validates
-/// the result (non-empty mesh, valid fault plan) and hands back the config.
-#[derive(Debug, Clone)]
-pub struct MachineConfigBuilder {
-    cfg: MachineConfig,
-}
-
-impl MachineConfigBuilder {
-    /// Mesh dimensions in tiles (`mesh_x` × `mesh_y`).
-    pub fn mesh(mut self, x: u32, y: u32) -> Self {
-        self.cfg.mesh_x = x;
-        self.cfg.mesh_y = y;
-        self
-    }
-
-    /// Core clock in MHz.
-    pub fn clock_mhz(mut self, mhz: u32) -> Self {
-        self.cfg.clock_mhz = mhz;
-        self
-    }
-
-    /// Issue width of the OOO core.
-    pub fn core_issue_width(mut self, width: u32) -> Self {
-        self.cfg.core_issue_width = width;
-        self
-    }
-
-    /// Per-bank shared-L3 capacity in bytes.
-    pub fn l3_bank_bytes(mut self, bytes: u64) -> Self {
-        self.cfg.l3_bank_bytes = bytes;
-        self
-    }
-
-    /// Shared L3 access latency in cycles.
-    pub fn l3_latency(mut self, cycles: u64) -> Self {
-        self.cfg.l3_latency = cycles;
-        self
-    }
-
-    /// Default static-NUCA interleave in bytes.
-    pub fn default_interleave(mut self, bytes: u64) -> Self {
-        self.cfg.default_interleave = bytes;
-        self
-    }
-
-    /// Private L2 capacity in bytes.
-    pub fn l2(mut self, bytes: u64) -> Self {
-        self.cfg.l2_bytes = bytes;
-        self
-    }
-
-    /// Private L1D capacity in bytes.
-    pub fn l1(mut self, bytes: u64) -> Self {
-        self.cfg.l1_bytes = bytes;
-        self
-    }
-
-    /// NoC link width in bytes per cycle per direction.
-    pub fn link_bytes_per_cycle(mut self, bytes: u64) -> Self {
-        self.cfg.link_bytes_per_cycle = bytes;
-        self
-    }
-
-    /// Per-hop router latency in cycles.
-    pub fn hop_latency(mut self, cycles: u64) -> Self {
-        self.cfg.hop_latency = cycles;
-        self
-    }
-
-    /// Packet header overhead in bytes.
-    pub fn packet_header_bytes(mut self, bytes: u64) -> Self {
-        self.cfg.packet_header_bytes = bytes;
-        self
-    }
-
-    /// Number of memory controllers.
-    pub fn num_mem_ctrls(mut self, n: u32) -> Self {
-        self.cfg.num_mem_ctrls = n;
-        self
-    }
-
-    /// DRAM aggregate bandwidth in bytes/cycle.
-    pub fn dram(mut self, bytes_per_cycle: u64) -> Self {
-        self.cfg.dram_bytes_per_cycle = bytes_per_cycle;
-        self
-    }
-
-    /// Concurrent streams per bank on the L3 stream engine.
-    pub fn sel3_streams_per_bank(mut self, n: u32) -> Self {
-        self.cfg.sel3_streams_per_bank = n;
-        self
-    }
-
-    /// Cycles for an SEL3 to initiate a near-stream computation.
-    pub fn sel3_compute_init_latency(mut self, cycles: u64) -> Self {
-        self.cfg.sel3_compute_init_latency = cycles;
-        self
-    }
-
-    /// Interleave Override Table entries per controller.
-    pub fn iot_entries(mut self, n: u32) -> Self {
-        self.cfg.iot_entries = n;
-        self
-    }
-
-    /// Throughput of one L3 bank in accesses per cycle.
-    pub fn bank_accesses_per_cycle(mut self, rate: f64) -> Self {
-        self.cfg.bank_accesses_per_cycle = rate;
-        self
-    }
-
-    /// Bank-numbering order on the mesh.
-    pub fn bank_order(mut self, order: BankOrder) -> Self {
-        self.cfg.bank_order = order;
-        self
-    }
-
-    /// Network geometry connecting the tile grid.
-    pub fn topology(mut self, kind: TopologyKind) -> Self {
-        self.cfg.topology = kind;
-        self
-    }
-
-    /// Accept non-power-of-two (line-multiple) interleave sizes.
-    pub fn allow_npot_interleave(mut self, allow: bool) -> Self {
-        self.cfg.allow_npot_interleave = allow;
-        self
-    }
-
-    /// Install a fault plan. Validated against the machine at
-    /// [`build`](Self::build) time, after all other knobs are set, so the
-    /// order of `faults` vs `mesh` calls does not matter.
-    pub fn faults(mut self, faults: FaultPlan) -> Self {
-        self.cfg.faults = faults;
-        self
-    }
-
-    /// Install a fault timeline. Validated against the machine (and the
-    /// cycle-0 fault plan) at [`build`](Self::build) time, after all other
-    /// knobs are set, so call order does not matter.
-    pub fn fault_timeline(mut self, timeline: FaultTimeline) -> Self {
-        self.cfg.fault_timeline = timeline;
-        self
-    }
-
-    /// Finish building.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an empty mesh (`mesh_x == 0 || mesh_y == 0`) or a fault plan
-    /// that references banks/links/controllers this machine does not have —
-    /// the same contract as [`MachineConfig::with_faults`].
-    pub fn build(self) -> MachineConfig {
-        assert!(
-            self.cfg.mesh_x > 0 && self.cfg.mesh_y > 0,
-            "machine mesh must be non-empty ({}x{})",
-            self.cfg.mesh_x,
-            self.cfg.mesh_y
-        );
-        assert!(
-            self.cfg.topology != TopologyKind::CMesh
-                || (self.cfg.mesh_x.is_multiple_of(2) && self.cfg.mesh_y.is_multiple_of(2)),
-            "concentrated mesh needs even dimensions, got {}x{}",
-            self.cfg.mesh_x,
-            self.cfg.mesh_y
-        );
-        if let Err(e) = self.cfg.faults.validate(&self.cfg) {
-            panic!("invalid fault plan for this machine: {e}");
-        }
-        if let Err(e) = self
-            .cfg
-            .fault_timeline
-            .validate(&self.cfg, &self.cfg.faults)
-        {
-            panic!("invalid fault timeline for this machine: {e}");
-        }
-        self.cfg
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -632,76 +429,19 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "invalid fault timeline")]
-    fn builder_rejects_timeline_killing_every_bank() {
+    fn with_fault_timeline_rejects_killing_every_bank() {
         use crate::fault::FaultChange;
         let mut tl = FaultTimeline::none();
         for b in 0..4 {
             tl.push(10, FaultChange::BankFail(b));
         }
-        let _ = MachineConfig::builder()
-            .mesh(2, 2)
-            .fault_timeline(tl)
-            .build();
+        let _ = MachineConfig::tiny_mesh().with_fault_timeline(tl);
     }
 
     #[test]
     fn small_and_tiny_meshes() {
         assert_eq!(MachineConfig::small_mesh().num_banks(), 16);
         assert_eq!(MachineConfig::tiny_mesh().num_banks(), 4);
-    }
-
-    #[test]
-    fn builder_defaults_to_the_paper_machine() {
-        assert_eq!(
-            MachineConfig::builder().build(),
-            MachineConfig::paper_default()
-        );
-    }
-
-    #[test]
-    fn builder_overrides_each_knob() {
-        let m = MachineConfig::builder()
-            .mesh(4, 2)
-            .clock_mhz(1000)
-            .core_issue_width(4)
-            .l3_bank_bytes(32 << 10)
-            .l3_latency(10)
-            .default_interleave(256)
-            .l2(128 << 10)
-            .l1(16 << 10)
-            .link_bytes_per_cycle(16)
-            .hop_latency(2)
-            .packet_header_bytes(4)
-            .num_mem_ctrls(2)
-            .dram(8)
-            .sel3_streams_per_bank(6)
-            .sel3_compute_init_latency(2)
-            .iot_entries(8)
-            .bank_accesses_per_cycle(0.5)
-            .bank_order(BankOrder::Snake)
-            .topology(TopologyKind::Torus)
-            .allow_npot_interleave(true)
-            .build();
-        assert_eq!(m.num_banks(), 8);
-        assert_eq!(m.clock_mhz, 1000);
-        assert_eq!(m.core_issue_width, 4);
-        assert_eq!(m.l3_bank_bytes, 32 << 10);
-        assert_eq!(m.l3_latency, 10);
-        assert_eq!(m.default_interleave, 256);
-        assert_eq!(m.l2_bytes, 128 << 10);
-        assert_eq!(m.l1_bytes, 16 << 10);
-        assert_eq!(m.link_bytes_per_cycle, 16);
-        assert_eq!(m.hop_latency, 2);
-        assert_eq!(m.packet_header_bytes, 4);
-        assert_eq!(m.num_mem_ctrls, 2);
-        assert_eq!(m.dram_bytes_per_cycle, 8);
-        assert_eq!(m.sel3_streams_per_bank, 6);
-        assert_eq!(m.sel3_compute_init_latency, 2);
-        assert_eq!(m.iot_entries, 8);
-        assert!((m.bank_accesses_per_cycle - 0.5).abs() < 1e-12);
-        assert_eq!(m.bank_order, BankOrder::Snake);
-        assert_eq!(m.topology, TopologyKind::Torus);
-        assert!(m.allow_npot_interleave);
     }
 
     #[test]
@@ -712,40 +452,5 @@ mod tests {
         assert_eq!(TopologyKind::default(), TopologyKind::Mesh);
         assert_eq!(MachineConfig::paper_default().topology, TopologyKind::Mesh);
         assert_eq!(TopologyKind::Torus.label(), "torus");
-    }
-
-    #[test]
-    #[should_panic(expected = "even dimensions")]
-    fn builder_rejects_odd_cmesh() {
-        let _ = MachineConfig::builder()
-            .mesh(5, 4)
-            .topology(TopologyKind::CMesh)
-            .build();
-    }
-
-    #[test]
-    fn builder_validates_faults_after_mesh_regardless_of_call_order() {
-        // Bank 10 is out of range on a 2x2 mesh but fine on 4x4: setting
-        // faults *before* mesh must still validate against the final mesh.
-        let m = MachineConfig::builder()
-            .faults(FaultPlan::none().fail_bank(10))
-            .mesh(4, 4)
-            .build();
-        assert!(!m.bank_is_healthy(10));
-    }
-
-    #[test]
-    #[should_panic(expected = "invalid fault plan")]
-    fn builder_rejects_invalid_fault_plans() {
-        let _ = MachineConfig::builder()
-            .mesh(2, 2)
-            .faults(FaultPlan::none().fail_bank(10))
-            .build();
-    }
-
-    #[test]
-    #[should_panic(expected = "mesh must be non-empty")]
-    fn builder_rejects_empty_meshes() {
-        let _ = MachineConfig::builder().mesh(0, 3).build();
     }
 }

@@ -4,9 +4,11 @@
 //! hang or die without a diagnosis. This module gives the simulators a
 //! shared vocabulary for *why* a run stopped early:
 //!
-//! * [`RunBudget`] — hard resource ceilings (`max_cycles`, `max_events`,
-//!   `wall_ms`) plus the progress-watchdog patience, passed explicitly to
-//!   the cycle-accurate NoC's `try_simulate` entry points.
+//! * [`RunBudget`] — hard resource ceilings (`max_cycles`, `max_events`)
+//!   plus the progress-watchdog patience, passed explicitly to the
+//!   cycle-accurate NoC's `try_simulate` entry points. Every ceiling counts
+//!   simulated work, never host time, so whether a run completes does not
+//!   depend on the host's speed.
 //! * [`SimError`] — the typed-error hierarchy returned by those fallible
 //!   (`try_*`) entry points and by the sweep harness; `Stalled` carries a
 //!   [`StallSnapshot`] naming the routers and fault-plan links implicated
@@ -26,8 +28,6 @@ pub struct RunBudget {
     /// Maximum discrete events (flits offered to the cycle-level NoC) before
     /// [`SimError::BudgetExhausted`].
     pub max_events: Option<u64>,
-    /// Maximum wall-clock milliseconds before [`SimError::BudgetExhausted`].
-    pub wall_ms: Option<u64>,
     /// Progress-watchdog patience: how many *consecutive* cycles the
     /// cycle-level NoC may go without a single flit moving (while flits are
     /// in flight) before the run is declared [`SimError::Stalled`]. This has
@@ -51,7 +51,6 @@ impl RunBudget {
         Self {
             max_cycles: None,
             max_events: None,
-            wall_ms: None,
             stall_patience: DEFAULT_STALL_PATIENCE,
         }
     }
@@ -65,12 +64,6 @@ impl RunBudget {
     /// Budget with a discrete-event ceiling.
     pub fn with_max_events(mut self, e: u64) -> Self {
         self.max_events = Some(e);
-        self
-    }
-
-    /// Budget with a wall-clock ceiling in milliseconds.
-    pub fn with_wall_ms(mut self, ms: u64) -> Self {
-        self.wall_ms = Some(ms);
         self
     }
 
@@ -104,8 +97,6 @@ pub enum BudgetKind {
     Cycles,
     /// `max_events` — discrete events (flits offered to the cycle-level NoC).
     Events,
-    /// `wall_ms` — host wall-clock time.
-    WallMs,
 }
 
 impl std::fmt::Display for BudgetKind {
@@ -113,7 +104,6 @@ impl std::fmt::Display for BudgetKind {
         f.write_str(match self {
             BudgetKind::Cycles => "max_cycles",
             BudgetKind::Events => "max_events",
-            BudgetKind::WallMs => "wall_ms",
         })
     }
 }
@@ -264,7 +254,6 @@ mod tests {
         let b = RunBudget::default();
         assert!(!b.cycles_exhausted(u64::MAX));
         assert!(!b.events_exhausted(u64::MAX));
-        assert_eq!(b.wall_ms, None);
         assert_eq!(b.stall_patience, DEFAULT_STALL_PATIENCE);
     }
 
@@ -276,7 +265,6 @@ mod tests {
         assert!(!b.cycles_exhausted(99));
         assert!(b.cycles_exhausted(100));
         assert!(b.events_exhausted(5));
-        assert_eq!(b.with_wall_ms(7).wall_ms, Some(7));
     }
 
     #[test]
@@ -334,11 +322,8 @@ mod tests {
         // RunBudget must deserialize from an empty map so configs written
         // before budgets existed keep loading.
         let b = RunBudget::unlimited().with_max_cycles(42);
-        let kinds = [BudgetKind::Cycles, BudgetKind::Events, BudgetKind::WallMs];
-        assert_eq!(
-            kinds.map(|k| k.to_string()),
-            ["max_cycles", "max_events", "wall_ms"]
-        );
+        let kinds = [BudgetKind::Cycles, BudgetKind::Events];
+        assert_eq!(kinds.map(|k| k.to_string()), ["max_cycles", "max_events"]);
         assert_eq!(b, b.clone());
     }
 }

@@ -187,34 +187,29 @@ impl FaultPlan {
             + usize::from(self.pool_reserve_cap.is_some())
     }
 
-    /// Builder: mark a bank's cache slice dead.
+    /// Builder: mark a bank's cache slice dead ([`FaultChange::BankFail`]).
     pub fn fail_bank(mut self, bank: u32) -> Self {
-        self.slowed_banks.remove(&bank);
-        self.failed_banks.insert(bank);
+        FaultChange::BankFail(bank).apply_to(&mut self);
         self
     }
 
     /// Builder: slow a bank by an integer multiplier (values below 2 are
-    /// ignored — a 1× slowdown is not a fault).
+    /// ignored — a 1× slowdown is not a fault; [`FaultChange::BankSlow`]).
     pub fn slow_bank(mut self, bank: u32, multiplier: u32) -> Self {
-        if multiplier >= 2 && !self.failed_banks.contains(&bank) {
-            self.slowed_banks.insert(bank, multiplier);
-        }
+        FaultChange::BankSlow { bank, multiplier }.apply_to(&mut self);
         self
     }
 
-    /// Builder: kill a directed link.
+    /// Builder: kill a directed link ([`FaultChange::LinkFail`]).
     pub fn fail_link(mut self, link: LinkRef) -> Self {
-        self.degraded_links.remove(&link);
-        self.failed_links.insert(link);
+        FaultChange::LinkFail(link).apply_to(&mut self);
         self
     }
 
-    /// Builder: degrade a directed link by an integer cost multiplier.
+    /// Builder: degrade a directed link by an integer cost multiplier
+    /// ([`FaultChange::LinkDegrade`]).
     pub fn degrade_link(mut self, link: LinkRef, multiplier: u32) -> Self {
-        if multiplier >= 2 && !self.failed_links.contains(&link) {
-            self.degraded_links.insert(link, multiplier);
-        }
+        FaultChange::LinkDegrade { link, multiplier }.apply_to(&mut self);
         self
     }
 

@@ -35,7 +35,7 @@ pub use energy::{EnergyBreakdown, EnergyModel};
 pub use error::{BudgetKind, RunBudget, SimError, StallSnapshot};
 pub use fault::{DegradationReport, FaultPlan, FaultPlanError, FaultSpec, LinkRef};
 pub use tenant::{jain_fairness, RetryPolicy, TenantId, TenantSpec, TenantUsage};
-pub use trace::{Event, NullRecorder, Recorder, TraceRecorder, TrafficKind};
+pub use trace::{Event, NullRecorder, Recorder, TraceRecorder, TrafficClass};
 
 /// A simulated cycle count.
 pub type Cycles = u64;

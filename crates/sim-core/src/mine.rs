@@ -444,7 +444,7 @@ mod tests {
 
     #[test]
     fn work_counters_fold_charge_events() {
-        use crate::trace::TrafficKind;
+        use crate::trace::TrafficClass;
         let mut m = CoAccessMiner::new();
         m.record(&Event::CoreOps { count: 100 });
         m.record(&Event::SeOps { bank: 3, count: 40 });
@@ -457,7 +457,7 @@ mod tests {
             src: 0,
             dst: 5,
             payload_bytes: 64,
-            class: TrafficKind::Data,
+            class: TrafficClass::Data,
             count: 3,
         });
         let t = m.finish();

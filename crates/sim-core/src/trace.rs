@@ -25,44 +25,46 @@
 use std::fmt::{self, Write as _};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
+use serde::{Deserialize, Serialize};
+
 use crate::mine::RegionKind;
 
-/// Traffic class of a NoC message, mirrored from the NoC crate so events can
-/// be defined here without a dependency cycle (`aff-noc` depends on this
-/// crate and converts losslessly in both directions).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum TrafficKind {
-    /// Stream configuration / migration traffic.
+/// The paper's three traffic classes, the message classes its traffic
+/// plots stack (legend of Figs 4/6/12/13/20). Defined here, where
+/// [`Event::Traffic`] needs it, and re-exported by `aff_noc::traffic`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+pub enum TrafficClass {
+    /// Stream config / credits / migration.
     Offload,
-    /// Payload data.
+    /// Operand and response payloads.
     Data,
-    /// Requests, credits, coherence — header-only messages.
+    /// Request headers and synchronization.
     Control,
 }
 
-impl TrafficKind {
-    /// All kinds, in canonical `[Offload, Data, Control]` order.
-    pub const ALL: [TrafficKind; 3] = [
-        TrafficKind::Offload,
-        TrafficKind::Data,
-        TrafficKind::Control,
+impl TrafficClass {
+    /// All classes, in plot order.
+    pub const ALL: [TrafficClass; 3] = [
+        TrafficClass::Offload,
+        TrafficClass::Data,
+        TrafficClass::Control,
     ];
 
-    /// Canonical index (matches `aff_noc::traffic::TrafficClass::idx`).
+    /// Canonical index: the class's position in [`Self::ALL`].
     pub fn idx(self) -> usize {
         match self {
-            TrafficKind::Offload => 0,
-            TrafficKind::Data => 1,
-            TrafficKind::Control => 2,
+            TrafficClass::Offload => 0,
+            TrafficClass::Data => 1,
+            TrafficClass::Control => 2,
         }
     }
 
     /// Lower-case label used in trace and metric names.
     pub fn label(self) -> &'static str {
         match self {
-            TrafficKind::Offload => "offload",
-            TrafficKind::Data => "data",
-            TrafficKind::Control => "control",
+            TrafficClass::Offload => "offload",
+            TrafficClass::Data => "data",
+            TrafficClass::Control => "control",
         }
     }
 }
@@ -83,7 +85,7 @@ pub enum Event {
         /// Payload bytes per message (0 = header-only).
         payload_bytes: u64,
         /// Traffic class.
-        class: TrafficKind,
+        class: TrafficClass,
         /// Message count.
         count: u64,
     },
@@ -592,7 +594,7 @@ mod tests {
             src: 3,
             dst: 7,
             payload_bytes: 64,
-            class: TrafficKind::Data,
+            class: TrafficClass::Data,
             count: 2,
         });
         t.record(&Event::BankAccess {
@@ -652,10 +654,10 @@ mod tests {
     }
 
     #[test]
-    fn traffic_kind_roundtrip() {
-        for (i, k) in TrafficKind::ALL.iter().enumerate() {
+    fn traffic_class_indices_follow_all() {
+        for (i, k) in TrafficClass::ALL.iter().enumerate() {
             assert_eq!(k.idx(), i);
         }
-        assert_eq!(TrafficKind::Data.label(), "data");
+        assert_eq!(TrafficClass::Data.label(), "data");
     }
 }

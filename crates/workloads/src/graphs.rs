@@ -14,6 +14,7 @@
 //! per-iteration statistics fall out of the traversal itself.
 
 use crate::config::{declare_region, HintMode, RunConfig, SystemConfig};
+use crate::suite::WorkloadName;
 use aff_ds::csr::{ChunkedCsr, CsrLayout};
 use aff_ds::graph::Graph;
 use aff_ds::layout::{AllocMode, VertexArray};
@@ -293,6 +294,30 @@ impl GraphInstance {
     /// The logical graph.
     pub fn graph(&self) -> &Graph {
         &self.graph
+    }
+
+    /// Run graph workload `name` — the one map from a [`WorkloadName`] to a
+    /// kernel. `pr` takes the best direction for this instance's system (pull
+    /// for In-Core, push for NDC configurations — §6) and `bfs` that
+    /// system's [`DirectionPolicy::default_for`]; BFS and SSSP start at
+    /// [`pick_source`].
+    ///
+    /// # Panics
+    ///
+    /// Panics when `name` is not a graph workload.
+    pub fn run(self, name: WorkloadName) -> GraphRun {
+        let source = pick_source(&self.graph);
+        let system = self.system;
+        match name {
+            WorkloadName::Pr if system == SystemConfig::InCore => self.run_pr_pull(),
+            WorkloadName::Pr | WorkloadName::PrPush => self.run_pr_push(),
+            WorkloadName::PrPull => self.run_pr_pull(),
+            WorkloadName::Bfs => self.run_bfs(source, DirectionPolicy::default_for(system)),
+            WorkloadName::BfsPush => self.run_bfs(source, DirectionPolicy::PushOnly),
+            WorkloadName::BfsPull => self.run_bfs(source, DirectionPolicy::PullOnly),
+            WorkloadName::Sssp => self.run_sssp(source),
+            other => panic!("{} is not a graph workload", other.label()),
+        }
     }
 
     fn prop_bank(&self, v: u32) -> u32 {

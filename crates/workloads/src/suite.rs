@@ -9,9 +9,9 @@
 //! `--full` harness flag restores Table 3 exactly.
 
 use crate::affine::{run_stencil, Stencil};
-use crate::config::{RunConfig, SystemConfig};
+use crate::config::RunConfig;
 use crate::gen;
-use crate::graphs::{pick_source, DirectionPolicy, GraphInstance, GraphRun, IterStat};
+use crate::graphs::{GraphInstance, GraphRun, IterStat};
 use crate::pointer::{
     run_bin_tree, run_hash_join, run_link_list, BinTreeParams, HashJoinParams, LinkListParams,
 };
@@ -53,6 +53,24 @@ pub enum WorkloadName {
 }
 
 impl WorkloadName {
+    /// Every workload, in declaration order.
+    pub const ALL: [WorkloadName; 14] = [
+        WorkloadName::Pathfinder,
+        WorkloadName::Srad,
+        WorkloadName::Hotspot,
+        WorkloadName::Hotspot3D,
+        WorkloadName::Pr,
+        WorkloadName::PrPush,
+        WorkloadName::PrPull,
+        WorkloadName::Bfs,
+        WorkloadName::BfsPush,
+        WorkloadName::BfsPull,
+        WorkloadName::Sssp,
+        WorkloadName::LinkList,
+        WorkloadName::HashJoin,
+        WorkloadName::BinTree,
+    ];
+
     /// The ten names of Fig 12, in plot order.
     pub const FIG12: [WorkloadName; 10] = [
         WorkloadName::Pathfinder,
@@ -85,6 +103,14 @@ impl WorkloadName {
             WorkloadName::HashJoin => "hash_join",
             WorkloadName::BinTree => "bin_tree",
         }
+    }
+
+    /// The workload whose [`Self::label`] is `s`, ignoring ASCII case (so
+    /// `hotspot3d` names [`WorkloadName::Hotspot3D`]).
+    pub fn parse(s: &str) -> Option<WorkloadName> {
+        Self::ALL
+            .into_iter()
+            .find(|w| w.label().eq_ignore_ascii_case(s))
     }
 
     /// Whether this workload records per-iteration stats.
@@ -144,7 +170,12 @@ fn log2(scale: u32) -> u32 {
     31 - scale.max(1).leading_zeros()
 }
 
-fn stencil_for(name: WorkloadName, scale: u64) -> Stencil {
+/// The stencil affine workload `name` runs at input scale `scale`.
+///
+/// # Panics
+///
+/// Panics when `name` is not an affine workload.
+pub fn stencil_for(name: WorkloadName, scale: u64) -> Stencil {
     match name {
         WorkloadName::Pathfinder => Stencil::pathfinder(1_500_000 * scale),
         WorkloadName::Srad => Stencil::srad(1024 * scale, 2048),
@@ -243,32 +274,7 @@ pub fn run(name: WorkloadName, cfg: &RunConfig) -> SuiteRun {
 ///
 /// Panics when `name` is not a graph workload, and on allocator failure.
 pub fn run_graph(name: WorkloadName, cfg: &RunConfig, graph: Arc<Graph>) -> SuiteRun {
-    match name {
-        WorkloadName::Pr => {
-            // Best implementation per system (§6): pull for In-Core, push
-            // for NDC configurations.
-            match cfg.system {
-                SystemConfig::InCore => run_graph(WorkloadName::PrPull, cfg, graph),
-                _ => run_graph(WorkloadName::PrPush, cfg, graph),
-            }
-        }
-        WorkloadName::PrPush => GraphInstance::new(graph, cfg).run_pr_push().into(),
-        WorkloadName::PrPull => GraphInstance::new(graph, cfg).run_pr_pull().into(),
-        WorkloadName::Bfs | WorkloadName::BfsPush | WorkloadName::BfsPull => {
-            let policy = match name {
-                WorkloadName::BfsPush => DirectionPolicy::PushOnly,
-                WorkloadName::BfsPull => DirectionPolicy::PullOnly,
-                _ => DirectionPolicy::default_for(cfg.system),
-            };
-            let src = pick_source(&graph);
-            GraphInstance::new(graph, cfg).run_bfs(src, policy).into()
-        }
-        WorkloadName::Sssp => {
-            let src = pick_source(&graph);
-            GraphInstance::new(graph, cfg).run_sssp(src).into()
-        }
-        other => panic!("{} is not a graph workload", other.label()),
-    }
+    GraphInstance::new(graph, cfg).run(name).into()
 }
 
 /// Run `name` on `input` when one is given (a graph workload's shared input,
@@ -283,6 +289,7 @@ pub fn run_on(name: WorkloadName, cfg: &RunConfig, input: Option<Arc<Graph>>) ->
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::SystemConfig;
 
     #[test]
     fn labels_cover_fig12() {
@@ -302,6 +309,40 @@ mod tests {
                 "bin_tree"
             ]
         );
+    }
+
+    #[test]
+    fn every_label_parses_back_to_its_workload() {
+        for w in WorkloadName::ALL {
+            assert_eq!(WorkloadName::parse(w.label()), Some(w), "{}", w.label());
+        }
+        // `ALL` lists every variant once, in declaration order. A new
+        // variant breaks this exhaustive match: give it the next ordinal,
+        // add it to `ALL` and raise the count.
+        let ordinal = |w: WorkloadName| match w {
+            WorkloadName::Pathfinder => 0,
+            WorkloadName::Srad => 1,
+            WorkloadName::Hotspot => 2,
+            WorkloadName::Hotspot3D => 3,
+            WorkloadName::Pr => 4,
+            WorkloadName::PrPush => 5,
+            WorkloadName::PrPull => 6,
+            WorkloadName::Bfs => 7,
+            WorkloadName::BfsPush => 8,
+            WorkloadName::BfsPull => 9,
+            WorkloadName::Sssp => 10,
+            WorkloadName::LinkList => 11,
+            WorkloadName::HashJoin => 12,
+            WorkloadName::BinTree => 13,
+        };
+        let ordinals: Vec<usize> = WorkloadName::ALL.into_iter().map(ordinal).collect();
+        assert_eq!(ordinals, (0..14).collect::<Vec<_>>());
+        assert_eq!(
+            WorkloadName::parse("hotspot3d"),
+            Some(WorkloadName::Hotspot3D)
+        );
+        assert_eq!(WorkloadName::parse("nosuch"), None);
+        assert_eq!(WorkloadName::parse(""), None);
     }
 
     #[test]

@@ -367,14 +367,29 @@ fn geometry_matrix() -> Vec<(&'static str, MachineConfig)> {
     use affinity_alloc_repro::sim::config::TopologyKind;
     vec![
         ("8x8-mesh", MachineConfig::paper_default()),
-        ("16x16-mesh", MachineConfig::builder().mesh(16, 16).build()),
+        (
+            "16x16-mesh",
+            MachineConfig {
+                mesh_x: 16,
+                mesh_y: 16,
+                ..MachineConfig::paper_default()
+            },
+        ),
         (
             "8x8-torus",
-            MachineConfig::builder()
-                .topology(TopologyKind::Torus)
-                .build(),
+            MachineConfig {
+                topology: TopologyKind::Torus,
+                ..MachineConfig::paper_default()
+            },
         ),
-        ("32x32-mesh", MachineConfig::builder().mesh(32, 32).build()),
+        (
+            "32x32-mesh",
+            MachineConfig {
+                mesh_x: 32,
+                mesh_y: 32,
+                ..MachineConfig::paper_default()
+            },
+        ),
     ]
 }
 
