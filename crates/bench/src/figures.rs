@@ -33,7 +33,6 @@ use aff_ds::graph::Graph;
 use aff_ds::layout::{AllocMode, VertexArray};
 use aff_ds::linked_csr::LinkedCsr;
 use aff_sim_core::config::{BankOrder, MachineConfig, TopologyKind};
-use aff_sim_core::fault::FaultTimeline;
 use aff_sim_core::rng::SimRng;
 use aff_sim_core::stats::geomean;
 use aff_workloads::affine::{run_stencil, run_stencil_opts, run_vecadd_forced_delta};
@@ -166,7 +165,7 @@ impl HarnessOpts {
 
     /// The run configuration of a cell simulating `system` on
     /// [`Self::machine`], stamped by the cell's context.
-    pub(crate) fn cfg(&self, ctx: &CellCtx, system: SystemConfig) -> RunConfig {
+    pub(crate) fn cfg(&self, ctx: &mut CellCtx, system: SystemConfig) -> RunConfig {
         RunConfig::new(system)
             .with_seed(self.seed)
             .with_scale(self.graph_scale())
@@ -1540,9 +1539,9 @@ pub fn traced_fig13_cell(opts: HarnessOpts) -> (String, String) {
     let w = WorkloadName::PrPush;
     let p = BankSelectPolicy::Hybrid { h: 5.0 };
     let trace = Arc::new(Mutex::new(TraceRecorder::new(DEFAULT_TRACE_CAPACITY)));
-    let calm = CellCtx::new(SimRng::split(opts.seed, 0), FaultTimeline::none());
+    let mut calm = CellCtx::new(SimRng::split(opts.seed, 0));
     let cfg = opts
-        .cfg(&calm, SystemConfig::AffAlloc(p))
+        .cfg(&mut calm, SystemConfig::AffAlloc(p))
         .with_recorder(Arc::clone(&trace));
     let _run = suite::run(w, &cfg);
     let json = trace

@@ -71,7 +71,7 @@ pub fn profile_workload(
     AffinityProfile::infer(&CoAccessMiner::finish_shared(&miner))
 }
 
-fn aff_cfg(ctx: &CellCtx, opts: HarnessOpts) -> RunConfig {
+fn aff_cfg(ctx: &mut CellCtx, opts: HarnessOpts) -> RunConfig {
     opts.cfg(ctx, SystemConfig::aff_alloc_default())
 }
 

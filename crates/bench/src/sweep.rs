@@ -185,29 +185,50 @@ impl<'a> Outcomes<'a> {
     }
 }
 
-/// What a cell runs with: its private RNG stream and its chaos timeline
-/// (empty outside chaos mode). Cells receive it as an argument and build
-/// every machine through [`CellCtx::machine`], so the timeline reaches
-/// their engines in the machine config itself.
+/// What a cell runs with: its private RNG stream and, in chaos mode, the
+/// stream its fault timeline is drawn from. Cells receive it as an argument
+/// and build every machine through [`CellCtx::machine`], so the timeline
+/// reaches their engines in the machine config itself.
 #[derive(Debug, Clone)]
 pub struct CellCtx {
     /// The cell's RNG stream, derived with [`SimRng::split`] from
     /// `(experiment seed, figure, cell index)`.
     pub rng: SimRng,
-    timeline: FaultTimeline,
+    /// The chaos timeline stream and its fault draws; `None` outside chaos
+    /// mode.
+    chaos: Option<(SimRng, u32)>,
+    /// The timeline [`Self::machine`] last installed.
+    installed: FaultTimeline,
 }
 
 impl CellCtx {
-    /// A context with RNG stream `rng` and chaos timeline `timeline`.
-    pub fn new(rng: SimRng, timeline: FaultTimeline) -> Self {
-        Self { rng, timeline }
+    /// A context with RNG stream `rng`, outside chaos mode.
+    pub fn new(rng: SimRng) -> Self {
+        Self {
+            rng,
+            chaos: None,
+            installed: FaultTimeline::none(),
+        }
     }
 
-    /// `machine` with the cell's chaos timeline stamped in, restricted
-    /// to the events this machine can express. Identity outside chaos mode.
-    pub fn machine(&self, mut machine: MachineConfig) -> MachineConfig {
-        if !self.timeline.is_empty() {
-            machine.fault_timeline = self.timeline.sanitized_for(&machine, &machine.faults);
+    /// A chaos-mode context: every machine gets a timeline of `draws` fault
+    /// draws sampled from `chaos` against that machine.
+    fn with_chaos(rng: SimRng, chaos: SimRng, draws: u32) -> Self {
+        Self {
+            chaos: Some((chaos, draws)),
+            ..Self::new(rng)
+        }
+    }
+
+    /// `machine` with the cell's chaos timeline stamped in: drawn against
+    /// this machine's banks and links, from the start of the cell's chaos
+    /// stream, so every machine of one shape gets the same timeline.
+    /// Identity outside chaos mode.
+    pub fn machine(&mut self, mut machine: MachineConfig) -> MachineConfig {
+        if let Some((stream, draws)) = &self.chaos {
+            let drawn = FaultTimeline::chaos(&mut stream.clone(), &machine, *draws);
+            self.installed = drawn.sanitized_for(&machine, &machine.faults);
+            machine.fault_timeline = self.installed.clone();
         }
         machine
     }
@@ -321,59 +342,36 @@ impl PlanBuilder {
 /// plan run. The value is built under the handle's lock: concurrent takers
 /// wait for one build instead of racing their own.
 pub struct Shared<T> {
-    inner: Arc<dyn Input<T>>,
+    inner: Arc<Slot<T>>,
 }
 
-/// The type-erased body behind a [`Shared`] handle and its claims.
-trait Input<T>: Send + Sync {
-    fn slot(&self) -> &Slot<T>;
-    fn build(&self) -> T;
-}
-
+/// The body behind a [`Shared`] handle and its claims.
 struct Slot<T> {
     value: Mutex<Option<Arc<T>>>,
     /// Claims not yet taken or dropped. Only claiming (at plan-build time)
     /// touches it outside the `value` lock.
     pending: AtomicUsize,
-}
-
-struct Built<T, F> {
-    slot: Slot<T>,
-    make: F,
-}
-
-impl<T: Send + Sync, F: Fn() -> T + Send + Sync> Input<T> for Built<T, F> {
-    fn slot(&self) -> &Slot<T> {
-        &self.slot
-    }
-
-    fn build(&self) -> T {
-        (self.make)()
-    }
-}
-
-impl<T: Send + Sync + 'static> Shared<T> {
-    /// A handle that builds its value with `make` on first take.
-    pub fn new(make: impl Fn() -> T + Send + Sync + 'static) -> Self {
-        Self {
-            inner: Arc::new(Built {
-                slot: Slot {
-                    value: Mutex::new(None),
-                    pending: AtomicUsize::new(0),
-                },
-                make,
-            }),
-        }
-    }
+    make: Box<dyn Fn() -> T + Send + Sync>,
 }
 
 impl<T> Shared<T> {
+    /// A handle that builds its value with `make` on first take.
+    pub fn new(make: impl Fn() -> T + Send + Sync + 'static) -> Self {
+        Self {
+            inner: Arc::new(Slot {
+                value: Mutex::new(None),
+                pending: AtomicUsize::new(0),
+                make: Box::new(make),
+            }),
+        }
+    }
+
     /// Register one consumer; move the claim into the cell job that reads
     /// the value.
     pub fn claim(&self) -> Claim<T> {
-        self.inner.slot().pending.fetch_add(1, Ordering::Relaxed);
+        self.inner.pending.fetch_add(1, Ordering::Relaxed);
         Claim {
-            input: Arc::clone(&self.inner),
+            slot: Arc::clone(&self.inner),
             taken: AtomicBool::new(false),
         }
     }
@@ -399,7 +397,7 @@ impl<T> Slot<T> {
 
 /// One consumer's claim on a [`Shared`] input.
 pub struct Claim<T> {
-    input: Arc<dyn Input<T>>,
+    slot: Arc<Slot<T>>,
     taken: AtomicBool,
 }
 
@@ -407,15 +405,14 @@ impl<T> Claim<T> {
     /// The shared value, built now if no copy is held. The first take of a
     /// claim consumes it; later takes of the same claim only read.
     pub fn take(&self) -> Arc<T> {
-        let slot = self.input.slot();
-        let mut held = slot.lock();
+        let mut held = self.slot.lock();
         let value = match &*held {
             Some(v) => Arc::clone(v),
-            None => Arc::new(self.input.build()),
+            None => Arc::new((self.slot.make)()),
         };
         if !self.taken.swap(true, Ordering::AcqRel) {
             *held = Some(Arc::clone(&value));
-            slot.release(&mut held);
+            self.slot.release(&mut held);
         }
         value
     }
@@ -424,8 +421,7 @@ impl<T> Claim<T> {
 impl<T> Drop for Claim<T> {
     fn drop(&mut self) {
         if !*self.taken.get_mut() {
-            let slot = self.input.slot();
-            slot.release(&mut slot.lock());
+            self.slot.release(&mut self.slot.lock());
         }
     }
 }
@@ -457,7 +453,8 @@ pub struct RunOpts {
     pub collect_metrics: bool,
     /// Chaos mode: sample a deterministic per-cell [`FaultTimeline`] from
     /// this seed (split on the cell's own stream id, so results are
-    /// schedule-independent) and hand it to the cell in its [`CellCtx`].
+    /// schedule-independent) against each machine the cell builds through
+    /// its [`CellCtx`].
     /// Every finished cell is held to the online chaos invariants; a
     /// violation fails the cell soft — recorded and journaled like a
     /// panic — rather than aborting the sweep.
@@ -524,16 +521,6 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
         .unwrap_or_else(|| "cell panicked".to_string())
 }
 
-/// Sample the chaos timeline for one cell, when chaos mode is on. The
-/// generator splits on the cell's stream id, so the timeline is as
-/// schedule-independent as the cell's own randomness.
-fn chaos_timeline(opts: &RunOpts, stream: u64) -> Option<FaultTimeline> {
-    opts.chaos.map(|chaos_seed| {
-        let mut rng = SimRng::split(chaos_seed, stream);
-        FaultTimeline::chaos(&mut rng, &MachineConfig::paper_default(), chaos_draws(opts))
-    })
-}
-
 /// Fault draws per chaos timeline: `opts.chaos_intensity`, with 0 meaning
 /// the default of 4.
 fn chaos_draws(opts: &RunOpts) -> u32 {
@@ -585,21 +572,28 @@ fn chaos_invariants(data: &CellData, timeline: &FaultTimeline) -> Result<(), Str
     Ok(())
 }
 
-/// Run the job once on its cell's context, catch panics, and hold a chaos
-/// cell's result to the chaos invariants.
-fn run_attempt(
-    job: CellJob,
-    seed: u64,
-    stream: u64,
-    chaos: Option<FaultTimeline>,
-) -> Result<CellData, String> {
-    let timeline = chaos.clone().unwrap_or_default();
-    let mut ctx = CellCtx::new(SimRng::split(seed, stream), timeline);
+/// Run the job once on `ctx`, catch panics, and hold a chaos cell's result
+/// to the chaos invariants against the timeline its machine installed.
+fn run_attempt(job: CellJob, mut ctx: CellCtx) -> Result<CellData, String> {
     let result = catch_unwind(AssertUnwindSafe(|| job(&mut ctx))).map_err(panic_message);
-    if let (Ok(data), Some(tl)) = (&result, &chaos) {
-        chaos_invariants(data, tl).map_err(|e| format!("chaos invariant violated: {e}"))?;
+    if let (Ok(data), true) = (&result, ctx.chaos.is_some()) {
+        chaos_invariants(data, &ctx.installed)
+            .map_err(|e| format!("chaos invariant violated: {e}"))?;
     }
     result
+}
+
+/// The context of the cell on `stream`: its RNG stream and, in chaos mode,
+/// its timeline stream, both split on the cell's stream id so they are
+/// schedule-independent.
+fn cell_ctx(opts: &RunOpts, stream: u64) -> CellCtx {
+    let rng = SimRng::split(opts.seed, stream);
+    match opts.chaos {
+        Some(chaos_seed) => {
+            CellCtx::with_chaos(rng, SimRng::split(chaos_seed, stream), chaos_draws(opts))
+        }
+        None => CellCtx::new(rng),
+    }
 }
 
 /// Run one task once on its cell's stream, catching panics so a broken cell
@@ -607,7 +601,7 @@ fn run_attempt(
 fn run_task(task: Task, opts: &RunOpts) -> Done {
     let stream = stream_id(task.figure, task.cell_idx);
     let start = Instant::now();
-    let result = run_attempt(task.job, opts.seed, stream, chaos_timeline(opts, stream));
+    let result = run_attempt(task.job, cell_ctx(opts, stream));
     let wall_ns = start.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
     let stat = CellStat {
         figure: task.figure.to_string(),
@@ -1525,54 +1519,133 @@ mod tests {
         assert_eq!(run(1), run(4));
     }
 
+    /// The chaos timeline a cell on `stream` installs into `machine`.
+    fn installed(opts: &RunOpts, stream: u64, machine: MachineConfig) -> FaultTimeline {
+        cell_ctx(opts, stream).machine(machine).fault_timeline
+    }
+
+    fn chaos_opts(intensity: u32) -> RunOpts {
+        RunOpts {
+            chaos: Some(7),
+            chaos_intensity: intensity,
+            ..RunOpts::new(1, 42)
+        }
+    }
+
+    /// A chaos cell job on `machine` that runs long enough, phase by phase,
+    /// for the timeline's events to fire.
+    fn long_engine_job(machine: MachineConfig) -> CellJob {
+        Box::new(move |ctx: &mut CellCtx| {
+            let machine = ctx.machine(machine);
+            let banks = machine.num_banks();
+            let mut e = aff_nsc::engine::SimEngine::new(machine);
+            for phase in 0..64u32 {
+                e.begin_phase();
+                let bank = phase % 2 * (banks - 1);
+                e.register_resident(bank, 1 << 16);
+                e.bank_read_lines(bank, 1 << 19);
+                e.remote_atomic(0, bank, 1 << 12);
+                e.end_phase();
+            }
+            e.finish().into()
+        })
+    }
+
     #[test]
     fn chaos_intensity_sets_the_fault_draws_and_zero_means_four() {
-        let timeline = |intensity, stream| {
-            let opts = RunOpts {
-                chaos: Some(7),
-                chaos_intensity: intensity,
-                ..RunOpts::new(1, 42)
-            };
-            chaos_timeline(&opts, stream).expect("chaos mode is on")
-        };
+        let m = MachineConfig::paper_default;
         for stream in 0..32 {
             // One fault draw: the fault itself plus at most its repair.
-            let one = timeline(1, stream);
+            let one = installed(&chaos_opts(1), stream, m());
             assert!(one.len() <= 2, "stream {stream}: {:?}", one.events());
-            assert_eq!(timeline(0, stream), timeline(4, stream));
+            assert_eq!(
+                installed(&chaos_opts(0), stream, m()),
+                installed(&chaos_opts(4), stream, m())
+            );
         }
     }
 
     #[test]
     fn chaos_timeline_reaches_the_engine_and_passes_invariants() {
         use aff_sim_core::fault::FaultChange;
-        // A hand-made cycle-0 bank death: the cell's context stamps it into
-        // the machine, the engine logs the transition, and the chaos
+        // A cycle-0 bank death: the engine logs the transition and the chaos
         // invariant checks accept the result.
         let tl = FaultTimeline::none().at(0, FaultChange::BankFail(9));
-        let job: CellJob = Box::new(|ctx: &mut CellCtx| {
-            let machine = ctx.machine(MachineConfig::paper_default());
-            let mut e = aff_nsc::engine::SimEngine::new(machine);
-            e.bank_read_lines(9, 100);
-            e.finish().into()
-        });
-        let data = run_attempt(job, 1, 2, Some(tl.clone())).expect("chaos cell runs clean");
+        let mut e = aff_nsc::engine::SimEngine::new(
+            MachineConfig::paper_default().with_fault_timeline(tl.clone()),
+        );
+        e.bank_read_lines(9, 100);
+        let data = CellData::from(e.finish());
         let m = data.metrics().expect("engine cell");
         assert_eq!(m.transitions, tl.events());
         assert_eq!(m.degradation.fault_epochs, 1);
+        assert_eq!(chaos_invariants(&data, &tl), Ok(()));
+        // A sampled timeline reaches the engine through the cell's context,
+        // and the cell passes the invariants against what it installed.
+        let opts = chaos_opts(4);
+        let data = run_attempt(
+            long_engine_job(MachineConfig::paper_default()),
+            cell_ctx(&opts, 3),
+        )
+        .expect("chaos cell runs clean");
+        let m = data.metrics().expect("engine cell");
+        assert!(
+            !m.transitions.is_empty(),
+            "no event fired in {} cycles",
+            m.cycles
+        );
+        let tl = installed(&opts, 3, MachineConfig::paper_default());
+        assert!(m.transitions.iter().all(|t| tl.events().contains(t)));
         // Outside chaos mode the context leaves the machine untouched.
-        let calm = CellCtx::new(SimRng::split(1, 2), FaultTimeline::none());
+        let mut calm = CellCtx::new(SimRng::split(1, 2));
         assert_eq!(
             calm.machine(MachineConfig::paper_default()),
             MachineConfig::paper_default()
         );
-        // A timeline the machine cannot express is sanitized, not installed
-        // as is: bank 9 does not exist on a 2×2 mesh.
-        let chaos = CellCtx::new(SimRng::split(1, 2), tl);
-        assert!(chaos
-            .machine(MachineConfig::tiny_mesh())
-            .fault_timeline
-            .is_empty());
+        // A 2×2 machine only ever gets faults it can express.
+        for stream in 0..16 {
+            let tiny = MachineConfig::tiny_mesh();
+            let tl = installed(&opts, stream, tiny.clone());
+            assert_eq!(tl.validate(&tiny, &tiny.faults), Ok(()), "stream {stream}");
+        }
+    }
+
+    #[test]
+    fn chaos_timelines_are_drawn_against_the_cells_own_machine() {
+        use aff_sim_core::fault::FaultChange;
+        let mut big = MachineConfig::paper_default();
+        crate::figures::GeometrySpec::parse("16x16")
+            .expect("valid geometry")
+            .apply(&mut big);
+        let opts = chaos_opts(4);
+        let off_corner = |tl: &FaultTimeline| {
+            tl.events().iter().any(|e| match e.change {
+                FaultChange::BankFail(b)
+                | FaultChange::BankRepair(b)
+                | FaultChange::BankSlow { bank: b, .. } => b >= 64,
+                FaultChange::LinkFail(l)
+                | FaultChange::LinkRepair(l)
+                | FaultChange::LinkDegrade { link: l, .. } => {
+                    l.fx.max(l.tx).max(l.fy).max(l.ty) >= 8
+                }
+            })
+        };
+        let stream = (0..16)
+            .find(|&s| off_corner(&installed(&opts, s, big.clone())))
+            .expect("a 16×16 timeline reaches past the 8×8 corner");
+        let tl = installed(&opts, stream, big.clone());
+        assert_eq!(tl.validate(&big, &big.faults), Ok(()));
+        // The stream is the same at 8×8; the machine's shape picks the faults.
+        assert_ne!(installed(&opts, stream, MachineConfig::paper_default()), tl);
+        let data = run_attempt(long_engine_job(big), cell_ctx(&opts, stream))
+            .expect("the 16×16 chaos cell passes the invariants");
+        let m = data.metrics().expect("engine cell");
+        assert!(
+            !m.transitions.is_empty(),
+            "no event fired in {} cycles",
+            m.cycles
+        );
+        assert!(m.transitions.iter().all(|t| tl.events().contains(t)));
     }
 
     #[test]

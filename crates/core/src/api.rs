@@ -8,13 +8,15 @@ use serde::{Deserialize, Serialize};
 /// application samples a subset when it has more).
 pub const MAX_AFFINITY_ADDRS: usize = 32;
 
-/// The unified affinity-hint vocabulary — the one type the allocator
-/// consumes whether a hint was **hand-annotated** (the paper's Fig 8/10
-/// API) or **inferred** from a profiling run by `crate::infer`.
+/// The affinity of one array allocation — the only encoding the allocator
+/// takes for it, whether the hint was **hand-annotated** (the paper's
+/// Fig 8 `AffineArray` fields) or **inferred** from a profiling run by
+/// `crate::infer`. Each variant is one of the paper's layouts, so requests
+/// that mix them (a partition with a partner, an intra-array stride with a
+/// ratio) cannot be written.
 ///
-/// [`AffineArrayReq`]'s builder methods and `malloc_aff`'s `aff_addrs`
-/// slice are thin constructors over this enum; `AffinityAllocator::
-/// malloc_hinted` and `AllocService::malloc_hinted` accept it directly.
+/// Irregular objects state their affinity as the `aff_addrs` slice of
+/// `AffinityAllocator::malloc_aff` (Fig 10) instead.
 ///
 /// # Example
 ///
@@ -24,16 +26,17 @@ pub const MAX_AFFINITY_ADDRS: usize = 32;
 ///
 /// let h = AffinityHint::AlignTo { partner: VAddr(0x40), p: 1, q: 2, x: 3 };
 /// let req = AffineArrayReq::with_hint(8, 100, &h);
-/// assert_eq!(req.hint(), h);
+/// assert_eq!(req.hint, h);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub enum AffinityHint {
-    /// No affinity structure: the allocator picks freely (Eq 4 over an
-    /// empty affinity set).
+    /// No affinity structure: a plain array at the cache-line interleave.
     #[default]
     None,
     /// Inter-array alignment (Eq 2): element `i` of this allocation aligns
-    /// with element `(p/q)·i + x` of `partner`.
+    /// with element `(p/q)·i + x` of `partner` — the paper's `align_to`
+    /// array with its ratio and offset. `p` or `q` of zero is
+    /// [`AllocError::BadRatio`].
     AlignTo {
         /// The partner array's base address.
         partner: VAddr,
@@ -44,49 +47,21 @@ pub enum AffinityHint {
         /// Offset in partner elements.
         x: u64,
     },
-    /// Intra-array affinity between elements `i` and `i + stride`
-    /// (Fig 8(c): row stride of a 2-D array accessed by column).
+    /// Intra-array affinity between elements `i` and `i + stride` (Fig 8(c):
+    /// row stride of a 2-D array accessed by column) — the paper's `align_x`
+    /// without a partner. A stride of 0 is a plain array.
     IntraStride {
         /// The co-accessed element stride.
         stride: u64,
     },
     /// Spread the allocation exactly once across all banks (Fig 9:
-    /// distributing graph partitions).
+    /// distributing graph partitions) — the paper's `partition` flag.
     Partition,
-    /// Irregular affinity (Fig 10/11): co-locate with these previously
-    /// allocated addresses. More than [`MAX_AFFINITY_ADDRS`] entries are
-    /// legal here — `malloc_hinted` subsamples deterministically, unlike
-    /// the legacy `malloc_aff` path which rejects oversized sets.
-    Irregular {
-        /// Affinity addresses (allocation order preserved).
-        aff_addrs: Vec<VAddr>,
-    },
-}
-
-impl AffinityHint {
-    /// Stable lower-case label (profile serialization, metrics).
-    pub fn label(&self) -> &'static str {
-        match self {
-            AffinityHint::None => "none",
-            AffinityHint::AlignTo { .. } => "align_to",
-            AffinityHint::IntraStride { .. } => "intra_stride",
-            AffinityHint::Partition => "partition",
-            AffinityHint::Irregular { .. } => "irregular",
-        }
-    }
-
-    /// Whether this hint carries any affinity structure.
-    pub fn is_some(&self) -> bool {
-        !matches!(self, AffinityHint::None)
-            && !matches!(self, AffinityHint::Irregular { aff_addrs } if aff_addrs.is_empty())
-    }
 }
 
 /// The affine allocation request — the Rust rendering of the paper's
-/// `AffineArray` struct (Fig 8(a)).
-///
-/// Alignment semantics (Eq 2): element `i` of the new array aligns with
-/// element `(align_p / align_q) · i + align_x` of `align_to`.
+/// `AffineArray` struct (Fig 8(a)): an element size and count plus the
+/// array's [`AffinityHint`].
 ///
 /// # Example
 ///
@@ -112,76 +87,23 @@ pub struct AffineArrayReq {
     pub elem_size: u64,
     /// Number of elements.
     pub num_elem: u64,
-    /// The aligned-to affine array (`None` ⇒ default or intra-array layout).
-    pub align_to: Option<VAddr>,
-    /// Alignment ratio numerator (Eq 2). Default 1.
-    pub align_p: u64,
-    /// Alignment ratio denominator (Eq 2). Default 1.
-    pub align_q: u64,
-    /// Alignment offset (Eq 2); with `align_to == None`, a nonzero value
-    /// requests *intra-array* affinity between elements `i` and `i + x`
-    /// (Fig 8(c): row stride of a 2-D array accessed by column).
-    pub align_x: u64,
-    /// Force an interleave that spreads the array exactly once across all
-    /// banks (Fig 9: distributing graph partitions).
-    pub partition: bool,
+    /// The array's affinity.
+    pub hint: AffinityHint,
 }
 
 impl AffineArrayReq {
-    /// Request with all alignment parameters at their defaults
-    /// (`p = q = 1`, `x = 0`, no partner, no partition).
+    /// A plain array: no partner, stride or partition.
     pub fn new(elem_size: u64, num_elem: u64) -> Self {
+        Self::with_hint(elem_size, num_elem, &AffinityHint::None)
+    }
+
+    /// Request carrying `hint` — the one constructor both annotation sites
+    /// and inferred profiles go through.
+    pub fn with_hint(elem_size: u64, num_elem: u64, hint: &AffinityHint) -> Self {
         Self {
             elem_size,
             num_elem,
-            align_to: None,
-            align_p: 1,
-            align_q: 1,
-            align_x: 0,
-            partition: false,
-        }
-    }
-
-    /// Request carrying `hint` — the unified constructor both annotation
-    /// sites and inferred profiles go through. [`AffinityHint::Irregular`]
-    /// and [`AffinityHint::None`] map to the default layout here (irregular
-    /// affinity addresses ride the `malloc_hinted` node path, not the
-    /// affine-array path).
-    pub fn with_hint(elem_size: u64, num_elem: u64, hint: &AffinityHint) -> Self {
-        let mut r = Self::new(elem_size, num_elem);
-        match *hint {
-            AffinityHint::None | AffinityHint::Irregular { .. } => {}
-            AffinityHint::AlignTo { partner, p, q, x } => {
-                r.align_to = Some(partner);
-                r.align_p = p;
-                r.align_q = q;
-                r.align_x = x;
-            }
-            AffinityHint::IntraStride { stride } => r.align_x = stride,
-            AffinityHint::Partition => r.partition = true,
-        }
-        r
-    }
-
-    /// The hint this request encodes, in the unified vocabulary. Partition
-    /// wins over the other axes (matching `derive_placement`'s precedence);
-    /// a nonzero `align_x` without a partner is intra-array affinity.
-    pub fn hint(&self) -> AffinityHint {
-        if self.partition {
-            AffinityHint::Partition
-        } else if let Some(partner) = self.align_to {
-            AffinityHint::AlignTo {
-                partner,
-                p: self.align_p,
-                q: self.align_q,
-                x: self.align_x,
-            }
-        } else if self.align_x != 0 {
-            AffinityHint::IntraStride {
-                stride: self.align_x,
-            }
-        } else {
-            AffinityHint::None
+            hint: *hint,
         }
     }
 
@@ -231,14 +153,15 @@ impl QuotaKind {
 pub enum AllocError {
     /// Zero-sized request.
     ZeroSize,
-    /// `align_p` or `align_q` is zero.
+    /// An [`AffinityHint::AlignTo`] ratio with `p` or `q` zero.
     BadRatio,
     /// More than [`MAX_AFFINITY_ADDRS`] affinity addresses.
     TooManyAffinityAddrs {
         /// How many were passed.
         got: usize,
     },
-    /// `align_to` does not name an array this allocator allocated.
+    /// An [`AffinityHint::AlignTo`] partner this allocator did not allocate
+    /// as an affine array.
     UnknownPartner {
         /// The unrecognized address.
         addr: VAddr,
@@ -251,9 +174,6 @@ pub enum AllocError {
     },
     /// Pool/OS-level failure.
     Pool(PoolError),
-    /// Intra-array request where `align_p/q ≠ 1` (§4.2 footnote: otherwise
-    /// the alignment is no longer affine).
-    NonUnitIntraRatio,
     /// `elem_size × num_elem` overflows `u64` — no machine this simulator
     /// models can hold it, and letting it wrap would corrupt quota and
     /// residency accounting.
@@ -322,9 +242,6 @@ impl std::fmt::Display for AllocError {
                 write!(f, "address {addr} was not allocated by this allocator")
             }
             AllocError::Pool(e) => write!(f, "pool error: {e}"),
-            AllocError::NonUnitIntraRatio => {
-                write!(f, "intra-array affinity requires align_p = align_q = 1")
-            }
             AllocError::Oversized {
                 elem_size,
                 num_elem,
@@ -387,46 +304,8 @@ mod tests {
     #[test]
     fn builder_defaults_match_fig8a() {
         let r = AffineArrayReq::new(4, 100);
-        assert_eq!(r.align_p, 1);
-        assert_eq!(r.align_q, 1);
-        assert_eq!(r.align_x, 0);
-        assert!(r.align_to.is_none());
-        assert!(!r.partition);
+        assert_eq!(r.hint, AffinityHint::None);
         assert_eq!(r.total_bytes(), 400);
-    }
-
-    #[test]
-    fn hint_round_trips() {
-        for h in [
-            AffinityHint::None,
-            AffinityHint::AlignTo {
-                partner: VAddr(0x80),
-                p: 2,
-                q: 3,
-                x: 5,
-            },
-            AffinityHint::IntraStride { stride: 128 },
-            AffinityHint::Partition,
-        ] {
-            assert_eq!(
-                AffineArrayReq::with_hint(8, 64, &h).hint(),
-                h,
-                "{}",
-                h.label()
-            );
-        }
-        // Irregular is not representable on the affine-array axis: it maps
-        // to the default layout and reads back as None.
-        let irr = AffinityHint::Irregular {
-            aff_addrs: vec![VAddr(0x40)],
-        };
-        assert_eq!(
-            AffineArrayReq::with_hint(8, 64, &irr).hint(),
-            AffinityHint::None
-        );
-        assert!(irr.is_some());
-        assert!(!AffinityHint::Irregular { aff_addrs: vec![] }.is_some());
-        assert!(!AffinityHint::None.is_some());
     }
 
     #[test]

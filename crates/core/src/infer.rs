@@ -7,8 +7,9 @@
 //! paper's affine alignment relation `B[i] ↔ A[(p/q)·i + x]` (Eq 2) to every
 //! co-accessed region pair by least-squares regression over the paired
 //! element samples, rationalizes the slope to a small `p/q`, reads the
-//! offset `x` off the residual mode, and classifies each region into the
-//! unified [`AffinityHint`] vocabulary:
+//! offset `x` off the residual mode, and classifies each region as an
+//! [`InferredHint`] (array hints resolve to an [`AffinityHint`] through
+//! [`AffinityProfile::hint_for`]):
 //!
 //! * a good affine fit against an earlier-allocated array → `AlignTo`,
 //! * a dominant cache-line-spanning residual stride in the fits *against*
@@ -94,8 +95,9 @@ pub enum InferredHint {
     /// Spread once across all banks (Fig 9).
     Partition,
     /// Node-granular chain affinity: co-locate each node with its traversal
-    /// predecessor (Fig 10/11). Resolved to concrete `aff_addrs` by the
-    /// allocation site via [`AffinityProfile::hint_for`].
+    /// predecessor (Fig 10/11). The allocation site reads it through
+    /// [`AffinityProfile::region_hint`] and passes each node's predecessor as
+    /// `malloc_aff`'s `aff_addrs`.
     Chain,
 }
 
@@ -419,26 +421,21 @@ impl AffinityProfile {
         (InferredHint::None, 0.0)
     }
 
-    /// The hint for region `region`, resolved into the allocator's unified
-    /// vocabulary — the profile's only output type, shared with hand
-    /// annotations.
+    /// The array hint for region `region`, as the [`AffinityHint`] hand
+    /// annotations also use.
     ///
     /// `base_of` maps a partner region ordinal to its live base address in
     /// the replay run (allocation order makes earlier regions resolvable).
-    /// `neighbors` supplies the concrete per-node affinity set for `Chain`
-    /// regions (the traversal predecessor at each allocation site); it is
-    /// ignored for array-shaped hints.
-    pub fn hint_for(
-        &self,
-        region: u32,
-        base_of: impl Fn(u32) -> Option<VAddr>,
-        neighbors: &[VAddr],
-    ) -> AffinityHint {
+    /// A `Chain` region is node-granular, not an array: it maps to
+    /// [`AffinityHint::None`] here, and its allocation site reads the chain
+    /// through [`region_hint`](Self::region_hint) to pass each node's
+    /// predecessor as `malloc_aff`'s affinity addresses.
+    pub fn hint_for(&self, region: u32, base_of: impl Fn(u32) -> Option<VAddr>) -> AffinityHint {
         let Some(rh) = self.hints.iter().find(|h| h.region == region) else {
             return AffinityHint::None;
         };
         match rh.hint {
-            InferredHint::None => AffinityHint::None,
+            InferredHint::None | InferredHint::Chain => AffinityHint::None,
             InferredHint::AlignTo { partner, p, q, x } => match base_of(partner) {
                 Some(base) => AffinityHint::AlignTo {
                     partner: base,
@@ -452,9 +449,6 @@ impl AffinityProfile {
             },
             InferredHint::IntraStride { stride } => AffinityHint::IntraStride { stride },
             InferredHint::Partition => AffinityHint::Partition,
-            InferredHint::Chain => AffinityHint::Irregular {
-                aff_addrs: neighbors.to_vec(),
-            },
         }
     }
 
@@ -763,8 +757,8 @@ mod tests {
         );
     }
 
-    /// Multi-node traversals → Chain, resolved through `hint_for` into
-    /// `Irregular` with the caller's neighbor set.
+    /// Multi-node traversals → Chain, which names no array layout: `hint_for`
+    /// maps it to `None`.
     #[test]
     fn traversals_infer_chains() {
         let mut m = CoAccessMiner::new();
@@ -779,12 +773,9 @@ mod tests {
             profile.region_hint(0).expect("nodes").hint,
             InferredHint::Chain
         );
-        let prev = VAddr(0x1000);
         assert_eq!(
-            profile.hint_for(0, |_| None, &[prev]),
-            AffinityHint::Irregular {
-                aff_addrs: vec![prev]
-            }
+            profile.hint_for(0, |_| Some(VAddr(0x1000))),
+            AffinityHint::None
         );
     }
 
@@ -809,7 +800,7 @@ mod tests {
         };
         let base = VAddr(0x4000);
         assert_eq!(
-            profile.hint_for(1, |r| (r == 0).then_some(base), &[]),
+            profile.hint_for(1, |r| (r == 0).then_some(base)),
             AffinityHint::AlignTo {
                 partner: base,
                 p: 1,
@@ -818,8 +809,8 @@ mod tests {
             }
         );
         // Unresolvable partner and unknown region degrade to None.
-        assert_eq!(profile.hint_for(1, |_| None, &[]), AffinityHint::None);
-        assert_eq!(profile.hint_for(9, |_| Some(base), &[]), AffinityHint::None);
+        assert_eq!(profile.hint_for(1, |_| None), AffinityHint::None);
+        assert_eq!(profile.hint_for(9, |_| Some(base)), AffinityHint::None);
     }
 
     #[test]

@@ -4,11 +4,13 @@
 //! imperative placement directives, and lowers it onto interleave pools so
 //! that near-data computation lands where its operands are:
 //!
-//! * **Affine** (§4.2): [`AffineArrayReq`] carries `align_to` +
-//!   `align_p/q/x` — "element `i` of this array aligns with element
-//!   `(p/q)·i + x` of that array" (Eq 2). The runtime derives the interleave
-//!   (Eq 3) and start bank, so corresponding elements of co-operating arrays
-//!   share an L3 bank.
+//! * **Affine** (§4.2): [`AffineArrayReq`] carries one [`AffinityHint`] —
+//!   `AlignTo { partner, p, q, x }` says "element `i` of this array aligns
+//!   with element `(p/q)·i + x` of that array" (Eq 2), `IntraStride` asks for
+//!   intra-array affinity (Fig 8(c)) and `Partition` spreads the array once
+//!   across all banks (Fig 9). The runtime derives the interleave (Eq 3) and
+//!   start bank, so corresponding elements of co-operating arrays share an
+//!   L3 bank.
 //! * **Irregular** (§5): [`AffinityAllocator::malloc_aff`] takes a list of
 //!   *affinity addresses* the new object should be near. The runtime scores
 //!   every bank by Eq 4 — `avg_hops + H · (load/avg_load − 1)` — and

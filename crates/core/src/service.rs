@@ -51,7 +51,7 @@
 //! migrated lines (residency moves with the data, so the ledger is
 //! unchanged, and the migration volume is reported per tenant).
 
-use crate::api::{AffineArrayReq, AffinityHint, AllocError, QuotaKind};
+use crate::api::{AffineArrayReq, AllocError, QuotaKind};
 use crate::policy::BankSelectPolicy;
 use crate::runtime::{AffinityAllocator, FragmentationReport};
 use aff_mem::addr::VAddr;
@@ -413,44 +413,6 @@ impl AllocService {
         Ok(va)
     }
 
-    /// The unified hint-driven allocation through admission control — one
-    /// entry point for every [`AffinityHint`] variant, whether the hint was
-    /// hand-annotated or emitted by an inferred `AffinityProfile`. Routing
-    /// matches [`AffinityAllocator::malloc_hinted`]: array-shaped hints take
-    /// the affine path, `Irregular`/`None` the irregular path, and oversized
-    /// irregular sets are subsampled deterministically instead of rejected.
-    ///
-    /// # Errors
-    ///
-    /// As [`malloc_aff`](Self::malloc_aff) /
-    /// [`malloc_aff_affine`](Self::malloc_aff_affine).
-    pub fn malloc_hinted(
-        &self,
-        t: TenantId,
-        elem_size: u64,
-        num_elem: u64,
-        hint: &AffinityHint,
-    ) -> Result<VAddr, AllocError> {
-        let cell = self.shard(t)?;
-        let mut shard = lock(&cell);
-        let total = AffineArrayReq::new(elem_size, num_elem).checked_total_bytes()?;
-        if total == 0 {
-            return Err(AllocError::ZeroSize);
-        }
-        let footprint = self
-            .cfg
-            .machine
-            .round_up_interleave(total.min(crate::runtime::MAX_ALLOC_BYTES));
-        self.admit(t, &mut shard, footprint)?;
-        let before = shard.resident_truth();
-        let va = shard.alloc.malloc_hinted(elem_size, num_elem, hint)?;
-        let after = shard.resident_truth();
-        shard.ledger_bytes += after - before;
-        let bank = shard.alloc.bank_of(va);
-        shard.fold(0xA4, va.raw(), u64::from(bank));
-        Ok(va)
-    }
-
     /// `free_aff` through the service: always admitted (past the overload
     /// gate), ticks the clock, feeds the coalescing free lists and the
     /// periodic tail reclaim.
@@ -761,64 +723,6 @@ mod tests {
         assert!(matches!(
             s.register(spec("z", 0)),
             Err(AllocError::BankPoolExhausted { .. })
-        ));
-    }
-
-    #[test]
-    fn malloc_hinted_routes_like_the_legacy_entry_points() {
-        let s = svc();
-        let t = s.register(spec("a", 16)).expect("register");
-        // Irregular and None take the irregular path (admission + ledger).
-        let anchor = s
-            .malloc_hinted(t, 64, 1, &AffinityHint::None)
-            .expect("anchor");
-        let near = s
-            .malloc_hinted(
-                t,
-                64,
-                1,
-                &AffinityHint::Irregular {
-                    aff_addrs: vec![anchor],
-                },
-            )
-            .expect("near");
-        let banks = s.banks(t).expect("banks");
-        let cell = s.shard(t).expect("shard");
-        {
-            let mut shard = lock(&cell);
-            for va in [anchor, near] {
-                assert!(banks.contains(&shard.alloc.bank_of(va)));
-            }
-        }
-        // Array-shaped hints take the affine path.
-        let part = s
-            .malloc_hinted(t, 4, 64 * 1024, &AffinityHint::Partition)
-            .expect("partitioned");
-        let aligned = s
-            .malloc_hinted(
-                t,
-                4,
-                64 * 1024,
-                &AffinityHint::AlignTo {
-                    partner: part,
-                    p: 1,
-                    q: 1,
-                    x: 0,
-                },
-            )
-            .expect("aligned");
-        {
-            let mut shard = lock(&cell);
-            assert_eq!(shard.alloc.bank_of(part), shard.alloc.bank_of(aligned));
-        }
-        // Zero-size and quota rejection still apply.
-        assert_eq!(
-            s.malloc_hinted(t, 0, 10, &AffinityHint::None),
-            Err(AllocError::ZeroSize)
-        );
-        assert!(matches!(
-            s.malloc_hinted(t, 1, 1 << 30, &AffinityHint::Partition),
-            Err(AllocError::QuotaExceeded { .. })
         ));
     }
 

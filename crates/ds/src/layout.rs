@@ -55,10 +55,9 @@ impl VertexArray {
         }
     }
 
-    /// Allocate with an arbitrary [`AffinityHint`] — the unified entry the
-    /// inferred-profile replay path uses. Array-shaped hints go through the
-    /// affine runtime; `None`/`Irregular` degrade to the plain affine layout
-    /// (an un-partnered array, Eq-3 default interleave).
+    /// Allocate with any [`AffinityHint`] through the affine runtime — the
+    /// entry the inferred-profile replay path uses. `None` is the plain
+    /// affine layout (an un-partnered array at the default interleave).
     ///
     /// # Errors
     ///

@@ -26,14 +26,9 @@
 use crate::fault_route::{FaultRouter, LIMP_COST};
 use crate::topology::{Link, Topology};
 use crate::traffic::Packet;
-use aff_sim_core::error::{BudgetKind, RunBudget, SimError, StallSnapshot, STALL_TRACE_TAIL};
-use aff_sim_core::fault::{FaultPlan, FaultTimeline, LinkRef};
-use aff_sim_core::trace::{Event, Recorder};
+use aff_sim_core::error::{BudgetKind, RunBudget, SimError, StallSnapshot};
+use aff_sim_core::fault::{FaultPlan, LinkRef};
 use std::collections::VecDeque;
-
-/// One fault epoch of a timeline simulation: from `cycle` on, flits route
-/// under these tables (`None` = plain X-Y).
-type EpochTables = (u64, Option<Box<FaultRouter>>);
 
 /// Input/output port of a router.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -194,80 +189,6 @@ impl CycleNoc {
         packets: &[Packet],
         budget: &RunBudget,
     ) -> Result<CycleReport, SimError> {
-        self.try_simulate_rec(packets, budget, None)
-    }
-
-    /// [`CycleNoc::try_simulate`] with an event recorder attached: every
-    /// flit-hop is reported as an [`Event::RouterActive`] on the receiving
-    /// router's track, timestamped with the real NoC cycle. Recording is
-    /// purely observational — the report is identical to the untraced run.
-    pub fn try_simulate_traced(
-        &self,
-        packets: &[Packet],
-        budget: &RunBudget,
-        recorder: &mut dyn Recorder,
-    ) -> Result<CycleReport, SimError> {
-        self.try_simulate_rec(packets, budget, Some(recorder))
-    }
-
-    /// [`CycleNoc::try_simulate`] under a live [`FaultTimeline`]: the
-    /// simulation starts from `base` faults (plus any cycle-0 events) and
-    /// swaps in freshly built next-hop tables at every fault epoch, so flits
-    /// already in flight bend around links that die under them and reclaim
-    /// shorter paths when links are repaired. Watchdog patience restarts at
-    /// each epoch (new tables can legitimately free a wedged clot). An empty
-    /// timeline takes exactly the [`CycleNoc::try_simulate`] code path.
-    pub fn try_simulate_timeline(
-        &self,
-        packets: &[Packet],
-        budget: &RunBudget,
-        base: &FaultPlan,
-        timeline: &FaultTimeline,
-    ) -> Result<CycleReport, SimError> {
-        if timeline.is_empty() {
-            return self.try_simulate(packets, budget);
-        }
-        let mut cycles = vec![0u64];
-        cycles.extend(timeline.epoch_cycles().into_iter().filter(|&c| c > 0));
-        let mut schedule: Vec<EpochTables> = Vec::with_capacity(cycles.len());
-        let mut blamed = self.blamed_links.clone();
-        for c in cycles {
-            let plan = timeline.plan_at(base, c);
-            for l in plan
-                .failed_links
-                .iter()
-                .copied()
-                .chain(plan.degraded_links.keys().copied())
-            {
-                if !blamed.contains(&l) {
-                    blamed.push(l);
-                }
-            }
-            let router = plan
-                .has_link_faults()
-                .then(|| Box::new(FaultRouter::new(self.topo, &plan)));
-            schedule.push((c, router));
-        }
-        self.simulate_scheduled(packets, budget, None, Some(&schedule), blamed)
-    }
-
-    fn try_simulate_rec(
-        &self,
-        packets: &[Packet],
-        budget: &RunBudget,
-        recorder: Option<&mut dyn Recorder>,
-    ) -> Result<CycleReport, SimError> {
-        self.simulate_scheduled(packets, budget, recorder, None, self.blamed_links.clone())
-    }
-
-    fn simulate_scheduled(
-        &self,
-        packets: &[Packet],
-        budget: &RunBudget,
-        mut recorder: Option<&mut dyn Recorder>,
-        schedule: Option<&[EpochTables]>,
-        blamed_links: Vec<LinkRef>,
-    ) -> Result<CycleReport, SimError> {
         let total_flits: u64 = packets.iter().map(|p| p.flits).sum();
         if let Some(limit) = budget.max_events {
             if total_flits > limit {
@@ -279,26 +200,14 @@ impl CycleNoc {
             }
         }
         let max_cycles = budget.max_cycles.unwrap_or(u64::MAX);
-        let run = self.run_inner(
-            packets,
-            max_cycles,
-            budget.stall_patience,
-            recorder.as_mut().map(|r| &mut **r as _),
-            schedule,
-        );
+        let run = self.run_inner(packets, max_cycles, budget.stall_patience);
         if run.stalled {
             return Err(SimError::Stalled(Box::new(StallSnapshot {
                 cycle: run.cycle,
                 in_flight: run.in_flight,
                 stalled_for: run.stalled_for,
                 router_occupancy: run.occupancy,
-                blamed_links,
-                // Diagnose the wedge from the events leading into it: when
-                // the run records into a trace, its tail rides along in the
-                // error instead of requiring a traced re-run.
-                recent_events: recorder
-                    .map(|r| r.recent_events(STALL_TRACE_TAIL))
-                    .unwrap_or_default(),
+                blamed_links: self.blamed_links.clone(),
             })));
         }
         if run.in_flight > 0 {
@@ -311,23 +220,8 @@ impl CycleNoc {
         Ok(run.report)
     }
 
-    fn run_inner(
-        &self,
-        packets: &[Packet],
-        max_cycles: u64,
-        patience: u64,
-        mut recorder: Option<&mut dyn Recorder>,
-        schedule: Option<&[EpochTables]>,
-    ) -> InnerRun {
-        // The tables flits route under right now; a schedule swaps them at
-        // its epoch cycles, otherwise they are the constructor's for the
-        // whole run (entry 0 of a schedule is always the cycle-0 plan).
-        let mut active_router: Option<&FaultRouter> = self.router.as_deref();
-        let mut sched_idx = 0usize;
-        if let Some(s) = schedule {
-            active_router = s[0].1.as_deref();
-            sched_idx = 1;
-        }
+    fn run_inner(&self, packets: &[Packet], max_cycles: u64, patience: u64) -> InnerRun {
+        let router = self.router.as_deref();
         let n_routers = self.topo.num_nodes() as usize;
         // Per router: 5 input FIFOs.
         let mut buffers: Vec<[VecDeque<Flit>; 5]> = (0..n_routers)
@@ -363,15 +257,6 @@ impl CycleNoc {
         let mut stalled = false;
         while in_flight_flits > 0 && cycle < max_cycles {
             cycle += 1;
-            if let Some(s) = schedule {
-                while sched_idx < s.len() && s[sched_idx].0 <= cycle {
-                    active_router = s[sched_idx].1.as_deref();
-                    sched_idx += 1;
-                    // Fresh tables can free a wedged clot (or create one);
-                    // give the watchdog its full patience again.
-                    idle_cycles = 0;
-                }
-            }
             let mut progressed = false;
             // Ejection: local-bound flits at their destination leave first,
             // freeing buffer space this cycle.
@@ -420,7 +305,7 @@ impl CycleNoc {
                         // Fault tables steer the flit unless it has no
                         // healthy path from here; then it limps its X-Y
                         // route for the rest of the way.
-                        let hop = match active_router {
+                        let hop = match router {
                             Some(fr) if !f.limped => Some(fr.next_hop(here, f.dst)),
                             _ => None,
                         };
@@ -440,7 +325,7 @@ impl CycleNoc {
                             .expect("routed toward a missing neighbor");
                         let cost = if limped {
                             LIMP_COST
-                        } else if let Some(fr) = active_router {
+                        } else if let Some(fr) = router {
                             // Build the link from node coords so parallel
                             // torus links collapse onto the same canonical
                             // index the fault tables are keyed by.
@@ -489,13 +374,6 @@ impl CycleNoc {
                 buffers[next][next_in].push_back(f);
                 flit_hops += 1;
                 progressed = true;
-                if let Some(rec) = recorder.as_deref_mut() {
-                    rec.record(&Event::RouterActive {
-                        router: next as u32,
-                        cycle,
-                        flits: 1,
-                    });
-                }
             }
             // Same-tile packets never enter the network: eject directly from
             // the injection queue.
@@ -791,26 +669,6 @@ mod tests {
     }
 
     #[test]
-    fn traced_simulate_is_observational_and_tracks_flit_hops() {
-        use aff_sim_core::error::RunBudget;
-        use aff_sim_core::trace::TraceRecorder;
-        let packets = saturating_traffic();
-        let want = noc()
-            .try_simulate(&packets, &RunBudget::unlimited())
-            .expect("drains");
-        let mut rec = TraceRecorder::default();
-        let got = noc()
-            .try_simulate_traced(&packets, &RunBudget::unlimited(), &mut rec)
-            .expect("drains traced");
-        assert_eq!(got, want, "recording must not change the report");
-        // One RouterActive event per flit-hop (none dropped at this scale).
-        assert_eq!(rec.total_seen(), want.flit_hops);
-        assert!(rec
-            .events()
-            .all(|te| matches!(te.event, Event::RouterActive { .. })));
-    }
-
-    #[test]
     fn try_simulate_reports_cycle_budget_exhaustion() {
         use aff_sim_core::error::{BudgetKind, RunBudget, SimError};
         let budget = RunBudget::unlimited().with_max_cycles(3);
@@ -849,7 +707,6 @@ mod tests {
         use aff_sim_core::config::MachineConfig;
         use aff_sim_core::error::{RunBudget, SimError};
         use aff_sim_core::fault::FaultSpec;
-        use aff_sim_core::trace::TraceRecorder;
         // The seeded plan family from tests/des_vs_analytic.rs. At
         // buffer_depth 1 the BFS detours admit cyclic channel dependences
         // and this load wedges; the watchdog must convert the hang into a
@@ -879,24 +736,6 @@ mod tests {
                 assert!(snap.congested_routers().count() > 0);
                 let total_faulted = plan.failed_links.len() + plan.degraded_links.len();
                 assert_eq!(snap.blamed_links.len(), total_faulted);
-                assert!(snap.recent_events.is_empty(), "no recorder, no tail");
-            }
-            other => panic!("expected Stalled, got {other}"),
-        }
-        // With a trace attached, the snapshot carries the trace's tail,
-        // ending with the last event recorded before the wedge.
-        let mut rec = TraceRecorder::default();
-        let err = shallow
-            .try_simulate_traced(&saturating_traffic(), &budget, &mut rec)
-            .expect_err("tracing does not change the wedge");
-        match err {
-            SimError::Stalled(snap) => {
-                assert!(!snap.recent_events.is_empty(), "the tail rides along");
-                let last = rec.events().last().expect("the run recorded events");
-                assert_eq!(
-                    snap.recent_events.last(),
-                    Some(&format!("#{} {:?}", last.seq, last.event))
-                );
             }
             other => panic!("expected Stalled, got {other}"),
         }
@@ -905,81 +744,6 @@ mod tests {
             .try_simulate(&saturating_traffic(), &budget)
             .expect("deeper buffers drain the same plan");
         assert_eq!(rep.delivered, saturating_traffic().len() as u64);
-    }
-
-    #[test]
-    fn empty_timeline_matches_try_simulate_exactly() {
-        use aff_sim_core::error::RunBudget;
-        use aff_sim_core::fault::FaultTimeline;
-        let packets = saturating_traffic();
-        let budget = RunBudget::unlimited();
-        let want = noc().try_simulate(&packets, &budget).expect("drains");
-        let got = noc()
-            .try_simulate_timeline(
-                &packets,
-                &budget,
-                &FaultPlan::none(),
-                &FaultTimeline::none(),
-            )
-            .expect("drains");
-        assert_eq!(got, want);
-    }
-
-    #[test]
-    fn mid_run_link_death_bends_in_flight_traffic() {
-        use aff_sim_core::error::RunBudget;
-        use aff_sim_core::fault::{FaultChange, FaultTimeline, LinkRef};
-        let topo = Topology::new(4, 4);
-        let noc = CycleNoc::new(topo, 2, 4);
-        let dead = LinkRef::between(1, 0, 2, 0).expect("adjacent");
-        // Many packets crossing the row-0 X leg; the middle link dies at
-        // cycle 40, well before they all drain.
-        let packets: Vec<Packet> = (0..30).map(|_| pkt(0, 3, 2)).collect();
-        let budget = RunBudget::unlimited();
-        let healthy = noc.try_simulate(&packets, &budget).expect("drains");
-        let timeline = FaultTimeline::none().at(40, FaultChange::LinkFail(dead));
-        let rep = noc
-            .try_simulate_timeline(&packets, &budget, &FaultPlan::none(), &timeline)
-            .expect("drains around the mid-run death");
-        assert_eq!(rep.delivered, packets.len() as u64);
-        assert!(
-            rep.flit_hops > healthy.flit_hops,
-            "post-death flits detour: {} vs {}",
-            rep.flit_hops,
-            healthy.flit_hops
-        );
-        // Determinism: the same timeline replays byte-identically.
-        let again = noc
-            .try_simulate_timeline(&packets, &budget, &FaultPlan::none(), &timeline)
-            .expect("drains");
-        assert_eq!(again, rep);
-    }
-
-    #[test]
-    fn mid_run_repair_restores_short_routes() {
-        use aff_sim_core::error::RunBudget;
-        use aff_sim_core::fault::{FaultChange, FaultTimeline, LinkRef};
-        let topo = Topology::new(4, 4);
-        let noc = CycleNoc::new(topo, 2, 4);
-        let dead = LinkRef::between(1, 0, 2, 0).expect("adjacent");
-        let base = FaultPlan::none().fail_link(dead);
-        let packets: Vec<Packet> = (0..30).map(|_| pkt(0, 3, 2)).collect();
-        let budget = RunBudget::unlimited();
-        let broken = CycleNoc::with_faults(topo, 2, 4, &base)
-            .try_simulate(&packets, &budget)
-            .expect("drains via detours");
-        // Repair at cycle 10: most packets reclaim the 3-hop X-Y route.
-        let timeline = FaultTimeline::none().at(10, FaultChange::LinkRepair(dead));
-        let rep = noc
-            .try_simulate_timeline(&packets, &budget, &base, &timeline)
-            .expect("drains after repair");
-        assert_eq!(rep.delivered, packets.len() as u64);
-        assert!(
-            rep.flit_hops < broken.flit_hops,
-            "repair shortens routes: {} vs {}",
-            rep.flit_hops,
-            broken.flit_hops
-        );
     }
 
     #[test]

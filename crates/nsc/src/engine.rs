@@ -745,13 +745,10 @@ impl SimEngine {
                     self.advance_faults_by_progress();
                 }
             }
-            // DRAM accesses are charged by the DramModel at its call sites;
-            // the NoC model's events carry no analytic accounting, and
-            // profile touches exist only for the co-access miner.
-            Event::DramAccess { .. }
-            | Event::RouterActive { .. }
-            | Event::ProfileRegion { .. }
-            | Event::ProfileTouch { .. } => {}
+            // DRAM accesses are charged by the DramModel at its call sites.
+            Event::DramAccess { .. } => {}
+            // Profile events exist only for the co-access miner.
+            Event::ProfileRegion { .. } | Event::ProfileTouch { .. } => {}
         }
     }
 

@@ -40,11 +40,6 @@ pub struct RunBudget {
 /// Default watchdog patience (cycles of zero progress with flits in flight).
 pub const DEFAULT_STALL_PATIENCE: u64 = 10_000;
 
-/// How many trailing trace events a [`StallSnapshot`] carries.
-/// Enough to see the last few phases/packets leading into the wedge without
-/// bloating serialized error reports.
-pub const STALL_TRACE_TAIL: usize = 32;
-
 impl RunBudget {
     /// Unlimited budget: never trips, watchdog at default patience.
     pub fn unlimited() -> Self {
@@ -71,16 +66,6 @@ impl RunBudget {
     pub fn with_stall_patience(mut self, cycles: u64) -> Self {
         self.stall_patience = cycles;
         self
-    }
-
-    /// Whether `cycles` exceeds the cycle ceiling.
-    pub fn cycles_exhausted(&self, cycles: u64) -> bool {
-        self.max_cycles.is_some_and(|limit| cycles >= limit)
-    }
-
-    /// Whether `events` exceeds the event ceiling.
-    pub fn events_exhausted(&self, events: u64) -> bool {
-        self.max_events.is_some_and(|limit| events >= limit)
     }
 }
 
@@ -123,12 +108,6 @@ pub struct StallSnapshot {
     /// Links the active `FaultPlan` killed or degraded — prime suspects for
     /// detour-induced cyclic channel dependences (empty on a healthy mesh).
     pub blamed_links: Vec<LinkRef>,
-    /// Tail of the run's event trace at the moment the watchdog fired
-    /// (newest last, at most [`STALL_TRACE_TAIL`] entries) — what the
-    /// machine was doing right before it wedged, without needing a re-run.
-    /// Empty when the run's recorder keeps no history, or it had none.
-    #[serde(default)]
-    pub recent_events: Vec<String>,
 }
 
 impl StallSnapshot {
@@ -221,9 +200,6 @@ impl std::fmt::Display for SimError {
                         write!(f, "({},{})->({},{})", l.fx, l.fy, l.tx, l.ty)?;
                     }
                 }
-                if !s.recent_events.is_empty() {
-                    write!(f, "; last {} trace events attached", s.recent_events.len())?;
-                }
                 Ok(())
             }
             SimError::BudgetExhausted {
@@ -252,19 +228,20 @@ mod tests {
     #[test]
     fn default_budget_is_unlimited() {
         let b = RunBudget::default();
-        assert!(!b.cycles_exhausted(u64::MAX));
-        assert!(!b.events_exhausted(u64::MAX));
+        assert_eq!(b.max_cycles, None);
+        assert_eq!(b.max_events, None);
         assert_eq!(b.stall_patience, DEFAULT_STALL_PATIENCE);
     }
 
     #[test]
-    fn budget_builders_trip_at_their_limits() {
+    fn budget_builders_set_their_limits() {
         let b = RunBudget::unlimited()
             .with_max_cycles(100)
-            .with_max_events(5);
-        assert!(!b.cycles_exhausted(99));
-        assert!(b.cycles_exhausted(100));
-        assert!(b.events_exhausted(5));
+            .with_max_events(5)
+            .with_stall_patience(0);
+        assert_eq!(b.max_cycles, Some(100));
+        assert_eq!(b.max_events, Some(5));
+        assert_eq!(b.stall_patience, 0);
     }
 
     #[test]
@@ -280,13 +257,11 @@ mod tests {
                 tx: 2,
                 ty: 0,
             }],
-            recent_events: vec!["#41 PhaseBegin".into(), "#42 CoreOps { count: 7 }".into()],
         };
         assert_eq!(snap.congested_routers().count(), 2);
         let msg = SimError::Stalled(Box::new(snap)).to_string();
         assert!(msg.contains("10000 cycles"), "{msg}");
         assert!(msg.contains("(1,0)->(2,0)"), "{msg}");
-        assert!(msg.contains("last 2 trace events"), "{msg}");
     }
 
     #[test]

@@ -149,16 +149,6 @@ pub enum Event {
     PhaseBegin,
     /// The current occupancy-sampled phase ends.
     PhaseEnd,
-    /// Router `router` moved `flits` flits during NoC cycle `cycle`
-    /// (emitted by the cycle-accurate model, sampled).
-    RouterActive {
-        /// Router index.
-        router: u32,
-        /// NoC cycle.
-        cycle: u64,
-        /// Flits traversed this sample.
-        flits: u64,
-    },
     /// Profiling only: the run allocated profiled region `region` (its
     /// allocation-order ordinal) of `num_elems` elements of `elem_size`
     /// bytes (0 elements when open-ended, e.g. a node class). Emitted before
@@ -211,13 +201,6 @@ pub trait Recorder {
     /// them only for a recorder that does, so an ordinary trace carries none.
     fn wants_profile(&self) -> bool {
         false
-    }
-
-    /// The last `n` recorded events, oldest first, formatted for a stall
-    /// diagnosis ([`StallSnapshot::recent_events`](crate::error::StallSnapshot)).
-    /// Empty for recorders that keep no history.
-    fn recent_events(&self, _n: usize) -> Vec<String> {
-        Vec::new()
     }
 }
 
@@ -312,7 +295,7 @@ impl TraceRecorder {
     /// Perfetto.
     ///
     /// Analytic-model events carry no cycle, so their timestamp is the event
-    /// sequence number; `RouterActive` uses real NoC cycles. Timestamps are reported in "microseconds" 1:1.
+    /// sequence number, reported in "microseconds" 1:1.
     pub fn to_chrome_json(&self) -> String {
         const PID_ENGINE: u32 = 1;
         const PID_BANKS: u32 = 2;
@@ -442,18 +425,6 @@ impl TraceRecorder {
                          \"pid\":{PID_ENGINE},\"tid\":0,\"ts\":{ts}}}"
                     );
                 }
-                Event::RouterActive {
-                    router,
-                    cycle,
-                    flits,
-                } => {
-                    let _ = write!(
-                        out,
-                        "{{\"ph\":\"X\",\"name\":\"router_active\",\"cat\":\"noc\",\
-                         \"pid\":{PID_ROUTERS},\"tid\":{router},\"ts\":{cycle},\"dur\":1,\
-                         \"args\":{{\"flits\":{flits}}}}}"
-                    );
-                }
                 Event::ProfileRegion {
                     region,
                     kind,
@@ -504,16 +475,6 @@ impl Recorder for TraceRecorder {
             self.dropped += 1;
         }
     }
-
-    /// The ring's newest `n` events — the diagnostic feed for a stall: the
-    /// snapshot carries what the machine did right before it wedged.
-    fn recent_events(&self, n: usize) -> Vec<String> {
-        let skip = self.len().saturating_sub(n);
-        self.events()
-            .skip(skip)
-            .map(|te| format!("#{} {:?}", te.seq, te.event))
-            .collect()
-    }
 }
 
 /// A recorder shared by reference: every engine a run builds records into
@@ -553,10 +514,6 @@ impl Recorder for SharedRecorder {
     fn wants_profile(&self) -> bool {
         self.lock().wants_profile()
     }
-
-    fn recent_events(&self, n: usize) -> Vec<String> {
-        self.lock().recent_events(n)
-    }
 }
 
 #[cfg(test)]
@@ -575,7 +532,7 @@ mod tests {
     }
 
     #[test]
-    fn ring_keeps_most_recent_events() {
+    fn ring_keeps_the_newest_events() {
         let mut t = TraceRecorder::new(4);
         for i in 0..10 {
             t.record(&ev(i));
@@ -632,25 +589,6 @@ mod tests {
         b.record(&ev(8));
         assert_eq!(ring.lock().expect("unpoisoned").total_seen(), 2);
         assert!(!SharedRecorder::new(Arc::new(Mutex::new(NullRecorder))).is_enabled());
-    }
-
-    #[test]
-    fn recent_events_are_nondestructive_and_newest_last() {
-        let mut t = TraceRecorder::new(4);
-        assert!(t.recent_events(8).is_empty(), "nothing recorded yet");
-        for i in 0..10 {
-            t.record(&ev(i));
-        }
-        let tail = t.recent_events(2);
-        assert_eq!(tail.len(), 2);
-        assert!(tail[0].starts_with("#8 "), "{tail:?}");
-        assert!(tail[1].starts_with("#9 "), "{tail:?}");
-        assert!(tail[1].contains("CoreOps"), "{tail:?}");
-        // Reading the tail leaves the ring recording.
-        t.record(&ev(10));
-        assert!(t.recent_events(1)[0].starts_with("#10 "));
-        assert_eq!(t.total_seen(), 11);
-        assert!(NullRecorder.recent_events(4).is_empty(), "no history kept");
     }
 
     #[test]

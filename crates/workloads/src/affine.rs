@@ -192,7 +192,7 @@ fn allocate(
             let num_regions = 2 + s.extra_inputs;
             let mut vas: Vec<VAddr> = Vec::with_capacity(num_regions as usize);
             for r in 0..num_regions {
-                let hint = profile.hint_for(r, |ord| vas.get(ord as usize).copied(), &[]);
+                let hint = profile.hint_for(r, |ord| vas.get(ord as usize).copied());
                 let va = alloc
                     .malloc_aff_affine(&AffineArrayReq::with_hint(s.elem_size, s.elems, &hint))
                     .expect("inferred array");

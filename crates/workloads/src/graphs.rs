@@ -192,7 +192,7 @@ impl GraphInstance {
                     VertexArray::new(&mut alloc, n, 8, AllocMode::Unhinted).expect("prop array")
                 }
                 HintMode::Inferred(p) => {
-                    let hint = p.hint_for(0, |_| None, &[]);
+                    let hint = p.hint_for(0, |_| None);
                     VertexArray::with_hint(&mut alloc, n, 8, &hint).expect("prop array")
                 }
             };
