@@ -1,16 +1,19 @@
 //! Hot-path microbenchmark: times the per-message accounting layers in
 //! isolation — route store, heap translation, engine charge
-//! accumulation, folded remote atomics and the Eq-4 argmin kernel — plus
-//! Kronecker input generation, each against the
-//! scalar/hash-map/write-through/rebuild baseline it replaced, and writes
-//! `BENCH_hotpath.json` (schema `aff-bench/hotpath-v6`). Each side of a
-//! layer is the median of [`REPEATS`] runs, alternating with the other
-//! side's.
+//! accumulation, folded remote atomics, pointer-chain tallies and the Eq-4
+//! argmin kernel, over many addresses and over one — plus Kronecker input
+//! generation, each against the scalar/hash-map/write-through/rebuild
+//! baseline it replaced, and writes `BENCH_hotpath.json` (schema
+//! `aff-bench/hotpath-v7`). Each side of a layer is the median of
+//! [`REPEATS`] runs, alternating with the other side's.
 //! The route layer runs at 8×8 *and* 16×16 (both hold every source row in
 //! the route store's 1 MiB budget, so neither evicts), and a `route_memory`
 //! section records the resident route-store bytes at 1024 banks, where the
 //! budget holds 64 of 1024 rows, against the dense `n²` entry-array curve.
 //!
+//! Schema v7 (from v6): the `chain_charge` and `eq4_single` layers are new;
+//! `chain_charge`'s `ops` are dereferences (both models), `eq4_single`'s
+//! are one-address picks.
 //! Schema v6 (from v5): the `occupancy_scan` layer is gone with the
 //! lane-chunked counter scans it timed; the counters are plain iterator
 //! sums and maxima.
@@ -28,6 +31,8 @@
 //! identical run to run; only the wall-clock varies.
 
 use aff_ds::graph::Graph;
+use aff_ds::layout::AllocMode;
+use aff_ds::tree::AffBinaryTree;
 use aff_mem::space::{AddressSpace, HeapMapping};
 use aff_noc::topology::{AxisHops, Topology};
 use aff_noc::traffic::{TrafficClass, TrafficMatrix};
@@ -35,7 +40,9 @@ use aff_nsc::engine::SimEngine;
 use aff_sim_core::config::{MachineConfig, PAGE_SIZE};
 use aff_sim_core::rng::SimRng;
 use aff_workloads::gen::{self, KRON_A, KRON_B, KRON_C};
+use aff_workloads::pointer::{ChainTally, IN_CORE_MLP};
 use aff_workloads::suite::KRON_EDGE_FACTOR;
+use affinity_alloc::{AffinityAllocator, BankSelectPolicy};
 use std::collections::HashMap;
 use std::fmt::Debug;
 use std::time::Instant;
@@ -359,7 +366,171 @@ fn bench_argmin(ops: u64) -> Layer {
     Layer::new("argmin_simd", ops, times, sum)
 }
 
-/// Layer 6: Kronecker input generation, plain and sssp-weighted —
+/// Layer 6: a bin_tree run's chain charging on 8×8, In-Core and Near-L3 —
+/// [`ChainTally`], one engine call per distinct charge with its summed
+/// count, versus the per-dereference loop it replaced (written out below).
+/// The stream is the lookup paths of a Hybrid-5 tree, cores cycling over
+/// the tiles as `run_bin_tree` assigns them. The witness is both runs'
+/// full [`Metrics`](aff_nsc::engine::Metrics).
+fn bench_chain_charge(ops: u64) -> Layer {
+    let cfg = MachineConfig::paper_default();
+    let banks = cfg.num_banks();
+    let mut rng = SimRng::new(0xB17E);
+    let keys: Vec<u64> = (0..16_384).map(|_| rng.next_u64()).collect();
+    let mut alloc = AffinityAllocator::new(cfg.clone(), BankSelectPolicy::Hybrid { h: 5.0 });
+    let tree = AffBinaryTree::build(&mut alloc, &keys, AllocMode::Affinity).expect("tree");
+    // Lookup paths until each model charges about `ops / 2` dereferences.
+    let mut paths: Vec<Vec<u32>> = Vec::new();
+    let mut derefs = 0u64;
+    while derefs * 2 < ops {
+        let mut path = Vec::new();
+        tree.lookup_path_banks_into(keys[rng.index(keys.len())], &mut path);
+        derefs += path.len() as u64;
+        paths.push(path);
+    }
+    let core = |i: usize| (i % banks as usize) as u32;
+    let run = |tallied: bool| {
+        let mut out = Vec::new();
+        for in_core in [true, false] {
+            let mut engine = SimEngine::new(cfg.clone());
+            if tallied {
+                let mut tally = ChainTally::new(&engine, in_core);
+                for (i, path) in paths.iter().enumerate() {
+                    tally.chain(path.iter().copied(), core(i));
+                }
+                tally.finish(&mut engine);
+            } else {
+                let serials: Vec<u64> = paths
+                    .iter()
+                    .enumerate()
+                    .map(|(i, path)| {
+                        let entry = path.first().copied().unwrap_or(core(i));
+                        charge_chain_per_deref(&mut engine, path, entry, in_core, core(i))
+                    })
+                    .collect();
+                fold_serial(&mut engine, &serials, in_core);
+            }
+            let m = engine.finish();
+            out.push((m.total_hop_flits, format!("{m:?}")));
+        }
+        out
+    };
+    let (times, witness) = time_pair(
+        || (),
+        |_| run(true),
+        |_| run(false),
+        "chain tallies must charge what the per-dereference loop does",
+    );
+    let hop_flits = witness.iter().map(|(f, _)| f).sum();
+    Layer::new("chain_charge", 2 * derefs, times, hop_flits)
+}
+
+/// The replaced chain charging: three or four engine calls per
+/// dereference, the chain entering at `entry`; returns its serial latency.
+fn charge_chain_per_deref(
+    engine: &mut SimEngine,
+    banks: &[u32],
+    entry: u32,
+    in_core: bool,
+    core: u32,
+) -> u64 {
+    let cfg = engine.config();
+    let (hop_lat, l3_lat) = (cfg.hop_latency, cfg.l3_latency);
+    let mut serial = 0u64;
+    let mut prev = entry;
+    for &b in banks {
+        if in_core {
+            engine.core_read_lines(core, b, 1);
+            serial += 2 * u64::from(engine.topo().manhattan(core, b)) * hop_lat + l3_lat;
+        } else {
+            engine.bank_read_lines(b, 1);
+            engine.se_ops(b, 1);
+            if prev != b {
+                engine.migrate(prev, b, 1);
+            }
+            serial += u64::from(engine.topo().manhattan(prev, b)) * hop_lat + l3_lat;
+            prev = b;
+        }
+    }
+    serial
+}
+
+/// The replaced serial fold: chains run `banks × MLP` (In-Core) or
+/// `banks × SEL3 streams` (Near-L3) at a time.
+fn fold_serial(engine: &mut SimEngine, per_chain: &[u64], in_core: bool) {
+    let cfg = engine.config();
+    let per_bank = if in_core {
+        IN_CORE_MLP
+    } else {
+        u64::from(cfg.sel3_streams_per_bank)
+    };
+    let concurrency = u64::from(cfg.num_banks()) * per_bank;
+    let total: u64 = per_chain.iter().sum();
+    let longest = per_chain.iter().copied().max().unwrap_or(0);
+    engine.chain_cycles((total / concurrency.max(1)).max(longest));
+}
+
+/// Layer 7: one-address Eq-4 picks on 8×8 under Hybrid-5, the shape of a
+/// link_list build: each node's affinity is its predecessor's bank, every
+/// pick loads its bank, and a new list starts every 512 nodes at a random
+/// bank. `lanes::eq4_argmin_ordered` over the cached [`HopOrders`] of the
+/// affinity bank versus `HopSums::compute` + `eq4_argmin` over every
+/// candidate, the path every pick took before. The witness is a digest of
+/// the picks.
+///
+/// [`HopOrders`]: affinity_alloc::lanes::HopOrders
+fn bench_eq4_single(ops: u64) -> Layer {
+    use affinity_alloc::lanes::{eq4_argmin, eq4_argmin_ordered, Eq4Candidate, HopOrders, HopSums};
+
+    let topo = Topology::new(8, 8);
+    let axis = AxisHops::new(&topo);
+    let banks = topo.num_banks();
+    let cands: Vec<Eq4Candidate> = (0..banks).map(|b| Eq4Candidate::new(&axis, b, 1)).collect();
+    let h = 5.0;
+    let starts: Vec<u32> = {
+        let mut rng = SimRng::new(0x11575);
+        (0..ops.div_ceil(512))
+            .map(|_| rng.below(u64::from(banks)) as u32)
+            .collect()
+    };
+    // Build `ops` nodes with `pick(prev bank, loads, avg load)`.
+    let build = |pick: &mut dyn FnMut(u32, &[u64], f64) -> u32| {
+        let mut loads = vec![0u64; banks as usize];
+        let (mut total, mut prev, mut digest) = (0u64, 0u32, 0xCBF2_9CE4_8422_2325u64);
+        for i in 0..ops {
+            if i % 512 == 0 {
+                prev = starts[(i / 512) as usize];
+            }
+            let bank = pick(prev, &loads, total as f64 / f64::from(banks));
+            loads[bank as usize] += 1;
+            total += 1;
+            prev = bank;
+            digest = (digest ^ u64::from(bank)).wrapping_mul(0x0100_0000_01B3);
+        }
+        digest
+    };
+    let (times, digest) = time_pair(
+        || (),
+        |_| {
+            let mut orders = HopOrders::default();
+            build(&mut |a, loads, avg| {
+                let order = orders.order(&axis, &cands, a);
+                eq4_argmin_ordered(&cands, order, loads, avg, h).expect("non-empty")
+            })
+        },
+        |_| {
+            let mut hops = HopSums::default();
+            build(&mut |a, loads, avg| {
+                hops.compute(&axis, &cands, &[a]);
+                eq4_argmin(&cands, &hops, loads, avg, h).expect("non-empty")
+            })
+        },
+        "one-address picks must agree",
+    );
+    Layer::new("eq4_single", ops, times, digest)
+}
+
+/// Layer 8: Kronecker input generation, plain and sssp-weighted —
 /// `gen::kronecker` + `gen::weight_kronecker` versus the generator they
 /// replaced: a branchy quadrant descent, a directed CSR rebuilt over every
 /// edge plus its reverse, and weights sent back through the tuple-list
@@ -462,7 +633,7 @@ fn graph_digest(graphs: &[Graph]) -> u64 {
 }
 
 fn render_json(layers: &[Layer], mem: &RouteMemory) -> String {
-    let mut out = String::from("{\n  \"schema\": \"aff-bench/hotpath-v6\",\n  \"layers\": [\n");
+    let mut out = String::from("{\n  \"schema\": \"aff-bench/hotpath-v7\",\n  \"layers\": [\n");
     for (i, l) in layers.iter().enumerate() {
         let speedup = l.fast_mops / l.base_mops.max(1e-12);
         out.push_str(&format!(
@@ -525,6 +696,8 @@ fn main() {
         bench_coalescing(ops),
         bench_primitive_fold(ops),
         bench_argmin(ops),
+        bench_chain_charge(ops),
+        bench_eq4_single(ops),
         bench_kron_gen(ops),
     ];
     for l in &layers {

@@ -17,11 +17,17 @@
 //! it under [`total_order_key`] with the lowest-id tie-break of
 //! [`argmin_score`](crate::policy::argmin_score). It skips only candidates
 //! that provably lose: for finite `H > 0` the score is monotone in the hop
-//! sum and in the load, so `mean(sum) + H·(ratio(least load) − 1)` bounds a
-//! candidate from below, and a bound above the best score so far rules it
-//! out. The chosen bank is bit-identical to the scalar reference for every
-//! input, ties and NaNs included; `runtime`'s tests pin this against
-//! `policy::{score, argmin_score}` over every healthy bank.
+//! sum and in the load, so `mean(sum) + H·(ratio(least) − 1)`, with the
+//! least weighted load over the candidates, bounds a candidate from below,
+//! and a bound above the best score so far rules it out.
+//!
+//! One affinity address needs no hop sums: [`HopOrders`] caches the
+//! candidates sorted by hop count around each affinity bank, and
+//! [`eq4_argmin_ordered`] visits them in that order, so the scan ends at the
+//! first candidate past the pruning cap. Both visiting orders run the same
+//! scoring body. The chosen bank is bit-identical to the scalar reference
+//! for every input, ties and NaNs included; `runtime`'s tests pin this
+//! against `policy::{score, argmin_score}` over every healthy bank.
 
 use crate::policy::LOAD_SMOOTHING;
 use aff_noc::topology::AxisHops;
@@ -124,6 +130,44 @@ impl HopSums {
     }
 }
 
+/// Per-affinity-bank visiting orders for one-address Eq-4 picks: for
+/// affinity bank `a`, every candidate index sorted by `(hops(a, c), index)`,
+/// built on first use. An order belongs to the candidate slice it was built
+/// over; [`clear`](Self::clear) drops them all when that slice changes.
+#[derive(Debug, Clone, Default)]
+pub struct HopOrders {
+    /// `(hops, candidate index)` per affinity bank, ascending; empty until
+    /// first use.
+    orders: Vec<Vec<(u32, u32)>>,
+}
+
+impl HopOrders {
+    /// Forget every order (the candidates changed).
+    pub fn clear(&mut self) {
+        self.orders.iter_mut().for_each(Vec::clear);
+    }
+
+    /// The order of `cands` around affinity bank `a`, building it on first
+    /// use. Its first entry is the nearest candidate, lowest index first.
+    pub fn order(&mut self, axis: &AxisHops, cands: &[Eq4Candidate], a: u32) -> &[(u32, u32)] {
+        let slot = a as usize;
+        if self.orders.len() <= slot {
+            self.orders.resize_with(slot + 1, Vec::new);
+        }
+        let order = &mut self.orders[slot];
+        if order.is_empty() {
+            order.extend(
+                cands
+                    .iter()
+                    .enumerate()
+                    .map(|(i, c)| (axis.hops(a, c.bank), i as u32)),
+            );
+            order.sort_unstable();
+        }
+        order
+    }
+}
+
 /// Eq-4 argmin over `cands` given their [`HopSums`] (computed for this
 /// same slice): the candidate minimizing `score(sum / k, loads[bank] ·
 /// slowdown, avg_load, h)`, ties to the lowest bank id. Returns `None`
@@ -140,48 +184,114 @@ pub fn eq4_argmin(
     h: f64,
 ) -> Option<u32> {
     let sums = &hops.sums[..cands.len()];
-    let seed = cands.get(hops.near)?;
-    if h == 0.0 {
-        // `h · (ratio − 1)` is ±0 and the mean hop count is ≥ +0, so the
-        // score is the mean exactly, monotone in the integer hop sum.
-        return Some(seed.bank);
-    }
-    // An empty affinity set sums to zero hops; 0 / 1 is the `0.0` mean the
-    // scalar reference uses there.
-    let k = hops.k.max(1) as f64;
-    let denom = avg_load + LOAD_SMOOTHING;
-    let mean = |s: u32| f64::from(s) / k;
-    let load_term = |l: u64| h * ((l as f64 + LOAD_SMOOTHING) / denom - 1.0);
-    let score = |s: u32, c: &Eq4Candidate| {
-        mean(s) + load_term(loads[c.bank as usize] * u64::from(c.slowdown))
+    let seed = (*sums.get(hops.near)?, &cands[hops.near]);
+    let visit = cands.iter().zip(sums).map(|(c, &s)| (s, c));
+    let scan = Scan {
+        cands,
+        k: hops.k,
+        max_sum: hops.max,
+        loads,
+        avg_load,
+        h,
     };
-    let mut best_score = score(sums[hops.near], seed);
-    let mut best = (total_order_key(best_score), seed.bank);
-    // Pruning, exact for finite `h > 0`: the score is monotone in the hop
-    // sum and in the load (rounding is monotone), and no candidate's load
-    // is below the least bank load (slowdowns are ≥ 1). So a candidate with
-    // hop sum `s` scores at least `mean(s) + load_term(least load)`; once
-    // that bound exceeds the best score it loses outright, not even tying.
-    // `cap` is the least sum past the bound.
-    let bound =
-        (h > 0.0 && h.is_finite()).then(|| load_term(loads.iter().copied().min().unwrap_or(0)));
-    let cap_for = |best_score: f64, best_key: u64, cap: u32| {
-        let Some(b) = bound else { return u32::MAX };
-        let fits = |s: u32| total_order_key(mean(s) + b) <= best_key;
-        // Start from the real solution of `s / k + b = best`, then settle
-        // on the exact boundary (the predicate is monotone in `s`).
-        let mut c = (((best_score - b) * k) as u32).min(cap);
-        while c > 0 && !fits(c - 1) {
-            c -= 1;
-        }
-        while c < cap && fits(c) {
-            c += 1;
-        }
-        c
+    Some(scan.argmin::<false>(seed, visit))
+}
+
+/// The same argmin for exactly one affinity address, visiting `cands` in
+/// `order` — that address's bank's [`HopOrders::order`] over this slice.
+/// The hop counts ascend, so the scan stops at the first candidate at or
+/// past the pruning cap: every later one is at least as far. The pick is
+/// the unique minimum of `(total_order_key(score), bank)`, and pruning
+/// drops only candidates that provably lose, so it is [`eq4_argmin`]'s.
+/// Returns `None` only when `order` is empty.
+#[inline(never)]
+pub fn eq4_argmin_ordered(
+    cands: &[Eq4Candidate],
+    order: &[(u32, u32)],
+    loads: &[u64],
+    avg_load: f64,
+    h: f64,
+) -> Option<u32> {
+    let visit = order.iter().map(|&(s, i)| (s, &cands[i as usize]));
+    let seed = visit.clone().next()?;
+    let scan = Scan {
+        cands,
+        k: 1,
+        max_sum: order.last()?.0,
+        loads,
+        avg_load,
+        h,
     };
-    let mut cap = cap_for(best_score, best.0, hops.max.saturating_add(1));
-    for (c, &s) in cands.iter().zip(sums) {
-        if s < cap {
+    Some(scan.argmin::<true>(seed, visit))
+}
+
+/// What one Eq-4 pick reads besides the visiting order.
+struct Scan<'a> {
+    cands: &'a [Eq4Candidate],
+    /// Affinity banks summed (0 reads as 1: an empty set's mean is 0).
+    k: usize,
+    /// The largest hop sum among `cands`.
+    max_sum: u32,
+    loads: &'a [u64],
+    avg_load: f64,
+    h: f64,
+}
+
+impl Scan<'_> {
+    /// The one Eq-4 scoring body. `visit` yields every candidate with its
+    /// hop sum, ascending by sum when `ASCENDING`; `seed` is the nearest
+    /// candidate (least sum, then lowest index) and its sum.
+    #[inline(always)]
+    fn argmin<'c, const ASCENDING: bool>(
+        &self,
+        (seed_sum, seed): (u32, &Eq4Candidate),
+        visit: impl Iterator<Item = (u32, &'c Eq4Candidate)>,
+    ) -> u32 {
+        let Self { h, loads, .. } = *self;
+        if h == 0.0 {
+            // `h · (ratio − 1)` is ±0 and the mean hop count is ≥ +0, so the
+            // score is the mean exactly, monotone in the integer hop sum.
+            return seed.bank;
+        }
+        let k = self.k.max(1) as f64;
+        let denom = self.avg_load + LOAD_SMOOTHING;
+        let mean = |s: u32| f64::from(s) / k;
+        let load_term = |l: u64| h * ((l as f64 + LOAD_SMOOTHING) / denom - 1.0);
+        let load_of = |c: &Eq4Candidate| loads[c.bank as usize] * u64::from(c.slowdown);
+        let score = |s: u32, c: &Eq4Candidate| mean(s) + load_term(load_of(c));
+        let mut best_score = score(seed_sum, seed);
+        let mut best = (total_order_key(best_score), seed.bank);
+        // Pruning, exact for finite `h > 0`: the score is monotone in the hop
+        // sum and in the load (rounding is monotone), and no candidate's
+        // load term is below the least `loads[bank] · slowdown` over the
+        // candidates. So a candidate with hop sum `s` scores at least
+        // `mean(s) + load_term(least)`; once that bound exceeds the best
+        // score it loses outright, not even tying. `cap` is the least sum
+        // past the bound.
+        let bound = (h > 0.0 && h.is_finite())
+            .then(|| load_term(self.cands.iter().map(load_of).min().unwrap_or(0)));
+        let cap_for = |best_score: f64, best_key: u64, cap: u32| {
+            let Some(b) = bound else { return u32::MAX };
+            let fits = |s: u32| total_order_key(mean(s) + b) <= best_key;
+            // Start from the real solution of `s / k + b = best`, then settle
+            // on the exact boundary (the predicate is monotone in `s`).
+            let mut c = (((best_score - b) * k) as u32).min(cap);
+            while c > 0 && !fits(c - 1) {
+                c -= 1;
+            }
+            while c < cap && fits(c) {
+                c += 1;
+            }
+            c
+        };
+        let mut cap = cap_for(best_score, best.0, self.max_sum.saturating_add(1));
+        for (s, c) in visit {
+            if s >= cap {
+                if ASCENDING {
+                    break;
+                }
+                continue;
+            }
             let sc = score(s, c);
             let kc = (total_order_key(sc), c.bank);
             if kc < best {
@@ -189,8 +299,8 @@ pub fn eq4_argmin(
                 cap = cap_for(best_score, best.0, cap);
             }
         }
+        best.1
     }
-    Some(best.1)
 }
 
 #[cfg(test)]

@@ -19,7 +19,7 @@
 //! need.)
 
 use crate::api::{AffineArrayReq, AffinityHint, AllocError, MAX_AFFINITY_ADDRS};
-use crate::lanes::{eq4_argmin, Eq4Candidate, HopSums};
+use crate::lanes::{eq4_argmin, eq4_argmin_ordered, Eq4Candidate, HopOrders, HopSums};
 use crate::policy::BankSelectPolicy;
 use aff_mem::addr::VAddr;
 use aff_mem::pool::PoolId;
@@ -147,12 +147,15 @@ enum AffinePlacement {
 }
 
 /// What Eq-4 selection reads besides the loads: the topology's axis hop
-/// tables, the healthy banks as kernel candidates, and hop-sum scratch.
+/// tables, the healthy banks as kernel candidates, hop-sum scratch for
+/// multi-address picks, and the candidates' hop order around each bank for
+/// one-address picks.
 #[derive(Debug)]
 struct Eq4State {
     axis: AxisHops,
     cands: Vec<Eq4Candidate>,
     hops: HopSums,
+    orders: HopOrders,
 }
 
 impl Eq4State {
@@ -161,13 +164,16 @@ impl Eq4State {
             axis: AxisHops::new(topo),
             cands: Vec::new(),
             hops: HopSums::default(),
+            orders: HopOrders::default(),
         };
         state.set_candidates(healthy, plan);
         state
     }
 
-    /// Candidates for `healthy`, each with its fault slowdown.
+    /// Candidates for `healthy`, each with its fault slowdown. Every cached
+    /// hop order indexes the old candidates, so all of them go.
     fn set_candidates(&mut self, healthy: &[u32], plan: &FaultPlan) {
+        self.orders.clear();
         let axis = &self.axis;
         self.cands = healthy
             .iter()
@@ -827,8 +833,14 @@ impl AffinityAllocator {
                 let eq4 = self.eq4.get_or_insert_with(|| {
                     Eq4State::new(&self.topo, &self.healthy, &self.active_faults)
                 });
-                eq4.hops.compute(&eq4.axis, &eq4.cands, aff);
-                eq4_argmin(&eq4.cands, &eq4.hops, &self.loads, avg_load, h).unwrap_or(0)
+                let pick = if let [a] = *aff {
+                    let order = eq4.orders.order(&eq4.axis, &eq4.cands, a);
+                    eq4_argmin_ordered(&eq4.cands, order, &self.loads, avg_load, h)
+                } else {
+                    eq4.hops.compute(&eq4.axis, &eq4.cands, aff);
+                    eq4_argmin(&eq4.cands, &eq4.hops, &self.loads, avg_load, h)
+                };
+                pick.unwrap_or(0)
             }
         }
     }
@@ -1836,6 +1848,7 @@ mod tests {
             (72, 64, BankOrder::RowMajor, TopologyKind::Mesh, 3),
         ];
         let mut rng = SimRng::new(0xE94_5E1EC7);
+        let mut one_address_in_partition = 0;
         for (gi, &(x, y, order, kind, trials)) in geometries.iter().enumerate() {
             let cfg = MachineConfig {
                 mesh_x: x,
@@ -1876,7 +1889,7 @@ mod tests {
                     .collect();
                 a.total_load = loads.iter().sum();
                 a.loads = loads;
-                for case in 0..8 {
+                for case in 0..12 {
                     if case == 4 {
                         // A live re-plan after selections have run: the
                         // candidates must follow the new slowdowns.
@@ -1890,16 +1903,22 @@ mod tests {
                         2 => 5.0,
                         _ => rng.below(4000) as f64 / 100.0 - 5.0,
                     };
-                    a.policy = if case == 0 {
+                    a.policy = if case % 8 == 0 {
                         BankSelectPolicy::MinHop
                     } else {
                         BankSelectPolicy::Hybrid { h }
                     };
+                    // Cases 8–11 take exactly one address (the hop-order
+                    // scan), after the case-4 re-plan.
                     let n = match case {
                         0 | 1 => 0,
                         2 => MAX_AFFINITY_ADDRS,
+                        8.. => 1,
                         _ => rng.below(MAX_AFFINITY_ADDRS as u64 + 1) as usize,
                     };
+                    if n == 1 && a.allowed_banks().is_some() {
+                        one_address_in_partition += 1;
+                    }
                     // Duplicate targets force equal hop sums across banks.
                     let aff: Vec<VAddr> = (0..n)
                         .map(|_| props + rng.below(u64::from(banks.min(4 + case as u32 * 8))) * 64)
@@ -1912,6 +1931,35 @@ mod tests {
                     );
                 }
             }
+        }
+        assert!(
+            one_address_in_partition > 0,
+            "no one-address pick ran in a partition"
+        );
+    }
+
+    #[test]
+    fn a_dead_nearest_bank_leaves_the_cached_hop_order() {
+        for policy in [
+            BankSelectPolicy::MinHop,
+            BankSelectPolicy::Hybrid { h: 5.0 },
+        ] {
+            let mut a = AffinityAllocator::new(MachineConfig::paper_default(), policy);
+            let props = a.malloc_aff_affine(&AffineArrayReq::new(64, 64)).unwrap();
+            let target = props + 27 * 64;
+            let near = a.bank_of(target);
+            // The first pick builds the order around `near` and takes it.
+            let first = a.malloc_aff(64, &[target]).unwrap();
+            assert_eq!(a.bank_of(first), near, "{policy:?}");
+            a.apply_fault_plan(&FaultPlan::none().fail_bank(near));
+            let h = match policy {
+                BankSelectPolicy::Hybrid { h } => h,
+                _ => 0.0,
+            };
+            let want = reference_pick(&mut a, &[target], h);
+            let next = a.malloc_aff(64, &[target]).unwrap();
+            assert_ne!(a.bank_of(next), near, "{policy:?} placed on a dead bank");
+            assert_eq!(a.bank_of(next), want, "{policy:?}");
         }
     }
 

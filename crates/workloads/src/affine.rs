@@ -288,7 +288,6 @@ pub fn run_vecadd_forced_delta(n: u64, delta: Option<u32>, cfg: &RunConfig) -> M
                 .space_mut()
                 .pool_alloc_at(pool, d % banks, bytes)
                 .expect("C");
-            engine_residency_note(&mut alloc, 3 * bytes);
             Arrays {
                 main: a,
                 extras: vec![b],
@@ -318,11 +317,6 @@ pub fn run_vecadd_forced_delta(n: u64, delta: Option<u32>, cfg: &RunConfig) -> M
     let mut m = engine.finish();
     m.degradation.merge(&alloc.degradation());
     m
-}
-
-fn engine_residency_note(_alloc: &mut AffinityAllocator, _bytes: u64) {
-    // Residency for the forced-delta layout is registered spread on the
-    // engine by the caller; pool cursors do not track it.
 }
 
 /// Elements to the next chunk boundary of the array at `va` for index `idx`.

@@ -21,6 +21,7 @@ use aff_ds::hash::HashChainTable;
 use aff_ds::layout::AllocMode;
 use aff_ds::list::AffLinkedList;
 use aff_ds::tree::AffBinaryTree;
+use aff_noc::topology::AxisHops;
 use aff_nsc::engine::{Metrics, SimEngine};
 use aff_sim_core::config::CACHE_LINE;
 use aff_sim_core::mine::RegionKind;
@@ -121,8 +122,8 @@ fn declare_nodes(engine: &mut SimEngine, nodes: u64) {
 
 /// Profiling: one ProfileTouch per dereference of a sampled chain — region 0
 /// is the node pool, elements are line-granular node identities.
-fn emit_chain_touches(engine: &mut SimEngine, banks: &[u32], step: u64) {
-    for &b in banks {
+fn emit_chain_touches(engine: &mut SimEngine, banks: impl IntoIterator<Item = u32>, step: u64) {
+    for b in banks {
         engine.record(Event::ProfileTouch {
             region: 0,
             elem: u64::from(b),
@@ -131,44 +132,132 @@ fn emit_chain_touches(engine: &mut SimEngine, banks: &[u32], step: u64) {
     }
 }
 
-/// Charge one chain traversal (a sequence of dereferences at `banks`) and
-/// return its serial latency in cycles.
-fn charge_chain(
-    engine: &mut SimEngine,
-    banks: &[u32],
-    entry_bank: u32,
+/// One pointer run's chain dereferences, tallied into dense counts and
+/// charged to the engine once per distinct charge.
+///
+/// A chain is a sequence of dereferences at `banks`; its first bank is
+/// its entry. Near-L3 counts each dereference as a read at its bank and
+/// each bank change as a `(prev, bank)` migration; In-Core counts each
+/// dereference as a `(core, bank)` read. [`finish`](Self::finish) then
+/// makes one engine call per non-zero count, with the summed count, and
+/// folds the chains' serial latencies into the chain term.
+///
+/// *Why it is exact.* Every counter these engine calls feed is additive,
+/// and `record_n` of a summed count is exactly that many records (the
+/// charge-table proptests pin this), so one call with the sum equals the
+/// per-dereference calls — provided nothing changes how a charge applies
+/// between the chains and `finish`. A pointer run opens no phase, so fault
+/// epochs (chaos timelines included) fire only in the engine's own
+/// `finish`, after the tally has settled; a caller that opens phases or
+/// advances faults between chains must not use it. An attached recorder
+/// sees fewer events, with summed counts: the co-access miner reads only
+/// `ProfileTouch`, which the run still emits per dereference, and the sums
+/// of its work counters.
+#[derive(Debug)]
+pub struct ChainTally {
     in_core: bool,
-    core: u32,
-) -> u64 {
-    let cfg = engine.config();
-    let (hop_lat, l3_lat) = (cfg.hop_latency, cfg.l3_latency);
-    let mut serial = 0u64;
-    let mut prev = entry_bank;
-    for &b in banks {
-        if in_core {
-            engine.core_read_lines(core, b, 1);
-            serial += 2 * u64::from(engine.topo().manhattan(core, b)) * hop_lat + l3_lat;
-        } else {
-            engine.bank_read_lines(b, 1);
-            engine.se_ops(b, 1);
-            if prev != b {
-                engine.migrate(prev, b, 1);
-            }
-            serial += u64::from(engine.topo().manhattan(prev, b)) * hop_lat + l3_lat;
-            prev = b;
-        }
-    }
-    serial
+    num_banks: usize,
+    axis: AxisHops,
+    hop_latency: u64,
+    l3_latency: u64,
+    /// Near-L3 reads per bank.
+    reads: Vec<u64>,
+    /// `src · num_banks + dst` counts: Near-L3 `(prev, bank)` migrations, or
+    /// In-Core `(core, bank)` reads.
+    pairs: Vec<u64>,
+    /// Indices of the non-zero `pairs`, in first-touch order, so settling a
+    /// large machine walks only the pairs a run used.
+    touched: Vec<usize>,
+    /// Sum and maximum of the chains' serial latencies.
+    serial_total: u64,
+    serial_max: u64,
 }
 
-/// Aggregate the per-chain serial latencies into the engine's chain term,
-/// given how many chains run concurrently.
-fn fold_serial(engine: &mut SimEngine, per_chain: &[u64], concurrency: u64) {
-    let total: u64 = per_chain.iter().sum();
-    let longest = per_chain.iter().copied().max().unwrap_or(0);
-    // Chains execute `concurrency` at a time; the critical path is the
-    // larger of (work / concurrency) and the single longest chain.
-    engine.chain_cycles((total / concurrency.max(1)).max(longest));
+impl ChainTally {
+    /// An empty tally for `engine`'s machine; `in_core` picks the In-Core
+    /// model, otherwise Near-L3.
+    pub fn new(engine: &SimEngine, in_core: bool) -> Self {
+        let cfg = engine.config();
+        let n = cfg.num_banks() as usize;
+        Self {
+            in_core,
+            num_banks: n,
+            axis: AxisHops::new(&engine.topo()),
+            hop_latency: cfg.hop_latency,
+            l3_latency: cfg.l3_latency,
+            reads: vec![0; n],
+            pairs: vec![0; n * n],
+            touched: Vec::new(),
+            serial_total: 0,
+            serial_max: 0,
+        }
+    }
+
+    fn count_pair(&mut self, src: u32, dst: u32) {
+        let i = src as usize * self.num_banks + dst as usize;
+        if self.pairs[i] == 0 {
+            self.touched.push(i);
+        }
+        self.pairs[i] += 1;
+    }
+
+    /// Tally one chain traversal — dereferences at `banks`, issued by the
+    /// core at tile `core` (In-Core) — and return its serial latency in
+    /// cycles: per dereference, the hops from the previous bank (Near-L3)
+    /// or the core round trip (In-Core), plus one L3 access.
+    pub fn chain(&mut self, banks: impl IntoIterator<Item = u32>, core: u32) -> u64 {
+        let (mut hops, mut derefs) = (0u64, 0u64);
+        let mut banks = banks.into_iter().peekable();
+        let mut prev = banks.peek().copied().unwrap_or(core);
+        for b in banks {
+            derefs += 1;
+            if self.in_core {
+                self.count_pair(core, b);
+                hops += 2 * u64::from(self.axis.hops(core, b));
+            } else {
+                self.reads[b as usize] += 1;
+                if prev != b {
+                    self.count_pair(prev, b);
+                }
+                hops += u64::from(self.axis.hops(prev, b));
+                prev = b;
+            }
+        }
+        let serial = hops * self.hop_latency + derefs * self.l3_latency;
+        self.serial_total += serial;
+        self.serial_max = self.serial_max.max(serial);
+        serial
+    }
+
+    /// Charge every tallied count once, then add the chain term: chains
+    /// run `concurrency` at a time (the OOO window's [`IN_CORE_MLP`] per
+    /// tile, or each bank's SEL3 streams), so the critical path is the
+    /// larger of `total / concurrency` and the single longest chain.
+    pub fn finish(self, engine: &mut SimEngine) {
+        for (b, &n) in self.reads.iter().enumerate() {
+            if n > 0 {
+                engine.bank_read_lines(b as u32, n);
+                engine.se_ops(b as u32, n);
+            }
+        }
+        for &i in &self.touched {
+            let (src, dst) = ((i / self.num_banks) as u32, (i % self.num_banks) as u32);
+            let n = self.pairs[i];
+            if self.in_core {
+                engine.core_read_lines(src, dst, n);
+            } else {
+                engine.migrate(src, dst, n);
+            }
+        }
+        let cfg = engine.config();
+        let per_bank = if self.in_core {
+            IN_CORE_MLP
+        } else {
+            u64::from(cfg.sel3_streams_per_bank)
+        };
+        let concurrency = (u64::from(cfg.num_banks()) * per_bank).max(1);
+        engine.chain_cycles((self.serial_total / concurrency).max(self.serial_max));
+    }
 }
 
 /// Run `link_list` under `cfg`.
@@ -188,24 +277,16 @@ pub fn run_link_list(params: LinkListParams, cfg: &RunConfig) -> Metrics {
     }
     let stride = (params.lists / 1024).max(1);
 
-    let mut serials = Vec::with_capacity(params.lists);
-    let mut banks: Vec<u32> = Vec::new();
+    let mut tally = ChainTally::new(&engine, in_core);
     for (i, list) in lists.iter().enumerate() {
-        banks.clear();
-        banks.extend(list.nodes().iter().map(|n| n.bank));
+        let banks = list.nodes().iter().map(|n| n.bank);
         if mining && i % stride == 0 {
-            emit_chain_touches(&mut engine, &banks, i as u64);
+            emit_chain_touches(&mut engine, banks.clone(), i as u64);
         }
         let core = (i % cfg.machine.num_banks() as usize) as u32;
-        let entry = if banks.is_empty() { core } else { banks[0] };
-        serials.push(charge_chain(&mut engine, &banks, entry, in_core, core));
+        tally.chain(banks, core);
     }
-    let concurrency = if in_core {
-        u64::from(cfg.machine.num_banks()) * IN_CORE_MLP
-    } else {
-        u64::from(cfg.machine.num_banks()) * u64::from(cfg.machine.sel3_streams_per_bank)
-    };
-    fold_serial(&mut engine, &serials, concurrency);
+    tally.finish(&mut engine);
     let mut m = engine.finish();
     m.degradation.merge(&alloc.degradation());
     cfg.hints.stamp(&mut m);
@@ -230,7 +311,7 @@ pub fn run_hash_join(params: HashJoinParams, cfg: &RunConfig) -> Metrics {
     }
     let stride = (params.probe_keys / 1024).max(1);
 
-    let mut serials = Vec::with_capacity(params.probe_keys);
+    let mut tally = ChainTally::new(&engine, in_core);
     let mut banks: Vec<u32> = Vec::new();
     for i in 0..params.probe_keys {
         // Hit-rate-controlled probe key: hits reuse a stored key.
@@ -242,18 +323,13 @@ pub fn run_hash_join(params: HashJoinParams, cfg: &RunConfig) -> Metrics {
         let (head_bank, _hit) = table.probe_into(key, &mut banks);
         let core = (i % cfg.machine.num_banks() as usize) as u32;
         // Probe = read head, then walk the chain.
-        banks.insert(0, head_bank);
+        let probe = std::iter::once(head_bank).chain(banks.iter().copied());
         if mining && i % stride == 0 {
-            emit_chain_touches(&mut engine, &banks, i as u64);
+            emit_chain_touches(&mut engine, probe.clone(), i as u64);
         }
-        serials.push(charge_chain(&mut engine, &banks, head_bank, in_core, core));
+        tally.chain(probe, core);
     }
-    let concurrency = if in_core {
-        u64::from(cfg.machine.num_banks()) * IN_CORE_MLP
-    } else {
-        u64::from(cfg.machine.num_banks()) * u64::from(cfg.machine.sel3_streams_per_bank)
-    };
-    fold_serial(&mut engine, &serials, concurrency);
+    tally.finish(&mut engine);
     let mut m = engine.finish();
     m.degradation.merge(&alloc.degradation());
     cfg.hints.stamp(&mut m);
@@ -277,24 +353,18 @@ pub fn run_bin_tree(params: BinTreeParams, cfg: &RunConfig) -> Metrics {
     }
     let stride = (params.lookups / 1024).max(1);
 
-    let mut serials = Vec::with_capacity(params.lookups);
+    let mut tally = ChainTally::new(&engine, in_core);
     let mut banks: Vec<u32> = Vec::new();
     for i in 0..params.lookups {
         let key = keys[rng.index(keys.len())];
         tree.lookup_path_banks_into(key, &mut banks);
         if mining && i % stride == 0 {
-            emit_chain_touches(&mut engine, &banks, i as u64);
+            emit_chain_touches(&mut engine, banks.iter().copied(), i as u64);
         }
         let core = (i % cfg.machine.num_banks() as usize) as u32;
-        let entry = banks.first().copied().unwrap_or(core);
-        serials.push(charge_chain(&mut engine, &banks, entry, in_core, core));
+        tally.chain(banks.iter().copied(), core);
     }
-    let concurrency = if in_core {
-        u64::from(cfg.machine.num_banks()) * IN_CORE_MLP
-    } else {
-        u64::from(cfg.machine.num_banks()) * u64::from(cfg.machine.sel3_streams_per_bank)
-    };
-    fold_serial(&mut engine, &serials, concurrency);
+    tally.finish(&mut engine);
     let mut m = engine.finish();
     m.degradation.merge(&alloc.degradation());
     cfg.hints.stamp(&mut m);
@@ -439,5 +509,116 @@ mod tests {
         assert!((h.hit_rate - 0.125).abs() < 1e-12);
         let b = BinTreeParams::default();
         assert_eq!((b.nodes, b.lookups), (128 * 1024, 512 * 1024));
+    }
+
+    /// The per-dereference charging [`ChainTally`] replaced: three or four
+    /// engine calls per dereference, the chain entering at `entry`.
+    fn charge_chain_ref(
+        engine: &mut SimEngine,
+        banks: &[u32],
+        entry: u32,
+        in_core: bool,
+        core: u32,
+    ) -> u64 {
+        let cfg = engine.config();
+        let (hop_lat, l3_lat) = (cfg.hop_latency, cfg.l3_latency);
+        let mut serial = 0u64;
+        let mut prev = entry;
+        for &b in banks {
+            if in_core {
+                engine.core_read_lines(core, b, 1);
+                serial += 2 * u64::from(engine.topo().manhattan(core, b)) * hop_lat + l3_lat;
+            } else {
+                engine.bank_read_lines(b, 1);
+                engine.se_ops(b, 1);
+                if prev != b {
+                    engine.migrate(prev, b, 1);
+                }
+                serial += u64::from(engine.topo().manhattan(prev, b)) * hop_lat + l3_lat;
+                prev = b;
+            }
+        }
+        serial
+    }
+
+    /// The serial fold [`ChainTally::finish`] replaced.
+    fn fold_serial_ref(engine: &mut SimEngine, per_chain: &[u64], in_core: bool) {
+        let cfg = engine.config();
+        let per_bank = if in_core {
+            IN_CORE_MLP
+        } else {
+            u64::from(cfg.sel3_streams_per_bank)
+        };
+        let concurrency = u64::from(cfg.num_banks()) * per_bank;
+        let total: u64 = per_chain.iter().sum();
+        let longest = per_chain.iter().copied().max().unwrap_or(0);
+        engine.chain_cycles((total / concurrency.max(1)).max(longest));
+    }
+
+    proptest::proptest! {
+        /// [`ChainTally`] charges exactly what the per-dereference loop
+        /// does: the same serial latency per chain, the same link flits and
+        /// every `Metrics` field, on healthy and faulted machines. Every call
+        /// site enters a chain at its first bank, so the reference does too.
+        #[test]
+        fn chain_tally_matches_the_per_dereference_loop(
+            geometry in 0usize..3,
+            in_core in proptest::prelude::any::<bool>(),
+            chains in proptest::collection::vec(
+                (proptest::collection::vec(proptest::prelude::any::<u32>(), 0..41),
+                 proptest::prelude::any::<u32>()),
+                0..2000,
+            ),
+            dead in proptest::collection::vec(proptest::prelude::any::<u32>(), 1..4),
+        ) {
+            use aff_sim_core::config::MachineConfig;
+            use aff_sim_core::fault::FaultPlan;
+            let (mesh, faulted) = [(8, false), (8, true), (16, false)][geometry];
+            let mut cfg = MachineConfig {
+                mesh_x: mesh,
+                mesh_y: mesh,
+                ..MachineConfig::paper_default()
+            };
+            let n = cfg.num_banks();
+            if faulted {
+                cfg.faults = dead
+                    .iter()
+                    .fold(FaultPlan::none(), |plan, &b| plan.fail_bank(b % n));
+            }
+            let chains: Vec<(Vec<u32>, u32)> = chains
+                .into_iter()
+                .map(|(banks, core)| (banks.into_iter().map(|b| b % n).collect(), core % n))
+                .collect();
+
+            let mut want = SimEngine::new(cfg.clone());
+            let serials: Vec<u64> = chains
+                .iter()
+                .map(|(banks, core)| {
+                    let entry = banks.first().copied().unwrap_or(*core);
+                    charge_chain_ref(&mut want, banks, entry, in_core, *core)
+                })
+                .collect();
+            fold_serial_ref(&mut want, &serials, in_core);
+
+            let mut got = SimEngine::new(cfg);
+            let mut tally = ChainTally::new(&got, in_core);
+            for ((banks, core), &serial) in chains.iter().zip(&serials) {
+                proptest::prop_assert_eq!(tally.chain(banks.iter().copied(), *core), serial);
+            }
+            tally.finish(&mut got);
+
+            proptest::prop_assert_eq!(
+                want.traffic_mut().link_flits(),
+                got.traffic_mut().link_flits()
+            );
+            let (want, got) = (want.finish(), got.finish());
+            proptest::prop_assert_eq!(want.cycles, got.cycles);
+            proptest::prop_assert_eq!(want.breakdown, got.breakdown);
+            proptest::prop_assert_eq!(want.hop_flits, got.hop_flits);
+            proptest::prop_assert_eq!(want.energy, got.energy);
+            proptest::prop_assert_eq!(want.energy_pj.to_bits(), got.energy_pj.to_bits());
+            proptest::prop_assert_eq!(want.degradation, got.degradation);
+            proptest::prop_assert_eq!(format!("{want:?}"), format!("{got:?}"));
+        }
     }
 }
