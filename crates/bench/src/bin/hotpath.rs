@@ -2,15 +2,18 @@
 //! isolation — route store, heap translation, engine charge
 //! accumulation, folded remote atomics, pointer-chain tallies and the Eq-4
 //! argmin kernel, over many addresses and over one — plus Kronecker input
-//! generation, each against the scalar/hash-map/write-through/rebuild
-//! baseline it replaced, and writes `BENCH_hotpath.json` (schema
-//! `aff-bench/hotpath-v7`). Each side of a layer is the median of
-//! [`REPEATS`] runs, alternating with the other side's.
+//! generation and Fig 6's chunk oracle, each against the
+//! scalar/hash-map/write-through/rebuild/per-pair baseline it replaced, and
+//! writes `BENCH_hotpath.json` (schema `aff-bench/hotpath-v8`). Each side
+//! of a layer is the median of [`REPEATS`] runs, alternating with the other
+//! side's.
 //! The route layer runs at 8×8 *and* 16×16 (both hold every source row in
 //! the route store's 1 MiB budget, so neither evicts), and a `route_memory`
 //! section records the resident route-store bytes at 1024 banks, where the
 //! budget holds 64 of 1024 rows, against the dense `n²` entry-array curve.
 //!
+//! Schema v8 (from v7): the `chunk_oracle` layer is new; its `ops` are
+//! edges placed, over a 64 B-chunk and a one-edge-chunk placement.
 //! Schema v7 (from v6): the `chain_charge` and `eq4_single` layers are new;
 //! `chain_charge`'s `ops` are dereferences (both models), `eq4_single`'s
 //! are one-address picks.
@@ -30,6 +33,7 @@
 //! The access streams are seeded [`SimRng`] draws, so the measured work is
 //! identical run to run; only the wall-clock varies.
 
+use aff_ds::csr::ChunkedCsr;
 use aff_ds::graph::Graph;
 use aff_ds::layout::AllocMode;
 use aff_ds::tree::AffBinaryTree;
@@ -632,8 +636,113 @@ fn graph_digest(graphs: &[Graph]) -> u64 {
     h
 }
 
+/// Layer 9: Fig 6's chunk oracle on 8×8, placing one Kronecker graph's
+/// edge array in 64 B chunks and in one-edge chunks (`Ind-Ideal`) over a
+/// 1 KiB-interleaved property array. The public `ChunkedCsr::build`, which
+/// scores each chunk with `lanes::HopSums`, versus the build it replaced:
+/// one `Topology::manhattan` call per (edge, bank). The witness is a
+/// digest of every edge's bank in both placements. `ops` is the edges
+/// placed, both placements counted.
+fn bench_chunk_oracle(ops: u64) -> Layer {
+    let topo = Topology::new(8, 8);
+    let scale = (ops / 16 / u64::from(KRON_EDGE_FACTOR)).max(2).ilog2();
+    let graph = gen::kronecker(scale, KRON_EDGE_FACTOR, 2023);
+    // 8 B properties, 128 to a 1 KiB interleave block.
+    let vertex_banks: Vec<u32> = (0..graph.num_vertices())
+        .map(|v| (v / 128) % topo.num_banks())
+        .collect();
+    let chunks = [64, graph.edge_bytes()];
+    let eat = |bank_of_edge: &dyn Fn(u64) -> u32, h: &mut u64| {
+        for e in 0..graph.num_edges() as u64 {
+            *h = (*h ^ u64::from(bank_of_edge(e))).wrapping_mul(0x0100_0000_01B3);
+        }
+    };
+    let (times, digest) = time_pair(
+        || (),
+        |_| {
+            let mut h = 0xCBF2_9CE4_8422_2325u64;
+            for chunk_bytes in chunks {
+                let placed = ChunkedCsr::build(topo, &graph, &vertex_banks, chunk_bytes, 0.02);
+                eat(&|e| placed.bank_of_edge(e), &mut h);
+            }
+            h
+        },
+        |_| {
+            let mut h = 0xCBF2_9CE4_8422_2325u64;
+            for chunk_bytes in chunks {
+                let chunk_edges = (chunk_bytes / graph.edge_bytes()) as usize;
+                let banks = manhattan_chunk_banks(topo, &graph, &vertex_banks, chunk_edges, 0.02);
+                eat(&|e| banks[e as usize / chunk_edges], &mut h);
+            }
+            h
+        },
+        "chunk oracles must place every edge alike",
+    );
+    Layer::new("chunk_oracle", 2 * graph.num_edges() as u64, times, digest)
+}
+
+/// The replaced oracle build: each chunk scored against every bank with
+/// one `manhattan` call per edge, then the same load cap and spill.
+/// Returns each chunk's bank.
+fn manhattan_chunk_banks(
+    topo: Topology,
+    graph: &Graph,
+    vertex_banks: &[u32],
+    chunk_edges: usize,
+    imbalance: f64,
+) -> Vec<u32> {
+    let targets = graph.targets();
+    let num_chunks = targets.len().div_ceil(chunk_edges).max(1);
+    let banks = topo.num_banks();
+    let mut desired: Vec<(usize, u32, f64)> = Vec::with_capacity(num_chunks);
+    for c in 0..num_chunks {
+        let lo = c * chunk_edges;
+        let hi = (lo + chunk_edges).min(targets.len());
+        let slice = &targets[lo..hi];
+        let (mut best_bank, mut best_cost) = (0u32, f64::INFINITY);
+        let mut avg_cost = 0.0;
+        for b in 0..banks {
+            let cost: u64 = slice
+                .iter()
+                .map(|&t| u64::from(topo.manhattan(b, vertex_banks[t as usize])))
+                .sum();
+            avg_cost += cost as f64;
+            if (cost as f64) < best_cost {
+                best_cost = cost as f64;
+                best_bank = b;
+            }
+        }
+        avg_cost /= f64::from(banks);
+        desired.push((c, best_bank, avg_cost - best_cost));
+    }
+    let cap = ((num_chunks as f64 / f64::from(banks)) * (1.0 + imbalance)).ceil() as usize;
+    let cap = cap.max(1);
+    desired.sort_by(|a, b| b.2.partial_cmp(&a.2).expect("finite savings"));
+    let mut load = vec![0usize; banks as usize];
+    let mut chunk_banks = vec![0u32; num_chunks];
+    let mut overflow = Vec::new();
+    for &(c, want, _) in &desired {
+        if load[want as usize] < cap {
+            load[want as usize] += 1;
+            chunk_banks[c] = want;
+        } else {
+            overflow.push(c);
+        }
+    }
+    for c in overflow {
+        let (b, _) = load
+            .iter()
+            .enumerate()
+            .min_by_key(|&(_, &l)| l)
+            .expect("banks exist");
+        load[b] += 1;
+        chunk_banks[c] = b as u32;
+    }
+    chunk_banks
+}
+
 fn render_json(layers: &[Layer], mem: &RouteMemory) -> String {
-    let mut out = String::from("{\n  \"schema\": \"aff-bench/hotpath-v7\",\n  \"layers\": [\n");
+    let mut out = String::from("{\n  \"schema\": \"aff-bench/hotpath-v8\",\n  \"layers\": [\n");
     for (i, l) in layers.iter().enumerate() {
         let speedup = l.fast_mops / l.base_mops.max(1e-12);
         out.push_str(&format!(
@@ -699,6 +808,7 @@ fn main() {
         bench_chain_charge(ops),
         bench_eq4_single(ops),
         bench_kron_gen(ops),
+        bench_chunk_oracle(ops),
     ];
     for l in &layers {
         println!(

@@ -356,8 +356,7 @@ pub fn fig6_plan(opts: HarnessOpts) -> SweepPlan {
             let input = inputs.claim_for(w).expect("fig6 workloads read a graph");
             let id = b.cell(format!("{}/{label}", w.label()), move |ctx| {
                 let g = input.take();
-                let edge_sz = if g.is_weighted() { 8 } else { 4 };
-                let cb = if bytes == 0 { edge_sz } else { bytes };
+                let cb = if bytes == 0 { g.edge_bytes() } else { bytes };
                 let cfg = opts.cfg(ctx, hybrid5());
                 GraphInstance::with_chunk_oracle(g, &cfg, cb)
                     .run(w)

@@ -79,7 +79,8 @@ impl Eq4Candidate {
 
 /// Every candidate's hop sum to one call's affinity banks, with the
 /// nearest candidate and the largest sum found on the way. Reused across
-/// calls, so computing them allocates nothing.
+/// calls, so computing them allocates nothing. Fig 6's chunk oracle
+/// (`aff_ds::csr::ChunkedCsr`) scores its chunks with it too.
 #[derive(Debug, Clone, Default)]
 pub struct HopSums {
     /// The affinity banks' X rows summed, then their Y rows summed.
@@ -127,6 +128,11 @@ impl HopSums {
     /// The hop sums, parallel to the candidates they were computed for.
     pub fn sums(&self) -> &[u32] {
         &self.sums
+    }
+
+    /// Index of the nearest candidate: least sum, then lowest index.
+    pub fn near(&self) -> usize {
+        self.near
     }
 }
 

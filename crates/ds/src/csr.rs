@@ -8,10 +8,15 @@
 //! a 2% load-imbalance cap (the paper's footnote 2). That oracle is
 //! [`ChunkedCsr`]; its diminishing returns at page granularity are the
 //! motivation for the linked CSR format.
+//!
+//! The oracle scores banks with the allocator's own Eq-4 hop-sum kernel,
+//! [`HopSums`] over [`AxisHops`]: a chunk's hop sum to every bank costs one
+//! X row and one Y row per edge, plus one add per bank.
 
 use crate::graph::Graph;
 use crate::layout::{AllocMode, VertexArray};
-use aff_noc::topology::Topology;
+use aff_noc::topology::{AxisHops, Topology};
+use affinity_alloc::lanes::{Eq4Candidate, HopSums};
 use affinity_alloc::{AffinityAllocator, AllocError};
 
 /// The classic CSR arrays with per-edge bank placement.
@@ -36,7 +41,7 @@ impl CsrLayout {
     ) -> Result<Self, AllocError> {
         let n = u64::from(graph.num_vertices());
         let index = VertexArray::new(alloc, n + 1, 8, mode)?;
-        let elem = if graph.is_weighted() { 8 } else { 4 };
+        let elem = graph.edge_bytes();
         let edges = VertexArray::new(alloc, graph.num_edges() as u64, elem, AllocMode::Baseline)?;
         Ok(Self { index, edges })
     }
@@ -76,7 +81,9 @@ impl ChunkedCsr {
     ///
     /// # Panics
     ///
-    /// Panics if `chunk_bytes` is smaller than one edge entry.
+    /// Panics if `chunk_bytes` is smaller than one edge entry, or if a
+    /// chunk's hop total could overflow `u32` (`chunk_edges × (grid_x +
+    /// grid_y)` must fit).
     pub fn build(
         topo: Topology,
         graph: &Graph,
@@ -84,83 +91,19 @@ impl ChunkedCsr {
         chunk_bytes: u64,
         imbalance: f64,
     ) -> Self {
-        let edge_bytes = if graph.is_weighted() { 8 } else { 4 };
+        let edge_bytes = graph.edge_bytes();
         assert!(chunk_bytes >= edge_bytes, "chunk smaller than one edge");
         let chunk_edges = (chunk_bytes / edge_bytes) as usize;
-        let targets = graph.targets();
-        let num_chunks = targets.len().div_ceil(chunk_edges).max(1);
-        let banks = topo.num_banks();
-
-        // Desired bank per chunk: argmin total hops to the pointed vertices;
-        // also record the saving vs. the mesh-average distance so the
-        // rebalancer evicts the least-profitable chunks first.
-        let mut desired: Vec<(usize, u32, f64)> = Vec::with_capacity(num_chunks);
-        for c in 0..num_chunks {
-            let lo = c * chunk_edges;
-            let hi = (lo + chunk_edges).min(targets.len());
-            let slice = &targets[lo..hi];
-            let (mut best_bank, mut best_cost) = (0u32, f64::INFINITY);
-            let mut avg_cost = 0.0;
-            for b in 0..banks {
-                let cost: u64 = slice
-                    .iter()
-                    .map(|&t| u64::from(topo.manhattan(b, vertex_banks[t as usize])))
-                    .sum();
-                avg_cost += cost as f64;
-                if (cost as f64) < best_cost {
-                    best_cost = cost as f64;
-                    best_bank = b;
-                }
-            }
-            avg_cost /= f64::from(banks);
-            desired.push((c, best_bank, avg_cost - best_cost));
-        }
-
-        // Load cap per bank.
-        let cap = ((num_chunks as f64 / f64::from(banks)) * (1.0 + imbalance)).ceil() as usize;
-        let cap = cap.max(1);
-        // Chunks with the largest saving claim their bank first.
-        desired.sort_by(|a, b| b.2.partial_cmp(&a.2).expect("finite savings"));
-        let mut load = vec![0usize; banks as usize];
-        let mut chunk_banks = vec![0u32; num_chunks];
-        let mut overflow = Vec::new();
-        for &(c, want, _) in &desired {
-            if load[want as usize] < cap {
-                load[want as usize] += 1;
-                chunk_banks[c] = want;
-            } else {
-                overflow.push(c);
-            }
-        }
-        // Spilled chunks go to the least-occupied bank (paper footnote 2).
-        for c in overflow {
-            let (b, _) = load
-                .iter()
-                .enumerate()
-                .min_by_key(|&(_, &l)| l)
-                .expect("banks exist");
-            load[b] += 1;
-            chunk_banks[c] = b as u32;
-        }
+        let desired = desired_banks(topo, graph.targets(), vertex_banks, chunk_edges);
         Self {
             chunk_edges,
-            chunk_banks,
+            chunk_banks: place(desired, topo.num_banks(), imbalance),
         }
     }
 
     /// Bank of global edge slot `e`.
     pub fn bank_of_edge(&self, e: u64) -> u32 {
         self.chunk_banks[(e as usize) / self.chunk_edges]
-    }
-
-    /// Edges per chunk.
-    pub fn chunk_edges(&self) -> usize {
-        self.chunk_edges
-    }
-
-    /// Number of chunks.
-    pub fn num_chunks(&self) -> usize {
-        self.chunk_banks.len()
     }
 
     /// Largest per-bank chunk count over the mean (placement imbalance).
@@ -177,6 +120,77 @@ impl ChunkedCsr {
             max / mean
         }
     }
+}
+
+/// Each chunk's `(chunk, desired bank, saving)`, in chunk order: the bank
+/// with the least hop total to the chunk's targets (lowest id on ties), and
+/// the mean total over all banks minus that least one, so the rebalancer
+/// evicts the least-profitable chunks first. Every total, and their sum
+/// over the banks, is an integer below 2^53, so the saving does not depend
+/// on the order the hops are added in. An edgeless graph is one empty
+/// chunk.
+fn desired_banks(
+    topo: Topology,
+    targets: &[u32],
+    vertex_banks: &[u32],
+    chunk_edges: usize,
+) -> Vec<(usize, u32, f64)> {
+    let axis = AxisHops::new(&topo);
+    assert!(
+        chunk_edges
+            .checked_mul(axis.grid_x() + axis.grid_y())
+            .is_some_and(|m| u32::try_from(m).is_ok()),
+        "chunk hop totals overflow u32"
+    );
+    let banks = topo.num_banks();
+    // Candidate i is bank i, so the nearest index is the desired bank.
+    let cands: Vec<Eq4Candidate> = (0..banks).map(|b| Eq4Candidate::new(&axis, b, 1)).collect();
+    let mut hops = HopSums::default();
+    let mut chunk_targets = Vec::with_capacity(chunk_edges.min(targets.len()));
+    (0..targets.len().div_ceil(chunk_edges).max(1))
+        .map(|c| {
+            let lo = c * chunk_edges;
+            let hi = (lo + chunk_edges).min(targets.len());
+            chunk_targets.clear();
+            chunk_targets.extend(targets[lo..hi].iter().map(|&t| vertex_banks[t as usize]));
+            hops.compute(&axis, &cands, &chunk_targets);
+            let best = hops.near();
+            let total: u64 = hops.sums().iter().map(|&s| u64::from(s)).sum();
+            let saving = total as f64 / f64::from(banks) - f64::from(hops.sums()[best]);
+            (c, best as u32, saving)
+        })
+        .collect()
+}
+
+/// The bank of every chunk: chunks with the largest saving claim their
+/// desired bank first, up to `1 + imbalance` times the mean load per bank;
+/// the rest spill to the least-occupied bank (paper footnote 2).
+fn place(mut desired: Vec<(usize, u32, f64)>, banks: u32, imbalance: f64) -> Vec<u32> {
+    let num_chunks = desired.len();
+    let cap = ((num_chunks as f64 / f64::from(banks)) * (1.0 + imbalance)).ceil() as usize;
+    let cap = cap.max(1);
+    desired.sort_by(|a, b| b.2.partial_cmp(&a.2).expect("finite savings"));
+    let mut load = vec![0usize; banks as usize];
+    let mut chunk_banks = vec![0u32; num_chunks];
+    let mut overflow = Vec::new();
+    for &(c, want, _) in &desired {
+        if load[want as usize] < cap {
+            load[want as usize] += 1;
+            chunk_banks[c] = want;
+        } else {
+            overflow.push(c);
+        }
+    }
+    for c in overflow {
+        let (b, _) = load
+            .iter()
+            .enumerate()
+            .min_by_key(|&(_, &l)| l)
+            .expect("banks exist");
+        load[b] += 1;
+        chunk_banks[c] = b as u32;
+    }
+    chunk_banks
 }
 
 #[cfg(test)]
@@ -265,5 +279,147 @@ mod tests {
         let topo = Topology::new(2, 2);
         let g = ring(8);
         ChunkedCsr::build(topo, &g, &[0; 8], 2, 0.02);
+    }
+
+    #[test]
+    #[should_panic(expected = "overflow u32")]
+    fn chunks_whose_hop_totals_overflow_u32_are_rejected() {
+        let topo = Topology::new(2, 2);
+        let g = ring(8);
+        ChunkedCsr::build(topo, &g, &[0; 8], 4 << 31, 0.02);
+    }
+}
+
+#[cfg(test)]
+mod proptests {
+    use super::*;
+    use aff_sim_core::config::{BankOrder, TopologyKind};
+    use proptest::prelude::*;
+
+    /// The scoring loop `build` ran before it moved onto `HopSums`: one
+    /// `manhattan` call per (edge, bank), lowest bank on ties.
+    fn reference_desired(
+        topo: Topology,
+        graph: &Graph,
+        vertex_banks: &[u32],
+        chunk_edges: usize,
+    ) -> Vec<(usize, u32, f64)> {
+        let targets = graph.targets();
+        let num_chunks = targets.len().div_ceil(chunk_edges).max(1);
+        let banks = topo.num_banks();
+        let mut desired = Vec::with_capacity(num_chunks);
+        for c in 0..num_chunks {
+            let lo = c * chunk_edges;
+            let hi = (lo + chunk_edges).min(targets.len());
+            let slice = &targets[lo..hi];
+            let (mut best_bank, mut best_cost) = (0u32, f64::INFINITY);
+            let mut avg_cost = 0.0;
+            for b in 0..banks {
+                let cost: u64 = slice
+                    .iter()
+                    .map(|&t| u64::from(topo.manhattan(b, vertex_banks[t as usize])))
+                    .sum();
+                avg_cost += cost as f64;
+                if (cost as f64) < best_cost {
+                    best_cost = cost as f64;
+                    best_bank = b;
+                }
+            }
+            avg_cost /= f64::from(banks);
+            desired.push((c, best_bank, avg_cost - best_cost));
+        }
+        desired
+    }
+
+    /// `build` agrees with the reference scoring chunk by chunk, bit for
+    /// bit, and places every edge where the reference scores place it.
+    fn assert_matches_reference(
+        topo: Topology,
+        graph: &Graph,
+        vertex_banks: &[u32],
+        chunk_edges: usize,
+        imbalance: f64,
+    ) {
+        let want = reference_desired(topo, graph, vertex_banks, chunk_edges);
+        let got = desired_banks(topo, graph.targets(), vertex_banks, chunk_edges);
+        let bits = |d: &[(usize, u32, f64)]| -> Vec<(usize, u32, u64)> {
+            d.iter().map(|&(c, b, s)| (c, b, s.to_bits())).collect()
+        };
+        assert_eq!(
+            bits(&got),
+            bits(&want),
+            "{topo:?} chunk_edges={chunk_edges}"
+        );
+        let chunk_bytes = chunk_edges as u64 * graph.edge_bytes();
+        let placed = ChunkedCsr::build(topo, graph, vertex_banks, chunk_bytes, imbalance);
+        let reference = place(want, topo.num_banks(), imbalance);
+        for e in 0..graph.num_edges() {
+            assert_eq!(
+                placed.bank_of_edge(e as u64),
+                reference[e / chunk_edges],
+                "{topo:?} chunk_edges={chunk_edges} edge {e}"
+            );
+        }
+    }
+
+    /// Mesh, torus and concentrated mesh, each row-major and snake.
+    fn shapes(x: u32, y: u32) -> Vec<Topology> {
+        let mut out = Vec::new();
+        for kind in [TopologyKind::Mesh, TopologyKind::Torus, TopologyKind::CMesh] {
+            for order in [BankOrder::RowMajor, BankOrder::Snake] {
+                out.push(Topology::with_kind(x, y, order, kind));
+            }
+        }
+        out
+    }
+
+    /// Every shape on a non-square grid, chunk sizes from one edge to
+    /// 1,024, weighted and unweighted, an edgeless graph, and a skewed
+    /// layout under which the 2% cap binds.
+    #[test]
+    fn fixed_shapes_match_the_manhattan_scoring() {
+        let edges: Vec<(u32, u32)> = (0..3000u32).map(|i| (i % 300, (i * 7 + 3) % 300)).collect();
+        let plain = Graph::from_edges(300, &edges);
+        let mut w = 0;
+        let weighted = plain.with_weights(|| {
+            w += 1;
+            w
+        });
+        let edgeless = Graph::from_edges(300, &[]);
+        for topo in shapes(6, 4) {
+            let banks = topo.num_banks();
+            let spread: Vec<u32> = (0..300u32).map(|v| (v * 5) % banks).collect();
+            let skewed: Vec<u32> = (0..300u32).map(|v| v % 3).collect();
+            for g in [&plain, &weighted, &edgeless] {
+                for chunk_edges in [1, 3, 16, 1024] {
+                    assert_matches_reference(topo, g, &spread, chunk_edges, 0.02);
+                    assert_matches_reference(topo, g, &skewed, chunk_edges, 0.02);
+                }
+            }
+        }
+    }
+
+    proptest! {
+        /// Random shapes, graphs, layouts, chunk sizes and caps.
+        #[test]
+        fn build_matches_the_manhattan_scoring(
+            (shape, x, y) in (0usize..6, 1u32..6, 1u32..6),
+            (n, weighted) in (1u32..200, any::<bool>()),
+            raw in proptest::collection::vec((0u32..1000, 0u32..1000), 0..2000),
+            (spread, log, odd) in (1u32..64, 0u32..11, any::<bool>()),
+            imbalance in 0.0f64..0.5,
+        ) {
+            // CMesh needs even dimensions.
+            let topo = shapes(2 * x, 2 * y)[shape];
+            let edges: Vec<(u32, u32)> = raw.iter().map(|&(s, d)| (s % n, d % n)).collect();
+            let mut g = Graph::from_edges(n, &edges);
+            if weighted {
+                g = g.with_weights(|| 1);
+            }
+            let banks = topo.num_banks();
+            let vb: Vec<u32> = (0..n).map(|v| (v * 31) % spread.min(banks)).collect();
+            let chunk_edges = if odd && log > 0 { (1 << log) - 1 } else { 1 << log };
+            assert_matches_reference(topo, &g, &vb, chunk_edges, imbalance);
+        }
     }
 }

@@ -176,6 +176,12 @@ impl Graph {
         self.weights.is_some()
     }
 
+    /// Bytes of one edge-array entry: a 4 B target, plus a 4 B weight when
+    /// weighted. Every edge layout and its residency use this size.
+    pub fn edge_bytes(&self) -> u64 {
+        4 + 4 * u64::from(self.is_weighted())
+    }
+
     /// CSR offset of `v`'s first edge (for bank-of-edge math in layouts).
     pub fn offset_of(&self, v: VertexId) -> u64 {
         self.offsets[v as usize]

@@ -70,6 +70,29 @@ impl LinkRef {
     }
 }
 
+/// Every directed mesh link of `cfg`, row by row: at each tile the eastward
+/// pair (out, back) and then the southward pair. Seeded plans and chaos
+/// timelines draw from this order, so changing it changes every drawn fault.
+fn directed_links(cfg: &MachineConfig) -> Vec<LinkRef> {
+    let mut links = Vec::new();
+    for y in 0..cfg.mesh_y {
+        for x in 0..cfg.mesh_x {
+            for (tx, ty) in [(x + 1, y), (x, y + 1)] {
+                if tx < cfg.mesh_x && ty < cfg.mesh_y {
+                    let l = LinkRef {
+                        fx: x,
+                        fy: y,
+                        tx,
+                        ty,
+                    };
+                    links.extend([l, l.reversed()]);
+                }
+            }
+        }
+    }
+    links
+}
+
 /// Why a [`FaultPlan`] is not usable on a given machine.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum FaultPlanError {
@@ -317,39 +340,7 @@ impl FaultPlan {
         // Links: enumerate every directed mesh link, shuffle, split the prefix
         // between failures and degradations.
         let mut link_rng = root.fork(2);
-        let mut links: Vec<LinkRef> = Vec::new();
-        for y in 0..cfg.mesh_y {
-            for x in 0..cfg.mesh_x {
-                if x + 1 < cfg.mesh_x {
-                    links.push(LinkRef {
-                        fx: x,
-                        fy: y,
-                        tx: x + 1,
-                        ty: y,
-                    });
-                    links.push(LinkRef {
-                        fx: x + 1,
-                        fy: y,
-                        tx: x,
-                        ty: y,
-                    });
-                }
-                if y + 1 < cfg.mesh_y {
-                    links.push(LinkRef {
-                        fx: x,
-                        fy: y,
-                        tx: x,
-                        ty: y + 1,
-                    });
-                    links.push(LinkRef {
-                        fx: x,
-                        fy: y + 1,
-                        tx: x,
-                        ty: y,
-                    });
-                }
-            }
-        }
+        let mut links = directed_links(cfg);
         link_rng.shuffle(&mut links);
         let n_dead = (spec.failed_links as usize).min(links.len());
         let n_deg = (spec.degraded_links as usize).min(links.len() - n_dead);
@@ -670,39 +661,7 @@ impl FaultTimeline {
     pub fn chaos(rng: &mut SimRng, cfg: &MachineConfig, intensity: u32) -> Self {
         const HORIZON: u64 = 1 << 20;
         let banks = cfg.num_banks();
-        let mut links: Vec<LinkRef> = Vec::new();
-        for y in 0..cfg.mesh_y {
-            for x in 0..cfg.mesh_x {
-                if x + 1 < cfg.mesh_x {
-                    links.push(LinkRef {
-                        fx: x,
-                        fy: y,
-                        tx: x + 1,
-                        ty: y,
-                    });
-                    links.push(LinkRef {
-                        fx: x + 1,
-                        fy: y,
-                        tx: x,
-                        ty: y,
-                    });
-                }
-                if y + 1 < cfg.mesh_y {
-                    links.push(LinkRef {
-                        fx: x,
-                        fy: y,
-                        tx: x,
-                        ty: y + 1,
-                    });
-                    links.push(LinkRef {
-                        fx: x,
-                        fy: y + 1,
-                        tx: x,
-                        ty: y,
-                    });
-                }
-            }
-        }
+        let links = directed_links(cfg);
         let mut tl = FaultTimeline::none();
         let mut running = FaultPlan::none();
         for _ in 0..intensity {

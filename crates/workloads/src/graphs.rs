@@ -274,7 +274,7 @@ impl GraphInstance {
         let q = SpatialQueue::build(&mut alloc, &props, parts).expect("spatial queue");
         let mut engine = cfg.engine();
         engine.import_residency(alloc.resident_per_bank());
-        engine.register_resident_spread(graph.num_edges() as u64 * 4);
+        engine.register_resident_spread(graph.num_edges() as u64 * graph.edge_bytes());
         Self {
             graph,
             props,
@@ -349,7 +349,7 @@ impl GraphInstance {
     fn scan_edges_prefix(&mut self, u: u32, limit: usize) -> Vec<(u32, u32)> {
         let core = self.core_of(u);
         let in_core = self.in_core();
-        let esz = if self.graph.is_weighted() { 8 } else { 4 };
+        let esz = self.graph.edge_bytes();
         let mut out = std::mem::take(&mut self.edge_scratch);
         out.clear();
         out.reserve((self.graph.degree(u) as usize).min(limit));
@@ -1089,5 +1089,23 @@ mod tests {
         let coarse = GraphInstance::with_chunk_oracle(kron(), &cfg_aff, 4096).run_pr_push();
         assert!(fine.metrics.total_hop_flits <= coarse.metrics.total_hop_flits);
         assert!(fine.metrics.total_hop_flits < base.metrics.total_hop_flits);
+    }
+
+    #[test]
+    fn chunk_oracle_registers_the_edge_entry_size() {
+        let cfg = RunConfig::new(SystemConfig::aff_alloc_default()).with_seed(1);
+        let plain = kron();
+        let weighted = plain.with_weights(|| 1);
+        let resident = |g: Graph| {
+            let mut inst = GraphInstance::with_chunk_oracle(g, &cfg, 64);
+            inst.engine.banks().total_resident()
+        };
+        let banks = u64::from(cfg.machine.num_banks());
+        let edges = plain.num_edges() as u64;
+        // 8 B weighted entries against 4 B plain ones, spread evenly with
+        // each bank's share rounded down.
+        let extra = banks * (edges * 8 / banks - edges * 4 / banks);
+        assert!(extra > 0);
+        assert_eq!(resident(weighted) - resident(plain), extra);
     }
 }
