@@ -14,9 +14,8 @@
 //! Determinism: every input is a pure function of `opts.seed` and the
 //! input size (workload seeds intentionally stay figure-level so cells that
 //! are normalized against each other — e.g. the six chunk configs of Fig 6 —
-//! see the *same* generated graph), and any cell-local randomness comes
-//! from the engine-provided `SimRng::split(seed, cell)` stream, never from
-//! state another cell could have advanced.
+//! see the *same* generated graph), so no cell draws from state another
+//! cell could have advanced.
 //!
 //! Because the inputs are deterministic, a plan generates each distinct
 //! graph once and shares it read-only among the cells that read it (a
@@ -33,7 +32,6 @@ use aff_ds::graph::Graph;
 use aff_ds::layout::{AllocMode, VertexArray};
 use aff_ds::linked_csr::LinkedCsr;
 use aff_sim_core::config::{BankOrder, MachineConfig, TopologyKind};
-use aff_sim_core::rng::SimRng;
 use aff_sim_core::stats::geomean;
 use aff_workloads::affine::{run_stencil, run_stencil_opts, run_vecadd_forced_delta};
 use aff_workloads::config::{RunConfig, SystemConfig};
@@ -311,7 +309,6 @@ pub fn fig4_plan(opts: HarnessOpts) -> SweepPlan {
             );
         }
         fig.note(format!("n = {n} floats, 8 iterations"));
-        o.annotate_failures(&mut fig);
         fig
     })
 }
@@ -393,7 +390,6 @@ pub fn fig6_plan(opts: HarnessOpts) -> SweepPlan {
             );
         }
         fig.note("chunks placed by min-hop oracle, 2% load-imbalance cap (paper footnote 2)");
-        o.annotate_failures(&mut fig);
         fig
     })
 }
@@ -465,7 +461,6 @@ pub fn fig12_plan(opts: HarnessOpts) -> SweepPlan {
                 ],
             );
         }
-        o.annotate_failures(&mut fig);
         fig
     })
 }
@@ -542,7 +537,6 @@ pub fn fig13_plan(opts: HarnessOpts) -> SweepPlan {
                 vec![geomean(&per_policy[pi]).unwrap_or(1.0), f64::NAN, f64::NAN],
             );
         }
-        o.annotate_failures(&mut fig);
         fig
     })
 }
@@ -590,7 +584,6 @@ pub fn fig14_plan(opts: HarnessOpts) -> SweepPlan {
             }
         }
         fig.note("occupancy via Little's law over per-iteration atomic arrivals");
-        o.annotate_failures(&mut fig);
         fig
     })
 }
@@ -653,7 +646,6 @@ pub fn fig15_plan(opts: HarnessOpts) -> SweepPlan {
                 vec![f64::NAN, geomean(&ge[si]).unwrap_or(1.0), f64::NAN],
             );
         }
-        o.annotate_failures(&mut fig);
         fig
     })
 }
@@ -751,7 +743,6 @@ pub fn fig16_plan(opts: HarnessOpts) -> SweepPlan {
             l3_kib,
             if full { "full" } else { "scaled" }
         ));
-        o.annotate_failures(&mut fig);
         fig
     })
 }
@@ -799,7 +790,6 @@ pub fn fig17_plan(opts: HarnessOpts) -> SweepPlan {
         if let Some(rows) = o.rows(cell) {
             fig.rows.extend(rows.iter().cloned());
         }
-        o.annotate_failures(&mut fig);
         fig
     })
 }
@@ -862,7 +852,6 @@ pub fn fig18_plan(opts: HarnessOpts) -> SweepPlan {
                 fig.rows.extend(rows.iter().cloned());
             }
         }
-        o.annotate_failures(&mut fig);
         fig
     })
 }
@@ -940,7 +929,6 @@ pub fn fig19_plan(opts: HarnessOpts) -> SweepPlan {
                     .collect(),
             );
         }
-        o.annotate_failures(&mut fig);
         fig
     })
 }
@@ -1014,7 +1002,6 @@ pub fn fig20_plan(opts: HarnessOpts) -> SweepPlan {
         fig.note(format!(
             "synthetic stand-ins matching Table 4 |V|/|E|/degree-skew, scaled 1/{div}"
         ));
-        o.annotate_failures(&mut fig);
         fig
     })
 }
@@ -1063,7 +1050,6 @@ pub fn table2_plan(opts: HarnessOpts) -> SweepPlan {
         if let Some(rows) = o.rows(cell) {
             fig.rows.extend(rows.iter().cloned());
         }
-        o.annotate_failures(&mut fig);
         fig
     })
 }
@@ -1110,7 +1096,6 @@ pub fn table4_plan(opts: HarnessOpts) -> SweepPlan {
             fig.rows.extend(rows.iter().cloned());
         }
         fig.note("stand-ins match |V|/|E|/degree skew; see DESIGN.md SS2");
-        o.annotate_failures(&mut fig);
         fig
     })
 }
@@ -1161,7 +1146,6 @@ pub fn abl_bank_order_plan(opts: HarnessOpts) -> SweepPlan {
             );
         }
         fig.note(format!("n = {n} floats under Near-L3"));
-        o.annotate_failures(&mut fig);
         fig
     })
 }
@@ -1216,7 +1200,6 @@ pub fn abl_node_capacity_plan(opts: HarnessOpts) -> SweepPlan {
                 fig.rows.extend(rows.iter().cloned());
             }
         }
-        o.annotate_failures(&mut fig);
         fig
     })
 }
@@ -1271,7 +1254,6 @@ pub fn abl_priority_queue_plan(opts: HarnessOpts) -> SweepPlan {
                 ],
             );
         }
-        o.annotate_failures(&mut fig);
         fig
     })
 }
@@ -1319,7 +1301,6 @@ pub fn abl_reuse_plan(opts: HarnessOpts) -> SweepPlan {
             }
         }
         fig.note("slowdown: cycles over the filtered run of the same stencil");
-        o.annotate_failures(&mut fig);
         fig
     })
 }
@@ -1464,7 +1445,6 @@ pub fn tenants_plan(opts: HarnessOpts) -> SweepPlan {
         fig.note(
             "isolation cell fails soft if any neighbor fault leaks into another tenant's digest",
         );
-        o.annotate_failures(&mut fig);
         fig
     })
 }
@@ -1538,7 +1518,7 @@ pub fn traced_fig13_cell(opts: HarnessOpts) -> (String, String) {
     let w = WorkloadName::PrPush;
     let p = BankSelectPolicy::Hybrid { h: 5.0 };
     let trace = Arc::new(Mutex::new(TraceRecorder::new(DEFAULT_TRACE_CAPACITY)));
-    let mut calm = CellCtx::new(SimRng::split(opts.seed, 0));
+    let mut calm = CellCtx::default();
     let cfg = opts
         .cfg(&mut calm, SystemConfig::AffAlloc(p))
         .with_recorder(Arc::clone(&trace));
@@ -1553,7 +1533,7 @@ pub fn traced_fig13_cell(opts: HarnessOpts) -> (String, String) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sweep::run_plans;
+    use crate::sweep::{run_plans_opts, RunOpts};
 
     #[test]
     fn geometry_spec_parses_every_form() {
@@ -1645,12 +1625,16 @@ mod tests {
         for id in ALL_FIGURES.iter().filter(|&&id| id != "tenants") {
             let a = plan_figure(id, base).expect("known figure");
             let b = plan_figure(id, cranked).expect("known figure");
-            assert_eq!(a.num_cells(), b.num_cells(), "{id} saw the tenants knob");
+            assert_eq!(
+                a.cell_labels().len(),
+                b.cell_labels().len(),
+                "{id} saw the tenants knob"
+            );
         }
         // And the family itself does scale with it.
         let t4 = tenants_plan(base);
         let t16 = tenants_plan(cranked);
-        assert!(t16.num_cells() > t4.num_cells());
+        assert!(t16.cell_labels().len() > t4.cell_labels().len());
     }
 
     #[test]
@@ -1660,7 +1644,7 @@ mod tests {
         // must reach a real plan covering FIG12 × three hint sources.
         assert!(!ALL_FIGURES.contains(&"inference"));
         let plan = plan_figure("inference", HarnessOpts::default()).expect("dispatchable by id");
-        assert_eq!(plan.num_cells(), WorkloadName::FIG12.len() * 3);
+        assert_eq!(plan.cell_labels().len(), WorkloadName::FIG12.len() * 3);
     }
 
     #[test]
@@ -1669,7 +1653,7 @@ mod tests {
             tenants: 2,
             ..HarnessOpts::default()
         };
-        let (figs, _) = run_plans(vec![tenants_plan(opts)], 1, opts.seed);
+        let (figs, _) = run_plans_opts(vec![tenants_plan(opts)], &RunOpts::new(1, opts.seed));
         let fig = &figs[0];
         assert_eq!(fig.id, "tenants");
         // churn/1t, churn/2t, overload, quota, isolation.

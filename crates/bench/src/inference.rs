@@ -37,9 +37,6 @@ use aff_workloads::config::{HintMode, RunConfig, SystemConfig};
 use aff_workloads::suite::{self, WorkloadName};
 use affinity_alloc::AffinityProfile;
 
-/// The hint sources every workload is swept across, in row order.
-pub const HINT_SOURCES: [&str; 3] = ["annotated", "inferred", "none"];
-
 /// Fraction of shared-L3 line accesses served without moving data across
 /// the NoC: `l3 / (l3 + data_flit_hops)`. 1.0 means every access ran on its
 /// line's own bank; the more data-class flits a run pays per access, the
@@ -170,7 +167,6 @@ pub fn inference_plan_for(workloads: &[WorkloadName], opts: HarnessOpts) -> Swee
         fig.note("speedup_vs_none: cycles(none) / cycles(mode), same workload");
         fig.note("near_bank_ratio: l3_accesses / (l3_accesses + data-class flit-hops)");
         fig.note("nbr_recovery: near_bank_ratio / annotated near_bank_ratio");
-        o.annotate_failures(&mut fig);
         fig
     })
 }
@@ -178,7 +174,7 @@ pub fn inference_plan_for(workloads: &[WorkloadName], opts: HarnessOpts) -> Swee
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sweep::run_plans;
+    use crate::sweep::{run_plans_opts, RunOpts};
 
     #[test]
     fn near_bank_ratio_is_a_locality_score() {
@@ -239,7 +235,10 @@ mod tests {
     fn closed_loop_smoke_recovers_locality() {
         let opts = HarnessOpts::default();
         let smoke = [WorkloadName::LinkList, WorkloadName::BinTree];
-        let (figs, report) = run_plans(vec![inference_plan_for(&smoke, opts)], 1, opts.seed);
+        let (figs, report) = run_plans_opts(
+            vec![inference_plan_for(&smoke, opts)],
+            &RunOpts::new(1, opts.seed),
+        );
         assert!(report.cells.iter().all(|c| c.ok), "{:?}", report.cells);
         let fig = &figs[0];
         let rec = fig.col("nbr_recovery");
@@ -262,8 +261,14 @@ mod tests {
     fn inference_family_is_jobs_invariant() {
         let opts = HarnessOpts::default();
         let smoke = [WorkloadName::BinTree];
-        let (a, _) = run_plans(vec![inference_plan_for(&smoke, opts)], 1, opts.seed);
-        let (b, _) = run_plans(vec![inference_plan_for(&smoke, opts)], 4, opts.seed);
+        let (a, _) = run_plans_opts(
+            vec![inference_plan_for(&smoke, opts)],
+            &RunOpts::new(1, opts.seed),
+        );
+        let (b, _) = run_plans_opts(
+            vec![inference_plan_for(&smoke, opts)],
+            &RunOpts::new(4, opts.seed),
+        );
         assert_eq!(a[0].to_json(), b[0].to_json());
     }
 
@@ -272,7 +277,7 @@ mod tests {
         let plan = inference_plan(HarnessOpts::default());
         assert_eq!(plan.cell_labels().len(), WorkloadName::FIG12.len() * 3);
         for w in WorkloadName::FIG12 {
-            for mode in HINT_SOURCES {
+            for mode in ["annotated", "inferred", "none"] {
                 let label = format!("{}/{}", w.label(), mode);
                 assert!(
                     plan.cell_labels().iter().any(|l| *l == label),

@@ -15,4 +15,4 @@ pub mod sweep;
 pub mod tenants;
 
 pub use report::{CellStat, Figure, Row, SweepReport};
-pub use sweep::{run_plans, run_plans_opts, RunOpts, SweepPlan};
+pub use sweep::{run_plans_opts, RunOpts, SweepPlan};

@@ -1,8 +1,6 @@
 //! Figure reports: labeled rows of named numeric series, rendered as text
 //! tables (and serializable to JSON for downstream plotting).
 
-use serde::{Deserialize, Serialize};
-
 /// JSON string escape (shared by the hand-rolled serializers below).
 fn esc(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
@@ -38,7 +36,7 @@ fn str_list(items: &[String]) -> String {
 
 /// One row of a figure: a label (workload, Δ value, policy…) plus one value
 /// per series.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Row {
     /// Row label.
     pub label: String,
@@ -57,7 +55,7 @@ impl Row {
 }
 
 /// A reproduced figure.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Figure {
     /// Identifier ("fig4", "fig12", …).
     pub id: String,
@@ -201,7 +199,7 @@ impl Figure {
 /// closed-loop family. v8 over v7: each `tenants` record drops the four
 /// engine-attribution keys (`se_ops`, `core_ops`, `traffic_msgs`,
 /// `dram_lines`); every other field is emitted unchanged.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CellMetrics {
     /// Analytic cycle estimate.
     pub cycles: u64,
@@ -218,30 +216,23 @@ pub struct CellMetrics {
     /// Busiest-bank / mean-bank access ratio.
     pub bank_imbalance: f64,
     /// Fault epochs the run crossed (timeline events that fired).
-    #[serde(default)]
     pub fault_epochs: u64,
     /// Cache lines evacuated off dying banks at those epochs.
-    #[serde(default)]
     pub evacuated_lines: u64,
     /// The fired transition log, rendered (`"bank-fail(9)@100"`), in the
     /// order the events landed.
-    #[serde(default)]
     pub transitions: Vec<String>,
     /// Free-listed fraction of claimed pool space at cell end (0 when the
     /// cell does not churn an allocator).
-    #[serde(default)]
     pub fragmentation_ratio: f64,
     /// Per-tenant admission/quota/shed counters (empty on single-tenant
     /// cells).
-    #[serde(default)]
     pub tenants: Vec<aff_sim_core::tenant::TenantUsage>,
     /// Where the run's affinity hints came from (`"inferred"` / `"none"`);
     /// `None` on ordinary annotated runs, so every pre-inference cell is
     /// unchanged.
-    #[serde(default)]
     pub hint_source: Option<String>,
     /// Hints applied from a mined profile (0 outside inferred runs).
-    #[serde(default)]
     pub inferred_hints: u64,
 }
 
@@ -320,7 +311,7 @@ impl CellMetrics {
 }
 
 /// Wall-time and throughput accounting for one executed sweep cell.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CellStat {
     /// Figure the cell belongs to.
     pub figure: String,
@@ -336,12 +327,10 @@ pub struct CellStat {
     pub sim_cycles: u64,
     /// Whether the outcome was replayed from a resume journal instead of
     /// executed this run.
-    #[serde(default)]
     pub cached: bool,
     /// Simulation metrics sidecar, populated when the sweep ran with metrics
     /// collection enabled and the cell produced engine metrics (`None` for
     /// table-style cells, failed cells, and metrics-off runs).
-    #[serde(default)]
     pub metrics: Option<CellMetrics>,
 }
 
@@ -360,7 +349,7 @@ impl CellStat {
 /// row of the report's `aggregates` array; `figures --aggregate-from PATH`
 /// merges the rows of a prior report so one `BENCH_sweep.json` can record
 /// e.g. both the `--jobs 1` and `--jobs 4` baselines.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AggregateRow {
     /// Worker count of the run this row measures.
     pub jobs: usize,
@@ -423,7 +412,7 @@ impl AggregateRow {
 /// wall time and simulated-cycle throughput, plus run-level totals. Unlike
 /// [`Figure`] output — which is byte-identical across `--jobs` settings —
 /// this report holds *measurements* and differs run to run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SweepReport {
     /// Worker count the sweep ran with.
     pub jobs: usize,
@@ -434,19 +423,15 @@ pub struct SweepReport {
     /// Per-cell stats, in declaration order.
     pub cells: Vec<CellStat>,
     /// Cells replayed from the resume journal instead of executed.
-    #[serde(default)]
     pub resumed_cells: usize,
     /// Cells replayed from the cross-run memo store instead of executed.
-    #[serde(default)]
     pub memo_hits: usize,
     /// First error that disabled checkpoint journaling, if any (the sweep
     /// itself still completes; only durability is lost).
-    #[serde(default)]
     pub journal_error: Option<String>,
     /// Aggregate rows carried over from a prior report
     /// (`--aggregate-from`); the current run's own row is always emitted
     /// first and is not stored here.
-    #[serde(default)]
     pub extra_aggregates: Vec<AggregateRow>,
 }
 

@@ -2,15 +2,14 @@
 //!
 //! Every figure decomposes into self-contained [`SweepCell`] jobs — one per
 //! (workload, config) point — that share **no** mutable state: each cell
-//! builds its runtimes and traffic matrices from the experiment seed, reads
-//! generated inputs either built from the seed or taken read-only from a
-//! plan-scoped [`Shared`] copy, and draws any cell-local stochastic choice
-//! from a stream derived with [`SimRng::split`] from `(experiment seed,
-//! cell id)`, never from a generator another cell might have advanced.
-//! Cells therefore compute the same bits no matter which worker runs them
-//! or in which order.
+//! derives all its randomness from the experiment seed, builds its runtimes
+//! and traffic matrices from it, and reads generated inputs either built
+//! from the seed or taken read-only from a plan-scoped [`Shared`] copy,
+//! never from a generator another cell might have advanced. Cells therefore
+//! compute the same bits no matter which worker runs them or in which
+//! order.
 //!
-//! [`run_plans`] executes the cells of one or more [`SweepPlan`]s on a
+//! [`run_plans_opts`] executes the cells of one or more [`SweepPlan`]s on a
 //! `std::thread::scope` work-stealing pool of `jobs` workers and then merges
 //! results back **in declaration order**, so the produced [`Figure`]s are
 //! byte-identical to a `jobs = 1` run. Per-cell
@@ -22,13 +21,13 @@
 //! a cell-level error in the report, and surfaced as `NaN` rows / notes in
 //! the merged figure — one broken cell never aborts the harness.
 //!
-//! Every cell runs exactly once per sweep, on its own stream, so its bytes
-//! depend only on its key. Run-to-completion rests on the cell stores (opt-in
-//! via [`RunOpts`]): every outcome is appended (fsync'd, checksummed) to the
-//! journal and memo [`CellStore`]s, keyed by a content hash of everything the
-//! cell's bytes depend on. With `resume` the journal's intact prefix is a
-//! lookup table, and only missing or failed cells execute — on the same
-//! stream as before; the memo serves the same lookups across runs.
+//! Every cell runs exactly once per sweep (under chaos, on its own timeline
+//! stream), so its bytes depend only on its key. Run-to-completion rests on
+//! the cell stores (opt-in via [`RunOpts`]): every outcome is appended
+//! (fsync'd, checksummed) to the journal and memo [`CellStore`]s, keyed by
+//! a content hash of everything the cell's bytes depend on. With `resume` the journal's intact prefix is a
+//! lookup table, and only missing or failed cells execute — with the same
+//! key as before; the memo serves the same lookups across runs.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -176,7 +175,7 @@ impl<'a> Outcomes<'a> {
 
     /// Append one `note:` line per failed cell, so broken cells are visible
     /// in the rendered figure without aborting the merge.
-    pub fn annotate_failures(&self, fig: &mut Figure) {
+    fn annotate_failures(&self, fig: &mut Figure) {
         for c in self.cells {
             if let Err(e) = &c.result {
                 fig.note(format!("cell {} FAILED: {e}", c.label));
@@ -185,15 +184,12 @@ impl<'a> Outcomes<'a> {
     }
 }
 
-/// What a cell runs with: its private RNG stream and, in chaos mode, the
-/// stream its fault timeline is drawn from. Cells receive it as an argument
-/// and build every machine through [`CellCtx::machine`], so the timeline
-/// reaches their engines in the machine config itself.
-#[derive(Debug, Clone)]
+/// What a cell runs with: in chaos mode, the stream its fault timeline is
+/// drawn from. Cells receive it as an argument and build every machine
+/// through [`CellCtx::machine`], so the timeline reaches their engines in
+/// the machine config itself. The default context is outside chaos mode.
+#[derive(Debug, Clone, Default)]
 pub struct CellCtx {
-    /// The cell's RNG stream, derived with [`SimRng::split`] from
-    /// `(experiment seed, figure, cell index)`.
-    pub rng: SimRng,
     /// The chaos timeline stream and its fault draws; `None` outside chaos
     /// mode.
     chaos: Option<(SimRng, u32)>,
@@ -202,21 +198,12 @@ pub struct CellCtx {
 }
 
 impl CellCtx {
-    /// A context with RNG stream `rng`, outside chaos mode.
-    pub fn new(rng: SimRng) -> Self {
-        Self {
-            rng,
-            chaos: None,
-            installed: FaultTimeline::none(),
-        }
-    }
-
     /// A chaos-mode context: every machine gets a timeline of `draws` fault
     /// draws sampled from `chaos` against that machine.
-    fn with_chaos(rng: SimRng, chaos: SimRng, draws: u32) -> Self {
+    fn with_chaos(chaos: SimRng, draws: u32) -> Self {
         Self {
             chaos: Some((chaos, draws)),
-            ..Self::new(rng)
+            ..Self::default()
         }
     }
 
@@ -255,11 +242,6 @@ pub struct SweepPlan {
 }
 
 impl SweepPlan {
-    /// Number of cells.
-    pub fn num_cells(&self) -> usize {
-        self.cells.len()
-    }
-
     /// Cell labels, in declaration order.
     pub fn cell_labels(&self) -> Vec<&str> {
         self.cells.iter().map(|c| c.label.as_str()).collect()
@@ -284,13 +266,12 @@ impl PlanBuilder {
 
     /// Declare a cell; returns its id for use inside the merge function.
     ///
-    /// The job receives its [`CellCtx`]: a private RNG stream derived with
-    /// [`SimRng::split`] from `(experiment seed, figure, cell index)`, and
-    /// the chaos timeline. Jobs must take any cell-local randomness from
-    /// `ctx.rng` (and nothing else) so results stay independent of
-    /// scheduling order, and build every machine through
-    /// [`CellCtx::machine`]. A job runs at most once per sweep; a failed
-    /// cell re-runs only under `--resume`, from a freshly built plan.
+    /// The job receives its [`CellCtx`], which carries the chaos timeline.
+    /// Jobs must derive any randomness from the experiment seed they
+    /// capture (never from a generator shared with another cell) so results
+    /// stay independent of scheduling order, and build every machine
+    /// through [`CellCtx::machine`]. A job runs at most once per sweep; a
+    /// failed cell re-runs only under `--resume`, from a freshly built plan.
     pub fn cell<F>(&mut self, label: impl Into<String>, job: F) -> usize
     where
         F: FnOnce(&mut CellCtx) -> CellData + Send + 'static,
@@ -313,7 +294,8 @@ impl PlanBuilder {
         self.cells[id].cost = cost;
     }
 
-    /// Attach the merge function and finish the plan.
+    /// Attach the merge function and finish the plan. The sweep appends one
+    /// `note:` line per failed cell to the figure the merge returns.
     pub fn merge<F>(self, f: F) -> SweepPlan
     where
         F: FnOnce(&Outcomes<'_>) -> Figure + Send + 'static,
@@ -427,7 +409,7 @@ impl<T> Drop for Claim<T> {
 }
 
 /// FNV-1a over the figure id, xor-folded with the cell index: a stable,
-/// declaration-order-independent stream id for [`SimRng::split`].
+/// declaration-order-independent id for the cell's chaos stream.
 fn stream_id(figure: &str, index: usize) -> u64 {
     store::fnv1a(figure.as_bytes()) ^ (index as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
 }
@@ -583,16 +565,14 @@ fn run_attempt(job: CellJob, mut ctx: CellCtx) -> Result<CellData, String> {
     result
 }
 
-/// The context of the cell on `stream`: its RNG stream and, in chaos mode,
-/// its timeline stream, both split on the cell's stream id so they are
-/// schedule-independent.
+/// The context of the cell on `stream`: in chaos mode, its timeline stream,
+/// split on the cell's stream id so it is schedule-independent.
 fn cell_ctx(opts: &RunOpts, stream: u64) -> CellCtx {
-    let rng = SimRng::split(opts.seed, stream);
     match opts.chaos {
         Some(chaos_seed) => {
-            CellCtx::with_chaos(rng, SimRng::split(chaos_seed, stream), chaos_draws(opts))
+            CellCtx::with_chaos(SimRng::split(chaos_seed, stream), chaos_draws(opts))
         }
-        None => CellCtx::new(rng),
+        None => CellCtx::default(),
     }
 }
 
@@ -769,24 +749,18 @@ fn execute(task: Task, opts: &RunOpts, stores: &Stores) -> Done {
     done
 }
 
-/// Execute `plans` with `jobs` workers and merge each plan's figure in
-/// declaration order — the legacy entry point, equivalent to
-/// [`run_plans_opts`] with [`RunOpts::new`].
+/// Execute `plans` under the [`RunOpts`] policy (workers, journal, resume,
+/// memo, chaos, metrics) and merge each plan's figure in declaration order,
+/// with one `note:` line appended per failed cell.
 ///
 /// Output is byte-identical for every `jobs >= 1`: cells share no state,
-/// their RNG streams come from order-insensitive splitting, and both the
+/// chaos streams come from order-insensitive splitting, and both the
 /// outcome vector and the returned figures follow declaration order, not
 /// completion order. (The [`SweepReport`] records *measured* wall times and
-/// is the one output that legitimately differs between runs.)
-pub fn run_plans(plans: Vec<SweepPlan>, jobs: usize, seed: u64) -> (Vec<Figure>, SweepReport) {
-    run_plans_opts(plans, &RunOpts::new(jobs, seed))
-}
-
-/// Execute `plans` under the full [`RunOpts`] policy (journal, resume,
-/// memo, chaos, metrics). The byte-identity guarantee extends to replayed
-/// cells: a stored outcome is the exact bits the same code computed from
-/// the same inputs, so `--resume` and memo output match an uninterrupted
-/// run.
+/// is the one output that legitimately differs between runs.) The guarantee
+/// extends to replayed cells: a stored outcome is the exact bits the same
+/// code computed from the same inputs, so `--resume` and memo output match
+/// an uninterrupted run.
 pub fn run_plans_opts(plans: Vec<SweepPlan>, opts: &RunOpts) -> (Vec<Figure>, SweepReport) {
     let jobs = opts.jobs.max(1);
     let seed = opts.seed;
@@ -872,7 +846,7 @@ pub fn run_plans_opts(plans: Vec<SweepPlan>, opts: &RunOpts) -> (Vec<Figure>, Sw
     // (its biggest remaining seed); when empty it steals a victim's *back*
     // (the victim's smallest), which keeps the expensive cells with the
     // workers that were seeded for them. Results carry their (plan, cell)
-    // coordinates and cell RNG streams split from order-insensitive ids, so
+    // coordinates and chaos streams split from order-insensitive ids, so
     // neither seeding nor stealing can change output bytes.
     let executed: Vec<Done> = if jobs == 1 || to_run.len() <= 1 {
         to_run
@@ -985,7 +959,10 @@ pub fn run_plans_opts(plans: Vec<SweepPlan>, opts: &RunOpts) -> (Vec<Figure>, Sw
                 })
             })
             .collect();
-        figures.push(merge(&Outcomes { cells: &cells }));
+        let outcomes = Outcomes { cells: &cells };
+        let mut fig = merge(&outcomes);
+        outcomes.annotate_failures(&mut fig);
+        figures.push(fig);
     }
 
     let report = SweepReport {
@@ -1009,11 +986,8 @@ mod tests {
         let mut b = PlanBuilder::new(label);
         let mut ids = Vec::new();
         for i in 0..5u64 {
-            ids.push(b.cell(format!("cell{i}"), move |ctx| CellData::Rows {
-                rows: vec![Row::new(
-                    format!("cell{i}"),
-                    vec![ctx.rng.next_u64() as f64],
-                )],
+            ids.push(b.cell(format!("cell{i}"), move |_| CellData::Rows {
+                rows: vec![Row::new(format!("cell{i}"), vec![i as f64])],
                 sim_cycles: i,
             }));
         }
@@ -1024,20 +998,17 @@ mod tests {
                     fig.rows.extend(rows.iter().cloned());
                 }
             }
-            o.annotate_failures(&mut fig);
             fig
         })
     }
 
     #[test]
     fn serial_and_parallel_runs_are_byte_identical() {
-        let (serial, _) = run_plans(vec![toy_plan("a"), toy_plan("b")], 1, 42);
-        let (par, _) = run_plans(vec![toy_plan("a"), toy_plan("b")], 4, 42);
+        let (serial, _) = run_plans_opts(vec![toy_plan("a"), toy_plan("b")], &RunOpts::new(1, 42));
+        let (par, _) = run_plans_opts(vec![toy_plan("a"), toy_plan("b")], &RunOpts::new(4, 42));
         let s: Vec<String> = serial.iter().map(Figure::to_json).collect();
         let p: Vec<String> = par.iter().map(Figure::to_json).collect();
         assert_eq!(s, p);
-        // Different figures get different streams even at equal cell index.
-        assert_ne!(serial[0].rows[0].values, serial[1].rows[0].values);
     }
 
     fn tmp(name: &str) -> std::path::PathBuf {
@@ -1091,7 +1062,7 @@ mod tests {
             stale.append(i, &entry).expect("append");
         }
         drop(stale);
-        let (serial, _) = run_plans(vec![toy_plan("a"), toy_plan("b")], 1, 42);
+        let (serial, _) = run_plans_opts(vec![toy_plan("a"), toy_plan("b")], &RunOpts::new(1, 42));
         let opts = RunOpts {
             journal: Some(path.clone()),
             ..RunOpts::new(3, 42)
@@ -1136,7 +1107,7 @@ mod tests {
             })
         }
         let log = Arc::new(Mutex::new(Vec::new()));
-        let (serial, _) = run_plans(vec![plan(Arc::clone(&log))], 1, 7);
+        let (serial, _) = run_plans_opts(vec![plan(Arc::clone(&log))], &RunOpts::new(1, 7));
         let serial_order = log.lock().expect("log").clone();
         assert_eq!(
             serial_order,
@@ -1144,7 +1115,7 @@ mod tests {
             "jobs 1 keeps declaration order"
         );
         log.lock().expect("log").clear();
-        let (par, _) = run_plans(vec![plan(Arc::clone(&log))], 2, 7);
+        let (par, _) = run_plans_opts(vec![plan(Arc::clone(&log))], &RunOpts::new(2, 7));
         let first = log.lock().expect("log")[0];
         assert!(first >= 4, "a cold run started with c{first}");
         assert_eq!(serial[0].to_json(), par[0].to_json());
@@ -1156,13 +1127,10 @@ mod tests {
         let mut ids = Vec::new();
         for i in 0..4u64 {
             let ex = Arc::clone(ex);
-            ids.push(b.cell(format!("cell{i}"), move |ctx| {
+            ids.push(b.cell(format!("cell{i}"), move |_| {
                 ex.fetch_add(1, Ordering::SeqCst);
                 CellData::Rows {
-                    rows: vec![Row::new(
-                        format!("cell{i}"),
-                        vec![ctx.rng.next_u64() as f64],
-                    )],
+                    rows: vec![Row::new(format!("cell{i}"), vec![i as f64])],
                     sim_cycles: i + 1,
                 }
             }));
@@ -1174,7 +1142,6 @@ mod tests {
                     fig.rows.extend(rows.iter().cloned());
                 }
             }
-            o.annotate_failures(&mut fig);
             fig
         })
     }
@@ -1368,15 +1335,13 @@ mod tests {
             assert!(o.rows(ok).is_some());
             assert!(o.rows(bad).is_none());
             fig.push("broken", vec![o.field(bad, |m| m.noc_utilization)]);
-            o.annotate_failures(&mut fig);
             fig
         });
-        let (figs, report) = run_plans(vec![plan], 4, 1);
+        let (figs, report) = run_plans_opts(vec![plan], &RunOpts::new(4, 1));
+        // The merge adds no note itself: the sweep appends one per failed cell.
         assert!(figs[0].rows[0].values[0].is_nan());
-        assert!(figs[0]
-            .notes
-            .iter()
-            .any(|n| n.contains("injected cell failure")));
+        assert_eq!(figs[0].notes.len(), 1);
+        assert!(figs[0].notes[0].contains("injected cell failure"));
         let broken = &report.cells[1];
         assert!(!broken.ok);
         assert_eq!(report.cells[0].sim_cycles, 7);
@@ -1394,7 +1359,7 @@ mod tests {
             ..RunOpts::new(2, 42)
         };
         let (figs, report) = run_plans_opts(vec![toy_plan("a")], &opts);
-        let (clean, _) = run_plans(vec![toy_plan("a")], 2, 42);
+        let (clean, _) = run_plans_opts(vec![toy_plan("a")], &RunOpts::new(2, 42));
         assert_eq!(figs[0].to_json(), clean[0].to_json(), "results unaffected");
         assert!(report.cells.iter().all(|c| c.ok));
         let err = report.journal_error.expect("degrade recorded");
@@ -1418,7 +1383,7 @@ mod tests {
 
     #[test]
     fn report_follows_declaration_order() {
-        let (_, report) = run_plans(vec![toy_plan("x"), toy_plan("y")], 3, 9);
+        let (_, report) = run_plans_opts(vec![toy_plan("x"), toy_plan("y")], &RunOpts::new(3, 9));
         let labels: Vec<&str> = report.cells.iter().map(|c| c.label.as_str()).collect();
         assert_eq!(
             labels,
@@ -1447,11 +1412,7 @@ mod tests {
                 rows: vec![Row::new("r", vec![1.0])],
                 sim_cycles: 0,
             });
-            b.merge(|o| {
-                let mut fig = Figure::new("sidecar", "t", vec!["v"]);
-                o.annotate_failures(&mut fig);
-                fig
-            })
+            b.merge(|_| Figure::new("sidecar", "t", vec!["v"]))
         }
         let (_, without) = run_plans_opts(vec![plan()], &RunOpts::new(1, 7));
         assert!(without.cells.iter().all(|c| c.metrics.is_none()));
@@ -1499,7 +1460,6 @@ mod tests {
                     ],
                 );
             }
-            o.annotate_failures(&mut fig);
             fig
         })
     }
@@ -1597,7 +1557,7 @@ mod tests {
         let tl = installed(&opts, 3, MachineConfig::paper_default());
         assert!(m.transitions.iter().all(|t| tl.events().contains(t)));
         // Outside chaos mode the context leaves the machine untouched.
-        let mut calm = CellCtx::new(SimRng::split(1, 2));
+        let mut calm = CellCtx::default();
         assert_eq!(
             calm.machine(MachineConfig::paper_default()),
             MachineConfig::paper_default()
@@ -1659,11 +1619,7 @@ mod tests {
             m.total_hop_flits += 1; // break flit conservation
             m.into()
         });
-        let plan = b.merge(|o| {
-            let mut fig = Figure::new("doctored", "t", vec!["v"]);
-            o.annotate_failures(&mut fig);
-            fig
-        });
+        let plan = b.merge(|_| Figure::new("doctored", "t", vec!["v"]));
         let opts = RunOpts {
             chaos: Some(3),
             ..RunOpts::new(1, 5)
@@ -1821,9 +1777,8 @@ mod tests {
         const SHARED_CELLS: u64 = 6;
 
         /// A plan whose cells all read one shared input. Each row holds a
-        /// value of the input and the cell index, and a draw from the cell's
-        /// stream, so a re-run renders the clean bytes only on that stream.
-        /// Cell `flaky`, when given, panics after taking the input.
+        /// value of the input and the cell index. Cell `flaky`, when given,
+        /// panics after taking the input.
         fn shared_plan(watch: &Watch, flaky: Option<u64>) -> SweepPlan {
             let input = counted(&watch.builds);
             let mut b = PlanBuilder::new("shared");
@@ -1831,35 +1786,33 @@ mod tests {
             for i in 0..SHARED_CELLS {
                 let claim = input.claim();
                 let probes = Arc::clone(&watch.probes);
-                ids.push(b.cell(format!("cell{i}"), move |ctx| {
+                ids.push(b.cell(format!("cell{i}"), move |_| {
                     let v = claim.take();
                     probes.lock().expect("probes").push(Arc::downgrade(&v));
                     if flaky == Some(i) {
                         panic!("flaky after take");
                     }
                     let value = (v.iter().sum::<u64>() * (i + 1)) as f64;
-                    let draw = ctx.rng.next_u64() as f64;
                     CellData::Rows {
-                        rows: vec![Row::new(format!("cell{i}"), vec![value, draw])],
+                        rows: vec![Row::new(format!("cell{i}"), vec![value])],
                         sim_cycles: i,
                     }
                 }));
             }
             b.merge(move |o| {
-                let mut fig = Figure::new("shared", "shared input", vec!["v", "draw"]);
+                let mut fig = Figure::new("shared", "shared input", vec!["v"]);
                 for &i in &ids {
                     if let Some(rows) = o.rows(i) {
                         fig.rows.extend(rows.iter().cloned());
                     }
                 }
-                o.annotate_failures(&mut fig);
                 fig
             })
         }
 
         fn clean_bytes() -> String {
             let watch = Watch::default();
-            let (figs, _) = run_plans(vec![shared_plan(&watch, None)], 1, 11);
+            let (figs, _) = run_plans_opts(vec![shared_plan(&watch, None)], &RunOpts::new(1, 11));
             assert_eq!(watch.builds(), 1, "built once per plan run");
             assert!(watch.all_released(), "no input outlives its plan run");
             figs[0].to_json()
@@ -1870,7 +1823,8 @@ mod tests {
             let clean = clean_bytes();
             for jobs in [2, 4] {
                 let watch = Watch::default();
-                let (figs, _) = run_plans(vec![shared_plan(&watch, None)], jobs, 11);
+                let (figs, _) =
+                    run_plans_opts(vec![shared_plan(&watch, None)], &RunOpts::new(jobs, 11));
                 assert_eq!(figs[0].to_json(), clean);
                 assert_eq!(watch.builds(), 1, "jobs {jobs}");
                 assert!(watch.all_released());
@@ -1882,9 +1836,9 @@ mod tests {
             let clean = clean_bytes();
             // Flaky first cell: it fails holding the copy the others read.
             // Flaky last cell: it fails after its take released the copy.
-            // Either way the resumed run re-runs only that cell, on its own
-            // stream, and builds the input for it alone: the replayed cells
-            // dropped their claims unexecuted.
+            // Either way the resumed run re-runs only that cell and builds
+            // the input for it alone: the replayed cells dropped their
+            // claims unexecuted.
             for flaky in [0, SHARED_CELLS - 1] {
                 let path = tmp("shared-flaky");
                 let journaled = RunOpts {

@@ -6,10 +6,9 @@
 //! bound) and the Fig 14 occupancy plots read.
 
 use aff_sim_core::trace::Event;
-use serde::{Deserialize, Serialize};
 
 /// Access/residency counters for every L3 bank.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BankCounters {
     accesses: Vec<u64>,
     atomics: Vec<u64>,
@@ -92,11 +91,6 @@ impl BankCounters {
         self.resident_bytes.iter().sum()
     }
 
-    /// Resident bytes at the fullest bank.
-    pub fn max_resident(&self) -> u64 {
-        self.resident_bytes.iter().copied().max().unwrap_or(0)
-    }
-
     /// Per-bank resident-bytes slice.
     pub fn resident_per_bank(&self) -> &[u64] {
         &self.resident_bytes
@@ -152,7 +146,6 @@ mod tests {
         c.add_resident(1, 4096);
         assert_eq!(c.resident_of(1), 8192);
         assert_eq!(c.total_resident(), 8192);
-        assert_eq!(c.max_resident(), 8192);
     }
 
     #[test]

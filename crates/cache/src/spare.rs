@@ -70,16 +70,6 @@ impl SpareMap {
     pub fn masked_capacity_bytes(&self, bank_bytes: u64) -> u64 {
         u64::from(self.num_failed()) * bank_bytes
     }
-
-    /// Capacity of `bank` under the plan: zero when failed, `bank_bytes`
-    /// otherwise.
-    pub fn effective_capacity(&self, bank: u32, bank_bytes: u64) -> u64 {
-        if self.is_failed(bank) {
-            0
-        } else {
-            bank_bytes
-        }
-    }
 }
 
 #[cfg(test)]
@@ -108,8 +98,7 @@ mod tests {
         let m = SpareMap::new(topo(), &FaultPlan::none().fail_bank(5));
         assert_eq!(m.redirect(5), 1);
         assert!(m.is_failed(5));
-        assert_eq!(m.effective_capacity(5, 1 << 20), 0);
-        assert_eq!(m.effective_capacity(6, 1 << 20), 1 << 20);
+        assert!(!m.is_failed(6));
         assert_eq!(m.masked_capacity_bytes(1 << 20), 1 << 20);
     }
 

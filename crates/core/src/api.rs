@@ -2,7 +2,6 @@
 
 use aff_mem::addr::VAddr;
 use aff_mem::pool::PoolError;
-use serde::{Deserialize, Serialize};
 
 /// Maximum affinity addresses per irregular allocation (§5.1: the
 /// application samples a subset when it has more).
@@ -28,7 +27,7 @@ pub const MAX_AFFINITY_ADDRS: usize = 32;
 /// let req = AffineArrayReq::with_hint(8, 100, &h);
 /// assert_eq!(req.hint, h);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum AffinityHint {
     /// No affinity structure: a plain array at the cache-line interleave.
     #[default]
@@ -81,7 +80,7 @@ pub enum AffinityHint {
 ///     &AffinityHint::AlignTo { partner: a_addr, p: 1, q: 1, x: 0 },
 /// );
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AffineArrayReq {
     /// Element size in bytes.
     pub elem_size: u64,
@@ -127,7 +126,7 @@ impl AffineArrayReq {
 }
 
 /// Which quota axis an admission rejection hit.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum QuotaKind {
     /// The tenant's resident-byte cap.
     Bytes,

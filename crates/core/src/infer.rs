@@ -32,7 +32,6 @@
 use crate::api::AffinityHint;
 use aff_mem::addr::VAddr;
 use aff_sim_core::mine::{MinedTrace, PairSamples, RegionKind};
-use serde::{Deserialize, Serialize};
 
 /// Minimum paired samples before a fit is attempted.
 const MIN_PAIR_SAMPLES: usize = 24;
@@ -72,7 +71,7 @@ const OFFLOAD_BYTES_PER_OP: f64 = 1.0;
 
 /// One region's inferred hint, in region-ordinal space (ordinals are
 /// allocation order, the stable cross-run identity).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum InferredHint {
     /// No exploitable structure found.
     None,
@@ -115,7 +114,7 @@ impl InferredHint {
 }
 
 /// The inferred hint for one region, with its supporting evidence.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RegionHint {
     /// Region ordinal (allocation order).
     pub region: u32,
@@ -132,7 +131,7 @@ pub struct RegionHint {
 /// The serializable output of one profiling run: per-region hints plus the
 /// NSC offload verdict. Feed it back into a replay run via
 /// [`hint_for`](Self::hint_for) in place of hand annotations.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AffinityProfile {
     /// Per-region hints, ordered by region ordinal.
     pub hints: Vec<RegionHint>,
@@ -466,7 +465,7 @@ impl AffinityProfile {
             .count() as u64
     }
 
-    /// Serialize to a compact, deterministic JSON document (hand-rolled —
+    /// Render as a compact, deterministic JSON document (hand-rolled —
     /// the workspace carries no JSON dependency).
     pub fn to_json(&self) -> String {
         let mut s = String::with_capacity(256 + self.hints.len() * 96);

@@ -10,10 +10,8 @@
 //!   `avg_hops + H · (load / avg_load − 1)`; `Hybrid { h: 5.0 }` is the
 //!   paper's default.
 
-use serde::{Deserialize, Serialize};
-
 /// The bank-select policy of the irregular allocation path.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum BankSelectPolicy {
     /// Uniform random bank (layout-oblivious baseline).
     Rnd,
@@ -42,14 +40,6 @@ impl BankSelectPolicy {
             BankSelectPolicy::MinHop => "Min-Hop".into(),
             BankSelectPolicy::Hybrid { h } => format!("Hybrid-{h:.0}"),
         }
-    }
-
-    /// Whether this policy consults affinity addresses at all.
-    pub fn uses_affinity(&self) -> bool {
-        matches!(
-            self,
-            BankSelectPolicy::MinHop | BankSelectPolicy::Hybrid { .. }
-        )
     }
 }
 
@@ -146,13 +136,5 @@ mod tests {
         let winner = argmin_score([(3, 1.0), (1, 1.0), (2, 5.0)]);
         assert_eq!(winner, Some(1));
         assert_eq!(argmin_score(std::iter::empty::<(u32, f64)>()), None);
-    }
-
-    #[test]
-    fn affinity_usage_flags() {
-        assert!(!BankSelectPolicy::Rnd.uses_affinity());
-        assert!(!BankSelectPolicy::Lnr.uses_affinity());
-        assert!(BankSelectPolicy::MinHop.uses_affinity());
-        assert!(BankSelectPolicy::paper_default().uses_affinity());
     }
 }

@@ -28,7 +28,6 @@ use aff_noc::topology::{AxisHops, Topology};
 use aff_sim_core::config::{MachineConfig, CACHE_LINE};
 use aff_sim_core::fault::{DegradationReport, FaultPlan};
 use aff_sim_core::rng::SimRng;
-use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, VecDeque};
 
 /// Metadata the runtime keeps per affine array (used for Eq 3 derivation of
@@ -49,7 +48,7 @@ struct AffineMeta {
 }
 
 /// Fragmentation snapshot (§8): free-list space versus live allocations.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FragmentationReport {
     /// Bytes in live allocations.
     pub live_bytes: u64,
@@ -75,7 +74,7 @@ impl FragmentationReport {
 }
 
 /// Allocation statistics (reported in EXPERIMENTS.md tables).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct AllocStats {
     /// Affine arrays placed via interleave pools.
     pub affine: u64,
@@ -347,11 +346,6 @@ impl AffinityAllocator {
         self.allowed = Some(mask);
         self.recompute_healthy();
         Ok(())
-    }
-
-    /// The tenant partition in force, if any (sorted).
-    pub fn allowed_banks(&self) -> Option<&[u32]> {
-        self.allowed.as_deref()
     }
 
     /// The fault plan currently steering placement.
@@ -1803,7 +1797,7 @@ mod tests {
         let banks = a.config().num_banks();
         let topo = a.topo();
         let plan = a.active_faults().clone();
-        let eligible: Vec<u32> = match a.allowed_banks() {
+        let eligible: Vec<u32> = match a.allowed.as_deref() {
             Some(m) => m.to_vec(),
             None => (0..banks).collect(),
         };
@@ -1916,7 +1910,7 @@ mod tests {
                         8.. => 1,
                         _ => rng.below(MAX_AFFINITY_ADDRS as u64 + 1) as usize,
                     };
-                    if n == 1 && a.allowed_banks().is_some() {
+                    if n == 1 && a.allowed.is_some() {
                         one_address_in_partition += 1;
                     }
                     // Duplicate targets force equal hop sums across banks.

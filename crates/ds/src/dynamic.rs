@@ -77,11 +77,6 @@ impl DynamicLinkedCsr {
             .collect()
     }
 
-    /// Banks of `u`'s chain nodes, in traversal order.
-    pub fn chain_banks(&self, u: u32) -> Vec<u32> {
-        self.chains[u as usize].iter().map(|n| n.bank).collect()
-    }
-
     /// Insert edge `(u, v)`. Appends into the tail node when it has room;
     /// otherwise allocates a new node with affinity to the chain tail and
     /// to `v`'s property address.
@@ -216,6 +211,13 @@ mod tests {
     use aff_sim_core::config::MachineConfig;
     use aff_sim_core::rng::SimRng;
     use affinity_alloc::BankSelectPolicy;
+
+    impl DynamicLinkedCsr {
+        /// Banks of `u`'s chain nodes, in traversal order.
+        fn chain_banks(&self, u: u32) -> Vec<u32> {
+            self.chains[u as usize].iter().map(|n| n.bank).collect()
+        }
+    }
 
     fn setup() -> (AffinityAllocator, VertexArray) {
         let mut alloc =

@@ -5,15 +5,13 @@
 //! lists. Edges are kept sorted by source vertex — the paper notes this is
 //! common practice and is what makes long edge runs placeable (Fig 19).
 
-use serde::{Deserialize, Serialize};
-
 /// Vertex identifier.
 pub type VertexId = u32;
 
 /// A directed graph in CSR form. The undirected workloads (bfs, pr) read a
 /// symmetric graph ([`Graph::from_undirected_edges`]), so in-neighbors equal
 /// out-neighbors.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Graph {
     offsets: Vec<u64>,
     targets: Vec<VertexId>,

@@ -103,11 +103,6 @@ impl HashChainTable {
         (self.head_bank(b), false)
     }
 
-    /// Longest chain (Table 3 expects ≤ 8 with the right bucket count).
-    pub fn max_chain_len(&self) -> usize {
-        self.chains.iter().map(Vec::len).max().unwrap_or(0)
-    }
-
     /// Total stored keys.
     pub fn len(&self) -> usize {
         self.chains.iter().map(Vec::len).sum()
@@ -116,26 +111,6 @@ impl HashChainTable {
     /// Whether the table stores nothing.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// Fraction of chain nodes colocated with their bucket head.
-    pub fn colocated_fraction(&self) -> f64 {
-        let mut total = 0usize;
-        let mut colocated = 0usize;
-        for (b, chain) in self.chains.iter().enumerate() {
-            let hb = self.head_bank(b as u64);
-            for n in chain {
-                total += 1;
-                if n.bank == hb {
-                    colocated += 1;
-                }
-            }
-        }
-        if total == 0 {
-            0.0
-        } else {
-            colocated as f64 / total as f64
-        }
     }
 }
 
@@ -149,6 +124,25 @@ mod tests {
     fn keys(n: usize) -> Vec<u64> {
         let mut rng = SimRng::new(99);
         (0..n).map(|_| rng.next_u64()).collect()
+    }
+
+    impl HashChainTable {
+        /// Longest chain (Table 3 expects ≤ 8 with the right bucket count).
+        fn max_chain_len(&self) -> usize {
+            self.chains.iter().map(Vec::len).max().unwrap_or(0)
+        }
+
+        /// Fraction of chain nodes colocated with their bucket head.
+        fn colocated_fraction(&self) -> f64 {
+            let mut total = 0usize;
+            let mut colocated = 0usize;
+            for (b, chain) in self.chains.iter().enumerate() {
+                let hb = self.head_bank(b as u64);
+                total += chain.len();
+                colocated += chain.iter().filter(|n| n.bank == hb).count();
+            }
+            colocated as f64 / total as f64
+        }
     }
 
     #[test]

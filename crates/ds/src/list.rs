@@ -72,14 +72,6 @@ impl AffLinkedList {
         self.nodes.is_empty()
     }
 
-    /// Total migration hops a full traversal pays under the given topology.
-    pub fn traversal_hops(&self, topo: aff_noc::topology::Topology) -> u64 {
-        self.nodes
-            .windows(2)
-            .map(|w| u64::from(topo.manhattan(w[0].bank, w[1].bank)))
-            .sum()
-    }
-
     /// Number of bank changes along the traversal (migration count).
     pub fn migrations(&self) -> u64 {
         self.nodes
@@ -94,6 +86,16 @@ mod tests {
     use super::*;
     use aff_sim_core::config::MachineConfig;
     use affinity_alloc::BankSelectPolicy;
+
+    impl AffLinkedList {
+        /// Total migration hops a full traversal pays under the given topology.
+        fn traversal_hops(&self, topo: aff_noc::topology::Topology) -> u64 {
+            self.nodes
+                .windows(2)
+                .map(|w| u64::from(topo.manhattan(w[0].bank, w[1].bank)))
+                .sum()
+        }
+    }
 
     #[test]
     fn min_hop_list_stays_put() {

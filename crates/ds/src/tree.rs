@@ -159,15 +159,6 @@ impl AffBinaryTree {
     pub fn is_empty(&self) -> bool {
         self.nodes.is_empty()
     }
-
-    /// Nodes per bank — the Fig 13 bin_tree pathology detector.
-    pub fn nodes_per_bank(&self, num_banks: u32) -> Vec<u64> {
-        let mut v = vec![0u64; num_banks as usize];
-        for n in &self.nodes {
-            v[n.bank as usize] += 1;
-        }
-        v
-    }
 }
 
 #[cfg(test)]
@@ -180,6 +171,15 @@ mod tests {
     fn random_keys(n: usize) -> Vec<u64> {
         let mut rng = SimRng::new(2023);
         (0..n).map(|_| rng.next_u64()).collect()
+    }
+
+    /// Nodes per bank — the Fig 13 bin_tree pathology detector.
+    fn nodes_per_bank(t: &AffBinaryTree) -> [u64; 64] {
+        let mut v = [0u64; 64];
+        for n in t.nodes() {
+            v[n.bank as usize] += 1;
+        }
+        v
     }
 
     #[test]
@@ -210,7 +210,7 @@ mod tests {
         let mut a =
             AffinityAllocator::new(MachineConfig::paper_default(), BankSelectPolicy::MinHop);
         let t = AffBinaryTree::build(&mut a, &random_keys(1000), AllocMode::Affinity).unwrap();
-        let per_bank = t.nodes_per_bank(64);
+        let per_bank = nodes_per_bank(&t);
         let max = *per_bank.iter().max().unwrap();
         assert_eq!(
             max, 1000,
@@ -225,7 +225,7 @@ mod tests {
             BankSelectPolicy::paper_default(),
         );
         let t = AffBinaryTree::build(&mut a, &random_keys(1000), AllocMode::Affinity).unwrap();
-        let used = t.nodes_per_bank(64).iter().filter(|&&c| c > 0).count();
+        let used = nodes_per_bank(&t).iter().filter(|&&c| c > 0).count();
         assert!(used > 8, "hybrid must use many banks, used {used}");
     }
 

@@ -3,17 +3,13 @@
 //! Keeping the two statically distinct rules out the classic simulator bug of
 //! indexing the IOT (physical) with a virtual address or vice versa.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::{Add, AddAssign, Sub};
 
 macro_rules! addr_newtype {
     ($(#[$doc:meta])* $name:ident) => {
         $(#[$doc])*
-        #[derive(
-            Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default,
-            Serialize, Deserialize,
-        )]
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
         pub struct $name(pub u64);
 
         impl $name {
@@ -31,12 +27,6 @@ macro_rules! addr_newtype {
                 self.0
                     .checked_sub(base.0)
                     .unwrap_or_else(|| panic!("{self} below base {base}"))
-            }
-
-            /// Align down to a multiple of `align` (a power of two).
-            pub fn align_down(self, align: u64) -> $name {
-                debug_assert!(align.is_power_of_two());
-                $name(self.0 & !(align - 1))
             }
         }
 
@@ -96,12 +86,6 @@ mod tests {
         let mut b = a;
         b += 4;
         assert_eq!(b, VAddr(0x1004));
-    }
-
-    #[test]
-    fn align_down() {
-        assert_eq!(VAddr(0x1fff).align_down(0x1000), VAddr(0x1000));
-        assert_eq!(PAddr(0x1000).align_down(0x1000), PAddr(0x1000));
     }
 
     #[test]

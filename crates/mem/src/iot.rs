@@ -6,10 +6,9 @@
 //! per pool suffices; the paper provisions 16 entries (Table 2).
 
 use crate::addr::PAddr;
-use serde::{Deserialize, Serialize};
 
 /// One IOT entry: physical `[start, end)` uses interleave `intrlv`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct IotEntry {
     /// Start of the overridden physical range (inclusive).
     pub start: PAddr,
@@ -45,7 +44,7 @@ impl std::fmt::Display for IotError {
 impl std::error::Error for IotError {}
 
 /// The Interleave Override Table.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Iot {
     capacity: u32,
     entries: Vec<IotEntry>,

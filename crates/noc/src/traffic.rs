@@ -18,11 +18,10 @@ use crate::fault_route::{FaultRouter, LIMP_COST};
 use crate::topology::{BankId, Topology};
 use aff_sim_core::fault::{DegradationReport, FaultPlan};
 pub use aff_sim_core::trace::TrafficClass;
-use serde::{Deserialize, Serialize};
 
 /// One recorded message, kept only when packet logging is enabled (the
 /// flit-level [`crate::cyclesim::CycleNoc`] replays these).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Packet {
     /// Source bank.
     pub src: BankId,

@@ -29,7 +29,6 @@ use aff_sim_core::energy::{EnergyBreakdown, EnergyModel};
 use aff_sim_core::fault::{DegradationReport, FaultEvent, FaultPlan, FaultTimeline};
 use aff_sim_core::tenant::TenantUsage;
 use aff_sim_core::trace::{Event, Recorder, TrafficClass};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Iterations covered by one coarse-grained credit message (§2.2).
@@ -283,7 +282,7 @@ impl ChargeTable {
 }
 
 /// Where the analytic cycle count came from.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct CycleBreakdown {
     /// Core pipeline bound: total core ops over the aggregate issue width of
     /// all tiles (assumes the workload threads evenly, which the OpenMP
@@ -318,7 +317,7 @@ impl CycleBreakdown {
 }
 
 /// Results of one simulated kernel execution.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Metrics {
     /// Analytic cycle estimate.
     pub cycles: u64,
@@ -348,29 +347,23 @@ pub struct Metrics {
     pub degradation: DegradationReport,
     /// The fault-timeline events this run actually applied, in order — the
     /// transition log a chaos harness checks against the schedule. Empty for
-    /// a static fault plan (and for every run recorded before timelines
-    /// existed, hence the serde default).
-    #[serde(default)]
+    /// a static fault plan.
     pub transitions: Vec<FaultEvent>,
     /// Allocator free-bytes / (live + free) ratio at the end of the run.
     /// The engine itself has no allocator, so this is `0.0` unless the
     /// harness fills it in from `AffinityAllocator::fragmentation()` (the
-    /// multi-tenant churn cells do); serde-defaulted for old recordings.
-    #[serde(default)]
+    /// multi-tenant churn cells do).
     pub fragmentation_ratio: f64,
     /// Per-tenant service usage, filled in by the harness from the
-    /// allocation service (the multi-tenant churn cells do). Empty (and
-    /// serde-defaulted) for every single-tenant run.
-    #[serde(default)]
+    /// allocation service (the multi-tenant churn cells do). Empty for every
+    /// single-tenant run.
     pub tenants: Vec<TenantUsage>,
     /// Where the run's affinity hints came from: `None` for ordinary
     /// (annotated) runs, else `"annotated"`, `"inferred"`, or `"none"` as
-    /// stamped by the inference harness. Serde-defaulted for old recordings.
-    #[serde(default)]
+    /// stamped by the inference harness.
     pub hint_source: Option<String>,
     /// Number of hints applied from an inferred `AffinityProfile`
-    /// (harness-stamped; 0 everywhere else). Serde-defaulted likewise.
-    #[serde(default)]
+    /// (harness-stamped; 0 everywhere else).
     pub inferred_hints: u64,
 }
 
@@ -1015,35 +1008,15 @@ impl SimEngine {
 
     // ---------- Near-L3 primitives ----------
 
-    /// Offload a stream graph: one configure packet per stream from the
-    /// core's SEcore to the stream's first bank (Offload class), plus the
-    /// fixed SE computation-init latency.
-    pub fn offload_config(&mut self, core: BankId, first_bank: BankId, num_streams: u64) {
-        let target = self.serving_bank(first_bank);
-        if target != first_bank {
-            // The stream's home SEL3 is dead: the config lands at the spare
-            // and the stream runs In-Core at the tile instead.
-            self.report.incore_fallback_streams += num_streams;
-        }
-        self.record(Event::Traffic {
-            src: core,
-            dst: target,
-            payload_bytes: MIGRATE_STATE_BYTES,
-            class: TrafficClass::Offload,
-            count: num_streams,
-        });
-        self.record(Event::ChainCycles {
-            cycles: self.config.sel3_compute_init_latency,
-        });
-    }
-
     /// Multicast a stream-graph configuration to every bank's SEL3 (sliced
-    /// affine streams): one configure packet per stream per bank, one
-    /// compute-init latency (banks configure in parallel).
+    /// affine streams): one configure packet per stream per bank (Offload
+    /// class), one compute-init latency (banks configure in parallel).
     pub fn offload_config_multicast(&mut self, core: BankId, num_streams: u64) {
         for b in 0..self.config.num_banks() {
             let target = self.serving_bank(b);
             if target != b {
+                // The bank's SEL3 is dead: the config lands at the spare and
+                // its slice of the streams runs In-Core at the tile instead.
                 self.report.incore_fallback_streams += num_streams;
             }
             self.record(Event::Traffic {
@@ -1582,7 +1555,7 @@ mod tests {
     #[test]
     fn offload_config_charges_offload_class() {
         let mut e = engine();
-        e.offload_config(0, 9, 3);
+        e.offload_config_multicast(0, 3);
         let m = e.finish();
         assert!(m.hop_flits_of(TrafficClass::Offload) > 0);
         assert_eq!(m.hop_flits_of(TrafficClass::Data), 0);
@@ -1598,7 +1571,7 @@ mod tests {
 
     fn busy_run(e: &mut SimEngine) {
         e.core_read_lines(0, 9, 100);
-        e.offload_config(0, 9, 2);
+        e.offload_config_multicast(0, 2);
         e.remote_atomic(3, 9, 50);
         e.forward(4, 9, 24, 200);
         e.migrate(4, 9, 1);
@@ -1745,7 +1718,7 @@ mod tests {
     fn dead_bank_falls_back_to_in_core() {
         let mut e = faulty_engine(FaultPlan::none().fail_bank(9));
         e.se_ops(9, 5_000);
-        e.offload_config(0, 9, 3);
+        e.offload_config_multicast(0, 3);
         let m = e.finish();
         assert_eq!(m.breakdown.se_compute, 0, "dead SEL3 runs nothing");
         assert!(m.breakdown.core_compute > 0, "tile core absorbs the work");

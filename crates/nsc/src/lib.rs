@@ -16,34 +16,13 @@
 //!
 //! # Execution modes
 //!
-//! [`ExecMode`] selects where computation runs. Data *layout* is orthogonal:
-//! the same `NearL3` executor runs over naïve or affinity-allocated layouts —
-//! that separation is exactly the paper's point.
+//! The workloads' `SystemConfig` selects where computation runs: at the
+//! cores (`In-Core`) or at the L3 stream engines (`Near-L3`, `Aff-Alloc`).
+//! Data *layout* is orthogonal: the same near-L3 executor runs over naïve or
+//! affinity-allocated layouts — that separation is exactly the paper's point.
 
 pub mod engine;
 pub mod occupancy;
 
 pub use engine::{CycleBreakdown, Metrics, SimEngine};
 pub use occupancy::OccupancyTimeline;
-
-/// Where computation executes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum ExecMode {
-    /// Conventional execution: all computation at the cores, all data over
-    /// the NoC to private caches (the paper's `In-Core` baseline).
-    InCore,
-    /// Near-stream computing: streams offloaded to the L3 stream engines
-    /// (the paper's `Near-L3` baseline, and — combined with affinity-
-    /// allocated layouts — its `Aff-Alloc` configuration).
-    NearL3,
-}
-
-impl ExecMode {
-    /// Short label used in reports.
-    pub fn label(self) -> &'static str {
-        match self {
-            ExecMode::InCore => "In-Core",
-            ExecMode::NearL3 => "Near-L3",
-        }
-    }
-}

@@ -18,10 +18,9 @@
 
 use aff_sim_core::config::MachineConfig;
 use aff_sim_core::stats::FivePoint;
-use serde::{Deserialize, Serialize};
 
 /// One sampled phase: estimated atomic streams in flight per bank.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct OccupancySnapshot {
     /// In-flight atomic streams per bank.
     pub per_bank: Vec<f64>,
@@ -37,7 +36,7 @@ impl OccupancySnapshot {
 }
 
 /// A sequence of phase snapshots over one kernel execution.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct OccupancyTimeline {
     snapshots: Vec<OccupancySnapshot>,
 }

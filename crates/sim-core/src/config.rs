@@ -5,8 +5,6 @@
 //! single [`MachineConfig`] so that an experiment can vary one knob (mesh
 //! size, bank capacity, default interleave, …) and have the whole stack agree.
 
-use serde::{Deserialize, Serialize};
-
 use crate::fault::{FaultPlan, FaultTimeline};
 
 /// Size of one cache line in bytes. Sub-line interleaving is unsupported by
@@ -20,7 +18,7 @@ pub const PAGE_SIZE: u64 = 4096;
 /// How bank ids map onto mesh coordinates (§4.1 "Other Interleave
 /// Patterns": more sophisticated interleave patterns can be supported by
 /// changing how L3 banks are numbered).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum BankOrder {
     /// Row-major: bank `i` at `(i % X, i / X)`. The paper's baseline.
     #[default]
@@ -34,7 +32,7 @@ pub enum BankOrder {
 /// Which network geometry connects the tiles (the "machine model" axis the
 /// scaling experiments sweep). The paper evaluates only the 8×8 mesh; the
 /// other kinds exist so its results become one point on a geometry curve.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum TopologyKind {
     /// Plain W×H mesh with X-Y dimension-ordered routing. The paper baseline.
     #[default]
@@ -68,15 +66,6 @@ impl TopologyKind {
 /// Vary a few knobs with struct-update syntax over a preset, as in the
 /// example below.
 ///
-/// Serde-default audit: every field added after the original Table 2 schema
-/// (`bank_order`, `topology`, `allow_npot_interleave`, `faults`,
-/// `fault_timeline`) carries `#[serde(default)]`, and each of those defaults
-/// reproduces the paper-default value (`RowMajor`, `Mesh`, `false`, no faults,
-/// empty timeline) — so configs serialized before those knobs existed still
-/// load and mean the same machine. Core Table 2 fields
-/// are deliberately *not* defaulted: a config missing `mesh_x` is a bug, not
-/// an old file.
-///
 /// # Example
 ///
 /// ```
@@ -92,7 +81,7 @@ impl TopologyKind {
 /// };
 /// assert_eq!(small, MachineConfig::small_mesh());
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MachineConfig {
     /// Mesh width in tiles (paper: 8).
     pub mesh_x: u32,
@@ -131,35 +120,24 @@ pub struct MachineConfig {
     pub iot_entries: u32,
     /// Throughput of one L3 bank in accesses per cycle.
     pub bank_accesses_per_cycle: f64,
-    /// Bank-numbering order on the mesh. Serde-defaulted (`RowMajor`, the
-    /// paper baseline) so pre-`BankOrder` configs still load.
-    #[serde(default)]
+    /// Bank-numbering order on the mesh (`RowMajor` is the paper baseline).
     pub bank_order: BankOrder,
-    /// Network geometry connecting the `mesh_x` × `mesh_y` tile grid.
-    /// Serde-defaulted (`Mesh`, the paper baseline) so pre-geometry configs
-    /// still load and mean the same machine.
-    #[serde(default)]
+    /// Network geometry connecting the `mesh_x` × `mesh_y` tile grid
+    /// (`Mesh` is the paper baseline).
     pub topology: TopologyKind,
     /// Accept interleave sizes that are any multiple of a cache line, not
     /// just powers of two (§4.1 future work: costs a division instead of a
     /// shift in the Eq 1 lookup, but removes padding-driven fallbacks —
     /// e.g. a 3:1 alignment ratio needs a 192 B interleave).
-    /// Serde-defaulted (`false`) so pre-flag configs still load.
-    #[serde(default)]
     pub allow_npot_interleave: bool,
     /// Injected faults for this experiment ([`FaultPlan::none`] for a healthy
     /// machine). Lives on the machine description so every component — NoC,
     /// cache model, allocator, stream engines — sees the same broken machine
-    /// without extra plumbing. Serde-defaulted (no faults) so configs written
-    /// before fault injection existed still load as healthy machines.
-    #[serde(default)]
+    /// without extra plumbing.
     pub faults: FaultPlan,
     /// Cycle-stamped schedule of fault arrivals and repairs that land while
     /// the run is live ([`FaultTimeline::none`] for a machine whose fault
-    /// state never changes — the `faults` plan alone). Serde-defaulted (empty
-    /// timeline) so configs written before online faults existed still load
-    /// and mean the same machine.
-    #[serde(default)]
+    /// state never changes — the `faults` plan alone).
     pub fault_timeline: FaultTimeline,
 }
 
@@ -224,17 +202,6 @@ impl MachineConfig {
         }
         self.fault_timeline = timeline;
         self
-    }
-
-    /// Number of banks whose L3 slice is still alive under the installed
-    /// fault plan.
-    pub fn num_healthy_banks(&self) -> u32 {
-        self.num_banks() - self.faults.failed_banks.len() as u32
-    }
-
-    /// Whether bank `b`'s L3 slice is alive under the installed fault plan.
-    pub fn bank_is_healthy(&self, b: u32) -> bool {
-        !self.faults.failed_banks.contains(&b)
     }
 
     /// A 4×4 mesh with small banks, handy for unit tests with hand-checked
@@ -382,17 +349,14 @@ mod tests {
     fn default_machine_is_fault_free() {
         let m = MachineConfig::paper_default();
         assert!(m.faults.is_empty());
-        assert_eq!(m.num_healthy_banks(), 64);
-        assert!(m.bank_is_healthy(0));
     }
 
     #[test]
     fn with_faults_installs_a_valid_plan() {
         let m =
             MachineConfig::small_mesh().with_faults(FaultPlan::none().fail_bank(3).slow_bank(5, 2));
-        assert_eq!(m.num_healthy_banks(), 15);
-        assert!(!m.bank_is_healthy(3));
-        assert!(m.bank_is_healthy(5));
+        assert_eq!(m.faults.failed_banks.iter().collect::<Vec<_>>(), [&3]);
+        assert_eq!(m.faults.bank_slowdown(5), 2);
     }
 
     #[test]
@@ -416,7 +380,7 @@ mod tests {
         let m = MachineConfig::small_mesh().with_fault_timeline(tl.clone());
         assert_eq!(m.fault_timeline, tl);
         // The cycle-0 plan is untouched: the machine starts healthy.
-        assert_eq!(m.num_healthy_banks(), 16);
+        assert!(m.faults.is_empty());
     }
 
     #[test]
@@ -445,10 +409,7 @@ mod tests {
     }
 
     #[test]
-    fn topology_kind_serde_defaults_to_mesh() {
-        // `#[serde(default)]` fills a missing field with `Default::default()`,
-        // so a config serialized before the geometry knob existed loads as the
-        // paper-default mesh machine iff the Default impl says Mesh.
+    fn topology_kind_defaults_to_mesh() {
         assert_eq!(TopologyKind::default(), TopologyKind::Mesh);
         assert_eq!(MachineConfig::paper_default().topology, TopologyKind::Mesh);
         assert_eq!(TopologyKind::Torus.label(), "torus");

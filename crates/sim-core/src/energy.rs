@@ -19,10 +19,8 @@
 //! assert!(e.total_pj(&model) > 0.0);
 //! ```
 
-use serde::{Deserialize, Serialize};
-
 /// Energy cost (picojoules) of each event class.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EnergyModel {
     /// One 32 B flit traversing one router + link hop.
     pub pj_per_hop_flit: f64,
@@ -63,7 +61,7 @@ impl Default for EnergyModel {
 }
 
 /// Accumulated event counts for one simulated kernel execution.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EnergyBreakdown {
     /// Flit-hops through the NoC (one flit over one link).
     pub noc_hop_flits: u64,

@@ -14,14 +14,12 @@
 //!   [`StallSnapshot`] naming the routers and fault-plan links implicated
 //!   in a wedged network.
 
-use serde::{Deserialize, Serialize};
-
 use crate::fault::LinkRef;
 
 /// Hard resource ceilings for one simulation run. `None` means unlimited;
 /// the default budget is fully unlimited, so installing a `RunBudget` is
 /// always opt-in and never changes healthy-run results.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RunBudget {
     /// Maximum simulated cycles before [`SimError::BudgetExhausted`].
     pub max_cycles: Option<u64>,
@@ -76,7 +74,7 @@ impl Default for RunBudget {
 }
 
 /// Which [`RunBudget`] ceiling a run hit.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BudgetKind {
     /// `max_cycles` — simulated time.
     Cycles,
@@ -95,7 +93,7 @@ impl std::fmt::Display for BudgetKind {
 
 /// Diagnostic snapshot of a wedged cycle-level network, captured by the
 /// progress watchdog the moment it gives up.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StallSnapshot {
     /// Cycle at which the watchdog fired.
     pub cycle: u64,
@@ -293,12 +291,8 @@ mod tests {
     }
 
     #[test]
-    fn budget_serde_roundtrip_defaults() {
-        // RunBudget must deserialize from an empty map so configs written
-        // before budgets existed keep loading.
-        let b = RunBudget::unlimited().with_max_cycles(42);
+    fn budget_kinds_name_their_limits() {
         let kinds = [BudgetKind::Cycles, BudgetKind::Events];
         assert_eq!(kinds.map(|k| k.to_string()), ["max_cycles", "max_events"]);
-        assert_eq!(b, b.clone());
     }
 }

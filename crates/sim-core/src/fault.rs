@@ -26,15 +26,13 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use serde::{Deserialize, Serialize};
-
 use crate::config::MachineConfig;
 use crate::rng::SimRng;
 
 /// A directed mesh link identified by tile coordinates, independent of the
 /// [`BankOrder`](crate::config::BankOrder) in use (bank ids move with the
 /// numbering; the physical wire between two tiles does not).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct LinkRef {
     /// Source tile x.
     pub fx: u32,
@@ -131,7 +129,7 @@ impl std::error::Error for FaultPlanError {}
 ///
 /// Counts are clamped so the drawn plan always validates: at least one bank
 /// stays healthy, and link/controller counts never exceed what the mesh has.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct FaultSpec {
     /// Banks whose cache dies entirely (tile router and core stay alive).
     pub failed_banks: u32,
@@ -164,7 +162,7 @@ impl FaultSpec {
 
 /// The set of injected faults for one experiment. See the module docs for the
 /// invariants every consumer upholds.
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct FaultPlan {
     /// Banks whose L3 slice is dead. The tile itself (core, router) stays
     /// alive; the cache capacity is gone and resident lines remap to a spare.
@@ -198,16 +196,6 @@ impl FaultPlan {
             && self.degraded_links.is_empty()
             && self.slowed_mem_ctrls.is_empty()
             && self.pool_reserve_cap.is_none()
-    }
-
-    /// Total number of individual faults (the pool cap counts as one).
-    pub fn fault_count(&self) -> usize {
-        self.failed_banks.len()
-            + self.slowed_banks.len()
-            + self.failed_links.len()
-            + self.degraded_links.len()
-            + self.slowed_mem_ctrls.len()
-            + usize::from(self.pool_reserve_cap.is_some())
     }
 
     /// Builder: mark a bank's cache slice dead ([`FaultChange::BankFail`]).
@@ -375,7 +363,7 @@ impl FaultPlan {
 /// (`BankRepair` revives a dead bank and clears any slowdown; `LinkRepair`
 /// revives a dead link and clears any degradation), so a timeline never has
 /// to know which form was active when the repair lands.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum FaultChange {
     /// A bank's L3 slice dies; resident lines must evacuate to a spare.
     BankFail(u32),
@@ -478,7 +466,7 @@ impl std::fmt::Display for FaultChange {
 /// Doubles as the *transition log* entry type: engines that apply a timeline
 /// record exactly which events they applied (and when), so a chaos harness
 /// can check the observed transitions against the schedule.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct FaultEvent {
     /// Simulated cycle at which the change takes effect.
     pub cycle: u64,
@@ -501,7 +489,7 @@ impl std::fmt::Display for FaultEvent {
 /// cycle (stable for equal cycles, so same-cycle events apply in insertion
 /// order). The empty timeline upholds the same invariant an empty plan does:
 /// every consumer takes its original code path, byte for byte.
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct FaultTimeline {
     events: Vec<FaultEvent>,
 }
@@ -540,13 +528,6 @@ impl FaultTimeline {
         self.events.insert(idx, FaultEvent { cycle, change });
     }
 
-    /// The distinct cycles at which the fault state changes (ascending).
-    pub fn epoch_cycles(&self) -> Vec<u64> {
-        let mut out: Vec<u64> = self.events.iter().map(|e| e.cycle).collect();
-        out.dedup();
-        out
-    }
-
     /// The cumulative fault state at `cycle`: `base` with every event stamped
     /// `<= cycle` applied in order.
     pub fn plan_at(&self, base: &FaultPlan, cycle: u64) -> FaultPlan {
@@ -555,11 +536,6 @@ impl FaultTimeline {
             e.change.apply_to(&mut plan);
         }
         plan
-    }
-
-    /// The fault state after every scheduled event has landed.
-    pub fn final_plan(&self, base: &FaultPlan) -> FaultPlan {
-        self.plan_at(base, u64::MAX)
     }
 
     /// Check the timeline against a machine and its cycle-0 plan: every
@@ -705,7 +681,7 @@ impl FaultTimeline {
 /// How much the machine degraded under a [`FaultPlan`] — integer counters
 /// only, so reports are `Eq` and reproducible. A fault-free run reports all
 /// zeros.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct DegradationReport {
     /// Messages that took a non-X-Y route because a link on their X-Y path
     /// was dead.
@@ -734,11 +710,9 @@ pub struct DegradationReport {
     pub fallback_allocations: u64,
     /// Timeline events applied while the run was live (0 without a
     /// [`FaultTimeline`]).
-    #[serde(default)]
     pub fault_epochs: u64,
     /// Cache lines evacuated through the NoC when a dying bank's residency
     /// moved to its spare.
-    #[serde(default)]
     pub evacuated_lines: u64,
 }
 
@@ -774,7 +748,6 @@ mod tests {
     fn empty_plan_is_empty() {
         let p = FaultPlan::none();
         assert!(p.is_empty());
-        assert_eq!(p.fault_count(), 0);
         assert!(p.validate(&MachineConfig::paper_default()).is_ok());
         assert_eq!(p.bank_slowdown(3), 1);
         assert_eq!(p.mem_ctrl_slowdown(0), 1);
@@ -790,8 +763,10 @@ mod tests {
             .degrade_link(l.reversed(), 2)
             .slow_mem_ctrl(1, 3)
             .cap_pool_reserve(1 << 20);
-        assert_eq!(p.fault_count(), 6);
         assert!(!p.is_empty());
+        assert!(p.failed_banks.contains(&3));
+        assert!(p.failed_links.contains(&l));
+        assert_eq!(p.pool_reserve_cap, Some(1 << 20));
         assert!(p.validate(&MachineConfig::paper_default()).is_ok());
         assert_eq!(p.bank_slowdown(5), 4);
         assert_eq!(p.link_cost(l.reversed()), 2);
@@ -898,8 +873,8 @@ mod tests {
                     multiplier: 4,
                 },
             );
-        assert_eq!(tl.len(), 4);
-        assert_eq!(tl.epoch_cycles(), vec![100, 500, 900]);
+        let cycles: Vec<u64> = tl.events().iter().map(|e| e.cycle).collect();
+        assert_eq!(cycles, vec![100, 100, 500, 900]);
         let base = FaultPlan::none();
         assert!(tl.plan_at(&base, 0).is_empty());
         let mid = tl.plan_at(&base, 100);
@@ -908,7 +883,7 @@ mod tests {
         assert!(!mid.has_link_faults());
         let late = tl.plan_at(&base, 500);
         assert!(late.failed_links.contains(&l));
-        let end = tl.final_plan(&base);
+        let end = tl.plan_at(&base, u64::MAX);
         assert!(!end.failed_banks.contains(&3), "repair revives the bank");
         assert!(end.failed_links.contains(&l));
     }

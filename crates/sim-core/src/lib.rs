@@ -36,9 +36,3 @@ pub use error::{BudgetKind, RunBudget, SimError, StallSnapshot};
 pub use fault::{DegradationReport, FaultPlan, FaultPlanError, FaultSpec, LinkRef};
 pub use tenant::{jain_fairness, RetryPolicy, TenantId, TenantSpec, TenantUsage};
 pub use trace::{Event, NullRecorder, Recorder, TraceRecorder, TrafficClass};
-
-/// A simulated cycle count.
-pub type Cycles = u64;
-
-/// A count of bytes.
-pub type ByteCount = u64;

@@ -4,8 +4,6 @@
 //! occupancy *distributions over banks* (min / 25% / avg / 75% / max in
 //! Fig 14). This module provides exactly those reductions.
 
-use serde::{Deserialize, Serialize};
-
 /// Geometric mean of strictly positive values.
 ///
 /// Returns `None` for an empty slice or if any value is not finite and
@@ -34,7 +32,7 @@ pub fn mean(values: &[f64]) -> Option<f64> {
 }
 
 /// The five-point distribution the paper plots per bank in Fig 14.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FivePoint {
     /// Least-occupied bank.
     pub min: f64,

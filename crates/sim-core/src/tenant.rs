@@ -4,14 +4,11 @@
 //!
 //! The allocator-service layer (`affinity-alloc::service`) admits every
 //! `malloc_aff`/`free_aff` against a [`TenantSpec`] and reports through
-//! [`TenantUsage`], the serde-stable record that lands in the metrics
-//! sidecar.
+//! [`TenantUsage`], the record that lands in the metrics sidecar.
 //!
 //! Everything here is deterministic by construction: backoff delays are pure
 //! functions of `(seed, tenant, attempt)` via [`crate::rng::SimRng::split`],
 //! so a retry schedule replays bit-for-bit across runs and `--jobs` counts.
-
-use serde::{Deserialize, Serialize};
 
 use crate::rng::SimRng;
 
@@ -19,7 +16,7 @@ use crate::rng::SimRng;
 ///
 /// Ids are dense (0, 1, 2, …) in registration order; the service uses them
 /// directly as shard indices and as RNG stream ids.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct TenantId(pub u32);
 
 impl std::fmt::Display for TenantId {
@@ -32,7 +29,7 @@ impl std::fmt::Display for TenantId {
 ///
 /// All three quota axes are enforced at admission, before any allocator state
 /// changes — a rejected request leaves the shard untouched.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TenantSpec {
     /// Human-readable name (figure labels, error context).
     pub name: String,
@@ -82,7 +79,7 @@ impl TenantSpec {
 /// Delays are logical admission-clock ticks, not wall time: the service's
 /// clock advances once per admission attempt, so a backoff of `n` means
 /// "yield the window to `n` other attempts before retrying".
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RetryPolicy {
     /// Give up (surface `Overloaded` to the caller) after this many attempts.
     pub max_attempts: u32,
@@ -128,38 +125,28 @@ fn backoff_stream(tenant: u32, attempt: u32) -> u64 {
 }
 
 /// Per-tenant usage snapshot: admission outcomes, residency and fault
-/// evacuation. Lands in the metrics sidecar; every field defaults so older
-/// readers and newer writers stay compatible.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+/// evacuation. Lands in the metrics sidecar.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct TenantUsage {
     /// Tenant id (dense registration order).
     pub tenant: u32,
     /// Tenant name.
-    #[serde(default)]
     pub name: String,
     /// Requests admitted (malloc + free + realloc).
-    #[serde(default)]
     pub admitted: u64,
     /// Requests rejected with `QuotaExceeded`.
-    #[serde(default)]
     pub quota_rejects: u64,
     /// Requests shed with `Overloaded`.
-    #[serde(default)]
     pub shed: u64,
     /// Retries performed by the deterministic backoff loop.
-    #[serde(default)]
     pub retries: u64,
     /// Admission-clock ticks spent backing off.
-    #[serde(default)]
     pub backoff_ticks: u64,
     /// Resident bytes at snapshot time.
-    #[serde(default)]
     pub resident_bytes: u64,
     /// Cache lines evacuated from this tenant's banks by fault epochs.
-    #[serde(default)]
     pub evacuated_lines: u64,
     /// Bytes whose quota accounting migrated with fault evacuation.
-    #[serde(default)]
     pub migrated_bytes: u64,
 }
 

@@ -25,14 +25,12 @@
 use std::fmt::{self, Write as _};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
-use serde::{Deserialize, Serialize};
-
 use crate::mine::RegionKind;
 
 /// The paper's three traffic classes, the message classes its traffic
 /// plots stack (legend of Figs 4/6/12/13/20). Defined here, where
 /// [`Event::Traffic`] needs it, and re-exported by `aff_noc::traffic`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TrafficClass {
     /// Stream config / credits / migration.
     Offload,

@@ -1,7 +1,6 @@
 //! Run configuration: which system, which policy, what scale.
 
 use aff_nsc::engine::SimEngine;
-use aff_nsc::ExecMode;
 use aff_sim_core::config::MachineConfig;
 use aff_sim_core::mine::RegionKind;
 use aff_sim_core::trace::{Event, Recorder, SharedRecorder};
@@ -32,14 +31,6 @@ impl SystemConfig {
             SystemConfig::InCore => "In-Core".into(),
             SystemConfig::NearL3 => "Near-L3".into(),
             SystemConfig::AffAlloc(p) => format!("Aff-Alloc({})", p.label()),
-        }
-    }
-
-    /// The execution mode (where computation runs).
-    pub fn exec_mode(&self) -> ExecMode {
-        match self {
-            SystemConfig::InCore => ExecMode::InCore,
-            _ => ExecMode::NearL3,
         }
     }
 
@@ -235,13 +226,8 @@ mod tests {
     }
 
     #[test]
-    fn exec_modes() {
-        assert_eq!(SystemConfig::InCore.exec_mode(), ExecMode::InCore);
-        assert_eq!(SystemConfig::NearL3.exec_mode(), ExecMode::NearL3);
-        assert_eq!(
-            SystemConfig::aff_alloc_default().exec_mode(),
-            ExecMode::NearL3
-        );
+    fn only_aff_alloc_uses_the_affinity_allocator() {
+        assert!(!SystemConfig::InCore.uses_affinity_alloc());
         assert!(!SystemConfig::NearL3.uses_affinity_alloc());
         assert!(SystemConfig::aff_alloc_default().uses_affinity_alloc());
     }
@@ -261,7 +247,7 @@ mod tests {
         use aff_sim_core::fault::FaultPlan;
         let c = RunConfig::new(SystemConfig::aff_alloc_default())
             .with_faults(FaultPlan::none().fail_bank(7));
+        assert_eq!(c.machine.faults.failed_banks.len(), 1);
         assert!(c.machine.faults.failed_banks.contains(&7));
-        assert_eq!(c.machine.num_healthy_banks(), 63);
     }
 }

@@ -26,7 +26,6 @@ use aff_sim_core::config::CACHE_LINE;
 use aff_sim_core::mine::RegionKind;
 use aff_sim_core::trace::Event;
 use affinity_alloc::{AffinityAllocator, InferredHint};
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// Probes already in flight when a pull-scan's dynamic break resolves.
@@ -46,7 +45,7 @@ pub fn pick_source(g: &Graph) -> u32 {
 }
 
 /// Traversal direction of one iteration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Direction {
     /// Top-down: propagate updates to out-neighbors with atomics.
     Push,
@@ -55,7 +54,7 @@ pub enum Direction {
 }
 
 /// Per-iteration BFS statistics (Fig 17/18).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct IterStat {
     /// Direction chosen.
     pub dir: Direction,

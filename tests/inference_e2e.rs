@@ -11,7 +11,7 @@
 
 use aff_bench::figures::{HarnessOpts, FIG13_WORKLOADS};
 use aff_bench::inference::{inference_plan, inference_plan_for};
-use aff_bench::sweep::run_plans;
+use aff_bench::sweep::{run_plans_opts, RunOpts};
 use affinity_alloc_repro::workloads::suite::WorkloadName;
 
 fn skip_in_debug(test: &str) -> bool {
@@ -33,7 +33,7 @@ fn inferred_hints_recover_annotated_locality_suite_wide() {
         return;
     }
     let opts = HarnessOpts::default();
-    let (figs, report) = run_plans(vec![inference_plan(opts)], 4, opts.seed);
+    let (figs, report) = run_plans_opts(vec![inference_plan(opts)], &RunOpts::new(4, opts.seed));
     assert_eq!(
         report.failures().count(),
         0,
@@ -91,10 +91,9 @@ fn inferred_hints_recover_irregular_workloads_individually() {
         return;
     }
     let opts = HarnessOpts::default();
-    let (figs, report) = run_plans(
+    let (figs, report) = run_plans_opts(
         vec![inference_plan_for(&FIG13_WORKLOADS, opts)],
-        4,
-        opts.seed,
+        &RunOpts::new(4, opts.seed),
     );
     assert_eq!(report.failures().count(), 0);
     let fig = &figs[0];
@@ -122,7 +121,7 @@ fn inference_family_bytes_are_jobs_invariant() {
         return;
     }
     let opts = HarnessOpts::default();
-    let (serial, _) = run_plans(vec![inference_plan(opts)], 1, opts.seed);
-    let (par, _) = run_plans(vec![inference_plan(opts)], 4, opts.seed);
+    let (serial, _) = run_plans_opts(vec![inference_plan(opts)], &RunOpts::new(1, opts.seed));
+    let (par, _) = run_plans_opts(vec![inference_plan(opts)], &RunOpts::new(4, opts.seed));
     assert_eq!(serial[0].to_json(), par[0].to_json());
 }

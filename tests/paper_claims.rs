@@ -10,7 +10,7 @@
 //! and is not repeated here.
 
 use aff_bench::figures::{plan_figure, HarnessOpts};
-use aff_bench::{run_plans, Figure};
+use aff_bench::{run_plans_opts, Figure, RunOpts};
 
 const BANK_ORDER: &str = "EXPERIMENTS.md Ablations, row \"bank order\"";
 const PRIORITY_QUEUE: &str = "EXPERIMENTS.md Ablations, row \"priority queue\"";
@@ -20,7 +20,7 @@ const NODE_CAPACITY: &str = "EXPERIMENTS.md Ablations, row \"node capacity\"";
 fn figure(id: &str) -> Figure {
     let opts = HarnessOpts::default();
     let plan = plan_figure(id, opts).unwrap_or_else(|| panic!("unknown figure {id}"));
-    let (mut figs, report) = run_plans(vec![plan], 1, opts.seed);
+    let (mut figs, report) = run_plans_opts(vec![plan], &RunOpts::new(1, opts.seed));
     assert_eq!(report.failures().count(), 0, "{id}: a cell failed");
     figs.pop().expect("one plan renders one figure")
 }

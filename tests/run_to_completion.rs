@@ -10,22 +10,26 @@
 
 use aff_bench::report::{Figure, Row};
 use aff_bench::sweep::{run_plans_opts, CellData, PlanBuilder, RunOpts, SweepPlan};
+use affinity_alloc_repro::sim::rng::SimRng;
 
 const SEED: u64 = 0xC0FFEE;
 
-/// Two deterministic multi-cell plans: every value is drawn from the cell's
-/// private RNG stream, so any replay divergence shows up in the bytes.
+/// Two deterministic multi-cell plans: every value is drawn from a stream
+/// split from the seed per cell, so any replay divergence shows up in the
+/// bytes.
 fn plans() -> Vec<SweepPlan> {
     ["alpha", "beta"]
-        .iter()
-        .map(|name| {
-            let mut b = PlanBuilder::new(if *name == "alpha" { "alpha" } else { "beta" });
+        .into_iter()
+        .enumerate()
+        .map(|(p, name)| {
+            let mut b = PlanBuilder::new(name);
             let mut ids = Vec::new();
             for i in 0..6u64 {
-                ids.push(b.cell(format!("cell{i}"), move |ctx| CellData::Rows {
+                let mut rng = SimRng::split(SEED, p as u64 * 6 + i);
+                ids.push(b.cell(format!("cell{i}"), move |_| CellData::Rows {
                     rows: vec![Row::new(
                         format!("cell{i}"),
-                        vec![ctx.rng.next_u64() as f64, ctx.rng.next_u64() as f64],
+                        vec![rng.next_u64() as f64, rng.next_u64() as f64],
                     )],
                     sim_cycles: i + 1,
                 }));
@@ -37,7 +41,6 @@ fn plans() -> Vec<SweepPlan> {
                         fig.rows.extend(rows.iter().cloned());
                     }
                 }
-                o.annotate_failures(&mut fig);
                 fig
             })
         })
@@ -172,12 +175,12 @@ fn failed_cells_are_retried_on_resume() {
     // error outcome for it.
     let flaky_plan = |fail: bool| -> Vec<SweepPlan> {
         let mut b = PlanBuilder::new("flaky");
-        let id = b.cell("cell0", move |ctx| {
+        let id = b.cell("cell0", move |_| {
             if fail {
                 panic!("transient failure");
             }
             CellData::Rows {
-                rows: vec![Row::new("cell0", vec![ctx.rng.next_u64() as f64])],
+                rows: vec![Row::new("cell0", vec![SimRng::new(SEED).next_u64() as f64])],
                 sim_cycles: 1,
             }
         });
@@ -186,7 +189,6 @@ fn failed_cells_are_retried_on_resume() {
             if let Some(rows) = o.rows(id) {
                 fig.rows.extend(rows.iter().cloned());
             }
-            o.annotate_failures(&mut fig);
             fig
         })]
     };

@@ -14,7 +14,7 @@
 //! ```
 
 use aff_bench::figures::{plan_figure, GeometrySpec, HarnessOpts};
-use aff_bench::sweep::run_plans;
+use aff_bench::sweep::{run_plans_opts, RunOpts};
 use aff_bench::SweepReport;
 
 /// Figures cheap enough to replay on every test run (~seconds at scale 1):
@@ -37,7 +37,7 @@ fn reports(jobs: usize) -> (String, SweepReport) {
         .iter()
         .map(|id| plan_figure(id, opts).expect("golden figure id is known"))
         .collect();
-    let (figures, report) = run_plans(plans, jobs, opts.seed);
+    let (figures, report) = run_plans_opts(plans, &RunOpts::new(jobs, opts.seed));
     let mut out = String::new();
     for fig in &figures {
         out.push_str(&fig.to_json());
@@ -112,7 +112,7 @@ fn geometry_reports(jobs: usize) -> (String, SweepReport) {
         ..HarnessOpts::default()
     };
     let plans = vec![plan_figure("fig13", opts).expect("fig13 is a known figure")];
-    let (figures, report) = run_plans(plans, jobs, opts.seed);
+    let (figures, report) = run_plans_opts(plans, &RunOpts::new(jobs, opts.seed));
     let mut out = String::new();
     for fig in &figures {
         out.push_str(&fig.to_json());
@@ -165,9 +165,8 @@ fn geometry_sweep_is_byte_identical_across_jobs() {
 #[test]
 fn run_to_completion_guards_do_not_change_golden_bytes() {
     // Same subset with the run-to-completion guard enabled: the checkpoint
-    // journal. Every cell still runs once on its own RNG stream, so the
-    // figure bytes must not move.
-    use aff_bench::sweep::{run_plans_opts, RunOpts};
+    // journal. Every cell still runs once, so the figure bytes must not
+    // move.
     let (plain, _) = reports(1);
     let opts = HarnessOpts::default();
     let plans = GOLDEN_FIGS
@@ -204,7 +203,7 @@ fn rendered_tables_are_jobs_invariant_too() {
     let opts = HarnessOpts::default();
     let run = |jobs: usize| -> String {
         let plans = vec![plan_figure("fig4", opts).expect("fig4 is known")];
-        let (figs, _) = run_plans(plans, jobs, opts.seed);
+        let (figs, _) = run_plans_opts(plans, &RunOpts::new(jobs, opts.seed));
         figs.iter().map(|f| f.render()).collect()
     };
     assert_eq!(run(1), run(4));
