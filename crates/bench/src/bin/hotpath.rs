@@ -1,17 +1,19 @@
 //! Hot-path microbenchmark: times the per-message accounting layers in
 //! isolation — route store, heap translation, engine charge
-//! accumulation, folded remote atomics, pointer-chain tallies and the Eq-4
-//! argmin kernel, over many addresses and over one — plus Kronecker input
-//! generation and Fig 6's chunk oracle, each against the
-//! scalar/hash-map/write-through/rebuild/per-pair baseline it replaced, and
-//! writes `BENCH_hotpath.json` (schema `aff-bench/hotpath-v8`). Each side
-//! of a layer is the median of [`REPEATS`] runs, alternating with the other
-//! side's.
+//! accumulation, folded remote atomics, pointer-chain tallies, bin_tree
+//! lookup charging and the Eq-4 argmin kernel, over many addresses and over
+//! one — plus Kronecker input generation and Fig 6's chunk oracle, each
+//! against the scalar/hash-map/write-through/rebuild/per-pair/walk baseline
+//! it replaced, and writes `BENCH_hotpath.json` (schema
+//! `aff-bench/hotpath-v9`). Each side of a layer is the median of
+//! [`REPEATS`] runs, alternating with the other side's.
 //! The route layer runs at 8×8 *and* 16×16 (both hold every source row in
 //! the route store's 1 MiB budget, so neither evicts), and a `route_memory`
 //! section records the resident route-store bytes at 1024 banks, where the
 //! budget holds 64 of 1024 rows, against the dense `n²` entry-array curve.
 //!
+//! Schema v9 (from v8): the `tree_lookups` layer is new; its `ops` are
+//! lookups (both models).
 //! Schema v8 (from v7): the `chunk_oracle` layer is new; its `ops` are
 //! edges placed, over a 64 B-chunk and a one-edge-chunk placement.
 //! Schema v7 (from v6): the `chain_charge` and `eq4_single` layers are new;
@@ -429,6 +431,56 @@ fn bench_chain_charge(ops: u64) -> Layer {
     Layer::new("chain_charge", 2 * derefs, times, hop_flits)
 }
 
+/// Layer 7: a Hybrid-5 bin_tree's lookup charging on 8×8, In-Core and
+/// Near-L3 — each lookup named by its end node and charged through
+/// [`ChainTally::path_ends`], versus walking it by key compares
+/// (`lookup_path_banks_into`) into [`ChainTally::chain`], the loop
+/// `run_bin_tree` ran before. Cores cycle over the tiles as in
+/// `run_bin_tree`. The witness is both runs' full
+/// [`Metrics`](aff_nsc::engine::Metrics).
+fn bench_tree_lookups(ops: u64) -> Layer {
+    let cfg = MachineConfig::paper_default();
+    let banks = cfg.num_banks() as usize;
+    let mut rng = SimRng::new(0xB17E);
+    let keys: Vec<u64> = (0..32_768).map(|_| rng.next_u64()).collect();
+    let mut alloc = AffinityAllocator::new(cfg.clone(), BankSelectPolicy::Hybrid { h: 5.0 });
+    let tree = AffBinaryTree::build(&mut alloc, &keys, AllocMode::Affinity).expect("tree");
+    let lookups: Vec<usize> = (0..ops / 2).map(|_| rng.index(keys.len())).collect();
+    let run = |counted: bool| {
+        let mut out = Vec::new();
+        for in_core in [true, false] {
+            let mut engine = SimEngine::new(cfg.clone());
+            let mut tally = ChainTally::new(&engine, in_core);
+            if counted {
+                let nodes = tree.nodes();
+                let mut ends = tally.path_ends(nodes);
+                for (i, &j) in lookups.iter().enumerate() {
+                    ends.end(nodes[j].lookup_end, (i % banks) as u32);
+                }
+                ends.settle();
+            } else {
+                let mut path = Vec::new();
+                for (i, &j) in lookups.iter().enumerate() {
+                    tree.lookup_path_banks_into(keys[j], &mut path);
+                    tally.chain(path.iter().copied(), (i % banks) as u32);
+                }
+            }
+            tally.finish(&mut engine);
+            let m = engine.finish();
+            out.push((m.total_hop_flits, format!("{m:?}")));
+        }
+        out
+    };
+    let (times, witness) = time_pair(
+        || (),
+        |_| run(true),
+        |_| run(false),
+        "counted lookup ends must charge what walking every lookup does",
+    );
+    let hop_flits = witness.iter().map(|(f, _)| f).sum();
+    Layer::new("tree_lookups", 2 * lookups.len() as u64, times, hop_flits)
+}
+
 /// The replaced chain charging: three or four engine calls per
 /// dereference, the chain entering at `entry`; returns its serial latency.
 fn charge_chain_per_deref(
@@ -474,7 +526,7 @@ fn fold_serial(engine: &mut SimEngine, per_chain: &[u64], in_core: bool) {
     engine.chain_cycles((total / concurrency.max(1)).max(longest));
 }
 
-/// Layer 7: one-address Eq-4 picks on 8×8 under Hybrid-5, the shape of a
+/// Layer 8: one-address Eq-4 picks on 8×8 under Hybrid-5, the shape of a
 /// link_list build: each node's affinity is its predecessor's bank, every
 /// pick loads its bank, and a new list starts every 512 nodes at a random
 /// bank. `lanes::eq4_argmin_ordered` over the cached [`HopOrders`] of the
@@ -534,7 +586,7 @@ fn bench_eq4_single(ops: u64) -> Layer {
     Layer::new("eq4_single", ops, times, digest)
 }
 
-/// Layer 8: Kronecker input generation, plain and sssp-weighted —
+/// Layer 9: Kronecker input generation, plain and sssp-weighted —
 /// `gen::kronecker` + `gen::weight_kronecker` versus the generator they
 /// replaced: a branchy quadrant descent, a directed CSR rebuilt over every
 /// edge plus its reverse, and weights sent back through the tuple-list
@@ -636,7 +688,7 @@ fn graph_digest(graphs: &[Graph]) -> u64 {
     h
 }
 
-/// Layer 9: Fig 6's chunk oracle on 8×8, placing one Kronecker graph's
+/// Layer 10: Fig 6's chunk oracle on 8×8, placing one Kronecker graph's
 /// edge array in 64 B chunks and in one-edge chunks (`Ind-Ideal`) over a
 /// 1 KiB-interleaved property array. The public `ChunkedCsr::build`, which
 /// scores each chunk with `lanes::HopSums`, versus the build it replaced:
@@ -742,7 +794,7 @@ fn manhattan_chunk_banks(
 }
 
 fn render_json(layers: &[Layer], mem: &RouteMemory) -> String {
-    let mut out = String::from("{\n  \"schema\": \"aff-bench/hotpath-v8\",\n  \"layers\": [\n");
+    let mut out = String::from("{\n  \"schema\": \"aff-bench/hotpath-v9\",\n  \"layers\": [\n");
     for (i, l) in layers.iter().enumerate() {
         let speedup = l.fast_mops / l.base_mops.max(1e-12);
         out.push_str(&format!(
@@ -806,6 +858,7 @@ fn main() {
         bench_primitive_fold(ops),
         bench_argmin(ops),
         bench_chain_charge(ops),
+        bench_tree_lookups(ops),
         bench_eq4_single(ops),
         bench_kron_gen(ops),
         bench_chunk_oracle(ops),

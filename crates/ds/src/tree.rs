@@ -22,6 +22,13 @@ pub struct TreeNode {
     pub left: Option<u32>,
     /// Right child index.
     pub right: Option<u32>,
+    /// Parent index; `None` for the root. Nodes are stored in insertion
+    /// order, so a parent's index is always lower than its children's.
+    pub parent: Option<u32>,
+    /// Where a lookup of this node's key ends: this node, or the
+    /// earliest-inserted node with an equal key (an ancestor, since
+    /// duplicates go right).
+    pub lookup_end: u32,
     /// Node address.
     pub va: VAddr,
     /// Owning bank.
@@ -66,7 +73,7 @@ impl AffBinaryTree {
         key: u64,
         mode: AllocMode,
     ) -> Result<(), AllocError> {
-        let parent = self.locate_parent(key);
+        let (parent, equal) = self.locate_parent(key);
         let va = match (mode, parent) {
             (AllocMode::Baseline, _) => alloc.heap_alloc_scattered(CACHE_LINE),
             // Unhinted: through the runtime, but with the parent affinity
@@ -85,6 +92,8 @@ impl AffBinaryTree {
             key,
             left: None,
             right: None,
+            parent,
+            lookup_end: equal.unwrap_or(idx),
             va,
             bank,
         });
@@ -99,32 +108,31 @@ impl AffBinaryTree {
         Ok(())
     }
 
-    fn locate_parent(&self, key: u64) -> Option<u32> {
+    /// The insert walk for `key`: the node its new node hangs under, and
+    /// the first node passed with an equal key, where a lookup of `key`
+    /// stops.
+    fn locate_parent(&self, key: u64) -> (Option<u32>, Option<u32>) {
         if self.nodes.is_empty() {
-            return None;
+            return (None, None);
         }
         let mut cur = 0u32;
+        let mut equal = None;
         loop {
             let n = &self.nodes[cur as usize];
+            if n.key == key {
+                equal.get_or_insert(cur);
+            }
             let next = if key < n.key { n.left } else { n.right };
             match next {
                 Some(c) => cur = c,
-                None => return Some(cur),
+                None => return (Some(cur), equal),
             }
         }
     }
 
-    /// The banks visited by a lookup of `key`, root to the node where the
-    /// search ends (found or leaf).
-    pub fn lookup_path_banks(&self, key: u64) -> Vec<u32> {
-        let mut path = Vec::new();
-        self.lookup_path_banks_into(key, &mut path);
-        path
-    }
-
-    /// Allocation-free [`Self::lookup_path_banks`]: clears `path` and fills
-    /// it with the lookup's bank sequence. Lets the bin_tree lookup loop
-    /// reuse one buffer across half a million lookups.
+    /// Clears `path` and fills it with the banks a lookup of `key` visits,
+    /// root to the node where the search ends (found or leaf). One buffer
+    /// serves every lookup.
     pub fn lookup_path_banks_into(&self, key: u64, path: &mut Vec<u32>) {
         path.clear();
         if self.nodes.is_empty() {
@@ -167,6 +175,12 @@ mod tests {
     use aff_sim_core::config::MachineConfig;
     use aff_sim_core::rng::SimRng;
     use affinity_alloc::BankSelectPolicy;
+
+    fn path(t: &AffBinaryTree, key: u64) -> Vec<u32> {
+        let mut path = Vec::new();
+        t.lookup_path_banks_into(key, &mut path);
+        path
+    }
 
     fn random_keys(n: usize) -> Vec<u64> {
         let mut rng = SimRng::new(2023);
@@ -236,16 +250,54 @@ mod tests {
         let keys = [50u64, 25, 75, 10, 60];
         let t = AffBinaryTree::build(&mut a, &keys, AllocMode::Baseline).unwrap();
         // 60: 50 -> 75 -> 60, three banks on the path.
-        assert_eq!(t.lookup_path_banks(60).len(), 3);
+        assert_eq!(path(&t, 60).len(), 3);
         // Missing key walks to a leaf.
-        assert_eq!(t.lookup_path_banks(11).len(), 3); // 50 -> 25 -> 10
-        assert!(t.lookup_path_banks(50).len() == 1);
+        assert_eq!(path(&t, 11).len(), 3); // 50 -> 25 -> 10
+        assert!(path(&t, 50).len() == 1);
     }
 
     #[test]
     fn empty_tree_lookup() {
         let t = AffBinaryTree::default();
         assert!(t.is_empty());
-        assert!(t.lookup_path_banks(7).is_empty());
+        assert!(path(&t, 7).is_empty());
+    }
+
+    #[test]
+    fn duplicate_key_lookup_ends_at_the_earliest_equal_node() {
+        let mut a =
+            AffinityAllocator::new(MachineConfig::paper_default(), BankSelectPolicy::MinHop);
+        let keys = [50u64, 25, 50, 75, 50, 25];
+        let t = AffBinaryTree::build(&mut a, &keys, AllocMode::Baseline).unwrap();
+        let ends: Vec<u32> = t.nodes().iter().map(|n| n.lookup_end).collect();
+        assert_eq!(ends, [0, 1, 0, 3, 0, 1]);
+        let parents: Vec<Option<u32>> = t.nodes().iter().map(|n| n.parent).collect();
+        // The second 50 goes right of the root, 75 right of it, the third
+        // 50 left of 75; the second 25 right of the first.
+        assert_eq!(parents, [None, Some(0), Some(0), Some(2), Some(3), Some(1)]);
+    }
+
+    #[test]
+    fn lookup_path_is_the_lookup_ends_root_path() {
+        // Keys from 64 values: most keys are duplicates.
+        let mut rng = SimRng::new(8191);
+        let keys: Vec<u64> = (0..2000).map(|_| rng.next_u64() % 64).collect();
+        let mut a = AffinityAllocator::new(
+            MachineConfig::paper_default(),
+            BankSelectPolicy::paper_default(),
+        );
+        let t = AffBinaryTree::build(&mut a, &keys, AllocMode::Affinity).unwrap();
+        let nodes = t.nodes();
+        for (i, (n, &k)) in nodes.iter().zip(&keys).enumerate() {
+            assert_eq!(n.key, k);
+            assert!(n.parent.is_none_or(|p| (p as usize) < i));
+            let end = n.lookup_end;
+            assert!(end as usize <= i && nodes[end as usize].key == k);
+            let mut up: Vec<u32> = std::iter::successors(Some(end), |&j| nodes[j as usize].parent)
+                .map(|j| nodes[j as usize].bank)
+                .collect();
+            up.reverse();
+            assert_eq!(path(&t, k), up, "key {k} (node {i})");
+        }
     }
 }

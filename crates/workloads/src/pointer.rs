@@ -20,7 +20,7 @@ use crate::config::{declare_region, HintMode, RunConfig, SystemConfig};
 use aff_ds::hash::HashChainTable;
 use aff_ds::layout::AllocMode;
 use aff_ds::list::AffLinkedList;
-use aff_ds::tree::AffBinaryTree;
+use aff_ds::tree::{AffBinaryTree, TreeNode};
 use aff_noc::topology::AxisHops;
 use aff_nsc::engine::{Metrics, SimEngine};
 use aff_sim_core::config::CACHE_LINE;
@@ -142,6 +142,12 @@ fn emit_chain_touches(engine: &mut SimEngine, banks: impl IntoIterator<Item = u3
 /// makes one engine call per non-zero count, with the summed count, and
 /// folds the chains' serial latencies into the chain term.
 ///
+/// Chains arrive through one of two feeds. [`chain`](Self::chain) takes
+/// each chain's banks (link_list, hash_join). [`path_ends`](Self::path_ends)
+/// takes root-to-node paths of a parent-linked tree by their end node
+/// alone (bin_tree lookups): Near-L3 counts ends per node and settles them
+/// in one pass over the nodes, In-Core walks the parent links per chain.
+///
 /// *Why it is exact.* Every counter these engine calls feed is additive,
 /// and `record_n` of a summed count is exactly that many records (the
 /// charge-table proptests pin this), so one call with the sum equals the
@@ -193,12 +199,12 @@ impl ChainTally {
         }
     }
 
-    fn count_pair(&mut self, src: u32, dst: u32) {
+    fn count_pair(&mut self, src: u32, dst: u32, n: u64) {
         let i = src as usize * self.num_banks + dst as usize;
         if self.pairs[i] == 0 {
             self.touched.push(i);
         }
-        self.pairs[i] += 1;
+        self.pairs[i] += n;
     }
 
     /// Tally one chain traversal — dereferences at `banks`, issued by the
@@ -212,12 +218,12 @@ impl ChainTally {
         for b in banks {
             derefs += 1;
             if self.in_core {
-                self.count_pair(core, b);
+                self.count_pair(core, b, 1);
                 hops += 2 * u64::from(self.axis.hops(core, b));
             } else {
                 self.reads[b as usize] += 1;
                 if prev != b {
-                    self.count_pair(prev, b);
+                    self.count_pair(prev, b, 1);
                 }
                 hops += u64::from(self.axis.hops(prev, b));
                 prev = b;
@@ -227,6 +233,23 @@ impl ChainTally {
         self.serial_total += serial;
         self.serial_max = self.serial_max.max(serial);
         serial
+    }
+
+    /// Open the counted-ends feed over a parent-linked forest of `nodes`
+    /// (an [`AffBinaryTree`]'s, or any whose parents precede their
+    /// children). Each chain is a root-to-node path, named by its end
+    /// node; see [`PathEnds`].
+    pub fn path_ends<'t>(&'t mut self, nodes: &'t [TreeNode]) -> PathEnds<'t> {
+        let ends = if self.in_core {
+            Vec::new()
+        } else {
+            vec![0; nodes.len()]
+        };
+        PathEnds {
+            tally: self,
+            nodes,
+            ends,
+        }
     }
 
     /// Charge every tallied count once, then add the chain term: chains
@@ -257,6 +280,94 @@ impl ChainTally {
         };
         let concurrency = (u64::from(cfg.num_banks()) * per_bank).max(1);
         engine.chain_cycles((self.serial_total / concurrency).max(self.serial_max));
+    }
+}
+
+/// [`ChainTally`]'s second feed: chains that are root-to-node paths of a
+/// parent-linked forest, each named by its end node. It feeds the same
+/// counters as [`ChainTally::chain`] and tallies exactly what `chain` would
+/// over each path's banks, root first.
+///
+/// * **Near-L3** counts chains per end node, in one per-node array.
+///   [`settle`](Self::settle) turns the end counts into visit counts
+///   (subtree sums) in one reverse pass, since parents precede their
+///   children. Each node adds its visits to its bank's reads, and to the
+///   `(parent bank, bank)` migration where the two differ. A forward pass
+///   then charges each step (the hop and L3 latency onto a node from its
+///   parent) once per visit to the serial total, and takes the serial
+///   maximum over the nodes that end a chain.
+/// * **In-Core** latency depends on the issuing core, so each chain walks
+///   the parent links up from its end node into the `(core, bank)` counts
+///   at once; the order of a chain's dereferences does not change them.
+///
+/// Settling costs O(nodes) and may happen at any chain boundary: a caller
+/// that must charge at epoch points settles, then opens a new feed.
+/// Dropping a feed unsettled loses its Near-L3 chains.
+#[derive(Debug)]
+pub struct PathEnds<'t> {
+    tally: &'t mut ChainTally,
+    nodes: &'t [TreeNode],
+    /// Near-L3 chains per end node; empty under In-Core.
+    ends: Vec<u64>,
+}
+
+impl PathEnds<'_> {
+    /// Tally the chain from `end`'s root down to `end`, issued by the core
+    /// at tile `core` (In-Core).
+    pub fn end(&mut self, end: u32, core: u32) {
+        if self.tally.in_core {
+            let nodes = self.nodes;
+            let up = std::iter::successors(Some(end), |&i| nodes[i as usize].parent);
+            self.tally.chain(up.map(|i| nodes[i as usize].bank), core);
+        } else {
+            self.ends[end as usize] += 1;
+        }
+    }
+
+    /// Fold the counted Near-L3 chains into the tally.
+    pub fn settle(self) {
+        let Self {
+            tally,
+            nodes,
+            mut ends,
+        } = self;
+        if ends.is_empty() {
+            return;
+        }
+        let ends_here: Vec<bool> = ends.iter().map(|&e| e > 0).collect();
+        // Children first: end counts become visit counts.
+        for (i, n) in nodes.iter().enumerate().rev() {
+            let visits = ends[i];
+            if visits == 0 {
+                continue;
+            }
+            tally.reads[n.bank as usize] += visits;
+            if let Some(p) = n.parent {
+                debug_assert!((p as usize) < i, "parent {p} after child {i}");
+                ends[p as usize] += visits;
+                let prev = nodes[p as usize].bank;
+                if prev != n.bank {
+                    tally.count_pair(prev, n.bank, visits);
+                }
+            }
+        }
+        // Parents first: every chain pays each step on its path once, and
+        // `ends` now takes each node's serial latency from its root; the
+        // longest chain ends at one of `ends_here`. A chain's entry pays
+        // only the L3 access.
+        for (i, n) in nodes.iter().enumerate() {
+            let (above, prev) = match n.parent {
+                Some(p) => (ends[p as usize], nodes[p as usize].bank),
+                None => (0, n.bank),
+            };
+            let step =
+                u64::from(tally.axis.hops(prev, n.bank)) * tally.hop_latency + tally.l3_latency;
+            tally.serial_total += ends[i] * step;
+            ends[i] = above + step;
+            if ends_here[i] {
+                tally.serial_max = tally.serial_max.max(ends[i]);
+            }
+        }
     }
 }
 
@@ -338,32 +449,43 @@ pub fn run_hash_join(params: HashJoinParams, cfg: &RunConfig) -> Metrics {
 
 /// Run `bin_tree` under `cfg`.
 pub fn run_bin_tree(params: BinTreeParams, cfg: &RunConfig) -> Metrics {
-    let mut alloc = alloc_for(cfg);
-    let mode = node_mode(cfg);
     let mut rng = SimRng::new(cfg.seed ^ 0xB17E);
     let keys: Vec<u64> = (0..params.nodes).map(|_| rng.next_u64()).collect();
-    let tree = AffBinaryTree::build(&mut alloc, &keys, mode).expect("tree");
+    bin_tree_lookups(&keys, params.lookups, rng, cfg)
+}
+
+/// Build a bin_tree of `keys`, then look up `lookups` stored keys drawn
+/// uniformly by `rng`. Each lookup is its end node's root path, charged
+/// through [`ChainTally::path_ends`]; only the mining-sampled lookups walk
+/// the tree, for their `ProfileTouch` events.
+fn bin_tree_lookups(keys: &[u64], lookups: usize, mut rng: SimRng, cfg: &RunConfig) -> Metrics {
+    let mut alloc = alloc_for(cfg);
+    let mode = node_mode(cfg);
+    let tree = AffBinaryTree::build(&mut alloc, keys, mode).expect("tree");
     let mut engine = cfg.engine();
     let in_core = matches!(cfg.system, SystemConfig::InCore);
     engine.import_residency(alloc.resident_per_bank());
     engine.offload_config_multicast(0, 1);
     let mining = cfg.profiling();
     if mining {
-        declare_nodes(&mut engine, params.nodes as u64);
+        declare_nodes(&mut engine, keys.len() as u64);
     }
-    let stride = (params.lookups / 1024).max(1);
+    let stride = (lookups / 1024).max(1);
 
+    let nodes = tree.nodes();
     let mut tally = ChainTally::new(&engine, in_core);
-    let mut banks: Vec<u32> = Vec::new();
-    for i in 0..params.lookups {
-        let key = keys[rng.index(keys.len())];
-        tree.lookup_path_banks_into(key, &mut banks);
+    let mut ends = tally.path_ends(nodes);
+    let mut path: Vec<u32> = Vec::new();
+    for i in 0..lookups {
+        let j = rng.index(keys.len());
         if mining && i % stride == 0 {
-            emit_chain_touches(&mut engine, banks.iter().copied(), i as u64);
+            tree.lookup_path_banks_into(keys[j], &mut path);
+            emit_chain_touches(&mut engine, path.iter().copied(), i as u64);
         }
         let core = (i % cfg.machine.num_banks() as usize) as u32;
-        tally.chain(banks.iter().copied(), core);
+        ends.end(nodes[j].lookup_end, core);
     }
+    ends.settle();
     tally.finish(&mut engine);
     let mut m = engine.finish();
     m.degradation.merge(&alloc.degradation());
@@ -511,6 +633,123 @@ mod tests {
         assert_eq!((b.nodes, b.lookups), (128 * 1024, 512 * 1024));
     }
 
+    /// `run_bin_tree`'s lookup loop before [`PathEnds`]: every lookup
+    /// walks the tree by key compares and feeds its bank path to
+    /// [`ChainTally::chain`].
+    fn bin_tree_walked(keys: &[u64], lookups: usize, mut rng: SimRng, cfg: &RunConfig) -> Metrics {
+        let mut alloc = alloc_for(cfg);
+        let mode = node_mode(cfg);
+        let tree = AffBinaryTree::build(&mut alloc, keys, mode).expect("tree");
+        let mut engine = cfg.engine();
+        let in_core = matches!(cfg.system, SystemConfig::InCore);
+        engine.import_residency(alloc.resident_per_bank());
+        engine.offload_config_multicast(0, 1);
+        let mining = cfg.profiling();
+        if mining {
+            declare_nodes(&mut engine, keys.len() as u64);
+        }
+        let stride = (lookups / 1024).max(1);
+
+        let mut tally = ChainTally::new(&engine, in_core);
+        let mut banks: Vec<u32> = Vec::new();
+        for i in 0..lookups {
+            let key = keys[rng.index(keys.len())];
+            tree.lookup_path_banks_into(key, &mut banks);
+            if mining && i % stride == 0 {
+                emit_chain_touches(&mut engine, banks.iter().copied(), i as u64);
+            }
+            let core = (i % cfg.machine.num_banks() as usize) as u32;
+            tally.chain(banks.iter().copied(), core);
+        }
+        tally.finish(&mut engine);
+        let mut m = engine.finish();
+        m.degradation.merge(&alloc.degradation());
+        cfg.hints.stamp(&mut m);
+        m
+    }
+
+    #[test]
+    fn path_ends_over_an_empty_tree_charge_nothing() {
+        for in_core in [true, false] {
+            let mut want = RunConfig::new(SystemConfig::NearL3).engine();
+            fold_serial_ref(&mut want, &[], in_core);
+            let mut got = RunConfig::new(SystemConfig::NearL3).engine();
+            let mut tally = ChainTally::new(&got, in_core);
+            tally.path_ends(&[]).settle();
+            tally.finish(&mut got);
+            assert_eq!(
+                format!("{:?}", want.finish()),
+                format!("{:?}", got.finish())
+            );
+        }
+    }
+
+    fn bin_tree_systems() -> [SystemConfig; 4] {
+        [
+            SystemConfig::InCore,
+            SystemConfig::NearL3,
+            SystemConfig::aff_alloc_default(),
+            SystemConfig::AffAlloc(BankSelectPolicy::MinHop),
+        ]
+    }
+
+    #[test]
+    fn bin_tree_charges_what_walking_every_lookup_does() {
+        use aff_sim_core::config::MachineConfig;
+        use aff_sim_core::fault::FaultPlan;
+        let dead = MachineConfig {
+            faults: FaultPlan::none().fail_bank(3).fail_bank(40),
+            ..MachineConfig::paper_default()
+        };
+        for (seed, machine) in [(2023, MachineConfig::paper_default()), (8191, dead)] {
+            let mut rng = SimRng::new(seed);
+            // Distinct keys, and keys from 64 values (mostly duplicates).
+            let distinct: Vec<u64> = (0..1500).map(|_| rng.next_u64()).collect();
+            let dups: Vec<u64> = (0..1500).map(|_| rng.next_u64() % 64).collect();
+            for keys in [&distinct, &dups] {
+                for sys in bin_tree_systems() {
+                    let cfg = RunConfig::new(sys)
+                        .with_machine(machine.clone())
+                        .with_seed(seed);
+                    let lookups = SimRng::new(seed ^ 0xB17E);
+                    let want = bin_tree_walked(keys, 3000, lookups.clone(), &cfg);
+                    let got = bin_tree_lookups(keys, 3000, lookups, &cfg);
+                    assert_eq!(format!("{want:?}"), format!("{got:?}"), "{}", sys.label());
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn bin_tree_mining_infers_the_walked_profile() {
+        use aff_sim_core::mine::CoAccessMiner;
+        use affinity_alloc::AffinityProfile;
+        use std::sync::{Arc, Mutex};
+
+        let mut rng = SimRng::new(2023);
+        let keys: Vec<u64> = (0..2000).map(|_| rng.next_u64() % 64).collect();
+        let profile = |walked: bool| {
+            let miner = Arc::new(Mutex::new(CoAccessMiner::new()));
+            let cfg = RunConfig::new(SystemConfig::aff_alloc_default())
+                .with_hints(HintMode::NoHints)
+                .with_recorder(Arc::clone(&miner));
+            let lookups = SimRng::new(0xB17E);
+            let m = if walked {
+                bin_tree_walked(&keys, 4096, lookups, &cfg)
+            } else {
+                bin_tree_lookups(&keys, 4096, lookups, &cfg)
+            };
+            let profile = AffinityProfile::infer(&CoAccessMiner::finish_shared(&miner));
+            (format!("{m:?}"), profile)
+        };
+        let (want, got) = (profile(true), profile(false));
+        assert_eq!(want, got);
+        assert_eq!(
+            got.1.region_hint(0).map(|h| &h.hint),
+            Some(&InferredHint::Chain)
+        );
+    }
+
     /// The per-dereference charging [`ChainTally`] replaced: three or four
     /// engine calls per dereference, the chain entering at `entry`.
     fn charge_chain_ref(
@@ -605,6 +844,100 @@ mod tests {
             for ((banks, core), &serial) in chains.iter().zip(&serials) {
                 proptest::prop_assert_eq!(tally.chain(banks.iter().copied(), *core), serial);
             }
+            tally.finish(&mut got);
+
+            proptest::prop_assert_eq!(
+                want.traffic_mut().link_flits(),
+                got.traffic_mut().link_flits()
+            );
+            let (want, got) = (want.finish(), got.finish());
+            proptest::prop_assert_eq!(want.cycles, got.cycles);
+            proptest::prop_assert_eq!(want.breakdown, got.breakdown);
+            proptest::prop_assert_eq!(want.hop_flits, got.hop_flits);
+            proptest::prop_assert_eq!(want.energy, got.energy);
+            proptest::prop_assert_eq!(want.energy_pj.to_bits(), got.energy_pj.to_bits());
+            proptest::prop_assert_eq!(want.degradation, got.degradation);
+            proptest::prop_assert_eq!(format!("{want:?}"), format!("{got:?}"));
+        }
+
+        /// [`PathEnds`] charges exactly what the per-dereference loop does
+        /// over each lookup's root path: the same serial total, link flits
+        /// and every `Metrics` field, on healthy and faulted machines.
+        /// Node `i`'s parent is drawn below `i` (a forest when drawn
+        /// absent), and lookups name random `(end, core)` pairs.
+        #[test]
+        fn path_ends_match_the_per_dereference_loop(
+            geometry in 0usize..3,
+            in_core in proptest::prelude::any::<bool>(),
+            links in proptest::collection::vec(
+                (proptest::prelude::any::<u32>(), 0u32..8, proptest::prelude::any::<u32>()),
+                0..2000,
+            ),
+            lookups in proptest::collection::vec(
+                (proptest::prelude::any::<u32>(), proptest::prelude::any::<u32>()),
+                0..2000,
+            ),
+            dead in proptest::collection::vec(proptest::prelude::any::<u32>(), 1..4),
+        ) {
+            use aff_sim_core::config::MachineConfig;
+            use aff_sim_core::fault::FaultPlan;
+            let (mesh, faulted) = [(8, false), (8, true), (16, false)][geometry];
+            let mut cfg = MachineConfig {
+                mesh_x: mesh,
+                mesh_y: mesh,
+                ..MachineConfig::paper_default()
+            };
+            let n = cfg.num_banks();
+            if faulted {
+                cfg.faults = dead
+                    .iter()
+                    .fold(FaultPlan::none(), |plan, &b| plan.fail_bank(b % n));
+            }
+            // One root in eight (node 0 always); the rest hang below.
+            let nodes: Vec<TreeNode> = links
+                .iter()
+                .enumerate()
+                .map(|(i, &(p, root, b))| TreeNode {
+                    key: 0,
+                    left: None,
+                    right: None,
+                    parent: (i > 0 && root > 0).then(|| p % i as u32),
+                    lookup_end: i as u32,
+                    va: aff_mem::addr::VAddr(0),
+                    bank: b % n,
+                })
+                .collect();
+            let lookups: Vec<(u32, u32)> = if nodes.is_empty() {
+                Vec::new()
+            } else {
+                lookups
+                    .into_iter()
+                    .map(|(end, core)| (end % nodes.len() as u32, core % n))
+                    .collect()
+            };
+
+            let mut want = SimEngine::new(cfg.clone());
+            let serials: Vec<u64> = lookups
+                .iter()
+                .map(|&(end, core)| {
+                    let mut path: Vec<u32> =
+                        std::iter::successors(Some(end), |&i| nodes[i as usize].parent)
+                            .map(|i| nodes[i as usize].bank)
+                            .collect();
+                    path.reverse();
+                    charge_chain_ref(&mut want, &path, path[0], in_core, core)
+                })
+                .collect();
+            fold_serial_ref(&mut want, &serials, in_core);
+
+            let mut got = SimEngine::new(cfg);
+            let mut tally = ChainTally::new(&got, in_core);
+            let mut ends = tally.path_ends(&nodes);
+            for &(end, core) in &lookups {
+                ends.end(end, core);
+            }
+            ends.settle();
+            proptest::prop_assert_eq!(tally.serial_total, serials.iter().sum::<u64>());
             tally.finish(&mut got);
 
             proptest::prop_assert_eq!(
