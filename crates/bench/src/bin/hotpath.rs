@@ -2,16 +2,19 @@
 //! isolation — route store, heap translation, engine charge
 //! accumulation, folded remote atomics, pointer-chain tallies, bin_tree
 //! lookup charging and the Eq-4 argmin kernel, over many addresses and over
-//! one — plus Kronecker input generation and Fig 6's chunk oracle, each
-//! against the scalar/hash-map/write-through/rebuild/per-pair/walk baseline
-//! it replaced, and writes `BENCH_hotpath.json` (schema
-//! `aff-bench/hotpath-v9`). Each side of a layer is the median of
-//! [`REPEATS`] runs, alternating with the other side's.
+//! one — plus Kronecker input generation, Fig 6's chunk oracle and the
+//! stencil charge walk, each against the
+//! scalar/hash-map/write-through/rebuild/per-pair/walk baseline it replaced,
+//! and writes `BENCH_hotpath.json` (schema `aff-bench/hotpath-v10`). Each
+//! side of a layer is the median of [`REPEATS`] runs, alternating with the
+//! other side's.
 //! The route layer runs at 8×8 *and* 16×16 (both hold every source row in
 //! the route store's 1 MiB budget, so neither evicts), and a `route_memory`
 //! section records the resident route-store bytes at 1024 banks, where the
 //! budget holds 64 of 1024 rows, against the dense `n²` entry-array curve.
 //!
+//! Schema v10 (from v9): the `stencil_walk` layer is new; its `ops` are
+//! stencil elements run (hotspot and pathfinder).
 //! Schema v9 (from v8): the `tree_lookups` layer is new; its `ops` are
 //! lookups (both models).
 //! Schema v8 (from v7): the `chunk_oracle` layer is new; its `ops` are
@@ -39,12 +42,15 @@ use aff_ds::csr::ChunkedCsr;
 use aff_ds::graph::Graph;
 use aff_ds::layout::AllocMode;
 use aff_ds::tree::AffBinaryTree;
+use aff_mem::addr::VAddr;
 use aff_mem::space::{AddressSpace, HeapMapping};
 use aff_noc::topology::{AxisHops, Topology};
 use aff_noc::traffic::{TrafficClass, TrafficMatrix};
 use aff_nsc::engine::SimEngine;
 use aff_sim_core::config::{MachineConfig, PAGE_SIZE};
 use aff_sim_core::rng::SimRng;
+use aff_workloads::affine::{run_stencil, Stencil};
+use aff_workloads::config::{RunConfig, SystemConfig};
 use aff_workloads::gen::{self, KRON_A, KRON_B, KRON_C};
 use aff_workloads::pointer::{ChainTally, IN_CORE_MLP};
 use aff_workloads::suite::KRON_EDGE_FACTOR;
@@ -793,8 +799,143 @@ fn manhattan_chunk_banks(
     chunk_banks
 }
 
+/// Layer 11: Hybrid-5 stencil runs on 8×8, hotspot (1024-element rows)
+/// and pathfinder, `--ops / 2` elements each. The public `run_stencil`,
+/// which charges each stencil's interior one bank period at a time, versus
+/// the same run with every segment walked and charged ([`stencil_walked`],
+/// the loop it replaced). The witness is both runs' full
+/// [`Metrics`](aff_nsc::engine::Metrics). `ops` is the elements run.
+fn bench_stencil_walk(ops: u64) -> Layer {
+    let cols = 1024;
+    let half = (ops / 2).max(4 * cols);
+    let stencils = [
+        Stencil::hotspot(half / cols, cols),
+        Stencil::pathfinder(half),
+    ];
+    let cfg = RunConfig::new(SystemConfig::AffAlloc(BankSelectPolicy::Hybrid { h: 5.0 }));
+    let run = |windowed: bool| {
+        let runs = stencils.iter().map(|s| {
+            let m = if windowed {
+                run_stencil(s, &cfg)
+            } else {
+                stencil_walked(s, &cfg)
+            };
+            (m.total_hop_flits, format!("{m:?}"))
+        });
+        runs.collect::<Vec<_>>()
+    };
+    let (times, witness) = time_pair(
+        || (),
+        |_| run(true),
+        |_| run(false),
+        "the period window must charge what walking every segment does",
+    );
+    let hop_flits = witness.iter().map(|(f, _)| f).sum();
+    let elems = stencils.iter().map(|s| s.elems).sum();
+    Layer::new("stencil_walk", elems, times, hop_flits)
+}
+
+/// `run_stencil` for an annotated Aff-Alloc run before the period window:
+/// the same placement (row affinity for the main array where 2-D, the
+/// rest aligned to it), then every segment of the index space walked and
+/// charged once.
+fn stencil_walked(s: &Stencil, cfg: &RunConfig) -> aff_nsc::engine::Metrics {
+    use aff_sim_core::config::CACHE_LINE;
+    use affinity_alloc::{AffineArrayReq, AffinityHint};
+
+    let mut alloc =
+        AffinityAllocator::with_seed(cfg.machine.clone(), cfg.system.policy(), cfg.seed);
+    let main_hint = if s.row > 0 {
+        AffinityHint::IntraStride { stride: s.row }
+    } else {
+        AffinityHint::None
+    };
+    let mut array = |hint: &AffinityHint| {
+        let req = AffineArrayReq::with_hint(s.elem_size, s.elems, hint);
+        alloc.malloc_aff_affine(&req).expect("stencil array")
+    };
+    let main = array(&main_hint);
+    let align = AffinityHint::AlignTo {
+        partner: main,
+        p: 1,
+        q: 1,
+        x: 0,
+    };
+    let extras: Vec<VAddr> = (0..s.extra_inputs).map(|_| array(&align)).collect();
+    let out = array(&align);
+    let mut engine = cfg.engine();
+    engine.import_residency(alloc.resident_per_bank());
+
+    let (n, iters, es) = (s.elems, s.iters, s.elem_size);
+    let to_boundary = |alloc: &AffinityAllocator, va: VAddr, idx: u64| {
+        let addr = va + idx * es;
+        let pools = alloc.space().pools();
+        let intrlv = pools
+            .pool_of(addr)
+            .map_or(alloc.config().default_interleave, |p| pools.interleave(p));
+        (intrlv - addr.raw() % intrlv).div_ceil(es)
+    };
+    engine.offload_config_multicast(0, (s.offsets.len() + extras.len() + 1) as u64);
+    let first_bank = alloc.bank_of(main);
+    engine.credits(0, first_bank, n * iters / 64 + 1);
+    let banks = engine.config().num_banks() as usize;
+    let (mut read, mut reuse, mut write) =
+        (vec![0u64; banks], vec![0u64; banks], vec![0u64; banks]);
+    let mut main_banks: Vec<u32> = Vec::new();
+    let mut i = 0u64;
+    while i < n {
+        let mut seg = (n - i).min(to_boundary(&alloc, out, i));
+        for &off in &s.offsets {
+            let j = i as i64 + off;
+            if j < 0 {
+                seg = seg.min((-j) as u64);
+            } else if (j as u64) < n {
+                seg = seg.min(to_boundary(&alloc, main, j as u64));
+            }
+        }
+        for &x in &extras {
+            seg = seg.min(to_boundary(&alloc, x, i));
+        }
+        let seg = seg.max(1);
+        let out_bank = alloc.bank_of(out + i * es);
+        let lines = (seg * es).div_ceil(CACHE_LINE);
+        main_banks.clear();
+        for &off in &s.offsets {
+            let j = i as i64 + off;
+            if j >= 0 && (j as u64) < n {
+                let b = alloc.bank_of(main + (j as u64) * es);
+                if !main_banks.contains(&b) {
+                    main_banks.push(b);
+                }
+            }
+        }
+        for (k, &b) in main_banks.iter().enumerate() {
+            engine.forward(b, out_bank, CACHE_LINE, lines * iters);
+            let tally = if k == 0 { &mut read } else { &mut reuse };
+            tally[b as usize] += seg * es * iters;
+        }
+        for &x in &extras {
+            let b = alloc.bank_of(x + i * es);
+            engine.forward(b, out_bank, CACHE_LINE, lines * iters);
+            read[b as usize] += seg * es * iters;
+        }
+        engine.se_ops(out_bank, (seg * s.ops_per_elem * iters).div_ceil(16));
+        write[out_bank as usize] += seg * es * iters;
+        i += seg;
+    }
+    for b in 0..banks {
+        engine.bank_read_lines(b as u32, read[b].div_ceil(CACHE_LINE));
+        engine.bank_read_lines_reuse(b as u32, reuse[b].div_ceil(CACHE_LINE));
+        engine.bank_write_lines(b as u32, write[b].div_ceil(CACHE_LINE));
+    }
+    let mut m = engine.finish();
+    m.degradation.merge(&alloc.degradation());
+    cfg.hints.stamp(&mut m);
+    m
+}
+
 fn render_json(layers: &[Layer], mem: &RouteMemory) -> String {
-    let mut out = String::from("{\n  \"schema\": \"aff-bench/hotpath-v9\",\n  \"layers\": [\n");
+    let mut out = String::from("{\n  \"schema\": \"aff-bench/hotpath-v10\",\n  \"layers\": [\n");
     for (i, l) in layers.iter().enumerate() {
         let speedup = l.fast_mops / l.base_mops.max(1e-12);
         out.push_str(&format!(
@@ -862,6 +1003,7 @@ fn main() {
         bench_eq4_single(ops),
         bench_kron_gen(ops),
         bench_chunk_oracle(ops),
+        bench_stencil_walk(ops),
     ];
     for l in &layers {
         println!(

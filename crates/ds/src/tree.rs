@@ -13,18 +13,19 @@ use aff_mem::addr::VAddr;
 use aff_sim_core::config::CACHE_LINE;
 use affinity_alloc::{AffinityAllocator, AllocError};
 
-/// One placed tree node.
+/// Link sentinel: no such node.
+const NONE: u32 = u32::MAX;
+
+/// One placed tree node. Its links are `u32` indices with a sentinel, read
+/// through [`left`](Self::left), [`right`](Self::right) and
+/// [`parent`](Self::parent), so a node takes 40 B, not 48.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TreeNode {
     /// Search key.
     pub key: u64,
-    /// Left child index.
-    pub left: Option<u32>,
-    /// Right child index.
-    pub right: Option<u32>,
-    /// Parent index; `None` for the root. Nodes are stored in insertion
-    /// order, so a parent's index is always lower than its children's.
-    pub parent: Option<u32>,
+    left: u32,
+    right: u32,
+    parent: u32,
     /// Where a lookup of this node's key ends: this node, or the
     /// earliest-inserted node with an equal key (an ancestor, since
     /// duplicates go right).
@@ -33,6 +34,39 @@ pub struct TreeNode {
     pub va: VAddr,
     /// Owning bank.
     pub bank: u32,
+}
+
+const _: () = assert!(std::mem::size_of::<TreeNode>() == 40);
+
+impl TreeNode {
+    /// A childless node under `parent` (`None` for a root).
+    pub fn new(key: u64, parent: Option<u32>, lookup_end: u32, va: VAddr, bank: u32) -> Self {
+        Self {
+            key,
+            left: NONE,
+            right: NONE,
+            parent: parent.unwrap_or(NONE),
+            lookup_end,
+            va,
+            bank,
+        }
+    }
+
+    /// Left child index.
+    pub fn left(&self) -> Option<u32> {
+        (self.left != NONE).then_some(self.left)
+    }
+
+    /// Right child index.
+    pub fn right(&self) -> Option<u32> {
+        (self.right != NONE).then_some(self.right)
+    }
+
+    /// Parent index; `None` for the root. Nodes are stored in insertion
+    /// order, so a parent's index is always lower than its children's.
+    pub fn parent(&self) -> Option<u32> {
+        (self.parent != NONE).then_some(self.parent)
+    }
 }
 
 /// An unbalanced BST with placement resolved at build time.
@@ -88,21 +122,15 @@ impl AffBinaryTree {
         };
         let bank = alloc.bank_of(va);
         let idx = self.nodes.len() as u32;
-        self.nodes.push(TreeNode {
-            key,
-            left: None,
-            right: None,
-            parent,
-            lookup_end: equal.unwrap_or(idx),
-            va,
-            bank,
-        });
+        assert!(idx != NONE, "tree node indices are u32");
+        self.nodes
+            .push(TreeNode::new(key, parent, equal.unwrap_or(idx), va, bank));
         if let Some(p) = parent {
             let pn = &mut self.nodes[p as usize];
             if key < pn.key {
-                pn.left = Some(idx);
+                pn.left = idx;
             } else {
-                pn.right = Some(idx);
+                pn.right = idx;
             }
         }
         Ok(())
@@ -122,7 +150,7 @@ impl AffBinaryTree {
             if n.key == key {
                 equal.get_or_insert(cur);
             }
-            let next = if key < n.key { n.left } else { n.right };
+            let next = if key < n.key { n.left() } else { n.right() };
             match next {
                 Some(c) => cur = c,
                 None => return (Some(cur), equal),
@@ -145,7 +173,7 @@ impl AffBinaryTree {
             if n.key == key {
                 return;
             }
-            let next = if key < n.key { n.left } else { n.right };
+            let next = if key < n.key { n.left() } else { n.right() };
             match next {
                 Some(c) => cur = c,
                 None => return,
@@ -209,10 +237,10 @@ mod tests {
             if let Some(hi) = hi {
                 assert!(n.key < hi);
             }
-            if let Some(l) = n.left {
+            if let Some(l) = n.left() {
                 check(t, l, lo, Some(n.key));
             }
-            if let Some(r) = n.right {
+            if let Some(r) = n.right() {
                 check(t, r, Some(n.key), hi);
             }
         }
@@ -271,7 +299,7 @@ mod tests {
         let t = AffBinaryTree::build(&mut a, &keys, AllocMode::Baseline).unwrap();
         let ends: Vec<u32> = t.nodes().iter().map(|n| n.lookup_end).collect();
         assert_eq!(ends, [0, 1, 0, 3, 0, 1]);
-        let parents: Vec<Option<u32>> = t.nodes().iter().map(|n| n.parent).collect();
+        let parents: Vec<Option<u32>> = t.nodes().iter().map(TreeNode::parent).collect();
         // The second 50 goes right of the root, 75 right of it, the third
         // 50 left of 75; the second 25 right of the first.
         assert_eq!(parents, [None, Some(0), Some(0), Some(2), Some(3), Some(1)]);
@@ -290,12 +318,13 @@ mod tests {
         let nodes = t.nodes();
         for (i, (n, &k)) in nodes.iter().zip(&keys).enumerate() {
             assert_eq!(n.key, k);
-            assert!(n.parent.is_none_or(|p| (p as usize) < i));
+            assert!(n.parent().is_none_or(|p| (p as usize) < i));
             let end = n.lookup_end;
             assert!(end as usize <= i && nodes[end as usize].key == k);
-            let mut up: Vec<u32> = std::iter::successors(Some(end), |&j| nodes[j as usize].parent)
-                .map(|j| nodes[j as usize].bank)
-                .collect();
+            let mut up: Vec<u32> =
+                std::iter::successors(Some(end), |&j| nodes[j as usize].parent())
+                    .map(|j| nodes[j as usize].bank)
+                    .collect();
             up.reverse();
             assert_eq!(path(&t, k), up, "key {k} (node {i})");
         }

@@ -214,6 +214,19 @@ impl AddressSpace {
             }
         }
     }
+
+    /// Bytes after which the bank mapping around `va` repeats: `intrlv ·
+    /// banks` for a pool address (Eq 1) or a linearly mapped heap address
+    /// (the default interleave). `None` for a randomly mapped heap address,
+    /// whose pages draw their frames on first touch and repeat nothing.
+    pub fn bank_period(&self, va: VAddr) -> Option<u64> {
+        let banks = u64::from(self.config.num_banks());
+        match (self.pools.pool_of(va), self.heap_mapping) {
+            (Some(p), _) => Some(self.pools.interleave(p) * banks),
+            (None, HeapMapping::Linear) => Some(self.config.default_interleave * banks),
+            (None, HeapMapping::Random { .. }) => None,
+        }
+    }
 }
 
 #[cfg(test)]
@@ -278,6 +291,25 @@ mod tests {
         let b = s.pool_alloc_at(p, 5, 64).unwrap();
         assert!(b > a);
         assert_eq!(s.bank_of(b), 5);
+    }
+
+    #[test]
+    fn bank_period_is_where_the_bank_mapping_repeats() {
+        let mut s = space();
+        let h = s.heap_alloc(1 << 20, 64) + 40;
+        let p = s.pool_for_interleave(128).unwrap();
+        let v = s.pool_alloc_at(p, 9, 1 << 20).unwrap() + 40;
+        assert_eq!(s.bank_period(h), Some(1024 * 64));
+        assert_eq!(s.bank_period(v), Some(128 * 64));
+        for va in [h, v] {
+            let period = s.bank_period(va).unwrap();
+            for off in (0..period).step_by(40) {
+                assert_eq!(s.bank_of(va + off), s.bank_of(va + off + period));
+            }
+        }
+        s.set_heap_mapping(HeapMapping::Random { seed: 1 });
+        assert_eq!(s.bank_period(h), None, "random pages repeat nothing");
+        assert_eq!(s.bank_period(v), Some(128 * 64), "pools stay Eq 1");
     }
 
     #[test]

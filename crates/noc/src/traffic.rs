@@ -284,7 +284,9 @@ struct ResolvedEntry {
     row: u32,
 }
 
-/// A resolved route as the route store records it (tests, diagnostics).
+/// A resolved route as the route store records it (the route-store tests'
+/// view of an entry).
+#[cfg(test)]
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ResolvedRoute<'a> {
     /// Link indices in traversal order (see [`Topology::link_index`]).
@@ -495,8 +497,9 @@ impl TrafficMatrix {
     /// The route `src → dst` as the route store resolves it — exactly the
     /// links and degradation facts [`TrafficMatrix::record_n`] charges.
     /// Resolves (and caches) the entry on first use, the same lazy path the
-    /// hot loop takes; exposed so tests can pin the store against
-    /// [`Topology::xy_route`] and [`FaultRouter::route`].
+    /// hot loop takes; the oracle this file's tests pin the store with
+    /// against [`Topology::xy_route`] and [`FaultRouter::route`].
+    #[cfg(test)]
     pub fn route_of(&mut self, src: BankId, dst: BankId) -> ResolvedRoute<'_> {
         let r = self
             .routes

@@ -529,7 +529,9 @@ impl FaultTimeline {
     }
 
     /// The cumulative fault state at `cycle`: `base` with every event stamped
-    /// `<= cycle` applied in order.
+    /// `<= cycle` applied in order (the oracle of this file's timeline
+    /// tests; the engine applies events as their epochs fire).
+    #[cfg(test)]
     pub fn plan_at(&self, base: &FaultPlan, cycle: u64) -> FaultPlan {
         let mut plan = base.clone();
         for e in self.events.iter().take_while(|e| e.cycle <= cycle) {

@@ -4,8 +4,10 @@
 //! Every kernel is "for each element: `output[i] = f(input[i + off...],
 //! extras[i])`", repeated for a few iterations. The executor walks the index
 //! space in *segments* within which every array's bank is constant, and
-//! charges the engine per segment — so a 1.5M-element kernel costs ~100k
-//! engine calls, not millions.
+//! charges the engine per segment. Inside the stencil's interior the
+//! segments repeat every bank period (Eq 1), so it walks one period with
+//! its charges scaled by the period count: a 1.5M-element kernel costs the
+//! engine calls of one period plus the head and tail, not one per segment.
 //!
 //! Layouts:
 //!
@@ -273,8 +275,28 @@ pub fn run_vecadd_forced_delta(n: u64, delta: Option<u32>, cfg: &RunConfig) -> M
     let s = Stencil::vecadd(n);
     let mut alloc =
         AffinityAllocator::with_seed(cfg.machine.clone(), cfg.system.policy(), cfg.seed);
+    let arrays = forced_delta_arrays(&mut alloc, &s, delta, cfg);
+    let mut engine = cfg.engine();
+    engine.register_resident_spread(3 * s.elems * s.elem_size);
+    match cfg.system {
+        SystemConfig::InCore => run_in_core(&s, &arrays, &mut alloc, &mut engine, true),
+        _ => run_near_l3(&s, &arrays, &mut alloc, &mut engine, cfg.profiling()),
+    }
+    let mut m = engine.finish();
+    m.degradation.merge(&alloc.degradation());
+    m
+}
+
+/// Fig 4's vecadd arrays: A and B aligned, C `delta` banks on, or all
+/// three on a Random-mapped heap for `delta = None`.
+fn forced_delta_arrays(
+    alloc: &mut AffinityAllocator,
+    s: &Stencil,
+    delta: Option<u32>,
+    cfg: &RunConfig,
+) -> Arrays {
     let bytes = s.elems * s.elem_size;
-    let arrays = match delta {
+    match delta {
         Some(d) => {
             // A and B aligned at bank 0 via a 64B pool; C starts d banks on.
             let pool = alloc
@@ -307,16 +329,7 @@ pub fn run_vecadd_forced_delta(n: u64, delta: Option<u32>, cfg: &RunConfig) -> M
                 out: c,
             }
         }
-    };
-    let mut engine = cfg.engine();
-    engine.register_resident_spread(3 * bytes);
-    match cfg.system {
-        SystemConfig::InCore => run_in_core(&s, &arrays, &mut alloc, &mut engine, true),
-        _ => run_near_l3(&s, &arrays, &mut alloc, &mut engine, cfg.profiling()),
     }
-    let mut m = engine.finish();
-    m.degradation.merge(&alloc.degradation());
-    m
 }
 
 /// Elements to the next chunk boundary of the array at `va` for index `idx`.
@@ -328,6 +341,29 @@ fn elems_to_boundary(alloc: &mut AffinityAllocator, va: VAddr, elem_size: u64, i
     };
     let off = addr.raw() % intrlv;
     (intrlv - off).div_ceil(elem_size)
+}
+
+/// Elements after which every array's banks and chunk boundaries repeat:
+/// the lcm over the arrays of their bank period (in bytes, see
+/// [`AddressSpace::bank_period`](aff_mem::space::AddressSpace::bank_period))
+/// over its gcd with the element size. `None` when some array's mapping
+/// does not repeat or the lcm overflows.
+fn stencil_period(s: &Stencil, a: &Arrays, alloc: &AffinityAllocator) -> Option<u64> {
+    fn gcd(a: u64, b: u64) -> u64 {
+        if b == 0 {
+            a
+        } else {
+            gcd(b, a % b)
+        }
+    }
+    [a.main, a.out]
+        .into_iter()
+        .chain(a.extras.iter().copied())
+        .try_fold(1u64, |t, va| {
+            let bytes = alloc.space().bank_period(va)?;
+            let elems = bytes / gcd(bytes, s.elem_size);
+            (t / gcd(t, elems)).checked_mul(elems)
+        })
 }
 
 fn run_near_l3(
@@ -356,6 +392,35 @@ fn run_near_l3(
     let mut next_emit = 0u64;
     let out_region = 1 + a.extras.len() as u32;
 
+    // The interior `[lo, hi)`: segment starts at which every offset is in
+    // range. There the segments and their banks repeat every `period`
+    // elements (Eq 1), so one period is walked with every charge scaled by
+    // its repetitions `reps` and the walk then jumps `reps` periods on. The
+    // window opens at the first segment end past `lo`, which is a chunk
+    // boundary of some array (a segment from before `lo` ends at most at
+    // `lo`), so the walk from it reaches the same boundary one period on.
+    // Profiling walks everything: its touches sample segment starts.
+    let lo = s
+        .offsets
+        .iter()
+        .map(|&o| o.min(0).unsigned_abs())
+        .max()
+        .unwrap_or(0);
+    let hi = n.saturating_sub(
+        s.offsets
+            .iter()
+            .map(|&o| o.max(0) as u64)
+            .max()
+            .unwrap_or(0),
+    );
+    let mut period = if mining {
+        None
+    } else {
+        stencil_period(s, a, alloc)
+    };
+    let mut scale = 1u64;
+    let mut window: Option<(u64, u64)> = None; // (period end, elements skipped)
+
     let mut i = 0u64;
     let mut banks_scratch: Vec<u32> = Vec::with_capacity(s.offsets.len() + 1);
     // Bank service is accumulated in bytes and charged as lines once per
@@ -366,6 +431,16 @@ fn run_near_l3(
     let mut reuse_bytes = vec![0u64; num_banks];
     let mut write_bytes = vec![0u64; num_banks];
     while i < n {
+        if i > lo {
+            if let Some(t) = period.take() {
+                let reps = hi.saturating_sub(i) / t;
+                if reps >= 2 {
+                    scale = reps;
+                    window = Some((i + t, (reps - 1) * t));
+                }
+            }
+        }
+
         // Segment length: until any array's bank changes. Out-of-range
         // neighbors (stencil boundary) contribute nothing; a below-range
         // offset only constrains the segment to where it enters range.
@@ -412,6 +487,9 @@ fn run_near_l3(
 
         let out_bank = alloc.bank_of(a.out + i * s.elem_size);
         let seg_lines = (seg * s.elem_size).div_ceil(CACHE_LINE);
+        // Sweeps of this segment: the kernel's iterations, once per period
+        // it stands for.
+        let sweeps = iters * scale;
 
         // The main array's offset streams coalesce per bank: a line already
         // at a producer bank's SEL3 is forwarded once and serves every
@@ -428,27 +506,32 @@ fn run_near_l3(
             }
         }
         for (k, &b) in banks_scratch.iter().enumerate() {
-            engine.forward(b, out_bank, CACHE_LINE, seg_lines * iters);
+            engine.forward(b, out_bank, CACHE_LINE, seg_lines * sweeps);
             if k == 0 {
-                read_bytes[b as usize] += seg * s.elem_size * iters;
+                read_bytes[b as usize] += seg * s.elem_size * sweeps;
             } else {
                 // The sibling offset stream fetched these lines one row ago;
                 // they are still resident.
-                reuse_bytes[b as usize] += seg * s.elem_size * iters;
+                reuse_bytes[b as usize] += seg * s.elem_size * sweeps;
             }
         }
         for &x in &a.extras {
             let b = alloc.bank_of(x + i * s.elem_size);
-            engine.forward(b, out_bank, CACHE_LINE, seg_lines * iters);
-            read_bytes[b as usize] += seg * s.elem_size * iters;
+            engine.forward(b, out_bank, CACHE_LINE, seg_lines * sweeps);
+            read_bytes[b as usize] += seg * s.elem_size * sweeps;
         }
         // The consumer computes (SIMD) and writes locally.
         engine.se_ops(
             out_bank,
-            (seg * s.ops_per_elem * iters).div_ceil(SIMD_LANES),
+            (seg * s.ops_per_elem * iters).div_ceil(SIMD_LANES) * scale,
         );
-        write_bytes[out_bank as usize] += seg * s.elem_size * iters;
+        write_bytes[out_bank as usize] += seg * s.elem_size * sweeps;
         i += seg;
+        if let Some((end, skip)) = window.filter(|&(end, _)| end == i) {
+            i = end + skip;
+            scale = 1;
+            window = None;
+        }
     }
     for b in 0..num_banks {
         engine.bank_read_lines(b as u32, read_bytes[b].div_ceil(CACHE_LINE));
@@ -514,9 +597,378 @@ fn run_in_core(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use aff_sim_core::config::MachineConfig;
+    use aff_sim_core::fault::FaultPlan;
+    use aff_sim_core::trace::Recorder;
+    use std::sync::{Arc, Mutex};
 
     fn cfg(system: SystemConfig) -> RunConfig {
         RunConfig::new(system).with_seed(7)
+    }
+
+    /// `run_near_l3`'s loop before the period window: every segment of
+    /// the index space walked and charged once.
+    fn run_near_l3_walked(
+        s: &Stencil,
+        a: &Arrays,
+        alloc: &mut AffinityAllocator,
+        engine: &mut SimEngine,
+        mining: bool,
+    ) {
+        let n = s.elems;
+        let iters = s.iters;
+        let num_streams = (s.offsets.len() + a.extras.len() + 1) as u64;
+        engine.offload_config_multicast(0, num_streams);
+        let first_bank = alloc.bank_of(a.main);
+        engine.credits(0, first_bank, n * iters / 64 + 1);
+        let emit_stride = (n / 1024).max(1);
+        let mut next_emit = 0u64;
+        let out_region = 1 + a.extras.len() as u32;
+        let mut i = 0u64;
+        let mut banks_scratch: Vec<u32> = Vec::with_capacity(s.offsets.len() + 1);
+        let num_banks = engine.config().num_banks() as usize;
+        let mut read_bytes = vec![0u64; num_banks];
+        let mut reuse_bytes = vec![0u64; num_banks];
+        let mut write_bytes = vec![0u64; num_banks];
+        while i < n {
+            let mut seg = n - i;
+            seg = seg.min(elems_to_boundary(alloc, a.out, s.elem_size, i));
+            for &off in &s.offsets {
+                let j = i as i64 + off;
+                if j < 0 {
+                    seg = seg.min((-j) as u64);
+                } else if (j as u64) < n {
+                    seg = seg.min(elems_to_boundary(alloc, a.main, s.elem_size, j as u64));
+                }
+            }
+            for &x in &a.extras {
+                seg = seg.min(elems_to_boundary(alloc, x, s.elem_size, i));
+            }
+            let seg = seg.max(1);
+            if mining && i >= next_emit {
+                next_emit = i + emit_stride;
+                for &off in &s.offsets {
+                    let j = i as i64 + off;
+                    if j >= 0 && (j as u64) < n {
+                        engine.record(Event::ProfileTouch {
+                            region: 0,
+                            elem: j as u64,
+                            step: i,
+                        });
+                    }
+                }
+                for r in 0..a.extras.len() as u32 {
+                    engine.record(Event::ProfileTouch {
+                        region: 1 + r,
+                        elem: i,
+                        step: i,
+                    });
+                }
+                engine.record(Event::ProfileTouch {
+                    region: out_region,
+                    elem: i,
+                    step: i,
+                });
+            }
+            let out_bank = alloc.bank_of(a.out + i * s.elem_size);
+            let seg_lines = (seg * s.elem_size).div_ceil(CACHE_LINE);
+            banks_scratch.clear();
+            for &off in &s.offsets {
+                let j = i as i64 + off;
+                if j < 0 || (j as u64) >= n {
+                    continue;
+                }
+                let b = alloc.bank_of(a.main + (j as u64) * s.elem_size);
+                if !banks_scratch.contains(&b) {
+                    banks_scratch.push(b);
+                }
+            }
+            for (k, &b) in banks_scratch.iter().enumerate() {
+                engine.forward(b, out_bank, CACHE_LINE, seg_lines * iters);
+                if k == 0 {
+                    read_bytes[b as usize] += seg * s.elem_size * iters;
+                } else {
+                    reuse_bytes[b as usize] += seg * s.elem_size * iters;
+                }
+            }
+            for &x in &a.extras {
+                let b = alloc.bank_of(x + i * s.elem_size);
+                engine.forward(b, out_bank, CACHE_LINE, seg_lines * iters);
+                read_bytes[b as usize] += seg * s.elem_size * iters;
+            }
+            engine.se_ops(
+                out_bank,
+                (seg * s.ops_per_elem * iters).div_ceil(SIMD_LANES),
+            );
+            write_bytes[out_bank as usize] += seg * s.elem_size * iters;
+            i += seg;
+        }
+        for b in 0..num_banks {
+            engine.bank_read_lines(b as u32, read_bytes[b].div_ceil(CACHE_LINE));
+            engine.bank_read_lines_reuse(b as u32, reuse_bytes[b].div_ceil(CACHE_LINE));
+            engine.bank_write_lines(b as u32, write_bytes[b].div_ceil(CACHE_LINE));
+        }
+    }
+
+    /// The full `Metrics` of `s` on the arrays `place` allocates, charged by
+    /// `run_near_l3` or, when `walked`, by [`run_near_l3_walked`].
+    fn near_l3_metrics(
+        s: &Stencil,
+        cfg: &RunConfig,
+        walked: bool,
+        place: impl Fn(&mut AffinityAllocator) -> Arrays,
+    ) -> String {
+        let mut alloc =
+            AffinityAllocator::with_seed(cfg.machine.clone(), cfg.system.policy(), cfg.seed);
+        let arrays = place(&mut alloc);
+        let mut engine = cfg.engine();
+        engine.import_residency(alloc.resident_per_bank());
+        let run = if walked {
+            run_near_l3_walked
+        } else {
+            run_near_l3
+        };
+        run(s, &arrays, &mut alloc, &mut engine, cfg.profiling());
+        let mut m = engine.finish();
+        m.degradation.merge(&alloc.degradation());
+        format!("{m:?}")
+    }
+
+    /// Every array of `s` on the linear heap after a seeded pad of 0–63
+    /// lines, so no array need start on a chunk boundary (`allocate`
+    /// starts the main array on one).
+    fn line_scattered(alloc: &mut AffinityAllocator, s: &Stencil, seed: u64) -> Arrays {
+        let mut rng = SimRng::new(seed);
+        let mut array = |alloc: &mut AffinityAllocator| {
+            let _pad = alloc
+                .space_mut()
+                .heap_alloc(rng.below(64) * CACHE_LINE, CACHE_LINE);
+            alloc.heap_alloc(s.elems * s.elem_size)
+        };
+        Arrays {
+            main: array(alloc),
+            extras: (0..s.extra_inputs).map(|_| array(alloc)).collect(),
+            out: array(alloc),
+        }
+    }
+
+    /// Assert the period window charges what walking every segment does,
+    /// for `s` placed as `run_stencil` places it, or [`line_scattered`].
+    fn assert_stencil_loops_agree(s: &Stencil, cfg: &RunConfig, scattered: bool, what: &str) {
+        let place = |alloc: &mut AffinityAllocator| {
+            if scattered {
+                line_scattered(alloc, s, cfg.seed)
+            } else {
+                allocate(alloc, s, cfg.system, cfg.seed, &cfg.hints)
+            }
+        };
+        assert_eq!(
+            near_l3_metrics(s, cfg, true, place),
+            near_l3_metrics(s, cfg, false, place),
+            "{what}: {}{} {:?} × {} B, {} extras, {} elems",
+            cfg.system.label(),
+            if scattered { " line-scattered" } else { "" },
+            s.offsets,
+            s.elem_size,
+            s.extra_inputs,
+            s.elems
+        );
+    }
+
+    /// The machines the loop tests run on: healthy 8×8, two dead banks,
+    /// non-power-of-two interleaves allowed, and 16×16.
+    fn loop_machines() -> [MachineConfig; 4] {
+        let base = MachineConfig::paper_default();
+        [
+            base.clone(),
+            MachineConfig {
+                faults: FaultPlan::none().fail_bank(3).fail_bank(40),
+                ..base.clone()
+            },
+            MachineConfig {
+                allow_npot_interleave: true,
+                ..base.clone()
+            },
+            MachineConfig {
+                mesh_x: 16,
+                mesh_y: 16,
+                ..base
+            },
+        ]
+    }
+
+    /// `(system, hints, line-scattered placement)`.
+    fn loop_systems() -> [(SystemConfig, HintMode, bool); 4] {
+        [
+            (SystemConfig::NearL3, HintMode::Annotated, false),
+            (SystemConfig::NearL3, HintMode::Annotated, true),
+            (
+                SystemConfig::aff_alloc_default(),
+                HintMode::Annotated,
+                false,
+            ),
+            (SystemConfig::aff_alloc_default(), HintMode::NoHints, false),
+        ]
+    }
+
+    proptest::proptest! {
+        /// The period window charges exactly what walking every segment
+        /// does: random offset sets (mixed, all non-negative, all
+        /// non-positive; unit, row and arbitrary distances), 1-D and 2-D
+        /// placement, element sizes 4, 8 and 12 with 0–2 extra inputs, and
+        /// lengths from a few elements to many periods, on every loop
+        /// machine and system.
+        #[test]
+        fn period_window_matches_the_walked_loop(
+            machine in 0usize..4,
+            system in 0usize..4,
+            sign in 0u8..3,
+            raw_offsets in proptest::collection::vec((0u8..5, 0i64..2500), 1..7),
+            row in 0u64..160,
+            (elem, extras) in (0usize..3, 0u32..3),
+            (log_len, len_frac) in (3u32..19, 0u64..1024),
+            (iters, ops, seed) in (1u64..9, 1u64..13, 0u64..1000),
+        ) {
+            // Rows of 16 elements: a whole number of cache lines at every
+            // element size, so Aff-Alloc can derive a row interleave.
+            let row = 16 * row;
+            let offsets: Vec<i64> = raw_offsets
+                .iter()
+                .map(|&(kind, far)| {
+                    let off = match kind {
+                        0..=2 => i64::from(kind) - 1,
+                        3 if row > 0 => row as i64,
+                        _ => far,
+                    };
+                    match sign {
+                        0 if far % 2 == 1 => -off,
+                        1 => off.abs(),
+                        2 => -off.abs(),
+                        _ => off,
+                    }
+                })
+                .collect();
+            let s = Stencil {
+                name: "random",
+                elems: (1u64 << log_len) + (len_frac << log_len) / 1024,
+                elem_size: [4, 8, 12][elem],
+                offsets,
+                extra_inputs: extras,
+                row,
+                iters,
+                ops_per_elem: ops,
+            };
+            let (sys, hints, scattered) = loop_systems()[system].clone();
+            let cfg = RunConfig::new(sys)
+                .with_machine(loop_machines()[machine].clone())
+                .with_seed(seed)
+                .with_hints(hints);
+            assert_stencil_loops_agree(&s, &cfg, scattered, "random stencil");
+        }
+    }
+
+    #[test]
+    fn table3_stencils_charge_what_walking_every_segment_does() {
+        let stencils = [
+            Stencil::pathfinder(100_003),
+            Stencil::hotspot(100, 1008),
+            Stencil::srad(64, 1536),
+            Stencil::hotspot3d(48, 40, 24),
+            Stencil::vecadd(70_001),
+        ];
+        for machine in loop_machines() {
+            for (sys, hints, scattered) in loop_systems() {
+                let cfg = RunConfig::new(sys)
+                    .with_machine(machine.clone())
+                    .with_hints(hints);
+                for s in &stencils {
+                    assert_stencil_loops_agree(s, &cfg, scattered, s.name);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn forced_delta_vecadd_charges_what_walking_every_segment_does() {
+        let s = Stencil::vecadd(150_001);
+        for machine in loop_machines() {
+            let cfg = cfg(SystemConfig::NearL3).with_machine(machine);
+            for delta in [Some(0), Some(5), Some(32), None] {
+                let place =
+                    |alloc: &mut AffinityAllocator| forced_delta_arrays(alloc, &s, delta, &cfg);
+                assert_eq!(
+                    near_l3_metrics(&s, &cfg, true, place),
+                    near_l3_metrics(&s, &cfg, false, place),
+                    "Δ {delta:?}"
+                );
+            }
+        }
+    }
+
+    /// Every event the run records, profiling events included when
+    /// `profile` says so.
+    #[derive(Debug, Default)]
+    struct Capture {
+        profile: bool,
+        events: Vec<Event>,
+    }
+
+    impl Recorder for Capture {
+        fn record(&mut self, ev: &Event) {
+            self.events.push(*ev);
+        }
+
+        fn wants_profile(&self) -> bool {
+            self.profile
+        }
+    }
+
+    /// The events one `run_near_l3` or walked run of `s` records.
+    fn captured(s: &Stencil, base: &RunConfig, profile: bool, walked: bool) -> Vec<Event> {
+        let capture = Arc::new(Mutex::new(Capture {
+            profile,
+            events: Vec::new(),
+        }));
+        let cfg = base.clone().with_recorder(Arc::clone(&capture));
+        near_l3_metrics(s, &cfg, walked, |alloc: &mut AffinityAllocator| {
+            allocate(alloc, s, cfg.system, cfg.seed, &cfg.hints)
+        });
+        let events = std::mem::take(&mut capture.lock().unwrap().events);
+        events
+    }
+
+    #[test]
+    fn profiling_runs_walk_every_segment() {
+        let s = Stencil::hotspot(64, 512);
+        let base = cfg(SystemConfig::aff_alloc_default());
+        let want = captured(&s, &base, true, true);
+        let got = captured(&s, &base, true, false);
+        let touches = |ev: &[Event]| {
+            ev.iter()
+                .filter(|e| matches!(e, Event::ProfileTouch { .. }))
+                .count()
+        };
+        assert!(touches(&got) > 1000, "the run samples its touches");
+        assert_eq!(want, got, "a profiling run records what it recorded walked");
+    }
+
+    #[test]
+    fn period_window_charges_one_period_per_interior() {
+        // Aff-Alloc's 64 B row interleave makes about three segments per
+        // 16-element chunk; the window walks one period of them.
+        let s = Stencil::hotspot(256, 1024);
+        let base = cfg(SystemConfig::aff_alloc_default());
+        let forwards = |walked: bool| {
+            captured(&s, &base, false, walked)
+                .iter()
+                .filter(|e| matches!(e, Event::Traffic { .. }))
+                .count()
+        };
+        let (walked, windowed) = (forwards(true), forwards(false));
+        assert!(
+            windowed * 20 < walked,
+            "window {windowed} vs walked {walked} traffic charges"
+        );
     }
 
     #[test]

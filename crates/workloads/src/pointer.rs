@@ -317,7 +317,7 @@ impl PathEnds<'_> {
     pub fn end(&mut self, end: u32, core: u32) {
         if self.tally.in_core {
             let nodes = self.nodes;
-            let up = std::iter::successors(Some(end), |&i| nodes[i as usize].parent);
+            let up = std::iter::successors(Some(end), |&i| nodes[i as usize].parent());
             self.tally.chain(up.map(|i| nodes[i as usize].bank), core);
         } else {
             self.ends[end as usize] += 1;
@@ -342,7 +342,7 @@ impl PathEnds<'_> {
                 continue;
             }
             tally.reads[n.bank as usize] += visits;
-            if let Some(p) = n.parent {
+            if let Some(p) = n.parent() {
                 debug_assert!((p as usize) < i, "parent {p} after child {i}");
                 ends[p as usize] += visits;
                 let prev = nodes[p as usize].bank;
@@ -356,7 +356,7 @@ impl PathEnds<'_> {
         // longest chain ends at one of `ends_here`. A chain's entry pays
         // only the L3 access.
         for (i, n) in nodes.iter().enumerate() {
-            let (above, prev) = match n.parent {
+            let (above, prev) = match n.parent() {
                 Some(p) => (ends[p as usize], nodes[p as usize].bank),
                 None => (0, n.bank),
             };
@@ -897,14 +897,9 @@ mod tests {
             let nodes: Vec<TreeNode> = links
                 .iter()
                 .enumerate()
-                .map(|(i, &(p, root, b))| TreeNode {
-                    key: 0,
-                    left: None,
-                    right: None,
-                    parent: (i > 0 && root > 0).then(|| p % i as u32),
-                    lookup_end: i as u32,
-                    va: aff_mem::addr::VAddr(0),
-                    bank: b % n,
+                .map(|(i, &(p, root, b))| {
+                    let parent = (i > 0 && root > 0).then(|| p % i as u32);
+                    TreeNode::new(0, parent, i as u32, aff_mem::addr::VAddr(0), b % n)
                 })
                 .collect();
             let lookups: Vec<(u32, u32)> = if nodes.is_empty() {
@@ -921,7 +916,7 @@ mod tests {
                 .iter()
                 .map(|&(end, core)| {
                     let mut path: Vec<u32> =
-                        std::iter::successors(Some(end), |&i| nodes[i as usize].parent)
+                        std::iter::successors(Some(end), |&i| nodes[i as usize].parent())
                             .map(|i| nodes[i as usize].bank)
                             .collect();
                     path.reverse();
