@@ -38,21 +38,24 @@
 //! The access streams are seeded [`SimRng`] draws, so the measured work is
 //! identical run to run; only the wall-clock varies.
 
+use aff_ds::csr::reference::manhattan_chunk_banks;
 use aff_ds::csr::ChunkedCsr;
 use aff_ds::graph::Graph;
 use aff_ds::layout::AllocMode;
 use aff_ds::tree::AffBinaryTree;
-use aff_mem::addr::VAddr;
 use aff_mem::space::{AddressSpace, HeapMapping};
 use aff_noc::topology::{AxisHops, Topology};
 use aff_noc::traffic::{TrafficClass, TrafficMatrix};
 use aff_nsc::engine::SimEngine;
 use aff_sim_core::config::{MachineConfig, PAGE_SIZE};
 use aff_sim_core::rng::SimRng;
+use aff_workloads::affine::reference::run_stencil_walked;
 use aff_workloads::affine::{run_stencil, Stencil};
 use aff_workloads::config::{RunConfig, SystemConfig};
+use aff_workloads::gen::reference::weighted_by_edge_list;
 use aff_workloads::gen::{self, KRON_A, KRON_B, KRON_C};
-use aff_workloads::pointer::{ChainTally, IN_CORE_MLP};
+use aff_workloads::pointer::reference::charge_chains_per_deref;
+use aff_workloads::pointer::ChainTally;
 use aff_workloads::suite::KRON_EDGE_FACTOR;
 use affinity_alloc::{AffinityAllocator, BankSelectPolicy};
 use std::collections::HashMap;
@@ -380,7 +383,8 @@ fn bench_argmin(ops: u64) -> Layer {
 
 /// Layer 6: a bin_tree run's chain charging on 8×8, In-Core and Near-L3 —
 /// [`ChainTally`], one engine call per distinct charge with its summed
-/// count, versus the per-dereference loop it replaced (written out below).
+/// count, versus the per-dereference loop it replaced
+/// ([`charge_chains_per_deref`]).
 /// The stream is the lookup paths of a Hybrid-5 tree, cores cycling over
 /// the tiles as `run_bin_tree` assigns them. The witness is both runs'
 /// full [`Metrics`](aff_nsc::engine::Metrics).
@@ -412,15 +416,9 @@ fn bench_chain_charge(ops: u64) -> Layer {
                 }
                 tally.finish(&mut engine);
             } else {
-                let serials: Vec<u64> = paths
-                    .iter()
-                    .enumerate()
-                    .map(|(i, path)| {
-                        let entry = path.first().copied().unwrap_or(core(i));
-                        charge_chain_per_deref(&mut engine, path, entry, in_core, core(i))
-                    })
-                    .collect();
-                fold_serial(&mut engine, &serials, in_core);
+                let chains = paths.iter().enumerate();
+                let chains = chains.map(|(i, path)| (path.as_slice(), core(i)));
+                charge_chains_per_deref(&mut engine, chains, in_core);
             }
             let m = engine.finish();
             out.push((m.total_hop_flits, format!("{m:?}")));
@@ -487,51 +485,6 @@ fn bench_tree_lookups(ops: u64) -> Layer {
     Layer::new("tree_lookups", 2 * lookups.len() as u64, times, hop_flits)
 }
 
-/// The replaced chain charging: three or four engine calls per
-/// dereference, the chain entering at `entry`; returns its serial latency.
-fn charge_chain_per_deref(
-    engine: &mut SimEngine,
-    banks: &[u32],
-    entry: u32,
-    in_core: bool,
-    core: u32,
-) -> u64 {
-    let cfg = engine.config();
-    let (hop_lat, l3_lat) = (cfg.hop_latency, cfg.l3_latency);
-    let mut serial = 0u64;
-    let mut prev = entry;
-    for &b in banks {
-        if in_core {
-            engine.core_read_lines(core, b, 1);
-            serial += 2 * u64::from(engine.topo().manhattan(core, b)) * hop_lat + l3_lat;
-        } else {
-            engine.bank_read_lines(b, 1);
-            engine.se_ops(b, 1);
-            if prev != b {
-                engine.migrate(prev, b, 1);
-            }
-            serial += u64::from(engine.topo().manhattan(prev, b)) * hop_lat + l3_lat;
-            prev = b;
-        }
-    }
-    serial
-}
-
-/// The replaced serial fold: chains run `banks × MLP` (In-Core) or
-/// `banks × SEL3 streams` (Near-L3) at a time.
-fn fold_serial(engine: &mut SimEngine, per_chain: &[u64], in_core: bool) {
-    let cfg = engine.config();
-    let per_bank = if in_core {
-        IN_CORE_MLP
-    } else {
-        u64::from(cfg.sel3_streams_per_bank)
-    };
-    let concurrency = u64::from(cfg.num_banks()) * per_bank;
-    let total: u64 = per_chain.iter().sum();
-    let longest = per_chain.iter().copied().max().unwrap_or(0);
-    engine.chain_cycles((total / concurrency.max(1)).max(longest));
-}
-
 /// Layer 8: one-address Eq-4 picks on 8×8 under Hybrid-5, the shape of a
 /// link_list build: each node's affinity is its predecessor's bank, every
 /// pick loads its bank, and a new list starts every 512 nodes at a random
@@ -596,8 +549,9 @@ fn bench_eq4_single(ops: u64) -> Layer {
 /// `gen::kronecker` + `gen::weight_kronecker` versus the generator they
 /// replaced: a branchy quadrant descent, a directed CSR rebuilt over every
 /// edge plus its reverse, and weights sent back through the tuple-list
-/// builder. The witness is a digest of both graphs, so the two paths must
-/// generate identical inputs. `ops` is the undirected edge count.
+/// builder ([`weighted_by_edge_list`]). The witness is a digest of both
+/// graphs, so the two paths must generate identical inputs. `ops` is the
+/// undirected edge count.
 fn bench_kron_gen(ops: u64) -> Layer {
     let scale = (ops / u64::from(KRON_EDGE_FACTOR)).max(2).ilog2();
     let seed = 2023;
@@ -611,7 +565,7 @@ fn bench_kron_gen(ops: u64) -> Layer {
         },
         |_| {
             let plain = branchy_symmetrized_kronecker(scale, KRON_EDGE_FACTOR, seed);
-            let weighted = tuple_list_weights(&plain, seed);
+            let weighted = weighted_by_edge_list(&plain, SimRng::new(seed ^ 0x5550));
             graph_digest(&[plain, weighted])
         },
         "Kronecker generators must build identical graphs",
@@ -664,21 +618,6 @@ fn branchy_symmetrized_kronecker(scale: u32, edge_factor: u32, seed: u64) -> Gra
     Graph::from_edges(n, &both)
 }
 
-/// The replaced weighting: an (edge, weight) tuple list in adjacency order,
-/// rebuilt through `from_weighted_edges`.
-fn tuple_list_weights(plain: &Graph, seed: u64) -> Graph {
-    let mut rng = SimRng::new(seed ^ 0x5550);
-    let mut edges = Vec::with_capacity(plain.num_edges());
-    let mut weights = Vec::with_capacity(plain.num_edges());
-    for v in 0..plain.num_vertices() {
-        for &t in plain.neighbors(v) {
-            edges.push((v, t));
-            weights.push(1 + rng.below(255) as u32);
-        }
-    }
-    Graph::from_weighted_edges(plain.num_vertices(), &edges, &weights)
-}
-
 /// FNV-1a over every graph's degrees, targets and weights.
 fn graph_digest(graphs: &[Graph]) -> u64 {
     let mut h = 0xCBF2_9CE4_8422_2325u64;
@@ -698,9 +637,10 @@ fn graph_digest(graphs: &[Graph]) -> u64 {
 /// edge array in 64 B chunks and in one-edge chunks (`Ind-Ideal`) over a
 /// 1 KiB-interleaved property array. The public `ChunkedCsr::build`, which
 /// scores each chunk with `lanes::HopSums`, versus the build it replaced:
-/// one `Topology::manhattan` call per (edge, bank). The witness is a
-/// digest of every edge's bank in both placements. `ops` is the edges
-/// placed, both placements counted.
+/// one `Topology::manhattan` call per (edge, bank)
+/// ([`manhattan_chunk_banks`]). The witness is a digest of every edge's
+/// bank in both placements. `ops` is the edges placed, both placements
+/// counted.
 fn bench_chunk_oracle(ops: u64) -> Layer {
     let topo = Topology::new(8, 8);
     let scale = (ops / 16 / u64::from(KRON_EDGE_FACTOR)).max(2).ilog2();
@@ -739,72 +679,13 @@ fn bench_chunk_oracle(ops: u64) -> Layer {
     Layer::new("chunk_oracle", 2 * graph.num_edges() as u64, times, digest)
 }
 
-/// The replaced oracle build: each chunk scored against every bank with
-/// one `manhattan` call per edge, then the same load cap and spill.
-/// Returns each chunk's bank.
-fn manhattan_chunk_banks(
-    topo: Topology,
-    graph: &Graph,
-    vertex_banks: &[u32],
-    chunk_edges: usize,
-    imbalance: f64,
-) -> Vec<u32> {
-    let targets = graph.targets();
-    let num_chunks = targets.len().div_ceil(chunk_edges).max(1);
-    let banks = topo.num_banks();
-    let mut desired: Vec<(usize, u32, f64)> = Vec::with_capacity(num_chunks);
-    for c in 0..num_chunks {
-        let lo = c * chunk_edges;
-        let hi = (lo + chunk_edges).min(targets.len());
-        let slice = &targets[lo..hi];
-        let (mut best_bank, mut best_cost) = (0u32, f64::INFINITY);
-        let mut avg_cost = 0.0;
-        for b in 0..banks {
-            let cost: u64 = slice
-                .iter()
-                .map(|&t| u64::from(topo.manhattan(b, vertex_banks[t as usize])))
-                .sum();
-            avg_cost += cost as f64;
-            if (cost as f64) < best_cost {
-                best_cost = cost as f64;
-                best_bank = b;
-            }
-        }
-        avg_cost /= f64::from(banks);
-        desired.push((c, best_bank, avg_cost - best_cost));
-    }
-    let cap = ((num_chunks as f64 / f64::from(banks)) * (1.0 + imbalance)).ceil() as usize;
-    let cap = cap.max(1);
-    desired.sort_by(|a, b| b.2.partial_cmp(&a.2).expect("finite savings"));
-    let mut load = vec![0usize; banks as usize];
-    let mut chunk_banks = vec![0u32; num_chunks];
-    let mut overflow = Vec::new();
-    for &(c, want, _) in &desired {
-        if load[want as usize] < cap {
-            load[want as usize] += 1;
-            chunk_banks[c] = want;
-        } else {
-            overflow.push(c);
-        }
-    }
-    for c in overflow {
-        let (b, _) = load
-            .iter()
-            .enumerate()
-            .min_by_key(|&(_, &l)| l)
-            .expect("banks exist");
-        load[b] += 1;
-        chunk_banks[c] = b as u32;
-    }
-    chunk_banks
-}
-
 /// Layer 11: Hybrid-5 stencil runs on 8×8, hotspot (1024-element rows)
 /// and pathfinder, `--ops / 2` elements each. The public `run_stencil`,
 /// which charges each stencil's interior one bank period at a time, versus
-/// the same run with every segment walked and charged ([`stencil_walked`],
-/// the loop it replaced). The witness is both runs' full
-/// [`Metrics`](aff_nsc::engine::Metrics). `ops` is the elements run.
+/// the same run with every segment walked and charged
+/// ([`run_stencil_walked`], the loop it replaced). The witness is both
+/// runs' full [`Metrics`](aff_nsc::engine::Metrics). `ops` is the elements
+/// run.
 fn bench_stencil_walk(ops: u64) -> Layer {
     let cols = 1024;
     let half = (ops / 2).max(4 * cols);
@@ -818,7 +699,7 @@ fn bench_stencil_walk(ops: u64) -> Layer {
             let m = if windowed {
                 run_stencil(s, &cfg)
             } else {
-                stencil_walked(s, &cfg)
+                run_stencil_walked(s, &cfg)
             };
             (m.total_hop_flits, format!("{m:?}"))
         });
@@ -833,105 +714,6 @@ fn bench_stencil_walk(ops: u64) -> Layer {
     let hop_flits = witness.iter().map(|(f, _)| f).sum();
     let elems = stencils.iter().map(|s| s.elems).sum();
     Layer::new("stencil_walk", elems, times, hop_flits)
-}
-
-/// `run_stencil` for an annotated Aff-Alloc run before the period window:
-/// the same placement (row affinity for the main array where 2-D, the
-/// rest aligned to it), then every segment of the index space walked and
-/// charged once.
-fn stencil_walked(s: &Stencil, cfg: &RunConfig) -> aff_nsc::engine::Metrics {
-    use aff_sim_core::config::CACHE_LINE;
-    use affinity_alloc::{AffineArrayReq, AffinityHint};
-
-    let mut alloc =
-        AffinityAllocator::with_seed(cfg.machine.clone(), cfg.system.policy(), cfg.seed);
-    let main_hint = if s.row > 0 {
-        AffinityHint::IntraStride { stride: s.row }
-    } else {
-        AffinityHint::None
-    };
-    let mut array = |hint: &AffinityHint| {
-        let req = AffineArrayReq::with_hint(s.elem_size, s.elems, hint);
-        alloc.malloc_aff_affine(&req).expect("stencil array")
-    };
-    let main = array(&main_hint);
-    let align = AffinityHint::AlignTo {
-        partner: main,
-        p: 1,
-        q: 1,
-        x: 0,
-    };
-    let extras: Vec<VAddr> = (0..s.extra_inputs).map(|_| array(&align)).collect();
-    let out = array(&align);
-    let mut engine = cfg.engine();
-    engine.import_residency(alloc.resident_per_bank());
-
-    let (n, iters, es) = (s.elems, s.iters, s.elem_size);
-    let to_boundary = |alloc: &AffinityAllocator, va: VAddr, idx: u64| {
-        let addr = va + idx * es;
-        let pools = alloc.space().pools();
-        let intrlv = pools
-            .pool_of(addr)
-            .map_or(alloc.config().default_interleave, |p| pools.interleave(p));
-        (intrlv - addr.raw() % intrlv).div_ceil(es)
-    };
-    engine.offload_config_multicast(0, (s.offsets.len() + extras.len() + 1) as u64);
-    let first_bank = alloc.bank_of(main);
-    engine.credits(0, first_bank, n * iters / 64 + 1);
-    let banks = engine.config().num_banks() as usize;
-    let (mut read, mut reuse, mut write) =
-        (vec![0u64; banks], vec![0u64; banks], vec![0u64; banks]);
-    let mut main_banks: Vec<u32> = Vec::new();
-    let mut i = 0u64;
-    while i < n {
-        let mut seg = (n - i).min(to_boundary(&alloc, out, i));
-        for &off in &s.offsets {
-            let j = i as i64 + off;
-            if j < 0 {
-                seg = seg.min((-j) as u64);
-            } else if (j as u64) < n {
-                seg = seg.min(to_boundary(&alloc, main, j as u64));
-            }
-        }
-        for &x in &extras {
-            seg = seg.min(to_boundary(&alloc, x, i));
-        }
-        let seg = seg.max(1);
-        let out_bank = alloc.bank_of(out + i * es);
-        let lines = (seg * es).div_ceil(CACHE_LINE);
-        main_banks.clear();
-        for &off in &s.offsets {
-            let j = i as i64 + off;
-            if j >= 0 && (j as u64) < n {
-                let b = alloc.bank_of(main + (j as u64) * es);
-                if !main_banks.contains(&b) {
-                    main_banks.push(b);
-                }
-            }
-        }
-        for (k, &b) in main_banks.iter().enumerate() {
-            engine.forward(b, out_bank, CACHE_LINE, lines * iters);
-            let tally = if k == 0 { &mut read } else { &mut reuse };
-            tally[b as usize] += seg * es * iters;
-        }
-        for &x in &extras {
-            let b = alloc.bank_of(x + i * es);
-            engine.forward(b, out_bank, CACHE_LINE, lines * iters);
-            read[b as usize] += seg * es * iters;
-        }
-        engine.se_ops(out_bank, (seg * s.ops_per_elem * iters).div_ceil(16));
-        write[out_bank as usize] += seg * es * iters;
-        i += seg;
-    }
-    for b in 0..banks {
-        engine.bank_read_lines(b as u32, read[b].div_ceil(CACHE_LINE));
-        engine.bank_read_lines_reuse(b as u32, reuse[b].div_ceil(CACHE_LINE));
-        engine.bank_write_lines(b as u32, write[b].div_ceil(CACHE_LINE));
-    }
-    let mut m = engine.finish();
-    m.degradation.merge(&alloc.degradation());
-    cfg.hints.stamp(&mut m);
-    m
 }
 
 fn render_json(layers: &[Layer], mem: &RouteMemory) -> String {
@@ -1028,4 +810,22 @@ fn main() {
         std::process::exit(3);
     }
     println!("wrote {out_path}");
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The layers that time a counted or closed-form charge against the
+    /// loop it replaced, run end to end: `time_pair` asserts each layer's
+    /// witness, so a reference that drifts from its fast path fails here.
+    #[test]
+    fn reference_layers_agree_at_small_ops() {
+        let ops = 20_000;
+        bench_chain_charge(ops);
+        bench_tree_lookups(ops);
+        bench_kron_gen(ops);
+        bench_chunk_oracle(ops);
+        bench_stencil_walk(ops);
+    }
 }

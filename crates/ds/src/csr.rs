@@ -178,6 +178,62 @@ fn place(mut desired: Vec<(usize, u32, f64)>, banks: u32, imbalance: f64) -> Vec
     chunk_banks
 }
 
+/// The chunk scoring [`ChunkedCsr::build`] replaced, kept as the
+/// independent reference that the exactness tests and the `hotpath`
+/// baseline check it against.
+#[doc(hidden)]
+pub mod reference {
+    use super::*;
+
+    /// The scoring loop `build` ran before it moved onto `HopSums`: one
+    /// `manhattan` call per (edge, bank), lowest bank on ties.
+    pub fn manhattan_desired(
+        topo: Topology,
+        graph: &Graph,
+        vertex_banks: &[u32],
+        chunk_edges: usize,
+    ) -> Vec<(usize, u32, f64)> {
+        let targets = graph.targets();
+        let num_chunks = targets.len().div_ceil(chunk_edges).max(1);
+        let banks = topo.num_banks();
+        let mut desired = Vec::with_capacity(num_chunks);
+        for c in 0..num_chunks {
+            let lo = c * chunk_edges;
+            let hi = (lo + chunk_edges).min(targets.len());
+            let slice = &targets[lo..hi];
+            let (mut best_bank, mut best_cost) = (0u32, f64::INFINITY);
+            let mut avg_cost = 0.0;
+            for b in 0..banks {
+                let cost: u64 = slice
+                    .iter()
+                    .map(|&t| u64::from(topo.manhattan(b, vertex_banks[t as usize])))
+                    .sum();
+                avg_cost += cost as f64;
+                if (cost as f64) < best_cost {
+                    best_cost = cost as f64;
+                    best_bank = b;
+                }
+            }
+            avg_cost /= f64::from(banks);
+            desired.push((c, best_bank, avg_cost - best_cost));
+        }
+        desired
+    }
+
+    /// Each chunk's bank under [`manhattan_desired`] scoring and the
+    /// build's own load cap and spill.
+    pub fn manhattan_chunk_banks(
+        topo: Topology,
+        graph: &Graph,
+        vertex_banks: &[u32],
+        chunk_edges: usize,
+        imbalance: f64,
+    ) -> Vec<u32> {
+        let desired = manhattan_desired(topo, graph, vertex_banks, chunk_edges);
+        place(desired, topo.num_banks(), imbalance)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -284,41 +340,6 @@ mod proptests {
     use aff_sim_core::config::{BankOrder, TopologyKind};
     use proptest::prelude::*;
 
-    /// The scoring loop `build` ran before it moved onto `HopSums`: one
-    /// `manhattan` call per (edge, bank), lowest bank on ties.
-    fn reference_desired(
-        topo: Topology,
-        graph: &Graph,
-        vertex_banks: &[u32],
-        chunk_edges: usize,
-    ) -> Vec<(usize, u32, f64)> {
-        let targets = graph.targets();
-        let num_chunks = targets.len().div_ceil(chunk_edges).max(1);
-        let banks = topo.num_banks();
-        let mut desired = Vec::with_capacity(num_chunks);
-        for c in 0..num_chunks {
-            let lo = c * chunk_edges;
-            let hi = (lo + chunk_edges).min(targets.len());
-            let slice = &targets[lo..hi];
-            let (mut best_bank, mut best_cost) = (0u32, f64::INFINITY);
-            let mut avg_cost = 0.0;
-            for b in 0..banks {
-                let cost: u64 = slice
-                    .iter()
-                    .map(|&t| u64::from(topo.manhattan(b, vertex_banks[t as usize])))
-                    .sum();
-                avg_cost += cost as f64;
-                if (cost as f64) < best_cost {
-                    best_cost = cost as f64;
-                    best_bank = b;
-                }
-            }
-            avg_cost /= f64::from(banks);
-            desired.push((c, best_bank, avg_cost - best_cost));
-        }
-        desired
-    }
-
     /// `build` agrees with the reference scoring chunk by chunk, bit for
     /// bit, and places every edge where the reference scores place it.
     fn assert_matches_reference(
@@ -328,7 +349,7 @@ mod proptests {
         chunk_edges: usize,
         imbalance: f64,
     ) {
-        let want = reference_desired(topo, graph, vertex_banks, chunk_edges);
+        let want = reference::manhattan_desired(topo, graph, vertex_banks, chunk_edges);
         let got = desired_banks(topo, graph.targets(), vertex_banks, chunk_edges);
         let bits = |d: &[(usize, u32, f64)]| -> Vec<(usize, u32, u64)> {
             d.iter().map(|&(c, b, s)| (c, b, s.to_bits())).collect()
@@ -340,11 +361,12 @@ mod proptests {
         );
         let chunk_bytes = chunk_edges as u64 * graph.edge_bytes();
         let placed = ChunkedCsr::build(topo, graph, vertex_banks, chunk_bytes, imbalance);
-        let reference = place(want, topo.num_banks(), imbalance);
+        let want_banks =
+            reference::manhattan_chunk_banks(topo, graph, vertex_banks, chunk_edges, imbalance);
         for e in 0..graph.num_edges() {
             assert_eq!(
                 placed.bank_of_edge(e as u64),
-                reference[e / chunk_edges],
+                want_banks[e / chunk_edges],
                 "{topo:?} chunk_edges={chunk_edges} edge {e}"
             );
         }

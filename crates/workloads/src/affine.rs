@@ -594,21 +594,32 @@ fn run_in_core(
     engine.core_ops((n * s.iters * s.ops_per_elem).div_ceil(SIMD_LANES));
 }
 
-#[cfg(test)]
-mod tests {
+/// The segment walk the period window replaced, kept as the independent
+/// reference that the exactness tests and the `hotpath` baseline check the
+/// window against.
+#[doc(hidden)]
+pub mod reference {
     use super::*;
-    use aff_sim_core::config::MachineConfig;
-    use aff_sim_core::fault::FaultPlan;
-    use aff_sim_core::trace::Recorder;
-    use std::sync::{Arc, Mutex};
 
-    fn cfg(system: SystemConfig) -> RunConfig {
-        RunConfig::new(system).with_seed(7)
+    /// [`run_stencil`] for a Near-L3 or Aff-Alloc system that does not
+    /// profile, charged by `run_near_l3_walked` instead of the period
+    /// window.
+    pub fn run_stencil_walked(s: &Stencil, cfg: &RunConfig) -> Metrics {
+        let mut alloc =
+            AffinityAllocator::with_seed(cfg.machine.clone(), cfg.system.policy(), cfg.seed);
+        let arrays = allocate(&mut alloc, s, cfg.system, cfg.seed, &cfg.hints);
+        let mut engine = cfg.engine();
+        engine.import_residency(alloc.resident_per_bank());
+        run_near_l3_walked(s, &arrays, &mut alloc, &mut engine, false);
+        let mut m = engine.finish();
+        m.degradation.merge(&alloc.degradation());
+        cfg.hints.stamp(&mut m);
+        m
     }
 
     /// `run_near_l3`'s loop before the period window: every segment of
     /// the index space walked and charged once.
-    fn run_near_l3_walked(
+    pub(super) fn run_near_l3_walked(
         s: &Stencil,
         a: &Arrays,
         alloc: &mut AffinityAllocator,
@@ -709,9 +720,22 @@ mod tests {
             engine.bank_write_lines(b as u32, write_bytes[b].div_ceil(CACHE_LINE));
         }
     }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use aff_sim_core::config::MachineConfig;
+    use aff_sim_core::fault::FaultPlan;
+    use aff_sim_core::trace::Recorder;
+    use std::sync::{Arc, Mutex};
+
+    fn cfg(system: SystemConfig) -> RunConfig {
+        RunConfig::new(system).with_seed(7)
+    }
 
     /// The full `Metrics` of `s` on the arrays `place` allocates, charged by
-    /// `run_near_l3` or, when `walked`, by [`run_near_l3_walked`].
+    /// `run_near_l3` or, when `walked`, by [`reference::run_near_l3_walked`].
     fn near_l3_metrics(
         s: &Stencil,
         cfg: &RunConfig,
@@ -724,7 +748,7 @@ mod tests {
         let mut engine = cfg.engine();
         engine.import_residency(alloc.resident_per_bank());
         let run = if walked {
-            run_near_l3_walked
+            reference::run_near_l3_walked
         } else {
             run_near_l3
         };

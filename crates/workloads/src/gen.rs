@@ -153,8 +153,31 @@ pub fn with_uniform_weights(g: &Graph, seed: u64) -> Graph {
     uniform_weights(g, SimRng::new(seed ^ 0x77E1))
 }
 
+/// The weighting [`weight_kronecker`] and [`with_uniform_weights`]
+/// replaced, kept as the independent reference that the exactness tests and
+/// the `hotpath` baseline check them against.
+#[doc(hidden)]
+pub mod reference {
+    use super::*;
+
+    /// `g` weighted by draws from `rng`: its edges and draws listed in
+    /// adjacency order, through the tuple-list builder.
+    pub fn weighted_by_edge_list(g: &Graph, mut rng: SimRng) -> Graph {
+        let mut edges = Vec::with_capacity(g.num_edges());
+        let mut weights = Vec::with_capacity(g.num_edges());
+        for v in 0..g.num_vertices() {
+            for &t in g.neighbors(v) {
+                edges.push((v, t));
+                weights.push(1 + rng.below(255) as u32);
+            }
+        }
+        Graph::from_weighted_edges(g.num_vertices(), &edges, &weights)
+    }
+}
+
 #[cfg(test)]
 mod tests {
+    use super::reference::weighted_by_edge_list;
     use super::*;
 
     #[test]
@@ -206,20 +229,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    /// `g`'s edges and draws listed in adjacency order, through the
-    /// tuple-list builder.
-    fn weighted_by_edge_list(g: &Graph, mut rng: SimRng) -> Graph {
-        let mut edges = Vec::new();
-        let mut weights = Vec::new();
-        for v in 0..g.num_vertices() {
-            for &t in g.neighbors(v) {
-                edges.push((v, t));
-                weights.push(1 + rng.below(255) as u32);
-            }
-        }
-        Graph::from_weighted_edges(g.num_vertices(), &edges, &weights)
     }
 
     #[test]

@@ -151,14 +151,12 @@ fn emit_chain_touches(engine: &mut SimEngine, banks: impl IntoIterator<Item = u3
 /// *Why it is exact.* Every counter these engine calls feed is additive,
 /// and `record_n` of a summed count is exactly that many records (the
 /// charge-table proptests pin this), so one call with the sum equals the
-/// per-dereference calls — provided nothing changes how a charge applies
-/// between the chains and `finish`. A pointer run opens no phase, so fault
-/// epochs (chaos timelines included) fire only in the engine's own
-/// `finish`, after the tally has settled; a caller that opens phases or
-/// advances faults between chains must not use it. An attached recorder
-/// sees fewer events, with summed counts: the co-access miner reads only
-/// `ProfileTouch`, which the run still emits per dereference, and the sums
-/// of its work counters.
+/// per-dereference calls under the counted-charge condition of DESIGN.md
+/// §11: no phase opens and no fault epoch fires between a counted charge
+/// and `finish`. [`finish`](Self::finish) checks the fault half in debug
+/// builds. An attached recorder sees fewer events, with summed counts: the
+/// co-access miner reads only `ProfileTouch`, which the run still emits per
+/// dereference, and the sums of its work counters.
 #[derive(Debug)]
 pub struct ChainTally {
     in_core: bool,
@@ -177,6 +175,8 @@ pub struct ChainTally {
     /// Sum and maximum of the chains' serial latencies.
     serial_total: u64,
     serial_max: u64,
+    /// Fault transitions the engine had applied when the tally opened.
+    fault_transitions: usize,
 }
 
 impl ChainTally {
@@ -196,6 +196,7 @@ impl ChainTally {
             touched: Vec::new(),
             serial_total: 0,
             serial_max: 0,
+            fault_transitions: engine.fault_transitions().len(),
         }
     }
 
@@ -256,7 +257,17 @@ impl ChainTally {
     /// run `concurrency` at a time (the OOO window's [`IN_CORE_MLP`] per
     /// tile, or each bank's SEL3 streams), so the critical path is the
     /// larger of `total / concurrency` and the single longest chain.
+    ///
+    /// # Panics
+    ///
+    /// In debug builds, if a fault epoch fired since [`new`](Self::new):
+    /// the counts would be charged under the wrong fault plan.
     pub fn finish(self, engine: &mut SimEngine) {
+        debug_assert_eq!(
+            engine.fault_transitions().len(),
+            self.fault_transitions,
+            "a fault epoch fired between counted chains and their finish"
+        );
         for (b, &n) in self.reads.iter().enumerate() {
             if n > 0 {
                 engine.bank_read_lines(b as u32, n);
@@ -300,6 +311,7 @@ impl ChainTally {
 ///   the parent links up from its end node into the `(core, bank)` counts
 ///   at once; the order of a chain's dereferences does not change them.
 ///
+/// It is exact under the same counted-charge condition (DESIGN.md §11).
 /// Settling costs O(nodes) and may happen at any chain boundary: a caller
 /// that must charge at epoch points settles, then opens a new feed.
 /// Dropping a feed unsettled loses its Near-L3 chains.
@@ -493,8 +505,60 @@ fn bin_tree_lookups(keys: &[u64], lookups: usize, mut rng: SimRng, cfg: &RunConf
     m
 }
 
+/// The loop [`ChainTally`] replaced, kept as the independent reference
+/// that the exactness tests and the `hotpath` baselines check it against.
+#[doc(hidden)]
+pub mod reference {
+    use super::*;
+
+    /// Charge each `(banks, core)` chain with three or four engine calls
+    /// per dereference, entering at its first bank, then fold the serial
+    /// latencies: chains run `banks × MLP` (In-Core) or `banks × SEL3
+    /// streams` (Near-L3) at a time. Returns each chain's serial latency.
+    pub fn charge_chains_per_deref<'a>(
+        engine: &mut SimEngine,
+        chains: impl IntoIterator<Item = (&'a [u32], u32)>,
+        in_core: bool,
+    ) -> Vec<u64> {
+        let cfg = engine.config();
+        let (hop_lat, l3_lat) = (cfg.hop_latency, cfg.l3_latency);
+        let mut serials = Vec::new();
+        for (banks, core) in chains {
+            let mut serial = 0u64;
+            let mut prev = banks.first().copied().unwrap_or(core);
+            for &b in banks {
+                if in_core {
+                    engine.core_read_lines(core, b, 1);
+                    serial += 2 * u64::from(engine.topo().manhattan(core, b)) * hop_lat + l3_lat;
+                } else {
+                    engine.bank_read_lines(b, 1);
+                    engine.se_ops(b, 1);
+                    if prev != b {
+                        engine.migrate(prev, b, 1);
+                    }
+                    serial += u64::from(engine.topo().manhattan(prev, b)) * hop_lat + l3_lat;
+                    prev = b;
+                }
+            }
+            serials.push(serial);
+        }
+        let cfg = engine.config();
+        let per_bank = if in_core {
+            IN_CORE_MLP
+        } else {
+            u64::from(cfg.sel3_streams_per_bank)
+        };
+        let concurrency = u64::from(cfg.num_banks()) * per_bank;
+        let total: u64 = serials.iter().sum();
+        let longest = serials.iter().copied().max().unwrap_or(0);
+        engine.chain_cycles((total / concurrency.max(1)).max(longest));
+        serials
+    }
+}
+
 #[cfg(test)]
 mod tests {
+    use super::reference::charge_chains_per_deref;
     use super::*;
     use affinity_alloc::BankSelectPolicy;
 
@@ -672,7 +736,7 @@ mod tests {
     fn path_ends_over_an_empty_tree_charge_nothing() {
         for in_core in [true, false] {
             let mut want = RunConfig::new(SystemConfig::NearL3).engine();
-            fold_serial_ref(&mut want, &[], in_core);
+            charge_chains_per_deref(&mut want, [], in_core);
             let mut got = RunConfig::new(SystemConfig::NearL3).engine();
             let mut tally = ChainTally::new(&got, in_core);
             tally.path_ends(&[]).settle();
@@ -682,6 +746,21 @@ mod tests {
                 format!("{:?}", got.finish())
             );
         }
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "a fault epoch fired between counted chains")]
+    fn a_fault_epoch_before_finish_is_caught() {
+        use aff_sim_core::config::MachineConfig;
+        use aff_sim_core::fault::{FaultChange, FaultTimeline};
+        let timeline = FaultTimeline::none().at(10, FaultChange::BankFail(9));
+        let mut engine =
+            SimEngine::new(MachineConfig::paper_default().with_fault_timeline(timeline));
+        let mut tally = ChainTally::new(&engine, false);
+        tally.chain([8, 9, 10], 0);
+        engine.advance_faults(10);
+        tally.finish(&mut engine);
     }
 
     fn bin_tree_systems() -> [SystemConfig; 4] {
@@ -750,50 +829,6 @@ mod tests {
         );
     }
 
-    /// The per-dereference charging [`ChainTally`] replaced: three or four
-    /// engine calls per dereference, the chain entering at `entry`.
-    fn charge_chain_ref(
-        engine: &mut SimEngine,
-        banks: &[u32],
-        entry: u32,
-        in_core: bool,
-        core: u32,
-    ) -> u64 {
-        let cfg = engine.config();
-        let (hop_lat, l3_lat) = (cfg.hop_latency, cfg.l3_latency);
-        let mut serial = 0u64;
-        let mut prev = entry;
-        for &b in banks {
-            if in_core {
-                engine.core_read_lines(core, b, 1);
-                serial += 2 * u64::from(engine.topo().manhattan(core, b)) * hop_lat + l3_lat;
-            } else {
-                engine.bank_read_lines(b, 1);
-                engine.se_ops(b, 1);
-                if prev != b {
-                    engine.migrate(prev, b, 1);
-                }
-                serial += u64::from(engine.topo().manhattan(prev, b)) * hop_lat + l3_lat;
-                prev = b;
-            }
-        }
-        serial
-    }
-
-    /// The serial fold [`ChainTally::finish`] replaced.
-    fn fold_serial_ref(engine: &mut SimEngine, per_chain: &[u64], in_core: bool) {
-        let cfg = engine.config();
-        let per_bank = if in_core {
-            IN_CORE_MLP
-        } else {
-            u64::from(cfg.sel3_streams_per_bank)
-        };
-        let concurrency = u64::from(cfg.num_banks()) * per_bank;
-        let total: u64 = per_chain.iter().sum();
-        let longest = per_chain.iter().copied().max().unwrap_or(0);
-        engine.chain_cycles((total / concurrency.max(1)).max(longest));
-    }
-
     proptest::proptest! {
         /// [`ChainTally`] charges exactly what the per-dereference loop
         /// does: the same serial latency per chain, the same link flits and
@@ -830,14 +865,8 @@ mod tests {
                 .collect();
 
             let mut want = SimEngine::new(cfg.clone());
-            let serials: Vec<u64> = chains
-                .iter()
-                .map(|(banks, core)| {
-                    let entry = banks.first().copied().unwrap_or(*core);
-                    charge_chain_ref(&mut want, banks, entry, in_core, *core)
-                })
-                .collect();
-            fold_serial_ref(&mut want, &serials, in_core);
+            let refs = chains.iter().map(|(banks, core)| (banks.as_slice(), *core));
+            let serials = charge_chains_per_deref(&mut want, refs, in_core);
 
             let mut got = SimEngine::new(cfg);
             let mut tally = ChainTally::new(&got, in_core);
@@ -911,8 +940,7 @@ mod tests {
                     .collect()
             };
 
-            let mut want = SimEngine::new(cfg.clone());
-            let serials: Vec<u64> = lookups
+            let paths: Vec<(Vec<u32>, u32)> = lookups
                 .iter()
                 .map(|&(end, core)| {
                     let mut path: Vec<u32> =
@@ -920,10 +948,12 @@ mod tests {
                             .map(|i| nodes[i as usize].bank)
                             .collect();
                     path.reverse();
-                    charge_chain_ref(&mut want, &path, path[0], in_core, core)
+                    (path, core)
                 })
                 .collect();
-            fold_serial_ref(&mut want, &serials, in_core);
+            let mut want = SimEngine::new(cfg.clone());
+            let refs = paths.iter().map(|(path, core)| (path.as_slice(), *core));
+            let serials = charge_chains_per_deref(&mut want, refs, in_core);
 
             let mut got = SimEngine::new(cfg);
             let mut tally = ChainTally::new(&got, in_core);
